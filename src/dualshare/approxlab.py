@@ -1,11 +1,13 @@
 """Approximate-degree oracle, dual distribution pairs, and the ramp formulas.
 
-Everything runs through the exact LP: the minimax error of a symmetric
-function on its weight grid equals its multivariate symmetric approximation
-error, the LP's dual measure is a dual witness, and splitting that witness
-into its positive and negative parts (times two) yields a pair of perfectly
-k-wise indistinguishable symmetric distributions whose advantage under the
-target equals twice the minimax error.
+Everything runs through exact discrete minimax on the weight grid, solved by
+single-point exchange (``simplex.solve_minimax``): the minimax error of a
+symmetric function on its weight grid equals its multivariate symmetric
+approximation error, the optimal dual measure of the minimax LP is a dual
+witness, and splitting that witness into its positive and negative parts
+(times two) yields a pair of perfectly k-wise indistinguishable symmetric
+distributions whose advantage under the target equals twice the minimax
+error.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from math import comb
 from typing import Sequence
 
 from .boolcube import DualWitness, SymmetricDistribution, kwise_indistinguishable
+from .errors import InvalidInput, PropertyViolation
 from .ratpoly import RationalPoly, cheb_transform_factored
 from .simplex import solve_minimax
 from .symcheb import exact_weight_test, hypergeom_prob, indistinguishability_bound, weight_grid
@@ -96,8 +99,11 @@ def approx_degree(values_by_weight: Sequence, epsilon) -> int:
     Symmetrisation is lossless for symmetric functions: a univariate
     approximant on the grid lifts to a symmetric multilinear one of equal
     degree and error, and averaging projects any approximant back down.
+    A negative epsilon raises InvalidInput (a ValueError).
     """
     epsilon = Fraction(epsilon)
+    if epsilon < 0:
+        raise InvalidInput(f"epsilon must be nonnegative, got {epsilon}")
     values = [Fraction(v) for v in values_by_weight]
     n = len(values) - 1
     if n > 1000:
@@ -229,7 +235,7 @@ def finite_n_ramp(
     grid, splits the dual certificate, and flips both distributions so the
     reconstruction test is the AND (rather than the NOR) of the first K bits.
     The returned advantage is exact and equals twice the minimax error; the
-    pair is asserted perfectly k-wise indistinguishable.
+    pair is checked perfectly k-wise indistinguishable.
     """
     n, K, k = params.n, params.K, params.k
     if not n:
@@ -243,8 +249,10 @@ def finite_n_ramp(
     mu, nu = mu.reflected(), nu.reflected()
     and_values = [hypergeom_prob(n, K, K, h) for h in range(n + 1)]
     advantage = mu.expectation(and_values) - nu.expectation(and_values)
-    assert advantage == 2 * eps, "complementary slackness should force this"
-    assert kwise_indistinguishable(mu, nu, k)
+    if advantage != 2 * eps:
+        raise PropertyViolation("advantage of the LP pair differs from twice its error")
+    if not kwise_indistinguishable(mu, nu, k):
+        raise PropertyViolation(f"LP pair is not perfectly {k}-wise indistinguishable")
     return mu, nu, advantage
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import PropertyViolation
 from .ratpoly import RationalPoly
 
 
@@ -114,7 +115,8 @@ def isolate_real_roots(
 
     def strip_root(poly: RationalPoly, r: Fraction) -> RationalPoly:
         quo, rem = poly_divmod(poly, RationalPoly.of(-r, 1))
-        assert rem.is_zero()
+        if not rem.is_zero():
+            raise PropertyViolation(f"{r} is not a root of the polynomial being stripped")
         return _primitive(quo)
 
     while True:

@@ -44,7 +44,7 @@ from .dualand import (
     epsilon_of,
     verify_witness,
 )
-from .errors import PropertyViolation
+from .errors import InvalidInput, PropertyViolation
 from .serialize import (
     dist_from_json,
     dist_to_json,
@@ -65,8 +65,14 @@ from .symcheb import (
     shifted_product_check,
     truncated_approximant,
 )
-from .weightdeg import SymmetricSpec, low_weight_approximant, weight_lower_bound
+from .weightdeg import (
+    InfeasibleBudget,
+    SymmetricSpec,
+    low_weight_approximant,
+    weight_lower_bound,
+)
 
+EXIT_USAGE = 2
 EXIT_PROPERTY_VIOLATION = 3
 
 
@@ -100,6 +106,9 @@ def common_options(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
+        except (InvalidInput, InfeasibleBudget) as exc:
+            click.echo(f"Error: {exc}", err=True)
+            sys.exit(EXIT_USAGE)
         except PropertyViolation as exc:
             click.echo(f"property violated: {exc}", err=True)
             sys.exit(EXIT_PROPERTY_VIOLATION)

@@ -29,6 +29,7 @@ from itertools import accumulate
 from math import comb
 
 from .boolcube import DualWitness, WeightVector, mask_to_bits, walsh_hadamard
+from .errors import PropertyViolation
 
 _CUBE_CAP = 22
 
@@ -216,7 +217,8 @@ class ShareSampler:
                 masses.append(m * m)
         self._cum = list(accumulate(masses))
         self._total = self._cum[-1]
-        assert self._total > 0, "conditional support cannot be empty when |H| >= 1"
+        if self._total <= 0:
+            raise PropertyViolation("conditional support is empty although |H| >= 1")
         self._rng = random.Random(seed)
 
     def exact_distribution(self) -> dict[int, Fraction]:

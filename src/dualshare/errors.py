@@ -1,6 +1,14 @@
 """Shared exception types."""
 
 
+class InvalidInput(ValueError):
+    """An input outside the domain of a computation.
+
+    A ValueError to library callers; the CLI maps it to exit code 2 with a
+    one-line message.
+    """
+
+
 class PropertyViolation(Exception):
     """A certified mathematical property failed to hold on a concrete instance.
 

@@ -1,23 +1,31 @@
-"""Dense exact-rational simplex and discrete minimax approximation.
+"""Exact discrete Chebyshev approximation: polynomial exchange and general LP.
 
-The solver is a textbook two-phase primal simplex with Bland's anti-cycling
-rule on Fraction tableaus.  Problems here have at most a few hundred columns
-and a handful of rows, so exactness wins over speed; no floating point enters
-the trust path.  The artificial columns are kept through phase two (barred
-from entering), which makes them a running copy of B^{-1} and lets the dual
-vector be read off the final tableau.
+Polynomial minimax on distinct points (``solve_minimax``) runs Stiefel's
+single-point exchange, the discrete form of Remez's algorithm (Cheney,
+*Introduction to Approximation Theory*, ch. 2).  Powers up to the degree
+satisfy the Haar condition on distinct points, so the optimum is levelled on
+a reference of degree+2 points: the divided-difference weights
+lambda_i = 1 / prod_{j != i} (t_i - t_j) annihilate every polynomial of that
+degree, the levelled error of a reference is h = sum lambda_i f_i /
+sum |lambda_i|, and swapping in the point of largest residual (keeping the
+residual signs alternating) strictly increases |h| until no residual exceeds
+it.  All arithmetic is exact; the result is certified by the same audit as
+the LP path before returning.
 
-The minimax wrapper solves the moment form of discrete Chebyshev
-approximation directly: variables are the positive and negative parts of a
-signed measure psi on the points, constrained to annihilate all powers up to
-the degree and to have unit total variation, maximising the pairing with the
-target values.  The LP dual variables are then exactly the approximating
-polynomial's coefficients together with the minimax error, and all the
-complementary-slackness facts are asserted before returning.
+General design matrices (``solve_linf_fit``) go through a textbook two-phase
+primal simplex with Bland's anti-cycling rule on Fraction tableaus.  The LP
+is the moment form of the fit: variables are the positive and negative parts
+of a signed measure psi on the rows, constrained to annihilate every design
+column and to have unit total variation, maximising the pairing with the
+target values.  Its dual variables are the fit coefficients together with the
+error.  The artificial columns are kept through phase two (barred from
+entering), which makes them a running copy of B^{-1} and lets the dual
+vector be read off the final tableau.  No floating point enters either path.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -170,7 +178,8 @@ def solve_linf_fit(rows: Sequence[Sequence[Fraction]], values: Sequence[Fraction
     Returns the optimal coefficients, the optimal error, and the dual signed
     measure psi on the rows with  rows^T psi = 0,  sum |psi| = 1 (when the
     error is positive) and  <psi, values> = epsilon.  All optimality and
-    complementary-slackness facts are asserted before returning.
+    complementary-slackness facts are checked before returning.  Polynomial
+    designs on distinct points are faster through ``solve_minimax``.
     """
     rows = [[Fraction(v) for v in r] for r in rows]
     values = [Fraction(v) for v in values]
@@ -194,11 +203,27 @@ def solve_linf_fit(rows: Sequence[Sequence[Fraction]], values: Sequence[Fraction
     residuals = [
         v - sum(a * r for a, r in zip(coeffs, row)) for row, v in zip(rows, values)
     ]
+    moments = [
+        sum(p * rows[i][j] for i, p in enumerate(psi) if p) for j in range(ncoef)
+    ]
+    _audit_fit(values, residuals, eps, psi, moments)
+    return LinfFit(coeffs=coeffs, epsilon=eps, psi=psi)
+
+
+def _audit_fit(values, residuals, eps, psi, moments) -> None:
+    """Optimality certificate of a Chebyshev fit, checked exactly.
+
+    ``residuals`` are the fit's errors at the points and ``moments`` the
+    pairings of psi with every basis function.  The largest residual must be
+    eps, psi must annihilate the basis and pair with the values to give eps,
+    and when eps > 0 psi must have unit total variation with positive
+    (negative) mass only where the residual is +eps (-eps).  Weak duality
+    then proves that no fit does better.
+    """
     if max(abs(r) for r in residuals) != eps:
-        raise AssertionError("primal error does not match the LP optimum")
-    for j in range(ncoef):
-        if sum(p * rows[i][j] for i, p in enumerate(psi)) != 0:
-            raise AssertionError("dual measure fails the annihilation conditions")
+        raise AssertionError("primal error does not match the optimum")
+    if any(moments):
+        raise AssertionError("dual measure fails the annihilation conditions")
     if eps > 0:
         if sum(abs(p) for p in psi) != 1:
             raise AssertionError("dual measure does not have unit total variation")
@@ -209,7 +234,6 @@ def solve_linf_fit(rows: Sequence[Sequence[Fraction]], values: Sequence[Fraction
                 raise AssertionError("slack point carries negative dual mass")
     if sum(p * v for p, v in zip(psi, values)) != eps:
         raise AssertionError("dual pairing does not reproduce the error")
-    return LinfFit(coeffs=coeffs, epsilon=eps, psi=psi)
 
 
 @dataclass(frozen=True)
@@ -226,17 +250,140 @@ def solve_minimax(
 
     Returns the optimal polynomial, the optimal sup error on the points, and
     the dual signed measure psi with sum psi_i t_i^j = 0 for all j <= degree,
-    sum |psi_i| = 1 (when epsilon > 0) and sum psi_i f_i = epsilon.
+    sum |psi_i| = 1 (when epsilon > 0) and sum psi_i f_i = epsilon, indexed
+    like the caller's points (which may come in any order).
+
+    The polynomial is unique; psi is not when more than degree+2 points
+    attain the error.  It is fixed by this rule: walk the points in sorted
+    order, starting from the end nearer the caller's first point; take the
+    first point whose residual is +-epsilon, then each next such point whose
+    residual sign flips, until degree+2 points are taken; psi is their
+    divided-difference weights, signed and normalised.  When epsilon = 0 psi
+    is zero, and with fewer than degree+2 points the polynomial is the
+    interpolant of least degree.
     """
     points = [Fraction(p) for p in points]
     values = [Fraction(v) for v in values]
     m = len(points)
+    if not m or len(values) != m:
+        raise ValueError("need at least one point and one value per point")
     if len(set(points)) != m:
         raise ValueError("points must be distinct")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    rows = [[t**j for j in range(degree + 1)] for t in points]
-    fit = solve_linf_fit(rows, values)
+    order = sorted(range(m), key=points.__getitem__)
+    ts = [points[i] for i in order]
+    fs = [values[i] for i in order]
+    if m <= degree + 1:
+        coeffs, eps = _interpolate(ts, fs), Fraction(0)
+    else:
+        coeffs, eps = _exchange(ts, fs, degree)
+    residuals = _residuals(coeffs, points, values)
+    psi = [Fraction(0)] * m
+    if eps > 0:
+        walk = order[::-1] if 2 * order.index(0) > m - 1 else order
+        support: list[int] = []
+        for i in walk:
+            r = residuals[i]
+            if abs(r) == eps and (not support or (r > 0) != (residuals[support[-1]] > 0)):
+                support.append(i)
+                if len(support) == degree + 2:
+                    break
+        if len(support) < degree + 2:
+            raise SimplexError("optimum is not levelled on degree+2 alternating points")
+        lams = _levelling_weights([points[i] for i in support])
+        sign = 1 if lams[0] * residuals[support[0]] > 0 else -1
+        total = sum(abs(lam) for lam in lams)
+        for i, lam in zip(support, lams):
+            psi[i] = sign * lam / total
+    moments = [
+        sum(p * t**j for p, t in zip(psi, points) if p) for j in range(degree + 1)
+    ]
+    _audit_fit(values, residuals, eps, psi, moments)
     return MinimaxSolution(
-        poly=RationalPoly.from_coeffs(fit.coeffs), epsilon=fit.epsilon, psi=fit.psi
+        poly=RationalPoly.from_coeffs(coeffs), epsilon=eps, psi=tuple(psi)
     )
+
+
+def _exchange(
+    ts: list[Fraction], fs: list[Fraction], degree: int
+) -> tuple[list[Fraction], Fraction]:
+    """Single-point exchange on increasing points ts (at least degree+2 of
+    them); returns the optimal coefficients and the minimax error."""
+    m = len(ts)
+    ref = [i * (m - 1) // (degree + 1) for i in range(degree + 2)]
+    level = Fraction(-1)
+    while True:
+        lams = _levelling_weights([ts[i] for i in ref])
+        h = sum(lam * fs[i] for lam, i in zip(lams, ref)) / sum(abs(lam) for lam in lams)
+        if abs(h) <= level:
+            raise SimplexError("levelled error did not increase across an exchange")
+        level = abs(h)
+        # the residual at reference point i is sign(lambda_i) * h; at h = 0
+        # the weights' signs stand in, and the next exchange still raises |h|
+        signs = [1 if (lam > 0) == (h >= 0) else -1 for lam in lams]
+        coeffs = _interpolate(
+            [ts[i] for i in ref[:-1]],
+            [fs[i] - s * level for s, i in zip(signs, ref[:-1])],
+        )
+        residuals = _residuals(coeffs, ts, fs)
+        k = max(range(m), key=lambda i: abs(residuals[i]))
+        if abs(residuals[k]) == level:
+            return coeffs, level
+        ref = _swap_in(ref, signs, k, 1 if residuals[k] > 0 else -1)
+
+
+def _swap_in(ref: list[int], signs: list[int], k: int, sign_k: int) -> list[int]:
+    """Put point k into the reference so that residual signs still alternate."""
+    pos = bisect_left(ref, k)
+    if pos == 0:
+        return [k] + (ref[1:] if signs[0] == sign_k else ref[:-1])
+    if pos == len(ref):
+        return (ref[:-1] if signs[-1] == sign_k else ref[1:]) + [k]
+    out = list(ref)
+    out[pos - 1 if signs[pos - 1] == sign_k else pos] = k
+    return out
+
+
+def _levelling_weights(xs: list[Fraction]) -> list[Fraction]:
+    """lambda_i = 1 / prod_{j != i} (x_i - x_j), which annihilate every
+    polynomial of degree below len(xs) - 1 and alternate in sign along
+    increasing xs."""
+    out = []
+    for i, x in enumerate(xs):
+        denom = Fraction(1)
+        for j, y in enumerate(xs):
+            if j != i:
+                denom *= x - y
+        out.append(1 / denom)
+    return out
+
+
+def _interpolate(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
+    """Monomial coefficients of the interpolant of degree < len(xs), through
+    Newton's divided differences."""
+    c = list(ys)
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    coeffs = [c[-1]]
+    for i in range(n - 2, -1, -1):
+        # coeffs <- coeffs * (t - xs[i]) + c[i]
+        shifted = [Fraction(0)] + coeffs
+        for j, a in enumerate(coeffs):
+            shifted[j] -= a * xs[i]
+        shifted[0] += c[i]
+        coeffs = shifted
+    return coeffs
+
+
+def _residuals(coeffs, ts, fs) -> list[Fraction]:
+    """f - p(t) at every point, p evaluated by Horner's rule."""
+    out = []
+    for t, f in zip(ts, fs):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        out.append(f - acc)
+    return out

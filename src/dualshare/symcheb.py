@@ -112,7 +112,8 @@ def _divide_linear(p: RationalPoly, r: Fraction) -> RationalPoly:
     for i in range(p.degree, 0, -1):
         carry = p.coeffs[i] + carry * r
         out[i - 1] = carry
-    assert p.coeffs[0] + carry * r == 0, "not a root"
+    if p.coeffs[0] + carry * r != 0:
+        raise PropertyViolation(f"{r} is not a root of the polynomial being divided")
     return RationalPoly.from_coeffs(out)
 
 
@@ -156,7 +157,8 @@ def exact_weight_test(n: int, K: int, w: int) -> SymmetrizedTest:
     anchor_t = Fraction(n - 2 * anchor_h, n)
     monic = RationalPoly.from_roots(zeros)
     denom = monic(anchor_t)
-    assert denom != 0, "anchor collided with a zero"
+    if denom == 0:
+        raise PropertyViolation("anchor point collided with a zero of p_w")
     scale = hypergeom_prob(n, K, w, anchor_h) / denom
     poly = scale * monic
     for h in range(n + 1):

@@ -150,7 +150,8 @@ def _and_core_for_split(n: int, ell: int, degree_budget: int) -> _AndCore:
     poly, eps, _ = minimax_lp(MinimaxInstance.of(points, values, outer_degree))
     p_values = [poly(Fraction(j)) for j in range(ell + 1)]
     c = _finite_differences(p_values)
-    assert all(v == 0 for v in c[outer_degree + 1 :]), "differences above the degree"
+    if any(c[outer_degree + 1 :]):
+        raise PropertyViolation("outer polynomial has differences above its degree")
     return _AndCore(
         n=n,
         ell=ell,
@@ -437,7 +438,8 @@ def _aggregate_optimal(
     D = _touched_block_coeffs(_finite_differences(p_values), ell, s)
     chat = _chat_from_core(n, ell, s, tuple(D), kappa)
     error = _max_error(_symmetric_values(chat, n), work)
-    assert error == fit.epsilon, "aggregate map disagrees with the LP residuals"
+    if error != fit.epsilon:
+        raise PropertyViolation("aggregate map disagrees with the LP residuals")
     return chat, error
 
 

@@ -138,6 +138,11 @@ class TestSymcheb:
 
 
 class TestApproxDegree:
+    def test_negative_eps_exits_2_with_one_line(self, runner):
+        result = runner.invoke(cli, ["approx-degree", "--f", "and", "--n", "8", "--eps", "-1"])
+        assert result.exit_code == 2
+        assert result.output.strip() == "Error: epsilon must be nonnegative, got -1"
+
     def test_and(self, runner):
         doc = run_json(runner, ["approx-degree", "--f", "and", "--n", "4"])
         assert doc["result"]["approx_degree"] == 2
@@ -154,6 +159,12 @@ class TestApproxDegree:
 
 
 class TestWeightBound:
+    def test_infeasible_budget_exits_2_with_one_line(self, runner):
+        result = runner.invoke(cli, ["weight-bound", "--f", "maj", "--n", "12", "--K", "3"])
+        assert result.exit_code == 2
+        assert len(result.output.strip().splitlines()) == 1
+        assert "cannot reach error 1/3" in result.output
+
     def test_and8(self, runner):
         doc = run_json(
             runner, ["weight-bound", "--f", "and", "--n", "8", "--K", "4"]

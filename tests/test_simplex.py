@@ -4,7 +4,10 @@ from itertools import combinations
 
 import pytest
 
+from dualshare import simplex
+from dualshare.ratpoly import RationalPoly
 from dualshare.simplex import SimplexError, solve_linf_fit, solve_lp, solve_minimax
+from dualshare.symcheb import weight_grid
 
 
 def alternation_minimax(points, values, degree):
@@ -124,6 +127,64 @@ class TestMinimax:
             assert sol.epsilon == alternation_minimax(
                 [Fraction(p) for p in pts], vals, k
             )
+
+    def test_exchange_matches_lp_on_vandermonde_rows(self, rng):
+        # the simplex on the same design is the differential oracle; points
+        # come increasing, decreasing (as weight grids do) and unsorted
+        for trial in range(60):
+            if trial % 3 == 0:
+                n = rng.randint(1, 12)
+                pts = list(weight_grid(n))
+                vals = [Fraction(rng.randint(0, 1)) for _ in pts]
+            else:
+                m = rng.randint(2, 8)
+                pts = [Fraction(p) for p in rng.sample(range(-7, 12), m)]
+                if trial % 3 == 1:
+                    pts.sort(reverse=rng.random() < 0.5)
+                vals = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in pts]
+            k = rng.randint(0, len(pts) - 1)
+            sol = solve_minimax(pts, vals, k)
+            fit = solve_linf_fit([[t**j for j in range(k + 1)] for t in pts], vals)
+            assert sol.epsilon == fit.epsilon
+            assert sol.poly.coeffs == RationalPoly.from_coeffs(fit.coeffs).coeffs
+            residuals = [v - sol.poly(t) for t, v in zip(pts, vals)]
+            for j in range(k + 1):
+                assert sum(p * t**j for p, t in zip(sol.psi, pts)) == 0
+            assert sum(p * v for p, v in zip(sol.psi, vals)) == sol.epsilon
+            if sol.epsilon > 0:
+                assert sum(abs(p) for p in sol.psi) == 1
+                for p, r in zip(sol.psi, residuals):
+                    assert p == 0 or r == (sol.epsilon if p > 0 else -sol.epsilon)
+
+    def test_degenerate_optimum_takes_the_canonical_support(self):
+        # AND_12 at degree 2 attains its error at h = 5 and h = 6 with the
+        # same sign; walking from h = 0 takes h = 5, as the LP's Bland vertex does
+        values = [Fraction(int(h == 12)) for h in range(13)]
+        sol = solve_minimax(weight_grid(12), values, 2)
+        assert [h for h, p in enumerate(sol.psi) if p] == [0, 5, 11, 12]
+        # given in increasing order, the walk starts at h = 12 and takes h = 6
+        rev = solve_minimax(weight_grid(12)[::-1], values[::-1], 2)
+        assert [12 - i for i, p in enumerate(rev.psi) if p] == [12, 11, 6, 0]
+
+    @pytest.mark.parametrize(
+        "points, values, degree",
+        [([0, 1, 2], [0, 1, 0], 2), ([0, 1, 2, 3], [1, 3, 9, 19], 2)],
+    )
+    def test_zero_error_has_zero_measure(self, points, values, degree):
+        sol = solve_minimax(points, values, degree)
+        assert sol.epsilon == 0
+        assert sol.psi == (0,) * len(points)
+        assert [sol.poly(t) for t in points] == values
+
+    def test_degree_beyond_points_returns_least_interpolant(self):
+        sol = solve_minimax([0, 1, 2], [0, 1, 0], 3)
+        assert sol.poly == RationalPoly.of(0, 2, -1)
+        assert sol.epsilon == 0
+
+    def test_stalled_exchange_raises(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_swap_in", lambda ref, signs, k, sign: ref)
+        with pytest.raises(SimplexError):
+            solve_minimax([0, 1, 2, 3], [0, 0, 0, 1], 1)
 
     def test_dual_certificate_properties(self, rng):
         for _ in range(10):
