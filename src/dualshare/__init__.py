@@ -28,7 +28,6 @@ from .boolcube import (
     basis_convert,
     kwise_indistinguishable,
     pair_with_witness,
-    parity_weight,
     project_symmetric,
     stat_distance_symmetric,
     walsh_hadamard,
@@ -39,7 +38,6 @@ from .dualand import (
     ShareSampler,
     build_witness,
     epsilon_of,
-    sample_shares,
     verify_witness,
     weighted_anticoncentration_check,
 )
@@ -50,9 +48,7 @@ from .ratpoly import (
     RationalPoly,
     cheb_T,
     cheb_transform,
-    cheb_truncate,
     parseval_circle_check,
-    poly_from_roots,
     sigma_inner,
 )
 from .symcheb import (
@@ -100,7 +96,6 @@ __all__ = [
     "build_witness",
     "cheb_T",
     "cheb_transform",
-    "cheb_truncate",
     "circle_identity_check",
     "consolidate_and",
     "consolidation_bound",
@@ -114,12 +109,9 @@ __all__ = [
     "low_weight_approximant",
     "minimax_lp",
     "pair_with_witness",
-    "parity_weight",
     "parseval_circle_check",
-    "poly_from_roots",
     "project_symmetric",
     "ramp_advantage",
-    "sample_shares",
     "sigma_inner",
     "stat_distance_symmetric",
     "symmetrize",

@@ -125,16 +125,9 @@ def dual_distributions(
     ``degree`` make the pair perfectly degree-wise indistinguishable.
     """
     n = cert.grid_n()
-    if sum(cert.psi) != 0:
-        raise ValueError("witness pairs nonzero with the constant character")
     if sum(abs(p) for p in cert.psi) != 1:
         raise ValueError("witness must have unit total variation")
-    mu = tuple(2 * p if p > 0 else Fraction(0) for p in cert.psi)
-    nu = tuple(-2 * p if p < 0 else Fraction(0) for p in cert.psi)
-    return (
-        SymmetricDistribution(n, mu),
-        SymmetricDistribution(n, nu),
-    )
+    return _split_signed_mass(n, cert.psi)
 
 
 def split_cube_witness(
@@ -156,6 +149,14 @@ def split_cube_witness(
             h = m.bit_count()
             if v * comb(n, h) != mass[h]:
                 raise ValueError("witness is not symmetric")
+    return _split_signed_mass(n, mass)
+
+
+def _split_signed_mass(
+    n: int, mass: Sequence[Fraction]
+) -> tuple[SymmetricDistribution, SymmetricDistribution]:
+    """(mu, nu) doubling the positive and the negative part of a zero-sum
+    per-weight signed mass, so that mass = (mu - nu)/2."""
     if sum(mass) != 0:
         raise ValueError("witness pairs nonzero with the constant character")
     mu = tuple(2 * q if q > 0 else Fraction(0) for q in mass)

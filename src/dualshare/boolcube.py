@@ -18,6 +18,8 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Sequence
 
+CUBE_CAP = 22  # largest n for which any routine enumerates all 2^n cube points
+
 
 def bits_to_mask(bits: Sequence[int]) -> int:
     m = 0
@@ -254,10 +256,6 @@ class ParityPoly:
         return ParityPoly(self.n, {s: v * c for s, v in self.coeffs.items()})
 
 
-def parity_weight(p: ParityPoly) -> Fraction:
-    return p.weight()
-
-
 def basis_convert(monomial_coeffs: dict[int, Fraction], n: int) -> ParityPoly:
     """Multilinear polynomial in 0/1 variables -> parity basis.
 
@@ -281,12 +279,62 @@ def basis_convert(monomial_coeffs: dict[int, Fraction], n: int) -> ParityPoly:
     return ParityPoly(n, out)
 
 
+_KRAVCHUK_ROWS: dict[int, list[list[int]]] = {}
+
+
 def kravchuk(n: int, r: int, h: int) -> int:
-    """sum over |S| = r of chi_S at any input of Hamming weight h."""
-    return sum(
-        (-1) ** j * comb(h, j) * comb(n - h, r - j)
-        for j in range(max(0, r - (n - h)), min(r, h) + 1)
+    """sum over |S| = r of chi_S at any input of Hamming weight h (0 for r > n).
+
+    One integer table per n, grown a row at a time by the three-term
+    recurrence (r+1) K_{r+1}(h) = (n - 2h) K_r(h) - (n - r + 1) K_{r-1}(h).
+    """
+    rows = _KRAVCHUK_ROWS.setdefault(
+        n, [[1] * (n + 1), [n - 2 * x for x in range(n + 1)]]
     )
+    while len(rows) <= r:
+        r0 = len(rows) - 1
+        rows.append([
+            ((n - 2 * x) * a - (n - r0 + 1) * b) // (r0 + 1)
+            for x, (a, b) in enumerate(zip(rows[r0], rows[r0 - 1]))
+        ])
+    return rows[r][h]
+
+
+def weight_averages(f, n: int) -> list[Fraction]:
+    """E_{|x|=h}[f(x)] for h = 0..n.
+
+    ``f`` may be a ParityPoly (each chi_S averages to kravchuk(n, |S|, h) /
+    C(n, |S|) over a weight class), a callable on 0/1 tuples (enumerated over
+    the cube, n <= CUBE_CAP), or a length-(n+1) weight-value vector.
+    """
+    if isinstance(f, ParityPoly):
+        if f.n != n:
+            raise ValueError("mismatched n")
+        by_size: dict[int, Fraction] = {}
+        for s, c in f.coeffs.items():
+            r = s.bit_count()
+            by_size[r] = by_size.get(r, Fraction(0)) + c
+        return [
+            sum(
+                (
+                    c * Fraction(kravchuk(n, r, h), comb(n, r))
+                    for r, c in by_size.items()
+                ),
+                Fraction(0),
+            )
+            for h in range(n + 1)
+        ]
+    if callable(f):
+        if n > CUBE_CAP:
+            raise ValueError(f"cube enumeration capped at n <= {CUBE_CAP}")
+        sums = [Fraction(0)] * (n + 1)
+        for m in range(1 << n):
+            sums[m.bit_count()] += Fraction(f(mask_to_bits(n, m)))
+        return [s / comb(n, h) for h, s in enumerate(sums)]
+    values = [Fraction(v) for v in f]
+    if len(values) != n + 1:
+        raise ValueError("weight-value vector must have length n+1")
+    return values
 
 
 @dataclass(frozen=True)
@@ -345,32 +393,16 @@ def pair_with_witness(psi: DualWitness, f) -> Fraction:
     """<psi, f> = sum_x psi(x) f(x), expanding symmetric weights with multiplicity.
 
     ``f`` may be a ParityPoly, a callable on 0/1 tuples, or a length-(n+1)
-    weight-value vector for symmetric functions.
+    weight-value vector for symmetric functions.  A symmetric witness pairs
+    through the class averages: sum_h C(n, h) psi_h E_{|x|=h}[f].
     """
     n = psi.n
     if psi.representation == "symmetric":
-        if isinstance(f, ParityPoly):
-            # sum_{|x|=h} chi_S(x) depends only on |S|: kravchuk with the
-            # subset size in the weight slot
-            acc = Fraction(0)
-            by_size: dict[int, Fraction] = {}
-            for s, c in f.coeffs.items():
-                r = s.bit_count()
-                by_size[r] = by_size.get(r, Fraction(0)) + c
-            for h, v in enumerate(psi.values):
-                if v:
-                    acc += v * sum(
-                        (c * kravchuk(n, h, r) for r, c in by_size.items()),
-                        Fraction(0),
-                    )
-            return acc
-        if not callable(f):
-            values = [Fraction(x) for x in f]
-            return sum(
-                (comb(n, h) * v * values[h] for h, v in enumerate(psi.values) if v),
-                Fraction(0),
-            )
-        # fall through: expand to the cube for black-box functions
+        averages = weight_averages(f, n)
+        return sum(
+            (comb(n, h) * v * averages[h] for h, v in enumerate(psi.values) if v),
+            Fraction(0),
+        )
     fx = _function_values(n, f)
     vals = psi.cube_values()
     return sum((v * fx(m) for m, v in enumerate(vals) if v), Fraction(0))

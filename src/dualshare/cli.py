@@ -106,7 +106,7 @@ def common_options(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (InvalidInput, InfeasibleBudget) as exc:
+        except (ValueError, InfeasibleBudget) as exc:
             click.echo(f"Error: {exc}", err=True)
             sys.exit(EXIT_USAGE)
         except PropertyViolation as exc:
@@ -192,10 +192,8 @@ def cli(ctx, list_commands):
 @click.option("--weights", type=str, default=None,
               help="Comma-separated rationals; default uniform weights 1.")
 @click.option("--d", "d_str", type=str, required=True, help="Degree threshold (rational).")
-@click.option("--emit", "emit_path", type=str, default=None,
-              help="Alias for --out (witness JSON).")
 @common_options
-def dual_and_cmd(n, weights, d_str, emit_path, seed, out, fmt, threads):
+def dual_and_cmd(n, weights, d_str, seed, out, fmt, threads):
     """Build the AND dual witness, verify it, and emit it as JSON."""
     d = _parse_rational(d_str)
     if weights:
@@ -204,11 +202,8 @@ def dual_and_cmd(n, weights, d_str, emit_path, seed, out, fmt, threads):
             raise click.BadParameter("weights length must equal n")
     else:
         w = WeightVector.uniform(n)
-    try:
-        params = DualAndParams(n, w, d)
-        wit = build_witness(params)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    params = DualAndParams(n, w, d)
+    wit = build_witness(params)
     eps = epsilon_of(params)
     from .dualand import and_cube
 
@@ -230,7 +225,7 @@ def dual_and_cmd(n, weights, d_str, emit_path, seed, out, fmt, threads):
         "pure_high_degree_strictly_below_d": report.pure_high_degree,
         "witness": witness_to_json(wit.witness),
     }
-    _emit("dual-and", config, result, emit_path or out, fmt)
+    _emit("dual-and", config, result, out, fmt)
 
 
 @cli.command("sample-shares")
@@ -242,13 +237,13 @@ def dual_and_cmd(n, weights, d_str, emit_path, seed, out, fmt, threads):
 def sample_shares_cmd(witness_path, secret, count, seed, out, fmt, threads):
     """Draw share vectors for a secret; CSV columns bit_1..bit_n hold +-1 values."""
     doc = load_json(witness_path)
-    cfg = doc.get("config", {})
     try:
+        cfg = doc["config"]
         n = int(cfg["n"])
         w = WeightVector.of([Fraction(x) for x in cfg["weights"]])
         d = Fraction(cfg["d"])
-    except (KeyError, ValueError) as exc:
-        raise click.UsageError(f"witness file lacks a usable config: {exc}")
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"witness file lacks a usable config: {exc!r}") from exc
     wit = build_witness(DualAndParams(n, w, d))
     sampler = ShareSampler(wit, 1 if secret == "+1" else -1, seed)
     rows = []
@@ -280,14 +275,10 @@ def symcheb_group():
               help="Truncation index for --check truncation.")
 @click.option("--eps", type=str, default="1/10", show_default=True,
               help="Amplification epsilon for --check circle, shift for product-cap.")
-@click.option("--json", "json_out", type=str, default=None, help="Alias for --out.")
 @common_options
-def symcheb_pw(n, big_k, w, check, trunc_k, eps, json_out, seed, out, fmt, threads):
+def symcheb_pw(n, big_k, w, check, trunc_k, eps, seed, out, fmt, threads):
     """Build the exact-weight test polynomial and optionally run a named check."""
-    try:
-        test = exact_weight_test(n, big_k, w)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    test = exact_weight_test(n, big_k, w)
     expansion = test.cheb()
     result = {
         "scale": rat_to_str(test.scale),
@@ -323,7 +314,7 @@ def symcheb_pw(n, big_k, w, check, trunc_k, eps, json_out, seed, out, fmt, threa
             raise PropertyViolation("shifted-product cap failed on the grid")
     config = {"n": n, "K": big_k, "w": w, "check": check, "k": trunc_k,
               "eps": eps, "seed": seed, "threads": threads}
-    _emit("symcheb-pw", config, result, json_out or out, fmt)
+    _emit("symcheb-pw", config, result, out, fmt)
 
 
 def _named_predicate(name: str, n: int) -> list[int]:
@@ -345,7 +336,13 @@ def _named_predicate(name: str, n: int) -> list[int]:
 def _load_predicate(f: str, n: int | None) -> tuple[int, list[int]]:
     if f.endswith(".json"):
         doc = load_json(f)
-        return int(doc["n"]), [int(v) for v in doc["values"]]
+        try:
+            n, values = int(doc["n"]), [int(v) for v in doc["values"]]
+        except (KeyError, TypeError) as exc:
+            raise InvalidInput(f"predicate file needs n and values: {exc!r}") from exc
+        if len(values) != n + 1:
+            raise InvalidInput(f"predicate file has {len(values)} values for n={n}")
+        return n, values
     if n is None:
         raise click.UsageError("--n is required for named predicates")
     return n, _named_predicate(f, n)
@@ -376,10 +373,7 @@ def approx_degree_cmd(f_name, n, eps, seed, out, fmt, threads):
 @common_options
 def ramp_cmd(k, big_k, n, finite, seed, out, fmt, threads):
     """The ramp reconstruction-advantage formulas, exact radicands included."""
-    try:
-        params = RampParams(k, big_k, n or 0)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    params = RampParams(k, big_k, n or 0)
     radicand, value = ramp_advantage(params)
     proof_radicand, proof_value = ramp_advantage_proof_constant(params)
     result = {
@@ -463,10 +457,7 @@ def weight_bound_cmd(f_name, n, big_k, eps, construct, lower, seed, out, fmt, th
 def consolidate_cmd(dist_path, t, seed, out, fmt, threads):
     """AND-consolidate blocks of t shares into single bits."""
     d = dist_from_json(load_json(dist_path))
-    try:
-        consolidated = consolidate_and(d, t)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    consolidated = consolidate_and(d, t)
     config = {"dist": dist_path, "t": t, "seed": seed, "threads": threads}
     _emit("consolidate", config, {"consolidated": dist_to_json(consolidated)},
           out, fmt)

@@ -28,10 +28,8 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
-from .boolcube import DualWitness, WeightVector, mask_to_bits, walsh_hadamard
+from .boolcube import CUBE_CAP, DualWitness, WeightVector, mask_to_bits, walsh_hadamard
 from .errors import PropertyViolation
-
-_CUBE_CAP = 22
 
 
 @dataclass(frozen=True)
@@ -45,8 +43,8 @@ class DualAndParams:
             raise ValueError("weight vector length must equal n")
         if not 0 < self.d <= self.w.l1():
             raise ValueError("need 0 < d <= |w|_1")
-        if self.n > _CUBE_CAP:
-            raise ValueError(f"exact cube construction capped at n <= {_CUBE_CAP}")
+        if self.n > CUBE_CAP:
+            raise ValueError(f"exact cube construction capped at n <= {CUBE_CAP}")
 
     @staticmethod
     def uniform(n: int, d) -> "DualAndParams":
@@ -237,11 +235,6 @@ class ShareSampler:
 
     def sample(self) -> tuple[int, ...]:
         return mask_to_bits(self._n, self.sample_mask())
-
-
-def sample_shares(wit: DualAndWitness, secret: int, rng_seed: int) -> tuple[int, ...]:
-    """One share vector (as 0/1 bits); see ShareSampler for batched draws."""
-    return ShareSampler(wit, secret, rng_seed).sample()
 
 
 def reconstruction_advantage(wit: DualAndWitness) -> Fraction:

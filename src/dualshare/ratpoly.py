@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .errors import PropertyViolation
+
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -137,15 +139,6 @@ class RationalPoly:
         )
 
 
-def eval_poly(p: RationalPoly, t) -> Fraction:
-    """Exact Horner evaluation (free-function alias for ``p(t)``)."""
-    return p(t)
-
-
-def poly_from_roots(roots: Iterable, scale=1) -> RationalPoly:
-    return RationalPoly.from_roots(roots, scale)
-
-
 @dataclass(frozen=True)
 class LaurentPoly:
     """Finite Laurent polynomial over Q, stored as sorted (exponent, coeff) pairs."""
@@ -158,17 +151,11 @@ class LaurentPoly:
             tuple(sorted((e, _frac(c)) for e, c in d.items() if c != 0))
         )
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.terms)
-
     def coeff(self, e: int) -> Fraction:
         for exp, c in self.terms:
             if exp == e:
                 return c
         return Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def span(self) -> int:
         """Max exponent minus min exponent (0 for the zero polynomial)."""
@@ -176,40 +163,29 @@ class LaurentPoly:
             return 0
         return self.terms[-1][0] - self.terms[0][0]
 
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            out: dict[int, Fraction] = {}
-            for e1, c1 in self.terms:
-                for e2, c2 in other.terms:
-                    e = e1 + e2
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-            return LaurentPoly.from_dict(out)
-        s = _frac(other)
-        return LaurentPoly.from_dict({e: c * s for e, c in self.terms})
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for e, c in other.terms:
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPoly.from_dict(out)
-
     def evaluate(self, z: complex) -> complex:
         return sum(float(c) * z**e for e, c in self.terms)
 
 
-def laurent_from_roots(roots: Iterable, scale=1) -> LaurentPoly:
-    """The Laurent polynomial ``scale * prod (s + 1/s - 2z)/2``.
+def generating_poly(roots: Iterable, scale=1) -> RationalPoly:
+    """The polynomial ``g(s) = scale * prod (s^2 - 2 z s + 1)/2`` of degree 2 deg.
 
-    Its regular coefficients are the symmetric Chebyshev coefficients of
-    ``scale * prod (t - z)``.
+    ``g`` is s^deg times the Laurent product ``scale * prod (s + 1/s - 2z)/2``
+    (deg = number of roots), so its coefficients deg..2 deg are the symmetric
+    Chebyshev coefficients of ``scale * prod (t - z)``.
     """
-    g = LaurentPoly.from_dict({0: _frac(scale)})
-    half = Fraction(1, 2)
+    g = RationalPoly.of(scale)
     for z in roots:
-        g = g * LaurentPoly.from_dict({1: half, 0: -_frac(z), -1: half})
+        g = g * RationalPoly.of(Fraction(1, 2), -_frac(z), Fraction(1, 2))
     return g
+
+
+def laurent_from_roots(roots: Iterable, scale=1) -> LaurentPoly:
+    """The Laurent polynomial ``scale * prod (s + 1/s - 2z)/2``, i.e.
+    ``generating_poly`` with its exponents shifted down by the number of roots."""
+    roots = list(roots)
+    g = generating_poly(roots, scale)
+    return LaurentPoly.from_dict({i - len(roots): c for i, c in enumerate(g.coeffs)})
 
 
 _CHEB_CACHE: list[RationalPoly] = [RationalPoly.of(1), RationalPoly.of(0, 1)]
@@ -249,14 +225,6 @@ class ChebyshevExpansion:
             return Fraction(0)
         return self.half_coeffs[d]
 
-    def to_poly(self) -> RationalPoly:
-        """Reconstruct sum_{d=-K}^{K} c_d T_d = c_0 + sum_{d>0} 2 c_d T_d."""
-        acc = RationalPoly()
-        for d, c in enumerate(self.half_coeffs):
-            if c:
-                acc = acc + cheb_T(d) * (c if d == 0 else 2 * c)
-        return acc
-
     def truncate(self, k: int) -> RationalPoly:
         """The power-basis expansion of sum_{|d| < k} c_d T_d."""
         if k < 0:
@@ -266,16 +234,6 @@ class ChebyshevExpansion:
             if c:
                 acc = acc + cheb_T(d) * (c if d == 0 else 2 * c)
         return acc
-
-    def to_laurent(self) -> LaurentPoly:
-        """Two-sided Laurent polynomial sum_d c_d s^d with c_{-d} = c_d."""
-        out: dict[int, Fraction] = {}
-        for d, c in enumerate(self.half_coeffs):
-            if c:
-                out[d] = c
-                if d:
-                    out[-d] = c
-        return LaurentPoly.from_dict(out)
 
 
 def cheb_transform(p: RationalPoly) -> ChebyshevExpansion:
@@ -301,19 +259,18 @@ def cheb_transform(p: RationalPoly) -> ChebyshevExpansion:
 
 
 def cheb_transform_factored(roots: Iterable, scale=1) -> ChebyshevExpansion:
-    """Chebyshev expansion of ``scale * prod (t - z)`` read off the Laurent product."""
+    """Chebyshev expansion of ``scale * prod (t - z)``: coefficients deg..2 deg of
+    ``generating_poly``, after checking the palindrome g[deg - d] = g[deg + d]
+    (the s <-> 1/s symmetry of the Laurent product)."""
     roots = list(roots)
-    g = laurent_from_roots(roots, scale)
-    half = [g.coeff(d) for d in range(len(roots) + 1)]
-    # the Laurent product is symmetric in s <-> 1/s; keep the cheap sanity check
-    for d in range(1, len(roots) + 1):
-        if g.coeff(-d) != half[d]:
-            raise AssertionError("Laurent product lost its s <-> 1/s symmetry")
-    return ChebyshevExpansion.from_coeffs(half)
-
-
-def cheb_truncate(e: ChebyshevExpansion, k: int) -> RationalPoly:
-    return e.truncate(k)
+    deg = len(roots)
+    g = generating_poly(roots, scale).coeffs
+    if not g:
+        return ChebyshevExpansion()
+    for d in range(1, deg + 1):
+        if g[deg - d] != g[deg + d]:
+            raise PropertyViolation("generating polynomial lost its s <-> 1/s symmetry")
+    return ChebyshevExpansion.from_coeffs(g[deg:])
 
 
 def sigma_inner(e1: ChebyshevExpansion, e2: ChebyshevExpansion) -> Fraction:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Any
 
 from .boolcube import DualWitness, SymmetricDistribution
+from .errors import InvalidInput
 from .ratpoly import ChebyshevExpansion, RationalPoly
 
 
@@ -46,7 +47,11 @@ def dist_to_json(d: SymmetricDistribution) -> dict:
 
 
 def dist_from_json(obj: dict) -> SymmetricDistribution:
-    return SymmetricDistribution.of(obj["n"], [Fraction(p) for p in obj["weight_probs"]])
+    try:
+        probs = [Fraction(p) for p in obj["weight_probs"]]
+        return SymmetricDistribution.of(obj["n"], probs)
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"malformed distribution (n, weight_probs): {exc!r}") from exc
 
 
 def witness_to_json(w: DualWitness) -> dict:

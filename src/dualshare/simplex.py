@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import PropertyViolation
 from .ratpoly import RationalPoly
 
 
@@ -46,7 +47,8 @@ def solve_lp(
 
     Returns (x, value, y) where y is a dual optimum: y.A_j >= c_j for all j,
     with equality whenever x_j > 0, and y.b == value == c.x.  These facts are
-    asserted on the result.  Raises SimplexError when infeasible or unbounded.
+    checked on the result (PropertyViolation otherwise).  Raises SimplexError
+    when infeasible or unbounded.
     """
     m, n = len(A), len(A[0])
     A = [[Fraction(v) for v in row] for row in A]
@@ -150,19 +152,19 @@ def _audit(A, b, c, flips, x, value, y) -> None:
     for i in range(m):
         lhs = sum(A[i][j] * x[j] for j in range(n) if x[j])
         if lhs != b[i]:
-            raise AssertionError("primal infeasibility in the final tableau")
+            raise PropertyViolation("primal infeasibility in the final tableau")
     if any(v < 0 for v in x):
-        raise AssertionError("negative basic variable")
+        raise PropertyViolation("negative basic variable")
     for j in range(n):
         # A was stored row-flipped; undo the flips to audit against the input
         yaj = sum(y[i] * flips[i] * A[i][j] for i in range(m) if y[i])
         if yaj < c[j]:
-            raise AssertionError("dual infeasibility at optimum")
+            raise PropertyViolation("dual infeasibility at optimum")
         if x[j] > 0 and yaj != c[j]:
-            raise AssertionError("complementary slackness violated")
+            raise PropertyViolation("complementary slackness violated")
     yb = sum(y[i] * flips[i] * b[i] for i in range(m) if y[i])
     if yb != value:
-        raise AssertionError("strong duality gap")
+        raise PropertyViolation("strong duality gap")
 
 
 @dataclass(frozen=True)
@@ -198,7 +200,7 @@ def solve_linf_fit(rows: Sequence[Sequence[Fraction]], values: Sequence[Fraction
     psi = tuple(x[i] - x[m + i] for i in range(m))
     coeffs = tuple(y[:ncoef])
     if y[ncoef] != eps:
-        raise AssertionError("dual objective row disagrees with the LP value")
+        raise PropertyViolation("dual objective row disagrees with the LP value")
 
     residuals = [
         v - sum(a * r for a, r in zip(coeffs, row)) for row, v in zip(rows, values)
@@ -221,19 +223,19 @@ def _audit_fit(values, residuals, eps, psi, moments) -> None:
     then proves that no fit does better.
     """
     if max(abs(r) for r in residuals) != eps:
-        raise AssertionError("primal error does not match the optimum")
+        raise PropertyViolation("primal error does not match the optimum")
     if any(moments):
-        raise AssertionError("dual measure fails the annihilation conditions")
+        raise PropertyViolation("dual measure fails the annihilation conditions")
     if eps > 0:
         if sum(abs(p) for p in psi) != 1:
-            raise AssertionError("dual measure does not have unit total variation")
+            raise PropertyViolation("dual measure does not have unit total variation")
         for i, p in enumerate(psi):
             if p > 0 and residuals[i] != eps:
-                raise AssertionError("slack point carries positive dual mass")
+                raise PropertyViolation("slack point carries positive dual mass")
             if p < 0 and residuals[i] != -eps:
-                raise AssertionError("slack point carries negative dual mass")
+                raise PropertyViolation("slack point carries negative dual mass")
     if sum(p * v for p, v in zip(psi, values)) != eps:
-        raise AssertionError("dual pairing does not reproduce the error")
+        raise PropertyViolation("dual pairing does not reproduce the error")
 
 
 @dataclass(frozen=True)

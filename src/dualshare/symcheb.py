@@ -25,17 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .boolcube import ParityPoly, kravchuk
+from .boolcube import weight_averages
 from .certify import poly_nonneg_on, sup_norm_certified
 from .errors import PropertyViolation
 from .ratpoly import (
     ChebyshevExpansion,
     RationalPoly,
     cheb_transform_factored,
-    cheb_truncate,
+    generating_poly,
 )
-
-_CUBE_CAP = 24
 
 
 def hypergeom_prob(n: int, K: int, w: int, h: int) -> Fraction:
@@ -58,40 +56,7 @@ def symmetrize(f, n: int) -> RationalPoly:
     averaged values; the result automatically has degree at most the total
     degree of f.
     """
-    averages = _weight_averages(f, n)
-    return _lagrange(weight_grid(n), averages)
-
-
-def _weight_averages(f, n: int) -> list[Fraction]:
-    if isinstance(f, ParityPoly):
-        if f.n != n:
-            raise ValueError("mismatched n")
-        by_size: dict[int, Fraction] = {}
-        for s, c in f.coeffs.items():
-            r = s.bit_count()
-            by_size[r] = by_size.get(r, Fraction(0)) + c
-        # E_{|x|=h}[chi_S] = kravchuk(n, h, |S|) / C(n, h)
-        return [
-            sum(
-                (c * kravchuk(n, h, r) for r, c in by_size.items()),
-                Fraction(0),
-            )
-            / comb(n, h)
-            for h in range(n + 1)
-        ]
-    if callable(f):
-        if n > _CUBE_CAP:
-            raise ValueError(f"black-box symmetrisation capped at n <= {_CUBE_CAP}")
-        sums = [Fraction(0)] * (n + 1)
-        from .boolcube import mask_to_bits
-
-        for m in range(1 << n):
-            sums[m.bit_count()] += Fraction(f(mask_to_bits(n, m)))
-        return [s / comb(n, h) for h, s in enumerate(sums)]
-    values = [Fraction(v) for v in f]
-    if len(values) != n + 1:
-        raise ValueError("weight-value vector must have length n+1")
-    return values
+    return _lagrange(weight_grid(n), weight_averages(f, n))
 
 
 def _lagrange(points, values) -> RationalPoly:
@@ -140,10 +105,7 @@ class SymmetrizedTest:
         Its coefficient at index K + d is the Chebyshev coefficient c_d of
         p_w (it is s^K times the Laurent product behind the transform).
         """
-        g = RationalPoly.of(self.scale)
-        for z in self.zeros:
-            g = g * RationalPoly.of(Fraction(1, 2), -z, Fraction(1, 2))
-        return g
+        return generating_poly(self.zeros, self.scale)
 
 
 def exact_weight_test(n: int, K: int, w: int) -> SymmetrizedTest:
@@ -234,7 +196,7 @@ def truncated_approximant(
             stacklevel=2,
         )
     expansion = test.cheb()
-    q = cheb_truncate(expansion, k)
+    q = expansion.truncate(k)
     diff = test.poly - q
     bound = truncation_error_bound(test.K, k)
     if diff.is_zero():

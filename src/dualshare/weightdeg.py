@@ -33,7 +33,7 @@ from itertools import combinations, product
 from math import comb
 
 from .approxlab import LPDualCertificate, MinimaxInstance, minimax_lp
-from .boolcube import ParityPoly, bits_to_mask, kravchuk
+from .boolcube import ParityPoly, bits_to_mask, kravchuk, pair_with_witness
 from .errors import PropertyViolation
 from .simplex import solve_linf_fit
 
@@ -256,19 +256,12 @@ def _block_count_poly(s: int, r: int) -> list[int]:
 
 
 def _kappa_sums(n: int, supp_weights: list[int]) -> list[Fraction]:
-    """sum over the support classes of kappa_h(m) = sum_j (-1)^j C(m,j) C(n-m, n-h-j),
-    the sign-flip multiplier a size-m parity coefficient picks up when the AND
+    """sum over the support classes h of kappa_h(m) = kravchuk(n, n - h, m), the
+    sign-flip multiplier a size-m parity coefficient picks up when the AND
     approximant is summed over all targets y of weight h."""
-    out = []
-    for m in range(n + 1):
-        total = 0
-        for h in supp_weights:
-            total += sum(
-                (-1) ** j * comb(m, j) * comb(n - m, n - h - j)
-                for j in range(max(0, m - h), min(m, n - h) + 1)
-            )
-        out.append(Fraction(total))
-    return out
+    return [
+        Fraction(sum(kravchuk(n, n - h, m) for h in supp_weights)) for m in range(n + 1)
+    ]
 
 
 def _chat_from_core(
@@ -477,19 +470,14 @@ def weight_lower_bound(
     """
     target_error = Fraction(target_error)
     n = cert.grid_n()
-    psi = cert.psi  # weight-class masses
-    best = Fraction(0)
-    for r in range(K + 1):
-        # <psi, chi_S> = sum_h psi[h] * kravchuk(n, h, r) / C(n, h)
-        pairing = sum(
-            (
-                p * Fraction(kravchuk(n, h, r), comb(n, h))
-                for h, p in enumerate(psi)
-                if p
-            ),
-            Fraction(0),
-        )
-        best = max(best, abs(pairing))
+    witness = cert.symmetric_witness()
+    best = max(
+        (
+            abs(pair_with_witness(witness, ParityPoly(n, {(1 << r) - 1: Fraction(1)})))
+            for r in range(min(K, n) + 1)
+        ),
+        default=Fraction(0),
+    )
     if best == 0:
         return math.inf
     return (cert.epsilon - target_error) / best

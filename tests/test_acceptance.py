@@ -49,12 +49,12 @@ from dualshare.dualand import (
     weighted_anticoncentration_check,
 )
 from dualshare.ratpoly import (
+    RationalPoly,
     cheb_T,
     cheb_transform,
     cheb_transform_factored,
     laurent_from_roots,
     parseval_circle_check,
-    poly_from_roots,
     sigma_inner,
 )
 from dualshare.symcheb import (
@@ -131,7 +131,7 @@ def test_criterion_03_chebyshev_machinery():
         ]
         scale = Fraction(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice([1, -1])
         laurent_route = cheb_transform_factored(roots, scale)
-        inversion_route = cheb_transform(poly_from_roots(roots, scale))
+        inversion_route = cheb_transform(RationalPoly.from_roots(roots, scale))
         assert laurent_route.half_coeffs == inversion_route.half_coeffs
         g = laurent_from_roots(roots, scale)
         assert parseval_circle_check(g, 2 * g.span() + 8) < 1e-8

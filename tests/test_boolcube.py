@@ -19,7 +19,6 @@ from dualshare.boolcube import (
     kwise_indistinguishable,
     mask_to_bits,
     pair_with_witness,
-    parity_weight,
     project_symmetric,
     stat_distance_symmetric,
     walsh_hadamard,
@@ -239,15 +238,15 @@ class TestParityPoly:
         for t in (1, 2, 3, 4):
             mono = {(1 << t) - 1: Fraction(1)}
             p = basis_convert(mono, t)  # b_1...b_t = AND of bits
-            assert parity_weight(p) == 1
+            assert p.weight() == 1
 
     def test_single_character(self):
         p = ParityPoly(4, {0b1010: Fraction(1)})
-        assert parity_weight(p) == 1
+        assert p.weight() == 1
 
     def test_linear_combination(self):
         p = ParityPoly(3, {0: Fraction(3), 0b011: Fraction(-2)})
-        assert parity_weight(p) == 5
+        assert p.weight() == 5
 
     def test_weight_invariant_under_relabeling(self, rng):
         mono = {
@@ -263,7 +262,7 @@ class TestParityPoly:
                 for s, c in p.coeffs.items()
             },
         )
-        assert parity_weight(relabeled) == parity_weight(p)
+        assert relabeled.weight() == p.weight()
 
 
 class TestBasisConvert:

@@ -11,28 +11,28 @@ from dualshare.certify import (
     sup_norm_certified,
     sturm_chain,
 )
-from dualshare.ratpoly import RationalPoly, poly_from_roots
+from dualshare.ratpoly import RationalPoly
 
 
 def test_divmod_and_gcd():
-    a = poly_from_roots([1, 2, 3])
-    b = poly_from_roots([2, 3])
+    a = RationalPoly.from_roots([1, 2, 3])
+    b = RationalPoly.from_roots([2, 3])
     q, r = poly_divmod(a, b)
     assert r.is_zero()
-    assert q == poly_from_roots([1])
-    g = poly_gcd(a, poly_from_roots([3, 5]))
+    assert q == RationalPoly.from_roots([1])
+    g = poly_gcd(a, RationalPoly.from_roots([3, 5]))
     assert g.degree == 1 and g(3) == 0
 
 
 def test_squarefree_part():
-    p = poly_from_roots([1, 1, 2])
+    p = RationalPoly.from_roots([1, 1, 2])
     sf = squarefree_part(p)
     assert sf.degree == 2 and sf(1) == 0 and sf(2) == 0
 
 
 def test_isolation_covers_all_roots():
     roots = [Fraction(-3, 4), Fraction(0), Fraction(1, 3), Fraction(7, 8)]
-    p = poly_from_roots(roots)
+    p = RationalPoly.from_roots(roots)
     exact, intervals = isolate_real_roots(p, -1, 1)
     assert len(exact) + len(intervals) == len(roots)
     for r in roots:
@@ -57,7 +57,7 @@ def test_isolation_irrational_roots():
 
 
 def test_isolation_mixed_and_endpoint_roots():
-    p = poly_from_roots([Fraction(-1), Fraction(1, 2)]) * RationalPoly.of(
+    p = RationalPoly.from_roots([Fraction(-1), Fraction(1, 2)]) * RationalPoly.of(
         Fraction(-1, 3), 0, 1
     )
     exact, intervals = isolate_real_roots(p, -1, 1)
@@ -67,13 +67,13 @@ def test_isolation_mixed_and_endpoint_roots():
 
 def test_nonneg_detects_dip_between_rational_roots():
     # (t - 1/4)(t - 1/2) is negative strictly between its roots
-    p = poly_from_roots([Fraction(1, 4), Fraction(1, 2)])
+    p = RationalPoly.from_roots([Fraction(1, 4), Fraction(1, 2)])
     assert not poly_nonneg_on(p, 0, 1)
     assert poly_nonneg_on(p * p, 0, 1)
 
 
 def test_nonneg_touching_root_passes():
-    p = poly_from_roots([Fraction(1, 3), Fraction(1, 3)])
+    p = RationalPoly.from_roots([Fraction(1, 3), Fraction(1, 3)])
     assert poly_nonneg_on(p, -1, 1)
 
 
@@ -129,7 +129,7 @@ def test_sup_norm_zero():
 
 
 def test_sturm_chain_counts():
-    p = poly_from_roots([Fraction(-1, 2), Fraction(1, 4), Fraction(3, 4)])
+    p = RationalPoly.from_roots([Fraction(-1, 2), Fraction(1, 4), Fraction(3, 4)])
     chain = sturm_chain(p)
     from dualshare.certify import count_roots_open
 

@@ -241,3 +241,68 @@ class TestIntrospection:
         result = runner.invoke(cli, ["ramp", "--k", "1", "--K", "2", "--format", "csv"])
         assert result.exit_code == 0
         assert "radicand,1/32" in result.output.replace('"', "")
+
+
+_INPUT_FILES = {
+    "pred-nokey.json": {"n": 3},
+    "pred-short.json": {"n": 4, "values": [0, 0, 0, 1]},
+    "dist-nokey.json": {"n": 4},
+    "dist-short.json": {"n": 4, "weight_probs": ["1/2", "1/2"]},
+    "dist-array.json": [1, 2],
+    "dist-zero-den.json": {"n": 2, "weight_probs": ["1/0", "1/2", "1/4"]},
+    "dist-ok.json": {"n": 2, "weight_probs": ["1/4", "1/2", "1/4"]},
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["approx-degree", "--f", "and", "--n", "2000"],
+        ["approx-degree", "--f", "and", "--n", "-3"],
+        ["ramp", "--k", "2", "--K", "9", "--n", "64", "--finite"],
+        ["symcheb", "pw", "--n", "256", "--K", "4", "--w", "2",
+         "--check", "truncation", "--k", "-1"],
+        ["approx-degree", "--f", "pred-nokey.json"],
+        ["approx-degree", "--f", "pred-short.json"],
+        ["weight-bound", "--f", "pred-short.json", "--K", "2"],
+        ["consolidate", "--dist", "dist-nokey.json", "--t", "2"],
+        ["consolidate", "--dist", "dist-short.json", "--t", "2"],
+        ["consolidate", "--dist", "dist-zero-den.json", "--t", "2"],
+        ["indist-check", "--dist1", "dist-array.json", "--dist2", "dist-ok.json",
+         "--k", "1"],
+        ["indist-check", "--dist1", "dist-short.json", "--dist2", "dist-ok.json",
+         "--k", "1"],
+        ["sample-shares", "--witness", "dist-array.json", "--secret", "+1"],
+    ],
+)
+def test_invalid_input_exits_2_with_one_line(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in _INPUT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+
+
+def test_predicate_file_length_must_be_n_plus_1(runner, tmp_path):
+    path = tmp_path / "pred.json"
+    path.write_text(json.dumps({"n": 4, "values": [0, 0, 0, 1]}))
+    result = runner.invoke(cli, ["approx-degree", "--f", str(path)])
+    assert result.exit_code == 2
+    assert result.output.strip() == "Error: predicate file has 4 values for n=4"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dual-and", "--n", "2", "--d", "1", "--emit", "wit.json"],
+        ["symcheb", "pw", "--n", "16", "--K", "2", "--w", "1", "--json", "pw.json"],
+    ],
+)
+def test_removed_out_aliases_are_unknown_options(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2
+    assert f"No such option '{args[-2]}'" in result.output
+    assert not os.listdir(tmp_path)

@@ -17,7 +17,6 @@ from dualshare.dualand import (
     build_witness,
     epsilon_of,
     reconstruction_advantage,
-    sample_shares,
     verify_witness,
     weighted_anticoncentration_check,
 )
@@ -200,7 +199,7 @@ class TestSampler:
 
     def test_single_draw_api(self):
         wit = build_witness(DualAndParams.uniform(3, 1))
-        bits = sample_shares(wit, 1, rng_seed=7)
+        bits = ShareSampler(wit, 1, seed=7).sample()
         assert len(bits) == 3 and sum(bits) % 2 == 0
 
     def test_determinism(self):

@@ -102,10 +102,10 @@ class TestApproxEqY:
 
     def test_inner_and_block_weight_one(self):
         # every exact multilinear AND block has parity weight exactly 1
-        from dualshare.boolcube import basis_convert, parity_weight
+        from dualshare.boolcube import basis_convert
 
         for s in (1, 2, 3, 5):
-            assert parity_weight(basis_convert({(1 << s) - 1: Fraction(1)}, s)) == 1
+            assert basis_convert({(1 << s) - 1: Fraction(1)}, s).weight() == 1
 
     def test_infeasible_budget_lists_best_errors(self):
         with pytest.raises(InfeasibleBudget) as exc:
