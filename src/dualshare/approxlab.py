@@ -22,7 +22,7 @@ from .boolcube import DualWitness, SymmetricDistribution, kwise_indistinguishabl
 from .errors import InvalidInput, PropertyViolation
 from .ratpoly import RationalPoly, cheb_transform_factored
 from .simplex import solve_minimax
-from .symcheb import exact_weight_test, hypergeom_prob, indistinguishability_bound, weight_grid
+from .symcheb import exact_weight_test, hypergeom_row, indistinguishability_bound, weight_grid
 
 
 @dataclass(frozen=True)
@@ -243,12 +243,12 @@ def finite_n_ramp(
         raise ValueError("finite ramp needs n")
     if n > 1000 or K > 8:
         raise ValueError("desk-scale caps: n <= 1000, K <= 8")
-    test = exact_weight_test(n, K, 0)
-    values = [test.grid_value(h) for h in range(n + 1)]
+    exact_weight_test(n, K, 0)  # certifies p_0's product form on the grid
+    values = hypergeom_row(n, K, 0)  # p_0 on the grid
     _, eps, cert = minimax_lp(MinimaxInstance.on_weight_grid(values, k))
     mu, nu = dual_distributions(cert)
     mu, nu = mu.reflected(), nu.reflected()
-    and_values = [hypergeom_prob(n, K, K, h) for h in range(n + 1)]
+    and_values = hypergeom_row(n, K, K)
     advantage = mu.expectation(and_values) - nu.expectation(and_values)
     if advantage != 2 * eps:
         raise PropertyViolation("advantage of the LP pair differs from twice its error")

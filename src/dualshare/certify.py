@@ -3,8 +3,10 @@
 Everything here is rational arithmetic; floating point only appears in the
 convenience estimates returned alongside the certified bounds.  The central
 primitive is ``poly_nonneg_on``: an exact decision procedure for
-``p(t) >= 0 for all t in [lo, hi]``, which turns sup-norm certification into
-bisection on the bound ``B`` via the polynomial ``B^2 - p^2``.
+``p(t) >= 0 for all t in [lo, hi]``.  ``abs_bounded_on`` decides |p| <= B as
+the pair B - p >= 0 and B + p >= 0, both of the degree of p (the equivalent
+B^2 - p^2 >= 0 has twice that degree), and sup-norm certification is
+bisection on B over that decision.
 """
 
 from __future__ import annotations
@@ -195,6 +197,15 @@ def poly_nonneg_on(p: RationalPoly, lo, hi) -> bool:
     return all(p(x) >= 0 for x in samples)
 
 
+def abs_bounded_on(p: RationalPoly, bound, lo, hi) -> bool:
+    """Exact decision of ``|p(t)| <= bound`` for every t in [lo, hi], bound >= 0."""
+    bound = Fraction(bound)
+    if bound < 0:
+        raise ValueError("the bound on |p| must be nonnegative")
+    b = RationalPoly.of(bound)
+    return poly_nonneg_on(b - p, lo, hi) and poly_nonneg_on(b + p, lo, hi)
+
+
 def _snap(x: Fraction, max_den: int = 1 << 48) -> Fraction:
     return x.limit_denominator(max_den)
 
@@ -206,7 +217,7 @@ def sup_norm_certified(
 
     ``attained`` is the exact maximum of |p| over a rational grid (a lower
     bound on the sup); ``upper`` satisfies |p| <= upper on the whole interval,
-    proved by root isolation on upper^2 - p^2, with
+    proved by root isolation on upper - p and upper + p, with
     upper <= sup * (1 + rel_tol) + tiny.
     """
     lo, hi = Fraction(lo), Fraction(hi)
@@ -214,9 +225,7 @@ def sup_norm_certified(
         return Fraction(0), Fraction(0)
 
     def certifies(bound: Fraction) -> bool:
-        return poly_nonneg_on(
-            RationalPoly.of(bound * bound) - p * p, lo, hi
-        )
+        return abs_bounded_on(p, bound, lo, hi)
 
     attained = max(
         abs(p(lo + (hi - lo) * Fraction(i, grid))) for i in range(grid + 1)

@@ -156,7 +156,7 @@ def _parse_rational(value: str) -> Fraction:
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise click.BadParameter(f"not a rational: {value!r}") from exc
+        raise InvalidInput(f"not a rational: {value!r}") from exc
 
 
 @click.group(invoke_without_command=True)
@@ -199,7 +199,7 @@ def dual_and_cmd(n, weights, d_str, seed, out, fmt, threads):
     if weights:
         w = WeightVector.of([_parse_rational(x) for x in weights.split(",")])
         if w.n != n:
-            raise click.BadParameter("weights length must equal n")
+            raise InvalidInput("weights length must equal n")
     else:
         w = WeightVector.uniform(n)
     params = DualAndParams(n, w, d)
@@ -278,6 +278,8 @@ def symcheb_group():
 @common_options
 def symcheb_pw(n, big_k, w, check, trunc_k, eps, seed, out, fmt, threads):
     """Build the exact-weight test polynomial and optionally run a named check."""
+    if check == "truncation" and trunc_k is None:
+        raise InvalidInput("--check truncation needs --k")
     test = exact_weight_test(n, big_k, w)
     expansion = test.cheb()
     result = {
@@ -291,8 +293,6 @@ def symcheb_pw(n, big_k, w, check, trunc_k, eps, seed, out, fmt, threads):
         result["grid_max_float"] = bounded_check(test)
         result["bounded_by_2"] = True
     elif check == "truncation":
-        if trunc_k is None:
-            raise click.UsageError("--check truncation needs --k")
         q, bound, err = truncated_approximant(test, trunc_k)
         result.update({
             "k": trunc_k,
@@ -328,14 +328,17 @@ def _named_predicate(name: str, n: int) -> list[int]:
         return [h & 1 for h in range(n + 1)]
     if name == "exact-half":
         if n % 2:
-            raise click.UsageError("exact-half needs even n")
+            raise InvalidInput("exact-half needs even n")
         return [1 if h == n // 2 else 0 for h in range(n + 1)]
-    raise click.UsageError(f"unknown predicate {name!r}")
+    raise InvalidInput(f"unknown predicate {name!r}")
 
 
 def _load_predicate(f: str, n: int | None) -> tuple[int, list[int]]:
     if f.endswith(".json"):
-        doc = load_json(f)
+        try:
+            doc = load_json(f)
+        except OSError as exc:
+            raise InvalidInput(f"cannot read predicate file {f!r}: {exc.strerror}") from exc
         try:
             n, values = int(doc["n"]), [int(v) for v in doc["values"]]
         except (KeyError, TypeError) as exc:
@@ -344,7 +347,7 @@ def _load_predicate(f: str, n: int | None) -> tuple[int, list[int]]:
             raise InvalidInput(f"predicate file has {len(values)} values for n={n}")
         return n, values
     if n is None:
-        raise click.UsageError("--n is required for named predicates")
+        raise InvalidInput("--n is required for named predicates")
     return n, _named_predicate(f, n)
 
 
@@ -373,6 +376,8 @@ def approx_degree_cmd(f_name, n, eps, seed, out, fmt, threads):
 @common_options
 def ramp_cmd(k, big_k, n, finite, seed, out, fmt, threads):
     """The ramp reconstruction-advantage formulas, exact radicands included."""
+    if finite and not n:
+        raise InvalidInput("--finite needs --n")
     params = RampParams(k, big_k, n or 0)
     radicand, value = ramp_advantage(params)
     proof_radicand, proof_value = ramp_advantage_proof_constant(params)
@@ -384,8 +389,6 @@ def ramp_cmd(k, big_k, n, finite, seed, out, fmt, threads):
         "l2_tail_bound": rat_to_str(l2_tail_bound(big_k, k)),
     }
     if finite:
-        if not n:
-            raise click.UsageError("--finite needs --n")
         mu, nu, advantage = finite_n_ramp(params)
         result.update({
             "finite_n": n,
@@ -476,7 +479,7 @@ def indist_check_cmd(dist1, dist2, k, big_ks, seed, out, fmt, threads):
     d1 = dist_from_json(load_json(dist1))
     d2 = dist_from_json(load_json(dist2))
     if d1.n != d2.n:
-        raise click.UsageError("distributions live on different n")
+        raise InvalidInput("distributions live on different n")
     n = d1.n
     perfect = kwise_indistinguishable(d1, d2, k)
     if not perfect:
@@ -488,7 +491,7 @@ def indist_check_cmd(dist1, dist2, k, big_ks, seed, out, fmt, threads):
     rows = []
     for K in ks:
         if not k < K <= n:
-            raise click.UsageError(f"projection size {K} out of range")
+            raise InvalidInput(f"projection size {K} out of range")
         dist = stat_distance_symmetric(project_symmetric(d1, K), project_symmetric(d2, K))
         bound = indistinguishability_bound(k, K)
         rows.append({

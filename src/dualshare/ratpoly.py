@@ -23,6 +23,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable
 
 from .errors import PropertyViolation
@@ -65,23 +67,43 @@ class RationalPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __call__(self, t):
-        """Evaluate by Horner's rule; exact for Fraction arguments."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[int, ...], int]:
+        """Integer numerators P_i over one common denominator D: p = sum P_i t^i / D."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den
+
+    @cached_property
+    def _float_coeffs(self) -> tuple[float, ...]:
+        return tuple(float(c) for c in self.coeffs)
+
+    def __call__(self, t) -> Fraction:
+        """Exact value at a rational t = a/b (ints and floats are taken exactly).
+
+        Homogeneous Horner on integers, sum P_i a^i b^(d-i), over D b^d: one
+        Fraction per call, whatever the degree d.
+        """
+        nums, den = self._integer_form
+        if not nums:
+            return Fraction(0)
+        t = _frac(t)
+        a, b = t.numerator, t.denominator
+        acc, b_pow = nums[-1], 1
+        for c in reversed(nums[:-1]):
+            b_pow *= b
+            acc = acc * a + c * b_pow
+        return Fraction(acc, den * b_pow)
 
     def eval_float(self, t: float) -> float:
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
+        for c in reversed(self._float_coeffs):
+            acc = acc * t + c
         return acc
 
     def eval_complex(self, z: complex) -> complex:
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + float(c)
+        for c in reversed(self._float_coeffs):
+            acc = acc * z + c
         return acc
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":

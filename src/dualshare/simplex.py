@@ -277,10 +277,10 @@ def solve_minimax(
     ts = [points[i] for i in order]
     fs = [values[i] for i in order]
     if m <= degree + 1:
-        coeffs, eps = _interpolate(ts, fs), Fraction(0)
+        poly, eps = _interpolate(ts, fs), Fraction(0)
     else:
-        coeffs, eps = _exchange(ts, fs, degree)
-    residuals = _residuals(coeffs, points, values)
+        poly, eps = _exchange(ts, fs, degree)
+    residuals = _residuals(poly, points, values)
     psi = [Fraction(0)] * m
     if eps > 0:
         walk = order[::-1] if 2 * order.index(0) > m - 1 else order
@@ -302,16 +302,14 @@ def solve_minimax(
         sum(p * t**j for p, t in zip(psi, points) if p) for j in range(degree + 1)
     ]
     _audit_fit(values, residuals, eps, psi, moments)
-    return MinimaxSolution(
-        poly=RationalPoly.from_coeffs(coeffs), epsilon=eps, psi=tuple(psi)
-    )
+    return MinimaxSolution(poly=poly, epsilon=eps, psi=tuple(psi))
 
 
 def _exchange(
     ts: list[Fraction], fs: list[Fraction], degree: int
-) -> tuple[list[Fraction], Fraction]:
+) -> tuple[RationalPoly, Fraction]:
     """Single-point exchange on increasing points ts (at least degree+2 of
-    them); returns the optimal coefficients and the minimax error."""
+    them); returns the optimal polynomial and the minimax error."""
     m = len(ts)
     ref = [i * (m - 1) // (degree + 1) for i in range(degree + 2)]
     level = Fraction(-1)
@@ -324,14 +322,14 @@ def _exchange(
         # the residual at reference point i is sign(lambda_i) * h; at h = 0
         # the weights' signs stand in, and the next exchange still raises |h|
         signs = [1 if (lam > 0) == (h >= 0) else -1 for lam in lams]
-        coeffs = _interpolate(
+        poly = _interpolate(
             [ts[i] for i in ref[:-1]],
             [fs[i] - s * level for s, i in zip(signs, ref[:-1])],
         )
-        residuals = _residuals(coeffs, ts, fs)
+        residuals = _residuals(poly, ts, fs)
         k = max(range(m), key=lambda i: abs(residuals[i]))
         if abs(residuals[k]) == level:
-            return coeffs, level
+            return poly, level
         ref = _swap_in(ref, signs, k, 1 if residuals[k] > 0 else -1)
 
 
@@ -361,9 +359,9 @@ def _levelling_weights(xs: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _interpolate(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
-    """Monomial coefficients of the interpolant of degree < len(xs), through
-    Newton's divided differences."""
+def _interpolate(xs: list[Fraction], ys: list[Fraction]) -> RationalPoly:
+    """The interpolant of degree < len(xs), through Newton's divided
+    differences."""
     c = list(ys)
     n = len(xs)
     for j in range(1, n):
@@ -377,15 +375,10 @@ def _interpolate(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
             shifted[j] -= a * xs[i]
         shifted[0] += c[i]
         coeffs = shifted
-    return coeffs
+    return RationalPoly.from_coeffs(coeffs)
 
 
-def _residuals(coeffs, ts, fs) -> list[Fraction]:
-    """f - p(t) at every point, p evaluated by Horner's rule."""
-    out = []
-    for t, f in zip(ts, fs):
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        out.append(f - acc)
-    return out
+def _residuals(p: RationalPoly, ts, fs) -> list[Fraction]:
+    """f - p(t) at every point, with the package's one exact evaluator
+    (integer Horner in ``RationalPoly.__call__``)."""
+    return [f - p(t) for t, f in zip(ts, fs)]

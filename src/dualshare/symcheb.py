@@ -26,8 +26,8 @@ from fractions import Fraction
 from math import comb
 
 from .boolcube import weight_averages
-from .certify import poly_nonneg_on, sup_norm_certified
-from .errors import PropertyViolation
+from .certify import abs_bounded_on, sup_norm_certified
+from .errors import InvalidInput, PropertyViolation
 from .ratpoly import (
     ChebyshevExpansion,
     RationalPoly,
@@ -43,8 +43,28 @@ def hypergeom_prob(n: int, K: int, w: int, h: int) -> Fraction:
     return Fraction(comb(K, w) * comb(n - K, h - w), comb(n, h))
 
 
+def hypergeom_row(n: int, K: int, w: int) -> tuple[Fraction, ...]:
+    """``hypergeom_prob(n, K, w, h)`` for h = 0..n, from the exact binomial
+    recurrences C(m, j) = C(m, j - 1) (m - j + 1) / j."""
+    if not 0 <= w <= K <= n:
+        raise ValueError("need 0 <= w <= K <= n")
+    lead = comb(K, w)
+    row = []
+    c_all, c_rest = 1, 0  # C(n, h) and C(n - K, h - w)
+    for h in range(n + 1):
+        if h == w:
+            c_rest = 1
+        elif h > w:
+            c_rest = c_rest * (n - K - (h - 1 - w)) // (h - w)
+        row.append(Fraction(lead * c_rest, c_all))
+        c_all = c_all * (n - h) // (h + 1)
+    return tuple(row)
+
+
 def weight_grid(n: int) -> tuple[Fraction, ...]:
-    """t_h = 1 - 2h/n for h = 0..n (descending from 1 to -1)."""
+    """t_h = 1 - 2h/n for h = 0..n (descending from 1 to -1); needs n >= 1."""
+    if n < 1:
+        raise InvalidInput(f"the weight grid needs n >= 1, got n={n}")
     return tuple(Fraction(n - 2 * h, n) for h in range(n + 1))
 
 
@@ -110,22 +130,18 @@ class SymmetrizedTest:
 
 def exact_weight_test(n: int, K: int, w: int) -> SymmetrizedTest:
     """Construct p_w from its zero set and certify it at every grid point."""
-    if not 0 <= w <= K <= n:
-        raise ValueError("need 0 <= w <= K <= n")
-    z_minus = [Fraction(-(n - 2 * h), n) for h in range(K - w)]
-    z_plus = [Fraction(n - 2 * h, n) for h in range(w)]
-    zeros = tuple(z_minus + z_plus)
+    grid = weight_grid(n)
+    row = hypergeom_row(n, K, w)
+    zeros = tuple(-t for t in grid[: K - w]) + grid[:w]
     anchor_h = w  # hypergeometric value C(K,w)/C(n,w) is never zero there
-    anchor_t = Fraction(n - 2 * anchor_h, n)
     monic = RationalPoly.from_roots(zeros)
-    denom = monic(anchor_t)
+    denom = monic(grid[anchor_h])
     if denom == 0:
         raise PropertyViolation("anchor point collided with a zero of p_w")
-    scale = hypergeom_prob(n, K, w, anchor_h) / denom
+    scale = row[anchor_h] / denom
     poly = scale * monic
-    for h in range(n + 1):
-        expected = hypergeom_prob(n, K, w, h)
-        if poly(Fraction(n - 2 * h, n)) != expected:
+    for h, (t, expected) in enumerate(zip(grid, row)):
+        if poly(t) != expected:
             raise PropertyViolation(
                 f"product form disagrees with the hypergeometric value at h={h} "
                 f"(n={n}, K={K}, w={w})"
@@ -153,7 +169,7 @@ def bounded_check(test: SymmetrizedTest, grid_size: int = 2048) -> float:
     """Certify |p_w| <= 2 on [-1, 1]; returns the dense-grid maximum as a float.
 
     The grid maximum is a lower estimate; the certificate is the exact
-    nonnegativity of 4 - p_w^2 via root isolation.
+    nonnegativity of 2 - p_w and 2 + p_w via root isolation.
     """
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 10^3")
@@ -167,8 +183,7 @@ def bounded_check(test: SymmetrizedTest, grid_size: int = 2048) -> float:
     grid_max = max(
         abs(p.eval_float(-1.0 + 2.0 * i / grid_size)) for i in range(grid_size + 1)
     )
-    four_minus_sq = RationalPoly.of(4) - p * p
-    if not poly_nonneg_on(four_minus_sq, -1, 1):
+    if not abs_bounded_on(p, 2, -1, 1):
         raise PropertyViolation(
             f"|p_w| exceeds 2 on [-1,1] for (n,K,w)=({test.n},{test.K},{test.w})"
         )

@@ -1,8 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dualshare import certify
 from dualshare.certify import (
+    abs_bounded_on,
     isolate_real_roots,
     poly_divmod,
     poly_gcd,
@@ -12,6 +17,7 @@ from dualshare.certify import (
     sturm_chain,
 )
 from dualshare.ratpoly import RationalPoly
+from dualshare.symcheb import exact_weight_test
 
 
 def test_divmod_and_gcd():
@@ -135,3 +141,86 @@ def test_sturm_chain_counts():
 
     assert count_roots_open(chain, Fraction(-1), Fraction(1)) == 3
     assert count_roots_open(chain, Fraction(0), Fraction(1)) == 2
+
+
+def _truncation_error(n, K, w, k):
+    test = exact_weight_test(n, K, w)
+    return test.poly - test.cheb().truncate(k)
+
+
+def squared_decision(p, bound, lo, hi):
+    """The decision abs_bounded_on replaced: bound^2 - p^2 >= 0, twice the degree."""
+    return poly_nonneg_on(RationalPoly.of(Fraction(bound) ** 2) - p * p, lo, hi)
+
+
+_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_coeff, max_size=6),
+    st.fractions(min_value=0, max_value=4, max_denominator=9),
+    st.sampled_from([(-1, 1), (0, 1), (Fraction(-1, 3), Fraction(5, 2))]),
+)
+def test_abs_bounded_matches_squared_decision(coeffs, bound, interval):
+    p = RationalPoly.from_coeffs(coeffs)
+    lo, hi = interval
+    assert abs_bounded_on(p, bound, lo, hi) == squared_decision(p, bound, lo, hi)
+    # bounds at the extreme grid values sit on the boundary of the decision
+    grid_max = max(abs(p(lo + (hi - lo) * Fraction(i, 16))) for i in range(17))
+    for b in (grid_max, grid_max + Fraction(1, 1000)):
+        assert abs_bounded_on(p, b, lo, hi) == squared_decision(p, b, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "p, bound",
+    [
+        # 1 - (t - 1/3)^2 / 2 reaches its sup 1 at t = 1/3, a double root of 1 - p
+        (RationalPoly.of(1) - RationalPoly.from_roots([Fraction(1, 3)] * 2, Fraction(1, 2)), 1),
+        # the mirror image reaches -1 at a double root of 1 + p
+        (RationalPoly.from_roots([Fraction(1, 3)] * 2, Fraction(1, 2)) - RationalPoly.of(1), 1),
+        # t^3 reaches +-1 only at the endpoints, simple roots of 1 -+ t^3
+        (RationalPoly.of(0, 0, 0, 1), 1),
+        # 3t^2 - 1 reaches 2 at both endpoints and -1 at the interior double root
+        (RationalPoly.of(-1, 0, 3), 2),
+    ],
+)
+def test_abs_bounded_at_touching_double_roots_and_endpoints(p, bound):
+    bound = Fraction(bound)
+    for b, expected in ((bound, True), (bound - Fraction(1, 2**40), False),
+                        (bound + Fraction(1, 2**40), True)):
+        assert abs_bounded_on(p, b, -1, 1) is expected
+        assert squared_decision(p, b, -1, 1) is expected
+
+
+def test_abs_bounded_rejects_a_negative_bound():
+    with pytest.raises(ValueError):
+        abs_bounded_on(RationalPoly.of(0, 1), -1, -1, 1)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        RationalPoly.of(0, -1, 0, 1),
+        # sup 2.48... at t = sqrt(5/12), off every rational grid
+        RationalPoly.of(Fraction(1, 3), 5, 0, -4),
+        # a truncation error p_w - q_w, as certified by truncated_approximant
+        _truncation_error(256, 4, 1, 1),
+    ],
+)
+def test_sup_norm_bisection_path_unchanged_by_half_degree_decision(monkeypatch, p):
+    calls = []
+
+    def record(decide):
+        def wrapped(q, bound, lo, hi):
+            verdict = decide(q, bound, lo, hi)
+            calls.append((bound, verdict))
+            return verdict
+        return wrapped
+
+    monkeypatch.setattr(certify, "abs_bounded_on", record(abs_bounded_on))
+    half = sup_norm_certified(p, -1, 1)
+    half_calls, calls = calls, []
+    monkeypatch.setattr(certify, "abs_bounded_on", record(squared_decision))
+    assert sup_norm_certified(p, -1, 1) == half
+    assert calls == half_calls and len(calls) > 1

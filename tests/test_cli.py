@@ -251,6 +251,7 @@ _INPUT_FILES = {
     "dist-array.json": [1, 2],
     "dist-zero-den.json": {"n": 2, "weight_probs": ["1/0", "1/2", "1/4"]},
     "dist-ok.json": {"n": 2, "weight_probs": ["1/4", "1/2", "1/4"]},
+    "dist-n3.json": {"n": 3, "weight_probs": ["1/8", "3/8", "3/8", "1/8"]},
 }
 
 
@@ -273,6 +274,19 @@ _INPUT_FILES = {
         ["indist-check", "--dist1", "dist-short.json", "--dist2", "dist-ok.json",
          "--k", "1"],
         ["sample-shares", "--witness", "dist-array.json", "--secret", "+1"],
+        ["approx-degree", "--f", "and", "--n", "0"],
+        ["symcheb", "pw", "--n", "0", "--K", "0", "--w", "0"],
+        ["approx-degree", "--f", "nope.json", "--n", "4"],
+        ["ramp", "--k", "1", "--K", "2", "--finite"],
+        ["symcheb", "pw", "--n", "64", "--K", "2", "--w", "1", "--check", "truncation"],
+        ["dual-and", "--n", "2", "--d", "x"],
+        ["dual-and", "--n", "2", "--weights", "1,1,1", "--d", "1"],
+        ["approx-degree", "--f", "exact-half", "--n", "3"],
+        ["approx-degree", "--f", "nand", "--n", "3"],
+        ["approx-degree", "--f", "and"],
+        ["indist-check", "--dist1", "dist-ok.json", "--dist2", "dist-n3.json", "--k", "1"],
+        ["indist-check", "--dist1", "dist-ok.json", "--dist2", "dist-ok.json", "--k", "1",
+         "--K", "5"],
     ],
 )
 def test_invalid_input_exits_2_with_one_line(runner, tmp_path, monkeypatch, args):
@@ -291,6 +305,15 @@ def test_predicate_file_length_must_be_n_plus_1(runner, tmp_path):
     result = runner.invoke(cli, ["approx-degree", "--f", str(path)])
     assert result.exit_code == 2
     assert result.output.strip() == "Error: predicate file has 4 values for n=4"
+
+
+def test_missing_predicate_file_names_the_file(runner, tmp_path):
+    path = tmp_path / "absent.json"
+    result = runner.invoke(cli, ["weight-bound", "--f", str(path), "--K", "2"])
+    assert result.exit_code == 2
+    assert result.output.strip() == (
+        f"Error: cannot read predicate file {str(path)!r}: No such file or directory"
+    )
 
 
 @pytest.mark.parametrize(

@@ -41,6 +41,71 @@ class TestEval:
             assert q(t) == naive
 
 
+def fraction_horner(coeffs, t):
+    """The evaluator RationalPoly.__call__ replaced: Horner's rule on Fractions."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+_BIG = 2**200
+# numerators and denominators far beyond a machine word, mostly coprime
+_huge = st.integers(2**120, _BIG)
+huge_fractions = st.builds(
+    Fraction, st.one_of(_huge, _huge.map(lambda v: -v)), _huge
+)
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=50)
+
+
+class TestIntegerEvaluation:
+    """RationalPoly.__call__ (homogeneous integer Horner) against fraction_horner."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(small_fractions, huge_fractions), max_size=12),
+        st.one_of(st.integers(-_BIG, _BIG), small_fractions, huge_fractions),
+    )
+    def test_matches_fraction_horner(self, coeffs, t):
+        p = RationalPoly.from_coeffs(coeffs)
+        value = p(t)
+        assert isinstance(value, Fraction)
+        assert value == fraction_horner(p.coeffs, t)
+
+    @pytest.mark.parametrize("t", [0, 1, -1, 7, -12, Fraction(-5, 3), Fraction(2**61 - 1, 2**89 - 1)])
+    def test_zero_and_constant_polynomials(self, t):
+        assert RationalPoly()(t) == 0
+        assert RationalPoly.of(Fraction(-7, 3))(t) == Fraction(-7, 3)
+        assert RationalPoly.of(5)(t) == 5
+
+    def test_int_and_negative_arguments(self):
+        p = RationalPoly.of(Fraction(1, 6), Fraction(-2, 15), 0, Fraction(3, 10))
+        for t in range(-20, 21):
+            assert p(t) == fraction_horner(p.coeffs, t)
+            assert p(Fraction(t, 7)) == fraction_horner(p.coeffs, Fraction(t, 7))
+
+    def test_huge_coprime_denominators(self):
+        primes = [2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1]
+        p = RationalPoly.from_coeffs(Fraction(i + 1, q) for i, q in enumerate(primes))
+        t = Fraction(-(2**31 - 1), 2**521 - 1)
+        assert p(t) == fraction_horner(p.coeffs, t)
+
+    def test_eval_float_is_bit_identical_to_converting_per_point(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            bits = rng.choice([8, 64, 200])
+            coeffs = [Fraction(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits))
+                      for _ in range(rng.randint(0, 10))]
+            p = RationalPoly.from_coeffs(coeffs)
+            t = rng.uniform(-1.0, 1.0)
+            acc = 0.0
+            for c in reversed(p.coeffs):
+                acc = acc * t + float(c)
+            assert p.eval_float(t) == acc
+            for c in p.coeffs:  # each coefficient correctly rounded, as float(c) is
+                assert RationalPoly.of(c).eval_float(t) == float(c)
+
+
 class TestFromRoots:
     def test_difference_of_squares(self):
         assert RationalPoly.from_roots([1, -1]) == RationalPoly.of(-1, 0, 1)

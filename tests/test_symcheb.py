@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualshare.boolcube import ParityPoly
 from dualshare.ratpoly import RationalPoly, cheb_transform
@@ -15,6 +17,7 @@ from dualshare.symcheb import (
     shifted_product_check,
     shifted_square,
     hypergeom_prob,
+    hypergeom_row,
     truncation_error_bound,
     indistinguishability_bound,
     circle_identity_check,
@@ -381,3 +384,26 @@ class TestHypergeomProb:
     def test_row_sums_to_one(self):
         for h in range(11):
             assert sum(hypergeom_prob(10, 3, w, h) for w in range(4)) == 1
+
+
+class TestHypergeomRow:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_row_matches_hypergeom_prob(self, data):
+        n = data.draw(st.integers(1, 200))
+        K = data.draw(st.sampled_from([0, 1, n, data.draw(st.integers(0, n))]))
+        w = data.draw(st.sampled_from([0, K, data.draw(st.integers(0, K))]))
+        row = hypergeom_row(n, K, w)
+        assert row == tuple(hypergeom_prob(n, K, w, h) for h in range(n + 1))
+
+    @pytest.mark.parametrize("n, K, w", [(1, 0, 0), (1, 1, 0), (1, 1, 1), (12, 12, 0),
+                                         (12, 12, 12), (12, 12, 5), (640, 10, 0), (640, 10, 10)])
+    def test_edges_match_brute_counts(self, n, K, w):
+        row = hypergeom_row(n, K, w)
+        assert row == tuple(brute_hypergeom(n, K, w, h) for h in range(n + 1))
+        assert sum(row[h] * comb(n, h) for h in range(n + 1)) == comb(K, w) * 2 ** (n - K)
+
+    @pytest.mark.parametrize("n, K, w", [(4, 5, 0), (4, 2, 3), (4, 2, -1)])
+    def test_rejects_out_of_range(self, n, K, w):
+        with pytest.raises(ValueError):
+            hypergeom_row(n, K, w)
