@@ -1,4 +1,4 @@
-"""Exact real-root isolation (Sturm sequences) and certified sup norms.
+"""Exact sign decisions (Sturm sequences) and certified sup norms.
 
 Everything here is rational arithmetic; floating point only appears in the
 convenience estimates returned alongside the certified bounds.  The central
@@ -14,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import PropertyViolation
 from .ratpoly import RationalPoly
 
 
@@ -22,14 +21,9 @@ def _primitive(p: RationalPoly) -> RationalPoly:
     """Scale by a positive rational so coefficients are coprime integers."""
     if p.is_zero():
         return p
-    from math import lcm
-
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return RationalPoly.from_coeffs(Fraction(v, g) for v in ints)
+    nums, _ = p._integer_form
+    g = gcd(*nums)
+    return RationalPoly.from_coeffs(v // g for v in nums)
 
 
 def poly_divmod(a: RationalPoly, b: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
@@ -59,13 +53,23 @@ def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
     return _primitive(a)
 
 
-def squarefree_part(p: RationalPoly) -> RationalPoly:
-    if p.degree <= 0:
-        return p
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    return _primitive(poly_divmod(p, g)[0])
+def _odd_part(p: RationalPoly) -> RationalPoly:
+    """Squarefree product of the factors of odd multiplicity in ``p`` (up to a
+    constant), from the gcd chain p_0 = p, p_{k+1} = gcd(p_k, p_k'): the
+    quotient s_k = p_k / p_{k+1} collects the factors of multiplicity above
+    k, so s_0 s_2 ... / (s_1 s_3 ...) keeps each factor to its multiplicity
+    mod 2 (Yun's square-free decomposition)."""
+    num = den = RationalPoly.of(1)
+    k = 0
+    while p.degree > 0:
+        nxt = poly_gcd(p, p.derivative())
+        s = poly_divmod(p, nxt)[0]
+        if k % 2:
+            den = den * s
+        else:
+            num = num * s
+        p, k = nxt, k + 1
+    return _primitive(poly_divmod(num, den)[0])
 
 
 def sturm_chain(q: RationalPoly) -> list[RationalPoly]:
@@ -96,105 +100,29 @@ def count_roots_open(chain: list[RationalPoly], a: Fraction, b: Fraction) -> int
     return _sign_changes(chain, a) - _sign_changes(chain, b)
 
 
-def isolate_real_roots(
-    p: RationalPoly, lo, hi
-) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]]]:
-    """All distinct real roots of ``p`` in [lo, hi].
+def poly_nonneg_on(p: RationalPoly, lo, hi) -> bool:
+    """Exact decision of ``p(t) >= 0`` for every t in [lo, hi].
 
-    Returns (exact rational roots, open isolating intervals), where each
-    interval contains exactly one root, the interval endpoints are not roots,
-    and no exact rational root lies inside any interval.
+    p changes sign only at its roots of odd multiplicity, so it has one sign
+    on (lo, hi) exactly when the odd part o has no root there, which one
+    Sturm count decides; that sign is read at the first of deg p + 1
+    interior points where p is nonzero.
     """
     lo, hi = Fraction(lo), Fraction(hi)
-    if p.is_zero():
-        raise ValueError("cannot isolate the roots of the zero polynomial")
     if lo > hi:
         raise ValueError("empty interval")
-    q = squarefree_part(p)
-    if q.degree <= 0:
-        return [], []
-    exact: list[Fraction] = []
-
-    def strip_root(poly: RationalPoly, r: Fraction) -> RationalPoly:
-        quo, rem = poly_divmod(poly, RationalPoly.of(-r, 1))
-        if not rem.is_zero():
-            raise PropertyViolation(f"{r} is not a root of the polynomial being stripped")
-        return _primitive(quo)
-
-    while True:
-        # restart whenever a rational root is discovered at a probe point;
-        # root counts of q change after dividing it out
-        for r in (lo, hi):
-            if q.degree >= 1 and q(r) == 0 and r not in exact:
-                exact.append(r)
-        for r in exact:
-            while q.degree >= 1 and q(r) == 0:
-                q = strip_root(q, r)
-        if q.degree <= 0:
-            return sorted(exact), []
-        chain = sturm_chain(q)
-        intervals: list[tuple[Fraction, Fraction]] = []
-        stack = [(lo, hi)]
-        restart = False
-        while stack:
-            a, b = stack.pop()
-            cnt = count_roots_open(chain, a, b)
-            if cnt == 0:
-                continue
-            if cnt == 1:
-                intervals.append((a, b))
-                continue
-            m = (a + b) / 2
-            if q(m) == 0:
-                exact.append(m)
-                restart = True
-                break
-            stack.extend([(a, m), (m, b)])
-        if restart:
-            continue
-        # shrink intervals until their closures avoid every exact root: an
-        # endpoint that is a root of p (though not of the reduced q) would
-        # break downstream sign sampling
-        final: list[tuple[Fraction, Fraction]] = []
-        for a, b in intervals:
-            degenerate = None
-            while True:
-                touching = [r for r in exact if a <= r <= b]
-                if not touching:
-                    break
-                m = (a + b) / 2
-                if q(m) == 0:
-                    degenerate = m
-                    break
-                if count_roots_open(chain, a, m) == 1:
-                    b = m
-                else:
-                    a = m
-            if degenerate is not None:
-                exact.append(degenerate)
-                restart = True
-                break
-            final.append((a, b))
-        if restart:
-            continue
-        return sorted(exact), sorted(final)
-
-
-def poly_nonneg_on(p: RationalPoly, lo, hi) -> bool:
-    """Exact decision of ``p(t) >= 0`` for every t in [lo, hi]."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if p.is_zero():
-        return True
-    if p.degree == 0:
-        return p.coeffs[0] >= 0
-    exact, intervals = isolate_real_roots(p, lo, hi)
-    markers = sorted({lo, hi, *exact, *(x for ab in intervals for x in ab)})
-    samples = set(markers)
-    for u, v in zip(markers, markers[1:]):
-        samples.add((u + v) / 2)
-    # every maximal sign-constant region between roots contains a sample, so
-    # negativity anywhere is witnessed by some sample point
-    return all(p(x) >= 0 for x in samples)
+    o = _odd_part(p)
+    for r in (lo, hi):
+        if o(r) == 0:
+            o = _primitive(poly_divmod(o, RationalPoly.of(-r, 1))[0])
+    if count_roots_open(sturm_chain(o), lo, hi):
+        return False
+    steps = p.degree + 2
+    for j in range(1, steps):
+        v = p(lo + (hi - lo) * Fraction(j, steps))
+        if v:
+            return v > 0
+    return True  # p = 0, or lo == hi and p(lo) = 0
 
 
 def abs_bounded_on(p: RationalPoly, bound, lo, hi) -> bool:
@@ -217,7 +145,7 @@ def sup_norm_certified(
 
     ``attained`` is the exact maximum of |p| over a rational grid (a lower
     bound on the sup); ``upper`` satisfies |p| <= upper on the whole interval,
-    proved by root isolation on upper - p and upper + p, with
+    proved by the nonnegativity of upper - p and upper + p, with
     upper <= sup * (1 + rel_tol) + tiny.
     """
     lo, hi = Fraction(lo), Fraction(hi)

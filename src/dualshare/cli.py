@@ -159,7 +159,27 @@ def _parse_rational(value: str) -> Fraction:
         raise InvalidInput(f"not a rational: {value!r}") from exc
 
 
-@click.group(invoke_without_command=True)
+class _OneLineErrors(click.Group):
+    """A group whose own usage errors (a malformed value, a missing option, an
+    unknown command) end like every other invalid input: one ``Error:`` line
+    and exit 2, instead of click's usage block."""
+
+    def main(self, *args, **kwargs):
+        try:
+            code = super().main(*args, standalone_mode=False, **kwargs)
+        except click.exceptions.NoArgsIsHelpError as exc:
+            exc.show()  # a bare group prints its help, as click does
+            sys.exit(exc.exit_code)
+        except click.ClickException as exc:
+            click.echo(f"Error: {exc.format_message()}", err=True)
+            sys.exit(exc.exit_code)
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
+        sys.exit(code)
+
+
+@click.group(cls=_OneLineErrors, invoke_without_command=True)
 @click.option("--list-commands", is_flag=True, help="Emit the command schema as JSON.")
 @click.version_option(version=__version__, prog_name="dualshare")
 @click.pass_context

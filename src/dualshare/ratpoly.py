@@ -59,6 +59,26 @@ class RationalPoly:
             p = p * RationalPoly.from_coeffs([-_frac(z), Fraction(1)])
         return p
 
+    @staticmethod
+    def interpolate(xs, ys) -> "RationalPoly":
+        """The interpolant of degree < len(xs) through the points (xs[i], ys[i]),
+        by Newton's divided differences (xs distinct)."""
+        xs = [_frac(x) for x in xs]
+        c = [_frac(y) for y in ys]
+        n = len(xs)
+        for j in range(1, n):
+            for i in range(n - 1, j - 1, -1):
+                c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+        coeffs = c[-1:]
+        for i in range(n - 2, -1, -1):
+            # coeffs <- coeffs * (t - xs[i]) + c[i]
+            shifted = [Fraction(0)] + coeffs
+            for j, a in enumerate(coeffs):
+                shifted[j] -= a * xs[i]
+            shifted[0] += c[i]
+            coeffs = shifted
+        return RationalPoly.from_coeffs(coeffs)
+
     @property
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""

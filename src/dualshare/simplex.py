@@ -277,7 +277,7 @@ def solve_minimax(
     ts = [points[i] for i in order]
     fs = [values[i] for i in order]
     if m <= degree + 1:
-        poly, eps = _interpolate(ts, fs), Fraction(0)
+        poly, eps = RationalPoly.interpolate(ts, fs), Fraction(0)
     else:
         poly, eps = _exchange(ts, fs, degree)
     residuals = _residuals(poly, points, values)
@@ -322,7 +322,7 @@ def _exchange(
         # the residual at reference point i is sign(lambda_i) * h; at h = 0
         # the weights' signs stand in, and the next exchange still raises |h|
         signs = [1 if (lam > 0) == (h >= 0) else -1 for lam in lams]
-        poly = _interpolate(
+        poly = RationalPoly.interpolate(
             [ts[i] for i in ref[:-1]],
             [fs[i] - s * level for s, i in zip(signs, ref[:-1])],
         )
@@ -357,25 +357,6 @@ def _levelling_weights(xs: list[Fraction]) -> list[Fraction]:
                 denom *= x - y
         out.append(1 / denom)
     return out
-
-
-def _interpolate(xs: list[Fraction], ys: list[Fraction]) -> RationalPoly:
-    """The interpolant of degree < len(xs), through Newton's divided
-    differences."""
-    c = list(ys)
-    n = len(xs)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
-    coeffs = [c[-1]]
-    for i in range(n - 2, -1, -1):
-        # coeffs <- coeffs * (t - xs[i]) + c[i]
-        shifted = [Fraction(0)] + coeffs
-        for j, a in enumerate(coeffs):
-            shifted[j] -= a * xs[i]
-        shifted[0] += c[i]
-        coeffs = shifted
-    return RationalPoly.from_coeffs(coeffs)
 
 
 def _residuals(p: RationalPoly, ts, fs) -> list[Fraction]:

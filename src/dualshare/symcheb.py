@@ -12,8 +12,8 @@ The leading constant is recovered from a single nonzero grid value and then
 *certified* against every grid point, which subsumes any closed form.
 
 Truncating the Chebyshev expansion of p_w below index k gives the low-degree
-approximant q_w; the sup-norm of the difference is certified by exact root
-isolation and compared against the explicit bound 4 sqrt(K) exp(-k^2/1156K).
+approximant q_w; the sup-norm of the difference is certified by exact sign
+decisions and compared against the explicit bound 4 sqrt(K) exp(-k^2/1156K).
 """
 
 from __future__ import annotations
@@ -72,34 +72,11 @@ def symmetrize(f, n: int) -> RationalPoly:
     """Unique low-degree univariate P with P(1 - 2h/n) = E_{|x|=h}[f(x)].
 
     ``f`` may be a ParityPoly, a callable on 0/1 tuples, or a length-(n+1)
-    weight-value vector.  Exact Lagrange interpolation through the n+1
-    averaged values; the result automatically has degree at most the total
-    degree of f.
+    weight-value vector.  Exact interpolation through the n+1 averaged
+    values; the result automatically has degree at most the total degree
+    of f.
     """
-    return _lagrange(weight_grid(n), weight_averages(f, n))
-
-
-def _lagrange(points, values) -> RationalPoly:
-    full = RationalPoly.from_roots(points)
-    acc = RationalPoly()
-    for p_i, y_i in zip(points, values):
-        if y_i == 0:
-            continue
-        basis = _divide_linear(full, p_i)
-        acc = acc + basis * (Fraction(y_i) / basis(p_i))
-    return acc
-
-
-def _divide_linear(p: RationalPoly, r: Fraction) -> RationalPoly:
-    """p / (t - r) by synthetic division (remainder must vanish)."""
-    out = [Fraction(0)] * p.degree
-    carry = Fraction(0)
-    for i in range(p.degree, 0, -1):
-        carry = p.coeffs[i] + carry * r
-        out[i - 1] = carry
-    if p.coeffs[0] + carry * r != 0:
-        raise PropertyViolation(f"{r} is not a root of the polynomial being divided")
-    return RationalPoly.from_coeffs(out)
+    return RationalPoly.interpolate(weight_grid(n), weight_averages(f, n))
 
 
 @dataclass(frozen=True)
@@ -169,7 +146,7 @@ def bounded_check(test: SymmetrizedTest, grid_size: int = 2048) -> float:
     """Certify |p_w| <= 2 on [-1, 1]; returns the dense-grid maximum as a float.
 
     The grid maximum is a lower estimate; the certificate is the exact
-    nonnegativity of 2 - p_w and 2 + p_w via root isolation.
+    nonnegativity of 2 - p_w and 2 + p_w on [-1, 1].
     """
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 10^3")
@@ -324,13 +301,16 @@ def shifted_product_check(test: SymmetrizedTest, delta, grid) -> bool:
     the product positive while p_w vanishes.  Left-hand sides are exact
     rationals; the exponential is handled by a rational lower bound first and
     a float comparison as a fallback, so the delta = 0 equality case stays
-    exact.
+    exact.  A negative delta is invalid input.
     """
     if 2 * test.w > test.K:
         raise ValueError("claim applies for w <= K/2")
+    delta = Fraction(delta)
+    if delta < 0:
+        # the truncated series below bounds e^x from below only for x >= 0
+        raise InvalidInput(f"the shift delta must be nonnegative, got {delta}")
     if test.n < 64 * test.K:
         warnings.warn("n < 64K: outside the guaranteed range", stacklevel=2)
-    delta = Fraction(delta)
     K, w = test.K, test.w
     cut = 1 - Fraction(w, 16 * K) if w else Fraction(1)
     cw2 = test.scale * test.scale

@@ -184,7 +184,7 @@ def test_criterion_05_main3_desk_scale():
     _report(
         "AC5",
         f"n=256, K=4, w<=4, k in {{1,2,3}}: certified sup-norm of p_w - q_w "
-        f"within 4*sqrt(K)*exp(-k^2/1156K) and |p_w| <= 2 by root isolation, "
+        f"within 4*sqrt(K)*exp(-k^2/1156K) and |p_w| <= 2 by exact sign decisions, "
         f"in {elapsed:.1f}s",
     )
 

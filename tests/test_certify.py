@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,11 +9,9 @@ from hypothesis import strategies as st
 from dualshare import certify
 from dualshare.certify import (
     abs_bounded_on,
-    isolate_real_roots,
     poly_divmod,
     poly_gcd,
     poly_nonneg_on,
-    squarefree_part,
     sup_norm_certified,
     sturm_chain,
 )
@@ -30,45 +29,105 @@ def test_divmod_and_gcd():
     assert g.degree == 1 and g(3) == 0
 
 
-def test_squarefree_part():
-    p = RationalPoly.from_roots([1, 1, 2])
-    sf = squarefree_part(p)
-    assert sf.degree == 2 and sf(1) == 0 and sf(2) == 0
+# 1/sqrt(2), the positive root of t^2 - 1/2, bracketed by two rationals 2^-100 apart
+_HALF_ROOT = (Fraction(math.isqrt(2**199), 2**100), Fraction(math.isqrt(2**199) + 1, 2**100))
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=6)
 
 
-def test_isolation_covers_all_roots():
-    roots = [Fraction(-3, 4), Fraction(0), Fraction(1, 3), Fraction(7, 8)]
-    p = RationalPoly.from_roots(roots)
-    exact, intervals = isolate_real_roots(p, -1, 1)
-    assert len(exact) + len(intervals) == len(roots)
-    for r in roots:
-        hits = [r2 for r2 in exact if r2 == r] + [
-            (a, b) for a, b in intervals if a < r < b
-        ]
-        assert len(hits) == 1
-    # interval endpoints are never roots of p, and closures avoid exact roots
-    for a, b in intervals:
-        assert p(a) != 0 and p(b) != 0
-        assert not any(a <= r <= b for r in exact)
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
 
 
-def test_isolation_irrational_roots():
-    # t^2 - 1/2: roots +- 1/sqrt(2)
-    p = RationalPoly.of(Fraction(-1, 2), 0, 1)
-    exact, intervals = isolate_real_roots(p, -1, 1)
-    assert exact == []
-    assert len(intervals) == 2
-    for a, b in intervals:
-        assert p(a) * p(b) < 0
+def _factored_sign(scale, roots, quad, x) -> int:
+    """sign of scale * prod (t - r)^m * quad(t) at the rational x, factor by factor."""
+    sign = _sign(scale)
+    for r, m in roots:
+        sign *= _sign(x - r) ** m
+    if quad is not None:
+        a, power = quad
+        sign *= _sign(x * x + a) ** power
+    return sign
 
 
-def test_isolation_mixed_and_endpoint_roots():
-    p = RationalPoly.from_roots([Fraction(-1), Fraction(1, 2)]) * RationalPoly.of(
-        Fraction(-1, 3), 0, 1
-    )
-    exact, intervals = isolate_real_roots(p, -1, 1)
-    assert Fraction(-1) in exact and Fraction(1, 2) in exact
-    assert len(intervals) == 2
+@st.composite
+def _factored_instances(draw):
+    """(scale, [(root, multiplicity)], quad, lo, hi): p = scale * prod (t - r)^m
+    * (t^2 + a)^power with a > 0 or a = -1/2 (roots +-1/sqrt(2)), some roots at
+    lo or hi."""
+    lo = draw(_small)
+    hi = lo + draw(st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6))
+    roots = [
+        (draw(st.sampled_from([lo, hi]) | _small), draw(st.integers(1, 4)))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    quad = draw(st.none() | st.tuples(
+        st.fractions(min_value=Fraction(1, 9), max_value=2, max_denominator=9)
+        | st.just(Fraction(-1, 2)),
+        st.integers(1, 2),
+    ))
+    scale = draw(st.sampled_from([Fraction(-3, 2), Fraction(-1), Fraction(1, 3), Fraction(2)]))
+    return scale, roots, quad, lo, hi
+
+
+def _factored_verdict(scale, roots, quad, lo, hi) -> bool:
+    """p >= 0 on [lo, hi] from the known factorisation alone: the sign of p at a
+    rational point strictly between each pair of consecutive roots in (lo, hi)."""
+    cuts = [(r, r) for r, _ in roots if lo < r < hi]
+    if quad is not None and quad[0] < 0:
+        below, above = _HALF_ROOT
+        cuts += [c for c in ((below, above), (-above, -below)) if lo < c[0] and c[1] < hi]
+    cuts = sorted({*cuts, (lo, lo), (hi, hi)})
+    samples = [(u[1] + v[0]) / 2 for u, v in zip(cuts, cuts[1:])]
+    return all(_factored_sign(scale, roots, quad, x) > 0 for x in samples)
+
+
+def _expand(scale, roots, quad) -> RationalPoly:
+    p = RationalPoly.from_roots([r for r, m in roots for _ in range(m)], scale)
+    if quad is not None:
+        a, power = quad
+        p = p * RationalPoly.of(a, 0, 1) ** power
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_factored_instances())
+def test_nonneg_matches_the_known_factorisation(instance):
+    scale, roots, quad, lo, hi = instance
+    p = _expand(scale, roots, quad)
+    assert poly_nonneg_on(p, lo, hi) is _factored_verdict(scale, roots, quad, lo, hi)
+    # a single point reads the sign of p there, a root counting as nonnegative
+    assert poly_nonneg_on(p, hi, hi) is (_factored_sign(scale, roots, quad, hi) >= 0)
+
+
+@pytest.mark.parametrize(
+    "p, lo, hi, expected",
+    [
+        # roots of odd multiplicity at the right and left endpoints
+        (RationalPoly.of(1, -1), 0, 1, True),
+        (RationalPoly.from_roots([1, 1, 1], -1), -1, 1, True),
+        (RationalPoly.from_roots([-1, -1, -1]), -1, 1, True),
+        (RationalPoly.from_roots([-1, 1]), -1, 1, False),
+        # an interior root of even multiplicity, rational and irrational
+        (RationalPoly.from_roots([Fraction(1, 2)] * 4), 0, 1, True),
+        (RationalPoly.of(Fraction(-1, 2), 0, 1) ** 2, -1, 1, True),
+        # the same roots with odd multiplicity
+        (RationalPoly.from_roots([Fraction(1, 2)] * 3), 0, 1, False),
+        (RationalPoly.of(Fraction(-1, 2), 0, 1) ** 3, -1, 1, False),
+    ],
+)
+def test_nonneg_endpoint_and_multiple_roots(p, lo, hi, expected):
+    assert poly_nonneg_on(p, lo, hi) is expected
+
+
+def test_nonneg_degenerate_intervals_and_zero_polynomial():
+    p = RationalPoly.from_roots([Fraction(1, 3)])  # t - 1/3
+    assert poly_nonneg_on(RationalPoly(), -1, 1)
+    assert poly_nonneg_on(p, Fraction(1, 3), Fraction(1, 3))
+    assert poly_nonneg_on(p, 1, 1)
+    assert not poly_nonneg_on(p, 0, 0)
+    for q in (RationalPoly(), RationalPoly.of(1), p):
+        with pytest.raises(ValueError):
+            poly_nonneg_on(q, 1, 0)
 
 
 def test_nonneg_detects_dip_between_rational_roots():

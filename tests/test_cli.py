@@ -287,6 +287,18 @@ _INPUT_FILES = {
         ["indist-check", "--dist1", "dist-ok.json", "--dist2", "dist-n3.json", "--k", "1"],
         ["indist-check", "--dist1", "dist-ok.json", "--dist2", "dist-ok.json", "--k", "1",
          "--K", "5"],
+        ["symcheb", "pw", "--n", "128", "--K", "2", "--w", "1", "--check", "product-cap",
+         "--eps", "-1"],
+        ["symcheb", "pw", "--n", "128", "--K", "2", "--w", "1", "--check", "product-cap",
+         "--eps", "-1000"],
+        # malformed invocations that click itself rejects
+        ["dual-and", "--n", "abc", "--d", "1"],
+        ["ramp", "--k", "1"],
+        ["indist-check", "--dist1", "nope.json", "--dist2", "dist-ok.json", "--k", "1"],
+        ["no-such-command"],
+        ["dual-and", "--n", "2", "--d", "1", "--bogus"],
+        ["symcheb", "pw", "--n", "16", "--K", "2", "--w", "1", "--check", "nope"],
+        ["symcheb", "nope"],
     ],
 )
 def test_invalid_input_exits_2_with_one_line(runner, tmp_path, monkeypatch, args):

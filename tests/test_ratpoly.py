@@ -122,6 +122,31 @@ class TestFromRoots:
             assert p(t) == 3 * t * (t - Fraction(1, 2))
 
 
+class TestInterpolate:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=9),
+                 min_size=1, max_size=9, unique=True),
+        st.data(),
+    )
+    def test_passes_through_every_point_below_their_count(self, xs, data):
+        # degree < len(xs) and q(x_i) = y_i for all i pin the interpolant down
+        ys = data.draw(st.lists(st.fractions(max_denominator=50), min_size=len(xs),
+                                max_size=len(xs)))
+        q = RationalPoly.interpolate(xs, ys)
+        assert q.degree < len(xs)
+        assert [q(x) for x in xs] == ys
+
+    def test_recovers_a_polynomial_from_its_values(self):
+        p = RationalPoly.of(Fraction(1, 3), -2, 0, Fraction(5, 7))
+        xs = [Fraction(i, 3) for i in range(-3, 3)]
+        assert RationalPoly.interpolate(xs, [p(x) for x in xs]) == p
+        assert RationalPoly.interpolate(xs[:4], [p(x) for x in xs[:4]]) == p
+
+    def test_no_points_give_the_zero_polynomial(self):
+        assert RationalPoly.interpolate([], []) == RationalPoly()
+
+
 class TestChebPolynomials:
     def test_base_cases(self):
         assert cheb_T(0) == RationalPoly.of(1)
