@@ -8,8 +8,6 @@ confined to verification estimates and explicitly float-valued bounds.
 __version__ = "0.1.0"
 
 from .approxlab import (
-    LPDualCertificate,
-    MinimaxInstance,
     RampParams,
     approx_degree,
     consolidate_and,
@@ -17,7 +15,7 @@ from .approxlab import (
     dual_distributions,
     finite_n_ramp,
     l2_tail_bound,
-    minimax_lp,
+    minimax_on_weight_grid,
     ramp_advantage,
 )
 from .boolcube import (
@@ -44,11 +42,8 @@ from .dualand import (
 from .errors import PropertyViolation
 from .ratpoly import (
     ChebyshevExpansion,
-    LaurentPoly,
     RationalPoly,
     cheb_T,
-    cheb_transform,
-    parseval_circle_check,
     sigma_inner,
 )
 from .symcheb import (
@@ -75,9 +70,6 @@ __all__ = [
     "DualAndParams",
     "DualAndWitness",
     "DualWitness",
-    "LPDualCertificate",
-    "LaurentPoly",
-    "MinimaxInstance",
     "ParityPoly",
     "PropertyViolation",
     "RampParams",
@@ -95,7 +87,6 @@ __all__ = [
     "bounded_check",
     "build_witness",
     "cheb_T",
-    "cheb_transform",
     "circle_identity_check",
     "consolidate_and",
     "consolidation_bound",
@@ -107,9 +98,8 @@ __all__ = [
     "kwise_indistinguishable",
     "l2_tail_bound",
     "low_weight_approximant",
-    "minimax_lp",
+    "minimax_on_weight_grid",
     "pair_with_witness",
-    "parseval_circle_check",
     "project_symmetric",
     "ramp_advantage",
     "sigma_inner",

@@ -1,9 +1,10 @@
 """Approximate-degree oracle, dual distribution pairs, and the ramp formulas.
 
-Everything runs through exact discrete minimax on the weight grid, solved by
-single-point exchange (``simplex.solve_minimax``): the minimax error of a
-symmetric function on its weight grid equals its multivariate symmetric
-approximation error, the optimal dual measure of the minimax LP is a dual
+Everything runs through exact discrete minimax on the weight grid
+(``minimax_on_weight_grid``, single-point exchange in
+``simplex.solve_minimax``): the minimax error of a symmetric function on its
+weight grid equals its multivariate symmetric approximation error, the
+optimal dual measure psi of the returned ``MinimaxSolution`` is a dual
 witness, and splitting that witness into its positive and negative parts
 (times two) yields a pair of perfectly k-wise indistinguishable symmetric
 distributions whose advantage under the target equals twice the minimax
@@ -21,76 +22,33 @@ from typing import Sequence
 from .boolcube import DualWitness, SymmetricDistribution, kwise_indistinguishable
 from .errors import InvalidInput, PropertyViolation
 from .ratpoly import RationalPoly, cheb_transform_factored
-from .simplex import solve_minimax
+from .simplex import MinimaxSolution, solve_minimax
 from .symcheb import exact_weight_test, hypergeom_row, indistinguishability_bound, weight_grid
 
 
-@dataclass(frozen=True)
-class MinimaxInstance:
-    points: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-    degree: int
-
-    def __post_init__(self):
-        if len(self.points) != len(self.values):
-            raise ValueError("points and values must align")
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("points must be distinct")
-
-    @staticmethod
-    def of(points, values, degree: int) -> "MinimaxInstance":
-        return MinimaxInstance(
-            tuple(Fraction(p) for p in points),
-            tuple(Fraction(v) for v in values),
-            degree,
-        )
-
-    @staticmethod
-    def on_weight_grid(values, degree: int) -> "MinimaxInstance":
-        values = tuple(Fraction(v) for v in values)
-        return MinimaxInstance(weight_grid(len(values) - 1), values, degree)
+def minimax_on_weight_grid(values: Sequence, degree: int) -> MinimaxSolution:
+    """Exact degree-``degree`` minimax fit of ``values`` (indexed by Hamming
+    weight h = 0..n) on the weight grid t_h = 1 - 2h/n."""
+    return solve_minimax(weight_grid(len(values) - 1), values, degree)
 
 
-@dataclass(frozen=True)
-class LPDualCertificate:
-    """Optimal dual measure of a minimax instance.
-
-    ``psi[i]`` is the signed mass at ``points[i]``; the moments up to
-    ``degree`` vanish, the total variation is 1, and the pairing with the
-    instance values equals ``epsilon`` (all exact, audited by the solver).
-    """
-
-    points: tuple[Fraction, ...]
-    psi: tuple[Fraction, ...]
-    epsilon: Fraction
-    degree: int
-
-    def grid_n(self) -> int:
-        """The n for which the points are the weight grid; errors otherwise."""
-        n = len(self.points) - 1
-        if self.points != weight_grid(n):
-            raise ValueError("certificate does not live on a Hamming-weight grid")
-        return n
-
-    def symmetric_witness(self) -> DualWitness:
-        """Per-string symmetric DualWitness (weight-class mass / C(n, h))."""
-        n = self.grid_n()
-        return DualWitness(
-            n=n,
-            values=tuple(p / comb(n, h) for h, p in enumerate(self.psi)),
-            representation="symmetric",
-            claimed_degree=self.degree + 1,
-        )
+def grid_n(sol: MinimaxSolution) -> int:
+    """The n for which the solution's points are the weight grid; errors otherwise."""
+    n = len(sol.points) - 1
+    if sol.points != weight_grid(n):
+        raise ValueError("certificate does not live on a Hamming-weight grid")
+    return n
 
 
-def minimax_lp(
-    inst: MinimaxInstance,
-) -> tuple[RationalPoly, Fraction, LPDualCertificate]:
-    sol = solve_minimax(inst.points, inst.values, inst.degree)
-    cert = LPDualCertificate(
-        points=inst.points, psi=sol.psi, epsilon=sol.epsilon, degree=inst.degree
+def symmetric_witness(sol: MinimaxSolution) -> DualWitness:
+    """Per-string symmetric DualWitness (weight-class mass / C(n, h))."""
+    n = grid_n(sol)
+    return DualWitness(
+        n=n,
+        values=tuple(p / comb(n, h) for h, p in enumerate(sol.psi)),
+        representation="symmetric",
+        claimed_degree=sol.degree + 1,
     )
-    return sol.poly, sol.epsilon, cert
 
 
 def approx_degree(values_by_weight: Sequence, epsilon) -> int:
@@ -109,14 +67,13 @@ def approx_degree(values_by_weight: Sequence, epsilon) -> int:
     if n > 1000:
         raise ValueError("desk-scale cap: n <= 1000")
     for k in range(n + 1):
-        _, eps, _ = minimax_lp(MinimaxInstance.on_weight_grid(values, k))
-        if eps <= epsilon:
+        if minimax_on_weight_grid(values, k).epsilon <= epsilon:
             return k
     return n  # degree n always fits exactly through all n+1 points
 
 
 def dual_distributions(
-    cert: LPDualCertificate,
+    cert: MinimaxSolution,
 ) -> tuple[SymmetricDistribution, SymmetricDistribution]:
     """Split psi = (mu - nu)/2 into the perfectly indistinguishable pair.
 
@@ -124,7 +81,7 @@ def dual_distributions(
     constants makes both sum to exactly 1, and the vanishing moments up to
     ``degree`` make the pair perfectly degree-wise indistinguishable.
     """
-    n = cert.grid_n()
+    n = grid_n(cert)
     if sum(abs(p) for p in cert.psi) != 1:
         raise ValueError("witness must have unit total variation")
     return _split_signed_mass(n, cert.psi)
@@ -230,10 +187,11 @@ def limit_ramp_cheb_coeff(K: int, d: int) -> Fraction:
 def finite_n_ramp(
     params: RampParams,
 ) -> tuple[SymmetricDistribution, SymmetricDistribution, Fraction]:
-    """LP-built k-wise indistinguishable pair reconstructible by the first-K AND.
+    """Minimax-built k-wise indistinguishable pair reconstructible by the
+    first-K AND.
 
     Builds p_0 for (n, K), solves the degree-k minimax problem on the weight
-    grid, splits the dual certificate, and flips both distributions so the
+    grid, splits its dual measure psi, and flips both distributions so the
     reconstruction test is the AND (rather than the NOR) of the first K bits.
     The returned advantage is exact and equals twice the minimax error; the
     pair is checked perfectly k-wise indistinguishable.
@@ -244,13 +202,12 @@ def finite_n_ramp(
     if n > 1000 or K > 8:
         raise ValueError("desk-scale caps: n <= 1000, K <= 8")
     exact_weight_test(n, K, 0)  # certifies p_0's product form on the grid
-    values = hypergeom_row(n, K, 0)  # p_0 on the grid
-    _, eps, cert = minimax_lp(MinimaxInstance.on_weight_grid(values, k))
-    mu, nu = dual_distributions(cert)
+    sol = minimax_on_weight_grid(hypergeom_row(n, K, 0), k)  # p_0 on the grid
+    mu, nu = dual_distributions(sol)
     mu, nu = mu.reflected(), nu.reflected()
     and_values = hypergeom_row(n, K, K)
     advantage = mu.expectation(and_values) - nu.expectation(and_values)
-    if advantage != 2 * eps:
+    if advantage != 2 * sol.epsilon:
         raise PropertyViolation("advantage of the LP pair differs from twice its error")
     if not kwise_indistinguishable(mu, nu, k):
         raise PropertyViolation(f"LP pair is not perfectly {k}-wise indistinguishable")

@@ -86,9 +86,6 @@ class WeightVector:
     def l2_squared(self) -> Fraction:
         return sum((e * e for e in self.entries), Fraction(0))
 
-    def is_uniform(self) -> bool:
-        return all(e == self.entries[0] for e in self.entries)
-
 
 @dataclass(frozen=True)
 class SymmetricDistribution:
@@ -223,9 +220,6 @@ class ParityPoly:
             Fraction(0),
         )
 
-    def evaluate_bits(self, bits: Sequence[int]) -> Fraction:
-        return self.evaluate_mask(bits_to_mask(bits))
-
     def values_on_cube(self) -> list[Fraction]:
         """Value table over all 2^n points via one Walsh-Hadamard transform."""
         vec = [Fraction(0)] * (1 << self.n)
@@ -242,18 +236,6 @@ class ParityPoly:
                 for s, c in self.coeffs.items()
             },
         )
-
-    def __add__(self, other: "ParityPoly") -> "ParityPoly":
-        if self.n != other.n:
-            raise ValueError("mismatched n")
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, Fraction(0)) + c
-        return ParityPoly(self.n, out)
-
-    def scaled(self, c) -> "ParityPoly":
-        c = Fraction(c)
-        return ParityPoly(self.n, {s: v * c for s, v in self.coeffs.items()})
 
 
 def basis_convert(monomial_coeffs: dict[int, Fraction], n: int) -> ParityPoly:

@@ -10,7 +10,6 @@ invocations).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -21,13 +20,12 @@ import click
 
 from . import __version__
 from .approxlab import (
-    MinimaxInstance,
     RampParams,
     approx_degree,
     consolidate_and,
     finite_n_ramp,
     l2_tail_bound,
-    minimax_lp,
+    minimax_on_weight_grid,
     ramp_advantage,
     ramp_advantage_proof_constant,
 )
@@ -86,34 +84,28 @@ def _resolve_out(path: str | None) -> str | None:
 
 
 def common_options(fn):
-    @click.option("--seed", type=int, default=0, show_default=True, help="RNG seed.")
-    @click.option("--out", type=str, default=None, help="Output file (default: stdout).")
-    @click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["json", "csv"]),
-        default="json",
-        show_default=True,
+    """Declare the options every command takes, in this order."""
+    options = (
+        click.option("--seed", type=int, default=0, show_default=True, help="RNG seed."),
+        click.option("--out", type=str, default=None, help="Output file (default: stdout)."),
+        click.option(
+            "--format",
+            "fmt",
+            type=click.Choice(["json", "csv"]),
+            default="json",
+            show_default=True,
+        ),
+        click.option(
+            "--threads",
+            type=click.IntRange(min=1),
+            default=1,
+            show_default=True,
+            help="Accepted for interface compatibility; computations are single-process.",
+        ),
     )
-    @click.option(
-        "--threads",
-        type=click.IntRange(min=1),
-        default=1,
-        show_default=True,
-        help="Accepted for interface compatibility; computations are single-process.",
-    )
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ValueError, InfeasibleBudget) as exc:
-            click.echo(f"Error: {exc}", err=True)
-            sys.exit(EXIT_USAGE)
-        except PropertyViolation as exc:
-            click.echo(f"property violated: {exc}", err=True)
-            sys.exit(EXIT_PROPERTY_VIOLATION)
-
-    return wrapper
+    for option in reversed(options):  # innermost first, as stacked decorators apply
+        fn = option(fn)
+    return fn
 
 
 def _emit(command: str, config: dict, result: dict, out: str | None, fmt: str,
@@ -160,9 +152,13 @@ def _parse_rational(value: str) -> Fraction:
 
 
 class _OneLineErrors(click.Group):
-    """A group whose own usage errors (a malformed value, a missing option, an
-    unknown command) end like every other invalid input: one ``Error:`` line
-    and exit 2, instead of click's usage block."""
+    """The one place that maps exceptions to exit codes.
+
+    Usage errors, click's own (a malformed value, a missing option, an
+    unknown command) and a command's ValueError or InfeasibleBudget alike, end
+    with one ``Error:`` line and exit 2 instead of click's usage block or a
+    traceback; a PropertyViolation ends with one line and exit 3.
+    """
 
     def main(self, *args, **kwargs):
         try:
@@ -176,6 +172,12 @@ class _OneLineErrors(click.Group):
         except click.Abort:
             click.echo("Aborted!", err=True)
             sys.exit(1)
+        except (ValueError, InfeasibleBudget) as exc:
+            click.echo(f"Error: {exc}", err=True)
+            sys.exit(EXIT_USAGE)
+        except PropertyViolation as exc:
+            click.echo(f"property violated: {exc}", err=True)
+            sys.exit(EXIT_PROPERTY_VIOLATION)
         sys.exit(code)
 
 
@@ -382,7 +384,7 @@ def approx_degree_cmd(f_name, n, eps, seed, out, fmt, threads):
     n, values = _load_predicate(f_name, n)
     epsilon = _parse_rational(eps)
     k = approx_degree(values, epsilon)
-    _, err, _ = minimax_lp(MinimaxInstance.on_weight_grid(values, k))
+    err = minimax_on_weight_grid(values, k).epsilon
     config = {"f": f_name, "n": n, "eps": eps, "seed": seed, "threads": threads}
     result = {"approx_degree": k, "minimax_error_at_degree": rat_to_str(err)}
     _emit("approx-degree", config, result, out, fmt)
@@ -450,23 +452,29 @@ def weight_bound_cmd(f_name, n, big_k, eps, construct, lower, seed, out, fmt, th
         }
     if lower:
         deg = approx_degree(values, epsilon)
-        cert_degree = max(deg - 1, 0)
-        _, cert_eps, cert = minimax_lp(
-            MinimaxInstance.on_weight_grid(values, cert_degree)
-        )
-        bound = weight_lower_bound(cert, big_k, epsilon)
-        result["lower"] = {
-            "certificate_degree": cert_degree,
-            "certificate_error": rat_to_str(cert_eps),
-            "weight_lower_bound": "inf" if bound == math.inf else rat_to_str(bound),
-            "weight_lower_bound_float": float(bound) if bound != math.inf else None,
-        }
-    if construct and lower and result["lower"]["weight_lower_bound"] != "inf":
-        lo = Fraction(result["lower"]["weight_lower_bound"])
+        if deg == 0:
+            # a constant already meets eps: no certificate, and the floor is 0
+            result["lower"] = {
+                "certificate_degree": None,
+                "certificate_error": None,
+                "weight_lower_bound": rat_to_str(0),
+                "weight_lower_bound_float": 0.0,
+            }
+        else:
+            cert = minimax_on_weight_grid(values, deg - 1)
+            bound = weight_lower_bound(cert, big_k, epsilon)
+            result["lower"] = {
+                "certificate_degree": deg - 1,
+                "certificate_error": rat_to_str(cert.epsilon),
+                "weight_lower_bound": "inf" if bound == math.inf else rat_to_str(bound),
+                "weight_lower_bound_float": float(bound) if bound != math.inf else None,
+            }
+    if construct and lower:
+        floor = result["lower"]["weight_lower_bound"]
         hi = Fraction(result["construct"]["weight"])
-        if hi < lo:
+        if floor == "inf" or hi < Fraction(floor):
             raise PropertyViolation(
-                f"constructive weight {hi} fell below the certified floor {lo}"
+                f"constructive weight {hi} fell below the certified floor {floor}"
             )
     config = {"f": f_name, "n": n, "K": big_k, "eps": eps, "construct": construct,
               "lower": lower, "seed": seed, "threads": threads}

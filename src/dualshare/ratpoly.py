@@ -14,13 +14,13 @@ Conventions used throughout the package:
   used are E[T_0^2] = 1, E[T_d^2] = 1/2 for d > 0, and orthogonality, so all
   sigma inner products are computed algebraically, never by quadrature.
 
-Floating point appears only in verification helpers (`parseval_circle_check`
-and complex evaluation); every transform is exact.
+Floating point appears only in the float and complex evaluators
+(``eval_float``, ``eval_complex``) that verification estimates use; every
+transform is exact.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -181,34 +181,6 @@ class RationalPoly:
         )
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Finite Laurent polynomial over Q, stored as sorted (exponent, coeff) pairs."""
-
-    terms: tuple[tuple[int, Fraction], ...] = ()
-
-    @staticmethod
-    def from_dict(d: dict) -> "LaurentPoly":
-        return LaurentPoly(
-            tuple(sorted((e, _frac(c)) for e, c in d.items() if c != 0))
-        )
-
-    def coeff(self, e: int) -> Fraction:
-        for exp, c in self.terms:
-            if exp == e:
-                return c
-        return Fraction(0)
-
-    def span(self) -> int:
-        """Max exponent minus min exponent (0 for the zero polynomial)."""
-        if not self.terms:
-            return 0
-        return self.terms[-1][0] - self.terms[0][0]
-
-    def evaluate(self, z: complex) -> complex:
-        return sum(float(c) * z**e for e, c in self.terms)
-
-
 def generating_poly(roots: Iterable, scale=1) -> RationalPoly:
     """The polynomial ``g(s) = scale * prod (s^2 - 2 z s + 1)/2`` of degree 2 deg.
 
@@ -220,14 +192,6 @@ def generating_poly(roots: Iterable, scale=1) -> RationalPoly:
     for z in roots:
         g = g * RationalPoly.of(Fraction(1, 2), -_frac(z), Fraction(1, 2))
     return g
-
-
-def laurent_from_roots(roots: Iterable, scale=1) -> LaurentPoly:
-    """The Laurent polynomial ``scale * prod (s + 1/s - 2z)/2``, i.e.
-    ``generating_poly`` with its exponents shifted down by the number of roots."""
-    roots = list(roots)
-    g = generating_poly(roots, scale)
-    return LaurentPoly.from_dict({i - len(roots): c for i, c in enumerate(g.coeffs)})
 
 
 _CHEB_CACHE: list[RationalPoly] = [RationalPoly.of(1), RationalPoly.of(0, 1)]
@@ -278,28 +242,6 @@ class ChebyshevExpansion:
         return acc
 
 
-def cheb_transform(p: RationalPoly) -> ChebyshevExpansion:
-    """Symmetric Chebyshev expansion of ``p`` by inverting the triangular basis change.
-
-    T_d has leading coefficient 2^{d-1} for d >= 1, so peeling from the top
-    degree down is exact and needs no linear solver.
-    """
-    if p.is_zero():
-        return ChebyshevExpansion()
-    work = list(p.coeffs)
-    deg = p.degree
-    half = [Fraction(0)] * (deg + 1)
-    for d in range(deg, 0, -1):
-        a = work[d]
-        if a:
-            one_sided = a / Fraction(2 ** (d - 1))
-            half[d] = one_sided / 2
-            for i, tc in enumerate(cheb_T(d).coeffs):
-                work[i] -= one_sided * tc
-    half[0] = work[0]
-    return ChebyshevExpansion.from_coeffs(half)
-
-
 def cheb_transform_factored(roots: Iterable, scale=1) -> ChebyshevExpansion:
     """Chebyshev expansion of ``scale * prod (t - z)``: coefficients deg..2 deg of
     ``generating_poly``, after checking the palindrome g[deg - d] = g[deg + d]
@@ -323,23 +265,3 @@ def sigma_inner(e1: ChebyshevExpansion, e2: ChebyshevExpansion) -> Fraction:
         if a and b:
             acc += a * b if d == 0 else 2 * a * b
     return acc
-
-
-def parseval_circle_check(g: LaurentPoly, samples: int) -> float:
-    """|sum |coeff|^2  -  average of |g(z)|^2 over the samples-th roots of unity|.
-
-    The discrete average is exact (in infinite precision) once ``samples``
-    exceeds the exponent span of |g|^2, so the return value is pure floating
-    point rounding.
-    """
-    if samples <= 2 * g.span():
-        raise ValueError(
-            f"need more than {2 * g.span()} samples for an exact circle average"
-        )
-    lhs = sum(float(c) * float(c) for _, c in g.terms)
-    rhs = 0.0
-    for j in range(samples):
-        z = cmath.exp(2j * cmath.pi * j / samples)
-        rhs += abs(g.evaluate(z)) ** 2
-    rhs /= samples
-    return abs(lhs - rhs)

@@ -18,7 +18,7 @@ from typing import Any
 
 from .boolcube import DualWitness, SymmetricDistribution
 from .errors import InvalidInput
-from .ratpoly import ChebyshevExpansion, RationalPoly
+from .ratpoly import RationalPoly
 
 
 def rat_to_str(x) -> str:
@@ -36,10 +36,6 @@ def poly_to_json(p: RationalPoly) -> list[str]:
 
 def poly_from_json(coeffs: list[str]) -> RationalPoly:
     return RationalPoly.from_coeffs(Fraction(c) for c in coeffs)
-
-
-def expansion_to_json(e: ChebyshevExpansion) -> list[str]:
-    return [rat_to_str(c) for c in e.half_coeffs]
 
 
 def dist_to_json(d: SymmetricDistribution) -> dict:

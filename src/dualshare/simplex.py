@@ -240,9 +240,18 @@ def _audit_fit(values, residuals, eps, psi, moments) -> None:
 
 @dataclass(frozen=True)
 class MinimaxSolution:
+    """Optimal degree-``degree`` fit on ``points`` and its dual certificate.
+
+    ``psi[i]`` is the signed mass at ``points[i]``; its moments up to
+    ``degree`` vanish, its total variation is 1 (when epsilon > 0) and its
+    pairing with the values is ``epsilon`` (all audited by the solver).
+    """
+
+    points: tuple[Fraction, ...]
+    degree: int
     poly: RationalPoly
     epsilon: Fraction
-    psi: tuple[Fraction, ...]  # signed measure on the points, total variation 1
+    psi: tuple[Fraction, ...]
 
 
 def solve_minimax(
@@ -302,7 +311,9 @@ def solve_minimax(
         sum(p * t**j for p, t in zip(psi, points) if p) for j in range(degree + 1)
     ]
     _audit_fit(values, residuals, eps, psi, moments)
-    return MinimaxSolution(poly=poly, epsilon=eps, psi=tuple(psi))
+    return MinimaxSolution(
+        points=tuple(points), degree=degree, poly=poly, epsilon=eps, psi=tuple(psi)
+    )
 
 
 def _exchange(

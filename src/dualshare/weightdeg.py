@@ -1,8 +1,8 @@
 """Low-weight approximants for point indicators and symmetric functions.
 
-The constructive side composes an exact inner AND on blocks with an
-LP-optimal outer univariate approximant of the block-count AND: with blocks
-of size s = n/l, the composition q(b) = p(#full blocks) has degree
+The constructive side composes an exact inner AND on blocks with a
+minimax-optimal outer univariate approximant of the block-count AND: with
+blocks of size s = n/l, the composition q(b) = p(#full blocks) has degree
 s * deg(p), its pointwise error equals the outer minimax error exactly (the
 inner ANDs are exact), and its parity-basis coefficients collapse to one
 value per number of blocks touched, so weights are computed in closed form
@@ -18,10 +18,10 @@ split meets it; when no split does, the same polynomial is re-optimised by a
 second LP directly against the exact aggregate certificate, which is strictly
 stronger than the union bound and keeps the construction otherwise unchanged.
 
-The dual side pairs an LP certificate against all characters of size at most
-K: a degree-K polynomial of weight W can correlate with the witness by at
-most W times the largest character pairing, which rearranges into a weight
-lower bound.
+The dual side pairs the dual measure of a weight-grid minimax solution
+against all characters of size at most K: a degree-K polynomial of weight W
+can correlate with the witness by at most W times the largest character
+pairing, which rearranges into a weight lower bound.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .approxlab import LPDualCertificate, MinimaxInstance, minimax_lp
+from .approxlab import grid_n, symmetric_witness
 from .boolcube import ParityPoly, bits_to_mask, kravchuk, pair_with_witness
-from .errors import PropertyViolation
-from .simplex import solve_linf_fit
+from .errors import InvalidInput, PropertyViolation
+from .simplex import MinimaxSolution, solve_linf_fit, solve_minimax
 
 _TERM_CAP = 1 << 21
 
@@ -147,8 +147,8 @@ def _and_core_for_split(n: int, ell: int, degree_budget: int) -> _AndCore:
     outer_degree = min(ell, degree_budget // s)
     values = [Fraction(0)] * ell + [Fraction(1)]
     points = [Fraction(j) for j in range(ell + 1)]
-    poly, eps, _ = minimax_lp(MinimaxInstance.of(points, values, outer_degree))
-    p_values = [poly(Fraction(j)) for j in range(ell + 1)]
+    sol = solve_minimax(points, values, outer_degree)
+    p_values = [sol.poly(Fraction(j)) for j in range(ell + 1)]
     c = _finite_differences(p_values)
     if any(c[outer_degree + 1 :]):
         raise PropertyViolation("outer polynomial has differences above its degree")
@@ -157,7 +157,7 @@ def _and_core_for_split(n: int, ell: int, degree_budget: int) -> _AndCore:
         ell=ell,
         s=s,
         p_values=tuple(p_values),
-        error=eps,
+        error=sol.epsilon,
         D=tuple(_touched_block_coeffs(c, ell, s)),
     )
 
@@ -215,7 +215,7 @@ def approx_eq_y(
     negation only flips parity-coefficient signs, so weight, degree and the
     certified error are those of the AND construction.  The error is exact:
     the composition's value depends on the input only through the full-block
-    count, and the outer LP residuals enumerate every count.
+    count, and the outer minimax residuals enumerate every count.
     """
     error_target = Fraction(error_target)
     y_mask = y if isinstance(y, int) else bits_to_mask(y)
@@ -459,18 +459,25 @@ def _symmetric_parity_poly(n: int, chat: list[Fraction]) -> ParityPoly:
 
 
 def weight_lower_bound(
-    cert: LPDualCertificate, K: int, target_error
+    cert: MinimaxSolution, K: int, target_error
 ) -> Fraction | float:
     """Certified floor on the weight of any degree-<=K approximant with error
     <= target_error, from the witness's largest character pairing.
 
-    For a symmetric witness only the K+1 size-classes matter: the pairing with
-    any chi_S depends on |S| alone.  Returns math.inf when every pairing up to
+    The certificate must be a weight-grid minimax solution whose error exceeds
+    target_error (InvalidInput otherwise: it then certifies nothing).  For a
+    symmetric witness only the K+1 size-classes matter: the pairing with any
+    chi_S depends on |S| alone.  Returns math.inf when every pairing up to
     size K vanishes (then no weight suffices at that degree).
     """
     target_error = Fraction(target_error)
-    n = cert.grid_n()
-    witness = cert.symmetric_witness()
+    if cert.epsilon <= target_error:
+        raise InvalidInput(
+            f"certificate error {cert.epsilon} does not exceed the target "
+            f"{target_error}, so it bounds no weight"
+        )
+    n = grid_n(cert)
+    witness = symmetric_witness(cert)
     best = max(
         (
             abs(pair_with_witness(witness, ParityPoly(n, {(1 << r) - 1: Fraction(1)})))

@@ -17,7 +17,6 @@ from math import comb
 import pytest
 
 from dualshare.approxlab import (
-    MinimaxInstance,
     RampParams,
     approx_degree,
     consolidate_and,
@@ -26,7 +25,7 @@ from dualshare.approxlab import (
     finite_n_ramp,
     l2_tail_bound,
     limit_ramp_poly,
-    minimax_lp,
+    minimax_on_weight_grid,
     ramp_advantage,
     split_cube_witness,
 )
@@ -51,12 +50,10 @@ from dualshare.dualand import (
 from dualshare.ratpoly import (
     RationalPoly,
     cheb_T,
-    cheb_transform,
     cheb_transform_factored,
-    laurent_from_roots,
-    parseval_circle_check,
     sigma_inner,
 )
+from dualshare.simplex import solve_minimax
 from dualshare.symcheb import (
     AmplificationParams,
     truncated_approximant,
@@ -68,6 +65,8 @@ from dualshare.symcheb import (
     weight_grid,
 )
 from dualshare.weightdeg import SymmetricSpec, low_weight_approximant, weight_lower_bound
+
+from oracles import cheb_transform, laurent_from_roots, parseval_circle_check
 
 
 def _report(tag: str, detail: str):
@@ -225,7 +224,8 @@ def test_criterion_07_mainupper_end_to_end():
     for name in ("AND", "MAJ", "EXACT-HALF"):
         values = _predicate(name, n)
         for k in range(2, 7):
-            _, eps, cert = minimax_lp(MinimaxInstance.on_weight_grid(values, k))
+            cert = minimax_on_weight_grid(values, k)
+            eps = cert.epsilon
             assert eps > 0
             mu, nu = dual_distributions(cert)
             assert kwise_indistinguishable(mu, nu, k)
@@ -252,7 +252,7 @@ def test_criterion_08_ramp_formulas():
         grid = weight_grid(4 * K)
         values = [p_inf(t) for t in grid]
         for k in range(2, K):
-            q, _, _ = minimax_lp(MinimaxInstance.of(grid, values, k))
+            q = solve_minimax(grid, values, k).poly
             diff = cheb_transform(p_inf - q)
             assert sigma_inner(diff, diff) >= l2_tail_bound(K, k)
             mu, nu, adv = finite_n_ramp(RampParams(k, K, 8 * K))
@@ -280,9 +280,7 @@ def test_criterion_09_weight_degree_sandwich():
                 _, report = low_weight_approximant(spec, K, eps)
                 assert report.error <= eps
                 assert report.degree <= K
-                _, cert_eps, cert = minimax_lp(
-                    MinimaxInstance.on_weight_grid(values, max(deg - 1, 0))
-                )
+                cert = minimax_on_weight_grid(values, max(deg - 1, 0))
                 bound = weight_lower_bound(cert, K, eps)
                 assert bound == math.inf or report.weight >= bound
                 cells += 1

@@ -7,7 +7,6 @@ from math import comb
 import pytest
 
 from dualshare.approxlab import (
-    MinimaxInstance,
     RampParams,
     approx_degree,
     consolidate_and,
@@ -18,7 +17,7 @@ from dualshare.approxlab import (
     limit_ramp_cheb_coeff,
     limit_ramp_expansion,
     limit_ramp_poly,
-    minimax_lp,
+    minimax_on_weight_grid,
     ramp_advantage,
     ramp_advantage_proof_constant,
     split_cube_witness,
@@ -29,9 +28,11 @@ from dualshare.boolcube import (
     project_symmetric,
     stat_distance_symmetric,
 )
-from dualshare.ratpoly import cheb_transform, sigma_inner
+from dualshare.ratpoly import sigma_inner
+from dualshare.simplex import solve_minimax
 from dualshare.symcheb import indistinguishability_bound, weight_grid
 
+from oracles import cheb_transform
 from test_simplex import alternation_minimax
 
 
@@ -98,7 +99,7 @@ class TestSymmetrizationLossless:
             if len(set(values)) == 1:
                 continue
             k = rng.randint(0, n - 1)
-            _, eps_sym, _ = minimax_lp(MinimaxInstance.on_weight_grid(values, k))
+            eps_sym = minimax_on_weight_grid(values, k).epsilon
             subsets = [
                 sum(1 << i for i in c)
                 for r in range(k + 1)
@@ -114,7 +115,8 @@ class TestSymmetrizationLossless:
 
 class TestDualDistributions:
     def test_and2_split(self):
-        _, eps, cert = minimax_lp(MinimaxInstance.on_weight_grid([1, 0, 0], 1))
+        cert = minimax_on_weight_grid([1, 0, 0], 1)
+        eps = cert.epsilon
         mu, nu = dual_distributions(cert)
         assert mu.weight_probs == (Fraction(1, 2), Fraction(0), Fraction(1, 2))
         assert nu.weight_probs == (Fraction(0), Fraction(1), Fraction(0))
@@ -128,7 +130,8 @@ class TestDualDistributions:
             if len(set(values)) == 1:
                 continue
             k = rng.randint(0, n - 1)
-            _, eps, cert = minimax_lp(MinimaxInstance.on_weight_grid(values, k))
+            cert = minimax_on_weight_grid(values, k)
+            eps = cert.epsilon
             if eps == 0:
                 continue
             mu, nu = dual_distributions(cert)
@@ -136,14 +139,12 @@ class TestDualDistributions:
             assert kwise_indistinguishable(mu, nu, k)
 
     def test_lp_pair_for_and4_at_degree2(self):
-        _, eps, cert = minimax_lp(
-            MinimaxInstance.on_weight_grid(predicate("and", 4), 2)
-        )
+        cert = minimax_on_weight_grid(predicate("and", 4), 2)
         mu, nu = dual_distributions(cert)
         assert kwise_indistinguishable(mu, nu, 2)
 
     def test_rejects_off_grid_certificates(self):
-        _, _, cert = minimax_lp(MinimaxInstance.of([0, 1, 2], [0, 0, 1], 1))
+        cert = solve_minimax([0, 1, 2], [0, 0, 1], 1)
         with pytest.raises(ValueError):
             dual_distributions(cert)
 
@@ -164,7 +165,8 @@ class TestStrongDuality:
             n = rng.randint(2, 12)
             values = [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(n + 1)]
             k = rng.randint(0, max(n - 2, 0))
-            poly, eps, cert = minimax_lp(MinimaxInstance.on_weight_grid(values, k))
+            cert = minimax_on_weight_grid(values, k)
+            poly, eps = cert.poly, cert.epsilon
             grid = weight_grid(n)
             residuals = [v - poly(t) for t, v in zip(grid, values)]
             assert max(abs(r) for r in residuals) == eps
@@ -232,7 +234,7 @@ class TestLimitPolynomial:
             grid = weight_grid(m)
             values = [p_inf(t) for t in grid]
             for k in range(1, K):
-                q, _, _ = minimax_lp(MinimaxInstance.of(grid, values, k))
+                q = solve_minimax(grid, values, k).poly
                 diff = cheb_transform(p_inf - q)
                 assert sigma_inner(diff, diff) >= l2_tail_bound(K, k)
 
@@ -278,7 +280,7 @@ class TestFiniteRamp:
         n, K = 32, 2
         test = exact_weight_test(n, K, 0)
         values = [test.grid_value(h) for h in range(n + 1)]
-        _, eps, _ = minimax_lp(MinimaxInstance.on_weight_grid(values, 0))
+        eps = minimax_on_weight_grid(values, 0).epsilon
         assert eps > 0
 
 
@@ -385,7 +387,8 @@ class TestProjectedBoundEndToEnd:
         for name in ("and", "maj"):
             values = predicate(name, n)
             for k in (2, 3):
-                _, eps, cert = minimax_lp(MinimaxInstance.on_weight_grid(values, k))
+                cert = minimax_on_weight_grid(values, k)
+                eps = cert.epsilon
                 if eps == 0:
                     continue
                 mu, nu = dual_distributions(cert)

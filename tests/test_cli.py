@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -170,6 +171,34 @@ class TestWeightBound:
             runner, ["weight-bound", "--f", "and", "--n", "8", "--K", "4"]
         )
         assert "construct" in doc["result"] and "lower" in doc["result"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--f", "const.json", "--K", "2"],
+            ["--f", "maj", "--n", "8", "--K", "2", "--eps", "2"],
+        ],
+    )
+    def test_degree_zero_reports_no_certificate(self, runner, tmp_path, monkeypatch, args):
+        # a constant already meets eps, so no witness certifies a floor
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "const.json").write_text(json.dumps({"n": 6, "values": [1] * 7}))
+        doc = run_json(runner, ["weight-bound", *args])
+        assert doc["result"]["lower"] == {
+            "certificate_degree": None,
+            "certificate_error": None,
+            "weight_lower_bound": "0/1",
+            "weight_lower_bound_float": 0.0,
+        }
+
+    def test_infinite_floor_beside_a_construction_exits_3(self, runner, monkeypatch):
+        # "no weight suffices" contradicts a constructed approximant
+        monkeypatch.setattr("dualshare.cli.weight_lower_bound", lambda *args: math.inf)
+        result = runner.invoke(cli, ["weight-bound", "--f", "and", "--n", "8", "--K", "4"])
+        assert result.exit_code == 3
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("property violated: ")
+        assert lines[0].endswith("fell below the certified floor inf")
 
 
 class TestConsolidate:

@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 
 from dualshare.ratpoly import (
     ChebyshevExpansion,
-    LaurentPoly,
     RationalPoly,
     cheb_T,
-    cheb_transform,
     cheb_transform_factored,
-    laurent_from_roots,
-    parseval_circle_check,
     sigma_inner,
 )
 
 from conftest import random_fraction
+from oracles import LaurentPoly, cheb_transform, laurent_from_roots, parseval_circle_check
 
 
 class TestEval:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualshare.boolcube import ParityPoly
-from dualshare.ratpoly import RationalPoly, cheb_transform
+from dualshare.ratpoly import RationalPoly
 from dualshare.symcheb import (
     AmplificationParams,
     truncated_approximant,
@@ -27,6 +27,7 @@ from dualshare.symcheb import (
 )
 
 from conftest import random_symmetric_distribution
+from oracles import cheb_transform
 
 
 def brute_hypergeom(n, K, w, h):

@@ -4,9 +4,10 @@ from math import comb
 
 import pytest
 
-from dualshare.approxlab import MinimaxInstance, approx_degree, minimax_lp
+from dualshare.approxlab import approx_degree, minimax_on_weight_grid, symmetric_witness
 from dualshare.boolcube import ParityPoly
-from dualshare.simplex import solve_lp
+from dualshare.errors import InvalidInput
+from dualshare.simplex import solve_lp, solve_minimax
 from dualshare.symcheb import weight_grid
 from dualshare.weightdeg import (
     InfeasibleBudget,
@@ -118,9 +119,7 @@ class TestApproxEqY:
         n, budget = 8, 4
         poly, rep = approx_eq_y(n, (1 << n) - 1, budget, Fraction(1, 3))
         values = [Fraction(1 if h == n else 0) for h in range(n + 1)]
-        _, eps, _ = minimax_lp(
-            MinimaxInstance.of([Fraction(j) for j in range(n + 1)], values, budget)
-        )
+        eps = solve_minimax([Fraction(j) for j in range(n + 1)], values, budget).epsilon
         assert rep.error <= max(eps, Fraction(1, 3))
 
 
@@ -179,17 +178,41 @@ class TestLowWeightApproximant:
 
 class TestWeightLowerBound:
     def test_low_K_unbounded(self):
+        # the degree-2 certificate has error 1/4 > 1/5, so no approximant of
+        # degree <= 2 reaches 1/5, whatever its weight
         values = [1 if h == 6 else 0 for h in range(7)]
-        _, _, cert = minimax_lp(MinimaxInstance.on_weight_grid(values, 2))
-        assert weight_lower_bound(cert, 1, Fraction(1, 3)) == math.inf
-        assert weight_lower_bound(cert, 2, Fraction(1, 3)) == math.inf
+        cert = minimax_on_weight_grid(values, 2)
+        assert weight_lower_bound(cert, 1, Fraction(1, 5)) == math.inf
+        assert weight_lower_bound(cert, 2, Fraction(1, 5)) == math.inf
+
+    @pytest.mark.parametrize(
+        "values, degree, error, targets",
+        [
+            # AND_6 at degree 2, and MAJ_8 at degree 0 (a constant)
+            ([1 if h == 6 else 0 for h in range(7)], 2, Fraction(1, 4),
+             (Fraction(1, 4), Fraction(1, 3))),
+            ([1 if 2 * h > 8 else 0 for h in range(9)], 0, Fraction(1, 2),
+             (Fraction(1, 2), Fraction(2))),
+        ],
+    )
+    def test_certificate_must_exceed_the_target(self, values, degree, error, targets):
+        # a certificate whose error meets the target bounds nothing: an
+        # approximant of that degree and finite weight exists, so no floor
+        # (inf included) may be returned
+        cert = minimax_on_weight_grid(values, degree)
+        assert cert.epsilon == error
+        for K in (1, 2, 3):
+            for target in targets:
+                with pytest.raises(InvalidInput):
+                    weight_lower_bound(cert, K, target)
 
     def test_and6_bound_vs_exact_min_weight(self):
         # cross-check against the exact minimum-weight LP at n = 6
         n, K, eps = 6, 3, Fraction(1, 3)
         values = [1 if h == n else 0 for h in range(n + 1)]
         deg = approx_degree(values, eps)
-        _, cert_eps, cert = minimax_lp(MinimaxInstance.on_weight_grid(values, deg - 1))
+        cert = minimax_on_weight_grid(values, deg - 1)
+        cert_eps = cert.epsilon
         assert cert_eps > eps
         bound = weight_lower_bound(cert, K, eps)
         assert bound > 0
@@ -208,9 +231,7 @@ class TestWeightLowerBound:
                 for K in range(deg + 1, n // 2 + 1):
                     spec = SymmetricSpec(n, tuple(name_vals))
                     _, rep = low_weight_approximant(spec, K, eps)
-                    _, cert_eps, cert = minimax_lp(
-                        MinimaxInstance.on_weight_grid(name_vals, deg - 1)
-                    )
+                    cert = minimax_on_weight_grid(name_vals, deg - 1)
                     bound = weight_lower_bound(cert, K, eps)
                     true_min = min_weight_lp(name_vals, n, K, eps)
                     assert bound <= true_min <= rep.weight
@@ -222,8 +243,8 @@ class TestWeightLowerBound:
 
         n = 6
         values = [1 if h == n else 0 for h in range(n + 1)]
-        _, _, cert = minimax_lp(MinimaxInstance.on_weight_grid(values, 1))
-        wit = cert.symmetric_witness()
+        cert = minimax_on_weight_grid(values, 1)
+        wit = symmetric_witness(cert)
         for r in range(4):
             pairings = set()
             for subset in combinations(range(n), r):
