@@ -23,7 +23,7 @@ from .boolcube import DualWitness, SymmetricDistribution, kwise_indistinguishabl
 from .errors import InvalidInput, PropertyViolation
 from .ratpoly import RationalPoly, cheb_transform_factored
 from .simplex import MinimaxSolution, solve_minimax
-from .symcheb import exact_weight_test, hypergeom_row, indistinguishability_bound, weight_grid
+from .symcheb import hypergeom_row, indistinguishability_bound, weight_grid
 
 
 def minimax_on_weight_grid(values: Sequence, degree: int) -> MinimaxSolution:
@@ -51,9 +51,14 @@ def symmetric_witness(sol: MinimaxSolution) -> DualWitness:
     )
 
 
-def approx_degree(values_by_weight: Sequence, epsilon) -> int:
-    """Least k whose minimax error on the weight grid is <= epsilon.
+def approx_degree(
+    values_by_weight: Sequence, epsilon
+) -> tuple[MinimaxSolution, MinimaxSolution | None]:
+    """Minimax solutions at the least degree k whose error on the weight grid
+    is <= epsilon, and at degree k - 1 (None when k = 0).
 
+    The degree-(k - 1) solution is the certificate that degree k is needed,
+    so callers read both answers without solving either degree again.
     Symmetrisation is lossless for symmetric functions: a univariate
     approximant on the grid lifts to a symmetric multilinear one of equal
     degree and error, and averaging projects any approximant back down.
@@ -63,13 +68,12 @@ def approx_degree(values_by_weight: Sequence, epsilon) -> int:
     if epsilon < 0:
         raise InvalidInput(f"epsilon must be nonnegative, got {epsilon}")
     values = [Fraction(v) for v in values_by_weight]
-    n = len(values) - 1
-    if n > 1000:
+    if len(values) - 1 > 1000:
         raise ValueError("desk-scale cap: n <= 1000")
-    for k in range(n + 1):
-        if minimax_on_weight_grid(values, k).epsilon <= epsilon:
-            return k
-    return n  # degree n always fits exactly through all n+1 points
+    below, sol = None, minimax_on_weight_grid(values, 0)
+    while sol.epsilon > epsilon:  # stops by degree n, which fits all n+1 points
+        below, sol = sol, minimax_on_weight_grid(values, sol.degree + 1)
+    return sol, below
 
 
 def dual_distributions(
@@ -190,19 +194,20 @@ def finite_n_ramp(
     """Minimax-built k-wise indistinguishable pair reconstructible by the
     first-K AND.
 
-    Builds p_0 for (n, K), solves the degree-k minimax problem on the weight
-    grid, splits its dual measure psi, and flips both distributions so the
-    reconstruction test is the AND (rather than the NOR) of the first K bits.
-    The returned advantage is exact and equals twice the minimax error; the
-    pair is checked perfectly k-wise indistinguishable.
+    Solves the degree-k minimax problem for p_0 (its ``hypergeom_row``
+    values on the weight grid), splits its dual measure psi, and flips both
+    distributions so the reconstruction test is the AND (rather than the NOR)
+    of the first K bits.  The returned advantage is exact and equals twice the
+    minimax error; the pair is checked perfectly k-wise indistinguishable.
+    Those checks and the solver's own audit of psi certify every output, and
+    none of them reads p_0's product form, so it is not built here.
     """
     n, K, k = params.n, params.K, params.k
     if not n:
         raise ValueError("finite ramp needs n")
     if n > 1000 or K > 8:
         raise ValueError("desk-scale caps: n <= 1000, K <= 8")
-    exact_weight_test(n, K, 0)  # certifies p_0's product form on the grid
-    sol = minimax_on_weight_grid(hypergeom_row(n, K, 0), k)  # p_0 on the grid
+    sol = minimax_on_weight_grid(hypergeom_row(n, K, 0), k)
     mu, nu = dual_distributions(sol)
     mu, nu = mu.reflected(), nu.reflected()
     and_values = hypergeom_row(n, K, K)

@@ -1,11 +1,13 @@
 """Command-line entry point for all experiment pipelines.
 
-Every run is fully determined by (command, parameters, seed); the resolved
-configuration and tool version are echoed into every output file, outputs are
-written atomically, and repeated runs are byte-identical.  Exit codes:
-0 success, 2 usage/validation error, 3 a certified mathematical property
-failed on the instance (so CI can separate math regressions from bad
-invocations).
+Every run is fully determined by (command, parameters), plus the seed for
+``sample-shares``, the one command that draws random bits and so the only
+one that takes ``--seed``; every command takes ``--out``/``--format``.  The
+resolved configuration and tool version are echoed into every output file,
+outputs are written atomically, and repeated runs are byte-identical.  Exit
+codes: 0 success, 2 usage/validation error, 3 a certified mathematical
+property failed on the instance (so CI can separate math regressions from
+bad invocations).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .approxlab import (
     consolidate_and,
     finite_n_ramp,
     l2_tail_bound,
-    minimax_on_weight_grid,
     ramp_advantage,
     ramp_advantage_proof_constant,
 )
@@ -86,7 +87,6 @@ def _resolve_out(path: str | None) -> str | None:
 def common_options(fn):
     """Declare the options every command takes, in this order."""
     options = (
-        click.option("--seed", type=int, default=0, show_default=True, help="RNG seed."),
         click.option("--out", type=str, default=None, help="Output file (default: stdout)."),
         click.option(
             "--format",
@@ -94,13 +94,6 @@ def common_options(fn):
             type=click.Choice(["json", "csv"]),
             default="json",
             show_default=True,
-        ),
-        click.option(
-            "--threads",
-            type=click.IntRange(min=1),
-            default=1,
-            show_default=True,
-            help="Accepted for interface compatibility; computations are single-process.",
         ),
     )
     for option in reversed(options):  # innermost first, as stacked decorators apply
@@ -215,7 +208,7 @@ def cli(ctx, list_commands):
               help="Comma-separated rationals; default uniform weights 1.")
 @click.option("--d", "d_str", type=str, required=True, help="Degree threshold (rational).")
 @common_options
-def dual_and_cmd(n, weights, d_str, seed, out, fmt, threads):
+def dual_and_cmd(n, weights, d_str, out, fmt):
     """Build the AND dual witness, verify it, and emit it as JSON."""
     d = _parse_rational(d_str)
     if weights:
@@ -227,9 +220,7 @@ def dual_and_cmd(n, weights, d_str, seed, out, fmt, threads):
     params = DualAndParams(n, w, d)
     wit = build_witness(params)
     eps = epsilon_of(params)
-    from .dualand import and_cube
-
-    report = verify_witness(wit.witness, and_cube(n), d, w)
+    report = verify_witness(wit.witness, d, w)
     if not (report.pure_high_degree and report.l1_norm == 1
             and report.correlation == wit.epsilon == eps):
         raise PropertyViolation(
@@ -237,7 +228,7 @@ def dual_and_cmd(n, weights, d_str, seed, out, fmt, threads):
             f"l1={report.l1_norm}, corr={report.correlation}, eps={eps}"
         )
     config = {"n": n, "weights": [rat_to_str(x) for x in w.entries],
-              "d": rat_to_str(d), "seed": seed, "threads": threads}
+              "d": rat_to_str(d)}
     result = {
         "H_size": wit.H_size,
         "Z": rat_to_str(wit.Z),
@@ -255,8 +246,9 @@ def dual_and_cmd(n, weights, d_str, seed, out, fmt, threads):
               help="Witness JSON produced by dual-and.")
 @click.option("--secret", type=click.Choice(["+1", "-1"]), required=True)
 @click.option("--count", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True, help="RNG seed.")
 @common_options
-def sample_shares_cmd(witness_path, secret, count, seed, out, fmt, threads):
+def sample_shares_cmd(witness_path, secret, count, seed, out, fmt):
     """Draw share vectors for a secret; CSV columns bit_1..bit_n hold +-1 values."""
     doc = load_json(witness_path)
     try:
@@ -273,8 +265,7 @@ def sample_shares_cmd(witness_path, secret, count, seed, out, fmt, threads):
         bits = sampler.sample()
         rows.append([1 - 2 * b for b in bits])  # emit +-1 share values
     header = [f"bit_{i + 1}" for i in range(n)]
-    config = {"witness": witness_path, "secret": secret, "count": count,
-              "seed": seed, "threads": threads}
+    config = {"witness": witness_path, "secret": secret, "count": count, "seed": seed}
     if fmt == "json":
         _emit("sample-shares", config, {"shares": rows}, out, fmt)
     else:
@@ -298,7 +289,7 @@ def symcheb_group():
 @click.option("--eps", type=str, default="1/10", show_default=True,
               help="Amplification epsilon for --check circle, shift for product-cap.")
 @common_options
-def symcheb_pw(n, big_k, w, check, trunc_k, eps, seed, out, fmt, threads):
+def symcheb_pw(n, big_k, w, check, trunc_k, eps, out, fmt):
     """Build the exact-weight test polynomial and optionally run a named check."""
     if check == "truncation" and trunc_k is None:
         raise InvalidInput("--check truncation needs --k")
@@ -335,7 +326,7 @@ def symcheb_pw(n, big_k, w, check, trunc_k, eps, seed, out, fmt, threads):
         if not ok:
             raise PropertyViolation("shifted-product cap failed on the grid")
     config = {"n": n, "K": big_k, "w": w, "check": check, "k": trunc_k,
-              "eps": eps, "seed": seed, "threads": threads}
+              "eps": eps}
     _emit("symcheb-pw", config, result, out, fmt)
 
 
@@ -379,14 +370,13 @@ def _load_predicate(f: str, n: int | None) -> tuple[int, list[int]]:
 @click.option("--n", type=int, default=None)
 @click.option("--eps", type=str, default="1/3", show_default=True)
 @common_options
-def approx_degree_cmd(f_name, n, eps, seed, out, fmt, threads):
+def approx_degree_cmd(f_name, n, eps, out, fmt):
     """Exact epsilon-approximate degree of a symmetric function via the LP."""
     n, values = _load_predicate(f_name, n)
     epsilon = _parse_rational(eps)
-    k = approx_degree(values, epsilon)
-    err = minimax_on_weight_grid(values, k).epsilon
-    config = {"f": f_name, "n": n, "eps": eps, "seed": seed, "threads": threads}
-    result = {"approx_degree": k, "minimax_error_at_degree": rat_to_str(err)}
+    sol, _ = approx_degree(values, epsilon)
+    config = {"f": f_name, "n": n, "eps": eps}
+    result = {"approx_degree": sol.degree, "minimax_error_at_degree": rat_to_str(sol.epsilon)}
     _emit("approx-degree", config, result, out, fmt)
 
 
@@ -396,7 +386,7 @@ def approx_degree_cmd(f_name, n, eps, seed, out, fmt, threads):
 @click.option("--n", type=int, default=None)
 @click.option("--finite", is_flag=True, help="Also build the finite-n LP pair.")
 @common_options
-def ramp_cmd(k, big_k, n, finite, seed, out, fmt, threads):
+def ramp_cmd(k, big_k, n, finite, out, fmt):
     """The ramp reconstruction-advantage formulas, exact radicands included."""
     if finite and not n:
         raise InvalidInput("--finite needs --n")
@@ -421,8 +411,7 @@ def ramp_cmd(k, big_k, n, finite, seed, out, fmt, threads):
             "advantage_over_limit_float": float(advantage) / value,
             "kwise_indistinguishable": kwise_indistinguishable(mu, nu, k),
         })
-    config = {"k": k, "K": big_k, "n": n, "finite": finite, "seed": seed,
-              "threads": threads}
+    config = {"k": k, "K": big_k, "n": n, "finite": finite}
     _emit("ramp", config, result, out, fmt)
 
 
@@ -434,7 +423,7 @@ def ramp_cmd(k, big_k, n, finite, seed, out, fmt, threads):
 @click.option("--construct/--no-construct", default=True, show_default=True)
 @click.option("--lower/--no-lower", default=True, show_default=True)
 @common_options
-def weight_bound_cmd(f_name, n, big_k, eps, construct, lower, seed, out, fmt, threads):
+def weight_bound_cmd(f_name, n, big_k, eps, construct, lower, out, fmt):
     """Constructive weight upper bound and dual lower bound, side by side."""
     n, values = _load_predicate(f_name, n)
     epsilon = _parse_rational(eps)
@@ -451,8 +440,8 @@ def weight_bound_cmd(f_name, n, big_k, eps, construct, lower, seed, out, fmt, th
             "k_f": spec.k_f,
         }
     if lower:
-        deg = approx_degree(values, epsilon)
-        if deg == 0:
+        _, cert = approx_degree(values, epsilon)
+        if cert is None:
             # a constant already meets eps: no certificate, and the floor is 0
             result["lower"] = {
                 "certificate_degree": None,
@@ -461,10 +450,9 @@ def weight_bound_cmd(f_name, n, big_k, eps, construct, lower, seed, out, fmt, th
                 "weight_lower_bound_float": 0.0,
             }
         else:
-            cert = minimax_on_weight_grid(values, deg - 1)
             bound = weight_lower_bound(cert, big_k, epsilon)
             result["lower"] = {
-                "certificate_degree": deg - 1,
+                "certificate_degree": cert.degree,
                 "certificate_error": rat_to_str(cert.epsilon),
                 "weight_lower_bound": "inf" if bound == math.inf else rat_to_str(bound),
                 "weight_lower_bound_float": float(bound) if bound != math.inf else None,
@@ -477,7 +465,7 @@ def weight_bound_cmd(f_name, n, big_k, eps, construct, lower, seed, out, fmt, th
                 f"constructive weight {hi} fell below the certified floor {floor}"
             )
     config = {"f": f_name, "n": n, "K": big_k, "eps": eps, "construct": construct,
-              "lower": lower, "seed": seed, "threads": threads}
+              "lower": lower}
     _emit("weight-bound", config, result, out, fmt)
 
 
@@ -485,11 +473,11 @@ def weight_bound_cmd(f_name, n, big_k, eps, construct, lower, seed, out, fmt, th
 @click.option("--dist", "dist_path", type=click.Path(exists=True), required=True)
 @click.option("--t", type=int, required=True, help="Block size.")
 @common_options
-def consolidate_cmd(dist_path, t, seed, out, fmt, threads):
+def consolidate_cmd(dist_path, t, out, fmt):
     """AND-consolidate blocks of t shares into single bits."""
     d = dist_from_json(load_json(dist_path))
     consolidated = consolidate_and(d, t)
-    config = {"dist": dist_path, "t": t, "seed": seed, "threads": threads}
+    config = {"dist": dist_path, "t": t}
     _emit("consolidate", config, {"consolidated": dist_to_json(consolidated)},
           out, fmt)
 
@@ -502,7 +490,7 @@ def consolidate_cmd(dist_path, t, seed, out, fmt, threads):
 @click.option("--K", "big_ks", type=str, default=None,
               help="Comma-separated projection sizes; default all K <= n/64 with K > k.")
 @common_options
-def indist_check_cmd(dist1, dist2, k, big_ks, seed, out, fmt, threads):
+def indist_check_cmd(dist1, dist2, k, big_ks, out, fmt):
     """Verify perfect k-wise indistinguishability and the projected-distance bound."""
     d1 = dist_from_json(load_json(dist1))
     d2 = dist_from_json(load_json(dist2))
@@ -533,8 +521,7 @@ def indist_check_cmd(dist1, dist2, k, big_ks, seed, out, fmt, threads):
             raise PropertyViolation(
                 f"projected distance {float(dist)} exceeds the bound {bound} at K={K}"
             )
-    config = {"dist1": dist1, "dist2": dist2, "k": k, "K": big_ks,
-              "seed": seed, "threads": threads}
+    config = {"dist1": dist1, "dist2": dist2, "k": k, "K": big_ks}
     csv_rows = ([*rows[0].keys()], [[r[c] for c in rows[0].keys()] for r in rows]) if rows else None
     _emit("indist-check", config, {"perfectly_k_wise": perfect, "projections": rows},
           out, fmt, csv_rows)

@@ -26,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import comb, lcm
 
 from .boolcube import CUBE_CAP, DualWitness, WeightVector, mask_to_bits, walsh_hadamard
 from .errors import PropertyViolation
@@ -109,31 +109,21 @@ def build_witness(params: DualAndParams) -> DualAndWitness:
     )
 
 
-def and_cube(n: int):
-    """AND: {-1,1}^n -> {0,1}, accepting only x = 1^n (all bits zero)."""
-
-    def f(bits):
-        return 1 if not any(bits) else 0
-
-    return f
-
-
-def verify_witness(wit: DualWitness, f, d, w: WeightVector) -> WitnessReport:
-    """Check the three witness conditions exactly.
+def verify_witness(wit: DualWitness, d, w: WeightVector) -> WitnessReport:
+    """Check the three AND-witness conditions exactly.
 
     (a) <phi, chi_S> = 0 for every S with w(S) strictly below d (all pairings
         are read off one Walsh-Hadamard transform of the scaled values);
     (b) the L1 norm is exactly 1;
-    (c) the exact correlation <phi, f>, for the caller to compare with the
-        claimed epsilon.
+    (c) the exact correlation <phi, AND>, for the caller to compare with the
+        claimed epsilon.  AND accepts only mask 0 (all bits zero), so the
+        correlation is phi(0^n).
     """
     n = wit.n
     if w.n != n:
         raise ValueError("weight vector length must equal n")
     vals = wit.cube_values()
-    from math import lcm
-
-    scale = lcm(*(v.denominator for v in vals)) if vals else 1
+    scale = lcm(*(v.denominator for v in vals))
     scaled = [int(v * scale) for v in vals]
     transform = walsh_hadamard(scaled)
     weights = subset_weight_table(w)
@@ -142,14 +132,11 @@ def verify_witness(wit: DualWitness, f, d, w: WeightVector) -> WitnessReport:
         s for s in range(1 << n) if weights[s] < d and transform[s] != 0
     )
     l1 = Fraction(sum(abs(v) for v in scaled), scale)
-    from .boolcube import pair_with_witness
-
-    correlation = pair_with_witness(wit, f)
     return WitnessReport(
         pure_high_degree=not violations,
         violations=violations,
         l1_norm=l1,
-        correlation=correlation,
+        correlation=vals[0],
     )
 
 

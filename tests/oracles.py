@@ -12,6 +12,10 @@ against the other:
   symmetric Chebyshev coefficients, and ``parseval_circle_check`` compares
   its coefficient energy with its mean square on the unit circle (floating
   point).
+
+``and_cube`` is AND as a function on bit tuples, so that the correlation
+``dualand.verify_witness`` reads at mask 0 can be checked against a full
+pairing over the cube.
 """
 
 from __future__ import annotations
@@ -100,3 +104,12 @@ def parseval_circle_check(g: LaurentPoly, samples: int) -> float:
         rhs += abs(g.evaluate(z)) ** 2
     rhs /= samples
     return abs(lhs - rhs)
+
+
+def and_cube(n: int):
+    """AND: {-1,1}^n -> {0,1}, accepting only x = 1^n (all bits zero)."""
+
+    def f(bits):
+        return 1 if not any(bits) else 0
+
+    return f

@@ -14,8 +14,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-import pytest
-
 from dualshare.approxlab import (
     RampParams,
     approx_degree,
@@ -39,7 +37,6 @@ from dualshare.boolcube import (
 from dualshare.dualand import (
     DualAndParams,
     ShareSampler,
-    and_cube,
     binomial_tail_epsilon,
     build_witness,
     epsilon_of,
@@ -80,7 +77,7 @@ def test_criterion_01_dual_witness_exactness():
         for d in range(1, n + 1):
             params = DualAndParams.uniform(n, d)
             wit = build_witness(params)
-            rep = verify_witness(wit.witness, and_cube(n), params.d, params.w)
+            rep = verify_witness(wit.witness, params.d, params.w)
             assert rep.pure_high_degree, (n, d, rep.violations[:4])
             assert rep.l1_norm == 1
             expected = binomial_tail_epsilon(n, d)
@@ -106,7 +103,7 @@ def test_criterion_02_weighted_witness():
         d = w.l1() * Fraction(rng.randint(1, 7), 8)
         params = DualAndParams(n, w, d)
         wit = build_witness(params)
-        rep = verify_witness(wit.witness, and_cube(n), d, w)
+        rep = verify_witness(wit.witness, d, w)
         assert rep.pure_high_degree
         assert rep.l1_norm == 1
         assert rep.correlation == epsilon_of(params) == wit.epsilon
@@ -274,7 +271,7 @@ def test_criterion_09_weight_degree_sandwich():
     for n in (8, 12, 16):
         for name in ("AND", "OR", "EXACT-THRESHOLD"):
             values = _predicate(name, n)
-            deg = approx_degree(values, eps)
+            deg = approx_degree(values, eps)[0].degree
             spec = SymmetricSpec(n, tuple(values))
             for K in range(deg + 1, n // 2 + 1):
                 _, report = low_weight_approximant(spec, K, eps)

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -306,7 +305,8 @@ class TestPairWithWitness:
         assert pair_with_witness(wit, lambda bits: 0) == 0
 
     def test_phi_n2_with_and(self):
-        from dualshare.dualand import DualAndParams, build_witness, and_cube
+        from dualshare.dualand import DualAndParams, build_witness
+        from oracles import and_cube
 
         wit = build_witness(DualAndParams.uniform(2, 1)).witness
         assert pair_with_witness(wit, and_cube(2)) == Fraction(1, 4)

@@ -5,6 +5,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
+import dualshare.approxlab as approxlab
 from dualshare.cli import cli
 from dualshare.serialize import dist_to_json
 from dualshare.boolcube import SymmetricDistribution
@@ -159,6 +160,34 @@ class TestApproxDegree:
         assert doc["result"]["approx_degree"] == 4
 
 
+def _count_grid_solves(monkeypatch) -> list[int]:
+    """Record the degree of every minimax solve on the weight grid."""
+    degrees: list[int] = []
+    solve = approxlab.solve_minimax
+
+    def counting(points, values, degree):
+        degrees.append(degree)
+        return solve(points, values, degree)
+
+    monkeypatch.setattr(approxlab, "solve_minimax", counting)
+    return degrees
+
+
+class TestMinimaxSolvedOnce:
+    def test_approx_degree_solves_each_degree_up_to_the_answer(self, runner, monkeypatch):
+        degrees = _count_grid_solves(monkeypatch)
+        doc = run_json(runner, ["approx-degree", "--f", "maj", "--n", "40"])
+        assert doc["result"]["approx_degree"] == 11
+        assert degrees == list(range(12))
+
+    def test_weight_bound_solves_no_degree_twice(self, runner, monkeypatch):
+        degrees = _count_grid_solves(monkeypatch)
+        doc = run_json(runner, ["weight-bound", "--f", "or", "--n", "12", "--K", "5",
+                                "--no-construct"])
+        assert doc["result"]["lower"]["certificate_degree"] == 2
+        assert degrees == list(range(4))
+
+
 class TestWeightBound:
     def test_infeasible_budget_exits_2_with_one_line(self, runner):
         result = runner.invoke(cli, ["weight-bound", "--f", "maj", "--n", "12", "--K", "3"])
@@ -259,6 +288,9 @@ class TestIntrospection:
         schema = json.loads(result.output)
         assert {"dual-and", "ramp", "approx-degree", "sample-shares",
                 "weight-bound", "consolidate", "indist-check", "symcheb"} <= set(schema)
+        params = {name: {p["name"] for p in cmd["params"]} for name, cmd in schema.items()}
+        assert not any("threads" in names for names in params.values())
+        assert [name for name, names in params.items() if "seed" in names] == ["sample-shares"]
 
     def test_out_dir_env(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("DUALSHARE_OUT_DIR", str(tmp_path))
@@ -281,7 +313,19 @@ _INPUT_FILES = {
     "dist-zero-den.json": {"n": 2, "weight_probs": ["1/0", "1/2", "1/4"]},
     "dist-ok.json": {"n": 2, "weight_probs": ["1/4", "1/2", "1/4"]},
     "dist-n3.json": {"n": 3, "weight_probs": ["1/8", "3/8", "3/8", "1/8"]},
+    "wit-ok.json": {"config": {"n": 2, "weights": ["1", "1"], "d": "1"}},
 }
+# one valid run of each command that draws no random bits, and of the one that does
+_DETERMINISTIC_RUNS = (
+    ["dual-and", "--n", "2", "--d", "1"],
+    ["symcheb", "pw", "--n", "16", "--K", "2", "--w", "1"],
+    ["approx-degree", "--f", "and", "--n", "4"],
+    ["ramp", "--k", "1", "--K", "2"],
+    ["weight-bound", "--f", "and", "--n", "8", "--K", "4"],
+    ["consolidate", "--dist", "dist-ok.json", "--t", "2"],
+    ["indist-check", "--dist1", "dist-ok.json", "--dist2", "dist-ok.json", "--k", "1"],
+)
+_SAMPLE_RUN = ["sample-shares", "--witness", "wit-ok.json", "--secret", "+1"]
 
 
 @pytest.mark.parametrize(
@@ -328,6 +372,9 @@ _INPUT_FILES = {
         ["dual-and", "--n", "2", "--d", "1", "--bogus"],
         ["symcheb", "pw", "--n", "16", "--K", "2", "--w", "1", "--check", "nope"],
         ["symcheb", "nope"],
+        # options that changed no output are gone
+        *[[*base, "--threads", "1"] for base in (*_DETERMINISTIC_RUNS, _SAMPLE_RUN)],
+        *[[*base, "--seed", "3"] for base in _DETERMINISTIC_RUNS],
     ],
 )
 def test_invalid_input_exits_2_with_one_line(runner, tmp_path, monkeypatch, args):

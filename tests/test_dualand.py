@@ -1,18 +1,18 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
 from dualshare.boolcube import (
     DualWitness,
+    ParityPoly,
     WeightVector,
     kwise_indistinguishable,
+    pair_with_witness,
 )
 from dualshare.dualand import (
     DualAndParams,
     ShareSampler,
-    and_cube,
     binomial_tail_epsilon,
     build_witness,
     epsilon_of,
@@ -20,6 +20,8 @@ from dualshare.dualand import (
     verify_witness,
     weighted_anticoncentration_check,
 )
+
+from oracles import and_cube
 
 
 def brute_epsilon(w: WeightVector, d: Fraction) -> Fraction:
@@ -74,7 +76,7 @@ class TestVerifyWitness:
     def test_n2_report(self):
         p = DualAndParams.uniform(2, 1)
         wit = build_witness(p)
-        rep = verify_witness(wit.witness, and_cube(2), p.d, p.w)
+        rep = verify_witness(wit.witness, p.d, p.w)
         assert rep.pure_high_degree
         assert rep.l1_norm == 1
         assert rep.correlation == Fraction(1, 4)
@@ -82,15 +84,30 @@ class TestVerifyWitness:
         # vanishes at the singletons since phi has only the full monomial
         assert 0 not in rep.violations
 
+    def test_correlation_at_mask_0_is_the_and_pairing(self, rng):
+        # AND accepts only mask 0, so phi(0^n) is the full pairing <phi, AND>
+        for n in range(1, 11):
+            cases = [DualAndParams.uniform(n, d) for d in range(1, n + 1)]
+            for _ in range(3):
+                w = WeightVector.of(
+                    [Fraction(rng.randint(1, 16), rng.randint(1, 8)) for _ in range(n)]
+                )
+                cases.append(DualAndParams(n, w, w.l1() * Fraction(rng.randint(1, 8), 8)))
+            for p in cases:
+                wit = build_witness(p)
+                pairing = pair_with_witness(wit.witness, and_cube(n))
+                assert pairing == wit.witness.values[0] == wit.epsilon
+                assert verify_witness(wit.witness, p.d, p.w).correlation == pairing
+
     def test_zero_function_fails_normalisation(self):
         zero = DualWitness(2, (Fraction(0),) * 4, "cube")
-        rep = verify_witness(zero, and_cube(2), Fraction(1), WeightVector.uniform(2))
+        rep = verify_witness(zero, Fraction(1), WeightVector.uniform(2))
         assert rep.l1_norm == 0
 
     def test_n4_correlation_matches_epsilon(self):
         p = DualAndParams.uniform(4, 2)
         wit = build_witness(p)
-        rep = verify_witness(wit.witness, and_cube(4), p.d, p.w)
+        rep = verify_witness(wit.witness, p.d, p.w)
         assert rep.correlation == Fraction(5, 16) == epsilon_of(p)
 
     def test_degree_boundary_is_strict(self):
@@ -98,8 +115,6 @@ class TestVerifyWitness:
         # pairing vanishes strictly below d but not at d
         p = DualAndParams.uniform(4, 2)
         wit = build_witness(p)
-        from dualshare.boolcube import ParityPoly, pair_with_witness
-
         assert pair_with_witness(wit.witness, ParityPoly(4, {0b0011: Fraction(1)})) != 0
         assert pair_with_witness(wit.witness, ParityPoly(4, {0b0001: Fraction(1)})) == 0
 
@@ -108,7 +123,7 @@ class TestVerifyWitness:
             for d in range(1, n + 1):
                 p = DualAndParams.uniform(n, d)
                 wit = build_witness(p)
-                rep = verify_witness(wit.witness, and_cube(n), p.d, p.w)
+                rep = verify_witness(wit.witness, p.d, p.w)
                 assert rep.pure_high_degree
                 assert rep.l1_norm == 1
                 assert rep.correlation == epsilon_of(p) == binomial_tail_epsilon(n, d)

@@ -8,6 +8,10 @@ keyword argument spelled like it, or the name inside a string literal (for
 ``getattr``/``setattr`` and ``__all__``); docstrings do not count.  Dunder
 names are exempt, since the language calls them, and so are click commands,
 which click registers by decoration.
+
+Likewise every name a module in ``src/`` or ``tests/`` imports must be read
+in that module.  The package's ``__init__.py`` is exempt: its imports are
+the re-exports behind ``__all__``.
 """
 
 import ast
@@ -19,6 +23,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dualshare"
 CORPUS = sorted(
     path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")
+)
+IMPORTERS = sorted(
+    path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py")
+    if path != PACKAGE / "__init__.py"
 )
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -83,3 +91,29 @@ def test_every_package_definition_is_used():
         if not (name.startswith("__") and name.endswith("__")) and not uses[name]
     ]
     assert not dead, f"defined in src/dualshare but used nowhere: {dead}"
+
+
+def _unread_imports(tree: ast.Module):
+    """(name, line) of every name the module imports but never reads."""
+    reads = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in reads:
+                    yield name, node.lineno
+
+
+def test_every_import_is_read():
+    assert IMPORTERS
+    unread = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in IMPORTERS
+        for name, line in _unread_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not unread, f"imported but never read: {unread}"

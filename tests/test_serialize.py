@@ -2,8 +2,6 @@ import json
 import os
 from fractions import Fraction
 
-import pytest
-
 from dualshare.boolcube import DualWitness, SymmetricDistribution
 from dualshare.ratpoly import RationalPoly
 from dualshare.serialize import (

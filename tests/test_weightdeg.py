@@ -8,7 +8,6 @@ from dualshare.approxlab import approx_degree, minimax_on_weight_grid, symmetric
 from dualshare.boolcube import ParityPoly
 from dualshare.errors import InvalidInput
 from dualshare.simplex import solve_lp, solve_minimax
-from dualshare.symcheb import weight_grid
 from dualshare.weightdeg import (
     InfeasibleBudget,
     SymmetricSpec,
@@ -210,7 +209,7 @@ class TestWeightLowerBound:
         # cross-check against the exact minimum-weight LP at n = 6
         n, K, eps = 6, 3, Fraction(1, 3)
         values = [1 if h == n else 0 for h in range(n + 1)]
-        deg = approx_degree(values, eps)
+        deg = approx_degree(values, eps)[0].degree
         cert = minimax_on_weight_grid(values, deg - 1)
         cert_eps = cert.epsilon
         assert cert_eps > eps
@@ -227,7 +226,7 @@ class TestWeightLowerBound:
                 [1 if h == n else 0 for h in range(n + 1)],
                 [0 if h == 0 else 1 for h in range(n + 1)],
             ):
-                deg = approx_degree(name_vals, eps)
+                deg = approx_degree(name_vals, eps)[0].degree
                 for K in range(deg + 1, n // 2 + 1):
                     spec = SymmetricSpec(n, tuple(name_vals))
                     _, rep = low_weight_approximant(spec, K, eps)
