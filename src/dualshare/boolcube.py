@@ -42,20 +42,20 @@ def chi(s_mask: int, x_mask: int) -> int:
 def walsh_hadamard(values: Sequence) -> list:
     """Unnormalised character transform: out[x] = sum_S in[S] * chi_S(x).
 
-    Runs the in-place butterfly in O(n 2^n) ring operations; exact on ints
-    and Fractions.  The same routine inverts itself up to the factor 2^n.
+    Constant-geometry form: every stage maps the pairs (v[2i], v[2i+1]) to
+    v[i] = sum and v[i + size/2] = difference.  A stage transforms the lowest
+    index bit and rotates it to the top, so after log2(size) stages every bit
+    is transformed once and back in place.  O(n 2^n) ring operations, exact
+    on ints and Fractions; the same routine inverts itself up to the factor
+    2^n.
     """
     v = list(values)
     size = len(v)
     if size == 0 or size & (size - 1):
         raise ValueError("length must be a power of two")
-    h = 1
-    while h < size:
-        for i in range(0, size, 2 * h):
-            for j in range(i, i + h):
-                a, b = v[j], v[j + h]
-                v[j], v[j + h] = a + b, a - b
-        h *= 2
+    for _ in range(size.bit_length() - 1):
+        a, b = v[0::2], v[1::2]
+        v = [x + y for x, y in zip(a, b)] + [x - y for x, y in zip(a, b)]
     return v
 
 

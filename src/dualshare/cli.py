@@ -182,20 +182,23 @@ def cli(ctx, list_commands):
     """Exact dual witnesses, symmetric secret sharing, and truncation bounds."""
     if list_commands:
         schema = {}
-        for name, cmd in sorted(cli.commands.items()):
-            schema[name] = {
-                "help": cmd.help or "",
-                "params": [
-                    {
+        groups = [("", cli)]
+        while groups:  # a subcommand is listed by its full invocation, "symcheb pw"
+            prefix, group = groups.pop()
+            for name, cmd in group.commands.items():
+                params = []
+                for p in cmd.params:
+                    default = p.to_info_dict()["default"]  # None where click holds none
+                    params.append({
                         "name": p.name,
                         "required": bool(p.required),
                         "type": getattr(p.type, "name", str(p.type)),
-                        "default": None if callable(p.default) else
-                        (str(p.default) if p.default is not None else None),
-                    }
-                    for p in cmd.params
-                ],
-            }
+                        "default": None if default is None or callable(default)
+                        else str(default),
+                    })
+                schema[prefix + name] = {"help": cmd.help or "", "params": params}
+                if isinstance(cmd, click.Group):
+                    groups.append((f"{prefix}{name} ", cmd))
         click.echo(json.dumps(schema, indent=2, sort_keys=True))
         ctx.exit(0)
     if ctx.invoked_subcommand is None:
@@ -253,11 +256,13 @@ def sample_shares_cmd(witness_path, secret, count, seed, out, fmt):
     doc = load_json(witness_path)
     try:
         cfg = doc["config"]
-        n = int(cfg["n"])
+        n = cfg["n"]
         w = WeightVector.of([Fraction(x) for x in cfg["weights"]])
         d = Fraction(cfg["d"])
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise InvalidInput(f"witness file lacks a usable config: {exc!r}") from exc
+    if type(n) is not int:  # bool is an int subclass, and 2.7 must not become 2
+        raise InvalidInput(f"witness config n must be an integer, got {n!r}")
     wit = build_witness(DualAndParams(n, w, d))
     sampler = ShareSampler(wit, 1 if secret == "+1" else -1, seed)
     rows = []

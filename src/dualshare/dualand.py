@@ -9,6 +9,12 @@ where H is uniform over the down-set {S : w(S) <= (|w|_1 - d)/2}.  The
 character average for all x at once is one Walsh-Hadamard transform of the
 indicator of H, which keeps construction and verification at O(n 2^n).
 
+Both run on integers: subset weights are tabulated as scale * w(S), scale
+clearing the denominators of the weights and d, and the verifier scales the
+witness values to integers before its transform.  The construction keeps
+|H| and the character sums; the share sampler reads only those, and the 2^n
+``Fraction`` witness values are derived on first use.
+
 Sign orientation: the construction carries a global (-1)^n; we negate the
 witness when that factor would make the correlation with AND negative (an
 equivalent witness), which works out to sign(phi(x)) = chi_[n](x) always.
@@ -25,6 +31,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import comb, lcm
 
@@ -53,12 +60,30 @@ class DualAndParams:
 
 @dataclass(frozen=True)
 class DualAndWitness:
+    """|H| and the character sums; the 2^n witness values are built on first use."""
+
     params: DualAndParams
     H_size: int
-    Z: Fraction
-    witness: DualWitness
-    epsilon: Fraction
     char_sums: tuple[int, ...]  # sum_{S in H} chi_S(x) for every x
+
+    @property
+    def epsilon(self) -> Fraction:
+        return Fraction(self.H_size, 1 << self.params.n)
+
+    @property
+    def Z(self) -> Fraction:
+        return Fraction(1 << self.params.n, self.H_size)
+
+    @cached_property
+    def witness(self) -> DualWitness:
+        """phi(x) = chi_[n](x) * char_sums[x]^2 / (2^n |H|)."""
+        n = self.params.n
+        denom = (1 << n) * self.H_size
+        values = tuple(
+            Fraction(-m * m if x.bit_count() & 1 else m * m, denom)
+            for x, m in enumerate(self.char_sums)
+        )
+        return DualWitness(n, values, "cube", claimed_degree=self.params.d)
 
 
 @dataclass(frozen=True)
@@ -69,43 +94,43 @@ class WitnessReport:
     correlation: Fraction
 
 
-def subset_weight_table(w: WeightVector) -> list[Fraction]:
-    """w(S) for every subset mask S, by the low-bit recursion."""
-    n = w.n
-    tab = [Fraction(0)] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & -m
-        tab[m] = tab[m ^ low] + w.entries[low.bit_length() - 1]
+def subset_weight_table(w: WeightVector, scale: int) -> list[int]:
+    """scale * w(S) for every subset mask S, as ints; ``scale`` must clear
+    every weight's denominator.  Built by doubling: weight i appends the masks
+    with bit i set, each being the one without it plus w_i."""
+    tab = [0]
+    for e in w.entries:
+        q, r = divmod(scale, e.denominator)
+        if r:
+            raise ValueError(f"scale {scale} does not clear the denominator of {e}")
+        tab += [t + e.numerator * q for t in tab]
     return tab
 
 
+def _integer_weights(w: WeightVector, d: Fraction) -> tuple[list[int], int]:
+    """(scale * w(S) for every mask S, scale * d), for the least scale making
+    every weight and d integral."""
+    scale = lcm(d.denominator, *(e.denominator for e in w.entries))
+    return subset_weight_table(w, scale), d.numerator * (scale // d.denominator)
+
+
 def build_witness(params: DualAndParams) -> DualAndWitness:
-    """Construct the witness; errors out if the down-set H is empty."""
-    n, w, d = params.n, params.w, params.d
-    threshold = (w.l1() - d) / 2
-    if threshold < 0:
+    """Construct the witness; errors out if the down-set H is empty.
+
+    S is in H iff w(S) <= (|w|_1 - d)/2, tested on W = scale * w as
+    2 W(S) <= W([n]) - scale * d.
+    """
+    weights, scaled_d = _integer_weights(params.w, params.d)
+    slack = weights[-1] - scaled_d
+    if slack < 0:
         raise ValueError("d exceeds |w|_1: H is empty")
-    weights = subset_weight_table(w)
-    indicator = [1 if weights[s] <= threshold else 0 for s in range(1 << n)]
-    h_size = sum(indicator)
-    # threshold >= 0 puts the empty set in H, so h_size >= 1 here
-    char_sums = walsh_hadamard(indicator)
-    denom = (1 << n) * h_size
-    values = []
-    for x in range(1 << n):
-        sign = -1 if x.bit_count() & 1 else 1
-        m = char_sums[x]
-        values.append(Fraction(sign * m * m, denom))
-    witness = DualWitness(
-        n=n, values=tuple(values), representation="cube", claimed_degree=d
-    )
+    top = slack // 2  # 2 W(S) <= slack iff W(S) <= floor(slack / 2)
+    indicator = [1 if t <= top else 0 for t in weights]
+    # slack >= 0 puts the empty set in H, so H_size >= 1 here
     return DualAndWitness(
         params=params,
-        H_size=h_size,
-        Z=Fraction(1 << n, h_size),
-        witness=witness,
-        epsilon=Fraction(h_size, 1 << n),
-        char_sums=tuple(char_sums),
+        H_size=sum(indicator),
+        char_sums=tuple(walsh_hadamard(indicator)),
     )
 
 
@@ -113,23 +138,23 @@ def verify_witness(wit: DualWitness, d, w: WeightVector) -> WitnessReport:
     """Check the three AND-witness conditions exactly.
 
     (a) <phi, chi_S> = 0 for every S with w(S) strictly below d (all pairings
-        are read off one Walsh-Hadamard transform of the scaled values);
+        are read off one Walsh-Hadamard transform of the values scaled to
+        integers; w(S) < d is tested as W(S) < scale * d on a subset weight
+        table of the verifier's own);
     (b) the L1 norm is exactly 1;
     (c) the exact correlation <phi, AND>, for the caller to compare with the
         claimed epsilon.  AND accepts only mask 0 (all bits zero), so the
         correlation is phi(0^n).
     """
-    n = wit.n
-    if w.n != n:
+    if w.n != wit.n:
         raise ValueError("weight vector length must equal n")
     vals = wit.cube_values()
-    scale = lcm(*(v.denominator for v in vals))
-    scaled = [int(v * scale) for v in vals]
+    scale = lcm(*{v.denominator for v in vals})
+    scaled = [v.numerator * (scale // v.denominator) for v in vals]
     transform = walsh_hadamard(scaled)
-    weights = subset_weight_table(w)
-    d = Fraction(d)
+    weights, scaled_d = _integer_weights(w, Fraction(d))
     violations = tuple(
-        s for s in range(1 << n) if weights[s] < d and transform[s] != 0
+        s for s, (t, c) in enumerate(zip(weights, transform)) if t < scaled_d and c
     )
     l1 = Fraction(sum(abs(v) for v in scaled), scale)
     return WitnessReport(

@@ -22,7 +22,7 @@ from .ratpoly import RationalPoly
 
 
 def rat_to_str(x) -> str:
-    f = Fraction(x)
+    f = x if isinstance(x, Fraction) else Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
 

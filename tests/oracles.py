@@ -16,6 +16,14 @@ against the other:
 ``and_cube`` is AND as a function on bit tuples, so that the correlation
 ``dualand.verify_witness`` reads at mask 0 can be checked against a full
 pairing over the cube.
+
+The AND witness is built and verified on integers in the package.  The
+``Fraction`` routes it replaced stay here: ``subset_weight_table_fraction``
+(the low-bit recursion over exact weights), ``walsh_hadamard_inplace`` (the
+in-place butterfly), and ``build_and_witness_fraction`` /
+``verify_and_witness_fraction``, which compare the weights with the
+thresholds as ``Fraction``s and rescale the witness with ``Fraction``
+multiplies.  They share no code with ``dualand`` beyond its data types.
 """
 
 from __future__ import annotations
@@ -23,8 +31,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
+from dualshare.boolcube import DualWitness, WeightVector
+from dualshare.dualand import DualAndParams, WitnessReport
 from dualshare.ratpoly import ChebyshevExpansion, RationalPoly, cheb_T, generating_poly
 
 
@@ -113,3 +124,63 @@ def and_cube(n: int):
         return 1 if not any(bits) else 0
 
     return f
+
+
+def walsh_hadamard_inplace(values) -> list:
+    """out[x] = sum_S in[S] * chi_S(x) by the in-place radix-2 butterfly."""
+    v = list(values)
+    size = len(v)
+    if size == 0 or size & (size - 1):
+        raise ValueError("length must be a power of two")
+    h = 1
+    while h < size:
+        for i in range(0, size, 2 * h):
+            for j in range(i, i + h):
+                a, b = v[j], v[j + h]
+                v[j], v[j + h] = a + b, a - b
+        h *= 2
+    return v
+
+
+def subset_weight_table_fraction(w: WeightVector) -> list[Fraction]:
+    """w(S) for every subset mask S, by the low-bit recursion."""
+    tab = [Fraction(0)] * (1 << w.n)
+    for m in range(1, 1 << w.n):
+        low = m & -m
+        tab[m] = tab[m ^ low] + w.entries[low.bit_length() - 1]
+    return tab
+
+
+def build_and_witness_fraction(params: DualAndParams):
+    """(H_size, char_sums, witness values) with H tested in ``Fraction``s."""
+    n, w, d = params.n, params.w, params.d
+    threshold = (w.l1() - d) / 2
+    weights = subset_weight_table_fraction(w)
+    indicator = [1 if weights[s] <= threshold else 0 for s in range(1 << n)]
+    h_size = sum(indicator)
+    char_sums = walsh_hadamard_inplace(indicator)
+    denom = (1 << n) * h_size
+    values = tuple(
+        Fraction((-1 if x.bit_count() & 1 else 1) * m * m, denom)
+        for x, m in enumerate(char_sums)
+    )
+    return h_size, tuple(char_sums), values
+
+
+def verify_and_witness_fraction(wit: DualWitness, d, w: WeightVector) -> WitnessReport:
+    """``dualand.verify_witness``'s report, with ``Fraction`` rescaling and weights."""
+    vals = wit.cube_values()
+    scale = lcm(*(v.denominator for v in vals))
+    scaled = [int(v * scale) for v in vals]
+    transform = walsh_hadamard_inplace(scaled)
+    weights = subset_weight_table_fraction(w)
+    d = Fraction(d)
+    violations = tuple(
+        s for s in range(1 << wit.n) if weights[s] < d and transform[s] != 0
+    )
+    return WitnessReport(
+        pure_high_degree=not violations,
+        violations=violations,
+        l1_norm=Fraction(sum(abs(v) for v in scaled), scale),
+        correlation=vals[0],
+    )

@@ -24,6 +24,7 @@ from dualshare.boolcube import (
 )
 
 from conftest import random_symmetric_distribution
+from oracles import walsh_hadamard_inplace
 
 
 def naive_transform(values):
@@ -70,8 +71,30 @@ class TestWalshHadamard:
         assert doubled == [len(vals) * v for v in vals]
 
     def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            walsh_hadamard([1, 2, 3])
+        for size in (0, 3, 5, 6, 12, 100):
+            with pytest.raises(ValueError):
+                walsh_hadamard([1] * size)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_matches_inplace_butterfly(self, n, rng):
+        ints = [rng.randint(-10**12, 10**12) for _ in range(1 << n)]
+        fracs = [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(1 << n)]
+        for vals in (ints, fracs):
+            out = walsh_hadamard(vals)
+            assert out == walsh_hadamard_inplace(vals)
+            assert [type(v) for v in out] == [type(v) for v in vals]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(0, 8).flatmap(
+            lambda n: st.lists(
+                st.integers() | st.fractions(max_denominator=50),
+                min_size=1 << n, max_size=1 << n,
+            )
+        )
+    )
+    def test_matches_inplace_butterfly_on_mixed_values(self, vals):
+        assert walsh_hadamard(vals) == walsh_hadamard_inplace(vals)
 
 
 class TestProjectSymmetric:

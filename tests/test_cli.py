@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ from click.testing import CliRunner
 
 import dualshare.approxlab as approxlab
 from dualshare.cli import cli
+from dualshare.dualand import DualAndWitness
 from dualshare.serialize import dist_to_json
 from dualshare.boolcube import SymmetricDistribution
 
@@ -105,6 +107,55 @@ class TestSampleShares:
             )
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+_WEIGHTS_10 = "1/2,3/4,1,5/4,3/2,1/2,3/4,1,5/4,3/2"
+
+
+class TestOutputBytesPinned:
+    """SHA-256 of stdout, taken before the witness path moved onto integers."""
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (["dual-and", "--n", "10", "--d", "4"],
+             "7a1e46d52b28d2205e292548f47a883d6147d996310eef7e845e59912689a796"),
+            (["dual-and", "--n", "10", "--weights", _WEIGHTS_10, "--d", "17/4"],
+             "40273075f66f3aa97d210235675edf14f93d59bf8dedeb6d5bccf4f3fb0421c0"),
+            (["sample-shares", "--witness", "wit.json", "--secret", "-1",
+              "--count", "200", "--seed", "12345"],
+             "7dc9e5c025c0f04f695d24ddb57d0d9f26362bca11bc97d647e2bea8df8140f2"),
+            (["sample-shares", "--witness", "wit.json", "--secret", "+1",
+              "--count", "200", "--seed", "12345", "--format", "csv"],
+             "ef05d8db285fa1c62649bdb382e9685448506098c5ee2465c41f7142797654b4"),
+        ],
+    )
+    def test_stdout_digest(self, runner, tmp_path, monkeypatch, args, digest):
+        monkeypatch.chdir(tmp_path)
+        res = runner.invoke(cli, ["dual-and", "--n", "10", "--weights", _WEIGHTS_10,
+                                  "--d", "17/4", "--out", "wit.json"])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(cli, args)
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+    def test_sample_shares_builds_no_witness_values(self, runner, tmp_path, monkeypatch):
+        # the sampler reads the integer character sums only
+        monkeypatch.chdir(tmp_path)
+        res = runner.invoke(cli, ["dual-and", "--n", "10", "--weights", _WEIGHTS_10,
+                                  "--d", "17/4", "--out", "wit.json"])
+        assert res.exit_code == 0, res.output
+
+        def unavailable(self):
+            raise AssertionError("sample-shares built the 2^n witness values")
+
+        monkeypatch.setattr(DualAndWitness, "witness", property(unavailable))
+        for fmt in ("json", "csv"):
+            res = runner.invoke(cli, ["sample-shares", "--witness", "wit.json",
+                                      "--secret", "+1", "--count", "50", "--format", fmt])
+            assert res.exit_code == 0, res.output
+        # the patch is live: dual-and, which emits the values, now fails
+        assert runner.invoke(cli, ["dual-and", "--n", "3", "--d", "1"]).exit_code == 1
 
 
 class TestSymcheb:
@@ -291,6 +342,15 @@ class TestIntrospection:
         params = {name: {p["name"] for p in cmd["params"]} for name, cmd in schema.items()}
         assert not any("threads" in names for names in params.values())
         assert [name for name, names in params.items() if "seed" in names] == ["sample-shares"]
+        # a group's subcommands are listed by their full invocation
+        assert params["symcheb"] == set()
+        assert {"n", "big_k", "w", "check", "trunc_k", "eps"} <= params["symcheb pw"]
+        assert schema["symcheb pw"]["help"].startswith("Build the exact-weight test polynomial")
+        # a required option without a default reports none
+        for cmd in schema.values():
+            for p in cmd["params"]:
+                if p["required"]:
+                    assert p["default"] is None, p
 
     def test_out_dir_env(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("DUALSHARE_OUT_DIR", str(tmp_path))
@@ -314,6 +374,9 @@ _INPUT_FILES = {
     "dist-ok.json": {"n": 2, "weight_probs": ["1/4", "1/2", "1/4"]},
     "dist-n3.json": {"n": 3, "weight_probs": ["1/8", "3/8", "3/8", "1/8"]},
     "wit-ok.json": {"config": {"n": 2, "weights": ["1", "1"], "d": "1"}},
+    "wit-n-float.json": {"config": {"n": 2.7, "weights": ["1", "1"], "d": "1"}},
+    "wit-n-true.json": {"config": {"n": True, "weights": ["1"], "d": "1"}},
+    "wit-n-str.json": {"config": {"n": "2", "weights": ["1", "1"], "d": "1"}},
 }
 # one valid run of each command that draws no random bits, and of the one that does
 _DETERMINISTIC_RUNS = (
@@ -375,6 +438,10 @@ _SAMPLE_RUN = ["sample-shares", "--witness", "wit-ok.json", "--secret", "+1"]
         # options that changed no output are gone
         *[[*base, "--threads", "1"] for base in (*_DETERMINISTIC_RUNS, _SAMPLE_RUN)],
         *[[*base, "--seed", "3"] for base in _DETERMINISTIC_RUNS],
+        # a witness config n that is not a JSON integer
+        ["sample-shares", "--witness", "wit-n-float.json", "--secret", "+1"],
+        ["sample-shares", "--witness", "wit-n-true.json", "--secret", "+1"],
+        ["sample-shares", "--witness", "wit-n-str.json", "--secret", "+1"],
     ],
 )
 def test_invalid_input_exits_2_with_one_line(runner, tmp_path, monkeypatch, args):

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualshare.boolcube import (
     DualWitness,
@@ -17,11 +19,17 @@ from dualshare.dualand import (
     build_witness,
     epsilon_of,
     reconstruction_advantage,
+    subset_weight_table,
     verify_witness,
     weighted_anticoncentration_check,
 )
 
-from oracles import and_cube
+from oracles import (
+    and_cube,
+    build_and_witness_fraction,
+    subset_weight_table_fraction,
+    verify_and_witness_fraction,
+)
 
 
 def brute_epsilon(w: WeightVector, d: Fraction) -> Fraction:
@@ -33,6 +41,82 @@ def brute_epsilon(w: WeightVector, d: Fraction) -> Fraction:
         if s >= d:
             hits += 1
     return Fraction(hits, 1 << n)
+
+
+_WEIGHTS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=0, max_value=3, max_denominator=6),
+)
+
+
+def _subset_weight(entries, mask: int) -> Fraction:
+    return sum((e for i, e in enumerate(entries) if mask >> i & 1), Fraction(0))
+
+
+@st.composite
+def and_params(draw, max_n: int = 10) -> DualAndParams:
+    """Rational weights (zeros included) and d, often exactly on a boundary.
+
+    "subset" puts d at w(T) for a drawn subset T, so w(T) < d just fails;
+    "H" puts d at |w|_1 - 2 w(T), so T sits exactly on the edge of H.
+    """
+    n = draw(st.integers(1, max_n))
+    entries = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
+    if not any(entries):
+        entries[draw(st.integers(0, n - 1))] = Fraction(1)
+    w = WeightVector.of(entries)
+    l1 = w.l1()
+    sub = _subset_weight(entries, draw(st.integers(0, (1 << n) - 1)))
+    kind = draw(st.sampled_from(["subset", "H", "fraction"]))
+    if kind == "subset" and sub > 0:
+        d = sub
+    elif kind == "H" and l1 - 2 * sub > 0:
+        d = l1 - 2 * sub
+    else:
+        d = l1 * draw(st.fractions(min_value=0, max_value=1, max_denominator=12)
+                      .filter(lambda t: t > 0))
+    return DualAndParams(n, w, d)
+
+
+class TestIntegerPathAgainstFractionOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(and_params())
+    def test_subset_weight_table_is_the_scaled_fraction_table(self, p):
+        scale = math.lcm(p.d.denominator, *(e.denominator for e in p.w.entries))
+        table = subset_weight_table(p.w, scale)
+        assert all(type(t) is int for t in table)
+        assert table == [scale * t for t in subset_weight_table_fraction(p.w)]
+
+    def test_subset_weight_table_rejects_a_scale_that_leaves_a_fraction(self):
+        with pytest.raises(ValueError):
+            subset_weight_table(WeightVector.of([1, Fraction(1, 3)]), 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(and_params())
+    def test_build_matches_fraction_oracle(self, p):
+        wit = build_witness(p)
+        h_size, char_sums, values = build_and_witness_fraction(p)
+        assert wit.H_size == h_size
+        assert wit.char_sums == char_sums
+        assert wit.witness.values == values
+        assert wit.witness.claimed_degree == p.d
+        assert wit.epsilon == Fraction(h_size, 1 << p.n)
+        assert wit.Z == Fraction(1 << p.n, h_size)
+
+    @settings(max_examples=60, deadline=None)
+    @given(and_params(), st.data())
+    def test_verify_report_matches_fraction_oracle(self, p, data):
+        wit = build_witness(p).witness
+        # a second threshold on a subset-weight boundary, and a witness with
+        # one value moved, so that violations are reported too
+        d2 = _subset_weight(p.w.entries, data.draw(st.integers(0, (1 << p.n) - 1)))
+        k = data.draw(st.integers(0, (1 << p.n) - 1))
+        moved = list(wit.values)
+        moved[k] += data.draw(st.fractions(max_denominator=9).filter(lambda t: t != 0))
+        moved_wit = DualWitness(p.n, tuple(moved), "cube", p.d)
+        for phi, d in ((wit, p.d), (wit, d2), (moved_wit, p.d), (moved_wit, d2)):
+            assert verify_witness(phi, d, p.w) == verify_and_witness_fraction(phi, d, p.w)
+        assert verify_witness(wit, p.d, p.w).pure_high_degree
 
 
 class TestBuildWitness:

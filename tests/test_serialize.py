@@ -2,6 +2,9 @@ import json
 import os
 from fractions import Fraction
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from dualshare.boolcube import DualWitness, SymmetricDistribution
 from dualshare.ratpoly import RationalPoly
 from dualshare.serialize import (
@@ -23,6 +26,19 @@ def test_rational_strings():
     assert rat_to_str(5) == "5/1"
     assert rat_from_str("-1/2") == Fraction(-1, 2)
     assert rat_from_str("7") == 7  # bare integers accepted on input
+
+
+@given(st.fractions())
+def test_rational_strings_match_the_fraction_route(x):
+    def oracle(v):
+        f = Fraction(v)
+        return f"{f.numerator}/{f.denominator}"
+
+    inputs = [x, str(x), f"{2 * x.numerator}/{2 * x.denominator}"]
+    if x.denominator == 1:
+        inputs.append(x.numerator)
+    for v in inputs:
+        assert rat_to_str(v) == oracle(v) == f"{x.numerator}/{x.denominator}"
 
 
 def test_poly_round_trip():
