@@ -138,6 +138,8 @@ def _flatten_csv(result: dict) -> tuple[list[str], list[list]]:
 
 
 def _parse_rational(value: str) -> Fraction:
+    if type(value) is not str:  # Fraction would take a JSON float or bool too
+        raise InvalidInput(f"not a rational string: {value!r}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -256,13 +258,14 @@ def sample_shares_cmd(witness_path, secret, count, seed, out, fmt):
     doc = load_json(witness_path)
     try:
         cfg = doc["config"]
-        n = cfg["n"]
-        w = WeightVector.of([Fraction(x) for x in cfg["weights"]])
-        d = Fraction(cfg["d"])
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        n, weights, d = cfg["n"], cfg["weights"], _parse_rational(cfg["d"])
+    except (KeyError, TypeError) as exc:
         raise InvalidInput(f"witness file lacks a usable config: {exc!r}") from exc
     if type(n) is not int:  # bool is an int subclass, and 2.7 must not become 2
         raise InvalidInput(f"witness config n must be an integer, got {n!r}")
+    if type(weights) is not list:
+        raise InvalidInput(f"witness config weights must be a list, got {weights!r}")
+    w = WeightVector.of([_parse_rational(x) for x in weights])
     wit = build_witness(DualAndParams(n, w, d))
     sampler = ShareSampler(wit, 1 if secret == "+1" else -1, seed)
     rows = []
@@ -358,9 +361,12 @@ def _load_predicate(f: str, n: int | None) -> tuple[int, list[int]]:
         except OSError as exc:
             raise InvalidInput(f"cannot read predicate file {f!r}: {exc.strerror}") from exc
         try:
-            n, values = int(doc["n"]), [int(v) for v in doc["values"]]
+            n, values = doc["n"], list(doc["values"])
         except (KeyError, TypeError) as exc:
             raise InvalidInput(f"predicate file needs n and values: {exc!r}") from exc
+        for v in (n, *values):
+            if type(v) is not int:  # bool is an int subclass, and 3.9 must not become 3
+                raise InvalidInput(f"predicate file n and values must be integers, got {v!r}")
         if len(values) != n + 1:
             raise InvalidInput(f"predicate file has {len(values)} values for n={n}")
         return n, values

@@ -13,14 +13,16 @@ it.  All arithmetic is exact; the result is certified by the same audit as
 the LP path before returning.
 
 General design matrices (``solve_linf_fit``) go through a textbook two-phase
-primal simplex with Bland's anti-cycling rule on Fraction tableaus.  The LP
+primal simplex with Bland's anti-cycling rule on a fraction-free integer
+tableau (integer-preserving pivots, Edmonds 1967 and Bareiss 1968).  The LP
 is the moment form of the fit: variables are the positive and negative parts
 of a signed measure psi on the rows, constrained to annihilate every design
 column and to have unit total variation, maximising the pairing with the
 target values.  Its dual variables are the fit coefficients together with the
 error.  The artificial columns are kept through phase two (barred from
-entering), which makes them a running copy of B^{-1} and lets the dual
-vector be read off the final tableau.  No floating point enters either path.
+entering), which makes them a running copy of D B^{-1} (D the basis
+determinant) and lets the dual vector be read off the final tableau.  No
+floating point enters either path.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import PropertyViolation
@@ -49,6 +52,16 @@ def solve_lp(
     with equality whenever x_j > 0, and y.b == value == c.x.  These facts are
     checked on the result (PropertyViolation otherwise).  Raises SimplexError
     when infeasible or unbounded.
+
+    The tableau is kept fraction-free.  Column j of [A | I | b] is scaled by
+    sigma_j > 0 (the lcm of its denominators; 1 for the artificial columns)
+    and the tableau is an integer matrix M over one denominator D > 0, the
+    basis determinant (``tableau`` and ``det`` below): entry (i, j) of the
+    rational tableau is sigma_basis[i] M[i][j] / (D sigma_j).  Positive
+    column scales keep every reduced-cost sign, ratio order and tie, and zero
+    test, so the pivots are those of the rational tableau.  Rows are never
+    scaled: a row scale would change the phase-1 costs of the artificial
+    columns and so Bland's choice.
     """
     m, n = len(A), len(A[0])
     A = [[Fraction(v) for v in row] for row in A]
@@ -61,55 +74,70 @@ def solve_lp(
             b[i] = -b[i]
             A[i] = [-v for v in A[i]]
 
-    ncols = n + m  # artificial column j corresponds to original row j - n
-    tableau = [A[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
+    # artificial column n + i corresponds to original row i; column rhs is b
+    sigma = [lcm(*(row[j].denominator for row in A)) for j in range(n)] + [1] * m
+    sigma_b = lcm(*(v.denominator for v in b))
+    rhs = n + m
+    tableau = [
+        [v.numerator * (sigma[j] // v.denominator) for j, v in enumerate(A[i])]
+        + [int(i == k) for k in range(m)]
+        + [b[i].numerator * (sigma_b // b[i].denominator)]
+        for i in range(m)
+    ]
+    det = 1
     basis = list(range(n, n + m))
 
     def pivot(row: int, col: int) -> None:
-        piv = tableau[row][col]
-        tableau[row] = [v / piv for v in tableau[row]]
-        for r in range(len(tableau)):
-            if r != row and tableau[r][col]:
-                f = tableau[r][col]
-                tableau[r] = [v - f * w for v, w in zip(tableau[r], tableau[row])]
+        """Integer-preserving pivot (Edmonds; Bareiss): every entry stays a
+        minor of the scaled input, so each division by det is exact."""
+        nonlocal det
+        p, w = tableau[row][col], tableau[row]
+        for r, v in enumerate(tableau):
+            if r != row:
+                f = v[col]
+                tableau[r] = [(a * p - f * z) // det for a, z in zip(v, w)]
+        det = p
+        if p < 0:
+            tableau[:] = [[-v for v in r] for r in tableau]
+            det = -p
         basis[row] = col
 
-    def run(cost: list[Fraction], allowed: int) -> None:
-        """Bland's rule: smallest improving column enters, smallest basic leaves."""
+    def run(cost: list[int], allowed: int) -> None:
+        """Bland's rule: smallest improving column enters, smallest basic leaves.
+
+        ``cost[j]`` is the objective coefficient times sigma_j and one common
+        positive scale, so the reduced cost of column j has the sign of
+        cost[j] D - sum_i cost[basis[i]] M[i][j].
+        """
         while True:
-            cb = [cost[v] for v in basis]
+            cb = [(cost[v], tableau[i]) for i, v in enumerate(basis) if cost[v]]
             in_basis = set(basis)
             enter = -1
             for j in range(allowed):
-                if j in in_basis:
-                    continue
-                reduced = cost[j] - sum(
-                    cbi * tableau[i][j] for i, cbi in enumerate(cb) if cbi
-                )
-                if reduced > 0:
+                if j not in in_basis and cost[j] * det > sum(cv * row[j] for cv, row in cb):
                     enter = j
                     break
             if enter < 0:
                 return
-            leave, best = -1, None
-            for i in range(len(tableau)):
-                a = tableau[i][enter]
+            leave = -1
+            for i, row in enumerate(tableau):
+                a = row[enter]
                 if a > 0:
-                    ratio = tableau[i][-1] / a
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and basis[i] < basis[leave])
-                    ):
-                        best, leave = ratio, i
+                    if leave < 0:
+                        leave = i
+                        continue
+                    # row[rhs] / a against the best ratio, cross-multiplied
+                    new = row[rhs] * tableau[leave][enter]
+                    best = tableau[leave][rhs] * a
+                    if new < best or (new == best and basis[i] < basis[leave]):
+                        leave = i
             if leave < 0:
                 raise SimplexError("unbounded")
             pivot(leave, enter)
 
     # phase 1: drive the artificial mass to zero
-    phase1_cost = [Fraction(0)] * n + [Fraction(-1)] * m
-    run(phase1_cost, ncols)
-    if sum(tableau[i][-1] for i in range(len(tableau)) if basis[i] >= n) != 0:
+    run([0] * n + [-1] * m, rhs)
+    if sum(tableau[i][rhs] for i in range(len(tableau)) if basis[i] >= n) != 0:
         raise SimplexError("infeasible")
     # pivot basic artificials out; rows that cannot be pivoted are redundant
     for i in range(len(tableau)):
@@ -125,23 +153,23 @@ def solve_lp(
     basis[:] = [basis[i] for i in keep]
 
     # phase 2: original objective; artificials may not re-enter
-    phase2_cost = list(c) + [Fraction(0)] * m
-    run(phase2_cost, n)
+    scale = lcm(*(v.denominator for v in c))
+    cost = [v.numerator * (scale // v.denominator) * sigma[j] for j, v in enumerate(c)]
+    run(cost + [0] * m, n)
 
     x = [Fraction(0)] * n
     for i, v in enumerate(basis):
-        x[v] = tableau[i][-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
+        x[v] = Fraction(sigma[v] * tableau[i][rhs], det * sigma_b)
+    value = Fraction(
+        sum(cost[v] * tableau[i][rhs] for i, v in enumerate(basis)), scale * det * sigma_b
+    )
     y = [Fraction(0)] * m
     for art in range(m):
-        if art in dropped_originals:
-            continue
-        col = n + art
-        y[art] = flips[art] * sum(
-            phase2_cost[basis[i]] * tableau[i][col]
-            for i in range(len(tableau))
-            if phase2_cost[basis[i]]
-        )
+        if art not in dropped_originals:
+            y[art] = flips[art] * Fraction(
+                sum(cost[v] * tableau[i][n + art] for i, v in enumerate(basis)),
+                scale * det,
+            )
 
     _audit(A, b, c, flips, x, value, y)
     return x, value, y

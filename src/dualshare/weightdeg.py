@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm
 
 from .approxlab import grid_n, symmetric_witness
 from .boolcube import ParityPoly, bits_to_mask, kravchuk, pair_with_witness
@@ -255,17 +255,15 @@ def _block_count_poly(s: int, r: int) -> list[int]:
     return out
 
 
-def _kappa_sums(n: int, supp_weights: list[int]) -> list[Fraction]:
+def _kappa_sums(n: int, supp_weights: list[int]) -> list[int]:
     """sum over the support classes h of kappa_h(m) = kravchuk(n, n - h, m), the
     sign-flip multiplier a size-m parity coefficient picks up when the AND
     approximant is summed over all targets y of weight h."""
-    return [
-        Fraction(sum(kravchuk(n, n - h, m) for h in supp_weights)) for m in range(n + 1)
-    ]
+    return [sum(kravchuk(n, n - h, m) for h in supp_weights) for m in range(n + 1)]
 
 
 def _chat_from_core(
-    n: int, ell: int, s: int, D: tuple[Fraction, ...], kappa: list[Fraction]
+    n: int, ell: int, s: int, D: tuple[Fraction, ...], kappa: list[int]
 ) -> list[Fraction]:
     """Per-size parity coefficients of the symmetrised class-aggregated sum."""
     chat = [Fraction(0)] * (n + 1)
@@ -362,7 +360,7 @@ def low_weight_approximant(
         for ell in _divisors(n):
             s = n // ell
             d_out = min(ell, K // s)
-            chat, error = _aggregate_optimal(n, ell, s, d_out, supp_weights, work, kappa)
+            chat, error = _aggregate_optimal(n, ell, s, d_out, work, kappa)
             best_errors[ell] = min(best_errors.get(ell, error), error)
             if error <= eps:
                 weight = _chat_weight(chat, n, complemented)
@@ -399,30 +397,20 @@ def _aggregate_optimal(
     ell: int,
     s: int,
     d_out: int,
-    supp_weights: list[int],
     work: tuple[int, ...],
-    kappa: list[Fraction],
+    kappa: list[int],
 ) -> tuple[list[Fraction], Fraction]:
     """Outer polynomial minimising the exact aggregated per-weight error.
 
     The map from the outer polynomial's values at block counts 0..ell to the
     aggregate's values at Hamming weights 0..n is linear; composing it with
     the Vandermonde in the polynomial coefficients gives a plain L-infinity
-    fitting problem solved by the exact LP.
+    fitting problem (``_aggregate_design``) solved by the exact LP.  The
+    fitted polynomial is then pushed through the ``Fraction`` construction
+    once more, and its certified error must equal the LP's: that checks the
+    integer design against an independent route on every call.
     """
-    columns = []
-    for j in range(ell + 1):
-        e_j = [Fraction(int(i == j)) for i in range(ell + 1)]
-        D = _touched_block_coeffs(_finite_differences(e_j), ell, s)
-        chat_j = _chat_from_core(n, ell, s, tuple(D), kappa)
-        columns.append(_symmetric_values(chat_j, n))
-    rows = [
-        [
-            sum(columns[j][h] * Fraction(j) ** r for j in range(ell + 1))
-            for r in range(d_out + 1)
-        ]
-        for h in range(n + 1)
-    ]
+    rows = _aggregate_design(n, ell, s, d_out, kappa)
     fit = solve_linf_fit(rows, [Fraction(v) for v in work])
     p_values = [
         sum(fit.coeffs[r] * Fraction(j) ** r for r in range(d_out + 1))
@@ -434,6 +422,47 @@ def _aggregate_optimal(
     if error != fit.epsilon:
         raise PropertyViolation("aggregate map disagrees with the LP residuals")
     return chat, error
+
+
+def _aggregate_design(
+    n: int, ell: int, s: int, d_out: int, kappa: list[int]
+) -> list[list[Fraction]]:
+    """rows[h][r]: the aggregate's value at weight h when the outer polynomial
+    is j -> j^r on block counts j = 0..ell.
+
+    Built in integers over the common denominator 2^(s ell) lcm_m C(n, m).
+    The unit vector e_j has finite differences Delta^u e_j(0) =
+    (-1)^(u-j) C(u, j), so its touched-block coefficient D_r times 2^(s ell)
+    is sum_{u >= r} C(ell-r, u-r) (-1)^(u-j) C(u, j) 2^(s (ell-u)); the size-m
+    parity coefficient and the value at weight h follow as in
+    ``_chat_from_core`` and ``_symmetric_values``.
+    """
+    big_l = lcm(*(comb(n, m) for m in range(n + 1)))
+    per_size = [(-1) ** m * kappa[m] * (big_l // comb(n, m)) for m in range(n + 1)]
+    counts = [_block_count_poly(s, r) for r in range(ell + 1)]
+    table = [[kravchuk(n, m, h) for h in range(n + 1)] for m in range(n + 1)]
+    columns = []
+    for j in range(ell + 1):
+        chat = [0] * (n + 1)
+        for r in range(ell + 1):
+            d_r = sum(
+                (comb(ell - r, u - r) * (-1) ** (u - j) * comb(u, j)) << (s * (ell - u))
+                for u in range(max(r, j), ell + 1)
+            )
+            if d_r:
+                d_r *= comb(ell, r)
+                for m, cnt in enumerate(counts[r]):
+                    chat[m] += d_r * cnt
+        terms = [(v * w, table[m]) for m, (v, w) in enumerate(zip(chat, per_size)) if v * w]
+        columns.append([sum(v * row[h] for v, row in terms) for h in range(n + 1)])
+    den = big_l << (s * ell)
+    return [
+        [
+            Fraction(sum(col[h] * j**r for j, col in enumerate(columns)), den)
+            for r in range(d_out + 1)
+        ]
+        for h in range(n + 1)
+    ]
 
 
 def _side_mass(spec: SymmetricSpec, side: int) -> int:

@@ -24,6 +24,12 @@ in-place butterfly), and ``build_and_witness_fraction`` /
 ``verify_and_witness_fraction``, which compare the weights with the
 thresholds as ``Fraction``s and rescale the witness with ``Fraction``
 multiplies.  They share no code with ``dualand`` beyond its data types.
+
+The LP behind ``weightdeg._aggregate_optimal`` runs on integers in the
+package.  ``solve_lp_fraction`` is the ``Fraction`` tableau it replaced (the
+same two phases and Bland pivots, no audit), and
+``aggregate_design_fraction`` builds the aggregate design column by column
+from ``Fraction`` unit vectors through ``weightdeg``'s ``Fraction`` helpers.
 """
 
 from __future__ import annotations
@@ -37,6 +43,13 @@ from typing import Iterable
 from dualshare.boolcube import DualWitness, WeightVector
 from dualshare.dualand import DualAndParams, WitnessReport
 from dualshare.ratpoly import ChebyshevExpansion, RationalPoly, cheb_T, generating_poly
+from dualshare.simplex import SimplexError
+from dualshare.weightdeg import (
+    _chat_from_core,
+    _finite_differences,
+    _symmetric_values,
+    _touched_block_coeffs,
+)
 
 
 @dataclass(frozen=True)
@@ -184,3 +197,120 @@ def verify_and_witness_fraction(wit: DualWitness, d, w: WeightVector) -> Witness
         l1_norm=Fraction(sum(abs(v) for v in scaled), scale),
         correlation=vals[0],
     )
+
+
+def solve_lp_fraction(A, b, c, pivots: list | None = None):
+    """(x, value, y) of max c.x s.t. A x = b, x >= 0 on a ``Fraction`` tableau.
+
+    Two phases with Bland's rule, artificial columns kept through phase two
+    for the dual read-off, redundant rows dropped after phase one.  Each pivot
+    is appended to ``pivots`` as (phase, row, column, pivot element), phase
+    being 1, "out" (driving a basic artificial out) or 2.
+    """
+    m, n = len(A), len(A[0])
+    A = [[Fraction(v) for v in row] for row in A]
+    b = [Fraction(v) for v in b]
+    c = [Fraction(v) for v in c]
+    flips = [1] * m
+    for i in range(m):
+        if b[i] < 0:
+            flips[i] = -1
+            b[i] = -b[i]
+            A[i] = [-v for v in A[i]]
+
+    ncols = n + m
+    tableau = [A[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
+    basis = list(range(n, n + m))
+    phase = 1
+
+    def pivot(row: int, col: int) -> None:
+        piv = tableau[row][col]
+        if pivots is not None:
+            pivots.append((phase, row, col, piv))
+        tableau[row] = [v / piv for v in tableau[row]]
+        for r in range(len(tableau)):
+            if r != row and tableau[r][col]:
+                f = tableau[r][col]
+                tableau[r] = [v - f * w for v, w in zip(tableau[r], tableau[row])]
+        basis[row] = col
+
+    def run(cost, allowed: int) -> None:
+        while True:
+            cb = [cost[v] for v in basis]
+            in_basis = set(basis)
+            enter = -1
+            for j in range(allowed):
+                if j in in_basis:
+                    continue
+                reduced = cost[j] - sum(
+                    cbi * tableau[i][j] for i, cbi in enumerate(cb) if cbi
+                )
+                if reduced > 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return
+            leave, best = -1, None
+            for i in range(len(tableau)):
+                a = tableau[i][enter]
+                if a > 0:
+                    ratio = tableau[i][-1] / a
+                    if (
+                        best is None
+                        or ratio < best
+                        or (ratio == best and basis[i] < basis[leave])
+                    ):
+                        best, leave = ratio, i
+            if leave < 0:
+                raise SimplexError("unbounded")
+            pivot(leave, enter)
+
+    run([Fraction(0)] * n + [Fraction(-1)] * m, ncols)
+    if sum(tableau[i][-1] for i in range(len(tableau)) if basis[i] >= n) != 0:
+        raise SimplexError("infeasible")
+    phase = "out"
+    for i in range(len(tableau)):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tableau[i][j] != 0), None)
+            if col is not None:
+                pivot(i, col)
+    keep = [i for i in range(len(tableau)) if basis[i] < n]
+    dropped = {basis[i] - n for i in range(len(tableau)) if basis[i] >= n}
+    tableau[:] = [tableau[i] for i in keep]
+    basis[:] = [basis[i] for i in keep]
+
+    phase = 2
+    cost = list(c) + [Fraction(0)] * m
+    run(cost, n)
+
+    x = [Fraction(0)] * n
+    for i, v in enumerate(basis):
+        x[v] = tableau[i][-1]
+    value = sum(ci * xi for ci, xi in zip(c, x))
+    y = [Fraction(0)] * m
+    for art in range(m):
+        if art not in dropped:
+            y[art] = flips[art] * sum(
+                cost[basis[i]] * tableau[i][n + art]
+                for i in range(len(tableau))
+                if cost[basis[i]]
+            )
+    return x, value, y
+
+
+def aggregate_design_fraction(n: int, ell: int, s: int, d_out: int, kappa) -> list:
+    """rows[h][r]: the aggregate's value at weight h when the outer polynomial
+    is j -> j^r, built from the image of every unit vector e_j in ``Fraction``s."""
+    columns = []
+    for j in range(ell + 1):
+        e_j = [Fraction(int(i == j)) for i in range(ell + 1)]
+        D = _touched_block_coeffs(_finite_differences(e_j), ell, s)
+        chat_j = _chat_from_core(n, ell, s, tuple(D), kappa)
+        columns.append(_symmetric_values(chat_j, n))
+    return [
+        [
+            sum(columns[j][h] * Fraction(j) ** r for j in range(ell + 1))
+            for r in range(d_out + 1)
+        ]
+        for h in range(n + 1)
+    ]

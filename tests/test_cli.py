@@ -113,7 +113,9 @@ _WEIGHTS_10 = "1/2,3/4,1,5/4,3/2,1/2,3/4,1,5/4,3/2"
 
 
 class TestOutputBytesPinned:
-    """SHA-256 of stdout, taken before the witness path moved onto integers."""
+    """SHA-256 of stdout, taken before the witness path and the LP behind
+    ``weight-bound`` moved onto integers.  Both ``weight-bound`` inputs reach
+    the aggregate LP on every block split."""
 
     @pytest.mark.parametrize(
         "args, digest",
@@ -128,10 +130,19 @@ class TestOutputBytesPinned:
             (["sample-shares", "--witness", "wit.json", "--secret", "+1",
               "--count", "200", "--seed", "12345", "--format", "csv"],
              "ef05d8db285fa1c62649bdb382e9685448506098c5ee2465c41f7142797654b4"),
+            (["weight-bound", "--f", "maj", "--n", "12", "--K", "6"],
+             "a1c4b6cab2a1728120cac39c3bc22a2b94cb58b84d98d38aba3b9bb24bc8d206"),
+            (["weight-bound", "--f", "maj", "--n", "12", "--K", "6", "--format", "csv"],
+             "2fe4af653e571d8564b858e5cfca3063e05864b0f9fb1d34a5ca557b14758e3b"),
+            (["weight-bound", "--f", "h11.json", "--K", "6"],
+             "80917b31c09ec5fcb8e09b32191e9c81753297912f18989b966cd9474df014b6"),
         ],
     )
     def test_stdout_digest(self, runner, tmp_path, monkeypatch, args, digest):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "h11.json").write_text(
+            json.dumps({"n": 12, "values": [int(h == 11) for h in range(13)]})
+        )
         res = runner.invoke(cli, ["dual-and", "--n", "10", "--weights", _WEIGHTS_10,
                                   "--d", "17/4", "--out", "wit.json"])
         assert res.exit_code == 0, res.output
@@ -377,6 +388,17 @@ _INPUT_FILES = {
     "wit-n-float.json": {"config": {"n": 2.7, "weights": ["1", "1"], "d": "1"}},
     "wit-n-true.json": {"config": {"n": True, "weights": ["1"], "d": "1"}},
     "wit-n-str.json": {"config": {"n": "2", "weights": ["1", "1"], "d": "1"}},
+    "pred-n-float.json": {"n": 3.9, "values": [0, 0, 0, 1]},
+    "pred-n-str.json": {"n": "3", "values": [0, 0, 0, 1]},
+    "pred-n-true.json": {"n": True, "values": [0, 1]},
+    "pred-values-mixed.json": {"n": 3, "values": [0, 1, True, 0.5]},
+    "pred-values-str.json": {"n": 3, "values": "0001"},
+    "wit-float-bool.json": {"config": {"n": 2, "weights": [0.1, True], "d": 0.1}},
+    "wit-weights-float.json": {"config": {"n": 2, "weights": [0.5, 1], "d": "1"}},
+    "wit-weights-true.json": {"config": {"n": 2, "weights": ["1", True], "d": "1"}},
+    "wit-weights-str.json": {"config": {"n": 2, "weights": "11", "d": "1"}},
+    "wit-d-float.json": {"config": {"n": 2, "weights": ["1", "1"], "d": 0.5}},
+    "wit-d-int.json": {"config": {"n": 2, "weights": ["1", "1"], "d": 1}},
 }
 # one valid run of each command that draws no random bits, and of the one that does
 _DETERMINISTIC_RUNS = (
@@ -442,6 +464,18 @@ _SAMPLE_RUN = ["sample-shares", "--witness", "wit-ok.json", "--secret", "+1"]
         ["sample-shares", "--witness", "wit-n-float.json", "--secret", "+1"],
         ["sample-shares", "--witness", "wit-n-true.json", "--secret", "+1"],
         ["sample-shares", "--witness", "wit-n-str.json", "--secret", "+1"],
+        # predicate-file n and values that are not JSON integers
+        ["approx-degree", "--f", "pred-n-float.json"],
+        ["approx-degree", "--f", "pred-n-str.json"],
+        ["approx-degree", "--f", "pred-n-true.json"],
+        ["approx-degree", "--f", "pred-values-mixed.json"],
+        ["approx-degree", "--f", "pred-values-str.json"],
+        ["weight-bound", "--f", "pred-n-float.json", "--K", "2"],
+        ["weight-bound", "--f", "pred-values-mixed.json", "--K", "2"],
+        # witness config weights and d that are not rational strings
+        *[["sample-shares", "--witness", f"wit-{name}.json", "--secret", "+1"]
+          for name in ("float-bool", "weights-float", "weights-true", "weights-str",
+                       "d-float", "d-int")],
     ],
 )
 def test_invalid_input_exits_2_with_one_line(runner, tmp_path, monkeypatch, args):

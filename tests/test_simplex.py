@@ -2,11 +2,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualshare import simplex
 from dualshare.ratpoly import RationalPoly
 from dualshare.simplex import SimplexError, solve_linf_fit, solve_lp, solve_minimax
 from dualshare.symcheb import weight_grid
+from oracles import solve_lp_fraction
 
 
 def alternation_minimax(points, values, degree):
@@ -95,6 +98,86 @@ class TestSolveLP:
                 continue  # oracle below only covers bounded/feasible cases
             if best is not None:
                 assert val >= best  # LP optimum dominates every vertex
+
+
+_ENTRY = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=4)
+)
+
+
+@st.composite
+def lp_instances(draw):
+    """Rational A, b, c with zero columns, negative b, small entries (so
+    ratio ties and degenerate vertices are common) and, at times, a last row
+    that is a multiple of the first, with a right-hand side that may or may
+    not match (a redundant row, or an infeasible pair)."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    A = [draw(st.lists(_ENTRY, min_size=n, max_size=n)) for _ in range(m)]
+    b = draw(st.lists(_ENTRY, min_size=m, max_size=m))
+    c = draw(st.lists(_ENTRY, min_size=n, max_size=n))
+    if m > 1 and draw(st.booleans()):
+        f = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+        A[-1] = [f * v for v in A[0]]
+        if draw(st.booleans()):
+            b[-1] = f * b[0]
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for row in A:
+            row[j] = Fraction(0)
+    return A, b, c
+
+
+# phase 1 ends with the artificial of row 0 basic at level 0; driving it out
+# pivots on -4, and phase 2 then pivots once more (b negated in two rows)
+NEGATIVE_PIVOT_OUT = (
+    [[-2, 2, -2], [-3, -1, -1], [0, 0, 0]],
+    [-2, -1, 0],
+    [0, Fraction(-2, 3), Fraction(1, 2)],
+)
+# a degenerate phase 1 in which the artificial column of row 0, having left
+# the basis, enters again; the dual optimum is not unique, and barring the
+# re-entry would return another one
+ARTIFICIAL_REENTERS = ([[-2, 1], [-1, 1], [1, 2]], [0, 0, 0], [1, 1])
+
+
+def _outcome(solve, A, b, c):
+    try:
+        return solve(A, b, c)
+    except SimplexError as exc:
+        return str(exc)
+
+
+class TestIntegerTableauAgainstFractionOracle:
+    """The fraction-free tableau takes the Fraction tableau's pivots, so
+    (x, value, y), or the error, must be identical."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lp_instances())
+    def test_same_outcome(self, lp):
+        assert _outcome(solve_lp, *lp) == _outcome(solve_lp_fraction, *lp)
+
+    def test_pivot_out_on_a_negative_element(self):
+        A, b, c = NEGATIVE_PIVOT_OUT
+        pivots = []
+        expected = solve_lp_fraction(A, b, c, pivots)
+        assert any(phase == "out" and p < 0 for phase, _, _, p in pivots)
+        assert any(phase == 2 for phase, _, _, _ in pivots)
+        assert solve_lp(A, b, c) == expected
+
+    def test_artificial_column_reenters_in_phase_1(self):
+        A, b, c = ARTIFICIAL_REENTERS
+        pivots = []
+        expected = solve_lp_fraction(A, b, c, pivots)
+        assert any(phase == 1 and col >= len(c) for phase, _, col, _ in pivots)
+        assert solve_lp(A, b, c) == expected
+
+    def test_larger_random_lps(self, rng):
+        for _ in range(20):
+            m, n = rng.randint(4, 8), rng.randint(8, 16)
+            A = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+                 for _ in range(m)]
+            b = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(m)]
+            c = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+            assert _outcome(solve_lp, A, b, c) == _outcome(solve_lp_fraction, A, b, c)
 
 
 class TestMinimax:

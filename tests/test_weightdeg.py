@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualshare.approxlab import approx_degree, minimax_on_weight_grid, symmetric_witness
 from dualshare.boolcube import ParityPoly
@@ -11,10 +13,14 @@ from dualshare.simplex import solve_lp, solve_minimax
 from dualshare.weightdeg import (
     InfeasibleBudget,
     SymmetricSpec,
+    _aggregate_design,
+    _divisors,
+    _kappa_sums,
     approx_eq_y,
     low_weight_approximant,
     weight_lower_bound,
 )
+from oracles import aggregate_design_fraction
 
 
 def cube_error(poly: ParityPoly, target) -> Fraction:
@@ -173,6 +179,24 @@ class TestLowWeightApproximant:
         spec = SymmetricSpec(n, tuple(1 if h == n - 1 else 0 for h in range(n + 1)))
         with pytest.raises(InfeasibleBudget):
             low_weight_approximant(spec, 2, Fraction(1, 100))
+
+
+class TestAggregateDesign:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 16).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n), min_size=1))
+    ))
+    def test_integer_design_matches_fraction_columns(self, case):
+        # rows[h][r] does not depend on d_out, so one oracle build per split
+        # covers every d_out as a prefix of each row
+        n, supp = case
+        kappa = _kappa_sums(n, sorted(supp))
+        for ell in _divisors(n):
+            full = aggregate_design_fraction(n, ell, n // ell, ell, kappa)
+            for d_out in range(ell + 1):
+                rows = _aggregate_design(n, ell, n // ell, d_out, kappa)
+                assert rows == [row[: d_out + 1] for row in full]
+                assert all(type(v) is Fraction for row in rows for v in row)
 
 
 class TestWeightLowerBound:
