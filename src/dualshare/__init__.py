@@ -3,111 +3,89 @@ Chebyshev truncation bounds for Boolean tests.
 
 All trust-path computation is exact rational arithmetic; floating point is
 confined to verification estimates and explicitly float-valued bounds.
+
+Importing the package runs none of its submodules: each is registered with
+``importlib.util.LazyLoader``, so its body runs when one of its attributes is
+first read, and the public names below are served on first access.
 """
+
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-from .approxlab import (
-    RampParams,
-    approx_degree,
-    consolidate_and,
-    consolidation_bound,
-    dual_distributions,
-    finite_n_ramp,
-    l2_tail_bound,
-    minimax_on_weight_grid,
-    ramp_advantage,
-)
-from .boolcube import (
-    DualWitness,
-    ParityPoly,
-    SymmetricDistribution,
-    WeightVector,
-    basis_convert,
-    kwise_indistinguishable,
-    pair_with_witness,
-    project_symmetric,
-    stat_distance_symmetric,
-    walsh_hadamard,
-)
-from .dualand import (
-    DualAndParams,
-    DualAndWitness,
-    ShareSampler,
-    build_witness,
-    epsilon_of,
-    verify_witness,
-    weighted_anticoncentration_check,
-)
-from .errors import PropertyViolation
-from .ratpoly import (
-    ChebyshevExpansion,
-    RationalPoly,
-    cheb_T,
-    sigma_inner,
-)
-from .symcheb import (
-    AmplificationParams,
-    SymmetrizedTest,
-    bounded_check,
-    circle_identity_check,
-    exact_weight_test,
-    indistinguishability_bound,
-    symmetrize,
-    truncated_approximant,
-)
-from .weightdeg import (
-    SymmetricSpec,
-    WeightDegreeReport,
-    approx_eq_y,
-    low_weight_approximant,
-    weight_lower_bound,
-)
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "RampParams": "approxlab",
+    "approx_degree": "approxlab",
+    "consolidate_and": "approxlab",
+    "consolidation_bound": "approxlab",
+    "dual_distributions": "approxlab",
+    "finite_n_ramp": "approxlab",
+    "l2_tail_bound": "approxlab",
+    "minimax_on_weight_grid": "approxlab",
+    "ramp_advantage": "approxlab",
+    "DualWitness": "boolcube",
+    "ParityPoly": "boolcube",
+    "SymmetricDistribution": "boolcube",
+    "WeightVector": "boolcube",
+    "basis_convert": "boolcube",
+    "kwise_indistinguishable": "boolcube",
+    "pair_with_witness": "boolcube",
+    "project_symmetric": "boolcube",
+    "stat_distance_symmetric": "boolcube",
+    "walsh_hadamard": "boolcube",
+    "DualAndParams": "dualand",
+    "DualAndWitness": "dualand",
+    "ShareSampler": "dualand",
+    "build_witness": "dualand",
+    "epsilon_of": "dualand",
+    "verify_witness": "dualand",
+    "weighted_anticoncentration_check": "dualand",
+    "PropertyViolation": "errors",
+    "ChebyshevExpansion": "ratpoly",
+    "RationalPoly": "ratpoly",
+    "cheb_T": "ratpoly",
+    "sigma_inner": "ratpoly",
+    "AmplificationParams": "symcheb",
+    "SymmetrizedTest": "symcheb",
+    "bounded_check": "symcheb",
+    "circle_identity_check": "symcheb",
+    "exact_weight_test": "symcheb",
+    "indistinguishability_bound": "symcheb",
+    "symmetrize": "symcheb",
+    "truncated_approximant": "symcheb",
+    "SymmetricSpec": "weightdeg",
+    "WeightDegreeReport": "weightdeg",
+    "approx_eq_y": "weightdeg",
+    "low_weight_approximant": "weightdeg",
+    "weight_lower_bound": "weightdeg",
+}
 
-__all__ = [
-    "AmplificationParams",
-    "ChebyshevExpansion",
-    "DualAndParams",
-    "DualAndWitness",
-    "DualWitness",
-    "ParityPoly",
-    "PropertyViolation",
-    "RampParams",
-    "RationalPoly",
-    "ShareSampler",
-    "SymmetricDistribution",
-    "SymmetricSpec",
-    "SymmetrizedTest",
-    "WeightDegreeReport",
-    "WeightVector",
-    "__version__",
-    "approx_degree",
-    "approx_eq_y",
-    "basis_convert",
-    "bounded_check",
-    "build_witness",
-    "cheb_T",
-    "circle_identity_check",
-    "consolidate_and",
-    "consolidation_bound",
-    "dual_distributions",
-    "epsilon_of",
-    "exact_weight_test",
-    "finite_n_ramp",
-    "indistinguishability_bound",
-    "kwise_indistinguishable",
-    "l2_tail_bound",
-    "low_weight_approximant",
-    "minimax_on_weight_grid",
-    "pair_with_witness",
-    "project_symmetric",
-    "ramp_advantage",
-    "sigma_inner",
-    "stat_distance_symmetric",
-    "symmetrize",
-    "truncated_approximant",
-    "verify_witness",
-    "walsh_hadamard",
-    "weight_lower_bound",
-    "weighted_anticoncentration_check",
-]
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def _register_lazy(short: str):
+    name = f"{__name__}.{short}"
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Bound as package attributes too, so ``from . import boolcube`` finds the
+# module without an import, which would read its __spec__ and load it.
+for _short in ("approxlab", "boolcube", "certify", "dualand", "errors", "ratpoly",
+               "serialize", "simplex", "symcheb", "weightdeg"):
+    globals()[_short] = _register_lazy(_short)
+del _short
+
+
+def __getattr__(name: str):
+    home = _EXPORTS.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(globals()[home], name)
+    return value

@@ -20,56 +20,8 @@ from fractions import Fraction
 
 import click
 
-from . import __version__
-from .approxlab import (
-    RampParams,
-    approx_degree,
-    consolidate_and,
-    finite_n_ramp,
-    l2_tail_bound,
-    ramp_advantage,
-    ramp_advantage_proof_constant,
-)
-from .boolcube import (
-    WeightVector,
-    kwise_indistinguishable,
-    project_symmetric,
-    stat_distance_symmetric,
-)
-from .dualand import (
-    DualAndParams,
-    ShareSampler,
-    build_witness,
-    epsilon_of,
-    verify_witness,
-)
-from .errors import InvalidInput, PropertyViolation
-from .serialize import (
-    dist_from_json,
-    dist_to_json,
-    load_json,
-    poly_to_json,
-    rat_to_str,
-    witness_to_json,
-    write_csv,
-    write_json,
-)
-from .symcheb import (
-    AmplificationParams,
-    bounded_check,
-    circle_identity_check,
-    exact_weight_test,
-    indistinguishability_bound,
-    reflection_check,
-    shifted_product_check,
-    truncated_approximant,
-)
-from .weightdeg import (
-    InfeasibleBudget,
-    SymmetricSpec,
-    low_weight_approximant,
-    weight_lower_bound,
-)
+from . import __version__, approxlab, boolcube, dualand, serialize, symcheb, weightdeg
+from .errors import InfeasibleBudget, InvalidInput, PropertyViolation
 
 EXIT_USAGE = 2
 EXIT_PROPERTY_VIOLATION = 3
@@ -113,7 +65,7 @@ def _emit(command: str, config: dict, result: dict, out: str | None, fmt: str,
     out = _resolve_out(out)
     if fmt == "json":
         if out:
-            write_json(out, payload)
+            serialize.write_json(out, payload)
             click.echo(out)
         else:
             click.echo(json.dumps(payload, indent=2, sort_keys=True))
@@ -123,7 +75,7 @@ def _emit(command: str, config: dict, result: dict, out: str | None, fmt: str,
                                "tool": "dualshare", "version": __version__},
                               sort_keys=True)]
     if out:
-        write_csv(out, header, rows)
+        serialize.write_csv(out, header, rows)
         click.echo(out)
     else:
         click.echo(meta[0])
@@ -217,31 +169,31 @@ def dual_and_cmd(n, weights, d_str, out, fmt):
     """Build the AND dual witness, verify it, and emit it as JSON."""
     d = _parse_rational(d_str)
     if weights:
-        w = WeightVector.of([_parse_rational(x) for x in weights.split(",")])
+        w = boolcube.WeightVector.of([_parse_rational(x) for x in weights.split(",")])
         if w.n != n:
             raise InvalidInput("weights length must equal n")
     else:
-        w = WeightVector.uniform(n)
-    params = DualAndParams(n, w, d)
-    wit = build_witness(params)
-    eps = epsilon_of(params)
-    report = verify_witness(wit.witness, d, w)
+        w = boolcube.WeightVector.uniform(n)
+    params = dualand.DualAndParams(n, w, d)
+    wit = dualand.build_witness(params)
+    eps = dualand.epsilon_of(params)
+    report = dualand.verify_witness(wit.witness, d, w)
     if not (report.pure_high_degree and report.l1_norm == 1
             and report.correlation == wit.epsilon == eps):
         raise PropertyViolation(
             f"witness conditions failed: pure={report.pure_high_degree}, "
             f"l1={report.l1_norm}, corr={report.correlation}, eps={eps}"
         )
-    config = {"n": n, "weights": [rat_to_str(x) for x in w.entries],
-              "d": rat_to_str(d)}
+    config = {"n": n, "weights": [serialize.rat_to_str(x) for x in w.entries],
+              "d": serialize.rat_to_str(d)}
     result = {
         "H_size": wit.H_size,
-        "Z": rat_to_str(wit.Z),
-        "epsilon": rat_to_str(wit.epsilon),
-        "correlation": rat_to_str(report.correlation),
-        "l1_norm": rat_to_str(report.l1_norm),
+        "Z": serialize.rat_to_str(wit.Z),
+        "epsilon": serialize.rat_to_str(wit.epsilon),
+        "correlation": serialize.rat_to_str(report.correlation),
+        "l1_norm": serialize.rat_to_str(report.l1_norm),
         "pure_high_degree_strictly_below_d": report.pure_high_degree,
-        "witness": witness_to_json(wit.witness),
+        "witness": serialize.witness_to_json(wit.witness),
     }
     _emit("dual-and", config, result, out, fmt)
 
@@ -255,7 +207,7 @@ def dual_and_cmd(n, weights, d_str, out, fmt):
 @common_options
 def sample_shares_cmd(witness_path, secret, count, seed, out, fmt):
     """Draw share vectors for a secret; CSV columns bit_1..bit_n hold +-1 values."""
-    doc = load_json(witness_path)
+    doc = serialize.load_json(witness_path)
     try:
         cfg = doc["config"]
         n, weights, d = cfg["n"], cfg["weights"], _parse_rational(cfg["d"])
@@ -265,9 +217,9 @@ def sample_shares_cmd(witness_path, secret, count, seed, out, fmt):
         raise InvalidInput(f"witness config n must be an integer, got {n!r}")
     if type(weights) is not list:
         raise InvalidInput(f"witness config weights must be a list, got {weights!r}")
-    w = WeightVector.of([_parse_rational(x) for x in weights])
-    wit = build_witness(DualAndParams(n, w, d))
-    sampler = ShareSampler(wit, 1 if secret == "+1" else -1, seed)
+    w = boolcube.WeightVector.of([_parse_rational(x) for x in weights])
+    wit = dualand.build_witness(dualand.DualAndParams(n, w, d))
+    sampler = dualand.ShareSampler(wit, 1 if secret == "+1" else -1, seed)
     rows = []
     for _ in range(count):
         bits = sampler.sample()
@@ -301,35 +253,35 @@ def symcheb_pw(n, big_k, w, check, trunc_k, eps, out, fmt):
     """Build the exact-weight test polynomial and optionally run a named check."""
     if check == "truncation" and trunc_k is None:
         raise InvalidInput("--check truncation needs --k")
-    test = exact_weight_test(n, big_k, w)
+    test = symcheb.exact_weight_test(n, big_k, w)
     expansion = test.cheb()
     result = {
-        "scale": rat_to_str(test.scale),
-        "zeros": [rat_to_str(z) for z in test.zeros],
-        "poly": poly_to_json(test.poly),
-        "cheb_half_coeffs": [rat_to_str(c) for c in expansion.half_coeffs],
-        "reflection_identity": reflection_check(test),
+        "scale": serialize.rat_to_str(test.scale),
+        "zeros": [serialize.rat_to_str(z) for z in test.zeros],
+        "poly": serialize.poly_to_json(test.poly),
+        "cheb_half_coeffs": [serialize.rat_to_str(c) for c in expansion.half_coeffs],
+        "reflection_identity": symcheb.reflection_check(test),
     }
     if check == "bounded":
-        result["grid_max_float"] = bounded_check(test)
+        result["grid_max_float"] = symcheb.bounded_check(test)
         result["bounded_by_2"] = True
     elif check == "truncation":
-        q, bound, err = truncated_approximant(test, trunc_k)
+        q, bound, err = symcheb.truncated_approximant(test, trunc_k)
         result.update({
             "k": trunc_k,
-            "q": poly_to_json(q),
+            "q": serialize.poly_to_json(q),
             "error_bound_float": bound,
             "certified_error_float": err,
         })
     elif check == "circle":
-        params = AmplificationParams.with_grid(_parse_rational(eps))
-        result["circle_max_rel_error_float"] = circle_identity_check(test, params)
+        params = symcheb.AmplificationParams.with_grid(_parse_rational(eps))
+        result["circle_max_rel_error_float"] = symcheb.circle_identity_check(test, params)
         if result["circle_max_rel_error_float"] >= 1e-8:
             raise PropertyViolation("circle-identity two-route discrepancy >= 1e-8")
     elif check == "product-cap":
         delta = _parse_rational(eps)
         grid = [Fraction(i, 500) for i in range(-500, 501)]
-        ok = shifted_product_check(test, delta, grid)
+        ok = symcheb.shifted_product_check(test, delta, grid)
         result["product_cap_holds"] = ok
         if not ok:
             raise PropertyViolation("shifted-product cap failed on the grid")
@@ -357,7 +309,7 @@ def _named_predicate(name: str, n: int) -> list[int]:
 def _load_predicate(f: str, n: int | None) -> tuple[int, list[int]]:
     if f.endswith(".json"):
         try:
-            doc = load_json(f)
+            doc = serialize.load_json(f)
         except OSError as exc:
             raise InvalidInput(f"cannot read predicate file {f!r}: {exc.strerror}") from exc
         try:
@@ -369,6 +321,9 @@ def _load_predicate(f: str, n: int | None) -> tuple[int, list[int]]:
                 raise InvalidInput(f"predicate file n and values must be integers, got {v!r}")
         if len(values) != n + 1:
             raise InvalidInput(f"predicate file has {len(values)} values for n={n}")
+        for v in values:
+            if v not in (0, 1):
+                raise InvalidInput(f"predicate file values must be 0 or 1, got {v!r}")
         return n, values
     if n is None:
         raise InvalidInput("--n is required for named predicates")
@@ -385,9 +340,10 @@ def approx_degree_cmd(f_name, n, eps, out, fmt):
     """Exact epsilon-approximate degree of a symmetric function via the LP."""
     n, values = _load_predicate(f_name, n)
     epsilon = _parse_rational(eps)
-    sol, _ = approx_degree(values, epsilon)
+    sol, _ = approxlab.approx_degree(values, epsilon)
     config = {"f": f_name, "n": n, "eps": eps}
-    result = {"approx_degree": sol.degree, "minimax_error_at_degree": rat_to_str(sol.epsilon)}
+    result = {"approx_degree": sol.degree,
+              "minimax_error_at_degree": serialize.rat_to_str(sol.epsilon)}
     _emit("approx-degree", config, result, out, fmt)
 
 
@@ -401,26 +357,26 @@ def ramp_cmd(k, big_k, n, finite, out, fmt):
     """The ramp reconstruction-advantage formulas, exact radicands included."""
     if finite and not n:
         raise InvalidInput("--finite needs --n")
-    params = RampParams(k, big_k, n or 0)
-    radicand, value = ramp_advantage(params)
-    proof_radicand, proof_value = ramp_advantage_proof_constant(params)
+    params = approxlab.RampParams(k, big_k, n or 0)
+    radicand, value = approxlab.ramp_advantage(params)
+    proof_radicand, proof_value = approxlab.ramp_advantage_proof_constant(params)
     result = {
-        "radicand": rat_to_str(radicand),
+        "radicand": serialize.rat_to_str(radicand),
         "value_float": value,
-        "proof_radicand": rat_to_str(proof_radicand),
+        "proof_radicand": serialize.rat_to_str(proof_radicand),
         "proof_value_float": proof_value,
-        "l2_tail_bound": rat_to_str(l2_tail_bound(big_k, k)),
+        "l2_tail_bound": serialize.rat_to_str(approxlab.l2_tail_bound(big_k, k)),
     }
     if finite:
-        mu, nu, advantage = finite_n_ramp(params)
+        mu, nu, advantage = approxlab.finite_n_ramp(params)
         result.update({
             "finite_n": n,
-            "mu": dist_to_json(mu),
-            "nu": dist_to_json(nu),
-            "advantage": rat_to_str(advantage),
+            "mu": serialize.dist_to_json(mu),
+            "nu": serialize.dist_to_json(nu),
+            "advantage": serialize.rat_to_str(advantage),
             "advantage_float": float(advantage),
             "advantage_over_limit_float": float(advantage) / value,
-            "kwise_indistinguishable": kwise_indistinguishable(mu, nu, k),
+            "kwise_indistinguishable": boolcube.kwise_indistinguishable(mu, nu, k),
         })
     config = {"k": k, "K": big_k, "n": n, "finite": finite}
     _emit("ramp", config, result, out, fmt)
@@ -440,32 +396,33 @@ def weight_bound_cmd(f_name, n, big_k, eps, construct, lower, out, fmt):
     epsilon = _parse_rational(eps)
     result: dict = {}
     if construct:
-        spec = SymmetricSpec(n, tuple(values))
-        poly, report = low_weight_approximant(spec, big_k, epsilon)
+        spec = weightdeg.SymmetricSpec(n, tuple(values))
+        poly, report = weightdeg.low_weight_approximant(spec, big_k, epsilon)
         result["construct"] = {
             "degree": report.degree,
-            "weight": rat_to_str(report.weight),
+            "weight": serialize.rat_to_str(report.weight),
             "weight_float": float(report.weight),
-            "certified_error": rat_to_str(report.error),
+            "certified_error": serialize.rat_to_str(report.error),
             "bound_exponent_float": report.bound_exponent,
             "k_f": spec.k_f,
         }
     if lower:
-        _, cert = approx_degree(values, epsilon)
+        _, cert = approxlab.approx_degree(values, epsilon)
         if cert is None:
             # a constant already meets eps: no certificate, and the floor is 0
             result["lower"] = {
                 "certificate_degree": None,
                 "certificate_error": None,
-                "weight_lower_bound": rat_to_str(0),
+                "weight_lower_bound": serialize.rat_to_str(0),
                 "weight_lower_bound_float": 0.0,
             }
         else:
-            bound = weight_lower_bound(cert, big_k, epsilon)
+            bound = weightdeg.weight_lower_bound(cert, big_k, epsilon)
             result["lower"] = {
                 "certificate_degree": cert.degree,
-                "certificate_error": rat_to_str(cert.epsilon),
-                "weight_lower_bound": "inf" if bound == math.inf else rat_to_str(bound),
+                "certificate_error": serialize.rat_to_str(cert.epsilon),
+                "weight_lower_bound": ("inf" if bound == math.inf
+                                       else serialize.rat_to_str(bound)),
                 "weight_lower_bound_float": float(bound) if bound != math.inf else None,
             }
     if construct and lower:
@@ -486,10 +443,10 @@ def weight_bound_cmd(f_name, n, big_k, eps, construct, lower, out, fmt):
 @common_options
 def consolidate_cmd(dist_path, t, out, fmt):
     """AND-consolidate blocks of t shares into single bits."""
-    d = dist_from_json(load_json(dist_path))
-    consolidated = consolidate_and(d, t)
+    d = serialize.dist_from_json(serialize.load_json(dist_path))
+    consolidated = approxlab.consolidate_and(d, t)
     config = {"dist": dist_path, "t": t}
-    _emit("consolidate", config, {"consolidated": dist_to_json(consolidated)},
+    _emit("consolidate", config, {"consolidated": serialize.dist_to_json(consolidated)},
           out, fmt)
 
 
@@ -503,27 +460,31 @@ def consolidate_cmd(dist_path, t, out, fmt):
 @common_options
 def indist_check_cmd(dist1, dist2, k, big_ks, out, fmt):
     """Verify perfect k-wise indistinguishability and the projected-distance bound."""
-    d1 = dist_from_json(load_json(dist1))
-    d2 = dist_from_json(load_json(dist2))
+    d1 = serialize.dist_from_json(serialize.load_json(dist1))
+    d2 = serialize.dist_from_json(serialize.load_json(dist2))
     if d1.n != d2.n:
         raise InvalidInput("distributions live on different n")
     n = d1.n
-    perfect = kwise_indistinguishable(d1, d2, k)
+    perfect = boolcube.kwise_indistinguishable(d1, d2, k)
     if not perfect:
         raise PropertyViolation(f"distributions are not perfectly {k}-wise indistinguishable")
-    if big_ks:
-        ks = [int(x) for x in big_ks.split(",")]
+    if big_ks is not None:
+        try:
+            ks = [int(x) for x in big_ks.split(",")]
+        except ValueError as exc:
+            raise InvalidInput(f"--K needs comma-separated integers, got {big_ks!r}") from exc
     else:
         ks = [K for K in range(k + 1, n // 64 + 1)]
     rows = []
     for K in ks:
         if not k < K <= n:
             raise InvalidInput(f"projection size {K} out of range")
-        dist = stat_distance_symmetric(project_symmetric(d1, K), project_symmetric(d2, K))
-        bound = indistinguishability_bound(k, K)
+        dist = boolcube.stat_distance_symmetric(boolcube.project_symmetric(d1, K),
+                                                boolcube.project_symmetric(d2, K))
+        bound = symcheb.indistinguishability_bound(k, K)
         rows.append({
             "K": K,
-            "projected_distance": rat_to_str(dist),
+            "projected_distance": serialize.rat_to_str(dist),
             "projected_distance_float": float(dist),
             "bound_float": bound,
             "within_bound": float(dist) <= bound,

@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+from fractions import Fraction
+
 
 class InvalidInput(ValueError):
     """An input outside the domain of a computation.
@@ -15,3 +17,11 @@ class PropertyViolation(Exception):
     Distinct from usage errors: the CLI maps this to exit code 3 so that CI can
     tell a regression in the math apart from a bad invocation.
     """
+
+
+class InfeasibleBudget(Exception):
+    """No block split meets the error target; carries the best error per split."""
+
+    def __init__(self, message: str, best_errors: dict[int, Fraction]):
+        super().__init__(message)
+        self.best_errors = best_errors

@@ -16,9 +16,8 @@ import tempfile
 from fractions import Fraction
 from typing import Any
 
-from .boolcube import DualWitness, SymmetricDistribution
+from . import boolcube, ratpoly
 from .errors import InvalidInput
-from .ratpoly import RationalPoly
 
 
 def rat_to_str(x) -> str:
@@ -30,27 +29,27 @@ def rat_from_str(s: str) -> Fraction:
     return Fraction(s)
 
 
-def poly_to_json(p: RationalPoly) -> list[str]:
+def poly_to_json(p: ratpoly.RationalPoly) -> list[str]:
     return [rat_to_str(c) for c in p.coeffs]
 
 
-def poly_from_json(coeffs: list[str]) -> RationalPoly:
-    return RationalPoly.from_coeffs(Fraction(c) for c in coeffs)
+def poly_from_json(coeffs: list[str]) -> ratpoly.RationalPoly:
+    return ratpoly.RationalPoly.from_coeffs(Fraction(c) for c in coeffs)
 
 
-def dist_to_json(d: SymmetricDistribution) -> dict:
+def dist_to_json(d: boolcube.SymmetricDistribution) -> dict:
     return {"n": d.n, "weight_probs": [rat_to_str(p) for p in d.weight_probs]}
 
 
-def dist_from_json(obj: dict) -> SymmetricDistribution:
+def dist_from_json(obj: dict) -> boolcube.SymmetricDistribution:
     try:
         probs = [Fraction(p) for p in obj["weight_probs"]]
-        return SymmetricDistribution.of(obj["n"], probs)
+        return boolcube.SymmetricDistribution.of(obj["n"], probs)
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise InvalidInput(f"malformed distribution (n, weight_probs): {exc!r}") from exc
 
 
-def witness_to_json(w: DualWitness) -> dict:
+def witness_to_json(w: boolcube.DualWitness) -> dict:
     out = {
         "n": w.n,
         "representation": w.representation,
@@ -61,8 +60,8 @@ def witness_to_json(w: DualWitness) -> dict:
     return out
 
 
-def witness_from_json(obj: dict) -> DualWitness:
-    return DualWitness(
+def witness_from_json(obj: dict) -> boolcube.DualWitness:
+    return boolcube.DualWitness(
         n=obj["n"],
         values=tuple(Fraction(v) for v in obj["values"]),
         representation=obj.get("representation", "cube"),

@@ -34,18 +34,10 @@ from math import comb, lcm
 
 from .approxlab import grid_n, symmetric_witness
 from .boolcube import ParityPoly, bits_to_mask, kravchuk, pair_with_witness
-from .errors import InvalidInput, PropertyViolation
+from .errors import InfeasibleBudget, InvalidInput, PropertyViolation
 from .simplex import MinimaxSolution, solve_linf_fit, solve_minimax
 
 _TERM_CAP = 1 << 21
-
-
-class InfeasibleBudget(Exception):
-    """No block split meets the error target; carries the best error per split."""
-
-    def __init__(self, message: str, best_errors: dict[int, Fraction]):
-        super().__init__(message)
-        self.best_errors = best_errors
 
 
 @dataclass(frozen=True)

@@ -284,7 +284,7 @@ class TestWeightBound:
 
     def test_infinite_floor_beside_a_construction_exits_3(self, runner, monkeypatch):
         # "no weight suffices" contradicts a constructed approximant
-        monkeypatch.setattr("dualshare.cli.weight_lower_bound", lambda *args: math.inf)
+        monkeypatch.setattr("dualshare.weightdeg.weight_lower_bound", lambda *args: math.inf)
         result = runner.invoke(cli, ["weight-bound", "--f", "and", "--n", "8", "--K", "4"])
         assert result.exit_code == 3
         lines = result.output.strip().splitlines()
@@ -393,6 +393,7 @@ _INPUT_FILES = {
     "pred-n-true.json": {"n": True, "values": [0, 1]},
     "pred-values-mixed.json": {"n": 3, "values": [0, 1, True, 0.5]},
     "pred-values-str.json": {"n": 3, "values": "0001"},
+    "pred-values-not-01.json": {"n": 3, "values": [0, 5, -2, 1]},
     "wit-float-bool.json": {"config": {"n": 2, "weights": [0.1, True], "d": 0.1}},
     "wit-weights-float.json": {"config": {"n": 2, "weights": [0.5, 1], "d": "1"}},
     "wit-weights-true.json": {"config": {"n": 2, "weights": ["1", True], "d": "1"}},
@@ -476,6 +477,11 @@ _SAMPLE_RUN = ["sample-shares", "--witness", "wit-ok.json", "--secret", "+1"]
         *[["sample-shares", "--witness", f"wit-{name}.json", "--secret", "+1"]
           for name in ("float-bool", "weights-float", "weights-true", "weights-str",
                        "d-float", "d-int")],
+        # predicate-file values other than 0 and 1
+        ["approx-degree", "--f", "pred-values-not-01.json"],
+        # an empty or non-integer --K is not the default projection set
+        *[["indist-check", "--dist1", "dist-ok.json", "--dist2", "dist-ok.json", "--k", "1",
+           "--K", big_ks] for big_ks in ("", "2,", "x")],
     ],
 )
 def test_invalid_input_exits_2_with_one_line(runner, tmp_path, monkeypatch, args):

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from dualshare.approxlab import approx_degree, minimax_on_weight_grid, symmetric_witness
 from dualshare.boolcube import ParityPoly
-from dualshare.errors import InvalidInput
+from dualshare.errors import InfeasibleBudget, InvalidInput
 from dualshare.simplex import solve_lp, solve_minimax
 from dualshare.weightdeg import (
-    InfeasibleBudget,
     SymmetricSpec,
     _aggregate_design,
     _divisors,
