@@ -1,12 +1,16 @@
 """Exact sign decisions (Sturm sequences) and certified sup norms.
 
-Everything here is rational arithmetic; floating point only appears in the
-convenience estimates returned alongside the certified bounds.  The central
-primitive is ``poly_nonneg_on``: an exact decision procedure for
-``p(t) >= 0 for all t in [lo, hi]``.  ``abs_bounded_on`` decides |p| <= B as
-the pair B - p >= 0 and B + p >= 0, both of the degree of p (the equivalent
-B^2 - p^2 >= 0 has twice that degree), and sup-norm certification is
-bisection on B over that decision.
+Every decision runs on integers: a polynomial enters as its numerators over
+one positive denominator, its Sturm chain is the primitive pseudo-remainder
+sequence (Collins 1967), each remainder scaled by the positive
+|lc|^(delta+1) so no sign changes, and a sign at a rational a/b is read by
+homogeneous Horner.  Floating point only appears in the convenience
+estimates returned alongside the certified bounds.  The central primitive
+is ``poly_nonneg_on``: an exact decision procedure for ``p(t) >= 0 for all t
+in [lo, hi]``.  ``abs_bounded_on`` decides |p| <= B as the pair B - p >= 0
+and B + p >= 0, both of the degree of p (the equivalent B^2 - p^2 >= 0 has
+twice that degree), and sup-norm certification is bisection on B over that
+decision.
 """
 
 from __future__ import annotations
@@ -14,88 +18,109 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .ratpoly import RationalPoly
+from .errors import PropertyViolation
+from .ratpoly import RationalPoly, _scaled_values
 
 
-def _primitive(p: RationalPoly) -> RationalPoly:
-    """Scale by a positive rational so coefficients are coprime integers."""
-    if p.is_zero():
-        return p
-    nums, _ = p._integer_form
-    g = gcd(*nums)
-    return RationalPoly.from_coeffs(v // g for v in nums)
+def _primitive(cs: list[int]) -> list[int]:
+    """Divide by the content, which is positive, so every sign stays."""
+    g = gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
 
 
-def poly_divmod(a: RationalPoly, b: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    quo = [Fraction(0)] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
-    db, lead = b.degree, b.coeffs[-1]
-    while len(rem) - 1 >= db and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        shift = len(rem) - 1 - db
-        q = rem[-1] / lead
-        quo[shift] = q
-        for i, c in enumerate(b.coeffs):
-            rem[shift + i] -= q * c
+def _derivative(cs: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(cs) if i]
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of |lc(b)|^(deg a - deg b + 1) a by b, a positive
+    multiple of the rational remainder of a by b."""
+    rem, scale, sign = list(a), abs(b[-1]), 1 if b[-1] > 0 else -1
+    for shift in range(len(a) - len(b), -1, -1):
+        # |lc(b)| rem - sign(lc(b)) top t^shift b cancels the top coefficient
+        top = sign * rem.pop()
+        rem = [scale * c for c in rem]
+        for i, c in enumerate(b[:-1]):
+            rem[shift + i] -= top * c
+    while rem and not rem[-1]:
         rem.pop()
-    return RationalPoly.from_coeffs(quo), RationalPoly.from_coeffs(rem)
+    return rem
 
 
-def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    while not b.is_zero():
-        a, b = b, poly_divmod(a, b)[1]
-        b = _primitive(b)
+def _exact_quo(a: list[int], b: list[int]) -> list[int]:
+    """The quotient a / b, which must be an integer polynomial with no remainder."""
+    rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        # an inexact step leaves its top coefficient nonzero
+        quo[shift] = q = rem[shift + len(b) - 1] // b[-1]
+        for i, c in enumerate(b):
+            rem[shift + i] -= q * c
+    if any(rem):
+        raise PropertyViolation("integer polynomial division left a remainder")
+    return quo
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd, by the primitive pseudo-remainder sequence."""
+    while b:
+        a, b = b, _primitive(_prem(a, b))
     return _primitive(a)
 
 
-def _odd_part(p: RationalPoly) -> RationalPoly:
-    """Squarefree product of the factors of odd multiplicity in ``p`` (up to a
-    constant), from the gcd chain p_0 = p, p_{k+1} = gcd(p_k, p_k'): the
-    quotient s_k = p_k / p_{k+1} collects the factors of multiplicity above
-    k, so s_0 s_2 ... / (s_1 s_3 ...) keeps each factor to its multiplicity
-    mod 2 (Yun's square-free decomposition)."""
-    num = den = RationalPoly.of(1)
-    k = 0
-    while p.degree > 0:
-        nxt = poly_gcd(p, p.derivative())
-        s = poly_divmod(p, nxt)[0]
+def _odd_part(p: list[int]) -> list[int]:
+    """Squarefree product of the factors of odd multiplicity in the primitive
+    ``p`` (up to a positive constant), from the gcd chain p_0 = p, p_{k+1} =
+    gcd(p_k, p_k'): the quotient s_k = p_k / p_{k+1} collects the factors of
+    multiplicity above k, so s_0 s_2 ... / (s_1 s_3 ...) keeps each factor to
+    its multiplicity mod 2 (Yun's square-free decomposition).  Every
+    quotient is of primitive integer polynomials, so by Gauss's lemma it is
+    exact in integers."""
+    num, den, k = [1], [1], 0
+    while len(p) > 1:
+        nxt = _gcd(p, _derivative(p))
+        s = _exact_quo(p, nxt)
         if k % 2:
-            den = den * s
+            den = _mul(den, s)
         else:
-            num = num * s
+            num = _mul(num, s)
         p, k = nxt, k + 1
-    return _primitive(poly_divmod(num, den)[0])
+    return _primitive(_exact_quo(num, den))
 
 
-def sturm_chain(q: RationalPoly) -> list[RationalPoly]:
-    """Sturm chain of a squarefree polynomial (primitive-part normalised)."""
-    chain = [q, _primitive(q.derivative())]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        rem = poly_divmod(chain[-2], chain[-1])[1]
-        chain.append(_primitive(-rem))
-    if chain[-1].is_zero():
+def _grid(lo: Fraction, hi: Fraction, steps: int) -> tuple[list[int], int]:
+    """The points lo + (hi - lo) j / steps, j = 0..steps, as integer
+    numerators over one positive denominator."""
+    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    den = lo.denominator * hi.denominator * steps
+    return [a * (steps - j) + b * j for j in range(steps + 1)], den
+
+
+def sturm_chain(q: RationalPoly) -> list[list[int]]:
+    """Sturm chain of a squarefree polynomial, as primitive integer
+    coefficient lists: q, q', then the negated primitive pseudo-remainders."""
+    chain = [_primitive(list(q._integer_form[0]))]
+    chain.append(_primitive(_derivative(chain[0])))
+    while len(chain[-1]) > 1:
+        chain.append(_primitive([-c for c in _prem(chain[-2], chain[-1])]))
+    if not chain[-1]:
         chain.pop()
     return chain
 
 
-def _sign_changes(chain: list[RationalPoly], x: Fraction) -> int:
-    prev, count = 0, 0
-    for f in chain:
-        v = f(x)
-        s = (v > 0) - (v < 0)
-        if s != 0:
-            if prev != 0 and s != prev:
-                count += 1
-            prev = s
-    return count
+def _sign_changes(chain: list[list[int]], x: Fraction) -> int:
+    signs = [v > 0 for f in chain for v in _scaled_values(f, (x.numerator,), x.denominator) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def count_roots_open(chain: list[RationalPoly], a: Fraction, b: Fraction) -> int:
+def count_roots_open(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
     """Distinct roots in (a, b); requires chain[0](a) != 0 != chain[0](b)."""
     return _sign_changes(chain, a) - _sign_changes(chain, b)
 
@@ -111,15 +136,15 @@ def poly_nonneg_on(p: RationalPoly, lo, hi) -> bool:
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    o = _odd_part(p)
+    nums = list(p._integer_form[0])
+    o = _odd_part(_primitive(nums))
     for r in (lo, hi):
-        if o(r) == 0:
-            o = _primitive(poly_divmod(o, RationalPoly.of(-r, 1))[0])
-    if count_roots_open(sturm_chain(o), lo, hi):
+        if not any(_scaled_values(o, (r.numerator,), r.denominator)):
+            o = _primitive(_exact_quo(o, [-r.numerator, r.denominator]))
+    if count_roots_open(sturm_chain(RationalPoly.from_coeffs(o)), lo, hi):
         return False
-    steps = p.degree + 2
-    for j in range(1, steps):
-        v = p(lo + (hi - lo) * Fraction(j, steps))
+    xs, den = _grid(lo, hi, p.degree + 2)
+    for v in _scaled_values(nums, xs[1:-1], den):
         if v:
             return v > 0
     return True  # p = 0, or lo == hi and p(lo) = 0
@@ -155,9 +180,11 @@ def sup_norm_certified(
     def certifies(bound: Fraction) -> bool:
         return abs_bounded_on(p, bound, lo, hi)
 
-    attained = max(
-        abs(p(lo + (hi - lo) * Fraction(i, grid))) for i in range(grid + 1)
-    )
+    # over the grid's one denominator c, every value of p = P / D is an
+    # integer over D c^deg p
+    nums, den = p._integer_form
+    xs, c = _grid(lo, hi, grid)
+    attained = Fraction(max(map(abs, _scaled_values(nums, xs, c))), den * c ** p.degree)
     if certifies(attained):
         return attained, attained
     # grow until certified, then bisect back down

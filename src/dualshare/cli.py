@@ -251,8 +251,12 @@ def symcheb_group():
 @common_options
 def symcheb_pw(n, big_k, w, check, trunc_k, eps, out, fmt):
     """Build the exact-weight test polynomial and optionally run a named check."""
-    if check == "truncation" and trunc_k is None:
-        raise InvalidInput("--check truncation needs --k")
+    if check == "truncation":
+        if trunc_k is None:
+            raise InvalidInput("--check truncation needs --k")
+        if big_k < 1 or trunc_k < 0:
+            raise InvalidInput(f"--check truncation needs --K >= 1 and --k >= 0, "
+                               f"got K={big_k}, k={trunc_k}")
     test = symcheb.exact_weight_test(n, big_k, w)
     expansion = test.cheb()
     result = {

@@ -25,13 +25,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PropertyViolation
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _scaled_values(coeffs: Sequence[int], xs: Iterable[int], den: int) -> Iterator[int]:
+    """den^d p(x / den) for each x in xs, p = sum coeffs[i] t^i of degree d,
+    by Horner on the integer coefficients scaled by den^(d - i).  For den > 0
+    each value has the sign of p(x / den)."""
+    scaled, power = [], 1
+    for c in reversed(coeffs):
+        scaled.append(c * power)
+        power *= den
+    for x in xs:
+        acc = 0
+        for c in scaled:
+            acc = acc * x + c
+        yield acc
 
 
 @dataclass(frozen=True)
@@ -107,12 +122,8 @@ class RationalPoly:
         if not nums:
             return Fraction(0)
         t = _frac(t)
-        a, b = t.numerator, t.denominator
-        acc, b_pow = nums[-1], 1
-        for c in reversed(nums[:-1]):
-            b_pow *= b
-            acc = acc * a + c * b_pow
-        return Fraction(acc, den * b_pow)
+        (value,) = _scaled_values(nums, (t.numerator,), t.denominator)
+        return Fraction(value, den * t.denominator ** self.degree)
 
     def eval_float(self, t: float) -> float:
         acc = 0.0

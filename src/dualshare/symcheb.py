@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .boolcube import weight_averages
-from .certify import abs_bounded_on, sup_norm_certified
+from . import boolcube, certify
 from .errors import InvalidInput, PropertyViolation
 from .ratpoly import (
     ChebyshevExpansion,
     RationalPoly,
+    _scaled_values,
     cheb_transform_factored,
     generating_poly,
 )
@@ -43,29 +43,54 @@ def hypergeom_prob(n: int, K: int, w: int, h: int) -> Fraction:
     return Fraction(comb(K, w) * comb(n - K, h - w), comb(n, h))
 
 
-def hypergeom_row(n: int, K: int, w: int) -> tuple[Fraction, ...]:
-    """``hypergeom_prob(n, K, w, h)`` for h = 0..n, from the exact binomial
+def _hypergeom_pairs(n: int, K: int, w: int) -> list[tuple[int, int]]:
+    """(C(K, w) C(n-K, h-w), C(n, h)) for h = 0..n, from the exact binomial
     recurrences C(m, j) = C(m, j - 1) (m - j + 1) / j."""
     if not 0 <= w <= K <= n:
         raise ValueError("need 0 <= w <= K <= n")
     lead = comb(K, w)
-    row = []
+    pairs = []
     c_all, c_rest = 1, 0  # C(n, h) and C(n - K, h - w)
     for h in range(n + 1):
         if h == w:
             c_rest = 1
         elif h > w:
             c_rest = c_rest * (n - K - (h - 1 - w)) // (h - w)
-        row.append(Fraction(lead * c_rest, c_all))
+        pairs.append((lead * c_rest, c_all))
         c_all = c_all * (n - h) // (h + 1)
-    return tuple(row)
+    return pairs
+
+
+def hypergeom_row(n: int, K: int, w: int) -> tuple[Fraction, ...]:
+    """``hypergeom_prob(n, K, w, h)`` for h = 0..n."""
+    return tuple(Fraction(a, b) for a, b in _hypergeom_pairs(n, K, w))
+
+
+def _check_grid_size(n: int) -> None:
+    if n < 1:
+        raise InvalidInput(f"the weight grid needs n >= 1, got n={n}")
 
 
 def weight_grid(n: int) -> tuple[Fraction, ...]:
     """t_h = 1 - 2h/n for h = 0..n (descending from 1 to -1); needs n >= 1."""
-    if n < 1:
-        raise InvalidInput(f"the weight grid needs n >= 1, got n={n}")
+    _check_grid_size(n)
     return tuple(Fraction(n - 2 * h, n) for h in range(n + 1))
+
+
+def _grid_mismatch(p: RationalPoly, n: int, pairs: list[tuple[int, int]]) -> int | None:
+    """The first h at which p(t_h) differs from a_h / b_h, (a_h, b_h) = pairs[h],
+    or None if there is none.
+
+    For p = sum P_i t^i / D of degree d and t_h = (n - 2h)/n, p(t_h) = a_h / b_h
+    exactly when b_h n^d P(t_h) = a_h D n^d: integers only.
+    """
+    nums, den = p._integer_form
+    target = den * n ** p.degree
+    values = _scaled_values(nums, (n - 2 * h for h in range(n + 1)), n)
+    for h, (v, (a, b)) in enumerate(zip(values, pairs)):
+        if v * b != a * target:
+            return h
+    return None
 
 
 def symmetrize(f, n: int) -> RationalPoly:
@@ -76,7 +101,7 @@ def symmetrize(f, n: int) -> RationalPoly:
     values; the result automatically has degree at most the total degree
     of f.
     """
-    return RationalPoly.interpolate(weight_grid(n), weight_averages(f, n))
+    return RationalPoly.interpolate(weight_grid(n), boolcube.weight_averages(f, n))
 
 
 @dataclass(frozen=True)
@@ -107,22 +132,24 @@ class SymmetrizedTest:
 
 def exact_weight_test(n: int, K: int, w: int) -> SymmetrizedTest:
     """Construct p_w from its zero set and certify it at every grid point."""
-    grid = weight_grid(n)
-    row = hypergeom_row(n, K, w)
-    zeros = tuple(-t for t in grid[: K - w]) + grid[:w]
-    anchor_h = w  # hypergeometric value C(K,w)/C(n,w) is never zero there
+    _check_grid_size(n)
+    pairs = _hypergeom_pairs(n, K, w)
+    # t_h = (n - 2h)/n: p_w vanishes at -t_h for h < K - w and at t_h for h < w
+    zeros = (tuple(Fraction(2 * h - n, n) for h in range(K - w))
+             + tuple(Fraction(n - 2 * h, n) for h in range(w)))
     monic = RationalPoly.from_roots(zeros)
-    denom = monic(grid[anchor_h])
+    # the hypergeometric value C(K,w)/C(n,w) at h = w is never zero
+    denom = monic(Fraction(n - 2 * w, n))
     if denom == 0:
         raise PropertyViolation("anchor point collided with a zero of p_w")
-    scale = row[anchor_h] / denom
+    scale = Fraction(*pairs[w]) / denom
     poly = scale * monic
-    for h, (t, expected) in enumerate(zip(grid, row)):
-        if poly(t) != expected:
-            raise PropertyViolation(
-                f"product form disagrees with the hypergeometric value at h={h} "
-                f"(n={n}, K={K}, w={w})"
-            )
+    h = _grid_mismatch(poly, n, pairs)
+    if h is not None:
+        raise PropertyViolation(
+            f"product form disagrees with the hypergeometric value at h={h} "
+            f"(n={n}, K={K}, w={w})"
+        )
     return SymmetrizedTest(n=n, K=K, w=w, scale=scale, zeros=zeros, poly=poly)
 
 
@@ -132,14 +159,14 @@ def reflection_check(test: SymmetrizedTest) -> bool:
     Under t = 1 - 2h/n, complementing the string swaps w with K - w and sends
     t to -t; this is the reflection that holds exactly (the (1-t) variant does
     not, see the repository notes), and it is checked both coefficientwise and
-    on the full grid.
+    on the full grid, where p_{K-w}(-t_h) must equal the hypergeometric value
+    that ``exact_weight_test`` certified p_w(t_h) against.
     """
     partner = exact_weight_test(test.n, test.K, test.K - test.w)
-    if test.poly != partner.poly.reflect():
+    mirrored = partner.poly.reflect()
+    if test.poly != mirrored:
         return False
-    return all(
-        test.poly(t) == partner.poly(-t) for t in weight_grid(test.n)
-    )
+    return _grid_mismatch(mirrored, test.n, _hypergeom_pairs(test.n, test.K, test.w)) is None
 
 
 def bounded_check(test: SymmetrizedTest, grid_size: int = 2048) -> float:
@@ -160,7 +187,7 @@ def bounded_check(test: SymmetrizedTest, grid_size: int = 2048) -> float:
     grid_max = max(
         abs(p.eval_float(-1.0 + 2.0 * i / grid_size)) for i in range(grid_size + 1)
     )
-    if not abs_bounded_on(p, 2, -1, 1):
+    if not certify.abs_bounded_on(p, 2, -1, 1):
         raise PropertyViolation(
             f"|p_w| exceeds 2 on [-1,1] for (n,K,w)=({test.n},{test.K},{test.w})"
         )
@@ -193,7 +220,7 @@ def truncated_approximant(
     bound = truncation_error_bound(test.K, k)
     if diff.is_zero():
         return q, bound, 0.0
-    _, upper = sup_norm_certified(diff, -1, 1)
+    _, upper = certify.sup_norm_certified(diff, -1, 1)
     if upper > Fraction(bound):
         raise PropertyViolation(
             f"certified truncation error {float(upper)} exceeds the bound {bound} "
@@ -233,12 +260,18 @@ def shifted_square(s, z, delta) -> Fraction:
 
 
 def _eval_abs_squared_exact(g: RationalPoly, re: float, im: float) -> Fraction:
-    """|g(re + i im)|^2 with the float input taken as an exact rational pair."""
-    re, im = Fraction(re), Fraction(im)
-    acc_re, acc_im = Fraction(0), Fraction(0)
-    for c in reversed(g.coeffs):
-        acc_re, acc_im = acc_re * re - acc_im * im + c, acc_re * im + acc_im * re
-    return acc_re * acc_re + acc_im * acc_im
+    """|g(re + i im)|^2 with the float input taken as an exact rational pair:
+    over one power of two L, z = (x + i y) / L, and for g = G / D of degree d,
+    L^d G(z) is a Gaussian integer, summed by homogeneous Horner."""
+    (x, x_den), (y, y_den) = re.as_integer_ratio(), im.as_integer_ratio()
+    big_l = max(x_den, y_den)
+    x, y = x * (big_l // x_den), y * (big_l // y_den)
+    nums, den = g._integer_form
+    acc_re, acc_im, l_pow = nums[-1], 0, 1
+    for c in reversed(nums[:-1]):
+        l_pow *= big_l
+        acc_re, acc_im = acc_re * x - acc_im * y + c * l_pow, acc_re * y + acc_im * x
+    return Fraction(acc_re * acc_re + acc_im * acc_im, (den * l_pow) ** 2)
 
 
 def circle_identity_check(test: SymmetrizedTest, params: AmplificationParams) -> float:

@@ -30,6 +30,14 @@ package.  ``solve_lp_fraction`` is the ``Fraction`` tableau it replaced (the
 same two phases and Bland pivots, no audit), and
 ``aggregate_design_fraction`` builds the aggregate design column by column
 from ``Fraction`` unit vectors through ``weightdeg``'s ``Fraction`` helpers.
+
+The Sturm decisions of ``certify`` run on integers in the package.  The
+``Fraction`` routes they replaced stay here: ``poly_divmod`` (rational long
+division), ``poly_gcd``, ``odd_part_fraction`` (Yun's odd part through
+rational quotients), ``sturm_chain_fraction`` (the rational remainder
+sequence with primitive parts) and ``poly_nonneg_on_fraction``, which reads
+every sign through ``RationalPoly.__call__``.  ``circle_abs_squared_fraction``
+is the ``Fraction`` form of ``symcheb``'s exact circle refinement.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from dualshare.boolcube import DualWitness, WeightVector
@@ -314,3 +322,107 @@ def aggregate_design_fraction(n: int, ell: int, s: int, d_out: int, kappa) -> li
         ]
         for h in range(n + 1)
     ]
+
+
+def _primitive_fraction(p: RationalPoly) -> RationalPoly:
+    """Scale by a positive rational so coefficients are coprime integers."""
+    if p.is_zero():
+        return p
+    den = lcm(*(c.denominator for c in p.coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = gcd(*nums)
+    return RationalPoly.from_coeffs(v // g for v in nums)
+
+
+def poly_divmod(a: RationalPoly, b: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
+    """Quotient and remainder of rational long division."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    quo = [Fraction(0)] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
+    db, lead = b.degree, b.coeffs[-1]
+    while len(rem) - 1 >= db and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < db:
+            break
+        shift = len(rem) - 1 - db
+        q = rem[-1] / lead
+        quo[shift] = q
+        for i, c in enumerate(b.coeffs):
+            rem[shift + i] -= q * c
+        rem.pop()
+    return RationalPoly.from_coeffs(quo), RationalPoly.from_coeffs(rem)
+
+
+def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
+    while not b.is_zero():
+        a, b = b, _primitive_fraction(poly_divmod(a, b)[1])
+    return _primitive_fraction(a)
+
+
+def odd_part_fraction(p: RationalPoly) -> RationalPoly:
+    """Yun's odd part s_0 s_2 ... / (s_1 s_3 ...), s_k = p_k / gcd(p_k, p_k'),
+    through rational quotients."""
+    num = den = RationalPoly.of(1)
+    k = 0
+    while p.degree > 0:
+        nxt = poly_gcd(p, p.derivative())
+        s = poly_divmod(p, nxt)[0]
+        if k % 2:
+            den = den * s
+        else:
+            num = num * s
+        p, k = nxt, k + 1
+    return _primitive_fraction(poly_divmod(num, den)[0])
+
+
+def sturm_chain_fraction(q: RationalPoly) -> list[RationalPoly]:
+    """Sturm chain by rational remainders, each negated and made primitive."""
+    chain = [q, _primitive_fraction(q.derivative())]
+    while not chain[-1].is_zero() and chain[-1].degree > 0:
+        chain.append(_primitive_fraction(-poly_divmod(chain[-2], chain[-1])[1]))
+    if chain[-1].is_zero():
+        chain.pop()
+    return chain
+
+
+def _sign_changes_fraction(chain: list[RationalPoly], x: Fraction) -> int:
+    prev, count = 0, 0
+    for f in chain:
+        v = f(x)
+        s = (v > 0) - (v < 0)
+        if s != 0:
+            if prev != 0 and s != prev:
+                count += 1
+            prev = s
+    return count
+
+
+def poly_nonneg_on_fraction(p: RationalPoly, lo, hi) -> bool:
+    """``certify.poly_nonneg_on`` with every quotient and sign taken in ``Fraction``s."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise ValueError("empty interval")
+    o = odd_part_fraction(p)
+    for r in (lo, hi):
+        if o(r) == 0:
+            o = _primitive_fraction(poly_divmod(o, RationalPoly.of(-r, 1))[0])
+    chain = sturm_chain_fraction(o)
+    if _sign_changes_fraction(chain, lo) - _sign_changes_fraction(chain, hi):
+        return False
+    steps = p.degree + 2
+    for j in range(1, steps):
+        v = p(lo + (hi - lo) * Fraction(j, steps))
+        if v:
+            return v > 0
+    return True
+
+
+def circle_abs_squared_fraction(g: RationalPoly, re: float, im: float) -> Fraction:
+    """|g(re + i im)|^2 by complex Horner on ``Fraction`` pairs."""
+    re, im = Fraction(re), Fraction(im)
+    acc_re, acc_im = Fraction(0), Fraction(0)
+    for c in reversed(g.coeffs):
+        acc_re, acc_im = acc_re * re - acc_im * im + c, acc_re * im + acc_im * re
+    return acc_re * acc_re + acc_im * acc_im

@@ -9,14 +9,19 @@ from hypothesis import strategies as st
 from dualshare import certify
 from dualshare.certify import (
     abs_bounded_on,
-    poly_divmod,
-    poly_gcd,
     poly_nonneg_on,
     sup_norm_certified,
     sturm_chain,
 )
 from dualshare.ratpoly import RationalPoly
 from dualshare.symcheb import exact_weight_test
+from oracles import (
+    odd_part_fraction,
+    poly_divmod,
+    poly_gcd,
+    poly_nonneg_on_fraction,
+    sturm_chain_fraction,
+)
 
 
 def test_divmod_and_gcd():
@@ -99,6 +104,33 @@ def test_nonneg_matches_the_known_factorisation(instance):
     assert poly_nonneg_on(p, hi, hi) is (_factored_sign(scale, roots, quad, hi) >= 0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_factored_instances(), st.sampled_from(["interval", "interval", "point", "zero"]))
+def test_nonneg_decides_as_the_fraction_oracle(instance, shape):
+    scale, roots, quad, lo, hi = instance
+    p = RationalPoly() if shape == "zero" else _expand(scale, roots, quad)
+    if shape == "point":
+        lo = hi
+    assert poly_nonneg_on(p, lo, hi) is poly_nonneg_on_fraction(p, lo, hi)
+    # the primitive pseudo-remainder chain is the rational chain, made primitive
+    q = odd_part_fraction(p)
+    assert sturm_chain(q) == [list(f.coeffs) for f in sturm_chain_fraction(q)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=3, max_size=7),
+    st.sampled_from([1, -1, 2]),
+    st.sampled_from([(-1, 1), (-3, 2), (0, 3), (Fraction(-1, 2), Fraction(5, 3))]),
+)
+def test_nonneg_on_sparse_polynomials_decides_as_the_fraction_oracle(low, lead, interval):
+    # gaps in the coefficients make remainders drop several degrees at once,
+    # where the sign of the pseudo-remainder scaling |lc|^(delta + 1) matters
+    p = RationalPoly.from_coeffs([*low, lead])
+    lo, hi = interval
+    assert poly_nonneg_on(p, lo, hi) is poly_nonneg_on_fraction(p, lo, hi)
+
+
 @pytest.mark.parametrize(
     "p, lo, hi, expected",
     [
@@ -113,6 +145,10 @@ def test_nonneg_matches_the_known_factorisation(instance):
         # the same roots with odd multiplicity
         (RationalPoly.from_roots([Fraction(1, 2)] * 3), 0, 1, False),
         (RationalPoly.of(Fraction(-1, 2), 0, 1) ** 3, -1, 1, False),
+        # sparse polynomials whose remainder sequence skips degrees
+        (RationalPoly.of(2, -1, 0, 0, 1), -1, 3, True),
+        (RationalPoly.of(-1, 1, 0, 0, 2), -2, 3, False),
+        (RationalPoly.of(2, -1, 0, -1, 0, 0, 2), 0, 2, True),
     ],
 )
 def test_nonneg_endpoint_and_multiple_roots(p, lo, hi, expected):
@@ -205,6 +241,20 @@ def test_sturm_chain_counts():
 def _truncation_error(n, K, w, k):
     test = exact_weight_test(n, K, w)
     return test.poly - test.cheb().truncate(k)
+
+
+@pytest.mark.parametrize(
+    "n, K, w, k",
+    # every truncation the trunc-cert benchmark workload certifies
+    [(640, 10, 2, 5), (640, 10, 2, 6), (640, 10, 8, 5), (640, 10, 8, 6),
+     (512, 8, 2, 4), (512, 8, 6, 4)],
+)
+def test_sup_norm_matches_the_fraction_oracle_on_the_truncation_ladder(monkeypatch, n, K, w, k):
+    p = _truncation_error(n, K, w, k)
+    fast = sup_norm_certified(p, -1, 1)
+    monkeypatch.setattr(certify, "poly_nonneg_on", poly_nonneg_on_fraction)
+    assert sup_norm_certified(p, -1, 1) == fast
+    assert fast[0] == max(abs(p(Fraction(i - 128, 128))) for i in range(257))
 
 
 def squared_decision(p, bound, lo, hi):

@@ -113,8 +113,9 @@ _WEIGHTS_10 = "1/2,3/4,1,5/4,3/2,1/2,3/4,1,5/4,3/2"
 
 
 class TestOutputBytesPinned:
-    """SHA-256 of stdout, taken before the witness path and the LP behind
-    ``weight-bound`` moved onto integers.  Both ``weight-bound`` inputs reach
+    """SHA-256 of stdout, taken before the witness path, the LP behind
+    ``weight-bound`` and the Sturm decisions and grid checks behind
+    ``symcheb pw`` moved onto integers.  Both ``weight-bound`` inputs reach
     the aggregate LP on every block split."""
 
     @pytest.mark.parametrize(
@@ -136,6 +137,19 @@ class TestOutputBytesPinned:
              "2fe4af653e571d8564b858e5cfca3063e05864b0f9fb1d34a5ca557b14758e3b"),
             (["weight-bound", "--f", "h11.json", "--K", "6"],
              "80917b31c09ec5fcb8e09b32191e9c81753297912f18989b966cd9474df014b6"),
+            (["symcheb", "pw", "--n", "512", "--K", "8", "--w", "6",
+              "--check", "truncation", "--k", "4"],
+             "d7509d53e75fff8a78d1f05a9e5ce21ce54716598b10cdd7b80e67ae809961b9"),
+            (["symcheb", "pw", "--n", "640", "--K", "10", "--w", "8",
+              "--check", "truncation", "--k", "5"],
+             "e89452fdcddaa99bf04bb72bf62dae4363b8079d5d3f486b14d9015f978dacc4"),
+            (["symcheb", "pw", "--n", "1024", "--K", "8", "--w", "1", "--check", "bounded"],
+             "93ae74abf67498a630ba2e4e6ff1433f01d6623b2c5ebdad582566606da21142"),
+            (["symcheb", "pw", "--n", "1024", "--K", "8", "--w", "7", "--check", "circle"],
+             "9b5de19b7cdcabf6d674d57bb170b0ccba265eeb3a8fbaf7fb3e4f5f6ba864f8"),
+            (["symcheb", "pw", "--n", "512", "--K", "8", "--w", "2",
+              "--check", "product-cap", "--eps", "1/100"],
+             "c09a462aa79881f9a350a03cd91f49ca52b4a3016416d7e5218e0f93bcf21c17"),
         ],
     )
     def test_stdout_digest(self, runner, tmp_path, monkeypatch, args, digest):
@@ -482,6 +496,11 @@ _SAMPLE_RUN = ["sample-shares", "--witness", "wit-ok.json", "--secret", "+1"]
         # an empty or non-integer --K is not the default projection set
         *[["indist-check", "--dist1", "dist-ok.json", "--dist2", "dist-ok.json", "--k", "1",
            "--K", big_ks] for big_ks in ("", "2,", "x")],
+        # the truncation bound divides by K, and n = 16 < 64K would warn first
+        ["symcheb", "pw", "--n", "16", "--K", "0", "--w", "0", "--check", "truncation",
+         "--k", "1"],
+        ["symcheb", "pw", "--n", "16", "--K", "2", "--w", "1", "--check", "truncation",
+         "--k", "-1"],
     ],
 )
 def test_invalid_input_exits_2_with_one_line(runner, tmp_path, monkeypatch, args):

@@ -64,13 +64,20 @@ def test_commands_run_only_the_modules_they_use(tmp_path):
                   "--count", "3")
     pw = _run(tmp_path, "symcheb", "pw", "--n", "16", "--K", "2", "--w", "1",
               "--check", "truncation", "--k", "1")
+    degree = _run(tmp_path, "approx-degree", "--f", "maj", "--n", "8")
+    weight = _run(tmp_path, "weight-bound", "--f", "maj", "--n", "8", "--K", "4")
     assert (tmp_path / "wit.json").is_file()
     for executed in (cube, shares):
         assert "dualshare.dualand" in executed, executed
         assert not executed & {f"dualshare.{m}" for m in
                                ("simplex", "approxlab", "symcheb", "certify", "weightdeg")}
-    assert "dualshare.symcheb" in pw, pw
-    assert not pw & {f"dualshare.{m}" for m in ("simplex", "approxlab", "dualand", "weightdeg")}
+    assert {"dualshare.symcheb", "dualshare.certify"} <= pw, pw
+    assert not pw & {f"dualshare.{m}" for m in
+                     ("simplex", "approxlab", "dualand", "weightdeg", "boolcube")}
+    # both reach symcheb through approxlab, and neither makes a Sturm decision
+    assert "dualshare.symcheb" in degree and "dualshare.weightdeg" in weight, (degree, weight)
+    for executed in (degree, weight):
+        assert "dualshare.certify" not in executed, executed
 
 
 def test_every_public_name_is_its_home_modules_object():

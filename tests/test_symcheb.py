@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 from math import comb
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualshare import symcheb
 from dualshare.boolcube import ParityPoly
+from dualshare.errors import PropertyViolation
 from dualshare.ratpoly import RationalPoly
 from dualshare.symcheb import (
     AmplificationParams,
@@ -26,7 +29,7 @@ from dualshare.symcheb import (
 )
 
 from conftest import random_symmetric_distribution
-from oracles import cheb_transform
+from oracles import cheb_transform, circle_abs_squared_fraction
 
 
 def brute_hypergeom(n, K, w, h):
@@ -211,7 +214,32 @@ class TestGeneratingPoly:
             assert cheb_transform(test.poly).half_coeffs == e.half_coeffs
 
 
+class TestIntegerGridCheck:
+    @pytest.mark.parametrize("n, K, w", [(64, 4, 1), (512, 8, 6), (1024, 8, 0)])
+    def test_a_perturbed_coefficient_is_caught(self, monkeypatch, n, K, w):
+        from_roots = RationalPoly.from_roots
+        for i in range(K + 1):
+            def perturbed(roots, scale=1, i=i):
+                coeffs = list(from_roots(roots, scale).coeffs)
+                coeffs[i] += Fraction(1, 10**9)
+                return RationalPoly.from_coeffs(coeffs)
+
+            monkeypatch.setattr(RationalPoly, "from_roots", staticmethod(perturbed))
+            with pytest.raises(PropertyViolation, match=f"n={n}, K={K}, w={w}"):
+                exact_weight_test(n, K, w)
+        monkeypatch.undo()
+        assert reflection_check(exact_weight_test(n, K, w))
+
+
 class TestCircleIdentity:
+    def test_exact_refinement_matches_fraction_horner(self):
+        g = exact_weight_test(1024, 8, 7).generating_poly()
+        for radius in (1.0, 1.1, 0.75):
+            for theta in (0.0, 0.3, 1.7, -2.9, math.pi):
+                s = radius * cmath.exp(1j * theta)
+                assert (symcheb._eval_abs_squared_exact(g, s.real, s.imag)
+                        == circle_abs_squared_fraction(g, s.real, s.imag))
+
     def test_unit_circle_reduces_to_pw(self):
         # at eps = 0 the amplified identity degenerates to |g(e^{i t})| = |p_w(cos t)|
         test = exact_weight_test(64, 2, 1)
