@@ -75,10 +75,11 @@ def _register_lazy(short: str):
     return module
 
 
+_LAZY_SUBMODULES = ("approxlab", "boolcube", "certify", "dualand", "errors", "ratpoly",
+                    "serialize", "simplex", "symcheb", "weightdeg")
 # Bound as package attributes too, so ``from . import boolcube`` finds the
 # module without an import, which would read its __spec__ and load it.
-for _short in ("approxlab", "boolcube", "certify", "dualand", "errors", "ratpoly",
-               "serialize", "simplex", "symcheb", "weightdeg"):
+for _short in _LAZY_SUBMODULES:
     globals()[_short] = _register_lazy(_short)
 del _short
 

@@ -19,11 +19,14 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
+from . import symcheb
 from .boolcube import DualWitness, SymmetricDistribution, kwise_indistinguishable
 from .errors import InvalidInput, PropertyViolation
-from .ratpoly import RationalPoly, cheb_transform_factored
+from .ratpoly import RationalPoly, cheb_transform_factored, weight_grid
 from .simplex import MinimaxSolution, solve_minimax
-from .symcheb import hypergeom_row, indistinguishability_bound, weight_grid
+
+# desk-scale cap on the weight grid's n
+MAX_N = 1000
 
 
 def minimax_on_weight_grid(values: Sequence, degree: int) -> MinimaxSolution:
@@ -68,8 +71,8 @@ def approx_degree(
     if epsilon < 0:
         raise InvalidInput(f"epsilon must be nonnegative, got {epsilon}")
     values = [Fraction(v) for v in values_by_weight]
-    if len(values) - 1 > 1000:
-        raise ValueError("desk-scale cap: n <= 1000")
+    if len(values) - 1 > MAX_N:
+        raise ValueError(f"desk-scale cap: n <= {MAX_N}")
     below, sol = None, minimax_on_weight_grid(values, 0)
     while sol.epsilon > epsilon:  # stops by degree n, which fits all n+1 points
         below, sol = sol, minimax_on_weight_grid(values, sol.degree + 1)
@@ -205,12 +208,12 @@ def finite_n_ramp(
     n, K, k = params.n, params.K, params.k
     if not n:
         raise ValueError("finite ramp needs n")
-    if n > 1000 or K > 8:
-        raise ValueError("desk-scale caps: n <= 1000, K <= 8")
-    sol = minimax_on_weight_grid(hypergeom_row(n, K, 0), k)
+    if n > MAX_N or K > 8:
+        raise ValueError(f"desk-scale caps: n <= {MAX_N}, K <= 8")
+    sol = minimax_on_weight_grid(symcheb.hypergeom_row(n, K, 0), k)
     mu, nu = dual_distributions(sol)
     mu, nu = mu.reflected(), nu.reflected()
-    and_values = hypergeom_row(n, K, K)
+    and_values = symcheb.hypergeom_row(n, K, K)
     advantage = mu.expectation(and_values) - nu.expectation(and_values)
     if advantage != 2 * sol.epsilon:
         raise PropertyViolation("advantage of the LP pair differs from twice its error")
@@ -256,7 +259,7 @@ def consolidate_and(d: SymmetricDistribution, t: int) -> SymmetricDistribution:
 def consolidation_bound(k: int, K: int, t: int, n: int) -> float:
     """2 * indistinguishability_bound(k, tK) * n^K: distance to a perfectly
     indistinguishable pair after consolidating blocks of size t."""
-    return 2.0 * indistinguishability_bound(k, t * K) * float(n) ** K
+    return 2.0 * symcheb.indistinguishability_bound(k, t * K) * float(n) ** K
 
 
 def limit_ramp_expansion(K: int):

@@ -258,7 +258,7 @@ def symcheb_pw(n, big_k, w, check, trunc_k, eps, out, fmt):
             raise InvalidInput(f"--check truncation needs --K >= 1 and --k >= 0, "
                                f"got K={big_k}, k={trunc_k}")
     test = symcheb.exact_weight_test(n, big_k, w)
-    expansion = test.cheb()
+    expansion = test.cheb
     result = {
         "scale": serialize.rat_to_str(test.scale),
         "zeros": [serialize.rat_to_str(z) for z in test.zeros],
@@ -310,28 +310,37 @@ def _named_predicate(name: str, n: int) -> list[int]:
     raise InvalidInput(f"unknown predicate {name!r}")
 
 
+def _check_n(n: int) -> None:
+    if not 1 <= n <= approxlab.MAX_N:
+        raise InvalidInput(f"n must be between 1 and {approxlab.MAX_N}, got n={n}")
+
+
 def _load_predicate(f: str, n: int | None) -> tuple[int, list[int]]:
-    if f.endswith(".json"):
-        try:
-            doc = serialize.load_json(f)
-        except OSError as exc:
-            raise InvalidInput(f"cannot read predicate file {f!r}: {exc.strerror}") from exc
-        try:
-            n, values = doc["n"], list(doc["values"])
-        except (KeyError, TypeError) as exc:
-            raise InvalidInput(f"predicate file needs n and values: {exc!r}") from exc
-        for v in (n, *values):
-            if type(v) is not int:  # bool is an int subclass, and 3.9 must not become 3
-                raise InvalidInput(f"predicate file n and values must be integers, got {v!r}")
-        if len(values) != n + 1:
-            raise InvalidInput(f"predicate file has {len(values)} values for n={n}")
-        for v in values:
-            if v not in (0, 1):
-                raise InvalidInput(f"predicate file values must be 0 or 1, got {v!r}")
-        return n, values
-    if n is None:
-        raise InvalidInput("--n is required for named predicates")
-    return n, _named_predicate(f, n)
+    """(n, values by Hamming weight) of a named or a .json predicate; n is
+    checked against the weight grid's range before any work."""
+    if not f.endswith(".json"):
+        if n is None:
+            raise InvalidInput("--n is required for named predicates")
+        _check_n(n)
+        return n, _named_predicate(f, n)
+    try:
+        doc = serialize.load_json(f)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read predicate file {f!r}: {exc.strerror}") from exc
+    try:
+        n, values = doc["n"], list(doc["values"])
+    except (KeyError, TypeError) as exc:
+        raise InvalidInput(f"predicate file needs n and values: {exc!r}") from exc
+    for v in (n, *values):
+        if type(v) is not int:  # bool is an int subclass, and 3.9 must not become 3
+            raise InvalidInput(f"predicate file n and values must be integers, got {v!r}")
+    _check_n(n)
+    if len(values) != n + 1:
+        raise InvalidInput(f"predicate file has {len(values)} values for n={n}")
+    for v in values:
+        if v not in (0, 1):
+            raise InvalidInput(f"predicate file values must be 0 or 1, got {v!r}")
+    return n, values
 
 
 @cli.command("approx-degree")

@@ -27,7 +27,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .errors import PropertyViolation
+from .errors import InvalidInput, PropertyViolation
 
 
 def _frac(x) -> Fraction:
@@ -47,6 +47,17 @@ def _scaled_values(coeffs: Sequence[int], xs: Iterable[int], den: int) -> Iterat
         for c in scaled:
             acc = acc * x + c
         yield acc
+
+
+def _check_grid_size(n: int) -> None:
+    if n < 1:
+        raise InvalidInput(f"the weight grid needs n >= 1, got n={n}")
+
+
+def weight_grid(n: int) -> tuple[Fraction, ...]:
+    """t_h = 1 - 2h/n for h = 0..n (descending from 1 to -1); needs n >= 1."""
+    _check_grid_size(n)
+    return tuple(Fraction(n - 2 * h, n) for h in range(n + 1))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,13 @@ lambda_i = 1 / prod_{j != i} (t_i - t_j) annihilate every polynomial of that
 degree, the levelled error of a reference is h = sum lambda_i f_i /
 sum |lambda_i|, and swapping in the point of largest residual (keeping the
 residual signs alternating) strictly increases |h| until no residual exceeds
-it.  All arithmetic is exact; the result is certified by the same audit as
-the LP path before returning.
+it.  The exchange runs on one scaled integer form: the points u_i = L t_i and
+the values g_i = F f_i (L and F the lcms of their denominators), levelling
+weights Q / prod_{j != i} (u_i - u_j) over the lcm Q of those products, and
+every residual read from the Lagrange form of the levelled interpolant over
+one common denominator (Berrut & Trefethen, *SIAM Review* 46, 2004).  The
+``RationalPoly`` is built once, at the end, after the certificate has passed
+the audit on the same integers.
 
 General design matrices (``solve_linf_fit``) go through a textbook two-phase
 primal simplex with Bland's anti-cycling rule on a fraction-free integer
@@ -21,8 +26,9 @@ column and to have unit total variation, maximising the pairing with the
 target values.  Its dual variables are the fit coefficients together with the
 error.  The artificial columns are kept through phase two (barred from
 entering), which makes them a running copy of D B^{-1} (D the basis
-determinant) and lets the dual vector be read off the final tableau.  No
-floating point enters either path.
+determinant) and lets the dual vector be read off the final tableau.  The LP
+optimum is audited on the scaled integer columns the tableau is built from.
+No floating point enters either path.
 """
 
 from __future__ import annotations
@@ -34,11 +40,21 @@ from math import lcm
 from typing import Sequence
 
 from .errors import PropertyViolation
-from .ratpoly import RationalPoly
+from .ratpoly import RationalPoly, _frac, _scaled_values
 
 
 class SimplexError(Exception):
     pass
+
+
+def _exact(v):
+    """v as an exact rational; ints and Fractions pass through unconverted."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _scaled(v: Fraction, scale: int) -> int:
+    """v * scale, for a scale that v's denominator divides."""
+    return v.numerator * (scale // v.denominator)
 
 
 def solve_lp(
@@ -53,37 +69,32 @@ def solve_lp(
     checked on the result (PropertyViolation otherwise).  Raises SimplexError
     when infeasible or unbounded.
 
-    The tableau is kept fraction-free.  Column j of [A | I | b] is scaled by
-    sigma_j > 0 (the lcm of its denominators; 1 for the artificial columns)
-    and the tableau is an integer matrix M over one denominator D > 0, the
-    basis determinant (``tableau`` and ``det`` below): entry (i, j) of the
-    rational tableau is sigma_basis[i] M[i][j] / (D sigma_j).  Positive
-    column scales keep every reduced-cost sign, ratio order and tie, and zero
-    test, so the pivots are those of the rational tableau.  Rows are never
-    scaled: a row scale would change the phase-1 costs of the artificial
-    columns and so Bland's choice.
+    The tableau is kept fraction-free.  Row i of A and b is negated when
+    b_i < 0, column j of A is scaled by sigma_j > 0 (the lcm of its
+    denominators), b by sigma_b and c by the lcm of its denominators times
+    sigma_j.  The tableau starts as [cols | I | rhs] on those integer
+    columns and stays an integer matrix over one denominator det > 0, the
+    basis determinant.  Positive column scales keep every reduced-cost sign,
+    ratio order and tie, and zero test, so the pivots are those of the
+    rational tableau.  Rows are never scaled: a row scale would change the
+    phase-1 costs of the artificial columns and so Bland's choice.
     """
-    m, n = len(A), len(A[0])
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
-    flips = [1] * m
-    for i in range(m):
-        if b[i] < 0:
-            flips[i] = -1
-            b[i] = -b[i]
-            A[i] = [-v for v in A[i]]
-
-    # artificial column n + i corresponds to original row i; column rhs is b
-    sigma = [lcm(*(row[j].denominator for row in A)) for j in range(n)] + [1] * m
+    A = [[_exact(v) for v in row] for row in A]
+    b = [_exact(v) for v in b]
+    c = [_exact(v) for v in c]
+    flips = [-1 if v < 0 else 1 for v in b]
+    sigma = [lcm(*(row[j].denominator for row in A)) for j in range(len(A[0]))]
     sigma_b = lcm(*(v.denominator for v in b))
-    rhs = n + m
-    tableau = [
-        [v.numerator * (sigma[j] // v.denominator) for j, v in enumerate(A[i])]
-        + [int(i == k) for k in range(m)]
-        + [b[i].numerator * (sigma_b // b[i].denominator)]
-        for i in range(m)
-    ]
+    scale = lcm(*(v.denominator for v in c))
+    cols = [[f * _scaled(v, s) for v, s in zip(row, sigma)] for row, f in zip(A, flips)]
+    rhs = [f * _scaled(v, sigma_b) for v, f in zip(b, flips)]
+    cost = [_scaled(v, scale) * s for v, s in zip(c, sigma)]
+
+    m, n = len(cols), len(cols[0])
+    # artificial column n + i corresponds to row i; column rhs_col is rhs
+    rhs_col = n + m
+    tableau = [row + [int(i == k) for k in range(m)] + [r]
+               for i, (row, r) in enumerate(zip(cols, rhs))]
     det = 1
     basis = list(range(n, n + m))
 
@@ -105,9 +116,8 @@ def solve_lp(
     def run(cost: list[int], allowed: int) -> None:
         """Bland's rule: smallest improving column enters, smallest basic leaves.
 
-        ``cost[j]`` is the objective coefficient times sigma_j and one common
-        positive scale, so the reduced cost of column j has the sign of
-        cost[j] D - sum_i cost[basis[i]] M[i][j].
+        The reduced cost of column j has the sign of
+        cost[j] det - sum_i cost[basis[i]] tableau[i][j].
         """
         while True:
             cb = [(cost[v], tableau[i]) for i, v in enumerate(basis) if cost[v]]
@@ -126,9 +136,9 @@ def solve_lp(
                     if leave < 0:
                         leave = i
                         continue
-                    # row[rhs] / a against the best ratio, cross-multiplied
-                    new = row[rhs] * tableau[leave][enter]
-                    best = tableau[leave][rhs] * a
+                    # row[rhs_col] / a against the best ratio, cross-multiplied
+                    new = row[rhs_col] * tableau[leave][enter]
+                    best = tableau[leave][rhs_col] * a
                     if new < best or (new == best and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
@@ -136,8 +146,8 @@ def solve_lp(
             pivot(leave, enter)
 
     # phase 1: drive the artificial mass to zero
-    run([0] * n + [-1] * m, rhs)
-    if sum(tableau[i][rhs] for i in range(len(tableau)) if basis[i] >= n) != 0:
+    run([0] * n + [-1] * m, rhs_col)
+    if sum(tableau[i][rhs_col] for i in range(len(tableau)) if basis[i] >= n) != 0:
         raise SimplexError("infeasible")
     # pivot basic artificials out; rows that cannot be pivoted are redundant
     for i in range(len(tableau)):
@@ -146,52 +156,43 @@ def solve_lp(
             if col is not None:
                 pivot(i, col)
     keep = [i for i in range(len(tableau)) if basis[i] < n]
-    dropped_originals = {
-        basis[i] - n for i in range(len(tableau)) if basis[i] >= n
-    }
+    dropped = {basis[i] - n for i in range(len(tableau)) if basis[i] >= n}
     tableau[:] = [tableau[i] for i in keep]
     basis[:] = [basis[i] for i in keep]
 
     # phase 2: original objective; artificials may not re-enter
-    scale = lcm(*(v.denominator for v in c))
-    cost = [v.numerator * (scale // v.denominator) * sigma[j] for j, v in enumerate(c)]
     run(cost + [0] * m, n)
 
-    x = [Fraction(0)] * n
+    # X / det is the optimum of the integer LP and Y / det its dual
+    X = [0] * n
     for i, v in enumerate(basis):
-        x[v] = Fraction(sigma[v] * tableau[i][rhs], det * sigma_b)
-    value = Fraction(
-        sum(cost[v] * tableau[i][rhs] for i, v in enumerate(basis)), scale * det * sigma_b
-    )
-    y = [Fraction(0)] * m
-    for art in range(m):
-        if art not in dropped_originals:
-            y[art] = flips[art] * Fraction(
-                sum(cost[v] * tableau[i][n + art] for i, v in enumerate(basis)),
-                scale * det,
-            )
-
-    _audit(A, b, c, flips, x, value, y)
+        X[v] = tableau[i][rhs_col]
+    Y = [0 if art in dropped else
+         sum(cost[v] * tableau[i][n + art] for i, v in enumerate(basis))
+         for art in range(m)]
+    _audit(cols, rhs, cost, det, X, Y)
+    x = [Fraction(s * v, det * sigma_b) for s, v in zip(sigma, X)]
+    value = Fraction(sum(cv * v for cv, v in zip(cost, X) if v), scale * det * sigma_b)
+    y = [f * Fraction(v, scale * det) for f, v in zip(flips, Y)]
     return x, value, y
 
 
-def _audit(A, b, c, flips, x, value, y) -> None:
-    m, n = len(A), len(A[0])
-    for i in range(m):
-        lhs = sum(A[i][j] * x[j] for j in range(n) if x[j])
-        if lhs != b[i]:
+def _audit(cols, rhs, cost, det, X, Y) -> None:
+    """Optimality of (X / det, Y / det) for max cost.X s.t. cols X = rhs,
+    X >= 0, checked on the integers: primal feasibility, dual feasibility,
+    complementary slackness and a zero duality gap."""
+    for row, r in zip(cols, rhs):
+        if sum(a * v for a, v in zip(row, X) if v) != det * r:
             raise PropertyViolation("primal infeasibility in the final tableau")
-    if any(v < 0 for v in x):
+    if any(v < 0 for v in X):
         raise PropertyViolation("negative basic variable")
-    for j in range(n):
-        # A was stored row-flipped; undo the flips to audit against the input
-        yaj = sum(y[i] * flips[i] * A[i][j] for i in range(m) if y[i])
-        if yaj < c[j]:
+    for j, cj in enumerate(cost):
+        yaj = sum(y * row[j] for y, row in zip(Y, cols) if y)
+        if yaj < det * cj:
             raise PropertyViolation("dual infeasibility at optimum")
-        if x[j] > 0 and yaj != c[j]:
+        if X[j] > 0 and yaj != det * cj:
             raise PropertyViolation("complementary slackness violated")
-    yb = sum(y[i] * flips[i] * b[i] for i in range(m) if y[i])
-    if yb != value:
+    if sum(y * r for y, r in zip(Y, rhs)) != sum(cj * v for cj, v in zip(cost, X)):
         raise PropertyViolation("strong duality gap")
 
 
@@ -210,59 +211,80 @@ def solve_linf_fit(rows: Sequence[Sequence[Fraction]], values: Sequence[Fraction
     error is positive) and  <psi, values> = epsilon.  All optimality and
     complementary-slackness facts are checked before returning.  Polynomial
     designs on distinct points are faster through ``solve_minimax``.
+
+    The input is scaled to integers once: row i by sigma_i (the lcm of its
+    denominators), the values by F.  The LP handed to ``solve_lp`` is the
+    moment LP with its column pair (i, m + i) scaled by sigma_i and its
+    objective by F, so its pivots are those of the rational LP.
     """
-    rows = [[Fraction(v) for v in r] for r in rows]
-    values = [Fraction(v) for v in values]
+    rows = [[_exact(v) for v in r] for r in rows]
+    values = [_exact(v) for v in values]
     m = len(rows)
     ncoef = len(rows[0]) if rows else 0
     if any(len(r) != ncoef for r in rows):
         raise ValueError("ragged design matrix")
+    sigma = [lcm(*(v.denominator for v in r)) for r in rows]
+    design = [[_scaled(v, s) for v in r] for r, s in zip(rows, sigma)]
+    big_f = lcm(*(v.denominator for v in values))
+    gs = [_scaled(v, big_f) for v in values]
 
-    A = [[rows[i][r] for i in range(m)] + [-rows[i][r] for i in range(m)]
-         for r in range(ncoef)]
-    A.append([Fraction(1)] * (2 * m))
-    b = [Fraction(0)] * ncoef + [Fraction(1)]
-    c = values + [-v for v in values]
-
-    x, eps, y = solve_lp(A, b, c)
-    psi = tuple(x[i] - x[m + i] for i in range(m))
-    coeffs = tuple(y[:ncoef])
-    if y[ncoef] != eps:
+    A = [[d[r] for d in design] + [-d[r] for d in design] for r in range(ncoef)]
+    A.append(sigma + sigma)
+    cost = [g * s for g, s in zip(gs, sigma)]
+    x, value, y = solve_lp(A, [0] * ncoef + [1], cost + [-v for v in cost])
+    # the scaled LP's x, value and y over one denominator: x = X / den, ...
+    den = lcm(value.denominator, *(v.denominator for v in x), *(v.denominator for v in y))
+    X = [_scaled(v, den) for v in x]
+    Y = [_scaled(v, den) for v in y]
+    V = _scaled(value, den)
+    if Y[ncoef] != V:
         raise PropertyViolation("dual objective row disagrees with the LP value")
 
+    # psi_i = psi[i] / den and coefficient r is Y_r / (F den); over lam, the
+    # lcm of the row scales, row i is lam / sigma_i times design[i] and
+    # residual i is R_i / (F den lam)
+    psi = [s * (X[i] - X[m + i]) for i, s in enumerate(sigma)]
+    lam = lcm(*sigma)
     residuals = [
-        v - sum(a * r for a, r in zip(coeffs, row)) for row, v in zip(rows, values)
+        lam * den * g - lam // s * sum(yr * a for yr, a in zip(Y, row) if yr)
+        for g, s, row in zip(gs, sigma, design)
     ]
-    moments = [
-        sum(p * rows[i][j] for i, p in enumerate(psi) if p) for j in range(ncoef)
-    ]
-    _audit_fit(values, residuals, eps, psi, moments)
-    return LinfFit(coeffs=coeffs, epsilon=eps, psi=psi)
+    _audit_fit(gs, residuals, V * lam, den * lam, psi, den,
+               lambda i: [lam // sigma[i] * a for a in design[i]])
+    return LinfFit(
+        coeffs=tuple(Fraction(v, big_f * den) for v in Y[:ncoef]),
+        epsilon=Fraction(V, big_f * den),
+        psi=tuple(Fraction(w, den) for w in psi),
+    )
 
 
-def _audit_fit(values, residuals, eps, psi, moments) -> None:
-    """Optimality certificate of a Chebyshev fit, checked exactly.
+def _audit_fit(gs, residuals, err, scale, psi, total, basis) -> None:
+    """Optimality certificate of a Chebyshev fit, checked on integers.
 
-    ``residuals`` are the fit's errors at the points and ``moments`` the
-    pairings of psi with every basis function.  The largest residual must be
-    eps, psi must annihilate the basis and pair with the values to give eps,
-    and when eps > 0 psi must have unit total variation with positive
-    (negative) mass only where the residual is +eps (-eps).  Weak duality
+    The values are g_i / F; the fit's residuals are residuals[i] / (scale F)
+    and its error is err / (scale F); psi_i = psi[i] / total (total > 0); and
+    ``basis(i)`` lists every basis function at point i, all over one positive
+    denominator.  The largest residual must be the error, psi must
+    annihilate the basis and pair with the values to give the error, and when
+    the error is positive psi must have unit total variation with positive
+    (negative) mass only where the residual is +err (-err).  Weak duality
     then proves that no fit does better.
     """
-    if max(abs(r) for r in residuals) != eps:
+    if max(abs(r) for r in residuals) != err:
         raise PropertyViolation("primal error does not match the optimum")
-    if any(moments):
-        raise PropertyViolation("dual measure fails the annihilation conditions")
-    if eps > 0:
-        if sum(abs(p) for p in psi) != 1:
+    support = [i for i, p in enumerate(psi) if p]
+    for column in zip(*(basis(i) for i in support)):
+        if sum(psi[i] * v for i, v in zip(support, column)):
+            raise PropertyViolation("dual measure fails the annihilation conditions")
+    if err > 0:
+        if sum(abs(p) for p in psi) != total:
             raise PropertyViolation("dual measure does not have unit total variation")
-        for i, p in enumerate(psi):
-            if p > 0 and residuals[i] != eps:
+        for p, r in zip(psi, residuals):
+            if p > 0 and r != err:
                 raise PropertyViolation("slack point carries positive dual mass")
-            if p < 0 and residuals[i] != -eps:
+            if p < 0 and r != -err:
                 raise PropertyViolation("slack point carries negative dual mass")
-    if sum(p * v for p, v in zip(psi, values)) != eps:
+    if scale * sum(p * g for p, g in zip(psi, gs) if p) != err * total:
         raise PropertyViolation("dual pairing does not reproduce the error")
 
 
@@ -301,8 +323,8 @@ def solve_minimax(
     is zero, and with fewer than degree+2 points the polynomial is the
     interpolant of least degree.
     """
-    points = [Fraction(p) for p in points]
-    values = [Fraction(v) for v in values]
+    points = [_frac(p) for p in points]
+    values = [_frac(v) for v in values]
     m = len(points)
     if not m or len(values) != m:
         raise ValueError("need at least one point and one value per point")
@@ -311,64 +333,91 @@ def solve_minimax(
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     order = sorted(range(m), key=points.__getitem__)
-    ts = [points[i] for i in order]
-    fs = [values[i] for i in order]
+    big_l = lcm(*(p.denominator for p in points))
+    big_f = lcm(*(v.denominator for v in values))
+    us = [_scaled(points[i], big_l) for i in order]
+    gs = [_scaled(values[i], big_f) for i in order]
     if m <= degree + 1:
-        poly, eps = RationalPoly.interpolate(ts, fs), Fraction(0)
+        weights, scale = _weights(us)
+        coeffs = _lagrange(us, [g * w for g, w in zip(gs, weights)])
+        residuals, err = _integer_residuals(coeffs, scale, us, gs), 0
     else:
-        poly, eps = _exchange(ts, fs, degree)
-    residuals = _residuals(poly, points, values)
-    psi = [Fraction(0)] * m
-    if eps > 0:
-        walk = order[::-1] if 2 * order.index(0) > m - 1 else order
+        coeffs, scale, residuals, err = _exchange(us, gs, degree)
+    # the fit is sum coeffs[j] u^j / scale in the scaled units; residual i is
+    # residuals[i] / (scale F) at the i-th point in sorted order
+    mass, total = [0] * m, 1
+    if err > 0:
+        walk = range(m - 1, -1, -1) if 2 * order.index(0) > m - 1 else range(m)
         support: list[int] = []
         for i in walk:
             r = residuals[i]
-            if abs(r) == eps and (not support or (r > 0) != (residuals[support[-1]] > 0)):
+            if abs(r) == err and (not support or (r > 0) != (residuals[support[-1]] > 0)):
                 support.append(i)
                 if len(support) == degree + 2:
                     break
         if len(support) < degree + 2:
             raise SimplexError("optimum is not levelled on degree+2 alternating points")
-        lams = _levelling_weights([points[i] for i in support])
-        sign = 1 if lams[0] * residuals[support[0]] > 0 else -1
-        total = sum(abs(lam) for lam in lams)
-        for i, lam in zip(support, lams):
-            psi[i] = sign * lam / total
-    moments = [
-        sum(p * t**j for p, t in zip(psi, points) if p) for j in range(degree + 1)
-    ]
-    _audit_fit(values, residuals, eps, psi, moments)
+        weights, _ = _weights([us[i] for i in support])
+        sign = 1 if weights[0] * residuals[support[0]] > 0 else -1
+        total = sum(abs(w) for w in weights)
+        for i, w in zip(support, weights):
+            mass[i] = sign * w
+    _audit_fit(gs, residuals, err, scale, mass, total,
+               lambda i: [us[i] ** j for j in range(degree + 1)])
+
+    psi = [Fraction(0)] * m
+    for i, w in zip(order, mass):
+        if w:
+            psi[i] = Fraction(w, total)
+    den = scale * big_f
     return MinimaxSolution(
-        points=tuple(points), degree=degree, poly=poly, epsilon=eps, psi=tuple(psi)
+        points=tuple(points),
+        degree=degree,
+        poly=RationalPoly.from_coeffs(  # t = u / L
+            Fraction(c * big_l**j, den) for j, c in enumerate(coeffs)),
+        epsilon=Fraction(err, den),
+        psi=tuple(psi),
     )
 
 
 def _exchange(
-    ts: list[Fraction], fs: list[Fraction], degree: int
-) -> tuple[RationalPoly, Fraction]:
-    """Single-point exchange on increasing points ts (at least degree+2 of
-    them); returns the optimal polynomial and the minimax error."""
-    m = len(ts)
+    us: list[int], gs: list[int], degree: int
+) -> tuple[list[int], int, list[int], int]:
+    """Single-point exchange on increasing integer points us (at least
+    degree+2 of them) with integer values gs.
+
+    Returns (coeffs, scale, residuals, err): the optimal polynomial is
+    sum coeffs[j] u^j / scale, residuals[i] = scale gs[i] - sum coeffs[j] us[i]^j,
+    and err = max |residuals[i]|.
+    """
+    m = len(us)
     ref = [i * (m - 1) // (degree + 1) for i in range(degree + 2)]
-    level = Fraction(-1)
+    best_num, best_den = -1, 1  # the previous |h|, as a fraction
     while True:
-        lams = _levelling_weights([ts[i] for i in ref])
-        h = sum(lam * fs[i] for lam, i in zip(lams, ref)) / sum(abs(lam) for lam in lams)
-        if abs(h) <= level:
+        xs = [us[i] for i in ref]
+        weights, q = _weights(xs)
+        num = sum(w * gs[i] for w, i in zip(weights, ref))
+        den = sum(abs(w) for w in weights)  # h = num / den
+        if abs(num) * best_den <= best_num * den:
             raise SimplexError("levelled error did not increase across an exchange")
-        level = abs(h)
-        # the residual at reference point i is sign(lambda_i) * h; at h = 0
-        # the weights' signs stand in, and the next exchange still raises |h|
-        signs = [1 if (lam > 0) == (h >= 0) else -1 for lam in lams]
-        poly = RationalPoly.interpolate(
-            [ts[i] for i in ref[:-1]],
-            [fs[i] - s * level for s, i in zip(signs, ref[:-1])],
-        )
-        residuals = _residuals(poly, ts, fs)
+        best_num, best_den = abs(num), den
+        # the residual at reference point i is sign(w_i) * h; at h = 0 the
+        # weights' signs stand in, and the next exchange still raises |h|
+        signs = [1 if (w > 0) == (num >= 0) else -1 for w in weights]
+        # the levelled values den * (g_i - s_i |h|) at the first degree+1
+        # reference points, times their Lagrange weights
+        # q / prod_{j != i, j <= degree} (x_i - x_j) = w_i (x_i - x_last):
+        # the interpolant of degree <= degree, times q den
+        last = xs[-1]
+        coeffs = _lagrange(xs[:-1], [
+            (den * gs[i] - s * best_num) * w * (x - last)
+            for i, s, w, x in zip(ref[:-1], signs, weights, xs)
+        ])
+        scale, err = q * den, q * best_num
+        residuals = _integer_residuals(coeffs, scale, us, gs)
         k = max(range(m), key=lambda i: abs(residuals[i]))
-        if abs(residuals[k]) == level:
-            return poly, level
+        if abs(residuals[k]) == err:
+            return coeffs, scale, residuals, err
         ref = _swap_in(ref, signs, k, 1 if residuals[k] > 0 else -1)
 
 
@@ -384,21 +433,41 @@ def _swap_in(ref: list[int], signs: list[int], k: int, sign_k: int) -> list[int]
     return out
 
 
-def _levelling_weights(xs: list[Fraction]) -> list[Fraction]:
-    """lambda_i = 1 / prod_{j != i} (x_i - x_j), which annihilate every
-    polynomial of degree below len(xs) - 1 and alternate in sign along
-    increasing xs."""
-    out = []
+def _weights(xs: list[int]) -> tuple[list[int], int]:
+    """(w, Q) with w_i = Q / prod_{j != i} (x_i - x_j) for distinct integers
+    xs and Q the lcm of those products: integer multiples of the levelling
+    weights, which annihilate every polynomial of degree below len(xs) - 1
+    and alternate in sign along increasing xs."""
+    prods = []
     for i, x in enumerate(xs):
-        denom = Fraction(1)
+        p = 1
         for j, y in enumerate(xs):
             if j != i:
-                denom *= x - y
-        out.append(1 / denom)
+                p *= x - y
+        prods.append(p)
+    q = lcm(*prods)
+    return [q // p for p in prods], q
+
+
+def _lagrange(xs: list[int], cs: list[int]) -> list[int]:
+    """Coefficients, lowest power first, of sum_i cs[i] prod_{j != i} (u - xs[j])."""
+    full = [1]
+    for x in xs:  # full <- full * (u - x)
+        full = [0, *full]
+        for i in range(len(full) - 1):
+            full[i] -= x * full[i + 1]
+    out = [0] * len(xs)
+    for x, c in zip(xs, cs):
+        if c:
+            acc = 0
+            for d in range(len(xs) - 1, -1, -1):  # full / (u - x), top down
+                acc = full[d + 1] + x * acc
+                out[d] += c * acc
     return out
 
 
-def _residuals(p: RationalPoly, ts, fs) -> list[Fraction]:
-    """f - p(t) at every point, with the package's one exact evaluator
-    (integer Horner in ``RationalPoly.__call__``)."""
-    return [f - p(t) for t, f in zip(ts, fs)]
+def _integer_residuals(
+    coeffs: list[int], scale: int, us: list[int], gs: list[int]
+) -> list[int]:
+    """scale g - sum coeffs[j] u^j at every point, by integer Horner."""
+    return [scale * g - v for g, v in zip(gs, _scaled_values(coeffs, us, 1))]

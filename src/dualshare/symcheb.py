@@ -23,6 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from . import boolcube, certify
@@ -30,9 +31,11 @@ from .errors import InvalidInput, PropertyViolation
 from .ratpoly import (
     ChebyshevExpansion,
     RationalPoly,
+    _check_grid_size,
     _scaled_values,
     cheb_transform_factored,
     generating_poly,
+    weight_grid,
 )
 
 
@@ -64,17 +67,6 @@ def _hypergeom_pairs(n: int, K: int, w: int) -> list[tuple[int, int]]:
 def hypergeom_row(n: int, K: int, w: int) -> tuple[Fraction, ...]:
     """``hypergeom_prob(n, K, w, h)`` for h = 0..n."""
     return tuple(Fraction(a, b) for a, b in _hypergeom_pairs(n, K, w))
-
-
-def _check_grid_size(n: int) -> None:
-    if n < 1:
-        raise InvalidInput(f"the weight grid needs n >= 1, got n={n}")
-
-
-def weight_grid(n: int) -> tuple[Fraction, ...]:
-    """t_h = 1 - 2h/n for h = 0..n (descending from 1 to -1); needs n >= 1."""
-    _check_grid_size(n)
-    return tuple(Fraction(n - 2 * h, n) for h in range(n + 1))
 
 
 def _grid_mismatch(p: RationalPoly, n: int, pairs: list[tuple[int, int]]) -> int | None:
@@ -118,7 +110,9 @@ class SymmetrizedTest:
     def grid_value(self, h: int) -> Fraction:
         return hypergeom_prob(self.n, self.K, self.w, h)
 
+    @cached_property
     def cheb(self) -> ChebyshevExpansion:
+        """The Chebyshev expansion of p_w, computed once per test."""
         return cheb_transform_factored(self.zeros, self.scale)
 
     def generating_poly(self) -> RationalPoly:
@@ -214,7 +208,7 @@ def truncated_approximant(
             "guaranteed in range; certifying anyway",
             stacklevel=2,
         )
-    expansion = test.cheb()
+    expansion = test.cheb
     q = expansion.truncate(k)
     diff = test.poly - q
     bound = truncation_error_bound(test.K, k)

@@ -38,6 +38,12 @@ rational quotients), ``sturm_chain_fraction`` (the rational remainder
 sequence with primitive parts) and ``poly_nonneg_on_fraction``, which reads
 every sign through ``RationalPoly.__call__``.  ``circle_abs_squared_fraction``
 is the ``Fraction`` form of ``symcheb``'s exact circle refinement.
+
+``simplex.solve_minimax`` runs its exchange on one scaled integer form.
+``solve_minimax_fraction`` is the ``Fraction`` exchange it replaced
+(``exchange_fraction``, ``levelling_weights_fraction``): the same reference
+walk and the same psi tie rule, with no audit.  It shares only ``_swap_in``
+with the package, the step that picks the next reference.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from typing import Iterable
 from dualshare.boolcube import DualWitness, WeightVector
 from dualshare.dualand import DualAndParams, WitnessReport
 from dualshare.ratpoly import ChebyshevExpansion, RationalPoly, cheb_T, generating_poly
-from dualshare.simplex import SimplexError
+from dualshare.simplex import SimplexError, _swap_in
 from dualshare.weightdeg import (
     _chat_from_core,
     _finite_differences,
@@ -426,3 +432,79 @@ def circle_abs_squared_fraction(g: RationalPoly, re: float, im: float) -> Fracti
     for c in reversed(g.coeffs):
         acc_re, acc_im = acc_re * re - acc_im * im + c, acc_re * im + acc_im * re
     return acc_re * acc_re + acc_im * acc_im
+
+
+def solve_minimax_fraction(points, values, degree):
+    """(poly, epsilon, psi) of ``simplex.solve_minimax`` with one ``Fraction``
+    per arithmetic step: the exchange levels each reference with ``Fraction``
+    weights, interpolates with ``RationalPoly.interpolate`` and reads every
+    residual through ``RationalPoly.__call__``; psi follows the same tie rule."""
+    points = [Fraction(p) for p in points]
+    values = [Fraction(v) for v in values]
+    m = len(points)
+    order = sorted(range(m), key=points.__getitem__)
+    ts = [points[i] for i in order]
+    fs = [values[i] for i in order]
+    if m <= degree + 1:
+        poly, eps = RationalPoly.interpolate(ts, fs), Fraction(0)
+    else:
+        poly, eps = exchange_fraction(ts, fs, degree)
+    residuals = _residuals_fraction(poly, points, values)
+    psi = [Fraction(0)] * m
+    if eps > 0:
+        walk = order[::-1] if 2 * order.index(0) > m - 1 else order
+        support: list[int] = []
+        for i in walk:
+            r = residuals[i]
+            if abs(r) == eps and (not support or (r > 0) != (residuals[support[-1]] > 0)):
+                support.append(i)
+                if len(support) == degree + 2:
+                    break
+        if len(support) < degree + 2:
+            raise SimplexError("optimum is not levelled on degree+2 alternating points")
+        lams = levelling_weights_fraction([points[i] for i in support])
+        sign = 1 if lams[0] * residuals[support[0]] > 0 else -1
+        total = sum(abs(lam) for lam in lams)
+        for i, lam in zip(support, lams):
+            psi[i] = sign * lam / total
+    return poly, eps, tuple(psi)
+
+
+def exchange_fraction(ts, fs, degree):
+    """Single-point exchange on increasing points ts (at least degree+2 of
+    them); returns the optimal polynomial and the minimax error."""
+    m = len(ts)
+    ref = [i * (m - 1) // (degree + 1) for i in range(degree + 2)]
+    level = Fraction(-1)
+    while True:
+        lams = levelling_weights_fraction([ts[i] for i in ref])
+        h = sum(lam * fs[i] for lam, i in zip(lams, ref)) / sum(abs(lam) for lam in lams)
+        if abs(h) <= level:
+            raise SimplexError("levelled error did not increase across an exchange")
+        level = abs(h)
+        signs = [1 if (lam > 0) == (h >= 0) else -1 for lam in lams]
+        poly = RationalPoly.interpolate(
+            [ts[i] for i in ref[:-1]],
+            [fs[i] - s * level for s, i in zip(signs, ref[:-1])],
+        )
+        residuals = _residuals_fraction(poly, ts, fs)
+        k = max(range(m), key=lambda i: abs(residuals[i]))
+        if abs(residuals[k]) == level:
+            return poly, level
+        ref = _swap_in(ref, signs, k, 1 if residuals[k] > 0 else -1)
+
+
+def levelling_weights_fraction(xs):
+    """lambda_i = 1 / prod_{j != i} (x_i - x_j) in ``Fraction``s."""
+    out = []
+    for i, x in enumerate(xs):
+        denom = Fraction(1)
+        for j, y in enumerate(xs):
+            if j != i:
+                denom *= x - y
+        out.append(1 / denom)
+    return out
+
+
+def _residuals_fraction(p: RationalPoly, ts, fs) -> list[Fraction]:
+    return [f - p(t) for t, f in zip(ts, fs)]

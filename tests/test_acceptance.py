@@ -49,6 +49,7 @@ from dualshare.ratpoly import (
     cheb_T,
     cheb_transform_factored,
     sigma_inner,
+    weight_grid,
 )
 from dualshare.simplex import solve_minimax
 from dualshare.symcheb import (
@@ -59,7 +60,6 @@ from dualshare.symcheb import (
     truncation_error_bound,
     indistinguishability_bound,
     circle_identity_check,
-    weight_grid,
 )
 from dualshare.weightdeg import SymmetricSpec, low_weight_approximant, weight_lower_bound
 

@@ -27,9 +27,9 @@ from dualshare.boolcube import (
     project_symmetric,
     stat_distance_symmetric,
 )
-from dualshare.ratpoly import sigma_inner
+from dualshare.ratpoly import sigma_inner, weight_grid
 from dualshare.simplex import solve_minimax
-from dualshare.symcheb import indistinguishability_bound, weight_grid
+from dualshare.symcheb import indistinguishability_bound
 
 from oracles import cheb_transform
 from test_simplex import alternation_minimax

@@ -240,7 +240,7 @@ def test_sturm_chain_counts():
 
 def _truncation_error(n, K, w, k):
     test = exact_weight_test(n, K, w)
-    return test.poly - test.cheb().truncate(k)
+    return test.poly - test.cheb.truncate(k)
 
 
 @pytest.mark.parametrize(

@@ -501,6 +501,11 @@ _SAMPLE_RUN = ["sample-shares", "--witness", "wit-ok.json", "--secret", "+1"]
          "--k", "1"],
         ["symcheb", "pw", "--n", "16", "--K", "2", "--w", "1", "--check", "truncation",
          "--k", "-1"],
+        # n outside 1..1000 is rejected before any work, on either half of weight-bound
+        ["weight-bound", "--f", "and", "--n", "2000", "--K", "3"],
+        ["weight-bound", "--f", "and", "--n", "2000", "--K", "3", "--no-lower"],
+        ["weight-bound", "--f", "and", "--n", "0", "--K", "3"],
+        ["approx-degree", "--f", "maj", "--n", "-2"],
     ],
 )
 def test_invalid_input_exits_2_with_one_line(runner, tmp_path, monkeypatch, args):

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualshare import simplex
-from dualshare.ratpoly import RationalPoly
+from dualshare.errors import PropertyViolation
+from dualshare.ratpoly import RationalPoly, weight_grid
 from dualshare.simplex import SimplexError, solve_linf_fit, solve_lp, solve_minimax
-from dualshare.symcheb import weight_grid
-from oracles import solve_lp_fraction
+from oracles import solve_lp_fraction, solve_minimax_fraction
 
 
 def alternation_minimax(points, values, degree):
@@ -303,3 +303,146 @@ class TestLinfFit:
         rows = [[Fraction(1)], [Fraction(1)]]
         fit = solve_linf_fit(rows, [Fraction(2), Fraction(2)])
         assert fit.epsilon == 0 and fit.coeffs == (Fraction(2),)
+
+
+_POINT = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def minimax_instances(draw):
+    """Distinct rational points given sorted, reversed or as drawn, with
+    rational values, 0/1 values (ties are common, on weight grids too), or
+    the values of a polynomial of the fitted degree (epsilon = 0); the degree
+    runs up to m, so m <= degree + 1 occurs."""
+    if draw(st.booleans()):
+        pts = list(weight_grid(draw(st.integers(1, 14))))
+    else:
+        pts = draw(st.lists(_POINT, min_size=1, max_size=9, unique=True))
+    arrangement = draw(st.sampled_from(["sorted", "reversed", "as drawn"]))
+    if arrangement != "as drawn":
+        pts.sort(reverse=arrangement == "reversed")
+    degree = draw(st.integers(0, len(pts)))
+    kind = draw(st.sampled_from(["rational", "boolean", "polynomial"]))
+    if kind == "rational":
+        vals = draw(st.lists(_POINT, min_size=len(pts), max_size=len(pts)))
+    elif kind == "boolean":
+        vals = draw(st.lists(st.integers(0, 1), min_size=len(pts), max_size=len(pts)))
+    else:
+        p = RationalPoly.from_coeffs(
+            draw(st.lists(_POINT, min_size=degree + 1, max_size=degree + 1)))
+        vals = [p(t) for t in pts]
+    return pts, vals, degree
+
+
+class TestIntegerExchangeAgainstFractionOracle:
+    """The integer exchange must return the Fraction exchange's optimum:
+    the same polynomial, error and tie-ruled psi."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(minimax_instances())
+    def test_same_solution(self, instance):
+        pts, vals, degree = instance
+        sol = solve_minimax(pts, vals, degree)
+        assert (sol.poly, sol.epsilon, sol.psi) == solve_minimax_fraction(pts, vals, degree)
+        assert all(type(p) is Fraction for p in (*sol.psi, sol.epsilon, *sol.poly.coeffs))
+
+    def test_degenerate_ties_from_both_ends(self):
+        values = [Fraction(int(h == 12)) for h in range(13)]
+        for pts, vals in ((weight_grid(12), values), (weight_grid(12)[::-1], values[::-1])):
+            sol = solve_minimax(pts, vals, 2)
+            assert (sol.poly, sol.epsilon, sol.psi) == solve_minimax_fraction(pts, vals, 2)
+
+    def test_large_weight_grid(self):
+        n = 48
+        values = [int(2 * h > n) for h in range(n + 1)]
+        sol = solve_minimax(weight_grid(n), values, 9)
+        assert (sol.poly, sol.epsilon, sol.psi) == solve_minimax_fraction(
+            weight_grid(n), values, 9)
+
+
+@st.composite
+def fit_instances(draw):
+    m, ncoef = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    rows = [draw(st.lists(_ENTRY, min_size=ncoef, max_size=ncoef)) for _ in range(m)]
+    return rows, draw(st.lists(_ENTRY, min_size=m, max_size=m))
+
+
+def _fit_through_fraction_lp(rows, values):
+    """(coeffs, epsilon, psi) from the moment LP solved on the Fraction tableau."""
+    m, ncoef = len(rows), len(rows[0])
+    A = [[rows[i][r] for i in range(m)] + [-rows[i][r] for i in range(m)]
+         for r in range(ncoef)]
+    A.append([1] * (2 * m))
+    x, eps, y = solve_lp_fraction(A, [0] * ncoef + [1], [*values, *(-v for v in values)])
+    return tuple(y[:ncoef]), eps, tuple(x[i] - x[m + i] for i in range(m))
+
+
+class TestLinfFitAgainstFractionLP:
+    @settings(max_examples=150, deadline=None)
+    @given(fit_instances())
+    def test_same_fit(self, instance):
+        rows, values = instance
+        try:
+            expected = _fit_through_fraction_lp(rows, values)
+        except SimplexError as exc:
+            with pytest.raises(SimplexError, match=str(exc)):
+                solve_linf_fit(rows, values)
+            return
+        fit = solve_linf_fit(rows, values)
+        assert (fit.coeffs, fit.epsilon, fit.psi) == expected
+
+
+def _audited(monkeypatch, name, call):
+    """The arguments of the last call the solver made to ``simplex.<name>``."""
+    seen = []
+    real = getattr(simplex, name)
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simplex, name, spy)
+    call()
+    monkeypatch.setattr(simplex, name, real)
+    real(*seen[-1])  # the unperturbed certificate passes
+    return real, list(seen[-1])
+
+
+def _perturbed(args, slot, i):
+    out = list(args)
+    out[slot] = list(out[slot])
+    out[slot][i] += 1
+    return out
+
+
+class TestIntegerAuditsCatchPerturbations:
+    """One unit added to a single residual, psi, x or y entry of a certified
+    optimum must make the integer audits raise."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: solve_minimax([0, 1, 2, 3, 5], [0, 1, 0, 2, 1], 2),
+        lambda: solve_minimax(weight_grid(9), [int(h >= 5) for h in range(10)], 3),
+        lambda: solve_linf_fit([[1, Fraction(v, 3)] for v in (0, 1, 4, 9, 16)],
+                               [0, 1, Fraction(5, 2), 3, 2]),
+    ])
+    def test_fit_audit(self, monkeypatch, call):
+        audit, args = _audited(monkeypatch, "_audit_fit", call)
+        residuals, psi = args[1], args[4]
+        support = [i for i, p in enumerate(psi) if p]
+        assert len(support) >= 2 and args[2] > 0
+        for slot, entries in ((1, support), (4, range(len(psi)))):
+            for i in entries:
+                with pytest.raises(PropertyViolation):
+                    audit(*_perturbed(args, slot, i))
+
+    @pytest.mark.parametrize("lp", [
+        ([[1, 1, 1], [1, 0, 2]], [4, 3], [3, 1, 4]),
+        ([[Fraction(1, 2), 1, 0], [1, Fraction(-1, 3), 1]], [2, Fraction(1, 2)], [1, 2, 1]),
+    ])
+    def test_lp_audit(self, monkeypatch, lp):
+        audit, args = _audited(monkeypatch, "_audit", lambda: solve_lp(*lp))
+        X, Y = args[4], args[5]
+        for slot, entries in ((4, range(len(X))), (5, range(len(Y)))):
+            for i in entries:
+                with pytest.raises(PropertyViolation):
+                    audit(*_perturbed(args, slot, i))

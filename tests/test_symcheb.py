@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dualshare import symcheb
 from dualshare.boolcube import ParityPoly
 from dualshare.errors import PropertyViolation
-from dualshare.ratpoly import RationalPoly
+from dualshare.ratpoly import RationalPoly, weight_grid
 from dualshare.symcheb import (
     AmplificationParams,
     truncated_approximant,
@@ -25,7 +25,6 @@ from dualshare.symcheb import (
     circle_identity_check,
     reflection_check,
     symmetrize,
-    weight_grid,
 )
 
 from conftest import random_symmetric_distribution
@@ -187,7 +186,7 @@ class TestTruncatedApproximant:
     def test_error_against_chebyshev_tail(self):
         # triangle-inequality chain: certified error <= 2 sum_{d >= k} |c_d|
         test = exact_weight_test(256, 4, 0)
-        expansion = test.cheb()
+        expansion = test.cheb
         for k in (1, 2, 3):
             _, _, err = truncated_approximant(test, k)
             tail = 2 * sum(
@@ -206,7 +205,7 @@ class TestGeneratingPoly:
             w = rng.randint(0, K)
             test = exact_weight_test(n, K, w)
             g = test.generating_poly()
-            e = test.cheb()
+            e = test.cheb
             assert g.degree == 2 * K
             for d in range(-K, K + 1):
                 assert g.coeffs[K + d] == e.coeff(d)
@@ -384,7 +383,7 @@ class TestCoefficientDecay:
         for n in (256, 258):
             for w in (0, 1, 2):
                 test = exact_weight_test(n, K, w)
-                e = test.cheb()
+                e = test.cheb
                 for eps in (Fraction(1, 10), Fraction(1, 3)):
                     delta = eps * eps / (2 * (1 + eps))
                     amp = (1 + eps) ** (2 * K) * (
