@@ -4,13 +4,19 @@ Chebyshev truncation bounds for Boolean tests.
 All trust-path computation is exact rational arithmetic; floating point is
 confined to verification estimates and explicitly float-valued bounds.
 
-Importing the package runs none of its submodules: each is registered with
-``importlib.util.LazyLoader``, so its body runs when one of its attributes is
-first read, and the public names below are served on first access.
+Importing the package runs none of its computation modules: each is
+registered with ``importlib.util.LazyLoader``, so its body runs when one of
+its attributes is first read, and the public names below are served on first
+access.  Only ``errors`` is loaded eagerly.  Inside the package a computation
+module is imported as a module (``from . import simplex``) and its names are
+read qualified: ``from .simplex import name`` would run the body inside the
+import statement, which drops any exception the body raises.
 """
 
 import importlib.util
 import sys
+
+from . import errors
 
 __version__ = "0.1.0"
 
@@ -75,8 +81,8 @@ def _register_lazy(short: str):
     return module
 
 
-_LAZY_SUBMODULES = ("approxlab", "boolcube", "certify", "dualand", "errors", "ratpoly",
-                    "serialize", "simplex", "symcheb", "weightdeg")
+_LAZY_SUBMODULES = ("approxlab", "boolcube", "certify", "dualand", "ratpoly", "serialize",
+                    "simplex", "symcheb", "weightdeg")
 # Bound as package attributes too, so ``from . import boolcube`` finds the
 # module without an import, which would read its __spec__ and load it.
 for _short in _LAZY_SUBMODULES:

@@ -19,34 +19,31 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from . import symcheb
-from .boolcube import DualWitness, SymmetricDistribution, kwise_indistinguishable
+from . import boolcube, ratpoly, simplex, symcheb
 from .errors import InvalidInput, PropertyViolation
-from .ratpoly import RationalPoly, cheb_transform_factored, weight_grid
-from .simplex import MinimaxSolution, solve_minimax
 
 # desk-scale cap on the weight grid's n
 MAX_N = 1000
 
 
-def minimax_on_weight_grid(values: Sequence, degree: int) -> MinimaxSolution:
+def minimax_on_weight_grid(values: Sequence, degree: int) -> simplex.MinimaxSolution:
     """Exact degree-``degree`` minimax fit of ``values`` (indexed by Hamming
     weight h = 0..n) on the weight grid t_h = 1 - 2h/n."""
-    return solve_minimax(weight_grid(len(values) - 1), values, degree)
+    return simplex.solve_minimax(ratpoly.weight_grid(len(values) - 1), values, degree)
 
 
-def grid_n(sol: MinimaxSolution) -> int:
+def grid_n(sol: simplex.MinimaxSolution) -> int:
     """The n for which the solution's points are the weight grid; errors otherwise."""
     n = len(sol.points) - 1
-    if sol.points != weight_grid(n):
+    if sol.points != ratpoly.weight_grid(n):
         raise ValueError("certificate does not live on a Hamming-weight grid")
     return n
 
 
-def symmetric_witness(sol: MinimaxSolution) -> DualWitness:
+def symmetric_witness(sol: simplex.MinimaxSolution) -> boolcube.DualWitness:
     """Per-string symmetric DualWitness (weight-class mass / C(n, h))."""
     n = grid_n(sol)
-    return DualWitness(
+    return boolcube.DualWitness(
         n=n,
         values=tuple(p / comb(n, h) for h, p in enumerate(sol.psi)),
         representation="symmetric",
@@ -56,7 +53,7 @@ def symmetric_witness(sol: MinimaxSolution) -> DualWitness:
 
 def approx_degree(
     values_by_weight: Sequence, epsilon
-) -> tuple[MinimaxSolution, MinimaxSolution | None]:
+) -> tuple[simplex.MinimaxSolution, simplex.MinimaxSolution | None]:
     """Minimax solutions at the least degree k whose error on the weight grid
     is <= epsilon, and at degree k - 1 (None when k = 0).
 
@@ -80,8 +77,8 @@ def approx_degree(
 
 
 def dual_distributions(
-    cert: MinimaxSolution,
-) -> tuple[SymmetricDistribution, SymmetricDistribution]:
+    cert: simplex.MinimaxSolution,
+) -> tuple[boolcube.SymmetricDistribution, boolcube.SymmetricDistribution]:
     """Split psi = (mu - nu)/2 into the perfectly indistinguishable pair.
 
     mu doubles the positive part and nu the negative part; zero pairing with
@@ -95,8 +92,8 @@ def dual_distributions(
 
 
 def split_cube_witness(
-    wit: DualWitness,
-) -> tuple[SymmetricDistribution, SymmetricDistribution]:
+    wit: boolcube.DualWitness,
+) -> tuple[boolcube.SymmetricDistribution, boolcube.SymmetricDistribution]:
     """Positive/negative split of a symmetric witness into distributions.
 
     A cube-represented witness must actually be symmetric (constant on weight
@@ -118,14 +115,14 @@ def split_cube_witness(
 
 def _split_signed_mass(
     n: int, mass: Sequence[Fraction]
-) -> tuple[SymmetricDistribution, SymmetricDistribution]:
+) -> tuple[boolcube.SymmetricDistribution, boolcube.SymmetricDistribution]:
     """(mu, nu) doubling the positive and the negative part of a zero-sum
     per-weight signed mass, so that mass = (mu - nu)/2."""
     if sum(mass) != 0:
         raise ValueError("witness pairs nonzero with the constant character")
     mu = tuple(2 * q if q > 0 else Fraction(0) for q in mass)
     nu = tuple(-2 * q if q < 0 else Fraction(0) for q in mass)
-    return SymmetricDistribution(n, mu), SymmetricDistribution(n, nu)
+    return boolcube.SymmetricDistribution(n, mu), boolcube.SymmetricDistribution(n, nu)
 
 
 @dataclass(frozen=True)
@@ -181,9 +178,9 @@ def l2_tail_bound(K: int, k: int) -> Fraction:
     )
 
 
-def limit_ramp_poly(K: int) -> RationalPoly:
+def limit_ramp_poly(K: int) -> ratpoly.RationalPoly:
     """p_0^infty(t) = 2^-K (t+1)^K, the n -> infinity limit of p_0."""
-    return RationalPoly.from_roots([Fraction(-1)] * K, Fraction(1, 2**K))
+    return ratpoly.RationalPoly.from_roots([Fraction(-1)] * K, Fraction(1, 2**K))
 
 
 def limit_ramp_cheb_coeff(K: int, d: int) -> Fraction:
@@ -193,7 +190,7 @@ def limit_ramp_cheb_coeff(K: int, d: int) -> Fraction:
 
 def finite_n_ramp(
     params: RampParams,
-) -> tuple[SymmetricDistribution, SymmetricDistribution, Fraction]:
+) -> tuple[boolcube.SymmetricDistribution, boolcube.SymmetricDistribution, Fraction]:
     """Minimax-built k-wise indistinguishable pair reconstructible by the
     first-K AND.
 
@@ -217,12 +214,12 @@ def finite_n_ramp(
     advantage = mu.expectation(and_values) - nu.expectation(and_values)
     if advantage != 2 * sol.epsilon:
         raise PropertyViolation("advantage of the LP pair differs from twice its error")
-    if not kwise_indistinguishable(mu, nu, k):
+    if not boolcube.kwise_indistinguishable(mu, nu, k):
         raise PropertyViolation(f"LP pair is not perfectly {k}-wise indistinguishable")
     return mu, nu, advantage
 
 
-def consolidate_and(d: SymmetricDistribution, t: int) -> SymmetricDistribution:
+def consolidate_and(d: boolcube.SymmetricDistribution, t: int) -> boolcube.SymmetricDistribution:
     """Distribution of the per-block AND bits under a symmetric share vector.
 
     The tn positions split into n blocks of size t; conditioned on total
@@ -253,7 +250,7 @@ def consolidate_and(d: SymmetricDistribution, t: int) -> SymmetricDistribution:
             w = ways.get((h, full), 0)
             if w:
                 out[full] += p * Fraction(w, denom)
-    return SymmetricDistribution(n_out, tuple(out))
+    return boolcube.SymmetricDistribution(n_out, tuple(out))
 
 
 def consolidation_bound(k: int, K: int, t: int, n: int) -> float:
@@ -264,4 +261,4 @@ def consolidation_bound(k: int, K: int, t: int, n: int) -> float:
 
 def limit_ramp_expansion(K: int):
     """Chebyshev expansion of p_0^infty via the factored transform."""
-    return cheb_transform_factored([Fraction(-1)] * K, Fraction(1, 2**K))
+    return ratpoly.cheb_transform_factored([Fraction(-1)] * K, Fraction(1, 2**K))

@@ -4,7 +4,8 @@ Every decision runs on integers: a polynomial enters as its numerators over
 one positive denominator, its Sturm chain is the primitive pseudo-remainder
 sequence (Collins 1967), each remainder scaled by the positive
 |lc|^(delta+1) so no sign changes, and a sign at a rational a/b is read by
-homogeneous Horner.  Floating point only appears in the convenience
+homogeneous Horner; the products, the evaluation and the integer form are
+``ratpoly``'s integer kernel.  Floating point only appears in the convenience
 estimates returned alongside the certified bounds.  The central primitive
 is ``poly_nonneg_on``: an exact decision procedure for ``p(t) >= 0 for all t
 in [lo, hi]``.  ``abs_bounded_on`` decides |p| <= B as the pair B - p >= 0
@@ -18,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from . import ratpoly
 from .errors import PropertyViolation
-from .ratpoly import RationalPoly, _scaled_values
 
 
 def _primitive(cs: list[int]) -> list[int]:
@@ -30,14 +31,6 @@ def _primitive(cs: list[int]) -> list[int]:
 
 def _derivative(cs: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(cs) if i]
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -88,9 +81,9 @@ def _odd_part(p: list[int]) -> list[int]:
         nxt = _gcd(p, _derivative(p))
         s = _exact_quo(p, nxt)
         if k % 2:
-            den = _mul(den, s)
+            den = ratpoly._mul(den, s)
         else:
-            num = _mul(num, s)
+            num = ratpoly._mul(num, s)
         p, k = nxt, k + 1
     return _primitive(_exact_quo(num, den))
 
@@ -103,7 +96,7 @@ def _grid(lo: Fraction, hi: Fraction, steps: int) -> tuple[list[int], int]:
     return [a * (steps - j) + b * j for j in range(steps + 1)], den
 
 
-def sturm_chain(q: RationalPoly) -> list[list[int]]:
+def sturm_chain(q: ratpoly.RationalPoly) -> list[list[int]]:
     """Sturm chain of a squarefree polynomial, as primitive integer
     coefficient lists: q, q', then the negated primitive pseudo-remainders."""
     chain = [_primitive(list(q._integer_form[0]))]
@@ -116,7 +109,8 @@ def sturm_chain(q: RationalPoly) -> list[list[int]]:
 
 
 def _sign_changes(chain: list[list[int]], x: Fraction) -> int:
-    signs = [v > 0 for f in chain for v in _scaled_values(f, (x.numerator,), x.denominator) if v]
+    signs = [v > 0 for f in chain
+             for v in ratpoly._scaled_values(f, (x.numerator,), x.denominator) if v]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
@@ -125,7 +119,7 @@ def count_roots_open(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
     return _sign_changes(chain, a) - _sign_changes(chain, b)
 
 
-def poly_nonneg_on(p: RationalPoly, lo, hi) -> bool:
+def poly_nonneg_on(p: ratpoly.RationalPoly, lo, hi) -> bool:
     """Exact decision of ``p(t) >= 0`` for every t in [lo, hi].
 
     p changes sign only at its roots of odd multiplicity, so it has one sign
@@ -139,23 +133,23 @@ def poly_nonneg_on(p: RationalPoly, lo, hi) -> bool:
     nums = list(p._integer_form[0])
     o = _odd_part(_primitive(nums))
     for r in (lo, hi):
-        if not any(_scaled_values(o, (r.numerator,), r.denominator)):
+        if not any(ratpoly._scaled_values(o, (r.numerator,), r.denominator)):
             o = _primitive(_exact_quo(o, [-r.numerator, r.denominator]))
-    if count_roots_open(sturm_chain(RationalPoly.from_coeffs(o)), lo, hi):
+    if count_roots_open(sturm_chain(ratpoly.RationalPoly.from_coeffs(o)), lo, hi):
         return False
     xs, den = _grid(lo, hi, p.degree + 2)
-    for v in _scaled_values(nums, xs[1:-1], den):
+    for v in ratpoly._scaled_values(nums, xs[1:-1], den):
         if v:
             return v > 0
     return True  # p = 0, or lo == hi and p(lo) = 0
 
 
-def abs_bounded_on(p: RationalPoly, bound, lo, hi) -> bool:
+def abs_bounded_on(p: ratpoly.RationalPoly, bound, lo, hi) -> bool:
     """Exact decision of ``|p(t)| <= bound`` for every t in [lo, hi], bound >= 0."""
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("the bound on |p| must be nonnegative")
-    b = RationalPoly.of(bound)
+    b = ratpoly.RationalPoly.of(bound)
     return poly_nonneg_on(b - p, lo, hi) and poly_nonneg_on(b + p, lo, hi)
 
 
@@ -164,7 +158,7 @@ def _snap(x: Fraction, max_den: int = 1 << 48) -> Fraction:
 
 
 def sup_norm_certified(
-    p: RationalPoly, lo=-1, hi=1, grid: int = 256, rel_tol: Fraction = Fraction(1, 1 << 20)
+    p: ratpoly.RationalPoly, lo=-1, hi=1, grid: int = 256, rel_tol: Fraction = Fraction(1, 1 << 20)
 ) -> tuple[Fraction, Fraction]:
     """Certified enclosure [attained, upper] of sup |p| on [lo, hi].
 
@@ -184,7 +178,8 @@ def sup_norm_certified(
     # integer over D c^deg p
     nums, den = p._integer_form
     xs, c = _grid(lo, hi, grid)
-    attained = Fraction(max(map(abs, _scaled_values(nums, xs, c))), den * c ** p.degree)
+    values = ratpoly._scaled_values(nums, xs, c)
+    attained = Fraction(max(map(abs, values)), den * c ** p.degree)
     if certifies(attained):
         return attained, attained
     # grow until certified, then bisect back down

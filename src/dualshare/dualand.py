@@ -35,14 +35,14 @@ from functools import cached_property
 from itertools import accumulate
 from math import comb, lcm
 
-from .boolcube import CUBE_CAP, DualWitness, WeightVector, mask_to_bits, walsh_hadamard
+from . import boolcube
 from .errors import PropertyViolation
 
 
 @dataclass(frozen=True)
 class DualAndParams:
     n: int
-    w: WeightVector
+    w: boolcube.WeightVector
     d: Fraction
 
     def __post_init__(self):
@@ -50,12 +50,12 @@ class DualAndParams:
             raise ValueError("weight vector length must equal n")
         if not 0 < self.d <= self.w.l1():
             raise ValueError("need 0 < d <= |w|_1")
-        if self.n > CUBE_CAP:
-            raise ValueError(f"exact cube construction capped at n <= {CUBE_CAP}")
+        if self.n > boolcube.CUBE_CAP:
+            raise ValueError(f"exact cube construction capped at n <= {boolcube.CUBE_CAP}")
 
     @staticmethod
     def uniform(n: int, d) -> "DualAndParams":
-        return DualAndParams(n, WeightVector.uniform(n), Fraction(d))
+        return DualAndParams(n, boolcube.WeightVector.uniform(n), Fraction(d))
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class DualAndWitness:
         return Fraction(1 << self.params.n, self.H_size)
 
     @cached_property
-    def witness(self) -> DualWitness:
+    def witness(self) -> boolcube.DualWitness:
         """phi(x) = chi_[n](x) * char_sums[x]^2 / (2^n |H|)."""
         n = self.params.n
         denom = (1 << n) * self.H_size
@@ -83,7 +83,7 @@ class DualAndWitness:
             Fraction(-m * m if x.bit_count() & 1 else m * m, denom)
             for x, m in enumerate(self.char_sums)
         )
-        return DualWitness(n, values, "cube", claimed_degree=self.params.d)
+        return boolcube.DualWitness(n, values, "cube", claimed_degree=self.params.d)
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class WitnessReport:
     correlation: Fraction
 
 
-def subset_weight_table(w: WeightVector, scale: int) -> list[int]:
+def subset_weight_table(w: boolcube.WeightVector, scale: int) -> list[int]:
     """scale * w(S) for every subset mask S, as ints; ``scale`` must clear
     every weight's denominator.  Built by doubling: weight i appends the masks
     with bit i set, each being the one without it plus w_i."""
@@ -107,7 +107,7 @@ def subset_weight_table(w: WeightVector, scale: int) -> list[int]:
     return tab
 
 
-def _integer_weights(w: WeightVector, d: Fraction) -> tuple[list[int], int]:
+def _integer_weights(w: boolcube.WeightVector, d: Fraction) -> tuple[list[int], int]:
     """(scale * w(S) for every mask S, scale * d), for the least scale making
     every weight and d integral."""
     scale = lcm(d.denominator, *(e.denominator for e in w.entries))
@@ -130,11 +130,11 @@ def build_witness(params: DualAndParams) -> DualAndWitness:
     return DualAndWitness(
         params=params,
         H_size=sum(indicator),
-        char_sums=tuple(walsh_hadamard(indicator)),
+        char_sums=tuple(boolcube.walsh_hadamard(indicator)),
     )
 
 
-def verify_witness(wit: DualWitness, d, w: WeightVector) -> WitnessReport:
+def verify_witness(wit: boolcube.DualWitness, d, w: boolcube.WeightVector) -> WitnessReport:
     """Check the three AND-witness conditions exactly.
 
     (a) <phi, chi_S> = 0 for every S with w(S) strictly below d (all pairings
@@ -151,7 +151,7 @@ def verify_witness(wit: DualWitness, d, w: WeightVector) -> WitnessReport:
     vals = wit.cube_values()
     scale = lcm(*{v.denominator for v in vals})
     scaled = [v.numerator * (scale // v.denominator) for v in vals]
-    transform = walsh_hadamard(scaled)
+    transform = boolcube.walsh_hadamard(scaled)
     weights, scaled_d = _integer_weights(w, Fraction(d))
     violations = tuple(
         s for s, (t, c) in enumerate(zip(weights, transform)) if t < scaled_d and c
@@ -165,7 +165,7 @@ def verify_witness(wit: DualWitness, d, w: WeightVector) -> WitnessReport:
     )
 
 
-def _signed_sum_counts(w: WeightVector) -> dict[Fraction, int]:
+def _signed_sum_counts(w: boolcube.WeightVector) -> dict[Fraction, int]:
     """Distribution of <w, X> over uniform X in {-1,1}^n as value -> count."""
     counts: dict[Fraction, int] = {Fraction(0): 1}
     for wi in w.entries:
@@ -190,7 +190,7 @@ def binomial_tail_epsilon(n: int, d: int) -> Fraction:
     return Fraction(sum(comb(n, k) for k in range(top + 1)), 1 << n)
 
 
-def weighted_anticoncentration_check(w: WeightVector) -> tuple[Fraction, bool]:
+def weighted_anticoncentration_check(w: boolcube.WeightVector) -> tuple[Fraction, bool]:
     """Pr[<w, X> >= |w|_2 / 2] by exact enumeration, and whether it is >= 3/32.
 
     The irrational threshold is compared by squaring: s >= |w|_2/2 iff s >= 0
@@ -246,7 +246,7 @@ class ShareSampler:
         return self._points[bisect_right(self._cum, r)]
 
     def sample(self) -> tuple[int, ...]:
-        return mask_to_bits(self._n, self.sample_mask())
+        return boolcube.mask_to_bits(self._n, self.sample_mask())
 
 
 def reconstruction_advantage(wit: DualAndWitness) -> Fraction:

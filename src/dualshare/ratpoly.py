@@ -14,9 +14,13 @@ Conventions used throughout the package:
   used are E[T_0^2] = 1, E[T_d^2] = 1/2 for d > 0, and orthogonality, so all
   sigma inner products are computed algebraically, never by quadrature.
 
+One integer kernel lives here, and every layer imports it: ``_over_lcm``
+(numerators over the lcm of the denominators, the form
+``RationalPoly._integer_form`` keeps), ``_scaled_values`` (homogeneous
+Horner), ``_mul`` (products) and ``_weights`` / ``_lagrange`` (the integer
+Lagrange form).  ``RationalPoly`` multiplies and interpolates on it.
 Floating point appears only in the float and complex evaluators
-(``eval_float``, ``eval_complex``) that verification estimates use; every
-transform is exact.
+(``eval_float``, ``eval_complex``) that verification estimates use.
 """
 
 from __future__ import annotations
@@ -34,6 +38,13 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _over_lcm(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(numerators, den): values[i] = numerators[i] / den, den the lcm of the
+    denominators (1 for no values)."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 def _scaled_values(coeffs: Sequence[int], xs: Iterable[int], den: int) -> Iterator[int]:
     """den^d p(x / den) for each x in xs, p = sum coeffs[i] t^i of degree d,
     by Horner on the integer coefficients scaled by den^(d - i).  For den > 0
@@ -47,6 +58,49 @@ def _scaled_values(coeffs: Sequence[int], xs: Iterable[int], den: int) -> Iterat
         for c in scaled:
             acc = acc * x + c
         yield acc
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _weights(xs: Sequence[int]) -> tuple[list[int], int]:
+    """(w, Q) with w_i = Q / prod_{j != i} (x_i - x_j) for distinct integers
+    xs and Q the lcm of those products: integer multiples of the levelling
+    weights, which annihilate every polynomial of degree below len(xs) - 1
+    and alternate in sign along increasing xs."""
+    prods = []
+    for i, x in enumerate(xs):
+        p = 1
+        for j, y in enumerate(xs):
+            if j != i:
+                p *= x - y
+        prods.append(p)
+    q = lcm(*prods)
+    return [q // p for p in prods], q
+
+
+def _lagrange(xs: Sequence[int], cs: Sequence[int]) -> list[int]:
+    """Coefficients, lowest power first, of sum_i cs[i] prod_{j != i} (u - xs[j])."""
+    full = [1]
+    for x in xs:  # full <- full * (u - x)
+        full = [0, *full]
+        for i in range(len(full) - 1):
+            full[i] -= x * full[i + 1]
+    out = [0] * len(xs)
+    for x, c in zip(xs, cs):
+        if c:
+            acc = 0
+            for d in range(len(xs) - 1, -1, -1):  # full / (u - x), top down
+                acc = full[d + 1] + x * acc
+                out[d] += c * acc
+    return out
 
 
 def _check_grid_size(n: int) -> None:
@@ -87,23 +141,16 @@ class RationalPoly:
 
     @staticmethod
     def interpolate(xs, ys) -> "RationalPoly":
-        """The interpolant of degree < len(xs) through the points (xs[i], ys[i]),
-        by Newton's divided differences (xs distinct)."""
-        xs = [_frac(x) for x in xs]
-        c = [_frac(y) for y in ys]
-        n = len(xs)
-        for j in range(1, n):
-            for i in range(n - 1, j - 1, -1):
-                c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
-        coeffs = c[-1:]
-        for i in range(n - 2, -1, -1):
-            # coeffs <- coeffs * (t - xs[i]) + c[i]
-            shifted = [Fraction(0)] + coeffs
-            for j, a in enumerate(coeffs):
-                shifted[j] -= a * xs[i]
-            shifted[0] += c[i]
-            coeffs = shifted
-        return RationalPoly.from_coeffs(coeffs)
+        """The interpolant of degree < len(xs) through the points (xs[i], ys[i])
+        (xs distinct), in integer Lagrange form: with u_i = L x_i and
+        g_i = F y_i over the lcms L and F, and weights w_i over Q from
+        ``_weights``, p(u / L) = sum_i g_i w_i prod_{j != i} (u - u_j) / (F Q)."""
+        us, big_l = _over_lcm([_frac(x) for x in xs])
+        gs, big_f = _over_lcm([_frac(y) for y in ys])
+        weights, q = _weights(us)
+        coeffs = _lagrange(us, [g * w for g, w in zip(gs, weights)])
+        return RationalPoly.from_coeffs(
+            Fraction(c * big_l**j, q * big_f) for j, c in enumerate(coeffs))
 
     @property
     def degree(self) -> int:
@@ -116,8 +163,7 @@ class RationalPoly:
     @cached_property
     def _integer_form(self) -> tuple[tuple[int, ...], int]:
         """Integer numerators P_i over one common denominator D: p = sum P_i t^i / D."""
-        den = lcm(*(c.denominator for c in self.coeffs))
-        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den
+        return _over_lcm(self.coeffs)
 
     @cached_property
     def _float_coeffs(self) -> tuple[float, ...]:
@@ -165,15 +211,8 @@ class RationalPoly:
 
     def __mul__(self, other):
         if isinstance(other, RationalPoly):
-            if self.is_zero() or other.is_zero():
-                return RationalPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        if b:
-                            out[i + j] += a * b
-            return RationalPoly.from_coeffs(out)
+            (a, da), (b, db) = self._integer_form, other._integer_form
+            return RationalPoly.from_coeffs(Fraction(c, da * db) for c in _mul(a, b))
         s = _frac(other)
         return RationalPoly.from_coeffs(c * s for c in self.coeffs)
 

@@ -14,8 +14,10 @@ the values g_i = F f_i (L and F the lcms of their denominators), levelling
 weights Q / prod_{j != i} (u_i - u_j) over the lcm Q of those products, and
 every residual read from the Lagrange form of the levelled interpolant over
 one common denominator (Berrut & Trefethen, *SIAM Review* 46, 2004).  The
-``RationalPoly`` is built once, at the end, after the certificate has passed
-the audit on the same integers.
+scaling (``_over_lcm``), the weights (``_weights``) and the Lagrange form
+(``_lagrange``) are ``ratpoly``'s integer kernel.  The ``RationalPoly`` is
+built once, at the end, after the certificate has passed the audit on the
+same integers.
 
 General design matrices (``solve_linf_fit``) go through a textbook two-phase
 primal simplex with Bland's anti-cycling rule on a fraction-free integer
@@ -39,8 +41,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from . import ratpoly
 from .errors import PropertyViolation
-from .ratpoly import RationalPoly, _frac, _scaled_values
 
 
 class SimplexError(Exception):
@@ -50,11 +52,6 @@ class SimplexError(Exception):
 def _exact(v):
     """v as an exact rational; ints and Fractions pass through unconverted."""
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
-
-
-def _scaled(v: Fraction, scale: int) -> int:
-    """v * scale, for a scale that v's denominator divides."""
-    return v.numerator * (scale // v.denominator)
 
 
 def solve_lp(
@@ -83,12 +80,12 @@ def solve_lp(
     b = [_exact(v) for v in b]
     c = [_exact(v) for v in c]
     flips = [-1 if v < 0 else 1 for v in b]
-    sigma = [lcm(*(row[j].denominator for row in A)) for j in range(len(A[0]))]
-    sigma_b = lcm(*(v.denominator for v in b))
-    scale = lcm(*(v.denominator for v in c))
-    cols = [[f * _scaled(v, s) for v, s in zip(row, sigma)] for row, f in zip(A, flips)]
-    rhs = [f * _scaled(v, sigma_b) for v, f in zip(b, flips)]
-    cost = [_scaled(v, scale) * s for v, s in zip(c, sigma)]
+    columns, sigma = zip(*(ratpoly._over_lcm(col) for col in zip(*A)))
+    cols = [[f * v for v in row] for row, f in zip(zip(*columns), flips)]
+    rhs, sigma_b = ratpoly._over_lcm(b)
+    rhs = [f * v for v, f in zip(rhs, flips)]
+    cost, scale = ratpoly._over_lcm(c)
+    cost = [v * s for v, s in zip(cost, sigma)]
 
     m, n = len(cols), len(cols[0])
     # artificial column n + i corresponds to row i; column rhs_col is rhs
@@ -223,20 +220,17 @@ def solve_linf_fit(rows: Sequence[Sequence[Fraction]], values: Sequence[Fraction
     ncoef = len(rows[0]) if rows else 0
     if any(len(r) != ncoef for r in rows):
         raise ValueError("ragged design matrix")
-    sigma = [lcm(*(v.denominator for v in r)) for r in rows]
-    design = [[_scaled(v, s) for v in r] for r, s in zip(rows, sigma)]
-    big_f = lcm(*(v.denominator for v in values))
-    gs = [_scaled(v, big_f) for v in values]
+    scaled = [ratpoly._over_lcm(r) for r in rows]
+    design, sigma = [d for d, _ in scaled], [s for _, s in scaled]
+    gs, big_f = ratpoly._over_lcm(values)
 
     A = [[d[r] for d in design] + [-d[r] for d in design] for r in range(ncoef)]
     A.append(sigma + sigma)
     cost = [g * s for g, s in zip(gs, sigma)]
     x, value, y = solve_lp(A, [0] * ncoef + [1], cost + [-v for v in cost])
     # the scaled LP's x, value and y over one denominator: x = X / den, ...
-    den = lcm(value.denominator, *(v.denominator for v in x), *(v.denominator for v in y))
-    X = [_scaled(v, den) for v in x]
-    Y = [_scaled(v, den) for v in y]
-    V = _scaled(value, den)
+    nums, den = ratpoly._over_lcm([*x, value, *y])
+    X, V, Y = nums[:2 * m], nums[2 * m], nums[2 * m + 1:]
     if Y[ncoef] != V:
         raise PropertyViolation("dual objective row disagrees with the LP value")
 
@@ -299,7 +293,7 @@ class MinimaxSolution:
 
     points: tuple[Fraction, ...]
     degree: int
-    poly: RationalPoly
+    poly: ratpoly.RationalPoly
     epsilon: Fraction
     psi: tuple[Fraction, ...]
 
@@ -323,8 +317,8 @@ def solve_minimax(
     is zero, and with fewer than degree+2 points the polynomial is the
     interpolant of least degree.
     """
-    points = [_frac(p) for p in points]
-    values = [_frac(v) for v in values]
+    points = [ratpoly._frac(p) for p in points]
+    values = [ratpoly._frac(v) for v in values]
     m = len(points)
     if not m or len(values) != m:
         raise ValueError("need at least one point and one value per point")
@@ -333,13 +327,11 @@ def solve_minimax(
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     order = sorted(range(m), key=points.__getitem__)
-    big_l = lcm(*(p.denominator for p in points))
-    big_f = lcm(*(v.denominator for v in values))
-    us = [_scaled(points[i], big_l) for i in order]
-    gs = [_scaled(values[i], big_f) for i in order]
+    us, big_l = ratpoly._over_lcm([points[i] for i in order])
+    gs, big_f = ratpoly._over_lcm([values[i] for i in order])
     if m <= degree + 1:
-        weights, scale = _weights(us)
-        coeffs = _lagrange(us, [g * w for g, w in zip(gs, weights)])
+        weights, scale = ratpoly._weights(us)
+        coeffs = ratpoly._lagrange(us, [g * w for g, w in zip(gs, weights)])
         residuals, err = _integer_residuals(coeffs, scale, us, gs), 0
     else:
         coeffs, scale, residuals, err = _exchange(us, gs, degree)
@@ -357,7 +349,7 @@ def solve_minimax(
                     break
         if len(support) < degree + 2:
             raise SimplexError("optimum is not levelled on degree+2 alternating points")
-        weights, _ = _weights([us[i] for i in support])
+        weights, _ = ratpoly._weights([us[i] for i in support])
         sign = 1 if weights[0] * residuals[support[0]] > 0 else -1
         total = sum(abs(w) for w in weights)
         for i, w in zip(support, weights):
@@ -373,7 +365,7 @@ def solve_minimax(
     return MinimaxSolution(
         points=tuple(points),
         degree=degree,
-        poly=RationalPoly.from_coeffs(  # t = u / L
+        poly=ratpoly.RationalPoly.from_coeffs(  # t = u / L
             Fraction(c * big_l**j, den) for j, c in enumerate(coeffs)),
         epsilon=Fraction(err, den),
         psi=tuple(psi),
@@ -395,7 +387,7 @@ def _exchange(
     best_num, best_den = -1, 1  # the previous |h|, as a fraction
     while True:
         xs = [us[i] for i in ref]
-        weights, q = _weights(xs)
+        weights, q = ratpoly._weights(xs)
         num = sum(w * gs[i] for w, i in zip(weights, ref))
         den = sum(abs(w) for w in weights)  # h = num / den
         if abs(num) * best_den <= best_num * den:
@@ -409,7 +401,7 @@ def _exchange(
         # q / prod_{j != i, j <= degree} (x_i - x_j) = w_i (x_i - x_last):
         # the interpolant of degree <= degree, times q den
         last = xs[-1]
-        coeffs = _lagrange(xs[:-1], [
+        coeffs = ratpoly._lagrange(xs[:-1], [
             (den * gs[i] - s * best_num) * w * (x - last)
             for i, s, w, x in zip(ref[:-1], signs, weights, xs)
         ])
@@ -433,41 +425,8 @@ def _swap_in(ref: list[int], signs: list[int], k: int, sign_k: int) -> list[int]
     return out
 
 
-def _weights(xs: list[int]) -> tuple[list[int], int]:
-    """(w, Q) with w_i = Q / prod_{j != i} (x_i - x_j) for distinct integers
-    xs and Q the lcm of those products: integer multiples of the levelling
-    weights, which annihilate every polynomial of degree below len(xs) - 1
-    and alternate in sign along increasing xs."""
-    prods = []
-    for i, x in enumerate(xs):
-        p = 1
-        for j, y in enumerate(xs):
-            if j != i:
-                p *= x - y
-        prods.append(p)
-    q = lcm(*prods)
-    return [q // p for p in prods], q
-
-
-def _lagrange(xs: list[int], cs: list[int]) -> list[int]:
-    """Coefficients, lowest power first, of sum_i cs[i] prod_{j != i} (u - xs[j])."""
-    full = [1]
-    for x in xs:  # full <- full * (u - x)
-        full = [0, *full]
-        for i in range(len(full) - 1):
-            full[i] -= x * full[i + 1]
-    out = [0] * len(xs)
-    for x, c in zip(xs, cs):
-        if c:
-            acc = 0
-            for d in range(len(xs) - 1, -1, -1):  # full / (u - x), top down
-                acc = full[d + 1] + x * acc
-                out[d] += c * acc
-    return out
-
-
 def _integer_residuals(
     coeffs: list[int], scale: int, us: list[int], gs: list[int]
 ) -> list[int]:
     """scale g - sum coeffs[j] u^j at every point, by integer Horner."""
-    return [scale * g - v for g, v in zip(gs, _scaled_values(coeffs, us, 1))]
+    return [scale * g - v for g, v in zip(gs, ratpoly._scaled_values(coeffs, us, 1))]

@@ -32,10 +32,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
 
-from .approxlab import grid_n, symmetric_witness
-from .boolcube import ParityPoly, bits_to_mask, kravchuk, pair_with_witness
+from . import approxlab, boolcube, ratpoly, simplex
 from .errors import InfeasibleBudget, InvalidInput, PropertyViolation
-from .simplex import MinimaxSolution, solve_linf_fit, solve_minimax
 
 _TERM_CAP = 1 << 21
 
@@ -139,7 +137,7 @@ def _and_core_for_split(n: int, ell: int, degree_budget: int) -> _AndCore:
     outer_degree = min(ell, degree_budget // s)
     values = [Fraction(0)] * ell + [Fraction(1)]
     points = [Fraction(j) for j in range(ell + 1)]
-    sol = solve_minimax(points, values, outer_degree)
+    sol = simplex.solve_minimax(points, values, outer_degree)
     p_values = [sol.poly(Fraction(j)) for j in range(ell + 1)]
     c = _finite_differences(p_values)
     if any(c[outer_degree + 1 :]):
@@ -178,7 +176,7 @@ def _and_approx_core(n: int, degree_budget: int, error_target: Fraction) -> _And
     return best
 
 
-def _materialize(core: _AndCore) -> ParityPoly:
+def _materialize(core: _AndCore) -> boolcube.ParityPoly:
     """Expand the block-structured approximant into an explicit ParityPoly."""
     n, ell, s = core.n, core.ell, core.s
     active = [r for r, v in enumerate(core.D) if v]
@@ -195,12 +193,12 @@ def _materialize(core: _AndCore) -> ParityPoly:
                 for p in parts:
                     mask |= p
                 coeffs[mask] = -d_r if mask.bit_count() & 1 else d_r
-    return ParityPoly(n, coeffs)
+    return boolcube.ParityPoly(n, coeffs)
 
 
 def approx_eq_y(
     n: int, y, degree_budget: int, error_target
-) -> tuple[ParityPoly, WeightDegreeReport]:
+) -> tuple[boolcube.ParityPoly, WeightDegreeReport]:
     """Low-weight approximant of the point indicator EQ_y on {0,1}^n.
 
     EQ_y is the n-bit AND with the variables at y's zero positions negated;
@@ -210,7 +208,7 @@ def approx_eq_y(
     count, and the outer minimax residuals enumerate every count.
     """
     error_target = Fraction(error_target)
-    y_mask = y if isinstance(y, int) else bits_to_mask(y)
+    y_mask = y if isinstance(y, int) else boolcube.bits_to_mask(y)
     core = _and_approx_core(n, degree_budget, error_target)
     poly = _materialize(core)
     zeros_mask = ((1 << n) - 1) ^ y_mask
@@ -237,13 +235,7 @@ def _block_count_poly(s: int, r: int) -> list[int]:
     base[0] -= 1  # exclude the empty choice per block
     out = [1]
     for _ in range(r):
-        nxt = [0] * (len(out) + s)
-        for i, a in enumerate(out):
-            if a:
-                for j, b in enumerate(base):
-                    if b:
-                        nxt[i + j] += a * b
-        out = nxt
+        out = ratpoly._mul(out, base)
     return out
 
 
@@ -251,7 +243,7 @@ def _kappa_sums(n: int, supp_weights: list[int]) -> list[int]:
     """sum over the support classes h of kappa_h(m) = kravchuk(n, n - h, m), the
     sign-flip multiplier a size-m parity coefficient picks up when the AND
     approximant is summed over all targets y of weight h."""
-    return [sum(kravchuk(n, n - h, m) for h in supp_weights) for m in range(n + 1)]
+    return [sum(boolcube.kravchuk(n, n - h, m) for h in supp_weights) for m in range(n + 1)]
 
 
 def _chat_from_core(
@@ -276,7 +268,7 @@ def _chat_from_core(
 def _symmetric_values(chat: list[Fraction], n: int) -> list[Fraction]:
     """Value of the symmetric polynomial at each Hamming weight."""
     return [
-        sum((chat[m] * kravchuk(n, m, h) for m in range(n + 1) if chat[m]), Fraction(0))
+        sum((chat[m] * boolcube.kravchuk(n, m, h) for m in range(n + 1) if chat[m]), Fraction(0))
         for h in range(n + 1)
     ]
 
@@ -287,7 +279,7 @@ def _max_error(values: list[Fraction], predicate) -> Fraction:
 
 def low_weight_approximant(
     spec: SymmetricSpec, K: int, eps
-) -> tuple[ParityPoly, WeightDegreeReport]:
+) -> tuple[boolcube.ParityPoly, WeightDegreeReport]:
     """Low-weight degree-<=K approximant of a symmetric predicate.
 
     Writes the minority side as a sum of point indicators over its support,
@@ -311,7 +303,7 @@ def low_weight_approximant(
     supp_weights = [h for h, v in enumerate(work) if v]
     supp_size = sum(comb(n, h) for h in supp_weights)
     if supp_size == 0:
-        poly = ParityPoly(n, {0: Fraction(1)} if complemented else {})
+        poly = boolcube.ParityPoly(n, {0: Fraction(1)} if complemented else {})
         return poly, WeightDegreeReport(0, poly.weight(), Fraction(0), 0.0)
     per_term = eps / supp_size
 
@@ -330,14 +322,10 @@ def low_weight_approximant(
 
     kappa = _kappa_sums(n, supp_weights)
     candidates: list[tuple[Fraction, int, list[Fraction], Fraction]] = []
-    union_feasible = False
-    best_errors: dict[int, Fraction] = {}
     for ell in _divisors(n):
         core = _and_core_for_split(n, ell, K)
-        best_errors[ell] = core.error
         if core.error > per_term:
             continue
-        union_feasible = True
         chat = _chat_from_core(n, ell, core.s, core.D, kappa)
         error = _max_error(_symmetric_values(chat, n), work)
         if error > eps:
@@ -346,14 +334,15 @@ def low_weight_approximant(
             )
         weight = _chat_weight(chat, n, complemented)
         candidates.append((weight, ell, chat, error))
-    if not union_feasible:
+    best_errors: dict[int, Fraction] = {}
+    if not candidates:
         # no split meets the per-term target: optimise the shared outer
         # polynomial against the exact aggregate certificate instead
         for ell in _divisors(n):
             s = n // ell
             d_out = min(ell, K // s)
             chat, error = _aggregate_optimal(n, ell, s, d_out, work, kappa)
-            best_errors[ell] = min(best_errors.get(ell, error), error)
+            best_errors[ell] = error
             if error <= eps:
                 weight = _chat_weight(chat, n, complemented)
                 candidates.append((weight, ell, chat, error))
@@ -403,7 +392,7 @@ def _aggregate_optimal(
     integer design against an independent route on every call.
     """
     rows = _aggregate_design(n, ell, s, d_out, kappa)
-    fit = solve_linf_fit(rows, [Fraction(v) for v in work])
+    fit = simplex.solve_linf_fit(rows, [Fraction(v) for v in work])
     p_values = [
         sum(fit.coeffs[r] * Fraction(j) ** r for r in range(d_out + 1))
         for j in range(ell + 1)
@@ -432,7 +421,7 @@ def _aggregate_design(
     big_l = lcm(*(comb(n, m) for m in range(n + 1)))
     per_size = [(-1) ** m * kappa[m] * (big_l // comb(n, m)) for m in range(n + 1)]
     counts = [_block_count_poly(s, r) for r in range(ell + 1)]
-    table = [[kravchuk(n, m, h) for h in range(n + 1)] for m in range(n + 1)]
+    table = [[boolcube.kravchuk(n, m, h) for h in range(n + 1)] for m in range(n + 1)]
     columns = []
     for j in range(ell + 1):
         chat = [0] * (n + 1)
@@ -461,13 +450,13 @@ def _side_mass(spec: SymmetricSpec, side: int) -> int:
     return sum(comb(spec.n, h) for h, v in enumerate(spec.predicate) if v == side)
 
 
-def _complement(poly: ParityPoly) -> ParityPoly:
+def _complement(poly: boolcube.ParityPoly) -> boolcube.ParityPoly:
     out = {s: -c for s, c in poly.coeffs.items()}
     out[0] = Fraction(1) + out.get(0, Fraction(0))
-    return ParityPoly(poly.n, out)
+    return boolcube.ParityPoly(poly.n, out)
 
 
-def _symmetric_parity_poly(n: int, chat: list[Fraction]) -> ParityPoly:
+def _symmetric_parity_poly(n: int, chat: list[Fraction]) -> boolcube.ParityPoly:
     active = [m for m, v in enumerate(chat) if v]
     total = sum(comb(n, m) for m in active)
     if total > _TERM_CAP:
@@ -476,11 +465,11 @@ def _symmetric_parity_poly(n: int, chat: list[Fraction]) -> ParityPoly:
     for m in active:
         for idxs in combinations(range(n), m):
             coeffs[sum(1 << i for i in idxs)] = chat[m]
-    return ParityPoly(n, coeffs)
+    return boolcube.ParityPoly(n, coeffs)
 
 
 def weight_lower_bound(
-    cert: MinimaxSolution, K: int, target_error
+    cert: simplex.MinimaxSolution, K: int, target_error
 ) -> Fraction | float:
     """Certified floor on the weight of any degree-<=K approximant with error
     <= target_error, from the witness's largest character pairing.
@@ -497,11 +486,12 @@ def weight_lower_bound(
             f"certificate error {cert.epsilon} does not exceed the target "
             f"{target_error}, so it bounds no weight"
         )
-    n = grid_n(cert)
-    witness = symmetric_witness(cert)
+    n = approxlab.grid_n(cert)
+    witness = approxlab.symmetric_witness(cert)
     best = max(
         (
-            abs(pair_with_witness(witness, ParityPoly(n, {(1 << r) - 1: Fraction(1)})))
+            abs(boolcube.pair_with_witness(
+                witness, boolcube.ParityPoly(n, {(1 << r) - 1: Fraction(1)})))
             for r in range(min(K, n) + 1)
         ),
         default=Fraction(0),

@@ -44,6 +44,11 @@ is the ``Fraction`` form of ``symcheb``'s exact circle refinement.
 (``exchange_fraction``, ``levelling_weights_fraction``): the same reference
 walk and the same psi tie rule, with no audit.  It shares only ``_swap_in``
 with the package, the step that picks the next reference.
+
+``RationalPoly.interpolate`` runs on ``ratpoly``'s integer Lagrange form.
+``interpolate_fraction`` is the route it replaced, Newton's divided
+differences in ``Fraction``s, and the minimax oracle interpolates with it, so
+it stays independent of the kernel it checks.
 """
 
 from __future__ import annotations
@@ -437,7 +442,7 @@ def circle_abs_squared_fraction(g: RationalPoly, re: float, im: float) -> Fracti
 def solve_minimax_fraction(points, values, degree):
     """(poly, epsilon, psi) of ``simplex.solve_minimax`` with one ``Fraction``
     per arithmetic step: the exchange levels each reference with ``Fraction``
-    weights, interpolates with ``RationalPoly.interpolate`` and reads every
+    weights, interpolates with ``interpolate_fraction`` and reads every
     residual through ``RationalPoly.__call__``; psi follows the same tie rule."""
     points = [Fraction(p) for p in points]
     values = [Fraction(v) for v in values]
@@ -446,7 +451,7 @@ def solve_minimax_fraction(points, values, degree):
     ts = [points[i] for i in order]
     fs = [values[i] for i in order]
     if m <= degree + 1:
-        poly, eps = RationalPoly.interpolate(ts, fs), Fraction(0)
+        poly, eps = interpolate_fraction(ts, fs), Fraction(0)
     else:
         poly, eps = exchange_fraction(ts, fs, degree)
     residuals = _residuals_fraction(poly, points, values)
@@ -483,7 +488,7 @@ def exchange_fraction(ts, fs, degree):
             raise SimplexError("levelled error did not increase across an exchange")
         level = abs(h)
         signs = [1 if (lam > 0) == (h >= 0) else -1 for lam in lams]
-        poly = RationalPoly.interpolate(
+        poly = interpolate_fraction(
             [ts[i] for i in ref[:-1]],
             [fs[i] - s * level for s, i in zip(signs, ref[:-1])],
         )
@@ -492,6 +497,26 @@ def exchange_fraction(ts, fs, degree):
         if abs(residuals[k]) == level:
             return poly, level
         ref = _swap_in(ref, signs, k, 1 if residuals[k] > 0 else -1)
+
+
+def interpolate_fraction(xs, ys) -> RationalPoly:
+    """The interpolant of degree < len(xs) through the points (xs[i], ys[i]),
+    by Newton's divided differences in ``Fraction``s (xs distinct)."""
+    xs = [Fraction(x) for x in xs]
+    c = [Fraction(y) for y in ys]
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    coeffs = c[-1:]
+    for i in range(n - 2, -1, -1):
+        # coeffs <- coeffs * (t - xs[i]) + c[i]
+        shifted = [Fraction(0)] + coeffs
+        for j, a in enumerate(coeffs):
+            shifted[j] -= a * xs[i]
+        shifted[0] += c[i]
+        coeffs = shifted
+    return RationalPoly.from_coeffs(coeffs)
 
 
 def levelling_weights_fraction(xs):

@@ -6,7 +6,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-import dualshare.approxlab as approxlab
+import dualshare.simplex as simplex
 from dualshare.cli import cli
 from dualshare.dualand import DualAndWitness
 from dualshare.serialize import dist_to_json
@@ -237,15 +237,16 @@ class TestApproxDegree:
 
 
 def _count_grid_solves(monkeypatch) -> list[int]:
-    """Record the degree of every minimax solve on the weight grid."""
+    """Record the degree of every minimax solve (approxlab reads
+    ``simplex.solve_minimax`` at call time)."""
     degrees: list[int] = []
-    solve = approxlab.solve_minimax
+    solve = simplex.solve_minimax
 
     def counting(points, values, degree):
         degrees.append(degree)
         return solve(points, values, degree)
 
-    monkeypatch.setattr(approxlab, "solve_minimax", counting)
+    monkeypatch.setattr(simplex, "solve_minimax", counting)
     return degrees
 
 

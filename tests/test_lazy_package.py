@@ -6,11 +6,13 @@ its type becomes ``types.ModuleType`` when its body runs.  Each footprint is
 read in a fresh interpreter, since the test process has loaded everything.
 """
 
+import ast
 import importlib
 import json
 import os
 import re
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -84,11 +86,55 @@ def test_commands_run_only_the_modules_they_use(tmp_path):
 @pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
 @pytest.mark.parametrize("short", dualshare._LAZY_SUBMODULES)
 def test_every_lazy_module_body_runs_without_error(short):
-    """A lazy module's body runs inside the import statement that first reads
-    it, and the import machinery drops an exception raised there: the
-    half-run module stays in sys.modules and its names still resolve.  Run
-    each body again here, where any exception fails the test."""
+    """A lazy module's body runs when one of its names is first read, in
+    whatever command reads it.  Run each body here, where any exception
+    fails the test."""
     runpy.run_module(f"dualshare.{short}")
+
+
+# a command that runs each computation module's body; a lazy module missing
+# here fails its case below with a KeyError
+_COMMAND_USING = {
+    "ratpoly": ["approx-degree", "--f", "maj", "--n", "8"],
+    "simplex": ["approx-degree", "--f", "maj", "--n", "8"],
+    "approxlab": ["approx-degree", "--f", "maj", "--n", "8"],
+    "serialize": ["approx-degree", "--f", "maj", "--n", "8"],
+    "certify": ["symcheb", "pw", "--n", "128", "--K", "2", "--w", "1", "--check", "bounded"],
+    "symcheb": ["symcheb", "pw", "--n", "128", "--K", "2", "--w", "1", "--check", "bounded"],
+    "boolcube": ["dual-and", "--n", "4", "--d", "2", "--out", "wit.json"],
+    "dualand": ["dual-and", "--n", "4", "--d", "2", "--out", "wit.json"],
+    "weightdeg": ["weight-bound", "--f", "maj", "--n", "8", "--K", "4"],
+}
+
+
+@pytest.mark.parametrize("short", dualshare._LAZY_SUBMODULES)
+def test_an_exception_in_a_lazy_module_body_fails_the_command(tmp_path, short):
+    """A module body that raises must fail the command that loads it.  An
+    import statement that runs a lazy body (``from .simplex import name``)
+    would drop the exception and run on with the half-run module."""
+    shutil.copytree(ROOT / "src" / "dualshare", tmp_path / "dualshare",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "dualshare" / f"{short}.py", "a") as fh:
+        fh.write('\nraise RuntimeError("boom")\n')
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "dualshare.cli", *_COMMAND_USING[short]],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode != 0, proc.stdout
+    assert "boom" in proc.stderr
+
+
+def test_package_imports_lazy_modules_as_modules():
+    """``from .<lazy module> import name`` runs that module's body inside the
+    import statement, which drops any exception the body raises; the package
+    writes ``from . import <module>`` and reads the name qualified."""
+    offenders = []
+    for path in sorted((ROOT / "src" / "dualshare").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module if node.level else node.module.removeprefix("dualshare.")
+                if module in dualshare._LAZY_SUBMODULES:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
 
 
 def test_every_public_name_is_its_home_modules_object():

@@ -15,7 +15,13 @@ from dualshare.ratpoly import (
 )
 
 from conftest import random_fraction
-from oracles import LaurentPoly, cheb_transform, laurent_from_roots, parseval_circle_check
+from oracles import (
+    LaurentPoly,
+    cheb_transform,
+    interpolate_fraction,
+    laurent_from_roots,
+    parseval_circle_check,
+)
 
 
 class TestEval:
@@ -103,6 +109,37 @@ class TestIntegerEvaluation:
                 assert RationalPoly.of(c).eval_float(t) == float(c)
 
 
+def fraction_convolution(a, b):
+    """The product RationalPoly.__mul__ replaced: a double loop on Fractions."""
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return RationalPoly.from_coeffs(out)
+
+
+class TestIntegerProduct:
+    """RationalPoly.__mul__ (ratpoly._mul on the integer forms) against
+    fraction_convolution."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(st.just(Fraction(0)), small_fractions, huge_fractions), max_size=10),
+        st.lists(st.one_of(st.just(Fraction(0)), small_fractions, huge_fractions), max_size=10),
+    )
+    def test_matches_fraction_convolution(self, a, b):
+        p, q = RationalPoly.from_coeffs(a), RationalPoly.from_coeffs(b)
+        assert p * q == fraction_convolution(p.coeffs, q.coeffs)
+        assert q * p == p * q
+        assert all(type(c) is Fraction for c in (p * q).coeffs)
+
+    def test_zero_and_scalar_factors(self):
+        p = RationalPoly.of(Fraction(1, 3), 0, Fraction(-5, 7))
+        assert p * RationalPoly() == RationalPoly() == RationalPoly() * p
+        assert RationalPoly() * RationalPoly() == RationalPoly()
+        assert p * RationalPoly.of(Fraction(3, 2)) == p * Fraction(3, 2)
+
+
 class TestFromRoots:
     def test_difference_of_squares(self):
         assert RationalPoly.from_roots([1, -1]) == RationalPoly.of(-1, 0, 1)
@@ -142,6 +179,44 @@ class TestInterpolate:
 
     def test_no_points_give_the_zero_polynomial(self):
         assert RationalPoly.interpolate([], []) == RationalPoly()
+
+
+_distinct_points = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=12), min_size=1, max_size=10,
+    unique=True)
+
+
+class TestIntegerInterpolation:
+    """RationalPoly.interpolate (integer Lagrange form) against Newton's
+    divided differences in oracles.interpolate_fraction."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_distinct_points, st.sampled_from(["sorted", "reversed", "drawn"]), st.data())
+    def test_matches_divided_differences(self, xs, order, data):
+        if order != "drawn":
+            xs = sorted(xs, reverse=order == "reversed")
+        ys = data.draw(st.lists(st.one_of(small_fractions, huge_fractions),
+                                min_size=len(xs), max_size=len(xs)))
+        assert RationalPoly.interpolate(xs, ys) == interpolate_fraction(xs, ys)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_distinct_points, st.sampled_from(["sorted", "reversed", "drawn"]), st.data())
+    def test_values_of_a_lower_degree_polynomial(self, xs, order, data):
+        if order != "drawn":
+            xs = sorted(xs, reverse=order == "reversed")
+        p = RationalPoly.from_coeffs(data.draw(st.lists(small_fractions, max_size=len(xs) - 1)))
+        ys = [p(x) for x in xs]
+        assert RationalPoly.interpolate(xs, ys) == p == interpolate_fraction(xs, ys)
+
+    def test_single_point_gives_a_constant(self):
+        assert RationalPoly.interpolate([Fraction(2, 3)], [Fraction(-5, 7)]) == RationalPoly.of(
+            Fraction(-5, 7))
+
+    def test_ints_and_floats_are_taken_exactly(self):
+        xs, ys = [0.1, 2, Fraction(1, 3)], [1, 0.25, Fraction(-3, 11)]
+        q = RationalPoly.interpolate(xs, ys)
+        assert q == interpolate_fraction(xs, ys)
+        assert [q(x) for x in xs] == [Fraction(y) for y in ys]
 
 
 class TestChebPolynomials:

@@ -13,6 +13,8 @@ from dualshare.simplex import solve_lp, solve_minimax
 from dualshare.weightdeg import (
     SymmetricSpec,
     _aggregate_design,
+    _aggregate_optimal,
+    _block_count_poly,
     _divisors,
     _kappa_sums,
     approx_eq_y,
@@ -178,6 +180,33 @@ class TestLowWeightApproximant:
         spec = SymmetricSpec(n, tuple(1 if h == n - 1 else 0 for h in range(n + 1)))
         with pytest.raises(InfeasibleBudget):
             low_weight_approximant(spec, 2, Fraction(1, 100))
+
+    def test_infeasible_budget_reports_only_certified_errors(self):
+        # exact-half at n = 12, K = 4: no split meets the union bound, so each
+        # split's reported error is its aggregate optimum, never the AND
+        # core's per-term error (1/3 at l = 3 would contradict the message)
+        n, K, eps = 12, 4, Fraction(1, 3)
+        work = tuple(1 if h == n // 2 else 0 for h in range(n + 1))
+        with pytest.raises(InfeasibleBudget) as exc:
+            low_weight_approximant(SymmetricSpec(n, work), K, eps)
+        kappa = _kappa_sums(n, [n // 2])
+        assert set(exc.value.best_errors) == set(_divisors(n))
+        for ell, error in exc.value.best_errors.items():
+            s = n // ell
+            assert error > eps
+            assert error == _aggregate_optimal(n, ell, s, min(ell, K // s), work, kappa)[1]
+
+
+class TestBlockCountPoly:
+    @pytest.mark.parametrize("s", range(1, 6))
+    @pytest.mark.parametrize("r", range(0, 6))
+    def test_matches_inclusion_exclusion(self, s, r):
+        # ((1+z)^s - 1)^r = sum_i (-1)^(r-i) C(r, i) (1+z)^(s i)
+        expected = [
+            sum((-1) ** (r - i) * comb(r, i) * comb(s * i, m) for i in range(r + 1))
+            for m in range(s * r + 1)
+        ]
+        assert _block_count_poly(s, r) == expected
 
 
 class TestAggregateDesign:
