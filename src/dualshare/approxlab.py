@@ -135,12 +135,12 @@ class RampParams:
 
     k: int
     K: int
-    n: int = 0
+    n: int | None = None
 
     def __post_init__(self):
         if not 1 <= self.k < self.K:
             raise ValueError("need 1 <= k < K")
-        if self.n and self.K > self.n:
+        if self.n is not None and self.K > self.n:
             raise ValueError("need K <= n")
 
 
@@ -203,7 +203,7 @@ def finite_n_ramp(
     none of them reads p_0's product form, so it is not built here.
     """
     n, K, k = params.n, params.K, params.k
-    if not n:
+    if n is None:
         raise ValueError("finite ramp needs n")
     if n > MAX_N or K > 8:
         raise ValueError(f"desk-scale caps: n <= {MAX_N}, K <= 8")

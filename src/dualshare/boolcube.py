@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, prod
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 CUBE_CAP = 22  # largest n for which any routine enumerates all 2^n cube points
@@ -39,23 +40,46 @@ def chi(s_mask: int, x_mask: int) -> int:
     return -1 if (s_mask & x_mask).bit_count() & 1 else 1
 
 
-def walsh_hadamard(values: Sequence) -> list:
-    """Unnormalised character transform: out[x] = sum_S in[S] * chi_S(x).
+def walsh_hadamard(values: Sequence, sizes: Sequence[int] | None = None) -> list:
+    """Unnormalised character transform on per-group counts of ONE bits.
 
-    Constant-geometry form: every stage maps the pairs (v[2i], v[2i+1]) to
-    v[i] = sum and v[i + size/2] = difference.  A stage transforms the lowest
-    index bit and rotates it to the top, so after log2(size) stages every bit
-    is transformed once and back in place.  O(n 2^n) ring operations, exact
-    on ints and Fractions; the same routine inverts itself up to the factor
-    2^n.
+    The coordinates fall into groups of sizes n_1..n_m, and a class
+    j = (j_1..j_m) counts the ONE bits in each group; classes are indexed in
+    mixed radix, group 1 lowest, so there are prod (n_g + 1) of them.  The
+    transform is out[j] = sum_s in[s] prod_g K_{s_g}(j_g; n_g): prod_g K is
+    the sum of chi_S(x) over the S of class s, at any x of class j.
+    ``sizes`` defaults to n ones, which makes a class a bitmask and the
+    transform the Walsh-Hadamard transform out[x] = sum_S in[S] chi_S(x).
+
+    Constant-geometry form: a stage transforms the lowest axis through its
+    n_g + 1 strided slices v[j::n_g+1] and concatenates the n_g + 1 outputs,
+    which rotates that axis to the top; after m stages every axis is
+    transformed once and back in place.  A size-1 axis is the butterfly
+    v[i] = v[2i] + v[2i+1], v[i + size/2] = v[2i] - v[2i+1], so the cube
+    transform costs O(n 2^n) ring operations and a size-n_g axis
+    O((n_g + 1) * length).  Exact on ints and Fractions; with all sizes 1
+    the routine inverts itself up to the factor 2^n.
     """
     v = list(values)
     size = len(v)
-    if size == 0 or size & (size - 1):
-        raise ValueError("length must be a power of two")
-    for _ in range(size.bit_length() - 1):
-        a, b = v[0::2], v[1::2]
-        v = [x + y for x, y in zip(a, b)] + [x - y for x, y in zip(a, b)]
+    if sizes is None:
+        if size == 0 or size & (size - 1):
+            raise ValueError("length must be a power of two")
+        sizes = [1] * (size.bit_length() - 1)
+    elif size != prod(g + 1 for g in sizes) or min(sizes, default=1) < 1:
+        raise ValueError("length must be the product of the group sizes plus one")
+    for g in sizes:
+        if g == 1:
+            a, b = v[0::2], v[1::2]
+            v = [x + y for x, y in zip(a, b)] + [x - y for x, y in zip(a, b)]
+            continue
+        cols = list(zip(*(v[j::g + 1] for j in range(g + 1))))
+        rows = _kravchuk_rows(g, g)
+        v = [
+            sum(map(mul, coeffs, col))
+            for coeffs in zip(*rows[:g + 1])  # coeffs[s] = K_s(t; g) for output count t
+            for col in cols
+        ]
     return v
 
 
@@ -264,22 +288,27 @@ def basis_convert(monomial_coeffs: dict[int, Fraction], n: int) -> ParityPoly:
 _KRAVCHUK_ROWS: dict[int, list[list[int]]] = {}
 
 
-def kravchuk(n: int, r: int, h: int) -> int:
-    """sum over |S| = r of chi_S at any input of Hamming weight h (0 for r > n).
+def _kravchuk_rows(n: int, r: int) -> list[list[int]]:
+    """Rows 0..r (at least) of the table rows[r][h] = K_r(h; n).
 
     One integer table per n, grown a row at a time by the three-term
     recurrence (r+1) K_{r+1}(h) = (n - 2h) K_r(h) - (n - r + 1) K_{r-1}(h).
     """
-    rows = _KRAVCHUK_ROWS.setdefault(
-        n, [[1] * (n + 1), [n - 2 * x for x in range(n + 1)]]
-    )
+    rows = _KRAVCHUK_ROWS.get(n)
+    if rows is None:
+        rows = _KRAVCHUK_ROWS[n] = [[1] * (n + 1), [n - 2 * x for x in range(n + 1)]]
     while len(rows) <= r:
         r0 = len(rows) - 1
         rows.append([
             ((n - 2 * x) * a - (n - r0 + 1) * b) // (r0 + 1)
             for x, (a, b) in enumerate(zip(rows[r0], rows[r0 - 1]))
         ])
-    return rows[r][h]
+    return rows
+
+
+def kravchuk(n: int, r: int, h: int) -> int:
+    """sum over |S| = r of chi_S at any input of Hamming weight h (0 for r > n)."""
+    return _kravchuk_rows(n, r)[r][h]
 
 
 def weight_averages(f, n: int) -> list[Fraction]:

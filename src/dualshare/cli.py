@@ -193,7 +193,8 @@ def dual_and_cmd(n, weights, d_str, out, fmt):
         "correlation": serialize.rat_to_str(report.correlation),
         "l1_norm": serialize.rat_to_str(report.l1_norm),
         "pure_high_degree_strictly_below_d": report.pure_high_degree,
-        "witness": serialize.witness_to_json(wit.witness),
+        "witness": serialize.witness_to_json(wit.witness, wit.classes.expand(
+            [serialize.rat_to_str(v) for v in wit.class_values])),
     }
     _emit("dual-and", config, result, out, fmt)
 
@@ -368,9 +369,9 @@ def approx_degree_cmd(f_name, n, eps, out, fmt):
 @common_options
 def ramp_cmd(k, big_k, n, finite, out, fmt):
     """The ramp reconstruction-advantage formulas, exact radicands included."""
-    if finite and not n:
+    if finite and n is None:
         raise InvalidInput("--finite needs --n")
-    params = approxlab.RampParams(k, big_k, n or 0)
+    params = approxlab.RampParams(k, big_k, n)
     radicand, value = approxlab.ramp_advantage(params)
     proof_radicand, proof_value = approxlab.ramp_advantage_proof_constant(params)
     result = {

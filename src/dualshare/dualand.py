@@ -5,15 +5,22 @@ under the package's encoding x_i = 1 - 2 b_i.  The witness has the shape
 
     phi(x)  proportional to  chi_[n](x) * (E_{S ~ H}[chi_S(x)])^2
 
-where H is uniform over the down-set {S : w(S) <= (|w|_1 - d)/2}.  The
-character average for all x at once is one Walsh-Hadamard transform of the
-indicator of H, which keeps construction and verification at O(n 2^n).
+where H is uniform over the down-set {S : w(S) <= (|w|_1 - d)/2}.
 
-Both run on integers: subset weights are tabulated as scale * w(S), scale
+Everything here depends on x and S only through how many ONE bits fall in
+each group of equal-weight coordinates.  With groups of sizes n_1..n_m the
+classes are the prod (n_g + 1) count vectors j, and construction and
+verification each run one ``boolcube.walsh_hadamard`` over the classes: the
+tensor Kravchuk transform, which is the Walsh-Hadamard transform when every
+weight is distinct.  A mask -> class table, built by doubling, expands the
+per-class results back onto the 2^n points.
+
+Both run on integers: class weights are tabulated as scale * w(j), scale
 clearing the denominators of the weights and d, and the verifier scales the
 witness values to integers before its transform.  The construction keeps
-|H| and the character sums; the share sampler reads only those, and the 2^n
-``Fraction`` witness values are derived on first use.
+|H| and the per-class character sums; the share sampler reads only those,
+and the witness values, one ``Fraction`` per class, are derived on first
+use.
 
 Sign orientation: the construction carries a global (-1)^n; we negate the
 witness when that factor would make the correlation with AND negative (an
@@ -32,8 +39,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, lcm
+from operator import add, eq, is_, mul
+from typing import Sequence
 
 from . import boolcube
 from .errors import PropertyViolation
@@ -59,12 +68,88 @@ class DualAndParams:
 
 
 @dataclass(frozen=True)
+class BitCountClasses:
+    """The cube points classed by how many ONE bits fall in each coordinate group.
+
+    A class j = (j_1..j_m) is indexed in mixed radix, group 1 lowest, as
+    ``boolcube.walsh_hadamard`` reads it.  Per class the tables hold
+    scale * w(j), the class size prod C(n_g, j_g) and the number of ONE bits,
+    scale being the least that makes every weight and d integral.
+    """
+
+    sizes: tuple[int, ...]  # n_g per group
+    group_weights: tuple[int, ...]  # scale * weight per group
+    class_of: Sequence[int]  # cube mask -> class
+    scaled_d: int
+
+    @staticmethod
+    def of(w: boolcube.WeightVector, d: Fraction, grouped: bool = True) -> "BitCountClasses":
+        """Group the coordinates of equal weight, first occurrence first, or,
+        with ``grouped`` false, give every coordinate a group of its own."""
+        scale = lcm(d.denominator, *(e.denominator for e in w.entries))
+        keys = w.entries if grouped else range(w.n)
+        groups: dict = {}  # key -> [size, scaled weight], in first-occurrence order
+        for key, e in zip(keys, w.entries):
+            groups.setdefault(key, [0, e.numerator * (scale // e.denominator)])[0] += 1
+        if len(groups) == w.n:  # singleton groups in coordinate order: class = mask
+            class_of: Sequence[int] = range(1 << w.n)
+        else:
+            strides, step = {}, 1
+            for key, (size, _) in groups.items():
+                strides[key] = step
+                step *= size + 1
+            class_of = [0]  # doubling: coordinate i appends the masks with bit i set
+            for stride in [strides[key] for key in keys]:
+                class_of += [s + stride for s in class_of]
+        return BitCountClasses(
+            sizes=tuple(size for size, _ in groups.values()),
+            group_weights=tuple(wg for _, wg in groups.values()),
+            class_of=class_of,
+            scaled_d=d.numerator * (scale // d.denominator),
+        )
+
+    @property
+    def singletons(self) -> bool:
+        """Whether every class is a single point (then class = mask)."""
+        return isinstance(self.class_of, range)
+
+    def expand(self, per_class: Sequence) -> tuple:
+        """One entry per cube point, read from ``per_class`` through its class."""
+        if self.singletons:
+            return tuple(per_class)
+        return tuple(map(per_class.__getitem__, self.class_of))
+
+    def _table(self, column, op, unit: int) -> list[int]:
+        """Per class j: the column(n_g, w_g)[j_g] of every group folded by ``op``."""
+        tab = [unit]
+        for size, wg in zip(self.sizes, self.group_weights):
+            nxt: list[int] = []
+            for c in column(size, wg):
+                nxt += tab if c == unit else list(map(op, tab, repeat(c)))
+            tab = nxt
+        return tab
+
+    @cached_property
+    def weights(self) -> list[int]:
+        return self._table(lambda size, wg: [j * wg for j in range(size + 1)], add, 0)
+
+    @cached_property
+    def ones(self) -> list[int]:
+        return self._table(lambda size, wg: range(size + 1), add, 0)
+
+    @cached_property
+    def mult(self) -> list[int]:
+        return self._table(lambda size, wg: [comb(size, j) for j in range(size + 1)], mul, 1)
+
+
+@dataclass(frozen=True)
 class DualAndWitness:
-    """|H| and the character sums; the 2^n witness values are built on first use."""
+    """|H| and the per-class character sums; the witness values are built on first use."""
 
     params: DualAndParams
     H_size: int
-    char_sums: tuple[int, ...]  # sum_{S in H} chi_S(x) for every x
+    classes: BitCountClasses
+    class_sums: tuple[int, ...]  # sum_{S in H} chi_S(x) for every x of each class
 
     @property
     def epsilon(self) -> Fraction:
@@ -75,15 +160,19 @@ class DualAndWitness:
         return Fraction(1 << self.params.n, self.H_size)
 
     @cached_property
+    def class_values(self) -> list[Fraction]:
+        """phi(j) = (-1)^{|j|} class_sums[j]^2 / (2^n |H|) for every class j."""
+        denom = (1 << self.params.n) * self.H_size
+        return [
+            Fraction(-m * m if k & 1 else m * m, denom)
+            for m, k in zip(self.class_sums, self.classes.ones)
+        ]
+
+    @cached_property
     def witness(self) -> boolcube.DualWitness:
-        """phi(x) = chi_[n](x) * char_sums[x]^2 / (2^n |H|)."""
-        n = self.params.n
-        denom = (1 << n) * self.H_size
-        values = tuple(
-            Fraction(-m * m if x.bit_count() & 1 else m * m, denom)
-            for x, m in enumerate(self.char_sums)
-        )
-        return boolcube.DualWitness(n, values, "cube", claimed_degree=self.params.d)
+        """phi(x) = phi(j) for every x of class j, all sharing j's ``Fraction``."""
+        return boolcube.DualWitness(self.params.n, self.classes.expand(self.class_values),
+                                    "cube", claimed_degree=self.params.d)
 
 
 @dataclass(frozen=True)
@@ -94,69 +183,77 @@ class WitnessReport:
     correlation: Fraction
 
 
-def subset_weight_table(w: boolcube.WeightVector, scale: int) -> list[int]:
-    """scale * w(S) for every subset mask S, as ints; ``scale`` must clear
-    every weight's denominator.  Built by doubling: weight i appends the masks
-    with bit i set, each being the one without it plus w_i."""
-    tab = [0]
-    for e in w.entries:
-        q, r = divmod(scale, e.denominator)
-        if r:
-            raise ValueError(f"scale {scale} does not clear the denominator of {e}")
-        tab += [t + e.numerator * q for t in tab]
-    return tab
-
-
-def _integer_weights(w: boolcube.WeightVector, d: Fraction) -> tuple[list[int], int]:
-    """(scale * w(S) for every mask S, scale * d), for the least scale making
-    every weight and d integral."""
-    scale = lcm(d.denominator, *(e.denominator for e in w.entries))
-    return subset_weight_table(w, scale), d.numerator * (scale // d.denominator)
-
-
 def build_witness(params: DualAndParams) -> DualAndWitness:
     """Construct the witness; errors out if the down-set H is empty.
 
-    S is in H iff w(S) <= (|w|_1 - d)/2, tested on W = scale * w as
-    2 W(S) <= W([n]) - scale * d.
+    H is a union of classes: S is in H iff w(S) <= (|w|_1 - d)/2, tested on
+    W = scale * w as 2 W(s) <= W([n]) - scale * d.  |H| counts each class
+    with its size, and the character sums are the transform of H's class
+    indicator.
     """
-    weights, scaled_d = _integer_weights(params.w, params.d)
-    slack = weights[-1] - scaled_d
+    classes = BitCountClasses.of(params.w, params.d)
+    slack = classes.weights[-1] - classes.scaled_d  # the last class is [n] itself
     if slack < 0:
         raise ValueError("d exceeds |w|_1: H is empty")
-    top = slack // 2  # 2 W(S) <= slack iff W(S) <= floor(slack / 2)
-    indicator = [1 if t <= top else 0 for t in weights]
+    top = slack // 2  # 2 W(s) <= slack iff W(s) <= floor(slack / 2)
+    indicator = [1 if t <= top else 0 for t in classes.weights]
     # slack >= 0 puts the empty set in H, so H_size >= 1 here
     return DualAndWitness(
         params=params,
-        H_size=sum(indicator),
-        char_sums=tuple(boolcube.walsh_hadamard(indicator)),
+        H_size=sum(map(mul, indicator, classes.mult)),
+        classes=classes,
+        class_sums=tuple(boolcube.walsh_hadamard(indicator, classes.sizes)),
     )
+
+
+def _per_class(vals: Sequence[Fraction], classes: BitCountClasses) -> Sequence | None:
+    """The value of each class if ``vals`` is constant on every class, else None."""
+    if classes.singletons:
+        return vals
+    last = dict(zip(classes.class_of, vals))
+    per_class = [last[s] for s in range(len(last))]
+    expanded = classes.expand(per_class)
+    # a built witness shares one object per class, so identity settles it
+    if all(map(is_, vals, expanded)) or all(map(eq, vals, expanded)):
+        return per_class
+    return None
 
 
 def verify_witness(wit: boolcube.DualWitness, d, w: boolcube.WeightVector) -> WitnessReport:
     """Check the three AND-witness conditions exactly.
 
-    (a) <phi, chi_S> = 0 for every S with w(S) strictly below d (all pairings
-        are read off one Walsh-Hadamard transform of the values scaled to
-        integers; w(S) < d is tested as W(S) < scale * d on a subset weight
-        table of the verifier's own);
-    (b) the L1 norm is exactly 1;
+    The classes are regrouped from ``w`` alone.  When phi is constant on
+    every class, <phi, chi_S> depends only on the class s of S and equals
+    sum_j phi(j) prod_g K_{j_g}(s_g; n_g), one class transform of phi; any
+    other phi is checked point by point with singleton groups, i.e. by the
+    Walsh-Hadamard transform on the cube.
+
+    (a) <phi, chi_S> = 0 for every S with w(S) strictly below d (the values
+        are scaled to integers before the transform; w(S) < d is tested as
+        W(s) < scale * d), violating classes reported as their masks;
+    (b) the L1 norm is exactly 1: sum_j |phi(j)| times the class size;
     (c) the exact correlation <phi, AND>, for the caller to compare with the
         claimed epsilon.  AND accepts only mask 0 (all bits zero), so the
         correlation is phi(0^n).
     """
     if w.n != wit.n:
         raise ValueError("weight vector length must equal n")
+    d = Fraction(d)
     vals = wit.cube_values()
-    scale = lcm(*{v.denominator for v in vals})
-    scaled = [v.numerator * (scale // v.denominator) for v in vals]
-    transform = boolcube.walsh_hadamard(scaled)
-    weights, scaled_d = _integer_weights(w, Fraction(d))
-    violations = tuple(
-        s for s, (t, c) in enumerate(zip(weights, transform)) if t < scaled_d and c
-    )
-    l1 = Fraction(sum(abs(v) for v in scaled), scale)
+    classes = BitCountClasses.of(w, d)
+    phi = _per_class(vals, classes)
+    if phi is None:
+        classes = BitCountClasses.of(w, d, grouped=False)
+        phi = vals
+    scale = lcm(*{v.denominator for v in phi})
+    scaled = [v.numerator * (scale // v.denominator) for v in phi]
+    pairings = boolcube.walsh_hadamard(scaled, classes.sizes)
+    low = {
+        s for s, (t, c) in enumerate(zip(classes.weights, pairings))
+        if t < classes.scaled_d and c
+    }
+    violations = tuple(x for x, s in enumerate(classes.class_of) if s in low) if low else ()
+    l1 = Fraction(sum(map(mul, classes.mult, map(abs, scaled))), scale)
     return WitnessReport(
         pure_high_degree=not violations,
         violations=violations,
@@ -209,23 +306,22 @@ class ShareSampler:
     Shares are drawn with probability proportional to (E_{S~H}[chi_S(x)])^2
     conditioned on the parity prod x_i equalling the secret; the convention
     is secret +1 <-> prod x_i = +1 (even number of ONE bits).  Deterministic
-    given the seed; the CDF table is integer-exact.
+    given the seed; the CDF table is integer-exact, its masses read from the
+    per-class character sums through the mask -> class table.
     """
 
     def __init__(self, wit: DualAndWitness, secret: int, seed: int):
         if secret not in (1, -1):
             raise ValueError("secret must be +1 or -1")
         n = wit.params.n
-        want_odd = secret == -1
+        parity = 1 if secret == -1 else 0
         self._n = n
-        self._points: list[int] = []
-        masses: list[int] = []
-        for x in range(1 << n):
-            if (x.bit_count() & 1 == 1) == want_odd:
-                m = wit.char_sums[x]
-                self._points.append(x)
-                masses.append(m * m)
-        self._cum = list(accumulate(masses))
+        self._points = [x for x in range(1 << n) if x.bit_count() & 1 == parity]
+        squares = [m * m for m in wit.class_sums]
+        class_of = wit.classes.class_of
+        self._cum = list(accumulate(
+            map(squares.__getitem__, map(class_of.__getitem__, self._points))
+        ))
         self._total = self._cum[-1]
         if self._total <= 0:
             raise PropertyViolation("conditional support is empty although |H| >= 1")

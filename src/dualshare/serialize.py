@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from typing import Any
+from typing import Any, Sequence
 
 from . import boolcube, ratpoly
 from .errors import InvalidInput
@@ -49,11 +49,13 @@ def dist_from_json(obj: dict) -> boolcube.SymmetricDistribution:
         raise InvalidInput(f"malformed distribution (n, weight_probs): {exc!r}") from exc
 
 
-def witness_to_json(w: boolcube.DualWitness) -> dict:
+def witness_to_json(w: boolcube.DualWitness, texts: Sequence[str] | None = None) -> dict:
+    """``texts``, if given, are the values already written by ``rat_to_str``,
+    for a caller whose values repeat and who converts each distinct one once."""
     out = {
         "n": w.n,
         "representation": w.representation,
-        "values": [rat_to_str(v) for v in w.values],
+        "values": list(texts) if texts is not None else [rat_to_str(v) for v in w.values],
     }
     if w.claimed_degree is not None:
         out["claimed_degree"] = rat_to_str(w.claimed_degree)

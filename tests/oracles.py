@@ -17,9 +17,10 @@ against the other:
 ``dualand.verify_witness`` reads at mask 0 can be checked against a full
 pairing over the cube.
 
-The AND witness is built and verified on integers in the package.  The
-``Fraction`` routes it replaced stay here: ``subset_weight_table_fraction``
-(the low-bit recursion over exact weights), ``walsh_hadamard_inplace`` (the
+The AND witness is built and verified on integers in the package, on the
+classes of per-group ONE-bit counts.  The cube routes stay here, in
+``Fraction``s, over all 2^n points: ``subset_weight_table_fraction`` (the
+low-bit recursion over exact weights), ``walsh_hadamard_inplace`` (the
 in-place butterfly), and ``build_and_witness_fraction`` /
 ``verify_and_witness_fraction``, which compare the weights with the
 thresholds as ``Fraction``s and rescale the witness with ``Fraction``

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +95,63 @@ class TestWalshHadamard:
     )
     def test_matches_inplace_butterfly_on_mixed_values(self, vals):
         assert walsh_hadamard(vals) == walsh_hadamard_inplace(vals)
+
+
+def _digits(index: int, sizes) -> list[int]:
+    """Per-group counts of a mixed-radix class index, group 1 lowest."""
+    out = []
+    for g in sizes:
+        index, j = divmod(index, g + 1)
+        out.append(j)
+    return out
+
+
+_GROUPED = st.lists(st.integers(1, 4), max_size=3).flatmap(
+    lambda sizes: st.tuples(
+        st.just(sizes),
+        st.lists(st.integers(-50, 50) | st.fractions(max_denominator=20),
+                 min_size=prod(g + 1 for g in sizes), max_size=prod(g + 1 for g in sizes)),
+    )
+)
+
+
+class TestGroupCountTransform:
+    @settings(max_examples=30, deadline=None)
+    @given(_GROUPED)
+    def test_matches_brute_force_kravchuk_product_sum(self, case):
+        sizes, vals = case
+        brute = [
+            sum(v * prod(kravchuk(g, s, j) for g, s, j in
+                         zip(sizes, _digits(si, sizes), _digits(ji, sizes)))
+                for si, v in enumerate(vals))
+            for ji in range(len(vals))
+        ]
+        assert walsh_hadamard(vals, sizes) == brute
+
+    @settings(max_examples=60, deadline=None)
+    @given(_GROUPED)
+    def test_is_the_cube_transform_read_on_classes(self, case):
+        # spread the class values over the cube (every S of class s gets
+        # vals[s]); the cube transform is then constant on classes and equal
+        # to the class transform there
+        sizes, vals = case
+        groups = [g for g, size in enumerate(sizes) for _ in range(size)]
+        strides = [prod(h + 1 for h in sizes[:g]) for g in range(len(sizes))]
+        state = [sum(strides[groups[i]] for i in range(len(groups)) if x >> i & 1)
+                 for x in range(1 << len(groups))]
+        cube = walsh_hadamard_inplace([vals[s] for s in state])
+        out = walsh_hadamard(vals, sizes)
+        assert cube == [out[s] for s in state]
+
+    def test_all_singleton_sizes_are_the_cube_transform(self, rng):
+        for n in range(6):
+            vals = [rng.randint(-99, 99) for _ in range(1 << n)]
+            assert walsh_hadamard(vals, [1] * n) == walsh_hadamard(vals)
+
+    @pytest.mark.parametrize("sizes, length", [([2], 4), ([2, 1], 5), ([0], 1), ([], 2)])
+    def test_rejects_a_length_that_is_not_the_class_count(self, sizes, length):
+        with pytest.raises(ValueError):
+            walsh_hadamard([1] * length, sizes)
 
 
 class TestProjectSymmetric:

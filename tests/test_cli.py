@@ -39,6 +39,12 @@ class TestRamp:
         result = runner.invoke(cli, ["ramp", "--k", "5", "--K", "2"])
         assert result.exit_code == 2
 
+    def test_n_0_is_a_given_n(self, runner):
+        # n = 0 is checked against K, not mistaken for a missing --n
+        result = runner.invoke(cli, ["ramp", "--k", "2", "--K", "4", "--n", "0", "--finite"])
+        assert result.exit_code == 2
+        assert result.output.strip() == "Error: need K <= n"
+
 
 class TestDualAnd:
     def test_witness_epsilon(self, runner):
@@ -110,13 +116,15 @@ class TestSampleShares:
 
 
 _WEIGHTS_10 = "1/2,3/4,1,5/4,3/2,1/2,3/4,1,5/4,3/2"
+_WEIGHTS_12 = "1/2,1,3/2,1/2,1,3/2,1,1/2,3/2,1,1,1/2"  # three groups of repeated weights
 
 
 class TestOutputBytesPinned:
     """SHA-256 of stdout, taken before the witness path, the LP behind
     ``weight-bound`` and the Sturm decisions and grid checks behind
-    ``symcheb pw`` moved onto integers.  Both ``weight-bound`` inputs reach
-    the aggregate LP on every block split."""
+    ``symcheb pw`` moved onto integers, and (the ``_WEIGHTS_12`` cases)
+    before the AND witness moved onto per-group bit counts.  Both
+    ``weight-bound`` inputs reach the aggregate LP on every block split."""
 
     @pytest.mark.parametrize(
         "args, digest",
@@ -150,6 +158,14 @@ class TestOutputBytesPinned:
             (["symcheb", "pw", "--n", "512", "--K", "8", "--w", "2",
               "--check", "product-cap", "--eps", "1/100"],
              "c09a462aa79881f9a350a03cd91f49ca52b4a3016416d7e5218e0f93bcf21c17"),
+            (["dual-and", "--n", "12", "--weights", _WEIGHTS_12, "--d", "7/2"],
+             "18a2fde52594e0f7acebfd927049011a9327f09ea6076c09e84c9736b12591bd"),
+            (["sample-shares", "--witness", "wit12.json", "--secret", "-1",
+              "--count", "200", "--seed", "12345"],
+             "8d664a99616af3dad1d10d3c9090a076737fccda91baa64bf1320633f33eeafd"),
+            (["sample-shares", "--witness", "wit12.json", "--secret", "+1",
+              "--count", "200", "--seed", "12345", "--format", "csv"],
+             "29806daef60cd43bcc20c40c86d69be62e327eaa8dfeefe29049340a8ab42ec7"),
         ],
     )
     def test_stdout_digest(self, runner, tmp_path, monkeypatch, args, digest):
@@ -157,9 +173,11 @@ class TestOutputBytesPinned:
         (tmp_path / "h11.json").write_text(
             json.dumps({"n": 12, "values": [int(h == 11) for h in range(13)]})
         )
-        res = runner.invoke(cli, ["dual-and", "--n", "10", "--weights", _WEIGHTS_10,
-                                  "--d", "17/4", "--out", "wit.json"])
-        assert res.exit_code == 0, res.output
+        for n, weights, d, path in (("10", _WEIGHTS_10, "17/4", "wit.json"),
+                                    ("12", _WEIGHTS_12, "7/2", "wit12.json")):
+            res = runner.invoke(cli, ["dual-and", "--n", n, "--weights", weights,
+                                      "--d", d, "--out", path])
+            assert res.exit_code == 0, res.output
         res = runner.invoke(cli, args)
         assert res.exit_code == 0, res.output
         assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
@@ -507,6 +525,7 @@ _SAMPLE_RUN = ["sample-shares", "--witness", "wit-ok.json", "--secret", "+1"]
         ["weight-bound", "--f", "and", "--n", "2000", "--K", "3", "--no-lower"],
         ["weight-bound", "--f", "and", "--n", "0", "--K", "3"],
         ["approx-degree", "--f", "maj", "--n", "-2"],
+        ["ramp", "--k", "2", "--K", "4", "--n", "0", "--finite"],
     ],
 )
 def test_invalid_input_exits_2_with_one_line(runner, tmp_path, monkeypatch, args):

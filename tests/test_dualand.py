@@ -1,4 +1,8 @@
 import math
+import random
+from bisect import bisect_right
+from collections import Counter
+from itertools import accumulate
 from fractions import Fraction
 
 import pytest
@@ -13,13 +17,14 @@ from dualshare.boolcube import (
     pair_with_witness,
 )
 from dualshare.dualand import (
+    BitCountClasses,
     DualAndParams,
     ShareSampler,
+    _per_class,
     binomial_tail_epsilon,
     build_witness,
     epsilon_of,
     reconstruction_advantage,
-    subset_weight_table,
     verify_witness,
     weighted_anticoncentration_check,
 )
@@ -53,24 +58,40 @@ def _subset_weight(entries, mask: int) -> Fraction:
     return sum((e for i, e in enumerate(entries) if mask >> i & 1), Fraction(0))
 
 
+_WEIGHT_KINDS = ("drawn", "uniform", "repeated", "distinct")
+
+
 @st.composite
-def and_params(draw, max_n: int = 10) -> DualAndParams:
+def and_params(draw, max_n: int = 10, kind: str = "drawn") -> DualAndParams:
     """Rational weights (zeros included) and d, often exactly on a boundary.
+
+    ``kind`` shapes the weights: "drawn" each from a wide range, "uniform"
+    one value for all, "repeated" from a pool of at most three values (zero
+    allowed), "distinct" all different, so every group is a singleton.
 
     "subset" puts d at w(T) for a drawn subset T, so w(T) < d just fails;
     "H" puts d at |w|_1 - 2 w(T), so T sits exactly on the edge of H.
     """
     n = draw(st.integers(1, max_n))
-    entries = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
+    if kind == "uniform":
+        entries = [draw(st.fractions(min_value=0, max_value=3, max_denominator=6)
+                        .filter(lambda t: t > 0))] * n
+    elif kind == "repeated":
+        pool = draw(st.lists(_WEIGHTS, min_size=1, max_size=3))
+        entries = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    elif kind == "distinct":
+        entries = draw(st.lists(_WEIGHTS, min_size=n, max_size=n, unique=True))
+    else:
+        entries = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
     if not any(entries):
         entries[draw(st.integers(0, n - 1))] = Fraction(1)
     w = WeightVector.of(entries)
     l1 = w.l1()
     sub = _subset_weight(entries, draw(st.integers(0, (1 << n) - 1)))
-    kind = draw(st.sampled_from(["subset", "H", "fraction"]))
-    if kind == "subset" and sub > 0:
+    where = draw(st.sampled_from(["subset", "H", "fraction"]))
+    if where == "subset" and sub > 0:
         d = sub
-    elif kind == "H" and l1 - 2 * sub > 0:
+    elif where == "H" and l1 - 2 * sub > 0:
         d = l1 - 2 * sub
     else:
         d = l1 * draw(st.fractions(min_value=0, max_value=1, max_denominator=12)
@@ -78,33 +99,43 @@ def and_params(draw, max_n: int = 10) -> DualAndParams:
     return DualAndParams(n, w, d)
 
 
+def any_and_params(max_n: int = 10):
+    return st.sampled_from(_WEIGHT_KINDS).flatmap(lambda kind: and_params(max_n, kind))
+
+
 class TestIntegerPathAgainstFractionOracles:
     @settings(max_examples=60, deadline=None)
-    @given(and_params())
+    @given(any_and_params())
     def test_subset_weight_table_is_the_scaled_fraction_table(self, p):
+        # the class tables, read through the mask -> class table, are the
+        # scaled subset weights, the class sizes and the bit counts
         scale = math.lcm(p.d.denominator, *(e.denominator for e in p.w.entries))
-        table = subset_weight_table(p.w, scale)
-        assert all(type(t) is int for t in table)
-        assert table == [scale * t for t in subset_weight_table_fraction(p.w)]
-
-    def test_subset_weight_table_rejects_a_scale_that_leaves_a_fraction(self):
-        with pytest.raises(ValueError):
-            subset_weight_table(WeightVector.of([1, Fraction(1, 3)]), 2)
+        subset_weights = [scale * t for t in subset_weight_table_fraction(p.w)]
+        for grouped in (True, False):
+            classes = BitCountClasses.of(p.w, p.d, grouped)
+            assert classes.scaled_d == scale * p.d
+            assert all(type(t) is int for t in classes.weights)
+            assert [classes.weights[s] for s in classes.class_of] == subset_weights
+            assert [classes.ones[s] for s in classes.class_of] == [
+                x.bit_count() for x in range(1 << p.n)]
+            sizes = Counter(classes.class_of)
+            assert classes.mult == [sizes[s] for s in range(len(classes.mult))]
+        assert len(BitCountClasses.of(p.w, p.d).sizes) == len(set(p.w.entries))
 
     @settings(max_examples=60, deadline=None)
-    @given(and_params())
+    @given(any_and_params())
     def test_build_matches_fraction_oracle(self, p):
         wit = build_witness(p)
         h_size, char_sums, values = build_and_witness_fraction(p)
         assert wit.H_size == h_size
-        assert wit.char_sums == char_sums
+        assert wit.classes.expand(wit.class_sums) == char_sums
         assert wit.witness.values == values
         assert wit.witness.claimed_degree == p.d
         assert wit.epsilon == Fraction(h_size, 1 << p.n)
         assert wit.Z == Fraction(1 << p.n, h_size)
 
     @settings(max_examples=60, deadline=None)
-    @given(and_params(), st.data())
+    @given(any_and_params(), st.data())
     def test_verify_report_matches_fraction_oracle(self, p, data):
         wit = build_witness(p).witness
         # a second threshold on a subset-weight boundary, and a witness with
@@ -117,6 +148,52 @@ class TestIntegerPathAgainstFractionOracles:
         for phi, d in ((wit, p.d), (wit, d2), (moved_wit, p.d), (moved_wit, d2)):
             assert verify_witness(phi, d, p.w) == verify_and_witness_fraction(phi, d, p.w)
         assert verify_witness(wit, p.d, p.w).pure_high_degree
+
+    @settings(max_examples=40, deadline=None)
+    @given(and_params(kind="repeated").filter(lambda p: len(set(p.w.entries)) < p.n),
+           st.data())
+    def test_value_moved_inside_a_class_takes_the_cube_check(self, p, data):
+        wit = build_witness(p).witness
+        classes = BitCountClasses.of(p.w, p.d)
+        assert _per_class(wit.values, classes) is not None
+        # a mask whose class holds more than one point, and a value moved there
+        shared = [x for x, s in enumerate(classes.class_of) if classes.mult[s] > 1]
+        k = data.draw(st.sampled_from(shared))
+        moved = list(wit.values)
+        moved[k] += data.draw(st.fractions(max_denominator=9).filter(lambda t: t != 0))
+        assert _per_class(moved, classes) is None
+        moved_wit = DualWitness(p.n, tuple(moved), "cube", p.d)
+        report = verify_witness(moved_wit, p.d, p.w)
+        assert report == verify_and_witness_fraction(moved_wit, p.d, p.w)
+        assert report.l1_norm == sum(abs(v) for v in moved)
+        assert report.correlation == moved[0]
+
+    def test_equal_values_that_are_distinct_objects_stay_grouped(self):
+        p = DualAndParams(6, WeightVector.of([1, 2, 1, 2, 1, 2]), Fraction(3))
+        wit = build_witness(p).witness
+        copies = tuple(Fraction(v.numerator, v.denominator) for v in wit.values)
+        classes = BitCountClasses.of(p.w, p.d)
+        assert _per_class(copies, classes) == _per_class(wit.values, classes)
+        copied = DualWitness(6, copies, "cube", p.d)
+        assert verify_witness(copied, p.d, p.w) == verify_witness(wit, p.d, p.w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(any_and_params(max_n=8), st.integers(0, 2**32))
+    def test_sampler_draws_match_the_per_point_table(self, p, seed):
+        # the inverse-CDF draws over the oracle's per-point character sums
+        _, char_sums, _ = build_and_witness_fraction(p)
+        wit = build_witness(p)
+        for secret in (1, -1):
+            parity = 1 if secret == -1 else 0
+            points = [x for x in range(1 << p.n) if x.bit_count() & 1 == parity]
+            cum = list(accumulate(char_sums[x] ** 2 for x in points))
+            rng = random.Random(seed)
+            expect = [points[bisect_right(cum, rng.randrange(cum[-1]))] for _ in range(50)]
+            sampler = ShareSampler(wit, secret, seed)
+            assert [sampler.sample_mask() for _ in range(50)] == expect
+            masses = {x: c - b for x, c, b in zip(points, cum, [0] + cum) if c != b}
+            assert sampler.exact_distribution() == {
+                x: Fraction(m, cum[-1]) for x, m in masses.items()}
 
 
 class TestBuildWitness:
