@@ -8,6 +8,16 @@ outputs are written atomically, and repeated runs are byte-identical.  Exit
 codes: 0 success, 2 usage/validation error, 3 a certified mathematical
 property failed on the instance (so CI can separate math regressions from
 bad invocations).
+
+The commands live in one table, ``cli`` at the foot of this module: each is
+a name, a handler whose docstring is its help line, and its options.  The
+same table drives parsing, ``--help``, ``--version`` and
+``--list-commands``.  The parser follows click's conventions: the token
+after an option is its value even when it starts with ``-``, ``--opt=value``
+works, the last occurrence of an option wins, option names are never
+abbreviated, and every usage error is one ``Error:`` line in click's
+wording.  It imports only the standard library, so a command starts in
+little more than the interpreter's own start-up time.
 """
 
 from __future__ import annotations
@@ -17,8 +27,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-
-import click
 
 from . import __version__, approxlab, boolcube, dualand, serialize, symcheb, weightdeg
 from .errors import InfeasibleBudget, InvalidInput, PropertyViolation
@@ -36,23 +44,6 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
-def common_options(fn):
-    """Declare the options every command takes, in this order."""
-    options = (
-        click.option("--out", type=str, default=None, help="Output file (default: stdout)."),
-        click.option(
-            "--format",
-            "fmt",
-            type=click.Choice(["json", "csv"]),
-            default="json",
-            show_default=True,
-        ),
-    )
-    for option in reversed(options):  # innermost first, as stacked decorators apply
-        fn = option(fn)
-    return fn
-
-
 def _emit(command: str, config: dict, result: dict, out: str | None, fmt: str,
           csv_table: tuple[list[str], list[list]] | None = None) -> None:
     payload = {
@@ -66,9 +57,9 @@ def _emit(command: str, config: dict, result: dict, out: str | None, fmt: str,
     if fmt == "json":
         if out:
             serialize.write_json(out, payload)
-            click.echo(out)
+            print(out)
         else:
-            click.echo(json.dumps(payload, indent=2, sort_keys=True))
+            print(json.dumps(payload, indent=2, sort_keys=True))
         return
     header, rows = csv_table if csv_table else _flatten_csv(result)
     meta = ["# " + json.dumps({"command": command, "config": config,
@@ -76,12 +67,12 @@ def _emit(command: str, config: dict, result: dict, out: str | None, fmt: str,
                               sort_keys=True)]
     if out:
         serialize.write_csv(out, header, rows)
-        click.echo(out)
+        print(out)
     else:
-        click.echo(meta[0])
-        click.echo(",".join(header))
+        print(meta[0])
+        print(",".join(header))
         for row in rows:
-            click.echo(",".join(str(v) for v in row))
+            print(",".join(str(v) for v in row))
 
 
 def _flatten_csv(result: dict) -> tuple[list[str], list[list]]:
@@ -98,73 +89,6 @@ def _parse_rational(value: str) -> Fraction:
         raise InvalidInput(f"not a rational: {value!r}") from exc
 
 
-class _OneLineErrors(click.Group):
-    """The one place that maps exceptions to exit codes.
-
-    Usage errors, click's own (a malformed value, a missing option, an
-    unknown command) and a command's ValueError or InfeasibleBudget alike, end
-    with one ``Error:`` line and exit 2 instead of click's usage block or a
-    traceback; a PropertyViolation ends with one line and exit 3.
-    """
-
-    def main(self, *args, **kwargs):
-        try:
-            code = super().main(*args, standalone_mode=False, **kwargs)
-        except click.exceptions.NoArgsIsHelpError as exc:
-            exc.show()  # a bare group prints its help, as click does
-            sys.exit(exc.exit_code)
-        except click.ClickException as exc:
-            click.echo(f"Error: {exc.format_message()}", err=True)
-            sys.exit(exc.exit_code)
-        except click.Abort:
-            click.echo("Aborted!", err=True)
-            sys.exit(1)
-        except (ValueError, InfeasibleBudget) as exc:
-            click.echo(f"Error: {exc}", err=True)
-            sys.exit(EXIT_USAGE)
-        except PropertyViolation as exc:
-            click.echo(f"property violated: {exc}", err=True)
-            sys.exit(EXIT_PROPERTY_VIOLATION)
-        sys.exit(code)
-
-
-@click.group(cls=_OneLineErrors, invoke_without_command=True)
-@click.option("--list-commands", is_flag=True, help="Emit the command schema as JSON.")
-@click.version_option(version=__version__, prog_name="dualshare")
-@click.pass_context
-def cli(ctx, list_commands):
-    """Exact dual witnesses, symmetric secret sharing, and truncation bounds."""
-    if list_commands:
-        schema = {}
-        groups = [("", cli)]
-        while groups:  # a subcommand is listed by its full invocation, "symcheb pw"
-            prefix, group = groups.pop()
-            for name, cmd in group.commands.items():
-                params = []
-                for p in cmd.params:
-                    default = p.to_info_dict()["default"]  # None where click holds none
-                    params.append({
-                        "name": p.name,
-                        "required": bool(p.required),
-                        "type": getattr(p.type, "name", str(p.type)),
-                        "default": None if default is None or callable(default)
-                        else str(default),
-                    })
-                schema[prefix + name] = {"help": cmd.help or "", "params": params}
-                if isinstance(cmd, click.Group):
-                    groups.append((f"{prefix}{name} ", cmd))
-        click.echo(json.dumps(schema, indent=2, sort_keys=True))
-        ctx.exit(0)
-    if ctx.invoked_subcommand is None:
-        click.echo(ctx.get_help())
-
-
-@cli.command("dual-and")
-@click.option("--n", type=int, required=True)
-@click.option("--weights", type=str, default=None,
-              help="Comma-separated rationals; default uniform weights 1.")
-@click.option("--d", "d_str", type=str, required=True, help="Degree threshold (rational).")
-@common_options
 def dual_and_cmd(n, weights, d_str, out, fmt):
     """Build the AND dual witness, verify it, and emit it as JSON."""
     d = _parse_rational(d_str)
@@ -199,13 +123,6 @@ def dual_and_cmd(n, weights, d_str, out, fmt):
     _emit("dual-and", config, result, out, fmt)
 
 
-@cli.command("sample-shares")
-@click.option("--witness", "witness_path", type=click.Path(exists=True), required=True,
-              help="Witness JSON produced by dual-and.")
-@click.option("--secret", type=click.Choice(["+1", "-1"]), required=True)
-@click.option("--count", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True, help="RNG seed.")
-@common_options
 def sample_shares_cmd(witness_path, secret, count, seed, out, fmt):
     """Draw share vectors for a secret; CSV columns bit_1..bit_n hold +-1 values."""
     doc = serialize.load_json(witness_path)
@@ -233,23 +150,6 @@ def sample_shares_cmd(witness_path, secret, count, seed, out, fmt):
         _emit("sample-shares", config, {"shares": rows}, out, fmt, (header, rows))
 
 
-@cli.group("symcheb")
-def symcheb_group():
-    """Symmetrised exact-weight test polynomials and their certified checks."""
-
-
-@symcheb_group.command("pw")
-@click.option("--n", type=int, required=True)
-@click.option("--K", "big_k", type=int, required=True)
-@click.option("--w", type=int, required=True)
-@click.option("--check",
-              type=click.Choice(["bounded", "truncation", "circle", "product-cap"]),
-              default=None)
-@click.option("--k", "trunc_k", type=int, default=None,
-              help="Truncation index for --check truncation.")
-@click.option("--eps", type=str, default="1/10", show_default=True,
-              help="Amplification epsilon for --check circle, shift for product-cap.")
-@common_options
 def symcheb_pw(n, big_k, w, check, trunc_k, eps, out, fmt):
     """Build the exact-weight test polynomial and optionally run a named check."""
     if check == "truncation":
@@ -344,12 +244,6 @@ def _load_predicate(f: str, n: int | None) -> tuple[int, list[int]]:
     return n, values
 
 
-@cli.command("approx-degree")
-@click.option("--f", "f_name", type=str, required=True,
-              help="and|or|maj|parity|exact-half or a custom .json predicate.")
-@click.option("--n", type=int, default=None)
-@click.option("--eps", type=str, default="1/3", show_default=True)
-@common_options
 def approx_degree_cmd(f_name, n, eps, out, fmt):
     """Exact epsilon-approximate degree of a symmetric function via the LP."""
     n, values = _load_predicate(f_name, n)
@@ -361,12 +255,6 @@ def approx_degree_cmd(f_name, n, eps, out, fmt):
     _emit("approx-degree", config, result, out, fmt)
 
 
-@cli.command("ramp")
-@click.option("--k", type=int, required=True)
-@click.option("--K", "big_k", type=int, required=True)
-@click.option("--n", type=int, default=None)
-@click.option("--finite", is_flag=True, help="Also build the finite-n LP pair.")
-@common_options
 def ramp_cmd(k, big_k, n, finite, out, fmt):
     """The ramp reconstruction-advantage formulas, exact radicands included."""
     if finite and n is None:
@@ -396,14 +284,6 @@ def ramp_cmd(k, big_k, n, finite, out, fmt):
     _emit("ramp", config, result, out, fmt)
 
 
-@cli.command("weight-bound")
-@click.option("--f", "f_name", type=str, required=True)
-@click.option("--n", type=int, default=None)
-@click.option("--K", "big_k", type=int, required=True)
-@click.option("--eps", type=str, default="1/3", show_default=True)
-@click.option("--construct/--no-construct", default=True, show_default=True)
-@click.option("--lower/--no-lower", default=True, show_default=True)
-@common_options
 def weight_bound_cmd(f_name, n, big_k, eps, construct, lower, out, fmt):
     """Constructive weight upper bound and dual lower bound, side by side."""
     n, values = _load_predicate(f_name, n)
@@ -451,10 +331,6 @@ def weight_bound_cmd(f_name, n, big_k, eps, construct, lower, out, fmt):
     _emit("weight-bound", config, result, out, fmt)
 
 
-@cli.command("consolidate")
-@click.option("--dist", "dist_path", type=click.Path(exists=True), required=True)
-@click.option("--t", type=int, required=True, help="Block size.")
-@common_options
 def consolidate_cmd(dist_path, t, out, fmt):
     """AND-consolidate blocks of t shares into single bits."""
     d = serialize.dist_from_json(serialize.load_json(dist_path))
@@ -464,14 +340,6 @@ def consolidate_cmd(dist_path, t, out, fmt):
           out, fmt)
 
 
-@cli.command("indist-check")
-@click.option("--dist1", type=click.Path(exists=True), required=True)
-@click.option("--dist2", type=click.Path(exists=True), required=True)
-@click.option("--k", type=int, required=True,
-              help="Claimed perfect indistinguishability level.")
-@click.option("--K", "big_ks", type=str, default=None,
-              help="Comma-separated projection sizes; default all K <= n/64 with K > k.")
-@common_options
 def indist_check_cmd(dist1, dist2, k, big_ks, out, fmt):
     """Verify perfect k-wise indistinguishability and the projected-distance bound."""
     d1 = serialize.dist_from_json(serialize.load_json(dist1))
@@ -513,8 +381,275 @@ def indist_check_cmd(dist1, dist2, k, big_ks, out, fmt):
           out, fmt, csv_rows)
 
 
-def main():
-    cli(prog_name="dualshare")
+class Option:
+    """One option: its flag, the handler keyword ``dest`` and a ``kind``.
+
+    The kind is the type name ``--list-commands`` reports: ``integer``,
+    ``text``, ``choice`` (one of ``choices``), ``path`` (an existing file),
+    ``integer range`` (an integer >= 1), or ``boolean``: a flag such as
+    ``--finite`` or a switch such as ``--lower/--no-lower``.
+    """
+
+    __slots__ = ("flag", "kind", "dest", "default", "required", "help", "choices")
+
+    def __init__(self, flag: str, kind: str = "text", dest: str | None = None, *,
+                 default=None, required: bool = False, help: str = "",
+                 choices: tuple[str, ...] = ()):
+        self.flag, self.kind, self.default = flag, kind, default
+        self.dest = dest or flag.split("/")[0][2:].replace("-", "_")
+        self.required, self.help, self.choices = required, help, choices
+
+    def convert(self, value):
+        """The handler's value for the text ``value``, checked as the kind asks."""
+        kind = self.kind
+        if kind in ("integer", "integer range"):
+            try:
+                number = int(value)
+            except ValueError:
+                raise self._invalid(f"{value!r} is not a valid {kind}.") from None
+            if kind == "integer range" and number < 1:
+                raise self._invalid(f"{number} is not in the range x>=1.")
+            return number
+        if kind == "choice" and value not in self.choices:
+            raise self._invalid(f"{value!r} is not one of {', '.join(map(repr, self.choices))}.")
+        if kind == "path" and not os.path.exists(value):
+            raise self._invalid(f"Path {value!r} does not exist.")
+        if kind == "path" and os.path.isdir(value):
+            raise self._invalid(f"Path {value!r} is a directory.")
+        return value
+
+    def _invalid(self, reason: str) -> InvalidInput:
+        return InvalidInput(f"Invalid value for '{self.flag}': {reason}")
+
+    def columns(self) -> tuple[str, str]:
+        """The option's two ``--help`` columns: flag and metavar, then notes."""
+        if self.kind == "boolean":
+            label = self.flag.replace("/", " / ")
+        elif self.kind == "choice":
+            label = f"{self.flag} [{'|'.join(self.choices)}]"
+        else:
+            label = f"{self.flag} {self.kind.upper()}"
+        notes = ["required"] if self.required else []
+        if self.default is not None and self.default is not False:
+            notes.append(f"default: {self.default}")
+        if self.kind == "integer range":
+            notes.append("x>=1")
+        note = f"[{'; '.join(notes)}]" if notes else ""
+        return label, f"{self.help}  {note}".strip()
+
+
+class Command:
+    """A command: its handler, whose docstring is the help line, and its
+    options, the common ``--out``/``--format`` last."""
+
+    def __init__(self, name: str, callback, *options: Option):
+        self.name, self.callback, self.help = name, callback, callback.__doc__
+        self.options = (*options, *_COMMON)
+
+
+class Group:
+    """Commands under one name, each an entry of ``commands``."""
+
+    def __init__(self, name: str, help: str, *commands, options: tuple[Option, ...] = ()):
+        self.name, self.help, self.options = name, help, options
+        self.commands = {cmd.name: cmd for cmd in commands}
+
+
+_COMMON = (
+    Option("--out", help="Output file (default: stdout)."),
+    Option("--format", "choice", "fmt", default="json", choices=("json", "csv")),
+)
+_HELP = Option("--help", "boolean", help="Show this message and exit.")
+
+cli = Group(
+    "dualshare", "Exact dual witnesses, symmetric secret sharing, and truncation bounds.",
+    Command("dual-and", dual_and_cmd,
+            Option("--n", "integer", required=True),
+            Option("--weights",
+                   help="Comma-separated rationals; default uniform weights 1."),
+            Option("--d", "text", "d_str", required=True, help="Degree threshold (rational).")),
+    Command("sample-shares", sample_shares_cmd,
+            Option("--witness", "path", "witness_path", required=True,
+                   help="Witness JSON produced by dual-and."),
+            Option("--secret", "choice", required=True, choices=("+1", "-1")),
+            Option("--count", "integer range", default=1),
+            Option("--seed", "integer", default=0, help="RNG seed.")),
+    Group("symcheb", "Symmetrised exact-weight test polynomials and their certified checks.",
+          Command("pw", symcheb_pw,
+                  Option("--n", "integer", required=True),
+                  Option("--K", "integer", "big_k", required=True),
+                  Option("--w", "integer", required=True),
+                  Option("--check", "choice",
+                         choices=("bounded", "truncation", "circle", "product-cap")),
+                  Option("--k", "integer", "trunc_k",
+                         help="Truncation index for --check truncation."),
+                  Option("--eps", default="1/10",
+                         help="Amplification epsilon for --check circle, "
+                              "shift for product-cap."))),
+    Command("approx-degree", approx_degree_cmd,
+            Option("--f", "text", "f_name", required=True,
+                   help="and|or|maj|parity|exact-half or a custom .json predicate."),
+            Option("--n", "integer"),
+            Option("--eps", default="1/3")),
+    Command("ramp", ramp_cmd,
+            Option("--k", "integer", required=True),
+            Option("--K", "integer", "big_k", required=True),
+            Option("--n", "integer"),
+            Option("--finite", "boolean", default=False,
+                   help="Also build the finite-n LP pair.")),
+    Command("weight-bound", weight_bound_cmd,
+            Option("--f", "text", "f_name", required=True),
+            Option("--n", "integer"),
+            Option("--K", "integer", "big_k", required=True),
+            Option("--eps", default="1/3"),
+            Option("--construct/--no-construct", "boolean", default=True),
+            Option("--lower/--no-lower", "boolean", default=True)),
+    Command("consolidate", consolidate_cmd,
+            Option("--dist", "path", "dist_path", required=True),
+            Option("--t", "integer", required=True, help="Block size.")),
+    Command("indist-check", indist_check_cmd,
+            Option("--dist1", "path", required=True),
+            Option("--dist2", "path", required=True),
+            Option("--k", "integer", required=True,
+                   help="Claimed perfect indistinguishability level."),
+            Option("--K", "text", "big_ks",
+                   help="Comma-separated projection sizes; default all K <= n/64 with K > k.")),
+    options=(Option("--list-commands", "boolean", help="Emit the command schema as JSON."),
+             Option("--version", "boolean", help="Show the version and exit.")),
+)
+
+
+def _read(options: tuple[Option, ...], args: list[str], interspersed: bool):
+    """The raw value of each option given, by dest, and the operands.
+
+    A later occurrence replaces an earlier one's value but keeps its place,
+    so values come in the order their options first appear.  A group stops
+    at its first operand, the command name; a command reads operands
+    anywhere.  ``--`` ends the options.
+    """
+    flags = {flag: opt for opt in options for flag in opt.flag.split("/")}
+    values: dict = {}
+    operands: list[str] = []
+    tokens = iter(args)
+    for token in tokens:  # ``operands += tokens`` takes every token left
+        if token == "--":
+            operands += tokens
+        elif token[:1] != "-" or token == "-":
+            operands.append(token)
+            if not interspersed:
+                operands += tokens
+        else:
+            name, eq, value = token.partition("=")
+            opt = flags.get(name)
+            if opt is None:
+                raise InvalidInput(f"No such option '{name}'.")
+            if opt.kind == "boolean":
+                if eq:
+                    raise InvalidInput(f"Option '{name}' does not take a value.")
+                value = name == opt.flag.split("/")[0]
+            elif not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise InvalidInput(f"Option '{name}' requires an argument.")
+            values[opt.dest] = value
+    return values, operands
+
+
+def _help(entry: Command | Group, prog: str) -> str:
+    """``--help`` text: usage, help line, options and, for a group, commands."""
+    group = isinstance(entry, Group)
+    usage = f"Usage: {prog} [OPTIONS]" + (" COMMAND [ARGS]..." if group else "")
+    lines = [usage, "", f"  {entry.help}", "", "Options:",
+             *_columns([opt.columns() for opt in (*entry.options, _HELP)])]
+    if group:
+        lines += ["", "Commands:",
+                  *_columns(sorted((name, cmd.help) for name, cmd in entry.commands.items()))]
+    return "\n".join(lines)
+
+
+def _columns(rows: list[tuple[str, str]]) -> list[str]:
+    width = max(len(left) for left, _ in rows)
+    return [f"  {left:<{width}}  {right}".rstrip() for left, right in rows]
+
+
+def _schema() -> dict:
+    """Each command, by its full invocation ("symcheb pw"), with its help
+    line and its options' dest, type, required flag and default text."""
+    schema = {}
+    groups = [("", cli)]
+    while groups:
+        prefix, group = groups.pop()
+        for name, entry in group.commands.items():
+            schema[prefix + name] = {"help": entry.help, "params": [
+                {"name": opt.dest, "required": opt.required, "type": opt.kind,
+                 "default": None if opt.default is None else str(opt.default)}
+                for opt in entry.options]}
+            if isinstance(entry, Group):
+                groups.append((f"{prefix}{name} ", entry))
+    return schema
+
+
+def _run(entry: Command | Group, args: list[str], prog: str) -> None:
+    """Parse ``args`` for ``entry`` and run it; a group reads its own options,
+    then hands the rest to the command named next."""
+    group = isinstance(entry, Group)
+    values, operands = _read((*entry.options, _HELP), args, interspersed=not group)
+    for dest in values:  # --help and --version act at once, the first given first
+        if dest == "help":
+            print(_help(entry, prog))
+            return
+        if dest == "version":
+            print(f"dualshare, version {__version__}")
+            return
+    if not group:
+        options = {opt.dest: opt for opt in entry.options}
+        kwargs = {dest: options[dest].convert(value) for dest, value in values.items()}
+        for opt in entry.options:
+            if opt.dest not in kwargs:
+                if opt.required:
+                    raise InvalidInput(f"Missing option '{opt.flag}'.")
+                kwargs[opt.dest] = opt.default
+        if operands:
+            plural = "s" if len(operands) > 1 else ""
+            raise InvalidInput(f"Got unexpected extra argument{plural} ({' '.join(operands)})")
+        entry.callback(**kwargs)  # read at call time: a tracer may rebind it
+        return
+    command = None
+    if operands:
+        command = entry.commands.get(operands[0])
+        if command is None:
+            raise InvalidInput(f"No such command '{operands[0]}'.")
+    if values.get("list_commands"):
+        print(json.dumps(_schema(), indent=2, sort_keys=True))
+    elif command is not None:
+        _run(command, operands[1:], f"{prog} {command.name}")
+    elif entry is cli:  # a bare ``dualshare`` shows its help
+        print(_help(entry, prog))
+    else:  # a group named without a command is a usage error
+        print(_help(entry, prog), file=sys.stderr)
+        sys.exit(EXIT_USAGE)
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run one command line (default ``sys.argv[1:]``): the one place that
+    maps exceptions to exit codes.
+
+    A usage error (an unknown option or command, a missing or malformed
+    value) and a command's ValueError or InfeasibleBudget alike end with one
+    ``Error:`` line and exit 2; a PropertyViolation ends with one line and
+    exit 3.  A closed stdout ends quietly with exit 1.
+    """
+    try:
+        _run(cli, sys.argv[1:] if argv is None else list(argv), "dualshare")
+    except (ValueError, InfeasibleBudget) as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
+    except PropertyViolation as exc:
+        print(f"property violated: {exc}", file=sys.stderr)
+        sys.exit(EXIT_PROPERTY_VIOLATION)
+    except BrokenPipeError:  # the reader closed stdout early, as ``| head`` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet exit flush
+        sys.exit(1)
 
 
 if __name__ == "__main__":

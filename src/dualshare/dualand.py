@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -262,22 +263,31 @@ def verify_witness(wit: boolcube.DualWitness, d, w: boolcube.WeightVector) -> Wi
     )
 
 
-def _signed_sum_counts(w: boolcube.WeightVector) -> dict[Fraction, int]:
-    """Distribution of <w, X> over uniform X in {-1,1}^n as value -> count."""
-    counts: dict[Fraction, int] = {Fraction(0): 1}
-    for wi in w.entries:
-        nxt: dict[Fraction, int] = {}
+def _signed_sum_counts(w: boolcube.WeightVector) -> tuple[dict[int, int], int]:
+    """Distribution of scale * <w, X> over uniform X in {-1,1}^n as value ->
+    count, and the scale, the least that makes every weight integral.
+
+    Equal weights are grouped: j of a group's n_g signs negative add
+    (n_g - 2j) * scale * w_g in C(n_g, j) ways.
+    """
+    scale = lcm(*(e.denominator for e in w.entries))
+    counts = {0: 1}
+    for e, size in Counter(w.entries).items():
+        v = e.numerator * (scale // e.denominator)
+        group = [((size - 2 * j) * v, comb(size, j)) for j in range(size + 1)]
+        nxt: dict[int, int] = {}
         for s, c in counts.items():
-            for v in (s + wi, s - wi):
-                nxt[v] = nxt.get(v, 0) + c
+            for g, m in group:
+                nxt[s + g] = nxt.get(s + g, 0) + c * m
         counts = nxt
-    return counts
+    return counts, scale
 
 
 def epsilon_of(params: DualAndParams) -> Fraction:
     """Pr[<w, X> >= d] over uniform signs, exactly."""
-    counts = _signed_sum_counts(params.w)
-    hits = sum(c for s, c in counts.items() if s >= params.d)
+    counts, scale = _signed_sum_counts(params.w)
+    d = params.d
+    hits = sum(c for s, c in counts.items() if s * d.denominator >= d.numerator * scale)
     return Fraction(hits, 1 << params.n)
 
 
@@ -291,11 +301,12 @@ def weighted_anticoncentration_check(w: boolcube.WeightVector) -> tuple[Fraction
     """Pr[<w, X> >= |w|_2 / 2] by exact enumeration, and whether it is >= 3/32.
 
     The irrational threshold is compared by squaring: s >= |w|_2/2 iff s >= 0
-    and 4 s^2 >= |w|_2^2.
+    and 4 s^2 >= |w|_2^2, here on the scaled sums.
     """
     q = w.l2_squared()
-    counts = _signed_sum_counts(w)
-    hits = sum(c for s, c in counts.items() if s >= 0 and 4 * s * s >= q)
+    counts, scale = _signed_sum_counts(w)
+    bar = q.numerator * scale * scale
+    hits = sum(c for s, c in counts.items() if s >= 0 and 4 * s * s * q.denominator >= bar)
     prob = Fraction(hits, 1 << w.n)
     return prob, prob >= Fraction(3, 32)
 

@@ -25,6 +25,9 @@ in-place butterfly), and ``build_and_witness_fraction`` /
 ``verify_and_witness_fraction``, which compare the weights with the
 thresholds as ``Fraction``s and rescale the witness with ``Fraction``
 multiplies.  They share no code with ``dualand`` beyond its data types.
+``signed_sum_counts_fraction`` is the distribution of <w, X> that
+``dualand.epsilon_of`` counts on scaled integers per equal-weight group,
+built here one coordinate at a time over ``Fraction`` keys.
 
 The LP behind ``weightdeg._aggregate_optimal`` runs on integers in the
 package.  ``solve_lp_fraction`` is the ``Fraction`` tableau it replaced (the
@@ -218,6 +221,18 @@ def verify_and_witness_fraction(wit: DualWitness, d, w: WeightVector) -> Witness
         correlation=vals[0],
     )
 
+
+
+def signed_sum_counts_fraction(w: WeightVector) -> dict[Fraction, int]:
+    """Distribution of <w, X> over uniform X in {-1,1}^n as value -> count."""
+    counts: dict[Fraction, int] = {Fraction(0): 1}
+    for wi in w.entries:
+        nxt: dict[Fraction, int] = {}
+        for s, c in counts.items():
+            for v in (s + wi, s - wi):
+                nxt[v] = nxt.get(v, 0) + c
+        counts = nxt
+    return counts
 
 def solve_lp_fraction(A, b, c, pivots: list | None = None):
     """(x, value, y) of max c.x s.t. A x = b, x >= 0 on a ``Fraction`` tableau.

@@ -21,6 +21,7 @@ from dualshare.dualand import (
     DualAndParams,
     ShareSampler,
     _per_class,
+    _signed_sum_counts,
     binomial_tail_epsilon,
     build_witness,
     epsilon_of,
@@ -32,6 +33,7 @@ from dualshare.dualand import (
 from oracles import (
     and_cube,
     build_and_witness_fraction,
+    signed_sum_counts_fraction,
     subset_weight_table_fraction,
     verify_and_witness_fraction,
 )
@@ -323,6 +325,37 @@ class TestEpsilonOf:
             for num in range(1, 10)
         ]
         assert all(a >= b for a, b in zip(eps, eps[1:]))
+
+
+class TestSignedSumsAgainstFractionOracle:
+    """The grouped integer counts behind ``epsilon_of`` and the
+    anticoncentration check, against the per-coordinate ``Fraction`` counts."""
+
+    @staticmethod
+    def _check(w: WeightVector, ds) -> None:
+        oracle = signed_sum_counts_fraction(w)
+        counts, scale = _signed_sum_counts(w)
+        assert {Fraction(s, scale): c for s, c in counts.items()} == oracle
+        for d in ds:
+            hits = sum(c for s, c in oracle.items() if s >= d)
+            assert epsilon_of(DualAndParams(w.n, w, d)) == Fraction(hits, 1 << w.n)
+        q = w.l2_squared()
+        prob = Fraction(sum(c for s, c in oracle.items() if s >= 0 and 4 * s * s >= q),
+                        1 << w.n)
+        assert weighted_anticoncentration_check(w) == (prob, prob >= Fraction(3, 32))
+
+    @settings(max_examples=80, deadline=None)
+    @given(any_and_params(max_n=12))
+    def test_matches_the_fraction_counts(self, p):
+        self._check(p.w, [p.d])
+
+    @pytest.mark.parametrize("entries", [
+        [0, 0, 0], [0, 1, 0, 0], [Fraction(1, 2)] * 6, [0, Fraction(3, 4), 0, Fraction(3, 4)],
+        [Fraction(k, k + 1) for k in range(1, 9)],
+    ])
+    def test_zero_uniform_and_distinct_weights(self, entries):
+        w = WeightVector.of(entries)
+        self._check(w, [w.l1() * Fraction(t, 4) for t in range(1, 5) if w.l1()])
 
 
 class TestWeightedAnticoncentration:

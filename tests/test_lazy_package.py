@@ -1,5 +1,6 @@
 """The package namespace is lazy: importing ``dualshare`` or ``dualshare.cli``
 runs no computation module, and each command runs only the modules it uses.
+The package needs nothing outside the standard library.
 
 A submodule that has not run yet sits in ``sys.modules`` as a lazy module;
 its type becomes ``types.ModuleType`` when its body runs.  Each footprint is
@@ -40,13 +41,19 @@ except SystemExit as exc:
 """
 
 
-def _executed(cwd, body: str, *argv: str) -> set[str]:
-    """Names of the dualshare modules whose bodies ran in a fresh interpreter."""
+_REPORT_ALL = """
+print(json.dumps(sorted(sys.modules)), file=sys.stderr)
+"""
+
+
+def _executed(cwd, body: str, *argv: str, report: str = _REPORT) -> set[str]:
+    """Names of the dualshare modules whose bodies ran in a fresh interpreter
+    (with ``report=_REPORT_ALL``, of every module in ``sys.modules``)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", "import json, sys\n" + body + _REPORT, *argv],
+        [sys.executable, "-c", "import json, sys\n" + body + report, *argv],
         cwd=cwd, env=env, capture_output=True, text=True, check=True)
     return set(json.loads(proc.stderr.strip().splitlines()[-1]))
 
@@ -81,6 +88,40 @@ def test_commands_run_only_the_modules_they_use(tmp_path):
     assert "dualshare.simplex" in degree and "dualshare.weightdeg" in weight, (degree, weight)
     for executed in (degree, weight):
         assert not executed & {"dualshare.symcheb", "dualshare.certify"}, executed
+
+
+def test_commands_load_only_the_standard_library(tmp_path):
+    """Against a bare interpreter, which may already hold site hooks' modules."""
+    bare = _executed(tmp_path, "", report=_REPORT_ALL)
+    for args in (["dual-and", "--n", "4", "--d", "2", "--out", "wit.json"],
+                 ["sample-shares", "--witness", "wit.json", "--secret", "+1"],
+                 ["symcheb", "pw", "--n", "16", "--K", "2", "--w", "1", "--check", "bounded"],
+                 ["weight-bound", "--f", "maj", "--n", "8", "--K", "4"],
+                 ["ramp", "--k", "1", "--K", "2", "--n", "32", "--finite"],
+                 ["--list-commands"], ["ramp", "--help"]):
+        added = _executed(tmp_path, _RUN_CLI, json.dumps(args), report=_REPORT_ALL) - bare
+        assert "dualshare.cli" in added, args
+        outside = {name for name in added if name.split(".")[0] not in
+                   {*sys.stdlib_module_names, "dualshare"}}
+        assert not outside, (args, outside)
+
+
+def test_package_imports_only_the_standard_library():
+    offenders = []
+    for path in sorted((ROOT / "src" / "dualshare").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] not in {*sys.stdlib_module_names, "dualshare"}]
+    assert not offenders, offenders
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
 
 
 @pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")

@@ -6,8 +6,8 @@ deleted rather than kept in step.
 A use is a read of the name (``name``, ``obj.name``), an import of it, a
 keyword argument spelled like it, or the name inside a string literal (for
 ``getattr``/``setattr`` and ``__all__``); docstrings do not count.  Dunder
-names are exempt, since the language calls them, and so are click commands,
-which click registers by decoration.
+names are exempt, since the language calls them.  A CLI handler is used by
+the command table that names it.
 
 Likewise every name a module in ``src/`` or ``tests/`` imports must be read
 in that module.  The package's ``__init__.py`` is exempt: its imports are
@@ -31,22 +31,13 @@ IMPORTERS = sorted(
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _is_click_command(node) -> bool:
-    for dec in getattr(node, "decorator_list", ()):
-        func = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(func, ast.Attribute) and func.attr in ("command", "group"):
-            return True
-    return False
-
-
 def _definitions(tree: ast.Module):
     """(name, line) of every module-level and class-level definition."""
     scopes = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
     for body in scopes:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not _is_click_command(node):
-                    yield node.name, node.lineno
+                yield node.name, node.lineno
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
