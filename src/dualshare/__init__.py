@@ -37,7 +37,6 @@ _EXPORTS = {
     "WeightVector": "boolcube",
     "basis_convert": "boolcube",
     "kwise_indistinguishable": "boolcube",
-    "pair_with_witness": "boolcube",
     "project_symmetric": "boolcube",
     "stat_distance_symmetric": "boolcube",
     "walsh_hadamard": "boolcube",
@@ -59,7 +58,6 @@ _EXPORTS = {
     "circle_identity_check": "symcheb",
     "exact_weight_test": "symcheb",
     "indistinguishability_bound": "symcheb",
-    "symmetrize": "symcheb",
     "truncated_approximant": "symcheb",
     "SymmetricSpec": "weightdeg",
     "WeightDegreeReport": "weightdeg",

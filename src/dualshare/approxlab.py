@@ -40,17 +40,6 @@ def grid_n(sol: simplex.MinimaxSolution) -> int:
     return n
 
 
-def symmetric_witness(sol: simplex.MinimaxSolution) -> boolcube.DualWitness:
-    """Per-string symmetric DualWitness (weight-class mass / C(n, h))."""
-    n = grid_n(sol)
-    return boolcube.DualWitness(
-        n=n,
-        values=tuple(p / comb(n, h) for h, p in enumerate(sol.psi)),
-        representation="symmetric",
-        claimed_degree=sol.degree + 1,
-    )
-
-
 def approx_degree(
     values_by_weight: Sequence, epsilon
 ) -> tuple[simplex.MinimaxSolution, simplex.MinimaxSolution | None]:
@@ -88,40 +77,10 @@ def dual_distributions(
     n = grid_n(cert)
     if sum(abs(p) for p in cert.psi) != 1:
         raise ValueError("witness must have unit total variation")
-    return _split_signed_mass(n, cert.psi)
-
-
-def split_cube_witness(
-    wit: boolcube.DualWitness,
-) -> tuple[boolcube.SymmetricDistribution, boolcube.SymmetricDistribution]:
-    """Positive/negative split of a symmetric witness into distributions.
-
-    A cube-represented witness must actually be symmetric (constant on weight
-    classes); that is verified before aggregating.
-    """
-    n = wit.n
-    if wit.representation == "symmetric":
-        mass = [wit.values[h] * comb(n, h) for h in range(n + 1)]
-    else:
-        mass = [Fraction(0)] * (n + 1)
-        for m, v in enumerate(wit.values):
-            mass[m.bit_count()] += v
-        for m, v in enumerate(wit.values):
-            h = m.bit_count()
-            if v * comb(n, h) != mass[h]:
-                raise ValueError("witness is not symmetric")
-    return _split_signed_mass(n, mass)
-
-
-def _split_signed_mass(
-    n: int, mass: Sequence[Fraction]
-) -> tuple[boolcube.SymmetricDistribution, boolcube.SymmetricDistribution]:
-    """(mu, nu) doubling the positive and the negative part of a zero-sum
-    per-weight signed mass, so that mass = (mu - nu)/2."""
-    if sum(mass) != 0:
+    if sum(cert.psi) != 0:
         raise ValueError("witness pairs nonzero with the constant character")
-    mu = tuple(2 * q if q > 0 else Fraction(0) for q in mass)
-    nu = tuple(-2 * q if q < 0 else Fraction(0) for q in mass)
+    mu = tuple(2 * q if q > 0 else Fraction(0) for q in cert.psi)
+    nu = tuple(-2 * q if q < 0 else Fraction(0) for q in cert.psi)
     return boolcube.SymmetricDistribution(n, mu), boolcube.SymmetricDistribution(n, nu)
 
 
@@ -144,14 +103,14 @@ class RampParams:
             raise ValueError("need K <= n")
 
 
-def ramp_radicand(k: int, K: int, constant_exponent_shift: int = 3) -> Fraction:
+def ramp_radicand(k: int, K: int, shift: int) -> Fraction:
     """2^{-4K + shift} * sum_{d > k} C(2K, K+d)^2.
 
     The statement-level constant uses shift 3; the proof-level derivation
     (which matches the L2 identity exactly) uses shift 1.  Both are exposed.
     """
     total = sum(comb(2 * K, K + d) ** 2 for d in range(k + 1, K + 1))
-    return Fraction(total * 2**constant_exponent_shift, 2 ** (4 * K))
+    return Fraction(total * 2**shift, 2 ** (4 * K))
 
 
 def ramp_advantage(params: RampParams) -> tuple[Fraction, float]:
@@ -176,16 +135,6 @@ def l2_tail_bound(K: int, k: int) -> Fraction:
         (2 * Fraction(comb(2 * K, K + d), 2 ** (2 * K)) ** 2 for d in range(k + 1, K + 1)),
         Fraction(0),
     )
-
-
-def limit_ramp_poly(K: int) -> ratpoly.RationalPoly:
-    """p_0^infty(t) = 2^-K (t+1)^K, the n -> infinity limit of p_0."""
-    return ratpoly.RationalPoly.from_roots([Fraction(-1)] * K, Fraction(1, 2**K))
-
-
-def limit_ramp_cheb_coeff(K: int, d: int) -> Fraction:
-    """Chebyshev coefficient of p_0^infty: 2^{-2K} C(2K, K+d)."""
-    return Fraction(comb(2 * K, K + abs(d)), 2 ** (2 * K))
 
 
 def finite_n_ramp(
@@ -257,8 +206,3 @@ def consolidation_bound(k: int, K: int, t: int, n: int) -> float:
     """2 * indistinguishability_bound(k, tK) * n^K: distance to a perfectly
     indistinguishable pair after consolidating blocks of size t."""
     return 2.0 * symcheb.indistinguishability_bound(k, t * K) * float(n) ** K
-
-
-def limit_ramp_expansion(K: int):
-    """Chebyshev expansion of p_0^infty via the factored transform."""
-    return ratpoly.cheb_transform_factored([Fraction(-1)] * K, Fraction(1, 2**K))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 CUBE_CAP = 22  # largest n for which any routine enumerates all 2^n cube points
 
@@ -33,11 +33,6 @@ def bits_to_mask(bits: Sequence[int]) -> int:
 
 def mask_to_bits(n: int, mask: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(n))
-
-
-def chi(s_mask: int, x_mask: int) -> int:
-    """chi_S(x) for the cube point with ONE-bits ``x_mask``."""
-    return -1 if (s_mask & x_mask).bit_count() & 1 else 1
 
 
 def walsh_hadamard(values: Sequence, sizes: Sequence[int] | None = None) -> list:
@@ -134,21 +129,6 @@ class SymmetricDistribution:
     def of(n: int, probs: Iterable) -> "SymmetricDistribution":
         return SymmetricDistribution(n, tuple(Fraction(p) for p in probs))
 
-    @staticmethod
-    def uniform(n: int) -> "SymmetricDistribution":
-        return SymmetricDistribution.of(
-            n, [Fraction(comb(n, h), 2**n) for h in range(n + 1)]
-        )
-
-    @staticmethod
-    def point_mass(n: int, h: int) -> "SymmetricDistribution":
-        return SymmetricDistribution.of(
-            n, [Fraction(1) if w == h else Fraction(0) for w in range(n + 1)]
-        )
-
-    def per_string_prob(self, h: int) -> Fraction:
-        return self.weight_probs[h] / comb(self.n, h)
-
     def reflected(self) -> "SymmetricDistribution":
         """Distribution of the bitwise complement."""
         return SymmetricDistribution(self.n, tuple(reversed(self.weight_probs)))
@@ -225,9 +205,6 @@ class ParityPoly:
             s: Fraction(c) for s, c in self.coeffs.items() if c != 0
         }
 
-    def coeff(self, s_mask: int) -> Fraction:
-        return self.coeffs.get(s_mask, Fraction(0))
-
     def weight(self) -> Fraction:
         """L1 norm of the coefficients in the parity basis."""
         return sum((abs(c) for c in self.coeffs.values()), Fraction(0))
@@ -236,20 +213,6 @@ class ParityPoly:
         if not self.coeffs:
             return -1
         return max(s.bit_count() for s in self.coeffs)
-
-    def evaluate_mask(self, x_mask: int) -> Fraction:
-        return sum(
-            (c if not (s & x_mask).bit_count() & 1 else -c
-             for s, c in self.coeffs.items()),
-            Fraction(0),
-        )
-
-    def values_on_cube(self) -> list[Fraction]:
-        """Value table over all 2^n points via one Walsh-Hadamard transform."""
-        vec = [Fraction(0)] * (1 << self.n)
-        for s, c in self.coeffs.items():
-            vec[s] = c
-        return walsh_hadamard(vec)
 
     def negate_vars(self, var_mask: int) -> "ParityPoly":
         """Substitute x_i -> -x_i for every i in var_mask; weight is preserved."""
@@ -311,109 +274,20 @@ def kravchuk(n: int, r: int, h: int) -> int:
     return _kravchuk_rows(n, r)[r][h]
 
 
-def weight_averages(f, n: int) -> list[Fraction]:
-    """E_{|x|=h}[f(x)] for h = 0..n.
-
-    ``f`` may be a ParityPoly (each chi_S averages to kravchuk(n, |S|, h) /
-    C(n, |S|) over a weight class), a callable on 0/1 tuples (enumerated over
-    the cube, n <= CUBE_CAP), or a length-(n+1) weight-value vector.
-    """
-    if isinstance(f, ParityPoly):
-        if f.n != n:
-            raise ValueError("mismatched n")
-        by_size: dict[int, Fraction] = {}
-        for s, c in f.coeffs.items():
-            r = s.bit_count()
-            by_size[r] = by_size.get(r, Fraction(0)) + c
-        return [
-            sum(
-                (
-                    c * Fraction(kravchuk(n, r, h), comb(n, r))
-                    for r, c in by_size.items()
-                ),
-                Fraction(0),
-            )
-            for h in range(n + 1)
-        ]
-    if callable(f):
-        if n > CUBE_CAP:
-            raise ValueError(f"cube enumeration capped at n <= {CUBE_CAP}")
-        sums = [Fraction(0)] * (n + 1)
-        for m in range(1 << n):
-            sums[m.bit_count()] += Fraction(f(mask_to_bits(n, m)))
-        return [s / comb(n, h) for h, s in enumerate(sums)]
-    values = [Fraction(v) for v in f]
-    if len(values) != n + 1:
-        raise ValueError("weight-value vector must have length n+1")
-    return values
-
-
 @dataclass(frozen=True)
 class DualWitness:
-    """Signed function with unit L1 mass certifying an approximate-degree bound.
+    """Signed function on {-1,1}^n with unit L1 mass certifying an
+    approximate-degree bound.
 
-    ``representation == "cube"``: one value per point of {-1,1}^n (indexed by
-    the bitmask of the underlying bits).  ``representation == "symmetric"``:
-    one *per-string* value per Hamming weight; L1 mass then counts each weight
-    class with multiplicity C(n, h).  ``claimed_degree`` is the threshold d of
-    the construction: pairings vanish for weighted degree strictly below d.
+    One value per cube point, indexed by the bitmask of the underlying bits.
+    ``claimed_degree`` is the threshold d of the construction: pairings
+    vanish for weighted degree strictly below d.
     """
 
     n: int
     values: tuple[Fraction, ...]
-    representation: str = "cube"
     claimed_degree: Fraction | int | None = None
 
     def __post_init__(self):
-        if self.representation not in ("cube", "symmetric"):
-            raise ValueError("representation must be 'cube' or 'symmetric'")
-        expected = (1 << self.n) if self.representation == "cube" else self.n + 1
-        if len(self.values) != expected:
+        if len(self.values) != 1 << self.n:
             raise ValueError("value table has the wrong length")
-
-    def l1_norm(self) -> Fraction:
-        if self.representation == "cube":
-            return sum((abs(v) for v in self.values), Fraction(0))
-        return sum(
-            (comb(self.n, h) * abs(v) for h, v in enumerate(self.values)),
-            Fraction(0),
-        )
-
-    def cube_values(self) -> tuple[Fraction, ...]:
-        if self.representation == "cube":
-            return self.values
-        return tuple(
-            self.values[m.bit_count()] for m in range(1 << self.n)
-        )
-
-
-def _function_values(n: int, f) -> Callable[[int], Fraction]:
-    """Normalise the accepted function encodings to mask -> value."""
-    if isinstance(f, ParityPoly):
-        table = f.values_on_cube()
-        return lambda m: table[m]
-    if callable(f):
-        return lambda m: Fraction(f(mask_to_bits(n, m)))
-    values = [Fraction(v) for v in f]
-    if len(values) != n + 1:
-        raise ValueError("symmetric value vector must have length n+1")
-    return lambda m: values[m.bit_count()]
-
-
-def pair_with_witness(psi: DualWitness, f) -> Fraction:
-    """<psi, f> = sum_x psi(x) f(x), expanding symmetric weights with multiplicity.
-
-    ``f`` may be a ParityPoly, a callable on 0/1 tuples, or a length-(n+1)
-    weight-value vector for symmetric functions.  A symmetric witness pairs
-    through the class averages: sum_h C(n, h) psi_h E_{|x|=h}[f].
-    """
-    n = psi.n
-    if psi.representation == "symmetric":
-        averages = weight_averages(f, n)
-        return sum(
-            (comb(n, h) * v * averages[h] for h, v in enumerate(psi.values) if v),
-            Fraction(0),
-        )
-    fx = _function_values(n, f)
-    vals = psi.cube_values()
-    return sum((v * fx(m) for m, v in enumerate(vals) if v), Fraction(0))

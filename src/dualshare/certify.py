@@ -153,10 +153,6 @@ def abs_bounded_on(p: ratpoly.RationalPoly, bound, lo, hi) -> bool:
     return poly_nonneg_on(b - p, lo, hi) and poly_nonneg_on(b + p, lo, hi)
 
 
-def _snap(x: Fraction, max_den: int = 1 << 48) -> Fraction:
-    return x.limit_denominator(max_den)
-
-
 def sup_norm_certified(
     p: ratpoly.RationalPoly, lo=-1, hi=1, grid: int = 256, rel_tol: Fraction = Fraction(1, 1 << 20)
 ) -> tuple[Fraction, Fraction]:
@@ -190,7 +186,7 @@ def sup_norm_certified(
         high += step
     low = high - step  # known not to certify (or the grid value)
     while high - low > rel_tol * high:
-        mid = _snap((low + high) / 2)
+        mid = ((low + high) / 2).limit_denominator(1 << 48)  # keeps the Sturm inputs short
         if not (low < mid < high):
             mid = (low + high) / 2
         if certifies(mid):

@@ -278,7 +278,7 @@ def ramp_cmd(k, big_k, n, finite, out, fmt):
             "advantage": serialize.rat_to_str(advantage),
             "advantage_float": float(advantage),
             "advantage_over_limit_float": float(advantage) / value,
-            "kwise_indistinguishable": boolcube.kwise_indistinguishable(mu, nu, k),
+            "kwise_indistinguishable": True,  # finite_n_ramp raises otherwise
         })
     config = {"k": k, "K": big_k, "n": n, "finite": finite}
     _emit("ramp", config, result, out, fmt)

@@ -173,7 +173,7 @@ class DualAndWitness:
     def witness(self) -> boolcube.DualWitness:
         """phi(x) = phi(j) for every x of class j, all sharing j's ``Fraction``."""
         return boolcube.DualWitness(self.params.n, self.classes.expand(self.class_values),
-                                    "cube", claimed_degree=self.params.d)
+                                    claimed_degree=self.params.d)
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def verify_witness(wit: boolcube.DualWitness, d, w: boolcube.WeightVector) -> Wi
     if w.n != wit.n:
         raise ValueError("weight vector length must equal n")
     d = Fraction(d)
-    vals = wit.cube_values()
+    vals = wit.values
     classes = BitCountClasses.of(w, d)
     phi = _per_class(vals, classes)
     if phi is None:
@@ -291,12 +291,6 @@ def epsilon_of(params: DualAndParams) -> Fraction:
     return Fraction(hits, 1 << params.n)
 
 
-def binomial_tail_epsilon(n: int, d: int) -> Fraction:
-    """Uniform-weights formula: 2^-n * sum_{k <= (n-d)/2} C(n, k)."""
-    top = (n - int(d)) // 2
-    return Fraction(sum(comb(n, k) for k in range(top + 1)), 1 << n)
-
-
 def weighted_anticoncentration_check(w: boolcube.WeightVector) -> tuple[Fraction, bool]:
     """Pr[<w, X> >= |w|_2 / 2] by exact enumeration, and whether it is >= 3/32.
 
@@ -338,32 +332,9 @@ class ShareSampler:
             raise PropertyViolation("conditional support is empty although |H| >= 1")
         self._rng = random.Random(seed)
 
-    def exact_distribution(self) -> dict[int, Fraction]:
-        """mask -> exact conditional probability."""
-        out = {}
-        prev = 0
-        for x, c in zip(self._points, self._cum):
-            if c != prev:
-                out[x] = Fraction(c - prev, self._total)
-            prev = c
-        return out
-
     def sample_mask(self) -> int:
         r = self._rng.randrange(self._total)
         return self._points[bisect_right(self._cum, r)]
 
     def sample(self) -> tuple[int, ...]:
         return boolcube.mask_to_bits(self._n, self.sample_mask())
-
-
-def reconstruction_advantage(wit: DualAndWitness) -> Fraction:
-    """E[AND(shares | secret=+1)] - E[AND(shares | secret=-1)], exactly.
-
-    Computed from the two conditional tables; equals 2 <phi, AND>.
-    """
-    adv = Fraction(0)
-    for secret in (1, -1):
-        sampler = ShareSampler(wit, secret, seed=0)
-        dist = sampler.exact_distribution()
-        adv += secret * dist.get(0, Fraction(0))  # mask 0 is the accepting point
-    return adv

@@ -18,7 +18,8 @@ One integer kernel lives here, and every layer imports it: ``_over_lcm``
 (numerators over the lcm of the denominators, the form
 ``RationalPoly._integer_form`` keeps), ``_scaled_values`` (homogeneous
 Horner), ``_mul`` (products) and ``_weights`` / ``_lagrange`` (the integer
-Lagrange form).  ``RationalPoly`` multiplies and interpolates on it.
+Lagrange form, which ``simplex`` fits with).  ``RationalPoly`` multiplies
+on it.
 Floating point appears only in the float and complex evaluators
 (``eval_float``, ``eval_complex``) that verification estimates use.
 """
@@ -139,19 +140,6 @@ class RationalPoly:
             p = p * RationalPoly.from_coeffs([-_frac(z), Fraction(1)])
         return p
 
-    @staticmethod
-    def interpolate(xs, ys) -> "RationalPoly":
-        """The interpolant of degree < len(xs) through the points (xs[i], ys[i])
-        (xs distinct), in integer Lagrange form: with u_i = L x_i and
-        g_i = F y_i over the lcms L and F, and weights w_i over Q from
-        ``_weights``, p(u / L) = sum_i g_i w_i prod_{j != i} (u - u_j) / (F Q)."""
-        us, big_l = _over_lcm([_frac(x) for x in xs])
-        gs, big_f = _over_lcm([_frac(y) for y in ys])
-        weights, q = _weights(us)
-        coeffs = _lagrange(us, [g * w for g, w in zip(gs, weights)])
-        return RationalPoly.from_coeffs(
-            Fraction(c * big_l**j, q * big_f) for j, c in enumerate(coeffs))
-
     @property
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""
@@ -229,11 +217,6 @@ class RationalPoly:
             base = base * base
             n >>= 1
         return out
-
-    def derivative(self) -> "RationalPoly":
-        return RationalPoly.from_coeffs(
-            i * c for i, c in enumerate(self.coeffs) if i > 0
-        )
 
     def reflect(self) -> "RationalPoly":
         """The polynomial t -> p(-t)."""

@@ -25,16 +25,8 @@ def rat_to_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def poly_to_json(p: ratpoly.RationalPoly) -> list[str]:
     return [rat_to_str(c) for c in p.coeffs]
-
-
-def poly_from_json(coeffs: list[str]) -> ratpoly.RationalPoly:
-    return ratpoly.RationalPoly.from_coeffs(Fraction(c) for c in coeffs)
 
 
 def dist_to_json(d: boolcube.SymmetricDistribution) -> dict:
@@ -49,28 +41,13 @@ def dist_from_json(obj: dict) -> boolcube.SymmetricDistribution:
         raise InvalidInput(f"malformed distribution (n, weight_probs): {exc!r}") from exc
 
 
-def witness_to_json(w: boolcube.DualWitness, texts: Sequence[str] | None = None) -> dict:
-    """``texts``, if given, are the values already written by ``rat_to_str``,
-    for a caller whose values repeat and who converts each distinct one once."""
-    out = {
-        "n": w.n,
-        "representation": w.representation,
-        "values": list(texts) if texts is not None else [rat_to_str(v) for v in w.values],
-    }
+def witness_to_json(w: boolcube.DualWitness, texts: Sequence[str]) -> dict:
+    """``texts`` are the values already written by ``rat_to_str``, for a
+    caller whose values repeat and who converts each distinct one once."""
+    out = {"n": w.n, "representation": "cube", "values": list(texts)}
     if w.claimed_degree is not None:
         out["claimed_degree"] = rat_to_str(w.claimed_degree)
     return out
-
-
-def witness_from_json(obj: dict) -> boolcube.DualWitness:
-    return boolcube.DualWitness(
-        n=obj["n"],
-        values=tuple(Fraction(v) for v in obj["values"]),
-        representation=obj.get("representation", "cube"),
-        claimed_degree=Fraction(obj["claimed_degree"])
-        if "claimed_degree" in obj
-        else None,
-    )
 
 
 def _atomic_write(path: str, write_fn) -> None:

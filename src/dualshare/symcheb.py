@@ -1,4 +1,4 @@
-"""Symmetrisation, the distinguisher polynomials p_w, and their truncation bounds.
+"""The distinguisher polynomials p_w and their truncation bounds.
 
 The exact-weight test Q_w on K observed bits symmetrises to a univariate
 polynomial p_w of degree K in the coordinate t = 1 - 2h/n.  Its value at a
@@ -26,15 +26,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from . import boolcube, certify, ratpoly
+from . import certify, ratpoly
 from .errors import InvalidInput, PropertyViolation
-
-
-def hypergeom_prob(n: int, K: int, w: int, h: int) -> Fraction:
-    """Pr[exactly w ones among K fixed coordinates | total weight h]."""
-    if h < w or h - w > n - K:
-        return Fraction(0)
-    return Fraction(comb(K, w) * comb(n - K, h - w), comb(n, h))
 
 
 def _hypergeom_pairs(n: int, K: int, w: int) -> list[tuple[int, int]]:
@@ -56,7 +49,8 @@ def _hypergeom_pairs(n: int, K: int, w: int) -> list[tuple[int, int]]:
 
 
 def hypergeom_row(n: int, K: int, w: int) -> tuple[Fraction, ...]:
-    """``hypergeom_prob(n, K, w, h)`` for h = 0..n."""
+    """Pr[exactly w ones among K fixed coordinates | total weight h] for
+    h = 0..n."""
     return tuple(Fraction(a, b) for a, b in _hypergeom_pairs(n, K, w))
 
 
@@ -76,17 +70,6 @@ def _grid_mismatch(p: ratpoly.RationalPoly, n: int, pairs: list[tuple[int, int]]
     return None
 
 
-def symmetrize(f, n: int) -> ratpoly.RationalPoly:
-    """Unique low-degree univariate P with P(1 - 2h/n) = E_{|x|=h}[f(x)].
-
-    ``f`` may be a ParityPoly, a callable on 0/1 tuples, or a length-(n+1)
-    weight-value vector.  Exact interpolation through the n+1 averaged
-    values; the result automatically has degree at most the total degree
-    of f.
-    """
-    return ratpoly.RationalPoly.interpolate(ratpoly.weight_grid(n), boolcube.weight_averages(f, n))
-
-
 @dataclass(frozen=True)
 class SymmetrizedTest:
     """p_w in product form: scale * prod (t - z), certified on the whole grid."""
@@ -97,9 +80,6 @@ class SymmetrizedTest:
     scale: Fraction  # the constant C_w
     zeros: tuple[Fraction, ...]
     poly: ratpoly.RationalPoly
-
-    def grid_value(self, h: int) -> Fraction:
-        return hypergeom_prob(self.n, self.K, self.w, h)
 
     @cached_property
     def cheb(self) -> ratpoly.ChebyshevExpansion:
@@ -151,14 +131,17 @@ def reflection_check(test: SymmetrizedTest) -> bool:
     return test.poly == partner.poly.reflect()
 
 
-def bounded_check(test: SymmetrizedTest, grid_size: int = 2048) -> float:
-    """Certify |p_w| <= 2 on [-1, 1]; returns the dense-grid maximum as a float.
+# intervals of the dense grid on which ``bounded_check`` samples |p_w|
+BOUNDED_GRID = 2048
+
+
+def bounded_check(test: SymmetrizedTest) -> float:
+    """Certify |p_w| <= 2 on [-1, 1]; returns the maximum of |p_w| over
+    ``BOUNDED_GRID`` equal steps of [-1, 1] as a float.
 
     The grid maximum is a lower estimate; the certificate is the exact
     nonnegativity of 2 - p_w and 2 + p_w on [-1, 1].
     """
-    if grid_size < 1000:
-        raise ValueError("grid_size must be at least 10^3")
     if test.n < 64 * test.K:
         warnings.warn(
             f"n={test.n} < 64K={64 * test.K}: outside the guaranteed range, "
@@ -167,7 +150,7 @@ def bounded_check(test: SymmetrizedTest, grid_size: int = 2048) -> float:
         )
     p = test.poly
     grid_max = max(
-        abs(p.eval_float(-1.0 + 2.0 * i / grid_size)) for i in range(grid_size + 1)
+        abs(p.eval_float(-1.0 + 2.0 * i / BOUNDED_GRID)) for i in range(BOUNDED_GRID + 1)
     )
     if not certify.abs_bounded_on(p, 2, -1, 1):
         raise PropertyViolation(
@@ -211,6 +194,10 @@ def truncated_approximant(
     return q, bound, float(upper)
 
 
+# angles on the circle at which ``circle_identity_check`` compares its routes
+CIRCLE_POINTS = 64
+
+
 @dataclass(frozen=True)
 class AmplificationParams:
     """Amplification parameters: delta = eps^2 / (2 (1 + eps)), plus a theta grid."""
@@ -228,9 +215,10 @@ class AmplificationParams:
         return e * e / (2 * (1 + e))
 
     @staticmethod
-    def with_grid(epsilon, points: int = 64) -> "AmplificationParams":
+    def with_grid(epsilon) -> "AmplificationParams":
+        """``CIRCLE_POINTS`` equally spaced angles from -pi."""
         thetas = tuple(
-            -math.pi + 2.0 * math.pi * j / points for j in range(points)
+            -math.pi + 2.0 * math.pi * j / CIRCLE_POINTS for j in range(CIRCLE_POINTS)
         )
         return AmplificationParams(Fraction(epsilon), thetas)
 
@@ -296,11 +284,11 @@ def circle_identity_check(test: SymmetrizedTest, params: AmplificationParams) ->
     return worst
 
 
-def _exp_lower(x: Fraction, terms: int = 12) -> Fraction:
-    """Truncated exponential series; a rational lower bound on e^x for x >= 0."""
+def _exp_lower(x: Fraction) -> Fraction:
+    """The exponential series to x^12/12!; a rational lower bound on e^x for x >= 0."""
     acc = Fraction(1)
     term = Fraction(1)
-    for i in range(1, terms + 1):
+    for i in range(1, 13):
         term = term * x / i
         acc += term
     return acc

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
+from operator import mul
 
 from . import approxlab, boolcube, ratpoly, simplex
 from .errors import InfeasibleBudget, InvalidInput, PropertyViolation
@@ -475,10 +476,11 @@ def weight_lower_bound(
     <= target_error, from the witness's largest character pairing.
 
     The certificate must be a weight-grid minimax solution whose error exceeds
-    target_error (InvalidInput otherwise: it then certifies nothing).  For a
-    symmetric witness only the K+1 size-classes matter: the pairing with any
-    chi_S depends on |S| alone.  Returns math.inf when every pairing up to
-    size K vanishes (then no weight suffices at that degree).
+    target_error (InvalidInput otherwise: it then certifies nothing).  Its
+    dual measure psi puts mass psi_h on weight class h, spread evenly over
+    the class, so the pairing with chi_S depends on r = |S| alone: it is the
+    Kravchuk row sum_h psi_h K_r(h; n) / C(n, r).  Returns math.inf when every
+    pairing up to size K vanishes (then no weight suffices at that degree).
     """
     target_error = Fraction(target_error)
     if cert.epsilon <= target_error:
@@ -487,13 +489,10 @@ def weight_lower_bound(
             f"{target_error}, so it bounds no weight"
         )
     n = approxlab.grid_n(cert)
-    witness = approxlab.symmetric_witness(cert)
+    top = min(K, n)
+    rows = boolcube._kravchuk_rows(n, top)
     best = max(
-        (
-            abs(boolcube.pair_with_witness(
-                witness, boolcube.ParityPoly(n, {(1 << r) - 1: Fraction(1)})))
-            for r in range(min(K, n) + 1)
-        ),
+        (abs(Fraction(sum(map(mul, cert.psi, rows[r])), comb(n, r))) for r in range(top + 1)),
         default=Fraction(0),
     )
     if best == 0:

@@ -49,10 +49,26 @@ is the ``Fraction`` form of ``symcheb``'s exact circle refinement.
 walk and the same psi tie rule, with no audit.  It shares only ``_swap_in``
 with the package, the step that picks the next reference.
 
-``RationalPoly.interpolate`` runs on ``ratpoly``'s integer Lagrange form.
+``simplex`` fits on ``ratpoly``'s integer Lagrange form (``_weights``,
+``_lagrange``); ``lagrange_interpolate`` composes that kernel into a
+``RationalPoly`` interpolant so tests can reach it directly.
 ``interpolate_fraction`` is the route it replaced, Newton's divided
 differences in ``Fraction``s, and the minimax oracle interpolates with it, so
 it stays independent of the kernel it checks.
+
+The package reads symmetric objects per Hamming weight and never enumerates
+the cube for them.  The cube routes stay here: ``chi``, ``parity_values``
+(a ``ParityPoly``'s value table) and ``cube_pairing`` (sum_x psi(x) f(x)
+over all 2^n points); ``symmetrize`` (class averages by enumeration, then
+interpolation on the weight grid); ``split_cube_witness`` (the per-weight
+(mu, nu) split of a witness that is constant on weight classes);
+``share_distribution``, the law ``dualand.ShareSampler`` draws from, read
+off the witness values as |phi| on one parity, and
+``reconstruction_advantage`` from it.  ``uniform_distribution``,
+``point_mass``, ``per_string_prob``, ``hypergeom_prob``, ``limit_ramp_poly``
+(p_0^infty = 2^-K (t+1)^K), ``binomial_tail_epsilon`` (the uniform AND's
+epsilon in closed form) and ``derivative`` are the closed forms tests compare
+against.
 """
 
 from __future__ import annotations
@@ -60,12 +76,27 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import mul
 from typing import Iterable
 
-from dualshare.boolcube import DualWitness, WeightVector
-from dualshare.dualand import DualAndParams, WitnessReport
-from dualshare.ratpoly import ChebyshevExpansion, RationalPoly, cheb_T, generating_poly
+from dualshare.boolcube import (
+    DualWitness,
+    ParityPoly,
+    SymmetricDistribution,
+    WeightVector,
+    mask_to_bits,
+)
+from dualshare.dualand import DualAndParams, DualAndWitness, WitnessReport
+from dualshare.ratpoly import (
+    ChebyshevExpansion,
+    RationalPoly,
+    _lagrange,
+    _over_lcm,
+    _weights,
+    cheb_T,
+    generating_poly,
+)
 from dualshare.simplex import SimplexError, _swap_in
 from dualshare.weightdeg import (
     _chat_from_core,
@@ -205,7 +236,7 @@ def build_and_witness_fraction(params: DualAndParams):
 
 def verify_and_witness_fraction(wit: DualWitness, d, w: WeightVector) -> WitnessReport:
     """``dualand.verify_witness``'s report, with ``Fraction`` rescaling and weights."""
-    vals = wit.cube_values()
+    vals = wit.values
     scale = lcm(*(v.denominator for v in vals))
     scaled = [int(v * scale) for v in vals]
     transform = walsh_hadamard_inplace(scaled)
@@ -394,7 +425,7 @@ def odd_part_fraction(p: RationalPoly) -> RationalPoly:
     num = den = RationalPoly.of(1)
     k = 0
     while p.degree > 0:
-        nxt = poly_gcd(p, p.derivative())
+        nxt = poly_gcd(p, derivative(p))
         s = poly_divmod(p, nxt)[0]
         if k % 2:
             den = den * s
@@ -406,7 +437,7 @@ def odd_part_fraction(p: RationalPoly) -> RationalPoly:
 
 def sturm_chain_fraction(q: RationalPoly) -> list[RationalPoly]:
     """Sturm chain by rational remainders, each negated and made primitive."""
-    chain = [q, _primitive_fraction(q.derivative())]
+    chain = [q, _primitive_fraction(derivative(q))]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
         chain.append(_primitive_fraction(-poly_divmod(chain[-2], chain[-1])[1]))
     if chain[-1].is_zero():
@@ -535,6 +566,19 @@ def interpolate_fraction(xs, ys) -> RationalPoly:
     return RationalPoly.from_coeffs(coeffs)
 
 
+def lagrange_interpolate(xs, ys) -> RationalPoly:
+    """The interpolant of degree < len(xs) through (xs[i], ys[i]) on the
+    integer Lagrange kernel: with u_i = L x_i and g_i = F y_i over the lcms L
+    and F, and weights w_i over Q from ``_weights``,
+    p(u / L) = sum_i g_i w_i prod_{j != i} (u - u_j) / (F Q)."""
+    us, big_l = _over_lcm([Fraction(x) for x in xs])
+    gs, big_f = _over_lcm([Fraction(y) for y in ys])
+    weights, q = _weights(us)
+    coeffs = _lagrange(us, [g * w for g, w in zip(gs, weights)])
+    return RationalPoly.from_coeffs(
+        Fraction(c * big_l**j, q * big_f) for j, c in enumerate(coeffs))
+
+
 def levelling_weights_fraction(xs):
     """lambda_i = 1 / prod_{j != i} (x_i - x_j) in ``Fraction``s."""
     out = []
@@ -549,3 +593,102 @@ def levelling_weights_fraction(xs):
 
 def _residuals_fraction(p: RationalPoly, ts, fs) -> list[Fraction]:
     return [f - p(t) for t, f in zip(ts, fs)]
+
+
+def derivative(p: RationalPoly) -> RationalPoly:
+    return RationalPoly.from_coeffs(i * c for i, c in enumerate(p.coeffs) if i > 0)
+
+
+def chi(s_mask: int, x_mask: int) -> int:
+    """chi_S(x) for the cube point with ONE-bits ``x_mask``."""
+    return -1 if (s_mask & x_mask).bit_count() & 1 else 1
+
+
+def parity_values(poly: ParityPoly) -> list[Fraction]:
+    """The value of ``poly`` at every cube point, by the in-place butterfly."""
+    vec = [Fraction(0)] * (1 << poly.n)
+    for s, c in poly.coeffs.items():
+        vec[s] = c
+    return walsh_hadamard_inplace(vec)
+
+
+def cube_pairing(values, f) -> Fraction:
+    """sum_x values[x] f(x) over the cube; ``f`` is a ParityPoly or a
+    callable on 0/1 tuples."""
+    n = len(values).bit_length() - 1
+    if isinstance(f, ParityPoly):
+        table = parity_values(f)
+    else:
+        table = [f(mask_to_bits(n, m)) for m in range(1 << n)]
+    return sum(map(mul, values, table), Fraction(0))
+
+
+def symmetrize(f, n: int) -> RationalPoly:
+    """The P of degree <= n with P(1 - 2h/n) = E_{|x|=h}[f(x)], f a callable
+    on 0/1 tuples."""
+    sums = [Fraction(0)] * (n + 1)
+    for m in range(1 << n):
+        sums[m.bit_count()] += Fraction(f(mask_to_bits(n, m)))
+    grid = [Fraction(n - 2 * h, n) for h in range(n + 1)]
+    return interpolate_fraction(grid, [v / comb(n, h) for h, v in enumerate(sums)])
+
+
+def split_cube_witness(wit: DualWitness):
+    """(mu, nu) doubling the positive and the negative per-weight mass of a
+    witness that must be constant on weight classes."""
+    n = wit.n
+    mass = [Fraction(0)] * (n + 1)
+    for m, v in enumerate(wit.values):
+        mass[m.bit_count()] += v
+    for m, v in enumerate(wit.values):
+        if v * comb(n, m.bit_count()) != mass[m.bit_count()]:
+            raise ValueError("witness is not symmetric")
+    mu = [2 * q if q > 0 else 0 for q in mass]
+    nu = [-2 * q if q < 0 else 0 for q in mass]
+    return SymmetricDistribution.of(n, mu), SymmetricDistribution.of(n, nu)
+
+
+def share_distribution(wit: DualAndWitness, secret: int) -> dict[int, Fraction]:
+    """mask -> Pr[shares = mask | secret]: |phi| renormalised over the masks
+    whose parity encodes the secret (+1 <-> an even number of ONE bits)."""
+    parity = 0 if secret == 1 else 1
+    mass = {x: abs(v) for x, v in enumerate(wit.witness.values)
+            if v and x.bit_count() & 1 == parity}
+    total = sum(mass.values())
+    return {x: v / total for x, v in mass.items()}
+
+
+def reconstruction_advantage(wit: DualAndWitness) -> Fraction:
+    """E[AND(shares) | secret = +1] - E[AND(shares) | secret = -1]; AND
+    accepts mask 0 only."""
+    return sum((secret * share_distribution(wit, secret).get(0, Fraction(0))
+                for secret in (1, -1)), Fraction(0))
+
+
+def hypergeom_prob(n: int, K: int, w: int, h: int) -> Fraction:
+    """Pr[exactly w ones among K fixed coordinates | total weight h]."""
+    if h < w or h - w > n - K:
+        return Fraction(0)
+    return Fraction(comb(K, w) * comb(n - K, h - w), comb(n, h))
+
+
+def uniform_distribution(n: int) -> SymmetricDistribution:
+    return SymmetricDistribution.of(n, [Fraction(comb(n, h), 2**n) for h in range(n + 1)])
+
+
+def point_mass(n: int, h: int) -> SymmetricDistribution:
+    return SymmetricDistribution.of(n, [int(w == h) for w in range(n + 1)])
+
+
+def per_string_prob(d: SymmetricDistribution, h: int) -> Fraction:
+    return d.weight_probs[h] / comb(d.n, h)
+
+
+def limit_ramp_poly(K: int) -> RationalPoly:
+    """p_0^infty(t) = 2^-K (t+1)^K, the n -> infinity limit of p_0."""
+    return RationalPoly.from_roots([Fraction(-1)] * K, Fraction(1, 2**K))
+
+
+def binomial_tail_epsilon(n: int, d: int) -> Fraction:
+    """Uniform-weights AND epsilon: 2^-n * sum_{k <= (n-d)/2} C(n, k)."""
+    return Fraction(sum(comb(n, k) for k in range((n - d) // 2 + 1)), 1 << n)

@@ -22,10 +22,8 @@ from dualshare.approxlab import (
     dual_distributions,
     finite_n_ramp,
     l2_tail_bound,
-    limit_ramp_poly,
     minimax_on_weight_grid,
     ramp_advantage,
-    split_cube_witness,
 )
 from dualshare.boolcube import (
     SymmetricDistribution,
@@ -37,10 +35,8 @@ from dualshare.boolcube import (
 from dualshare.dualand import (
     DualAndParams,
     ShareSampler,
-    binomial_tail_epsilon,
     build_witness,
     epsilon_of,
-    reconstruction_advantage,
     verify_witness,
     weighted_anticoncentration_check,
 )
@@ -53,6 +49,7 @@ from dualshare.ratpoly import (
 )
 from dualshare.simplex import solve_minimax
 from dualshare.symcheb import (
+    CIRCLE_POINTS,
     AmplificationParams,
     truncated_approximant,
     bounded_check,
@@ -63,7 +60,16 @@ from dualshare.symcheb import (
 )
 from dualshare.weightdeg import SymmetricSpec, low_weight_approximant, weight_lower_bound
 
-from oracles import cheb_transform, laurent_from_roots, parseval_circle_check
+from oracles import (
+    binomial_tail_epsilon,
+    cheb_transform,
+    laurent_from_roots,
+    limit_ramp_poly,
+    parseval_circle_check,
+    reconstruction_advantage,
+    share_distribution,
+    split_cube_witness,
+)
 
 
 def _report(tag: str, detail: str):
@@ -171,7 +177,7 @@ def test_criterion_05_main3_desk_scale():
     n, K = 256, 4
     for w in range(K + 1):
         test = exact_weight_test(n, K, w)
-        bounded_check(test, grid_size=2048)  # raises unless |p_w| <= 2 certified
+        bounded_check(test)  # raises unless |p_w| <= 2 certified
         for k in (1, 2, 3):
             _, bound, err = truncated_approximant(test, k)  # raises unless err <= bound
             assert err <= bound == truncation_error_bound(K, k)
@@ -190,13 +196,13 @@ def test_criterion_06_normg_identity():
     for w in range(5):
         test = exact_weight_test(256, 4, w)
         for eps in (Fraction(1, 10), Fraction(1, 3)):
-            params = AmplificationParams.with_grid(eps, points=64)
+            params = AmplificationParams.with_grid(eps)
             rel = circle_identity_check(test, params)
             worst = max(worst, rel)
             assert rel < 1e-8
     _report(
         "AC6",
-        f"two-route circle identity over 64 theta samples, all (w, eps): "
+        f"two-route circle identity over {CIRCLE_POINTS} theta samples, all (w, eps): "
         f"max relative discrepancy {worst:.2e} < 1e-8",
     )
 
@@ -298,7 +304,7 @@ def test_criterion_10_sampler_statistics():
     for _ in range(draws):
         m = sampler.sample_mask()
         counts[m] = counts.get(m, 0) + 1
-    table = sampler.exact_distribution()
+    table = share_distribution(wit, 1)
     for m, p in table.items():
         expect = draws * float(p)
         sigma = math.sqrt(draws * float(p) * (1 - float(p)))
@@ -313,7 +319,7 @@ def test_criterion_10_sampler_statistics():
         means[secret] = (
             sum(1 for _ in range(draws) if s.sample_mask() == 0) / draws
         )
-    p_plus = float(ShareSampler(wit, 1, 0).exact_distribution().get(0, Fraction(0)))
+    p_plus = float(table.get(0, Fraction(0)))
     sigma = math.sqrt(2 * p_plus * (1 - p_plus) / draws)
     assert abs((means[1] - means[-1]) - float(exact_adv)) <= 3 * sigma
     _report(

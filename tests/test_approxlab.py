@@ -13,13 +13,9 @@ from dualshare.approxlab import (
     dual_distributions,
     finite_n_ramp,
     l2_tail_bound,
-    limit_ramp_cheb_coeff,
-    limit_ramp_expansion,
-    limit_ramp_poly,
     minimax_on_weight_grid,
     ramp_advantage,
     ramp_advantage_proof_constant,
-    split_cube_witness,
 )
 from dualshare.boolcube import (
     SymmetricDistribution,
@@ -27,11 +23,17 @@ from dualshare.boolcube import (
     project_symmetric,
     stat_distance_symmetric,
 )
-from dualshare.ratpoly import sigma_inner, weight_grid
+from dualshare.ratpoly import cheb_transform_factored, sigma_inner, weight_grid
 from dualshare.simplex import solve_minimax
 from dualshare.symcheb import indistinguishability_bound
 
-from oracles import cheb_transform
+from oracles import (
+    cheb_transform,
+    limit_ramp_poly,
+    point_mass,
+    split_cube_witness,
+    uniform_distribution,
+)
 from test_simplex import alternation_minimax
 
 
@@ -89,7 +91,7 @@ class TestSymmetrizationLossless:
         # full-cube LP over all monomials of degree <= k, n <= 5)
         from itertools import combinations
 
-        from dualshare.boolcube import chi
+        from oracles import chi
         from dualshare.simplex import solve_linf_fit
 
         for _ in range(8):
@@ -218,9 +220,8 @@ class TestRampFormulas:
 class TestLimitPolynomial:
     def test_cheb_coefficients_are_central_binomials(self):
         for K in range(1, 7):
-            e = limit_ramp_expansion(K)
+            e = cheb_transform_factored([Fraction(-1)] * K, Fraction(1, 2**K))
             for d in range(K + 1):
-                assert e.coeff(d) == limit_ramp_cheb_coeff(K, d)
                 assert e.coeff(d) == Fraction(comb(2 * K, K + d), 4**K)
             # and the factored route agrees with the generic transform
             assert cheb_transform(limit_ramp_poly(K)).half_coeffs == e.half_coeffs
@@ -252,7 +253,7 @@ class TestFiniteRamp:
 
     def test_advantage_on_the_and_test(self):
         # the returned pair reconstructs via the AND of the first K bits
-        from dualshare.symcheb import hypergeom_prob
+        from oracles import hypergeom_prob
 
         k, K, n = 2, 3, 36
         mu, nu, adv = finite_n_ramp(RampParams(k, K, n))
@@ -274,11 +275,10 @@ class TestFiniteRamp:
 
     def test_degree_zero_lp(self):
         # k = 0 is outside RampParams; the LP itself still certifies a gap
-        from dualshare.symcheb import exact_weight_test
+        from dualshare.symcheb import hypergeom_row
 
         n, K = 32, 2
-        test = exact_weight_test(n, K, 0)
-        values = [test.grid_value(h) for h in range(n + 1)]
+        values = hypergeom_row(n, K, 0)
         eps = minimax_on_weight_grid(values, 0).epsilon
         assert eps > 0
 
@@ -306,11 +306,11 @@ class TestConsolidate:
         assert consolidate_and(d, 1) == d
 
     def test_point_mass_full(self):
-        d = SymmetricDistribution.point_mass(6, 6)
-        assert consolidate_and(d, 2) == SymmetricDistribution.point_mass(3, 3)
+        d = point_mass(6, 6)
+        assert consolidate_and(d, 2) == point_mass(3, 3)
 
     def test_worked_example(self):
-        d = SymmetricDistribution.point_mass(4, 2)
+        d = point_mass(4, 2)
         c = consolidate_and(d, 2)
         assert c.weight_probs == (Fraction(2, 3), Fraction(1, 3), Fraction(0))
 
@@ -330,7 +330,7 @@ class TestConsolidate:
 
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError):
-            consolidate_and(SymmetricDistribution.uniform(5), 2)
+            consolidate_and(uniform_distribution(5), 2)
 
     def test_commutes_with_projection_small(self, rng):
         # block-projections of the consolidated distribution match direct

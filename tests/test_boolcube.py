@@ -7,24 +7,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualshare.boolcube import (
-    DualWitness,
     ParityPoly,
     SymmetricDistribution,
     WeightVector,
     basis_convert,
     bits_to_mask,
-    chi,
     kravchuk,
     kwise_indistinguishable,
     mask_to_bits,
-    pair_with_witness,
     project_symmetric,
     stat_distance_symmetric,
     walsh_hadamard,
 )
 
 from conftest import random_symmetric_distribution
-from oracles import walsh_hadamard_inplace
+from oracles import (
+    chi,
+    cube_pairing,
+    parity_values,
+    per_string_prob,
+    point_mass,
+    uniform_distribution,
+    walsh_hadamard_inplace,
+)
 
 
 def naive_transform(values):
@@ -37,7 +42,7 @@ def naive_transform(values):
 
 
 def string_probs(d: SymmetricDistribution) -> dict[int, Fraction]:
-    return {m: d.per_string_prob(m.bit_count()) for m in range(1 << d.n)}
+    return {m: per_string_prob(d, m.bit_count()) for m in range(1 << d.n)}
 
 
 def brute_marginal(d: SymmetricDistribution, coords: tuple[int, ...]):
@@ -157,17 +162,17 @@ class TestGroupCountTransform:
 class TestProjectSymmetric:
     def test_uniform_projects_to_uniform(self):
         for n in (3, 5, 8):
-            d = SymmetricDistribution.uniform(n)
+            d = uniform_distribution(n)
             for k in range(1, n + 1):
-                assert project_symmetric(d, k) == SymmetricDistribution.uniform(k)
+                assert project_symmetric(d, k) == uniform_distribution(k)
 
     def test_point_mass_all_ones(self):
-        d = SymmetricDistribution.point_mass(6, 6)
-        assert project_symmetric(d, 2) == SymmetricDistribution.point_mass(2, 2)
+        d = point_mass(6, 6)
+        assert project_symmetric(d, 2) == point_mass(2, 2)
 
     def test_worked_example_n5(self):
         # point mass at weight 2 on 5 bits, projected to 2 coordinates
-        d = SymmetricDistribution.point_mass(5, 2)
+        d = point_mass(5, 2)
         proj = project_symmetric(d, 2)
         assert proj.weight_probs == (
             Fraction(3, 10),
@@ -183,7 +188,7 @@ class TestProjectSymmetric:
     def test_symmetric_paths_scale_past_cube_sizes(self):
         # symmetric-representation operations have no 2^n table anywhere
         n = 2000
-        d = SymmetricDistribution.point_mass(n, n // 2)
+        d = point_mass(n, n // 2)
         proj = project_symmetric(d, 2)
         assert sum(proj.weight_probs) == 1
         assert stat_distance_symmetric(d, d) == 0
@@ -206,22 +211,22 @@ class TestProjectSymmetric:
             assert tuple(by_weight) == proj.weight_probs
             # and the marginal is symmetric: per-string values constant per class
             for key, p in marg.items():
-                assert p == proj.per_string_prob(sum(key))
+                assert p == per_string_prob(proj, sum(key))
 
 
 class TestStatDistance:
     def test_identical(self):
-        d = SymmetricDistribution.uniform(4)
+        d = uniform_distribution(4)
         assert stat_distance_symmetric(d, d) == 0
 
     def test_disjoint_point_masses(self):
-        a = SymmetricDistribution.point_mass(5, 0)
-        b = SymmetricDistribution.point_mass(5, 5)
+        a = point_mass(5, 0)
+        b = point_mass(5, 5)
         assert stat_distance_symmetric(a, b) == 1
 
     def test_worked_example_n2(self):
         a = SymmetricDistribution.of(2, [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)])
-        b = SymmetricDistribution.point_mass(2, 1)
+        b = point_mass(2, 1)
         assert stat_distance_symmetric(a, b) == Fraction(1, 2)
 
     def test_equals_best_deterministic_test_exhaustively(self, rng):
@@ -231,7 +236,7 @@ class TestStatDistance:
             d1 = random_symmetric_distribution(rng, k)
             d2 = random_symmetric_distribution(rng, k)
             diffs = [
-                d1.per_string_prob(m.bit_count()) - d2.per_string_prob(m.bit_count())
+                per_string_prob(d1, m.bit_count()) - per_string_prob(d2, m.bit_count())
                 for m in range(1 << k)
             ]
             from math import lcm
@@ -253,7 +258,7 @@ class TestStatDistance:
     def test_mismatched_n(self):
         with pytest.raises(ValueError):
             stat_distance_symmetric(
-                SymmetricDistribution.uniform(2), SymmetricDistribution.uniform(3)
+                uniform_distribution(2), uniform_distribution(3)
             )
 
 
@@ -285,11 +290,11 @@ class TestKwise:
             assert not self.brute_kwise(d1, d2, n)
 
     def test_identical(self):
-        d = SymmetricDistribution.uniform(3)
+        d = uniform_distribution(3)
         assert kwise_indistinguishable(d, d, 3)
 
     def test_worked_example_n2(self):
-        d1 = SymmetricDistribution.point_mass(2, 1)
+        d1 = point_mass(2, 1)
         d2 = SymmetricDistribution.of(2, [Fraction(1, 2), 0, Fraction(1, 2)])
         assert kwise_indistinguishable(d1, d2, 1)
         assert not kwise_indistinguishable(d1, d2, 2)
@@ -369,47 +374,29 @@ class TestBasisConvert:
                 rng.randrange(1 << n): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                 for _ in range(4)
             }
-            p = basis_convert(mono, n)
+            values = parity_values(basis_convert(mono, n))
             for m in range(1 << n):
                 bits = mask_to_bits(n, m)
                 direct = sum(
                     c * (1 if all(bits[i] for i in range(n) if (s >> i) & 1) else 0)
                     for s, c in mono.items()
                 )
-                assert p.evaluate_mask(m) == direct
+                assert values[m] == direct
 
 
 class TestPairWithWitness:
-    def test_zero_function(self):
-        wit = DualWitness(2, (Fraction(1, 4),) * 4, "cube")
-        assert pair_with_witness(wit, lambda bits: 0) == 0
-
     def test_phi_n2_with_and(self):
         from dualshare.dualand import DualAndParams, build_witness
         from oracles import and_cube
 
         wit = build_witness(DualAndParams.uniform(2, 1)).witness
-        assert pair_with_witness(wit, and_cube(2)) == Fraction(1, 4)
+        assert cube_pairing(wit.values, and_cube(2)) == Fraction(1, 4)
 
     def test_phi_n2_with_single_character(self):
         from dualshare.dualand import DualAndParams, build_witness
 
         wit = build_witness(DualAndParams.uniform(2, 1)).witness
-        assert pair_with_witness(wit, ParityPoly(2, {0b1: Fraction(1)})) == 0
-
-    def test_symmetric_representation_matches_cube(self, rng):
-        n = 5
-        vals = [Fraction(rng.randint(-4, 4), 60) for _ in range(n + 1)]
-        sym = DualWitness(n, tuple(vals), "symmetric")
-        cube = DualWitness(n, sym.cube_values(), "cube")
-        poly = basis_convert(
-            {rng.randrange(1 << n): Fraction(1, 3) for _ in range(4)}, n
-        )
-        assert pair_with_witness(sym, poly) == pair_with_witness(cube, poly)
-        f = lambda bits: sum(bits) % 3
-        assert pair_with_witness(sym, f) == pair_with_witness(cube, f)
-        weightvals = [Fraction(h * h) for h in range(n + 1)]
-        assert pair_with_witness(sym, weightvals) == pair_with_witness(cube, weightvals)
+        assert cube_pairing(wit.values, ParityPoly(2, {0b1: Fraction(1)})) == 0
 
 
 class TestKravchuk:
@@ -449,9 +436,3 @@ class TestWeightVector:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             WeightVector.of([1, -1])
-
-
-class TestDualWitnessNorm:
-    def test_symmetric_multiplicity(self):
-        wit = DualWitness(3, (Fraction(1, 8),) * 4, "symmetric")
-        assert wit.l1_norm() == 1  # sum C(3,h)/8 = 8/8

@@ -16,6 +16,8 @@ from dualshare.dualand import DualAndWitness
 from dualshare.serialize import dist_to_json
 from dualshare.boolcube import SymmetricDistribution
 
+from oracles import point_mass, uniform_distribution
+
 
 class _Tee:
     def __init__(self, *streams):
@@ -157,7 +159,10 @@ class TestOutputBytesPinned:
     ``weight-bound`` and the Sturm decisions and grid checks behind
     ``symcheb pw`` moved onto integers, and (the ``_WEIGHTS_12`` cases)
     before the AND witness moved onto per-group bit counts.  Both
-    ``weight-bound`` inputs reach the aggregate LP on every block split."""
+    ``weight-bound`` inputs reach the aggregate LP on every block split.  The
+    ``ramp --finite`` and ``weight-bound --f or`` digests were taken before
+    ramp's indistinguishability field and the weight floor's character
+    pairing were rewritten; ``or`` is the single-point construction."""
 
     @pytest.mark.parametrize(
         "args, digest",
@@ -199,6 +204,10 @@ class TestOutputBytesPinned:
             (["sample-shares", "--witness", "wit12.json", "--secret", "+1",
               "--count", "200", "--seed", "12345", "--format", "csv"],
              "29806daef60cd43bcc20c40c86d69be62e327eaa8dfeefe29049340a8ab42ec7"),
+            (["ramp", "--k", "2", "--K", "4", "--n", "64", "--finite"],
+             "7d690108b09fd39a07834a9cd9997092e037040fd938c1f23a5ee6e7ec5c9c63"),
+            (["weight-bound", "--f", "or", "--n", "14", "--K", "5"],
+             "27d3f2c60d7813ea960d372efafd46bd3ad2d03d534248c04b47e06478c18023"),
         ],
     )
     def test_stdout_digest(self, runner, tmp_path, monkeypatch, args, digest):
@@ -362,7 +371,7 @@ class TestConsolidate:
     def test_roundtrip(self, runner, tmp_path):
         import json as _json
 
-        d = SymmetricDistribution.point_mass(4, 2)
+        d = point_mass(4, 2)
         path = tmp_path / "d.json"
         path.write_text(_json.dumps(dist_to_json(d)))
         doc = run_json(runner, ["consolidate", "--dist", str(path), "--t", "2"])
@@ -371,7 +380,7 @@ class TestConsolidate:
     def test_indivisible(self, runner, tmp_path):
         import json as _json
 
-        d = SymmetricDistribution.uniform(5)
+        d = uniform_distribution(5)
         path = tmp_path / "d.json"
         path.write_text(_json.dumps(dist_to_json(d)))
         result = runner.invoke(cli, ["consolidate", "--dist", str(path), "--t", "2"])

@@ -14,7 +14,6 @@ from dualshare.boolcube import (
     ParityPoly,
     WeightVector,
     kwise_indistinguishable,
-    pair_with_witness,
 )
 from dualshare.dualand import (
     BitCountClasses,
@@ -22,18 +21,21 @@ from dualshare.dualand import (
     ShareSampler,
     _per_class,
     _signed_sum_counts,
-    binomial_tail_epsilon,
     build_witness,
     epsilon_of,
-    reconstruction_advantage,
     verify_witness,
     weighted_anticoncentration_check,
 )
 
 from oracles import (
     and_cube,
+    binomial_tail_epsilon,
     build_and_witness_fraction,
+    cube_pairing,
+    reconstruction_advantage,
+    share_distribution,
     signed_sum_counts_fraction,
+    split_cube_witness,
     subset_weight_table_fraction,
     verify_and_witness_fraction,
 )
@@ -146,7 +148,7 @@ class TestIntegerPathAgainstFractionOracles:
         k = data.draw(st.integers(0, (1 << p.n) - 1))
         moved = list(wit.values)
         moved[k] += data.draw(st.fractions(max_denominator=9).filter(lambda t: t != 0))
-        moved_wit = DualWitness(p.n, tuple(moved), "cube", p.d)
+        moved_wit = DualWitness(p.n, tuple(moved), p.d)
         for phi, d in ((wit, p.d), (wit, d2), (moved_wit, p.d), (moved_wit, d2)):
             assert verify_witness(phi, d, p.w) == verify_and_witness_fraction(phi, d, p.w)
         assert verify_witness(wit, p.d, p.w).pure_high_degree
@@ -164,7 +166,7 @@ class TestIntegerPathAgainstFractionOracles:
         moved = list(wit.values)
         moved[k] += data.draw(st.fractions(max_denominator=9).filter(lambda t: t != 0))
         assert _per_class(moved, classes) is None
-        moved_wit = DualWitness(p.n, tuple(moved), "cube", p.d)
+        moved_wit = DualWitness(p.n, tuple(moved), p.d)
         report = verify_witness(moved_wit, p.d, p.w)
         assert report == verify_and_witness_fraction(moved_wit, p.d, p.w)
         assert report.l1_norm == sum(abs(v) for v in moved)
@@ -176,7 +178,7 @@ class TestIntegerPathAgainstFractionOracles:
         copies = tuple(Fraction(v.numerator, v.denominator) for v in wit.values)
         classes = BitCountClasses.of(p.w, p.d)
         assert _per_class(copies, classes) == _per_class(wit.values, classes)
-        copied = DualWitness(6, copies, "cube", p.d)
+        copied = DualWitness(6, copies, p.d)
         assert verify_witness(copied, p.d, p.w) == verify_witness(wit, p.d, p.w)
 
     @settings(max_examples=40, deadline=None)
@@ -194,7 +196,7 @@ class TestIntegerPathAgainstFractionOracles:
             sampler = ShareSampler(wit, secret, seed)
             assert [sampler.sample_mask() for _ in range(50)] == expect
             masses = {x: c - b for x, c, b in zip(points, cum, [0] + cum) if c != b}
-            assert sampler.exact_distribution() == {
+            assert share_distribution(wit, secret) == {
                 x: Fraction(m, cum[-1]) for x, m in masses.items()}
 
 
@@ -258,12 +260,12 @@ class TestVerifyWitness:
                 cases.append(DualAndParams(n, w, w.l1() * Fraction(rng.randint(1, 8), 8)))
             for p in cases:
                 wit = build_witness(p)
-                pairing = pair_with_witness(wit.witness, and_cube(n))
+                pairing = cube_pairing(wit.witness.values, and_cube(n))
                 assert pairing == wit.witness.values[0] == wit.epsilon
                 assert verify_witness(wit.witness, p.d, p.w).correlation == pairing
 
     def test_zero_function_fails_normalisation(self):
-        zero = DualWitness(2, (Fraction(0),) * 4, "cube")
+        zero = DualWitness(2, (Fraction(0),) * 4)
         rep = verify_witness(zero, Fraction(1), WeightVector.uniform(2))
         assert rep.l1_norm == 0
 
@@ -278,8 +280,8 @@ class TestVerifyWitness:
         # pairing vanishes strictly below d but not at d
         p = DualAndParams.uniform(4, 2)
         wit = build_witness(p)
-        assert pair_with_witness(wit.witness, ParityPoly(4, {0b0011: Fraction(1)})) != 0
-        assert pair_with_witness(wit.witness, ParityPoly(4, {0b0001: Fraction(1)})) == 0
+        assert cube_pairing(wit.witness.values, ParityPoly(4, {0b0011: Fraction(1)})) != 0
+        assert cube_pairing(wit.witness.values, ParityPoly(4, {0b0001: Fraction(1)})) == 0
 
     def test_uniform_sweep_exact(self):
         for n in range(2, 9):
@@ -383,8 +385,6 @@ class TestWeightedAnticoncentration:
 
 class TestSplitWitnessIndistinguishability:
     def test_split_is_dwise_indistinguishable(self):
-        from dualshare.approxlab import split_cube_witness
-
         for n in range(2, 8):
             for d in range(1, n + 1):
                 wit = build_witness(DualAndParams.uniform(n, d))
@@ -396,15 +396,17 @@ class TestSampler:
     def test_n2_support(self):
         wit = build_witness(DualAndParams.uniform(2, 1))
         plus = ShareSampler(wit, 1, seed=1)
-        assert plus.exact_distribution() == {
+        assert share_distribution(wit, 1) == {
             0b00: Fraction(1, 2),
             0b11: Fraction(1, 2),
         }
+        assert {plus.sample_mask() for _ in range(50)} == {0b00, 0b11}
         minus = ShareSampler(wit, -1, seed=1)
-        assert minus.exact_distribution() == {
+        assert share_distribution(wit, -1) == {
             0b01: Fraction(1, 2),
             0b10: Fraction(1, 2),
         }
+        assert {minus.sample_mask() for _ in range(50)} == {0b01, 0b10}
 
     def test_single_draw_api(self):
         wit = build_witness(DualAndParams.uniform(3, 1))
@@ -434,7 +436,7 @@ class TestSampler:
         for _ in range(draws):
             m = sampler.sample_mask()
             counts[m] = counts.get(m, 0) + 1
-        table = sampler.exact_distribution()
+        table = share_distribution(wit, 1)
         assert sum(counts.values()) == draws
         for m, p in table.items():
             expect = draws * float(p)
@@ -461,8 +463,6 @@ class TestSampler:
             hits = sum(1 for _ in range(draws) if sampler.sample_mask() == 0)
             means[secret] = hits / draws
         exact = float(reconstruction_advantage(wit))
-        p_plus = float(
-            ShareSampler(wit, 1, seed=0).exact_distribution().get(0, Fraction(0))
-        )
+        p_plus = float(share_distribution(wit, 1).get(0, Fraction(0)))
         sigma = math.sqrt(2 * p_plus * (1 - p_plus) / draws)
         assert abs((means[1] - means[-1]) - exact) <= 3 * sigma

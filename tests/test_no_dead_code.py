@@ -1,7 +1,9 @@
 """Every module- or class-level name the package defines must be used
-somewhere in ``src/``, ``tests/`` or ``perfbench/``: a function, method,
-class, constant or field that nothing reads is dead code, and dead code is
-deleted rather than kept in step.
+somewhere in ``src/`` or ``perfbench/``: a function, method, class,
+constant or field that nothing reads is dead code, and dead code is deleted
+rather than kept in step.  Reads from ``tests/`` do not count, so a helper
+that only tests call lives in ``tests/oracles.py``, not in the package; a
+public name counts as used through its entry in ``__init__._EXPORTS``.
 
 A use is a read of the name (``name``, ``obj.name``), an import of it, a
 keyword argument spelled like it, or the name inside a string literal (for
@@ -22,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dualshare"
 CORPUS = sorted(
-    path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")
+    path for top in ("src", "perfbench") for path in (ROOT / top).rglob("*.py")
 )
 IMPORTERS = sorted(
     path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py")

@@ -10,11 +10,8 @@ from dualshare.ratpoly import RationalPoly
 from dualshare.serialize import (
     dist_from_json,
     dist_to_json,
-    poly_from_json,
     poly_to_json,
-    rat_from_str,
     rat_to_str,
-    witness_from_json,
     witness_to_json,
     write_csv,
     write_json,
@@ -24,8 +21,7 @@ from dualshare.serialize import (
 def test_rational_strings():
     assert rat_to_str(Fraction(-3, 6)) == "-1/2"
     assert rat_to_str(5) == "5/1"
-    assert rat_from_str("-1/2") == Fraction(-1, 2)
-    assert rat_from_str("7") == 7  # bare integers accepted on input
+    assert Fraction(rat_to_str(Fraction(-1, 2))) == Fraction(-1, 2)  # read back by Fraction
 
 
 @given(st.fractions())
@@ -43,7 +39,7 @@ def test_rational_strings_match_the_fraction_route(x):
 
 def test_poly_round_trip():
     p = RationalPoly.of(Fraction(1, 3), 0, Fraction(-5, 2))
-    assert poly_from_json(poly_to_json(p)) == p
+    assert RationalPoly.from_coeffs(map(Fraction, poly_to_json(p))) == p
     assert poly_to_json(p)[0] == "1/3"  # lowest power first
 
 
@@ -58,14 +54,13 @@ def test_witness_round_trip():
     w = DualWitness(
         2,
         (Fraction(1, 4), Fraction(-1, 4), Fraction(-1, 4), Fraction(1, 4)),
-        "cube",
         claimed_degree=Fraction(1),
     )
-    doc = witness_to_json(w)
+    doc = witness_to_json(w, [rat_to_str(v) for v in w.values])
     assert doc["representation"] == "cube"
-    assert witness_from_json(doc) == w
-    sym = DualWitness(2, (Fraction(1, 4), Fraction(-1, 4), Fraction(1, 4)), "symmetric")
-    assert witness_from_json(witness_to_json(sym)) == sym
+    back = DualWitness(doc["n"], tuple(map(Fraction, doc["values"])),
+                       Fraction(doc["claimed_degree"]))
+    assert back == w
 
 
 def test_atomic_json_write(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualshare import symcheb
-from dualshare.boolcube import ParityPoly
 from dualshare.errors import PropertyViolation
 from dualshare.ratpoly import RationalPoly, weight_grid
 from dualshare.symcheb import (
@@ -18,22 +17,15 @@ from dualshare.symcheb import (
     exact_weight_test,
     shifted_product_check,
     shifted_square,
-    hypergeom_prob,
     hypergeom_row,
     truncation_error_bound,
     indistinguishability_bound,
     circle_identity_check,
     reflection_check,
-    symmetrize,
 )
 
 from conftest import random_symmetric_distribution
-from oracles import cheb_transform, circle_abs_squared_fraction
-
-
-def brute_hypergeom(n, K, w, h):
-    """Count weight-h strings with exactly w ones among the first K positions."""
-    return Fraction(comb(K, w) * comb(n - K, h - w), comb(n, h)) if 0 <= h - w <= n - K else Fraction(0)
+from oracles import cheb_transform, circle_abs_squared_fraction, hypergeom_prob, symmetrize
 
 
 class TestSymmetrize:
@@ -45,9 +37,9 @@ class TestSymmetrize:
         assert all(p(t) == 0 for t in grid[1:])
 
     def test_single_variable_character(self):
-        # E_{|x|=h}[x_1] = 1 - 2h/n = t
+        # E_{|x|=h}[x_1] = 1 - 2h/n = t, with x_1 = 1 - 2 b_1
         for n in (2, 5, 8):
-            p = symmetrize(ParityPoly(n, {0b1: Fraction(1)}), n)
+            p = symmetrize(lambda bits: 1 - 2 * bits[0], n)
             assert p == RationalPoly.of(0, 1)
 
     def test_matches_build_pw_at_grid(self):
@@ -56,11 +48,11 @@ class TestSymmetrize:
             p = symmetrize(f, n)
             test = exact_weight_test(n, K, w)
             for h in range(n + 1):
-                assert p(Fraction(n - 2 * h, n)) == test.grid_value(h)
+                assert p(Fraction(n - 2 * h, n)) == hypergeom_prob(n, K, w, h)
             assert p == test.poly
 
     def test_weight_vector_input(self):
-        p = symmetrize([Fraction(h) for h in range(5)], 4)
+        p = symmetrize(sum, 4)
         # value at weight h is h; in t coordinates that is (1-t) n/2
         assert p == RationalPoly.of(2, -2)
 
@@ -78,7 +70,7 @@ class TestExactWeightTest:
 
     def test_worked_example(self):
         test = exact_weight_test(8, 2, 1)
-        assert test.grid_value(1) == Fraction(1, 4)
+        assert hypergeom_row(8, 2, 1)[1] == Fraction(1, 4)
         assert test.poly(Fraction(3, 4)) == Fraction(1, 4)
 
     def test_product_form_matches_hypergeometric_everywhere(self, rng):
@@ -88,13 +80,13 @@ class TestExactWeightTest:
             w = rng.randint(0, K)
             test = exact_weight_test(n, K, w)
             for h in range(n + 1):
-                assert test.poly(Fraction(n - 2 * h, n)) == brute_hypergeom(n, K, w, h)
+                assert test.poly(Fraction(n - 2 * h, n)) == hypergeom_prob(n, K, w, h)
 
     def test_degree_and_probability_range(self):
         test = exact_weight_test(16, 4, 2)
         assert test.poly.degree == 4
         for h in range(17):
-            v = test.grid_value(h)
+            v = test.poly(Fraction(16 - 2 * h, 16))
             assert 0 <= v <= 1
 
     def test_boundary_scale(self):
@@ -102,7 +94,7 @@ class TestExactWeightTest:
         for w in (0, 4, 8):
             test = exact_weight_test(512, 8, w)
             for h in (0, 1, 7, 8, 200, 504, 511, 512):
-                assert test.poly(Fraction(512 - 2 * h, 512)) == brute_hypergeom(
+                assert test.poly(Fraction(512 - 2 * h, 512)) == hypergeom_prob(
                     512, 8, w, h
                 )
 
@@ -118,7 +110,7 @@ class TestExactWeightTest:
                     for pos in combinations(range(n), h)
                     if sum(1 for i in pos if i < K) == w
                 )
-                assert hypergeom_prob(n, K, w, h) == Fraction(count, comb(n, h))
+                assert hypergeom_row(n, K, w)[h] == Fraction(count, comb(n, h))
 
 
 class TestReflection:
@@ -149,20 +141,20 @@ class TestReflection:
 class TestBounded:
     def test_desk_scale_instances(self):
         for w in range(5):
-            grid_max = bounded_check(exact_weight_test(256, 4, w), grid_size=1024)
+            grid_max = bounded_check(exact_weight_test(256, 4, w))
             assert grid_max <= 2.0
 
     def test_K2(self):
-        assert bounded_check(exact_weight_test(128, 2, 1), grid_size=1024) <= 2.0
+        assert bounded_check(exact_weight_test(128, 2, 1)) <= 2.0
 
     def test_grid_values_are_probabilities(self):
         test = exact_weight_test(128, 2, 1)
         for h in range(129):
-            assert 0 <= test.grid_value(h) <= 1
+            assert 0 <= test.poly(Fraction(128 - 2 * h, 128)) <= 1
 
     def test_warns_outside_guaranteed_range(self):
         with pytest.warns(UserWarning):
-            bounded_check(exact_weight_test(16, 2, 1), grid_size=1024)
+            bounded_check(exact_weight_test(16, 2, 1))
 
 
 class TestTruncatedApproximant:
@@ -257,7 +249,7 @@ class TestCircleIdentity:
         # K = w = 1, n = 64: one factor, closed form
         test = exact_weight_test(64, 1, 1)
         eps = Fraction(1, 7)
-        params = AmplificationParams.with_grid(eps, points=16)
+        params = AmplificationParams.with_grid(eps)
         assert circle_identity_check(test, params) < 1e-10
         delta = float(params.delta)
         z = float(test.zeros[0])
@@ -427,7 +419,7 @@ class TestHypergeomRow:
                                          (12, 12, 12), (12, 12, 5), (640, 10, 0), (640, 10, 10)])
     def test_edges_match_brute_counts(self, n, K, w):
         row = hypergeom_row(n, K, w)
-        assert row == tuple(brute_hypergeom(n, K, w, h) for h in range(n + 1))
+        assert row == tuple(hypergeom_prob(n, K, w, h) for h in range(n + 1))
         assert sum(row[h] * comb(n, h) for h in range(n + 1)) == comb(K, w) * 2 ** (n - K)
 
     @pytest.mark.parametrize("n, K, w", [(4, 5, 0), (4, 2, 3), (4, 2, -1)])

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualshare.approxlab import approx_degree, minimax_on_weight_grid, symmetric_witness
-from dualshare.boolcube import ParityPoly
+from dualshare.approxlab import approx_degree, minimax_on_weight_grid
+from dualshare.boolcube import ParityPoly, kravchuk
 from dualshare.errors import InfeasibleBudget, InvalidInput
 from dualshare.simplex import solve_lp, solve_minimax
 from dualshare.weightdeg import (
@@ -21,12 +21,12 @@ from dualshare.weightdeg import (
     low_weight_approximant,
     weight_lower_bound,
 )
-from oracles import aggregate_design_fraction
+from oracles import aggregate_design_fraction, cube_pairing, parity_values
 
 
 def cube_error(poly: ParityPoly, target) -> Fraction:
     """Exact max |poly - target| over all 2^n points (oracle)."""
-    values = poly.values_on_cube()
+    values = parity_values(poly)
     worst = Fraction(0)
     for m, v in enumerate(values):
         worst = max(worst, abs(v - Fraction(target(m))))
@@ -288,20 +288,41 @@ class TestWeightLowerBound:
                     assert bound <= true_min <= rep.weight
 
     def test_pairing_symmetry_against_cube(self):
-        # the K+1 size-class pairings equal the per-subset pairings on the cube
-        from dualshare.boolcube import pair_with_witness
+        # the pairing of psi, spread evenly over each weight class, with chi_S
+        # depends on |S| alone and equals the Kravchuk row the floor reads
         from itertools import combinations
 
         n = 6
         values = [1 if h == n else 0 for h in range(n + 1)]
         cert = minimax_on_weight_grid(values, 1)
-        wit = symmetric_witness(cert)
+        cube = [cert.psi[m.bit_count()] / comb(n, m.bit_count()) for m in range(1 << n)]
         for r in range(4):
             pairings = set()
             for subset in combinations(range(n), r):
                 mask = sum(1 << i for i in subset)
-                pairings.add(pair_with_witness(wit, ParityPoly(n, {mask: Fraction(1)})))
-            assert len(pairings) == 1
+                pairings.add(cube_pairing(cube, ParityPoly(n, {mask: Fraction(1)})))
+            row = sum(p * kravchuk(n, r, h) for h, p in enumerate(cert.psi))
+            assert pairings == {row / comb(n, r)}
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda n: st.lists(st.integers(0, 1), min_size=n + 1, max_size=n + 1)),
+        st.sampled_from([Fraction(1, 3), Fraction(1, 4), Fraction(2, 5)]),
+    )
+    def test_kravchuk_floor_matches_cube_pairing(self, predicate, eps):
+        # the floor against sum_x psi(|x|)/C(n,|x|) chi_[r](x) over the cube, every K
+        n = len(predicate) - 1
+        _, cert = approx_degree(predicate, eps)
+        if cert is None:
+            return
+        cube = [cert.psi[m.bit_count()] / comb(n, m.bit_count()) for m in range(1 << n)]
+        pairings = [abs(cube_pairing(cube, ParityPoly(n, {(1 << r) - 1: Fraction(1)})))
+                    for r in range(n + 1)]
+        for K in range(n + 2):
+            best = max(pairings[:K + 1])
+            expect = math.inf if best == 0 else (cert.epsilon - eps) / best
+            assert weight_lower_bound(cert, K, eps) == expect
 
 
 class TestReports:
