@@ -31,11 +31,8 @@ _EXPORTS = {
     "l2_tail_bound": "approxlab",
     "minimax_on_weight_grid": "approxlab",
     "ramp_advantage": "approxlab",
-    "DualWitness": "boolcube",
-    "ParityPoly": "boolcube",
     "SymmetricDistribution": "boolcube",
     "WeightVector": "boolcube",
-    "basis_convert": "boolcube",
     "kwise_indistinguishable": "boolcube",
     "project_symmetric": "boolcube",
     "stat_distance_symmetric": "boolcube",
@@ -61,8 +58,7 @@ _EXPORTS = {
     "truncated_approximant": "symcheb",
     "SymmetricSpec": "weightdeg",
     "WeightDegreeReport": "weightdeg",
-    "approx_eq_y": "weightdeg",
-    "low_weight_approximant": "weightdeg",
+    "low_weight_report": "weightdeg",
     "weight_lower_bound": "weightdeg",
 }
 

@@ -13,22 +13,13 @@ Hamming weight (the total mass of the weight class, not per string).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 from operator import mul
 from typing import Iterable, Sequence
 
 CUBE_CAP = 22  # largest n for which any routine enumerates all 2^n cube points
-
-
-def bits_to_mask(bits: Sequence[int]) -> int:
-    m = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError("bits must be 0/1")
-        m |= b << i
-    return m
 
 
 def mask_to_bits(n: int, mask: int) -> tuple[int, ...]:
@@ -193,61 +184,6 @@ def kwise_indistinguishable(
     return project_symmetric(d1, k) == project_symmetric(d2, k)
 
 
-@dataclass
-class ParityPoly:
-    """Multilinear polynomial over {-1,1}^n as subset-bitmask -> coefficient."""
-
-    n: int
-    coeffs: dict[int, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.coeffs = {
-            s: Fraction(c) for s, c in self.coeffs.items() if c != 0
-        }
-
-    def weight(self) -> Fraction:
-        """L1 norm of the coefficients in the parity basis."""
-        return sum((abs(c) for c in self.coeffs.values()), Fraction(0))
-
-    def degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(s.bit_count() for s in self.coeffs)
-
-    def negate_vars(self, var_mask: int) -> "ParityPoly":
-        """Substitute x_i -> -x_i for every i in var_mask; weight is preserved."""
-        return ParityPoly(
-            self.n,
-            {
-                s: (-c if (s & var_mask).bit_count() & 1 else c)
-                for s, c in self.coeffs.items()
-            },
-        )
-
-
-def basis_convert(monomial_coeffs: dict[int, Fraction], n: int) -> ParityPoly:
-    """Multilinear polynomial in 0/1 variables -> parity basis.
-
-    Input maps a bitmask S to the coefficient of prod_{i in S} b_i; the
-    substitution b_i = (1 - x_i)/2 is expanded exactly, so evaluations agree
-    at all 2^n points.
-    """
-    out: dict[int, Fraction] = {}
-    for s, a in monomial_coeffs.items():
-        a = Fraction(a)
-        if not a:
-            continue
-        scale = Fraction(1, 1 << s.bit_count())
-        sub = s
-        while True:
-            sign = -1 if sub.bit_count() & 1 else 1
-            out[sub] = out.get(sub, Fraction(0)) + sign * a * scale
-            if sub == 0:
-                break
-            sub = (sub - 1) & s
-    return ParityPoly(n, out)
-
-
 _KRAVCHUK_ROWS: dict[int, list[list[int]]] = {}
 
 
@@ -272,22 +208,3 @@ def _kravchuk_rows(n: int, r: int) -> list[list[int]]:
 def kravchuk(n: int, r: int, h: int) -> int:
     """sum over |S| = r of chi_S at any input of Hamming weight h (0 for r > n)."""
     return _kravchuk_rows(n, r)[r][h]
-
-
-@dataclass(frozen=True)
-class DualWitness:
-    """Signed function on {-1,1}^n with unit L1 mass certifying an
-    approximate-degree bound.
-
-    One value per cube point, indexed by the bitmask of the underlying bits.
-    ``claimed_degree`` is the threshold d of the construction: pairings
-    vanish for weighted degree strictly below d.
-    """
-
-    n: int
-    values: tuple[Fraction, ...]
-    claimed_degree: Fraction | int | None = None
-
-    def __post_init__(self):
-        if len(self.values) != 1 << self.n:
-            raise ValueError("value table has the wrong length")

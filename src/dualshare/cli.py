@@ -101,7 +101,7 @@ def dual_and_cmd(n, weights, d_str, out, fmt):
     params = dualand.DualAndParams(n, w, d)
     wit = dualand.build_witness(params)
     eps = dualand.epsilon_of(params)
-    report = dualand.verify_witness(wit.witness, d, w)
+    report = dualand.verify_witness(wit)
     if not (report.pure_high_degree and report.l1_norm == 1
             and report.correlation == wit.epsilon == eps):
         raise PropertyViolation(
@@ -117,7 +117,7 @@ def dual_and_cmd(n, weights, d_str, out, fmt):
         "correlation": serialize.rat_to_str(report.correlation),
         "l1_norm": serialize.rat_to_str(report.l1_norm),
         "pure_high_degree_strictly_below_d": report.pure_high_degree,
-        "witness": serialize.witness_to_json(wit.witness, wit.classes.expand(
+        "witness": serialize.witness_to_json(n, d, wit.classes.expand(
             [serialize.rat_to_str(v) for v in wit.class_values])),
     }
     _emit("dual-and", config, result, out, fmt)
@@ -144,10 +144,7 @@ def sample_shares_cmd(witness_path, secret, count, seed, out, fmt):
         rows.append([1 - 2 * b for b in bits])  # emit +-1 share values
     header = [f"bit_{i + 1}" for i in range(n)]
     config = {"witness": witness_path, "secret": secret, "count": count, "seed": seed}
-    if fmt == "json":
-        _emit("sample-shares", config, {"shares": rows}, out, fmt)
-    else:
-        _emit("sample-shares", config, {"shares": rows}, out, fmt, (header, rows))
+    _emit("sample-shares", config, {"shares": rows}, out, fmt, (header, rows))
 
 
 def symcheb_pw(n, big_k, w, check, trunc_k, eps, out, fmt):
@@ -291,7 +288,7 @@ def weight_bound_cmd(f_name, n, big_k, eps, construct, lower, out, fmt):
     result: dict = {}
     if construct:
         spec = weightdeg.SymmetricSpec(n, tuple(values))
-        poly, report = weightdeg.low_weight_approximant(spec, big_k, epsilon)
+        report, _ = weightdeg.low_weight_report(spec, big_k, epsilon)
         result["construct"] = {
             "degree": report.degree,
             "weight": serialize.rat_to_str(report.weight),
@@ -300,6 +297,7 @@ def weight_bound_cmd(f_name, n, big_k, eps, construct, lower, out, fmt):
             "bound_exponent_float": report.bound_exponent,
             "k_f": spec.k_f,
         }
+    floor: Fraction | float = Fraction(0)
     if lower:
         _, cert = approxlab.approx_degree(values, epsilon)
         if cert is None:
@@ -311,21 +309,18 @@ def weight_bound_cmd(f_name, n, big_k, eps, construct, lower, out, fmt):
                 "weight_lower_bound_float": 0.0,
             }
         else:
-            bound = weightdeg.weight_lower_bound(cert, big_k, epsilon)
+            floor = weightdeg.weight_lower_bound(cert, big_k, epsilon)
             result["lower"] = {
                 "certificate_degree": cert.degree,
                 "certificate_error": serialize.rat_to_str(cert.epsilon),
-                "weight_lower_bound": ("inf" if bound == math.inf
-                                       else serialize.rat_to_str(bound)),
-                "weight_lower_bound_float": float(bound) if bound != math.inf else None,
+                "weight_lower_bound": ("inf" if floor == math.inf
+                                       else serialize.rat_to_str(floor)),
+                "weight_lower_bound_float": float(floor) if floor != math.inf else None,
             }
-    if construct and lower:
-        floor = result["lower"]["weight_lower_bound"]
-        hi = Fraction(result["construct"]["weight"])
-        if floor == "inf" or hi < Fraction(floor):
-            raise PropertyViolation(
-                f"constructive weight {hi} fell below the certified floor {floor}"
-            )
+    if construct and report.weight < floor:  # the floor stays 0 without --lower
+        raise PropertyViolation(
+            f"constructive weight {report.weight} fell below the certified floor {floor}"
+        )
     config = {"f": f_name, "n": n, "K": big_k, "eps": eps, "construct": construct,
               "lower": lower}
     _emit("weight-bound", config, result, out, fmt)

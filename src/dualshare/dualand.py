@@ -12,8 +12,11 @@ each group of equal-weight coordinates.  With groups of sizes n_1..n_m the
 classes are the prod (n_g + 1) count vectors j, and construction and
 verification each run one ``boolcube.walsh_hadamard`` over the classes: the
 tensor Kravchuk transform, which is the Walsh-Hadamard transform when every
-weight is distinct.  A mask -> class table, built by doubling, expands the
-per-class results back onto the 2^n points.
+weight is distinct; the verifier takes the built witness and transforms
+its per-class values.  A mask -> class table, built by doubling, reads
+per-class results back onto the 2^n points where a cube-indexed answer is
+wanted: the emitted witness, the masks of violating subsets and the
+sampler's CDF.
 
 Both run on integers: class weights are tabulated as scale * w(j), scale
 clearing the denominators of the weights and d, and the verifier scales the
@@ -42,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
 from math import comb, lcm
-from operator import add, eq, is_, mul
+from operator import add, mul
 from typing import Sequence
 
 from . import boolcube
@@ -63,10 +66,6 @@ class DualAndParams:
         if self.n > boolcube.CUBE_CAP:
             raise ValueError(f"exact cube construction capped at n <= {boolcube.CUBE_CAP}")
 
-    @staticmethod
-    def uniform(n: int, d) -> "DualAndParams":
-        return DualAndParams(n, boolcube.WeightVector.uniform(n), Fraction(d))
-
 
 @dataclass(frozen=True)
 class BitCountClasses:
@@ -84,14 +83,12 @@ class BitCountClasses:
     scaled_d: int
 
     @staticmethod
-    def of(w: boolcube.WeightVector, d: Fraction, grouped: bool = True) -> "BitCountClasses":
-        """Group the coordinates of equal weight, first occurrence first, or,
-        with ``grouped`` false, give every coordinate a group of its own."""
+    def of(w: boolcube.WeightVector, d: Fraction) -> "BitCountClasses":
+        """Group the coordinates of equal weight, first occurrence first."""
         scale = lcm(d.denominator, *(e.denominator for e in w.entries))
-        keys = w.entries if grouped else range(w.n)
-        groups: dict = {}  # key -> [size, scaled weight], in first-occurrence order
-        for key, e in zip(keys, w.entries):
-            groups.setdefault(key, [0, e.numerator * (scale // e.denominator)])[0] += 1
+        groups: dict = {}  # weight -> [size, scaled weight], in first-occurrence order
+        for e in w.entries:
+            groups.setdefault(e, [0, e.numerator * (scale // e.denominator)])[0] += 1
         if len(groups) == w.n:  # singleton groups in coordinate order: class = mask
             class_of: Sequence[int] = range(1 << w.n)
         else:
@@ -100,7 +97,7 @@ class BitCountClasses:
                 strides[key] = step
                 step *= size + 1
             class_of = [0]  # doubling: coordinate i appends the masks with bit i set
-            for stride in [strides[key] for key in keys]:
+            for stride in [strides[e] for e in w.entries]:
                 class_of += [s + stride for s in class_of]
         return BitCountClasses(
             sizes=tuple(size for size, _ in groups.values()),
@@ -109,14 +106,9 @@ class BitCountClasses:
             scaled_d=d.numerator * (scale // d.denominator),
         )
 
-    @property
-    def singletons(self) -> bool:
-        """Whether every class is a single point (then class = mask)."""
-        return isinstance(self.class_of, range)
-
     def expand(self, per_class: Sequence) -> tuple:
         """One entry per cube point, read from ``per_class`` through its class."""
-        if self.singletons:
+        if isinstance(self.class_of, range):  # singleton classes: class = mask
             return tuple(per_class)
         return tuple(map(per_class.__getitem__, self.class_of))
 
@@ -145,7 +137,8 @@ class BitCountClasses:
 
 @dataclass(frozen=True)
 class DualAndWitness:
-    """|H| and the per-class character sums; the witness values are built on first use."""
+    """|H| and the per-class character sums; the per-class witness values
+    are built on first use."""
 
     params: DualAndParams
     H_size: int
@@ -168,12 +161,6 @@ class DualAndWitness:
             Fraction(-m * m if k & 1 else m * m, denom)
             for m, k in zip(self.class_sums, self.classes.ones)
         ]
-
-    @cached_property
-    def witness(self) -> boolcube.DualWitness:
-        """phi(x) = phi(j) for every x of class j, all sharing j's ``Fraction``."""
-        return boolcube.DualWitness(self.params.n, self.classes.expand(self.class_values),
-                                    claimed_degree=self.params.d)
 
 
 @dataclass(frozen=True)
@@ -207,45 +194,23 @@ def build_witness(params: DualAndParams) -> DualAndWitness:
     )
 
 
-def _per_class(vals: Sequence[Fraction], classes: BitCountClasses) -> Sequence | None:
-    """The value of each class if ``vals`` is constant on every class, else None."""
-    if classes.singletons:
-        return vals
-    last = dict(zip(classes.class_of, vals))
-    per_class = [last[s] for s in range(len(last))]
-    expanded = classes.expand(per_class)
-    # a built witness shares one object per class, so identity settles it
-    if all(map(is_, vals, expanded)) or all(map(eq, vals, expanded)):
-        return per_class
-    return None
+def verify_witness(wit: DualAndWitness) -> WitnessReport:
+    """Check the three AND-witness conditions exactly on the class values.
 
-
-def verify_witness(wit: boolcube.DualWitness, d, w: boolcube.WeightVector) -> WitnessReport:
-    """Check the three AND-witness conditions exactly.
-
-    The classes are regrouped from ``w`` alone.  When phi is constant on
-    every class, <phi, chi_S> depends only on the class s of S and equals
-    sum_j phi(j) prod_g K_{j_g}(s_g; n_g), one class transform of phi; any
-    other phi is checked point by point with singleton groups, i.e. by the
-    Walsh-Hadamard transform on the cube.
+    phi is constant on every class, so <phi, chi_S> depends only on the
+    class s of S and equals sum_j phi(j) prod_g K_{j_g}(s_g; n_g): one class
+    transform of phi.
 
     (a) <phi, chi_S> = 0 for every S with w(S) strictly below d (the values
         are scaled to integers before the transform; w(S) < d is tested as
         W(s) < scale * d), violating classes reported as their masks;
     (b) the L1 norm is exactly 1: sum_j |phi(j)| times the class size;
     (c) the exact correlation <phi, AND>, for the caller to compare with the
-        claimed epsilon.  AND accepts only mask 0 (all bits zero), so the
-        correlation is phi(0^n).
+        claimed epsilon.  AND accepts only mask 0 (all bits zero), whose
+        class is 0, so the correlation is phi(0).
     """
-    if w.n != wit.n:
-        raise ValueError("weight vector length must equal n")
-    d = Fraction(d)
-    vals = wit.values
-    classes = BitCountClasses.of(w, d)
-    phi = _per_class(vals, classes)
-    if phi is None:
-        classes = BitCountClasses.of(w, d, grouped=False)
-        phi = vals
+    classes = wit.classes
+    phi = wit.class_values
     scale = lcm(*{v.denominator for v in phi})
     scaled = [v.numerator * (scale // v.denominator) for v in phi]
     pairings = boolcube.walsh_hadamard(scaled, classes.sizes)
@@ -259,7 +224,7 @@ def verify_witness(wit: boolcube.DualWitness, d, w: boolcube.WeightVector) -> Wi
         pure_high_degree=not violations,
         violations=violations,
         l1_norm=l1,
-        correlation=vals[0],
+        correlation=phi[0],
     )
 
 

@@ -264,10 +264,6 @@ class ChebyshevExpansion:
             cs.pop()
         return ChebyshevExpansion(tuple(cs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.half_coeffs) - 1
-
     def coeff(self, d: int) -> Fraction:
         """Symmetric accessor: c_{-d} = c_d."""
         d = abs(d)

@@ -34,20 +34,27 @@ def dist_to_json(d: boolcube.SymmetricDistribution) -> dict:
 
 
 def dist_from_json(obj: dict) -> boolcube.SymmetricDistribution:
+    """A distribution from a JSON integer n and rational-string probabilities."""
     try:
-        probs = [Fraction(p) for p in obj["weight_probs"]]
-        return boolcube.SymmetricDistribution.of(obj["n"], probs)
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        n, probs = obj["n"], obj["weight_probs"]
+    except (KeyError, TypeError) as exc:
+        raise InvalidInput(f"malformed distribution (n, weight_probs): {exc!r}") from exc
+    # bool is an int subclass, and Fraction would take a JSON float too
+    if type(n) is not int or type(probs) is not list or any(type(p) is not str for p in probs):
+        raise InvalidInput(f"distribution needs an integer n and rational strings, "
+                           f"got n={n!r}, weight_probs={probs!r}")
+    try:
+        return boolcube.SymmetricDistribution.of(n, probs)
+    except ZeroDivisionError as exc:
         raise InvalidInput(f"malformed distribution (n, weight_probs): {exc!r}") from exc
 
 
-def witness_to_json(w: boolcube.DualWitness, texts: Sequence[str]) -> dict:
-    """``texts`` are the values already written by ``rat_to_str``, for a
-    caller whose values repeat and who converts each distinct one once."""
-    out = {"n": w.n, "representation": "cube", "values": list(texts)}
-    if w.claimed_degree is not None:
-        out["claimed_degree"] = rat_to_str(w.claimed_degree)
-    return out
+def witness_to_json(n: int, d, texts: Sequence[str]) -> dict:
+    """The cube witness on n variables with claimed degree d; ``texts`` are
+    its 2^n values already written by ``rat_to_str``, for a caller whose
+    values repeat and who converts each distinct one once."""
+    return {"n": n, "representation": "cube", "values": list(texts),
+            "claimed_degree": rat_to_str(d)}
 
 
 def _atomic_write(path: str, write_fn) -> None:

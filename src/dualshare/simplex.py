@@ -197,16 +197,16 @@ def _audit(cols, rhs, cost, det, X, Y) -> None:
 class LinfFit:
     coeffs: tuple[Fraction, ...]
     epsilon: Fraction
-    psi: tuple[Fraction, ...]  # signed measure on the rows, total variation 1
 
 
 def solve_linf_fit(rows: Sequence[Sequence[Fraction]], values: Sequence[Fraction]) -> LinfFit:
     """Exact Chebyshev fit min_a max_i |<rows_i, a> - values_i|.
 
-    Returns the optimal coefficients, the optimal error, and the dual signed
-    measure psi on the rows with  rows^T psi = 0,  sum |psi| = 1 (when the
-    error is positive) and  <psi, values> = epsilon.  All optimality and
-    complementary-slackness facts are checked before returning.  Polynomial
+    Returns the optimal coefficients and the optimal error.  The LP's dual
+    signed measure psi on the rows, with  rows^T psi = 0,  sum |psi| = 1
+    (when the error is positive) and  <psi, values> = epsilon, certifies
+    them: all optimality and complementary-slackness facts are checked
+    before returning.  Polynomial
     designs on distinct points are faster through ``solve_minimax``.
 
     The input is scaled to integers once: row i by sigma_i (the lcm of its
@@ -248,7 +248,6 @@ def solve_linf_fit(rows: Sequence[Sequence[Fraction]], values: Sequence[Fraction
     return LinfFit(
         coeffs=tuple(Fraction(v, big_f * den) for v in Y[:ncoef]),
         epsilon=Fraction(V, big_f * den),
-        psi=tuple(Fraction(w, den) for w in psi),
     )
 
 

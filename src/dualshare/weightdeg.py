@@ -8,6 +8,11 @@ inner ANDs are exact), and its parity-basis coefficients collapse to one
 value per number of blocks touched, so weights are computed in closed form
 instead of by expanding 2^n terms.
 
+Nothing here expands an approximant over the cube: ``low_weight_report``
+returns its degree, weight and certified error, all in closed form, with
+the compact form they were read from (the block core, or one parity
+coefficient per subset size), which is enough to rebuild it.
+
 Symmetric functions are sums of point indicators over their support; the sum
 is aggregated weight-class by weight-class (a sign-flip average with a closed
 form) and then symmetrised over variable relabelings, which never increases
@@ -29,14 +34,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
 from math import comb, lcm
 from operator import mul
 
 from . import approxlab, boolcube, ratpoly, simplex
 from .errors import InfeasibleBudget, InvalidInput, PropertyViolation
-
-_TERM_CAP = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -109,10 +111,8 @@ def _touched_block_coeffs(c: list[Fraction], ell: int, s: int) -> list[Fraction]
 class _AndCore:
     """Outer/inner decomposition data for the n-bit AND approximant."""
 
-    n: int
     ell: int  # number of blocks
     s: int  # block size
-    p_values: tuple[Fraction, ...]  # outer polynomial at counts 0..ell
     error: Fraction  # max_j |p(j) - [j == ell]|
     D: tuple[Fraction, ...]  # parity coefficient per touched-block count
 
@@ -144,10 +144,8 @@ def _and_core_for_split(n: int, ell: int, degree_budget: int) -> _AndCore:
     if any(c[outer_degree + 1 :]):
         raise PropertyViolation("outer polynomial has differences above its degree")
     return _AndCore(
-        n=n,
         ell=ell,
         s=s,
-        p_values=tuple(p_values),
         error=sol.epsilon,
         D=tuple(_touched_block_coeffs(c, ell, s)),
     )
@@ -175,53 +173,6 @@ def _and_approx_core(n: int, degree_budget: int, error_target: Fraction) -> _And
             best_errors,
         )
     return best
-
-
-def _materialize(core: _AndCore) -> boolcube.ParityPoly:
-    """Expand the block-structured approximant into an explicit ParityPoly."""
-    n, ell, s = core.n, core.ell, core.s
-    active = [r for r, v in enumerate(core.D) if v]
-    total_terms = sum(comb(ell, r) * ((1 << s) - 1) ** r for r in active)
-    if total_terms > _TERM_CAP:
-        raise ValueError(f"materialisation would need {total_terms} terms")
-    block_subsets = [[m << (j * s) for m in range(1, 1 << s)] for j in range(ell)]
-    coeffs: dict[int, Fraction] = {}
-    for r in active:
-        d_r = core.D[r]
-        for blocks in combinations(range(ell), r):
-            for parts in product(*(block_subsets[j] for j in blocks)):
-                mask = 0
-                for p in parts:
-                    mask |= p
-                coeffs[mask] = -d_r if mask.bit_count() & 1 else d_r
-    return boolcube.ParityPoly(n, coeffs)
-
-
-def approx_eq_y(
-    n: int, y, degree_budget: int, error_target
-) -> tuple[boolcube.ParityPoly, WeightDegreeReport]:
-    """Low-weight approximant of the point indicator EQ_y on {0,1}^n.
-
-    EQ_y is the n-bit AND with the variables at y's zero positions negated;
-    negation only flips parity-coefficient signs, so weight, degree and the
-    certified error are those of the AND construction.  The error is exact:
-    the composition's value depends on the input only through the full-block
-    count, and the outer minimax residuals enumerate every count.
-    """
-    error_target = Fraction(error_target)
-    y_mask = y if isinstance(y, int) else boolcube.bits_to_mask(y)
-    core = _and_approx_core(n, degree_budget, error_target)
-    poly = _materialize(core)
-    zeros_mask = ((1 << n) - 1) ^ y_mask
-    if zeros_mask:
-        poly = poly.negate_vars(zeros_mask)
-    report = WeightDegreeReport(
-        degree=core.degree,
-        weight=core.weight(),
-        error=core.error,
-        bound_exponent=_trend_exponent(n, 1, error_target, degree_budget),
-    )
-    return poly, report
 
 
 def _trend_exponent(n: int, supp_size: int, eps: Fraction, budget: int) -> float:
@@ -278,10 +229,11 @@ def _max_error(values: list[Fraction], predicate) -> Fraction:
     return max(abs(v - p) for v, p in zip(values, predicate))
 
 
-def low_weight_approximant(
+def low_weight_report(
     spec: SymmetricSpec, K: int, eps
-) -> tuple[boolcube.ParityPoly, WeightDegreeReport]:
-    """Low-weight degree-<=K approximant of a symmetric predicate.
+) -> tuple[WeightDegreeReport, _AndCore | list[Fraction]]:
+    """Low-weight degree-<=K approximant of a symmetric predicate, reported
+    with the compact form it certified.
 
     Writes the minority side as a sum of point indicators over its support,
     approximates every indicator by one shared block-composed AND polynomial,
@@ -289,38 +241,36 @@ def low_weight_approximant(
     certifies the total error exactly at every Hamming weight.  The shared
     polynomial follows the union-bound target eps/|supp| when achievable and
     is otherwise re-optimised against the exact aggregate certificate.
+
+    A support of one point, all bits zero or all bits one, keeps the block
+    construction of that point's indicator, and the compact form is its
+    ``_AndCore`` q; the approximant is q with every variable negated for the
+    all-zeros point, and 1 - q when the middle value is 1, which only moves
+    the constant coefficient D_0 to 1 - D_0.  Otherwise the compact form is
+    the per-size parity coefficients chat of the symmetric approximant
+    sum_m chat[m] sum_{|S| = m} chi_S.
     """
     eps = Fraction(eps)
     if K < 1:
         raise ValueError("K must be at least 1")
     n = spec.n
-    pred = spec.predicate
-    mid = pred[spec.k_f + 1 : n - spec.k_f]
-    middle_value = (
-        mid[0] if mid else (1 if _side_mass(spec, 1) < _side_mass(spec, 0) else 0)
-    )
-    complemented = middle_value == 1
-    work = tuple(1 - v for v in pred) if complemented else pred
+    complemented, work = _work_side(spec)
     supp_weights = [h for h, v in enumerate(work) if v]
     supp_size = sum(comb(n, h) for h in supp_weights)
     if supp_size == 0:
-        poly = boolcube.ParityPoly(n, {0: Fraction(1)} if complemented else {})
-        return poly, WeightDegreeReport(0, poly.weight(), Fraction(0), 0.0)
-    per_term = eps / supp_size
+        chat = [Fraction(int(complemented))] + [Fraction(0)] * n
+        return WeightDegreeReport(0, chat[0], Fraction(0), 0.0), chat
+    bound_exponent = _trend_exponent(n, supp_size, eps, K)
 
     if supp_weights in ([0], [n]):
         # a single point indicator: the direct construction, unchanged
-        y_mask = (1 << n) - 1 if supp_weights == [n] else 0
-        poly, rep = approx_eq_y(n, y_mask, K, per_term)
+        core = _and_approx_core(n, K, eps)
+        weight = core.weight()
         if complemented:
-            poly = _complement(poly)
-        return poly, WeightDegreeReport(
-            degree=poly.degree(),
-            weight=poly.weight(),
-            error=rep.error,
-            bound_exponent=_trend_exponent(n, supp_size, eps, K),
-        )
+            weight += abs(1 - core.D[0]) - abs(core.D[0])
+        return WeightDegreeReport(core.degree, weight, core.error, bound_exponent), core
 
+    per_term = eps / supp_size
     kappa = _kappa_sums(n, supp_weights)
     candidates: list[tuple[Fraction, int, list[Fraction], Fraction]] = []
     for ell in _divisors(n):
@@ -357,15 +307,9 @@ def low_weight_approximant(
     weight, ell, chat, error = min(candidates, key=lambda c: (c[0], c[1]))
     if complemented:
         chat = [Fraction(1) - chat[0]] + [-v for v in chat[1:]]
-        error = _max_error(_symmetric_values(chat, n), pred)
+        error = _max_error(_symmetric_values(chat, n), spec.predicate)
     degree = max((m for m, v in enumerate(chat) if v), default=0)
-    poly = _symmetric_parity_poly(n, chat)
-    return poly, WeightDegreeReport(
-        degree=degree,
-        weight=weight,
-        error=error,
-        bound_exponent=_trend_exponent(n, supp_size, eps, K),
-    )
+    return WeightDegreeReport(degree, weight, error, bound_exponent), chat
 
 
 def _chat_weight(chat: list[Fraction], n: int, complemented: bool) -> Fraction:
@@ -447,26 +391,18 @@ def _aggregate_design(
     ]
 
 
-def _side_mass(spec: SymmetricSpec, side: int) -> int:
-    return sum(comb(spec.n, h) for h, v in enumerate(spec.predicate) if v == side)
-
-
-def _complement(poly: boolcube.ParityPoly) -> boolcube.ParityPoly:
-    out = {s: -c for s, c in poly.coeffs.items()}
-    out[0] = Fraction(1) + out.get(0, Fraction(0))
-    return boolcube.ParityPoly(poly.n, out)
-
-
-def _symmetric_parity_poly(n: int, chat: list[Fraction]) -> boolcube.ParityPoly:
-    active = [m for m, v in enumerate(chat) if v]
-    total = sum(comb(n, m) for m in active)
-    if total > _TERM_CAP:
-        raise ValueError(f"materialisation would need {total} terms")
-    coeffs: dict[int, Fraction] = {}
-    for m in active:
-        for idxs in combinations(range(n), m):
-            coeffs[sum(1 << i for i in idxs)] = chat[m]
-    return boolcube.ParityPoly(n, coeffs)
+def _work_side(spec: SymmetricSpec) -> tuple[bool, tuple[int, ...]]:
+    """(complemented, work): the side of the predicate written as a sum of
+    point indicators, the complement 1 - f when f's middle value is 1, and
+    when f has no middle, when f accepts fewer strings than it rejects."""
+    n, pred = spec.n, spec.predicate
+    mid = pred[spec.k_f + 1 : n - spec.k_f]
+    if mid:
+        complemented = mid[0] == 1
+    else:
+        ones = sum(comb(n, h) for h, v in enumerate(pred) if v)
+        complemented = ones < (1 << n) - ones
+    return complemented, tuple(1 - v for v in pred) if complemented else pred
 
 
 def weight_lower_bound(

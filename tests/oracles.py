@@ -25,6 +25,11 @@ in-place butterfly), and ``build_and_witness_fraction`` /
 ``verify_and_witness_fraction``, which compare the weights with the
 thresholds as ``Fraction``s and rescale the witness with ``Fraction``
 multiplies.  They share no code with ``dualand`` beyond its data types.
+``dualand.verify_witness`` takes the built witness and reads its per-class
+values; ``witness_values`` expands them onto the cube, and
+``verify_and_witness_fraction`` takes any cube values, so a witness
+tampered anywhere on the cube is checked there.  ``uniform_and_params`` is
+the unit-weight AND the tests build most often.
 ``signed_sum_counts_fraction`` is the distribution of <w, X> that
 ``dualand.epsilon_of`` counts on scaled integers per equal-weight group,
 built here one coordinate at a time over ``Fraction`` keys.
@@ -56,10 +61,20 @@ with the package, the step that picks the next reference.
 differences in ``Fraction``s, and the minimax oracle interpolates with it, so
 it stays independent of the kernel it checks.
 
+``weightdeg.low_weight_report`` gives an approximant's degree, weight and
+certified error in closed form and returns the compact form it certified.
+The expansion over the cube stays here: ``ParityPoly`` (subset mask ->
+coefficient, with ``basis_convert`` from the 0/1 monomial basis),
+``materialize_and`` (the block core, one term per subset touching r
+blocks), ``approx_eq_y`` (that core retargeted to any point),
+``symmetric_parity_poly`` (one term per subset of each size),
+``expand_approximant`` (whichever of the two the report came from) and
+``cube_error`` (the exact sup distance to a target over all 2^n points).
+
 The package reads symmetric objects per Hamming weight and never enumerates
-the cube for them.  The cube routes stay here: ``chi``, ``parity_values``
-(a ``ParityPoly``'s value table) and ``cube_pairing`` (sum_x psi(x) f(x)
-over all 2^n points); ``symmetrize`` (class averages by enumeration, then
+the cube for them.  The cube routes stay here: ``chi``, ``bits_to_mask``,
+``parity_values`` (a ``ParityPoly``'s value table) and ``cube_pairing``
+(sum_x psi(x) f(x) over all 2^n points); ``symmetrize`` (class averages by enumeration, then
 interpolation on the weight grid); ``split_cube_witness`` (the per-weight
 (mu, nu) split of a witness that is constant on weight classes);
 ``share_distribution``, the law ``dualand.ShareSampler`` draws from, read
@@ -74,19 +89,14 @@ against.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable
 
-from dualshare.boolcube import (
-    DualWitness,
-    ParityPoly,
-    SymmetricDistribution,
-    WeightVector,
-    mask_to_bits,
-)
+from dualshare.boolcube import SymmetricDistribution, WeightVector, mask_to_bits
 from dualshare.dualand import DualAndParams, DualAndWitness, WitnessReport
 from dualshare.ratpoly import (
     ChebyshevExpansion,
@@ -99,10 +109,14 @@ from dualshare.ratpoly import (
 )
 from dualshare.simplex import SimplexError, _swap_in
 from dualshare.weightdeg import (
+    SymmetricSpec,
+    _and_approx_core,
+    _AndCore,
     _chat_from_core,
     _finite_differences,
     _symmetric_values,
     _touched_block_coeffs,
+    _work_side,
 )
 
 
@@ -218,6 +232,11 @@ def subset_weight_table_fraction(w: WeightVector) -> list[Fraction]:
     return tab
 
 
+def uniform_and_params(n: int, d) -> DualAndParams:
+    """AND with unit weights on n variables and degree threshold d."""
+    return DualAndParams(n, WeightVector.uniform(n), Fraction(d))
+
+
 def build_and_witness_fraction(params: DualAndParams):
     """(H_size, char_sums, witness values) with H tested in ``Fraction``s."""
     n, w, d = params.n, params.w, params.d
@@ -234,16 +253,21 @@ def build_and_witness_fraction(params: DualAndParams):
     return h_size, tuple(char_sums), values
 
 
-def verify_and_witness_fraction(wit: DualWitness, d, w: WeightVector) -> WitnessReport:
-    """``dualand.verify_witness``'s report, with ``Fraction`` rescaling and weights."""
-    vals = wit.values
+def witness_values(wit: DualAndWitness) -> tuple[Fraction, ...]:
+    """phi at every cube point, read off the per-class values by class."""
+    return wit.classes.expand(wit.class_values)
+
+
+def verify_and_witness_fraction(vals, d, w: WeightVector) -> WitnessReport:
+    """``dualand.verify_witness``'s report for any cube values ``vals``, by
+    the cube transform, with ``Fraction`` rescaling and weights."""
     scale = lcm(*(v.denominator for v in vals))
     scaled = [int(v * scale) for v in vals]
     transform = walsh_hadamard_inplace(scaled)
     weights = subset_weight_table_fraction(w)
     d = Fraction(d)
     violations = tuple(
-        s for s in range(1 << wit.n) if weights[s] < d and transform[s] != 0
+        s for s in range(len(vals)) if weights[s] < d and transform[s] != 0
     )
     return WitnessReport(
         pure_high_degree=not violations,
@@ -599,6 +623,121 @@ def derivative(p: RationalPoly) -> RationalPoly:
     return RationalPoly.from_coeffs(i * c for i, c in enumerate(p.coeffs) if i > 0)
 
 
+def bits_to_mask(bits) -> int:
+    m = 0
+    for i, b in enumerate(bits):
+        if b not in (0, 1):
+            raise ValueError("bits must be 0/1")
+        m |= b << i
+    return m
+
+
+@dataclass
+class ParityPoly:
+    """Multilinear polynomial over {-1,1}^n as subset-bitmask -> coefficient."""
+
+    n: int
+    coeffs: dict[int, Fraction] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.coeffs = {
+            s: Fraction(c) for s, c in self.coeffs.items() if c != 0
+        }
+
+    def weight(self) -> Fraction:
+        """L1 norm of the coefficients in the parity basis."""
+        return sum((abs(c) for c in self.coeffs.values()), Fraction(0))
+
+    def degree(self) -> int:
+        if not self.coeffs:
+            return -1
+        return max(s.bit_count() for s in self.coeffs)
+
+    def negate_vars(self, var_mask: int) -> "ParityPoly":
+        """Substitute x_i -> -x_i for every i in var_mask; weight is preserved."""
+        return ParityPoly(
+            self.n,
+            {
+                s: (-c if (s & var_mask).bit_count() & 1 else c)
+                for s, c in self.coeffs.items()
+            },
+        )
+
+
+def basis_convert(monomial_coeffs: dict[int, Fraction], n: int) -> ParityPoly:
+    """Multilinear polynomial in 0/1 variables -> parity basis.
+
+    Input maps a bitmask S to the coefficient of prod_{i in S} b_i; the
+    substitution b_i = (1 - x_i)/2 is expanded exactly, so evaluations agree
+    at all 2^n points.
+    """
+    out: dict[int, Fraction] = {}
+    for s, a in monomial_coeffs.items():
+        a = Fraction(a)
+        if not a:
+            continue
+        scale = Fraction(1, 1 << s.bit_count())
+        sub = s
+        while True:
+            sign = -1 if sub.bit_count() & 1 else 1
+            out[sub] = out.get(sub, Fraction(0)) + sign * a * scale
+            if sub == 0:
+                break
+            sub = (sub - 1) & s
+    return ParityPoly(n, out)
+
+
+def materialize_and(core: _AndCore) -> ParityPoly:
+    """The block-composed AND approximant as an explicit ParityPoly: every
+    subset touching r blocks, each in a nonempty part, gets (-1)^{|S|} D_r."""
+    ell, s = core.ell, core.s
+    block_subsets = [[m << (j * s) for m in range(1, 1 << s)] for j in range(ell)]
+    coeffs: dict[int, Fraction] = {}
+    for r, d_r in enumerate(core.D):
+        if not d_r:
+            continue
+        for blocks in combinations(range(ell), r):
+            for parts in product(*(block_subsets[j] for j in blocks)):
+                mask = 0
+                for p in parts:
+                    mask |= p
+                coeffs[mask] = -d_r if mask.bit_count() & 1 else d_r
+    return ParityPoly(ell * s, coeffs)
+
+
+def approx_eq_y(n: int, y: int, degree_budget: int, error_target):
+    """(poly, core): the AND construction for the point indicator EQ_y, the
+    variables at y's zero bits negated, expanded; ``core`` holds the closed
+    forms (``core.degree``, ``core.weight()``, ``core.error``)."""
+    core = _and_approx_core(n, degree_budget, Fraction(error_target))
+    return materialize_and(core).negate_vars(((1 << n) - 1) ^ y), core
+
+
+def symmetric_parity_poly(n: int, chat) -> ParityPoly:
+    """sum_m chat[m] sum_{|S| = m} chi_S, one term per subset."""
+    return ParityPoly(n, {
+        sum(1 << i for i in idxs): chat[m]
+        for m in range(n + 1) if chat[m]
+        for idxs in combinations(range(n), m)
+    })
+
+
+def expand_approximant(spec: SymmetricSpec, form) -> ParityPoly:
+    """The approximant ``weightdeg.low_weight_report`` certified, rebuilt
+    over the cube from the compact form it returned."""
+    if not isinstance(form, _AndCore):
+        return symmetric_parity_poly(spec.n, form)
+    complemented, work = _work_side(spec)
+    poly = materialize_and(form)
+    if work[0]:  # the all-zeros point: every variable negated
+        poly = poly.negate_vars((1 << spec.n) - 1)
+    if complemented:
+        out = {s: -c for s, c in poly.coeffs.items()}
+        out[0] = 1 + out.get(0, Fraction(0))
+        poly = ParityPoly(spec.n, out)
+    return poly
+
+
 def chi(s_mask: int, x_mask: int) -> int:
     """chi_S(x) for the cube point with ONE-bits ``x_mask``."""
     return -1 if (s_mask & x_mask).bit_count() & 1 else 1
@@ -610,6 +749,17 @@ def parity_values(poly: ParityPoly) -> list[Fraction]:
     for s, c in poly.coeffs.items():
         vec[s] = c
     return walsh_hadamard_inplace(vec)
+
+
+def cube_error(poly: ParityPoly, target) -> Fraction:
+    """Exact max |poly(x) - target(x)| over all 2^n points; ``target`` takes
+    the mask.  The butterfly runs on the coefficients scaled to integers."""
+    scale = lcm(*(c.denominator for c in poly.coeffs.values()))
+    vec = [0] * (1 << poly.n)
+    for s, c in poly.coeffs.items():
+        vec[s] = c.numerator * (scale // c.denominator)
+    values = walsh_hadamard_inplace(vec)
+    return Fraction(max(abs(v - scale * target(m)) for m, v in enumerate(values)), scale)
 
 
 def cube_pairing(values, f) -> Fraction:
@@ -633,14 +783,14 @@ def symmetrize(f, n: int) -> RationalPoly:
     return interpolate_fraction(grid, [v / comb(n, h) for h, v in enumerate(sums)])
 
 
-def split_cube_witness(wit: DualWitness):
-    """(mu, nu) doubling the positive and the negative per-weight mass of a
-    witness that must be constant on weight classes."""
-    n = wit.n
+def split_cube_witness(values):
+    """(mu, nu) doubling the positive and the negative per-weight mass of
+    cube values that must be constant on weight classes."""
+    n = len(values).bit_length() - 1
     mass = [Fraction(0)] * (n + 1)
-    for m, v in enumerate(wit.values):
+    for m, v in enumerate(values):
         mass[m.bit_count()] += v
-    for m, v in enumerate(wit.values):
+    for m, v in enumerate(values):
         if v * comb(n, m.bit_count()) != mass[m.bit_count()]:
             raise ValueError("witness is not symmetric")
     mu = [2 * q if q > 0 else 0 for q in mass]
@@ -652,7 +802,7 @@ def share_distribution(wit: DualAndWitness, secret: int) -> dict[int, Fraction]:
     """mask -> Pr[shares = mask | secret]: |phi| renormalised over the masks
     whose parity encodes the secret (+1 <-> an even number of ONE bits)."""
     parity = 0 if secret == 1 else 1
-    mass = {x: abs(v) for x, v in enumerate(wit.witness.values)
+    mass = {x: abs(v) for x, v in enumerate(witness_values(wit))
             if v and x.bit_count() & 1 == parity}
     total = sum(mass.values())
     return {x: v / total for x, v in mass.items()}

@@ -58,17 +58,21 @@ from dualshare.symcheb import (
     indistinguishability_bound,
     circle_identity_check,
 )
-from dualshare.weightdeg import SymmetricSpec, low_weight_approximant, weight_lower_bound
+from dualshare.weightdeg import SymmetricSpec, low_weight_report, weight_lower_bound
 
 from oracles import (
     binomial_tail_epsilon,
     cheb_transform,
+    cube_error,
+    expand_approximant,
     laurent_from_roots,
     limit_ramp_poly,
     parseval_circle_check,
     reconstruction_advantage,
     share_distribution,
     split_cube_witness,
+    uniform_and_params,
+    witness_values,
 )
 
 
@@ -81,9 +85,9 @@ def test_criterion_01_dual_witness_exactness():
     checked = 0
     for n in range(2, 13):
         for d in range(1, n + 1):
-            params = DualAndParams.uniform(n, d)
+            params = uniform_and_params(n, d)
             wit = build_witness(params)
-            rep = verify_witness(wit.witness, params.d, params.w)
+            rep = verify_witness(wit)
             assert rep.pure_high_degree, (n, d, rep.violations[:4])
             assert rep.l1_norm == 1
             expected = binomial_tail_epsilon(n, d)
@@ -109,7 +113,7 @@ def test_criterion_02_weighted_witness():
         d = w.l1() * Fraction(rng.randint(1, 7), 8)
         params = DualAndParams(n, w, d)
         wit = build_witness(params)
-        rep = verify_witness(wit.witness, d, w)
+        rep = verify_witness(wit)
         assert rep.pure_high_degree
         assert rep.l1_norm == 1
         assert rep.correlation == epsilon_of(params) == wit.epsilon
@@ -280,9 +284,13 @@ def test_criterion_09_weight_degree_sandwich():
             deg = approx_degree(values, eps)[0].degree
             spec = SymmetricSpec(n, tuple(values))
             for K in range(deg + 1, n // 2 + 1):
-                _, report = low_weight_approximant(spec, K, eps)
+                report, form = low_weight_report(spec, K, eps)
                 assert report.error <= eps
                 assert report.degree <= K
+                # the closed forms against the approximant expanded over the cube
+                poly = expand_approximant(spec, form)
+                assert (poly.degree(), poly.weight()) == (report.degree, report.weight)
+                assert cube_error(poly, lambda m: values[m.bit_count()]) == report.error
                 cert = minimax_on_weight_grid(values, max(deg - 1, 0))
                 bound = weight_lower_bound(cert, K, eps)
                 assert bound == math.inf or report.weight >= bound
@@ -292,13 +300,14 @@ def test_criterion_09_weight_degree_sandwich():
     _report(
         "AC9",
         f"{cells} (f,n,K) cells: constructive error <= 1/3 certified exactly "
-        f"at every weight, and weight >= dual lower bound, in {elapsed:.1f}s",
+        f"at every weight, degree, weight and error equal to the cube "
+        f"expansion's, and weight >= dual lower bound, in {elapsed:.1f}s",
     )
 
 
 def test_criterion_10_sampler_statistics():
     draws = 100_000
-    wit = build_witness(DualAndParams.uniform(8, 3))
+    wit = build_witness(uniform_and_params(8, 3))
     sampler = ShareSampler(wit, 1, seed=20240809)
     counts: dict[int, int] = {}
     for _ in range(draws):
@@ -358,8 +367,8 @@ def test_criterion_11_consolidation():
     bound_checks = 0
     for t, n_out, d_param in ((2, 4, 2), (2, 4, 3), (3, 3, 2)):
         big_n = t * n_out
-        wit = build_witness(DualAndParams.uniform(big_n, d_param))
-        mu, nu = split_cube_witness(wit.witness)
+        wit = build_witness(uniform_and_params(big_n, d_param))
+        mu, nu = split_cube_witness(witness_values(wit))
         mu_c, nu_c = consolidate_and(mu, t), consolidate_and(nu, t)
         k = d_param - 1
         for K in range(1, n_out + 1):

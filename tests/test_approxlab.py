@@ -32,7 +32,9 @@ from oracles import (
     limit_ramp_poly,
     point_mass,
     split_cube_witness,
+    uniform_and_params,
     uniform_distribution,
+    witness_values,
 )
 from test_simplex import alternation_minimax
 
@@ -150,10 +152,10 @@ class TestDualDistributions:
             dual_distributions(cert)
 
     def test_split_cube_witness_matches(self):
-        from dualshare.dualand import DualAndParams, build_witness
+        from dualshare.dualand import build_witness
 
-        wit = build_witness(DualAndParams.uniform(2, 1)).witness
-        mu, nu = split_cube_witness(wit)
+        wit = build_witness(uniform_and_params(2, 1))
+        mu, nu = split_cube_witness(witness_values(wit))
         assert mu.weight_probs == (Fraction(1, 2), Fraction(0), Fraction(1, 2))
         assert nu.weight_probs == (Fraction(0), Fraction(1), Fraction(0))
 
@@ -358,13 +360,13 @@ class TestConsolidationBound:
 
     def test_consolidated_dual_and_pairs(self):
         # desk-scale end-to-end: consolidated share pairs stay within the bound
-        from dualshare.dualand import DualAndParams, build_witness
+        from dualshare.dualand import build_witness
 
         t, n_out = 2, 4
         big_n = t * n_out
         for d in (2, 3):
-            wit = build_witness(DualAndParams.uniform(big_n, d))
-            mu, nu = split_cube_witness(wit.witness)
+            wit = build_witness(uniform_and_params(big_n, d))
+            mu, nu = split_cube_witness(witness_values(wit))
             mu_c = consolidate_and(mu, t)
             nu_c = consolidate_and(nu, t)
             k = d - 1

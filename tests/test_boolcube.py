@@ -7,11 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualshare.boolcube import (
-    ParityPoly,
     SymmetricDistribution,
     WeightVector,
-    basis_convert,
-    bits_to_mask,
     kravchuk,
     kwise_indistinguishable,
     mask_to_bits,
@@ -22,6 +19,9 @@ from dualshare.boolcube import (
 
 from conftest import random_symmetric_distribution
 from oracles import (
+    ParityPoly,
+    basis_convert,
+    bits_to_mask,
     chi,
     cube_pairing,
     parity_values,
@@ -386,17 +386,18 @@ class TestBasisConvert:
 
 class TestPairWithWitness:
     def test_phi_n2_with_and(self):
-        from dualshare.dualand import DualAndParams, build_witness
-        from oracles import and_cube
+        from dualshare.dualand import build_witness
+        from oracles import and_cube, uniform_and_params, witness_values
 
-        wit = build_witness(DualAndParams.uniform(2, 1)).witness
-        assert cube_pairing(wit.values, and_cube(2)) == Fraction(1, 4)
+        wit = build_witness(uniform_and_params(2, 1))
+        assert cube_pairing(witness_values(wit), and_cube(2)) == Fraction(1, 4)
 
     def test_phi_n2_with_single_character(self):
-        from dualshare.dualand import DualAndParams, build_witness
+        from dualshare.dualand import build_witness
+        from oracles import uniform_and_params, witness_values
 
-        wit = build_witness(DualAndParams.uniform(2, 1)).witness
-        assert cube_pairing(wit.values, ParityPoly(2, {0b1: Fraction(1)})) == 0
+        wit = build_witness(uniform_and_params(2, 1))
+        assert cube_pairing(witness_values(wit), ParityPoly(2, {0b1: Fraction(1)})) == 0
 
 
 class TestKravchuk:

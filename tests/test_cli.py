@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -162,7 +163,10 @@ class TestOutputBytesPinned:
     ``weight-bound`` inputs reach the aggregate LP on every block split.  The
     ``ramp --finite`` and ``weight-bound --f or`` digests were taken before
     ramp's indistinguishability field and the weight floor's character
-    pairing were rewritten; ``or`` is the single-point construction."""
+    pairing were rewritten; ``or`` is the single-point construction.  The
+    ``weight-bound --f and`` digest, the single-point branch without the
+    complement, was taken before the construction stopped expanding its
+    parity polynomial."""
 
     @pytest.mark.parametrize(
         "args, digest",
@@ -208,6 +212,8 @@ class TestOutputBytesPinned:
              "7d690108b09fd39a07834a9cd9997092e037040fd938c1f23a5ee6e7ec5c9c63"),
             (["weight-bound", "--f", "or", "--n", "14", "--K", "5"],
              "27d3f2c60d7813ea960d372efafd46bd3ad2d03d534248c04b47e06478c18023"),
+            (["weight-bound", "--f", "and", "--n", "14", "--K", "6"],
+             "4501aca5f6fce121be6cbace0b98d1b8a575bbd680e1d134f66205498c63d019"),
         ],
     )
     def test_stdout_digest(self, runner, tmp_path, monkeypatch, args, digest):
@@ -232,9 +238,9 @@ class TestOutputBytesPinned:
         assert res.exit_code == 0, res.output
 
         def unavailable(self):
-            raise AssertionError("sample-shares built the 2^n witness values")
+            raise AssertionError("sample-shares built the witness values")
 
-        monkeypatch.setattr(DualAndWitness, "witness", property(unavailable))
+        monkeypatch.setattr(DualAndWitness, "class_values", property(unavailable))
         for fmt in ("json", "csv"):
             res = runner.invoke(cli, ["sample-shares", "--witness", "wit.json",
                                       "--secret", "+1", "--count", "50", "--format", fmt])
@@ -356,6 +362,13 @@ class TestWeightBound:
             "weight_lower_bound": "0/1",
             "weight_lower_bound_float": 0.0,
         }
+
+    def test_maj24_reports_without_expanding_the_approximant(self, runner):
+        # 9740686 parity terms: the report comes from the per-size coefficients
+        doc = run_json(runner, ["weight-bound", "--f", "maj", "--n", "24", "--K", "12"])
+        construct = doc["result"]["construct"]
+        assert Fraction(construct["certified_error"]) <= Fraction(1, 3)
+        assert construct["degree"] <= 12
 
     def test_infinite_floor_beside_a_construction_exits_3(self, runner, monkeypatch):
         # "no weight suffices" contradicts a constructed approximant
@@ -563,6 +576,9 @@ _INPUT_FILES = {
     "dist-zero-den.json": {"n": 2, "weight_probs": ["1/0", "1/2", "1/4"]},
     "dist-ok.json": {"n": 2, "weight_probs": ["1/4", "1/2", "1/4"]},
     "dist-n3.json": {"n": 3, "weight_probs": ["1/8", "3/8", "3/8", "1/8"]},
+    "dist-n-float.json": {"n": 2.0, "weight_probs": ["1/4", "1/2", "1/4"]},
+    "dist-n-true.json": {"n": True, "weight_probs": ["1/2", "1/2"]},
+    "dist-probs-float.json": {"n": 2, "weight_probs": [0.25, "1/2", "1/4"]},
     "wit-ok.json": {"config": {"n": 2, "weights": ["1", "1"], "d": "1"}},
     "wit-n-float.json": {"config": {"n": 2.7, "weights": ["1", "1"], "d": "1"}},
     "wit-n-true.json": {"config": {"n": True, "weights": ["1"], "d": "1"}},
@@ -652,6 +668,12 @@ _SAMPLE_RUN = ["sample-shares", "--witness", "wit-ok.json", "--secret", "+1"]
         ["approx-degree", "--f", "pred-values-str.json"],
         ["weight-bound", "--f", "pred-n-float.json", "--K", "2"],
         ["weight-bound", "--f", "pred-values-mixed.json", "--K", "2"],
+        # distribution-file n that is not a JSON integer, probabilities that
+        # are not rational strings
+        *[cmd for name in ("n-float", "n-true", "probs-float") for cmd in (
+            ["consolidate", "--dist", f"dist-{name}.json", "--t", "1"],
+            ["indist-check", "--dist1", f"dist-{name}.json", "--dist2", f"dist-{name}.json",
+             "--k", "1"])],
         # witness config weights and d that are not rational strings
         *[["sample-shares", "--witness", f"wit-{name}.json", "--secret", "+1"]
           for name in ("float-bool", "weights-float", "weights-true", "weights-str",

@@ -2,6 +2,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import replace
 from itertools import accumulate
 from fractions import Fraction
 
@@ -9,17 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualshare.boolcube import (
-    DualWitness,
-    ParityPoly,
-    WeightVector,
-    kwise_indistinguishable,
-)
+from dualshare.boolcube import WeightVector, kwise_indistinguishable
 from dualshare.dualand import (
     BitCountClasses,
     DualAndParams,
     ShareSampler,
-    _per_class,
     _signed_sum_counts,
     build_witness,
     epsilon_of,
@@ -28,6 +23,7 @@ from dualshare.dualand import (
 )
 
 from oracles import (
+    ParityPoly,
     and_cube,
     binomial_tail_epsilon,
     build_and_witness_fraction,
@@ -37,7 +33,9 @@ from oracles import (
     signed_sum_counts_fraction,
     split_cube_witness,
     subset_weight_table_fraction,
+    uniform_and_params,
     verify_and_witness_fraction,
+    witness_values,
 )
 
 
@@ -115,16 +113,15 @@ class TestIntegerPathAgainstFractionOracles:
         # scaled subset weights, the class sizes and the bit counts
         scale = math.lcm(p.d.denominator, *(e.denominator for e in p.w.entries))
         subset_weights = [scale * t for t in subset_weight_table_fraction(p.w)]
-        for grouped in (True, False):
-            classes = BitCountClasses.of(p.w, p.d, grouped)
-            assert classes.scaled_d == scale * p.d
-            assert all(type(t) is int for t in classes.weights)
-            assert [classes.weights[s] for s in classes.class_of] == subset_weights
-            assert [classes.ones[s] for s in classes.class_of] == [
-                x.bit_count() for x in range(1 << p.n)]
-            sizes = Counter(classes.class_of)
-            assert classes.mult == [sizes[s] for s in range(len(classes.mult))]
-        assert len(BitCountClasses.of(p.w, p.d).sizes) == len(set(p.w.entries))
+        classes = BitCountClasses.of(p.w, p.d)
+        assert classes.scaled_d == scale * p.d
+        assert all(type(t) is int for t in classes.weights)
+        assert [classes.weights[s] for s in classes.class_of] == subset_weights
+        assert [classes.ones[s] for s in classes.class_of] == [
+            x.bit_count() for x in range(1 << p.n)]
+        sizes = Counter(classes.class_of)
+        assert classes.mult == [sizes[s] for s in range(len(classes.mult))]
+        assert len(classes.sizes) == len(set(p.w.entries))
 
     @settings(max_examples=60, deadline=None)
     @given(any_and_params())
@@ -133,53 +130,37 @@ class TestIntegerPathAgainstFractionOracles:
         h_size, char_sums, values = build_and_witness_fraction(p)
         assert wit.H_size == h_size
         assert wit.classes.expand(wit.class_sums) == char_sums
-        assert wit.witness.values == values
-        assert wit.witness.claimed_degree == p.d
+        assert witness_values(wit) == values
         assert wit.epsilon == Fraction(h_size, 1 << p.n)
         assert wit.Z == Fraction(1 << p.n, h_size)
 
     @settings(max_examples=60, deadline=None)
     @given(any_and_params(), st.data())
     def test_verify_report_matches_fraction_oracle(self, p, data):
-        wit = build_witness(p).witness
+        wit = build_witness(p)
         # a second threshold on a subset-weight boundary, and a witness with
-        # one value moved, so that violations are reported too
+        # one class sum moved, so that violations are reported too
         d2 = _subset_weight(p.w.entries, data.draw(st.integers(0, (1 << p.n) - 1)))
-        k = data.draw(st.integers(0, (1 << p.n) - 1))
-        moved = list(wit.values)
-        moved[k] += data.draw(st.fractions(max_denominator=9).filter(lambda t: t != 0))
-        moved_wit = DualWitness(p.n, tuple(moved), p.d)
-        for phi, d in ((wit, p.d), (wit, d2), (moved_wit, p.d), (moved_wit, d2)):
-            assert verify_witness(phi, d, p.w) == verify_and_witness_fraction(phi, d, p.w)
-        assert verify_witness(wit, p.d, p.w).pure_high_degree
-
-    @settings(max_examples=40, deadline=None)
-    @given(and_params(kind="repeated").filter(lambda p: len(set(p.w.entries)) < p.n),
-           st.data())
-    def test_value_moved_inside_a_class_takes_the_cube_check(self, p, data):
-        wit = build_witness(p).witness
-        classes = BitCountClasses.of(p.w, p.d)
-        assert _per_class(wit.values, classes) is not None
-        # a mask whose class holds more than one point, and a value moved there
-        shared = [x for x, s in enumerate(classes.class_of) if classes.mult[s] > 1]
-        k = data.draw(st.sampled_from(shared))
-        moved = list(wit.values)
-        moved[k] += data.draw(st.fractions(max_denominator=9).filter(lambda t: t != 0))
-        assert _per_class(moved, classes) is None
-        moved_wit = DualWitness(p.n, tuple(moved), p.d)
-        report = verify_witness(moved_wit, p.d, p.w)
-        assert report == verify_and_witness_fraction(moved_wit, p.d, p.w)
-        assert report.l1_norm == sum(abs(v) for v in moved)
-        assert report.correlation == moved[0]
-
-    def test_equal_values_that_are_distinct_objects_stay_grouped(self):
-        p = DualAndParams(6, WeightVector.of([1, 2, 1, 2, 1, 2]), Fraction(3))
-        wit = build_witness(p).witness
-        copies = tuple(Fraction(v.numerator, v.denominator) for v in wit.values)
-        classes = BitCountClasses.of(p.w, p.d)
-        assert _per_class(copies, classes) == _per_class(wit.values, classes)
-        copied = DualWitness(6, copies, p.d)
-        assert verify_witness(copied, p.d, p.w) == verify_witness(wit, p.d, p.w)
+        sums = list(wit.class_sums)
+        sums[data.draw(st.integers(0, len(sums) - 1))] += data.draw(
+            st.integers(-3, 3).filter(lambda t: t != 0))
+        moved = replace(wit, class_sums=tuple(sums))
+        for phi in (wit, moved):
+            for d in {p.d, d2} - {0}:
+                at_d = replace(phi, params=DualAndParams(p.n, p.w, d),
+                               classes=BitCountClasses.of(p.w, d))
+                assert verify_witness(at_d) == verify_and_witness_fraction(
+                    witness_values(at_d), d, p.w)
+        assert verify_witness(wit).pure_high_degree
+        # one value moved anywhere on the cube, inside a class or not, changes
+        # the L1 norm, the correlation or a pairing below d (the empty set's)
+        values = list(witness_values(wit))
+        values[data.draw(st.integers(0, (1 << p.n) - 1))] += data.draw(
+            st.fractions(max_denominator=9).filter(lambda t: t != 0))
+        report = verify_and_witness_fraction(values, p.d, p.w)
+        assert report != verify_witness(wit)
+        assert report.l1_norm == sum(abs(v) for v in values)
+        assert report.correlation == values[0]
 
     @settings(max_examples=40, deadline=None)
     @given(any_and_params(max_n=8), st.integers(0, 2**32))
@@ -202,24 +183,24 @@ class TestIntegerPathAgainstFractionOracles:
 
 class TestBuildWitness:
     def test_n2_worked_example(self):
-        wit = build_witness(DualAndParams.uniform(2, 1))
+        wit = build_witness(uniform_and_params(2, 1))
         assert wit.H_size == 1
         assert wit.Z == 4
         assert wit.epsilon == Fraction(1, 4)
         # phi(x) = x1 x2 / 4
         for m in range(4):
             x1, x2 = 1 - 2 * (m & 1), 1 - 2 * ((m >> 1) & 1)
-            assert wit.witness.values[m] == Fraction(x1 * x2, 4)
+            assert witness_values(wit)[m] == Fraction(x1 * x2, 4)
 
     def test_n1_orientation(self):
         # the raw (-1)^n factor would give correlation -1/2; the witness is
         # negated so that <phi, AND> = 1/2 = Pr[X_1 >= 1]
-        wit = build_witness(DualAndParams.uniform(1, 1))
-        assert wit.witness.values == (Fraction(1, 2), Fraction(-1, 2))
+        wit = build_witness(uniform_and_params(1, 1))
+        assert witness_values(wit) == (Fraction(1, 2), Fraction(-1, 2))
         assert wit.epsilon == Fraction(1, 2)
 
     def test_n4_epsilon(self):
-        wit = build_witness(DualAndParams.uniform(4, 2))
+        wit = build_witness(uniform_and_params(4, 2))
         assert wit.epsilon == Fraction(5, 16)
 
     def test_empty_H_rejected(self):
@@ -239,9 +220,9 @@ class TestBuildWitness:
 
 class TestVerifyWitness:
     def test_n2_report(self):
-        p = DualAndParams.uniform(2, 1)
+        p = uniform_and_params(2, 1)
         wit = build_witness(p)
-        rep = verify_witness(wit.witness, p.d, p.w)
+        rep = verify_witness(wit)
         assert rep.pure_high_degree
         assert rep.l1_norm == 1
         assert rep.correlation == Fraction(1, 4)
@@ -252,7 +233,7 @@ class TestVerifyWitness:
     def test_correlation_at_mask_0_is_the_and_pairing(self, rng):
         # AND accepts only mask 0, so phi(0^n) is the full pairing <phi, AND>
         for n in range(1, 11):
-            cases = [DualAndParams.uniform(n, d) for d in range(1, n + 1)]
+            cases = [uniform_and_params(n, d) for d in range(1, n + 1)]
             for _ in range(3):
                 w = WeightVector.of(
                     [Fraction(rng.randint(1, 16), rng.randint(1, 8)) for _ in range(n)]
@@ -260,35 +241,37 @@ class TestVerifyWitness:
                 cases.append(DualAndParams(n, w, w.l1() * Fraction(rng.randint(1, 8), 8)))
             for p in cases:
                 wit = build_witness(p)
-                pairing = cube_pairing(wit.witness.values, and_cube(n))
-                assert pairing == wit.witness.values[0] == wit.epsilon
-                assert verify_witness(wit.witness, p.d, p.w).correlation == pairing
+                values = witness_values(wit)
+                pairing = cube_pairing(values, and_cube(n))
+                assert pairing == values[0] == wit.epsilon
+                assert verify_witness(wit).correlation == pairing
 
     def test_zero_function_fails_normalisation(self):
-        zero = DualWitness(2, (Fraction(0),) * 4)
-        rep = verify_witness(zero, Fraction(1), WeightVector.uniform(2))
+        wit = build_witness(uniform_and_params(2, 1))
+        rep = verify_witness(replace(wit, class_sums=(0,) * len(wit.class_sums)))
         assert rep.l1_norm == 0
 
     def test_n4_correlation_matches_epsilon(self):
-        p = DualAndParams.uniform(4, 2)
+        p = uniform_and_params(4, 2)
         wit = build_witness(p)
-        rep = verify_witness(wit.witness, p.d, p.w)
+        rep = verify_witness(wit)
         assert rep.correlation == Fraction(5, 16) == epsilon_of(p)
 
     def test_degree_boundary_is_strict(self):
         # for n=4, d=2 the witness has monomials of degree exactly 2, so the
         # pairing vanishes strictly below d but not at d
-        p = DualAndParams.uniform(4, 2)
+        p = uniform_and_params(4, 2)
         wit = build_witness(p)
-        assert cube_pairing(wit.witness.values, ParityPoly(4, {0b0011: Fraction(1)})) != 0
-        assert cube_pairing(wit.witness.values, ParityPoly(4, {0b0001: Fraction(1)})) == 0
+        values = witness_values(wit)
+        assert cube_pairing(values, ParityPoly(4, {0b0011: Fraction(1)})) != 0
+        assert cube_pairing(values, ParityPoly(4, {0b0001: Fraction(1)})) == 0
 
     def test_uniform_sweep_exact(self):
         for n in range(2, 9):
             for d in range(1, n + 1):
-                p = DualAndParams.uniform(n, d)
+                p = uniform_and_params(n, d)
                 wit = build_witness(p)
-                rep = verify_witness(wit.witness, p.d, p.w)
+                rep = verify_witness(wit)
                 assert rep.pure_high_degree
                 assert rep.l1_norm == 1
                 assert rep.correlation == epsilon_of(p) == binomial_tail_epsilon(n, d)
@@ -296,11 +279,11 @@ class TestVerifyWitness:
 
 class TestEpsilonOf:
     def test_n4_uniform(self):
-        assert epsilon_of(DualAndParams.uniform(4, 2)) == Fraction(5, 16)
+        assert epsilon_of(uniform_and_params(4, 2)) == Fraction(5, 16)
 
     def test_full_threshold_single_point(self):
         for n in (1, 3, 5):
-            assert epsilon_of(DualAndParams.uniform(n, n)) == Fraction(1, 1 << n)
+            assert epsilon_of(uniform_and_params(n, n)) == Fraction(1, 1 << n)
 
     def test_weighted_example(self):
         p = DualAndParams(3, WeightVector.of([2, 1, 1]), Fraction(2))
@@ -387,14 +370,14 @@ class TestSplitWitnessIndistinguishability:
     def test_split_is_dwise_indistinguishable(self):
         for n in range(2, 8):
             for d in range(1, n + 1):
-                wit = build_witness(DualAndParams.uniform(n, d))
-                mu, nu = split_cube_witness(wit.witness)
+                wit = build_witness(uniform_and_params(n, d))
+                mu, nu = split_cube_witness(witness_values(wit))
                 assert kwise_indistinguishable(mu, nu, d - 1)
 
 
 class TestSampler:
     def test_n2_support(self):
-        wit = build_witness(DualAndParams.uniform(2, 1))
+        wit = build_witness(uniform_and_params(2, 1))
         plus = ShareSampler(wit, 1, seed=1)
         assert share_distribution(wit, 1) == {
             0b00: Fraction(1, 2),
@@ -409,18 +392,18 @@ class TestSampler:
         assert {minus.sample_mask() for _ in range(50)} == {0b01, 0b10}
 
     def test_single_draw_api(self):
-        wit = build_witness(DualAndParams.uniform(3, 1))
+        wit = build_witness(uniform_and_params(3, 1))
         bits = ShareSampler(wit, 1, seed=7).sample()
         assert len(bits) == 3 and sum(bits) % 2 == 0
 
     def test_determinism(self):
-        wit = build_witness(DualAndParams.uniform(4, 2))
+        wit = build_witness(uniform_and_params(4, 2))
         a = ShareSampler(wit, -1, seed=42)
         b = ShareSampler(wit, -1, seed=42)
         assert [a.sample() for _ in range(50)] == [b.sample() for _ in range(50)]
 
     def test_parity_of_samples_encodes_secret(self):
-        wit = build_witness(DualAndParams.uniform(5, 2))
+        wit = build_witness(uniform_and_params(5, 2))
         for secret in (1, -1):
             sampler = ShareSampler(wit, secret, seed=3)
             for _ in range(200):
@@ -429,7 +412,7 @@ class TestSampler:
 
     def test_empirical_frequencies_multinomial(self):
         # 10^5 draws against the exact table, 4 sigma per cell
-        wit = build_witness(DualAndParams.uniform(6, 2))
+        wit = build_witness(uniform_and_params(6, 2))
         draws = 100_000
         sampler = ShareSampler(wit, 1, seed=2024)
         counts: dict[int, int] = {}
@@ -444,18 +427,18 @@ class TestSampler:
             assert abs(counts.get(m, 0) - expect) <= 4 * sigma
 
     def test_reconstruction_advantage_exact(self):
-        wit = build_witness(DualAndParams.uniform(2, 1))
+        wit = build_witness(uniform_and_params(2, 1))
         assert reconstruction_advantage(wit) == Fraction(1, 2) == 2 * wit.epsilon
 
     def test_reconstruction_advantage_is_twice_epsilon(self, rng):
         for _ in range(10):
             n = rng.randint(2, 7)
             d = rng.randint(1, n)
-            wit = build_witness(DualAndParams.uniform(n, d))
+            wit = build_witness(uniform_and_params(n, d))
             assert reconstruction_advantage(wit) == 2 * wit.epsilon
 
     def test_empirical_reconstruction_advantage(self):
-        wit = build_witness(DualAndParams.uniform(5, 3))
+        wit = build_witness(uniform_and_params(5, 3))
         draws = 100_000
         means = {}
         for secret in (1, -1):

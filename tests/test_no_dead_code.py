@@ -11,6 +11,14 @@ keyword argument spelled like it, or the name inside a string literal (for
 names are exempt, since the language calls them.  A CLI handler is used by
 the command table that names it.
 
+A read ``obj.name`` is matched by name, not by owner, so a class member
+whose name another class also defines counts as used when only the other
+one is read.  Every name defined in two or more classes of the package must
+therefore be listed, with all its owners, in ``SHARED_CLASS_MEMBERS``; an
+entry is added only after checking that ``src/`` or ``perfbench/`` reads
+each owner's member.  A new owner fails the check, and so does an entry that
+no longer matches the package.
+
 Likewise every name a module in ``src/`` or ``tests/`` imports must be read
 in that module.  The package's ``__init__.py`` is exempt: its imports are
 the re-exports behind ``__all__``.
@@ -18,7 +26,7 @@ the re-exports behind ``__all__``.
 
 import ast
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,20 +40,45 @@ IMPORTERS = sorted(
 )
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# name -> every "module.Class" that defines it; each owner's member is read
+SHARED_CLASS_MEMBERS = {
+    "K": {"approxlab.RampParams", "symcheb.SymmetrizedTest"},
+    "coeffs": {"ratpoly.RationalPoly", "simplex.LinfFit"},
+    "degree": {"ratpoly.RationalPoly", "simplex.MinimaxSolution",
+               "weightdeg.WeightDegreeReport", "weightdeg._AndCore"},
+    "epsilon": {"dualand.DualAndWitness", "simplex.LinfFit", "simplex.MinimaxSolution",
+                "symcheb.AmplificationParams"},
+    "error": {"weightdeg.WeightDegreeReport", "weightdeg._AndCore"},
+    "from_coeffs": {"ratpoly.ChebyshevExpansion", "ratpoly.RationalPoly"},
+    "n": {"approxlab.RampParams", "boolcube.SymmetricDistribution", "boolcube.WeightVector",
+          "dualand.DualAndParams", "symcheb.SymmetrizedTest", "weightdeg.SymmetricSpec"},
+    "of": {"boolcube.SymmetricDistribution", "boolcube.WeightVector",
+           "dualand.BitCountClasses", "ratpoly.RationalPoly"},
+    "poly": {"simplex.MinimaxSolution", "symcheb.SymmetrizedTest"},
+    "w": {"dualand.DualAndParams", "symcheb.SymmetrizedTest"},
+    "weight": {"weightdeg.WeightDegreeReport", "weightdeg._AndCore"},
+}
+
+
+def _defined(body):
+    """(name, line) of every definition directly in ``body``."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.lineno
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node.lineno
+
 
 def _definitions(tree: ast.Module):
     """(name, line) of every module-level and class-level definition."""
-    scopes = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
-    for body in scopes:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield node.name, node.lineno
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        yield target.id, node.lineno
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                yield node.target.id, node.lineno
+    yield from _defined(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from _defined(node.body)
 
 
 def _uses(tree: ast.Module) -> Counter:
@@ -84,6 +117,22 @@ def test_every_package_definition_is_used():
         if not (name.startswith("__") and name.endswith("__")) and not uses[name]
     ]
     assert not dead, f"defined in src/dualshare but used nowhere: {dead}"
+
+
+def test_every_shared_class_member_is_listed_with_its_owners():
+    owners = defaultdict(set)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                for name, _ in _defined(node.body):
+                    if not (name.startswith("__") and name.endswith("__")):
+                        owners[name].add(f"{path.stem}.{node.name}")
+    shared = {name: found for name, found in owners.items() if len(found) > 1}
+    unlisted = {name: sorted(found) for name, found in shared.items()
+                if SHARED_CLASS_MEMBERS.get(name) != found}
+    stale = sorted(set(SHARED_CLASS_MEMBERS) - set(shared))
+    assert not unlisted, f"class members sharing a name, not listed with these owners: {unlisted}"
+    assert not stale, f"SHARED_CLASS_MEMBERS entries no class pair defines any more: {stale}"
 
 
 def _unread_imports(tree: ast.Module):

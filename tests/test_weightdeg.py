@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualshare.approxlab import approx_degree, minimax_on_weight_grid
-from dualshare.boolcube import ParityPoly, kravchuk
+from dualshare.boolcube import kravchuk
 from dualshare.errors import InfeasibleBudget, InvalidInput
 from dualshare.simplex import solve_lp, solve_minimax
 from dualshare.weightdeg import (
@@ -17,20 +17,29 @@ from dualshare.weightdeg import (
     _block_count_poly,
     _divisors,
     _kappa_sums,
-    approx_eq_y,
-    low_weight_approximant,
+    low_weight_report,
     weight_lower_bound,
 )
-from oracles import aggregate_design_fraction, cube_pairing, parity_values
+from oracles import (
+    ParityPoly,
+    aggregate_design_fraction,
+    approx_eq_y,
+    basis_convert,
+    cube_error,
+    cube_pairing,
+    expand_approximant,
+)
 
 
-def cube_error(poly: ParityPoly, target) -> Fraction:
-    """Exact max |poly - target| over all 2^n points (oracle)."""
-    values = parity_values(poly)
-    worst = Fraction(0)
-    for m, v in enumerate(values):
-        worst = max(worst, abs(v - Fraction(target(m))))
-    return worst
+def expanded_approximant(spec: SymmetricSpec, K: int, eps):
+    """(poly, report): the report of ``low_weight_report`` and the
+    approximant it certified, expanded over the cube, whose degree and
+    weight must be the report's."""
+    report, form = low_weight_report(spec, K, eps)
+    poly = expand_approximant(spec, form)
+    assert max(poly.degree(), 0) == report.degree
+    assert poly.weight() == report.weight
+    return poly, report
 
 
 def min_weight_lp(values, n, K, target) -> Fraction:
@@ -78,39 +87,40 @@ def min_weight_lp(values, n, K, target) -> Fraction:
 
 
 class TestApproxEqY:
+    """The block core's closed-form degree, weight and error against its
+    expansion over the cube (``core`` is the ``_AndCore``)."""
+
     def test_exact_and_small(self):
-        poly, rep = approx_eq_y(8, (1 << 8) - 1, 8, Fraction(1, 6))
-        assert rep.degree == 8
-        assert rep.weight == 1
-        assert rep.error == 0
+        poly, core = approx_eq_y(8, (1 << 8) - 1, 8, Fraction(1, 6))
+        assert core.degree == poly.degree() == 8
+        assert core.weight() == poly.weight() == 1
+        assert core.error == 0
         assert cube_error(poly, lambda m: 1 if m == 255 else 0) == 0
 
     def test_n16_budget8(self):
-        poly, rep = approx_eq_y(16, (1 << 16) - 1, 8, Fraction(1, 6))
-        assert rep.degree <= 8
-        assert rep.error <= Fraction(1, 6)
-        assert poly.weight() == rep.weight
+        poly, core = approx_eq_y(16, (1 << 16) - 1, 8, Fraction(1, 6))
+        assert core.degree == poly.degree() <= 8
+        assert core.error <= Fraction(1, 6)
+        assert poly.weight() == core.weight()
 
     def test_error_certificate_vs_cube(self):
         # the structural error (outer LP residuals) equals the exhaustive one
         for n, budget, target in ((8, 4, Fraction(1, 3)), (12, 6, Fraction(1, 4))):
             y = (1 << n) - 1
-            poly, rep = approx_eq_y(n, y, budget, target)
-            assert cube_error(poly, lambda m: 1 if m == y else 0) == rep.error
+            poly, core = approx_eq_y(n, y, budget, target)
+            assert cube_error(poly, lambda m: 1 if m == y else 0) == core.error
+            assert (poly.degree(), poly.weight()) == (core.degree, core.weight())
 
     def test_retargeting_preserves_weight_and_error(self):
         n = 8
-        base_poly, base_rep = approx_eq_y(n, (1 << n) - 1, 4, Fraction(1, 3))
+        _, base = approx_eq_y(n, (1 << n) - 1, 4, Fraction(1, 3))
         for y in (0, 0b10110101, 0b00001111):
-            poly, rep = approx_eq_y(n, y, 4, Fraction(1, 3))
-            assert rep.weight == base_rep.weight
-            assert rep.error == base_rep.error
-            assert cube_error(poly, lambda m: 1 if m == y else 0) == rep.error
+            poly, core = approx_eq_y(n, y, 4, Fraction(1, 3))
+            assert poly.weight() == base.weight()
+            assert cube_error(poly, lambda m: 1 if m == y else 0) == base.error
 
     def test_inner_and_block_weight_one(self):
         # every exact multilinear AND block has parity weight exactly 1
-        from dualshare.boolcube import basis_convert
-
         for s in (1, 2, 3, 5):
             assert basis_convert({(1 << s) - 1: Fraction(1)}, s).weight() == 1
 
@@ -123,10 +133,10 @@ class TestApproxEqY:
         # with one block per variable the construction is the plain minimax
         # polynomial in the Hamming weight
         n, budget = 8, 4
-        poly, rep = approx_eq_y(n, (1 << n) - 1, budget, Fraction(1, 3))
+        _, core = approx_eq_y(n, (1 << n) - 1, budget, Fraction(1, 3))
         values = [Fraction(1 if h == n else 0) for h in range(n + 1)]
         eps = solve_minimax([Fraction(j) for j in range(n + 1)], values, budget).epsilon
-        assert rep.error <= max(eps, Fraction(1, 3))
+        assert core.error <= max(eps, Fraction(1, 3))
 
 
 class TestLowWeightApproximant:
@@ -134,7 +144,7 @@ class TestLowWeightApproximant:
         n = 12
         spec = SymmetricSpec(n, tuple(1 if h == n else 0 for h in range(n + 1)))
         assert spec.k_f == 0
-        poly, rep = low_weight_approximant(spec, 4, Fraction(1, 3))
+        poly, rep = expanded_approximant(spec, 4, Fraction(1, 3))
         assert rep.error <= Fraction(1, 3)
         assert rep.degree <= 4
         assert cube_error(
@@ -145,8 +155,8 @@ class TestLowWeightApproximant:
         n = 12
         and_spec = SymmetricSpec(n, tuple(1 if h == n else 0 for h in range(n + 1)))
         or_spec = SymmetricSpec(n, tuple(0 if h == 0 else 1 for h in range(n + 1)))
-        _, rep_and = low_weight_approximant(and_spec, 4, Fraction(1, 3))
-        poly_or, rep_or = low_weight_approximant(or_spec, 4, Fraction(1, 3))
+        _, rep_and = expanded_approximant(and_spec, 4, Fraction(1, 3))
+        poly_or, rep_or = expanded_approximant(or_spec, 4, Fraction(1, 3))
         assert abs(rep_or.weight - rep_and.weight) <= 1
         assert rep_or.error <= Fraction(1, 3)
         assert cube_error(poly_or, lambda m: 0 if m == 0 else 1) == rep_or.error
@@ -159,7 +169,7 @@ class TestLowWeightApproximant:
     def test_exact_threshold_certified(self):
         n, K = 12, 8
         spec = SymmetricSpec(n, tuple(1 if h == n - 1 else 0 for h in range(n + 1)))
-        poly, rep = low_weight_approximant(spec, K, Fraction(1, 3))
+        poly, rep = expanded_approximant(spec, K, Fraction(1, 3))
         assert rep.error <= Fraction(1, 3)
         assert rep.degree <= K
         # certified error agrees with the exhaustive cube oracle
@@ -171,7 +181,7 @@ class TestLowWeightApproximant:
         # shared polynomial is re-optimised against the exact certificate
         for n, K in ((12, 6), (16, 7)):
             spec = SymmetricSpec(n, tuple(1 if h == n - 1 else 0 for h in range(n + 1)))
-            poly, rep = low_weight_approximant(spec, K, Fraction(1, 3))
+            poly, rep = expanded_approximant(spec, K, Fraction(1, 3))
             assert rep.error <= Fraction(1, 3)
             assert rep.degree <= K
 
@@ -179,7 +189,7 @@ class TestLowWeightApproximant:
         n = 8
         spec = SymmetricSpec(n, tuple(1 if h == n - 1 else 0 for h in range(n + 1)))
         with pytest.raises(InfeasibleBudget):
-            low_weight_approximant(spec, 2, Fraction(1, 100))
+            expanded_approximant(spec, 2, Fraction(1, 100))
 
     def test_infeasible_budget_reports_only_certified_errors(self):
         # exact-half at n = 12, K = 4: no split meets the union bound, so each
@@ -188,7 +198,7 @@ class TestLowWeightApproximant:
         n, K, eps = 12, 4, Fraction(1, 3)
         work = tuple(1 if h == n // 2 else 0 for h in range(n + 1))
         with pytest.raises(InfeasibleBudget) as exc:
-            low_weight_approximant(SymmetricSpec(n, work), K, eps)
+            expanded_approximant(SymmetricSpec(n, work), K, eps)
         kappa = _kappa_sums(n, [n // 2])
         assert set(exc.value.best_errors) == set(_divisors(n))
         for ell, error in exc.value.best_errors.items():
@@ -281,7 +291,7 @@ class TestWeightLowerBound:
                 deg = approx_degree(name_vals, eps)[0].degree
                 for K in range(deg + 1, n // 2 + 1):
                     spec = SymmetricSpec(n, tuple(name_vals))
-                    _, rep = low_weight_approximant(spec, K, eps)
+                    _, rep = expanded_approximant(spec, K, eps)
                     cert = minimax_on_weight_grid(name_vals, deg - 1)
                     bound = weight_lower_bound(cert, K, eps)
                     true_min = min_weight_lp(name_vals, n, K, eps)
@@ -327,5 +337,6 @@ class TestWeightLowerBound:
 
 class TestReports:
     def test_bound_exponent_positive(self):
-        poly, rep = approx_eq_y(8, (1 << 8) - 1, 4, Fraction(1, 3))
+        spec = SymmetricSpec(8, tuple(1 if h == 8 else 0 for h in range(9)))
+        rep, _ = low_weight_report(spec, 4, Fraction(1, 3))
         assert rep.bound_exponent > 0
