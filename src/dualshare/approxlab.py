@@ -14,7 +14,6 @@ error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Sequence
@@ -84,7 +83,6 @@ def dual_distributions(
     return boolcube.SymmetricDistribution(n, mu), boolcube.SymmetricDistribution(n, nu)
 
 
-@dataclass(frozen=True)
 class RampParams:
     """Secrecy threshold k, reconstruction size K, optional finite n.
 
@@ -92,11 +90,12 @@ class RampParams:
     well defined from k = 1, which the radicand examples exercise.
     """
 
-    k: int
-    K: int
-    n: int | None = None
+    __slots__ = ("k", "K", "n")
 
-    def __post_init__(self):
+    def __init__(self, k: int, K: int, n: int | None = None):
+        self.k = k
+        self.K = K
+        self.n = n
         if not 1 <= self.k < self.K:
             raise ValueError("need 1 <= k < K")
         if self.n is not None and self.K > self.n:

@@ -13,7 +13,6 @@ Hamming weight (the total mass of the weight class, not per string).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 from operator import mul
@@ -69,11 +68,13 @@ def walsh_hadamard(values: Sequence, sizes: Sequence[int] | None = None) -> list
     return v
 
 
-@dataclass(frozen=True)
 class WeightVector:
     """Nonnegative per-variable weights."""
 
-    entries: tuple[Fraction, ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[Fraction, ...]):
+        self.entries = entries
 
     @staticmethod
     def of(values: Iterable) -> "WeightVector":
@@ -97,7 +98,6 @@ class WeightVector:
         return sum((e * e for e in self.entries), Fraction(0))
 
 
-@dataclass(frozen=True)
 class SymmetricDistribution:
     """Distribution over {0,1}^n invariant under coordinate permutations.
 
@@ -105,16 +105,22 @@ class SymmetricDistribution:
     the C(n, h) strings in the class carries ``weight_probs[h] / C(n, h)``.
     """
 
-    n: int
-    weight_probs: tuple[Fraction, ...]
+    __slots__ = ("n", "weight_probs")
 
-    def __post_init__(self):
+    def __init__(self, n: int, weight_probs: tuple[Fraction, ...]):
+        self.n = n
+        self.weight_probs = weight_probs
         if len(self.weight_probs) != self.n + 1:
             raise ValueError("need one probability per weight 0..n")
         if any(p < 0 for p in self.weight_probs):
             raise ValueError("negative probability")
         if sum(self.weight_probs) != 1:
             raise ValueError("probabilities must sum to exactly 1")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @staticmethod
     def of(n: int, probs: Iterable) -> "SymmetricDistribution":

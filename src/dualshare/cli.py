@@ -3,8 +3,10 @@
 Every run is fully determined by (command, parameters), plus the seed for
 ``sample-shares``, the one command that draws random bits and so the only
 one that takes ``--seed``; every command takes ``--out``/``--format``.  The
-resolved configuration and tool version are echoed into every output file,
-outputs are written atomically, and repeated runs are byte-identical.  Exit
+resolved configuration and tool version are echoed into every JSON output,
+and into the ``#`` line that starts a CSV printed to stdout; a CSV file
+written with ``--out`` holds only the header and the rows.  Outputs are
+written atomically, and repeated runs are byte-identical.  Exit
 codes: 0 success, 2 usage/validation error, 3 a certified mathematical
 property failed on the instance (so CI can separate math regressions from
 bad invocations).
@@ -62,14 +64,12 @@ def _emit(command: str, config: dict, result: dict, out: str | None, fmt: str,
             print(json.dumps(payload, indent=2, sort_keys=True))
         return
     header, rows = csv_table if csv_table else _flatten_csv(result)
-    meta = ["# " + json.dumps({"command": command, "config": config,
-                               "tool": "dualshare", "version": __version__},
-                              sort_keys=True)]
     if out:
         serialize.write_csv(out, header, rows)
         print(out)
     else:
-        print(meta[0])
+        print("# " + json.dumps({k: v for k, v in payload.items() if k != "result"},
+                                sort_keys=True))
         print(",".join(header))
         for row in rows:
             print(",".join(str(v) for v in row))

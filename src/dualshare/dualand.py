@@ -40,7 +40,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -52,13 +51,13 @@ from . import boolcube
 from .errors import PropertyViolation
 
 
-@dataclass(frozen=True)
 class DualAndParams:
-    n: int
-    w: boolcube.WeightVector
-    d: Fraction
+    __slots__ = ("n", "w", "d")
 
-    def __post_init__(self):
+    def __init__(self, n: int, w: boolcube.WeightVector, d: Fraction):
+        self.n = n
+        self.w = w
+        self.d = d
         if self.w.n != self.n:
             raise ValueError("weight vector length must equal n")
         if not 0 < self.d <= self.w.l1():
@@ -67,7 +66,6 @@ class DualAndParams:
             raise ValueError(f"exact cube construction capped at n <= {boolcube.CUBE_CAP}")
 
 
-@dataclass(frozen=True)
 class BitCountClasses:
     """The cube points classed by how many ONE bits fall in each coordinate group.
 
@@ -77,10 +75,15 @@ class BitCountClasses:
     scale being the least that makes every weight and d integral.
     """
 
-    sizes: tuple[int, ...]  # n_g per group
-    group_weights: tuple[int, ...]  # scale * weight per group
-    class_of: Sequence[int]  # cube mask -> class
-    scaled_d: int
+    # "__dict__" holds the cached tables
+    __slots__ = ("sizes", "group_weights", "class_of", "scaled_d", "__dict__")
+
+    def __init__(self, sizes: tuple[int, ...], group_weights: tuple[int, ...],
+                 class_of: Sequence[int], scaled_d: int):
+        self.sizes = sizes  # n_g per group
+        self.group_weights = group_weights  # scale * weight per group
+        self.class_of = class_of  # cube mask -> class
+        self.scaled_d = scaled_d
 
     @staticmethod
     def of(w: boolcube.WeightVector, d: Fraction) -> "BitCountClasses":
@@ -135,15 +138,19 @@ class BitCountClasses:
         return self._table(lambda size, wg: [comb(size, j) for j in range(size + 1)], mul, 1)
 
 
-@dataclass(frozen=True)
 class DualAndWitness:
     """|H| and the per-class character sums; the per-class witness values
     are built on first use."""
 
-    params: DualAndParams
-    H_size: int
-    classes: BitCountClasses
-    class_sums: tuple[int, ...]  # sum_{S in H} chi_S(x) for every x of each class
+    # "__dict__" holds the cached property
+    __slots__ = ("params", "H_size", "classes", "class_sums", "__dict__")
+
+    def __init__(self, params: DualAndParams, H_size: int, classes: BitCountClasses,
+                 class_sums: tuple[int, ...]):
+        self.params = params
+        self.H_size = H_size
+        self.classes = classes
+        self.class_sums = class_sums  # sum_{S in H} chi_S(x) for every x of each class
 
     @property
     def epsilon(self) -> Fraction:
@@ -163,12 +170,22 @@ class DualAndWitness:
         ]
 
 
-@dataclass(frozen=True)
 class WitnessReport:
-    pure_high_degree: bool
-    violations: tuple[int, ...]  # subset masks with w(S) < d but nonzero pairing
-    l1_norm: Fraction
-    correlation: Fraction
+    __slots__ = ("violations", "l1_norm", "correlation")
+
+    def __init__(self, violations: tuple[int, ...], l1_norm: Fraction, correlation: Fraction):
+        self.violations = violations  # subset masks with w(S) < d but nonzero pairing
+        self.l1_norm = l1_norm
+        self.correlation = correlation
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    @property
+    def pure_high_degree(self) -> bool:
+        return not self.violations
 
 
 def build_witness(params: DualAndParams) -> DualAndWitness:
@@ -221,7 +238,6 @@ def verify_witness(wit: DualAndWitness) -> WitnessReport:
     violations = tuple(x for x, s in enumerate(classes.class_of) if s in low) if low else ()
     l1 = Fraction(sum(map(mul, classes.mult, map(abs, scaled))), scale)
     return WitnessReport(
-        pure_high_degree=not violations,
         violations=violations,
         l1_norm=l1,
         correlation=phi[0],

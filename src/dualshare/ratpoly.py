@@ -26,7 +26,6 @@ Floating point appears only in the float and complex evaluators
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -115,11 +114,19 @@ def weight_grid(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(n - 2 * h, n) for h in range(n + 1))
 
 
-@dataclass(frozen=True)
 class RationalPoly:
     """Dense univariate polynomial over Q, coefficients lowest power first."""
 
-    coeffs: tuple[Fraction, ...] = ()
+    # "__dict__" holds the cached properties
+    __slots__ = ("coeffs", "__dict__")
+
+    def __init__(self, coeffs: tuple[Fraction, ...] = ()):
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     @staticmethod
     def of(*coeffs) -> "RationalPoly":
@@ -251,11 +258,13 @@ def cheb_T(d: int) -> RationalPoly:
     return _CHEB_CACHE[d]
 
 
-@dataclass(frozen=True)
 class ChebyshevExpansion:
     """Half-coefficients c_0..c_K of the symmetric expansion sum_{|d|<=K} c_d T_d."""
 
-    half_coeffs: tuple[Fraction, ...] = ()
+    __slots__ = ("half_coeffs",)
+
+    def __init__(self, half_coeffs: tuple[Fraction, ...] = ()):
+        self.half_coeffs = half_coeffs
 
     @staticmethod
     def from_coeffs(coeffs: Iterable) -> "ChebyshevExpansion":

@@ -36,7 +36,6 @@ No floating point enters either path.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -193,10 +192,12 @@ def _audit(cols, rhs, cost, det, X, Y) -> None:
         raise PropertyViolation("strong duality gap")
 
 
-@dataclass(frozen=True)
 class LinfFit:
-    coeffs: tuple[Fraction, ...]
-    epsilon: Fraction
+    __slots__ = ("coeffs", "epsilon")
+
+    def __init__(self, coeffs: tuple[Fraction, ...], epsilon: Fraction):
+        self.coeffs = coeffs
+        self.epsilon = epsilon
 
 
 def solve_linf_fit(rows: Sequence[Sequence[Fraction]], values: Sequence[Fraction]) -> LinfFit:
@@ -281,7 +282,6 @@ def _audit_fit(gs, residuals, err, scale, psi, total, basis) -> None:
         raise PropertyViolation("dual pairing does not reproduce the error")
 
 
-@dataclass(frozen=True)
 class MinimaxSolution:
     """Optimal degree-``degree`` fit on ``points`` and its dual certificate.
 
@@ -290,11 +290,15 @@ class MinimaxSolution:
     pairing with the values is ``epsilon`` (all audited by the solver).
     """
 
-    points: tuple[Fraction, ...]
-    degree: int
-    poly: ratpoly.RationalPoly
-    epsilon: Fraction
-    psi: tuple[Fraction, ...]
+    __slots__ = ("points", "degree", "poly", "epsilon", "psi")
+
+    def __init__(self, points: tuple[Fraction, ...], degree: int, poly: ratpoly.RationalPoly,
+                 epsilon: Fraction, psi: tuple[Fraction, ...]):
+        self.points = points
+        self.degree = degree
+        self.poly = poly
+        self.epsilon = epsilon
+        self.psi = psi
 
 
 def solve_minimax(

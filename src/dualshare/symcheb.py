@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -70,16 +69,20 @@ def _grid_mismatch(p: ratpoly.RationalPoly, n: int, pairs: list[tuple[int, int]]
     return None
 
 
-@dataclass(frozen=True)
 class SymmetrizedTest:
     """p_w in product form: scale * prod (t - z), certified on the whole grid."""
 
-    n: int
-    K: int
-    w: int
-    scale: Fraction  # the constant C_w
-    zeros: tuple[Fraction, ...]
-    poly: ratpoly.RationalPoly
+    # "__dict__" holds the cached property
+    __slots__ = ("n", "K", "w", "scale", "zeros", "poly", "__dict__")
+
+    def __init__(self, n: int, K: int, w: int, scale: Fraction,
+                 zeros: tuple[Fraction, ...], poly: ratpoly.RationalPoly):
+        self.n = n
+        self.K = K
+        self.w = w
+        self.scale = scale  # the constant C_w
+        self.zeros = zeros
+        self.poly = poly
 
     @cached_property
     def cheb(self) -> ratpoly.ChebyshevExpansion:
@@ -198,14 +201,14 @@ def truncated_approximant(
 CIRCLE_POINTS = 64
 
 
-@dataclass(frozen=True)
 class AmplificationParams:
     """Amplification parameters: delta = eps^2 / (2 (1 + eps)), plus a theta grid."""
 
-    epsilon: Fraction
-    thetas: tuple[float, ...]
+    __slots__ = ("epsilon", "thetas")
 
-    def __post_init__(self):
+    def __init__(self, epsilon: Fraction, thetas: tuple[float, ...]):
+        self.epsilon = epsilon
+        self.thetas = thetas
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 

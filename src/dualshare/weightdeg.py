@@ -32,7 +32,6 @@ pairing, which rearranges into a weight lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
@@ -41,22 +40,24 @@ from . import approxlab, boolcube, ratpoly, simplex
 from .errors import InfeasibleBudget, InvalidInput, PropertyViolation
 
 
-@dataclass(frozen=True)
 class WeightDegreeReport:
-    degree: int
-    weight: Fraction
-    error: Fraction
-    bound_exponent: float
+    __slots__ = ("degree", "weight", "error", "bound_exponent")
+
+    def __init__(self, degree: int, weight: Fraction, error: Fraction, bound_exponent: float):
+        self.degree = degree
+        self.weight = weight
+        self.error = error
+        self.bound_exponent = bound_exponent
 
 
-@dataclass(frozen=True)
 class SymmetricSpec:
     """A symmetric predicate by its weight-value vector."""
 
-    n: int
-    predicate: tuple[int, ...]
+    __slots__ = ("n", "predicate")
 
-    def __post_init__(self):
+    def __init__(self, n: int, predicate: tuple[int, ...]):
+        self.n = n
+        self.predicate = predicate
         if len(self.predicate) != self.n + 1:
             raise ValueError("predicate must have length n+1")
         if any(v not in (0, 1) for v in self.predicate):
@@ -107,14 +108,16 @@ def _touched_block_coeffs(c: list[Fraction], ell: int, s: int) -> list[Fraction]
     ]
 
 
-@dataclass(frozen=True)
 class _AndCore:
     """Outer/inner decomposition data for the n-bit AND approximant."""
 
-    ell: int  # number of blocks
-    s: int  # block size
-    error: Fraction  # max_j |p(j) - [j == ell]|
-    D: tuple[Fraction, ...]  # parity coefficient per touched-block count
+    __slots__ = ("ell", "s", "error", "D")
+
+    def __init__(self, ell: int, s: int, error: Fraction, D: tuple[Fraction, ...]):
+        self.ell = ell  # number of blocks
+        self.s = s  # block size
+        self.error = error  # max_j |p(j) - [j == ell]|
+        self.D = D  # parity coefficient per touched-block count
 
     @property
     def degree(self) -> int:

@@ -270,7 +270,6 @@ def verify_and_witness_fraction(vals, d, w: WeightVector) -> WitnessReport:
         s for s in range(len(vals)) if weights[s] < d and transform[s] != 0
     )
     return WitnessReport(
-        pure_high_degree=not violations,
         violations=violations,
         l1_norm=Fraction(sum(abs(v) for v in scaled), scale),
         correlation=vals[0],

@@ -2,7 +2,6 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import replace
 from itertools import accumulate
 from fractions import Fraction
 
@@ -14,7 +13,9 @@ from dualshare.boolcube import WeightVector, kwise_indistinguishable
 from dualshare.dualand import (
     BitCountClasses,
     DualAndParams,
+    DualAndWitness,
     ShareSampler,
+    WitnessReport,
     _signed_sum_counts,
     build_witness,
     epsilon_of,
@@ -144,11 +145,11 @@ class TestIntegerPathAgainstFractionOracles:
         sums = list(wit.class_sums)
         sums[data.draw(st.integers(0, len(sums) - 1))] += data.draw(
             st.integers(-3, 3).filter(lambda t: t != 0))
-        moved = replace(wit, class_sums=tuple(sums))
+        moved = DualAndWitness(wit.params, wit.H_size, wit.classes, tuple(sums))
         for phi in (wit, moved):
             for d in {p.d, d2} - {0}:
-                at_d = replace(phi, params=DualAndParams(p.n, p.w, d),
-                               classes=BitCountClasses.of(p.w, d))
+                at_d = DualAndWitness(DualAndParams(p.n, p.w, d), phi.H_size,
+                                      BitCountClasses.of(p.w, d), phi.class_sums)
                 assert verify_witness(at_d) == verify_and_witness_fraction(
                     witness_values(at_d), d, p.w)
         assert verify_witness(wit).pure_high_degree
@@ -248,8 +249,22 @@ class TestVerifyWitness:
 
     def test_zero_function_fails_normalisation(self):
         wit = build_witness(uniform_and_params(2, 1))
-        rep = verify_witness(replace(wit, class_sums=(0,) * len(wit.class_sums)))
+        zero = DualAndWitness(wit.params, wit.H_size, wit.classes, (0,) * len(wit.class_sums))
+        rep = verify_witness(zero)
         assert rep.l1_norm == 0
+
+    def test_reports_compare_field_by_field(self):
+        rep = verify_witness(build_witness(uniform_and_params(4, 2)))
+        fields = {"violations": rep.violations, "l1_norm": rep.l1_norm,
+                  "correlation": rep.correlation}
+        same = WitnessReport(**fields)
+        assert same is not rep and same == rep
+        for name, other in (("violations", (3,)), ("l1_norm", Fraction(1, 2)),
+                            ("correlation", Fraction(0))):
+            assert fields[name] != other
+            assert WitnessReport(**{**fields, name: other}) != rep, name
+        assert rep.pure_high_degree
+        assert not WitnessReport(**{**fields, "violations": (3,)}).pure_high_degree
 
     def test_n4_correlation_matches_epsilon(self):
         p = uniform_and_params(4, 2)

@@ -104,10 +104,13 @@ def test_commands_load_only_the_standard_library(tmp_path):
         outside = {name for name in added if name.split(".")[0] not in
                    {*sys.stdlib_module_names, "dualshare"}}
         assert not outside, (args, outside)
+        # dataclasses imports inspect, and with it ast, dis and tokenize
+        heavy = added & {"dataclasses", "inspect"}
+        assert not heavy, (args, heavy)
 
 
-def test_package_imports_only_the_standard_library():
-    offenders = []
+def _absolute_imports():
+    """(file:line, top-level module) of every absolute import in the package."""
     for path in sorted((ROOT / "src" / "dualshare").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -116,12 +119,24 @@ def test_package_imports_only_the_standard_library():
                 names = [node.module]
             else:
                 continue
-            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
-                          if name.split(".")[0] not in {*sys.stdlib_module_names, "dualshare"}]
+            for name in names:
+                yield f"{path.name}:{node.lineno}", name.split(".")[0]
+
+
+def test_package_imports_only_the_standard_library():
+    offenders = [(where, top) for where, top in _absolute_imports()
+                 if top not in {*sys.stdlib_module_names, "dualshare"}]
     assert not offenders, offenders
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == []
+
+
+def test_package_does_not_import_dataclasses():
+    """Plain classes with ``__slots__`` cost a command nothing to create; a
+    ``@dataclass`` costs importing ``dataclasses`` and ``exec`` per class."""
+    offenders = [where for where, top in _absolute_imports() if top == "dataclasses"]
+    assert not offenders, offenders
 
 
 @pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")

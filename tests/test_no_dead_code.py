@@ -7,7 +7,10 @@ public name counts as used through its entry in ``__init__._EXPORTS``.
 
 A use is a read of the name (``name``, ``obj.name``), an import of it, a
 keyword argument spelled like it, or the name inside a string literal (for
-``getattr``/``setattr`` and ``__all__``); docstrings do not count.  Dunder
+``getattr``/``setattr`` and ``__all__``); docstrings do not count.  A
+class's fields are the strings of its ``__slots__``, and a field is used
+only through an attribute read ``obj.name`` or a string elsewhere: a local
+variable or keyword argument that shares its name reads no field.  Dunder
 names are exempt, since the language calls them.  A CLI handler is used by
 the command table that names it.
 
@@ -60,39 +63,56 @@ SHARED_CLASS_MEMBERS = {
 }
 
 
+def _slots(node: ast.stmt) -> list[ast.Constant]:
+    """The strings of a ``__slots__ = (...)`` assignment; none for any other node."""
+    if (isinstance(node, ast.Assign)
+            and [getattr(target, "id", None) for target in node.targets] == ["__slots__"]
+            and isinstance(node.value, (ast.Tuple, ast.List))):
+        return [elt for elt in node.value.elts
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)]
+    return []
+
+
 def _defined(body):
-    """(name, line) of every definition directly in ``body``."""
+    """(name, line, is field) of every definition directly in ``body``."""
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno
+            yield node.name, node.lineno, False
         elif isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name):
-                    yield target.id, node.lineno
+                    yield target.id, node.lineno, False
+            for slot in _slots(node):
+                yield slot.value, slot.lineno, True
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            yield node.target.id, node.lineno
+            yield node.target.id, node.lineno, False
 
 
 def _definitions(tree: ast.Module):
-    """(name, line) of every module-level and class-level definition."""
+    """(name, line, is field) of every module-level and class-level definition."""
     yield from _defined(tree.body)
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             yield from _defined(node.body)
 
 
-def _uses(tree: ast.Module) -> Counter:
-    docstrings = {
+def _uses(tree: ast.Module) -> tuple[Counter, Counter]:
+    """(every use of a name, the uses that can read a field)."""
+    # docstrings, and the __slots__ strings, which define fields
+    skipped = {
         id(node.value)
         for node in ast.walk(tree)
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
     }
+    skipped.update(id(slot) for node in ast.walk(tree) for slot in _slots(node))
     uses: Counter = Counter()
+    field_uses: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             uses[node.id] += 1
         elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             uses[node.attr] += 1
+            field_uses[node.attr] += 1
         elif isinstance(node, ast.alias):
             uses.update(node.name.split("."))
             if node.asname:
@@ -100,21 +120,26 @@ def _uses(tree: ast.Module) -> Counter:
         elif isinstance(node, ast.keyword) and node.arg:
             uses[node.arg] += 1
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in docstrings):
+              and id(node) not in skipped):
             uses.update(_IDENTIFIER.findall(node.value))
-    return uses
+            field_uses.update(_IDENTIFIER.findall(node.value))
+    return uses, field_uses
 
 
 def test_every_package_definition_is_used():
     assert PACKAGE.is_dir() and CORPUS
     uses: Counter = Counter()
+    field_uses: Counter = Counter()
     for path in CORPUS:
-        uses.update(_uses(ast.parse(path.read_text(), filename=str(path))))
+        found, fields = _uses(ast.parse(path.read_text(), filename=str(path)))
+        uses.update(found)
+        field_uses.update(fields)
     dead = [
         f"{path.name}:{line} {name}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for name, line in _definitions(ast.parse(path.read_text(), filename=str(path)))
-        if not (name.startswith("__") and name.endswith("__")) and not uses[name]
+        for name, line, is_field in _definitions(ast.parse(path.read_text(), filename=str(path)))
+        if not (name.startswith("__") and name.endswith("__"))
+        and not (field_uses if is_field else uses)[name]
     ]
     assert not dead, f"defined in src/dualshare but used nowhere: {dead}"
 
@@ -124,7 +149,7 @@ def test_every_shared_class_member_is_listed_with_its_owners():
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             if isinstance(node, ast.ClassDef):
-                for name, _ in _defined(node.body):
+                for name, _, _ in _defined(node.body):
                     if not (name.startswith("__") and name.endswith("__")):
                         owners[name].add(f"{path.stem}.{node.name}")
     shared = {name: found for name, found in owners.items() if len(found) > 1}
