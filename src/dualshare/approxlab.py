@@ -170,10 +170,14 @@ def finite_n_ramp(
 def consolidate_and(d: boolcube.SymmetricDistribution, t: int) -> boolcube.SymmetricDistribution:
     """Distribution of the per-block AND bits under a symmetric share vector.
 
-    The tn positions split into n blocks of size t; conditioned on total
-    weight h the ones are uniformly placed, so the number of full blocks
-    follows from an exact placement count built by dynamic programming over
-    (blocks processed, ones consumed, full blocks so far).
+    The tn positions split into m = n/t blocks of size t; conditioned on
+    total weight h the ones are uniformly placed, so the number of full
+    blocks follows from an exact placement count.  A block that is not full
+    holds c < t ones in C(t, c) ways, the coefficients of the integer
+    polynomial Q(x) = (1+x)^t - x^t, so h ones fill exactly f blocks in
+    C(m, f) * [x^(h - tf)] Q^(m-f) ways.  The powers Q^0..Q^m are built one
+    from the last, and each weight's share over C(n, h) is summed on integer
+    numerators over one common denominator.
     """
     if t <= 0:
         raise ValueError("block size must be positive")
@@ -181,23 +185,24 @@ def consolidate_and(d: boolcube.SymmetricDistribution, t: int) -> boolcube.Symme
         raise ValueError("number of positions must be divisible by the block size")
     big_n = d.n
     n_out = big_n // t
-    ways: dict[tuple[int, int], int] = {(0, 0): 1}
-    for _ in range(n_out):
-        nxt: dict[tuple[int, int], int] = {}
-        for (ones, full), cnt in ways.items():
-            for c in range(t + 1):
-                key = (ones + c, full + (c == t))
-                nxt[key] = nxt.get(key, 0) + cnt * comb(t, c)
-        ways = nxt
+    # p_h / C(n, h) = num / common for each (h, num) of a weight that carries mass
+    dens = {h: p.denominator * comb(big_n, h) for h, p in enumerate(d.weight_probs) if p}
+    common = math.lcm(*dens.values())
+    scaled = [(h, d.weight_probs[h].numerator * (common // den)) for h, den in dens.items()]
+    q = [comb(t, c) for c in range(t)]
+    power = [1]  # Q^(m - full)
     out = [Fraction(0)] * (n_out + 1)
-    for h, p in enumerate(d.weight_probs):
-        if not p:
-            continue
-        denom = comb(big_n, h)
-        for full in range(n_out + 1):
-            w = ways.get((h, full), 0)
-            if w:
-                out[full] += p * Fraction(w, denom)
+    for full in range(n_out, -1, -1):
+        base = t * full
+        total = sum(num * power[h - base] for h, num in scaled if 0 <= h - base < len(power))
+        if total:
+            out[full] = Fraction(comb(n_out, full) * total, common)
+        if full:
+            nxt = [0] * (len(power) + t - 1)
+            for i, a in enumerate(power):
+                for c, b in enumerate(q):
+                    nxt[i + c] += a * b
+            power = nxt
     return boolcube.SymmetricDistribution(n_out, tuple(out))
 
 

@@ -3,20 +3,22 @@
 Rationals serialise as "numerator/denominator" in lowest terms (optional
 leading minus); bare integers are accepted on input.  Polynomials serialise
 as coefficient arrays, lowest power first.  Output files are written
-atomically (temp file + rename) and deterministically (sorted keys, no
-timestamps), so identical runs are byte-identical.
+atomically (temp file + rename) with the mode a plain write gives a new
+file, and deterministically (sorted keys, no timestamps), so identical runs
+are byte-identical.
+
+The command handlers share the helpers at the foot of this module: each
+command's payload goes out through ``_emit``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
-import tempfile
 from fractions import Fraction
 from typing import Any, Sequence
 
-from . import boolcube, ratpoly
+from . import __version__, boolcube, ratpoly
 from .errors import InvalidInput
 
 
@@ -58,8 +60,12 @@ def witness_to_json(n: int, d, texts: Sequence[str]) -> dict:
 
 
 def _atomic_write(path: str, write_fn) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-dualshare-")
+    """Write a temporary file beside ``path`` and rename it into place.  The
+    file is created with mode 0o666 less the umask, as ``open`` creates one
+    (``tempfile.mkstemp`` would give every output 0o600)."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-dualshare-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             write_fn(fh)
@@ -77,6 +83,8 @@ def write_json(path: str, payload: Any) -> None:
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    import csv  # imported here: a command that writes JSON never loads it
+
     def _write(fh):
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -88,3 +96,56 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 def load_json(path: str) -> Any:
     with open(path) as fh:
         return json.load(fh)
+
+
+def _resolve_out(path: str | None) -> str | None:
+    if path is None:
+        return None
+    base = os.environ.get("DUALSHARE_OUT_DIR")
+    if base and not os.path.isabs(path):
+        return os.path.join(base, path)
+    return path
+
+
+def _emit(command: str, config: dict, result: dict, out: str | None, fmt: str,
+          csv_table: tuple[list[str], list[list]] | None = None) -> None:
+    """Print the command's payload, or write it to ``out`` and print the path."""
+    payload = {
+        "tool": "dualshare",
+        "version": __version__,
+        "command": command,
+        "config": config,
+        "result": result,
+    }
+    out = _resolve_out(out)
+    if fmt == "json":
+        if out:
+            write_json(out, payload)
+            print(out)
+        else:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        return
+    header, rows = csv_table if csv_table else _flatten_csv(result)
+    if out:
+        write_csv(out, header, rows)
+        print(out)
+    else:
+        print("# " + json.dumps({k: v for k, v in payload.items() if k != "result"},
+                                sort_keys=True))
+        print(",".join(header))
+        for row in rows:
+            print(",".join(str(v) for v in row))
+
+
+def _flatten_csv(result: dict) -> tuple[list[str], list[list]]:
+    return ["key", "value"], [[k, json.dumps(v) if isinstance(v, (list, dict)) else v]
+                              for k, v in sorted(result.items())]
+
+
+def _parse_rational(value: str) -> Fraction:
+    if type(value) is not str:  # Fraction would take a JSON float or bool too
+        raise InvalidInput(f"not a rational string: {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"not a rational: {value!r}") from exc

@@ -79,7 +79,10 @@ interpolation on the weight grid); ``split_cube_witness`` (the per-weight
 (mu, nu) split of a witness that is constant on weight classes);
 ``share_distribution``, the law ``dualand.ShareSampler`` draws from, read
 off the witness values as |phi| on one parity, and
-``reconstruction_advantage`` from it.  ``uniform_distribution``,
+``reconstruction_advantage`` from it.  ``consolidate_and_dp`` is the placement
+count ``approxlab.consolidate_and`` replaced: a dynamic program over
+(blocks processed, ones placed, full blocks so far) in a dict, its
+probabilities summed one ``Fraction`` at a time.  ``uniform_distribution``,
 ``point_mass``, ``per_string_prob``, ``hypergeom_prob``, ``limit_ramp_poly``
 (p_0^infty = 2^-K (t+1)^K), ``binomial_tail_epsilon`` (the uniform AND's
 epsilon in closed form) and ``derivative`` are the closed forms tests compare
@@ -841,3 +844,27 @@ def limit_ramp_poly(K: int) -> RationalPoly:
 def binomial_tail_epsilon(n: int, d: int) -> Fraction:
     """Uniform-weights AND epsilon: 2^-n * sum_{k <= (n-d)/2} C(n, k)."""
     return Fraction(sum(comb(n, k) for k in range((n - d) // 2 + 1)), 1 << n)
+
+
+def consolidate_and_dp(d: SymmetricDistribution, t: int) -> SymmetricDistribution:
+    """``approxlab.consolidate_and`` by the (ones, full) dict DP."""
+    big_n = d.n
+    n_out = big_n // t
+    ways: dict[tuple[int, int], int] = {(0, 0): 1}
+    for _ in range(n_out):
+        nxt: dict[tuple[int, int], int] = {}
+        for (ones, full), cnt in ways.items():
+            for c in range(t + 1):
+                key = (ones + c, full + (c == t))
+                nxt[key] = nxt.get(key, 0) + cnt * comb(t, c)
+        ways = nxt
+    out = [Fraction(0)] * (n_out + 1)
+    for h, p in enumerate(d.weight_probs):
+        if not p:
+            continue
+        denom = comb(big_n, h)
+        for full in range(n_out + 1):
+            w = ways.get((h, full), 0)
+            if w:
+                out[full] += p * Fraction(w, denom)
+    return SymmetricDistribution(n_out, tuple(out))

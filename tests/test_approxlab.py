@@ -4,6 +4,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualshare.approxlab import (
     RampParams,
@@ -29,6 +31,7 @@ from dualshare.symcheb import indistinguishability_bound
 
 from oracles import (
     cheb_transform,
+    consolidate_and_dp,
     limit_ramp_poly,
     point_mass,
     split_cube_witness,
@@ -346,6 +349,38 @@ class TestConsolidate:
         # oracle: project 4 positions = 2 whole blocks first, then consolidate
         direct = consolidate_and(project_symmetric(d, 4), 2)
         assert proj == direct
+
+
+@st.composite
+def _blocked_distributions(draw, sparse: bool):
+    """(distribution on n = tm <= 64 positions, block size t in {1, 2, 4, 8});
+    sparse ones carry mass on 1-3 weights, as the ramp pairs do."""
+    t = draw(st.sampled_from([1, 2, 4, 8]))
+    n = t * draw(st.integers(0, 64 // t))
+    if sparse:
+        support = draw(st.lists(st.integers(0, n), min_size=1, max_size=3, unique=True))
+        masses = [0] * (n + 1)
+        for h in support:
+            masses[h] = draw(st.integers(1, 10**6))
+    else:
+        masses = draw(st.lists(st.integers(0, 50), min_size=n + 1, max_size=n + 1))
+        masses[draw(st.integers(0, n))] += 1
+    total = sum(masses)
+    return SymmetricDistribution(n, tuple(Fraction(m, total) for m in masses)), t
+
+
+class TestConsolidateAgainstDictDP:
+    @settings(max_examples=60, deadline=None)
+    @given(_blocked_distributions(sparse=True))
+    def test_sparse(self, case):
+        d, t = case
+        assert consolidate_and(d, t).weight_probs == consolidate_and_dp(d, t).weight_probs
+
+    @settings(max_examples=40, deadline=None)
+    @given(_blocked_distributions(sparse=False))
+    def test_dense(self, case):
+        d, t = case
+        assert consolidate_and(d, t).weight_probs == consolidate_and_dp(d, t).weight_probs
 
 
 class TestConsolidationBound:

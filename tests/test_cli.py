@@ -533,6 +533,33 @@ class TestParsingPinned:
         assert result.exit_code == 0
         assert result.output == "dualshare, version 0.1.0\n"
 
+    @pytest.mark.parametrize("args, digest", [
+        ([], "8d8df97f4561543e20a56742881cddc585fabcbe065527df15256b9367d90f9a"),
+        (["--help"], "8d8df97f4561543e20a56742881cddc585fabcbe065527df15256b9367d90f9a"),
+        (["dual-and", "--help"],
+         "a3b4d740b7b4080c626c376ee23d1d71550c05878f266d077912ec5a36ad7b7a"),
+        (["sample-shares", "--help"],
+         "a92454a81502ba9936c8b8e3c15434df5a6c5522bdcc510cd1151a1c571e76fb"),
+        (["symcheb", "--help"],
+         "4c68078253a31f22d3384c9e8e2759499a9c9c079690d28a42fba37f41616ea8"),
+        (["symcheb", "pw", "--help"],
+         "48e98e656f11a55ac01a83bb33d463cc30e32100e6e80237c6295f9266a160dd"),
+        (["approx-degree", "--help"],
+         "89c1e683562de39f54c5d00140c9691ae0e7d314a0c9a7786a831a54fcfec565"),
+        (["ramp", "--help"],
+         "6fdf79a91055522b1844436d9a144de18b040428bb151b51c98037f6afbed0d3"),
+        (["weight-bound", "--help"],
+         "3fa48a5d4c2259c32b3fe5cb61d68f7a466a354a6ba35d97d7f5efcd581c9ced"),
+        (["consolidate", "--help"],
+         "4f9ac261e859790a17a5aa4282c4f9a2617ef6acb4fd6a6b1b21b076b14c5cfe"),
+        (["indist-check", "--help"],
+         "c49d01a5df08d6402b6d5e6adbd848feea05cb96c0a85ca917aa94118dee880e"),
+    ])
+    def test_help_digest(self, runner, args, digest):
+        res = runner.invoke(cli, args)
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
     @pytest.mark.parametrize("command", [[], *_COMMANDS])
     def test_help_exits_0(self, runner, command):
         result = runner.invoke(cli, [*command, "--help"])

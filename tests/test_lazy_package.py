@@ -90,6 +90,74 @@ def test_commands_run_only_the_modules_they_use(tmp_path):
         assert not executed & {"dualshare.symcheb", "dualshare.certify"}, executed
 
 
+_DIST = json.dumps({"n": 4, "weight_probs": ["1/2", "0/1", "0/1", "0/1", "1/2"]})
+
+
+def test_ramp_lp_commands_run_their_handler_and_computation_modules(tmp_path):
+    (tmp_path / "d.json").write_text(_DIST)
+    runs = {
+        "approx-degree": ["approx-degree", "--f", "and", "--n", "20"],
+        "ramp": ["ramp", "--k", "2", "--K", "4", "--n", "16", "--finite"],
+        "indist-check": ["indist-check", "--dist1", "d.json", "--dist2", "d.json",
+                         "--k", "1", "--K", "2"],
+        "consolidate": ["consolidate", "--dist", "d.json", "--t", "2"],
+    }
+    expected = {
+        "approx-degree": {"cmd_degree", "approxlab", "simplex", "ratpoly", "serialize"},
+        "ramp": {"cmd_ramp", "approxlab", "simplex", "ratpoly", "symcheb", "boolcube",
+                 "serialize"},
+        "indist-check": {"cmd_ramp", "boolcube", "symcheb", "serialize"},
+        "consolidate": {"cmd_ramp", "approxlab", "boolcube", "serialize"},
+    }
+    for name, args in runs.items():
+        executed = _run(tmp_path, *args)
+        base = {"dualshare", "dualshare.cli", "dualshare.errors"}
+        assert executed == base | {f"dualshare.{m}" for m in expected[name]}, (name, executed)
+
+
+@pytest.mark.parametrize("args, handler", [
+    (["dual-and", "--n", "4", "--d", "2"], "cmd_dualand"),
+    (["sample-shares", "--witness", "wit.json", "--secret", "+1"], "cmd_dualand"),
+    (["symcheb", "pw", "--n", "16", "--K", "2", "--w", "1"], "cmd_symcheb"),
+    (["approx-degree", "--f", "maj", "--n", "8"], "cmd_degree"),
+    (["weight-bound", "--f", "maj", "--n", "8", "--K", "4"], "cmd_degree"),
+    (["ramp", "--k", "1", "--K", "2"], "cmd_ramp"),
+    (["consolidate", "--dist", "d.json", "--t", "2"], "cmd_ramp"),
+    (["indist-check", "--dist1", "d.json", "--dist2", "d.json", "--k", "1"], "cmd_ramp"),
+])
+def test_each_command_runs_only_its_own_handler_module(tmp_path, args, handler):
+    (tmp_path / "d.json").write_text(_DIST)
+    _run(tmp_path, "dual-and", "--n", "4", "--d", "2", "--out", "wit.json")
+    handlers = {name for name in _run(tmp_path, *args) if name.startswith("dualshare.cmd_")}
+    assert handlers == {f"dualshare.{handler}"}, (args, handlers)
+
+
+@pytest.mark.parametrize("args", [["--help"], ["--version"], ["--list-commands"], [],
+                                  ["ramp", "--help"], ["symcheb", "pw", "--help"]])
+def test_help_version_and_schema_run_no_handler_or_computation_module(tmp_path, args):
+    """The help lines and the schema live in the command table itself."""
+    assert _run(tmp_path, *args) == {"dualshare", "dualshare.cli", "dualshare.errors"}
+
+
+def test_no_package_module_imports_cli():
+    """``python -m dualshare.cli`` runs cli as ``__main__``; a module that
+    imported ``dualshare.cli`` would compile and run it a second time."""
+    offenders = []
+    for path in sorted((ROOT / "src" / "dualshare").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):  # a relative import is under dualshare
+                base = ".".join(filter(None, ["dualshare" * bool(node.level), node.module]))
+                names = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            if any(name == "dualshare.cli" or name.startswith("dualshare.cli.")
+                   for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
+
+
 def test_commands_load_only_the_standard_library(tmp_path):
     """Against a bare interpreter, which may already hold site hooks' modules."""
     bare = _executed(tmp_path, "", report=_REPORT_ALL)
@@ -174,6 +242,32 @@ def test_an_exception_in_a_lazy_module_body_fails_the_command(tmp_path, short):
         fh.write('\nraise RuntimeError("boom")\n')
     env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-m", "dualshare.cli", *_COMMAND_USING[short]],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode != 0, proc.stdout
+    assert "boom" in proc.stderr
+
+
+# a command that imports each handler module; a handler module missing here
+# fails its case below with a KeyError
+_COMMAND_HANDLED_BY = {
+    "cmd_dualand": ["dual-and", "--n", "4", "--d", "2"],
+    "cmd_symcheb": ["symcheb", "pw", "--n", "16", "--K", "2", "--w", "1"],
+    "cmd_degree": ["approx-degree", "--f", "maj", "--n", "8"],
+    "cmd_ramp": ["ramp", "--k", "1", "--K", "2"],
+}
+
+
+@pytest.mark.parametrize("short", sorted(
+    path.stem for path in (ROOT / "src" / "dualshare").glob("cmd_*.py")))
+def test_an_exception_in_a_handler_module_body_fails_the_command(tmp_path, short):
+    """The command table imports a handler module when its command is
+    dispatched; an exception in that module's body must fail the command."""
+    shutil.copytree(ROOT / "src" / "dualshare", tmp_path / "dualshare",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "dualshare" / f"{short}.py", "a") as fh:
+        fh.write('\nraise RuntimeError("boom")\n')
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "dualshare.cli", *_COMMAND_HANDLED_BY[short]],
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode != 0, proc.stdout
     assert "boom" in proc.stderr

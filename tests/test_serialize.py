@@ -1,7 +1,9 @@
 import json
 import os
+import stat
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -73,3 +75,26 @@ def test_atomic_csv_write(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(str(path), ["a", "b"], [[1, "1/2"], [2, "3/4"]])
     assert path.read_text().splitlines() == ["a,b", "1,1/2", "2,3/4"]
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_json(path, {"a": 1}),
+    lambda path: write_csv(path, ["a"], [[1]]),
+], ids=["json", "csv"])
+def test_output_files_get_the_mode_of_a_plain_write(tmp_path, write):
+    """0o666 less the umask, for a new file and for one written over."""
+    old = os.umask(0o022)
+    try:
+        fresh, plain, over = (str(tmp_path / name) for name in ("fresh", "plain", "over"))
+        with open(plain, "w"):
+            pass
+        write(fresh)
+        with open(over, "w"):
+            pass
+        os.chmod(over, 0o600)
+        write(over)
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE(os.stat(path).st_mode) for path in (fresh, plain, over)]
+    assert modes == [0o644] * 3
+    assert [f for f in os.listdir(tmp_path) if f.startswith(".tmp")] == []
