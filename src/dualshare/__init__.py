@@ -33,6 +33,7 @@ _EXPORTS = {
     "ramp_advantage": "approxlab",
     "SymmetricDistribution": "boolcube",
     "WeightVector": "boolcube",
+    "dual_pairings": "boolcube",
     "kwise_indistinguishable": "boolcube",
     "project_symmetric": "boolcube",
     "stat_distance_symmetric": "boolcube",

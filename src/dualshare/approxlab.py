@@ -3,12 +3,9 @@
 Everything runs through exact discrete minimax on the weight grid
 (``minimax_on_weight_grid``, single-point exchange in
 ``simplex.solve_minimax``): the minimax error of a symmetric function on its
-weight grid equals its multivariate symmetric approximation error, the
+weight grid equals its multivariate symmetric approximation error, and the
 optimal dual measure psi of the returned ``MinimaxSolution`` is a dual
-witness, and splitting that witness into its positive and negative parts
-(times two) yields a pair of perfectly k-wise indistinguishable symmetric
-distributions whose advantage under the target equals twice the minimax
-error.
+witness, which ``dual_distributions`` splits into a pair.
 """
 
 from __future__ import annotations
@@ -69,15 +66,17 @@ def dual_distributions(
 ) -> tuple[boolcube.SymmetricDistribution, boolcube.SymmetricDistribution]:
     """Split psi = (mu - nu)/2 into the perfectly indistinguishable pair.
 
-    mu doubles the positive part and nu the negative part; zero pairing with
-    constants makes both sum to exactly 1, and the vanishing moments up to
-    ``degree`` make the pair perfectly degree-wise indistinguishable.
+    mu doubles the positive part and nu the negative part; psi must have
+    unit L1 norm and pair to zero with every chi_S, |S| <= ``degree``
+    (``boolcube.dual_pairings``), so both sum to 1 and no test of that
+    degree tells them apart.
     """
     n = grid_n(cert)
-    if sum(abs(p) for p in cert.psi) != 1:
+    pairings, l1 = boolcube.dual_pairings(cert.psi, (n,), range(cert.degree + 1))
+    if l1 != 1:
         raise ValueError("witness must have unit total variation")
-    if sum(cert.psi) != 0:
-        raise ValueError("witness pairs nonzero with the constant character")
+    if pairings:
+        raise ValueError(f"witness pairs nonzero with characters of sizes {sorted(pairings)}")
     mu = tuple(2 * q if q > 0 else Fraction(0) for q in cert.psi)
     nu = tuple(-2 * q if q < 0 else Fraction(0) for q in cert.psi)
     return boolcube.SymmetricDistribution(n, mu), boolcube.SymmetricDistribution(n, nu)
@@ -146,9 +145,10 @@ def finite_n_ramp(
     values on the weight grid), splits its dual measure psi, and flips both
     distributions so the reconstruction test is the AND (rather than the NOR)
     of the first K bits.  The returned advantage is exact and equals twice the
-    minimax error; the pair is checked perfectly k-wise indistinguishable.
-    Those checks and the solver's own audit of psi certify every output, and
-    none of them reads p_0's product form, so it is not built here.
+    minimax error.  ``dual_distributions`` checks the pair perfectly k-wise
+    indistinguishable, and the flip only multiplies each pairing with chi_S
+    by (-1)^|S|.  Those checks and the solver's own audit of psi certify
+    every output; none reads p_0's product form, so it is not built here.
     """
     n, K, k = params.n, params.K, params.k
     if n is None:
@@ -162,8 +162,6 @@ def finite_n_ramp(
     advantage = mu.expectation(and_values) - nu.expectation(and_values)
     if advantage != 2 * sol.epsilon:
         raise PropertyViolation("advantage of the LP pair differs from twice its error")
-    if not boolcube.kwise_indistinguishable(mu, nu, k):
-        raise PropertyViolation(f"LP pair is not perfectly {k}-wise indistinguishable")
     return mu, nu, advantage
 
 

@@ -9,12 +9,14 @@ convention: ``chi_S(x) = prod_{i in S} x_i = (-1)^{|S & ones(b)|}``.
 Cube points are represented as integer bitmasks internally and as 0/1 tuples
 at API boundaries.  Symmetric distributions store one probability per
 Hamming weight (the total mass of the weight class, not per string).
+``dual_pairings`` is the package's one check of a dual certificate, on
+classes of per-group ONE-bit counts; Hamming weights are the one-group case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -53,19 +55,50 @@ def walsh_hadamard(values: Sequence, sizes: Sequence[int] | None = None) -> list
         sizes = [1] * (size.bit_length() - 1)
     elif size != prod(g + 1 for g in sizes) or min(sizes, default=1) < 1:
         raise ValueError("length must be the product of the group sizes plus one")
+    # coeffs[s] = K_s(t; g) for output count t
+    return _class_transform(v, sizes, lambda g: zip(*_kravchuk_rows(g, g)[:g + 1]))
+
+
+def _class_transform(v: list, sizes: Sequence[int], rows_of) -> list:
+    """``walsh_hadamard``'s stages, an axis of size g through the rows ``rows_of(g)``."""
     for g in sizes:
-        if g == 1:
+        if g == 1:  # the butterfly: a symmetric matrix, so either orientation
             a, b = v[0::2], v[1::2]
             v = [x + y for x, y in zip(a, b)] + [x - y for x, y in zip(a, b)]
             continue
         cols = list(zip(*(v[j::g + 1] for j in range(g + 1))))
-        rows = _kravchuk_rows(g, g)
-        v = [
-            sum(map(mul, coeffs, col))
-            for coeffs in zip(*rows[:g + 1])  # coeffs[s] = K_s(t; g) for output count t
-            for col in cols
-        ]
+        v = [sum(map(mul, coeffs, col)) for coeffs in rows_of(g) for col in cols]
     return v
+
+
+def class_sizes(sizes: Sequence[int]) -> list[int]:
+    """prod_g C(n_g, j_g) per class j: its number of cube points, or of subsets."""
+    tab = [1]
+    for g in sizes:
+        tab = [comb(g, j) * t for j in range(g + 1) for t in tab]
+    return tab
+
+
+def dual_pairings(
+    psi: Sequence, sizes: Sequence[int], tested: Sequence[int]
+) -> tuple[dict[int, Fraction], Fraction]:
+    """The tested classes s where <psi, chi_S> is not zero, with those exact
+    pairings, and the exact L1 norm of psi: the one check of a dual
+    certificate, a unit-L1 psi = (mu - nu)/2 pairing to zero with every
+    low-degree character.  psi[j] is psi's mass on class j of
+    ``walsh_hadamard``'s classes; a symmetric psi is the one group (n,).
+
+    S of class s pairs as sum_j psi[j] prod_g K_{s_g}(j_g; n_g) / C_s, C_s
+    the class size: the transposed class transform, on integers.
+    """
+    scale = lcm(*(p.denominator for p in psi))
+    scaled = [p.numerator * (scale // p.denominator) for p in psi]
+    # one group builds the Kravchuk rows only up to the largest tested class
+    top = max(tested, default=-1) if len(sizes) == 1 else max(sizes)
+    totals = _class_transform(scaled, sizes, lambda g: _kravchuk_rows(g, top)[:min(g, top) + 1])
+    size = class_sizes(sizes) if any(totals[s] for s in tested) else ()
+    return ({s: Fraction(totals[s], size[s] * scale) for s in tested if totals[s]},
+            Fraction(sum(map(abs, scaled)), scale))
 
 
 class WeightVector:
@@ -176,18 +209,14 @@ def stat_distance_symmetric(
 def kwise_indistinguishable(
     d1: SymmetricDistribution, d2: SymmetricDistribution, k: int
 ) -> bool:
-    """True iff the size-k projections agree exactly.
-
-    Projections commute, so equality at size k implies it for all smaller
-    sizes.
-    """
+    """True iff d1 - d2 pairs to zero with every chi_S, |S| <= k
+    (``dual_pairings``): equality of the size-k projections."""
     if d1.n != d2.n:
         raise ValueError("mismatched n")
     if not 0 <= k <= d1.n:
         raise ValueError("k out of range")
-    if k == 0:
-        return True
-    return project_symmetric(d1, k) == project_symmetric(d2, k)
+    psi = [a - b for a, b in zip(d1.weight_probs, d2.weight_probs)]
+    return not dual_pairings(psi, (d1.n,), range(k + 1))[0]
 
 
 _KRAVCHUK_ROWS: dict[int, list[list[int]]] = {}

@@ -4,6 +4,9 @@ dispatches one of the two commands."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+
 from . import boolcube, dualand, serialize
 from .errors import InvalidInput, PropertyViolation
 
@@ -18,14 +21,9 @@ def dual_and_cmd(n, weights, d_str, out, fmt):
         w = boolcube.WeightVector.uniform(n)
     params = dualand.DualAndParams(n, w, d)
     wit = dualand.build_witness(params)
-    eps = dualand.epsilon_of(params)
     report = dualand.verify_witness(wit)
-    if not (report.pure_high_degree and report.l1_norm == 1
-            and report.correlation == wit.epsilon == eps):
-        raise PropertyViolation(
-            f"witness conditions failed: pure={report.pure_high_degree}, "
-            f"l1={report.l1_norm}, corr={report.correlation}, eps={eps}"
-        )
+    # wit.epsilon = |H| / 2^n = phi(0) = report.correlation, as |H| = class_sums[0]
+    report.require(dualand.epsilon_of(params))
     config = {"n": n, "weights": [serialize.rat_to_str(x) for x in w.entries],
               "d": serialize.rat_to_str(d)}
     result = {
@@ -54,6 +52,7 @@ def sample_shares_cmd(witness_path, secret, count, seed, out, fmt):
         raise InvalidInput(f"witness config weights must be a list, got {weights!r}")
     w = boolcube.WeightVector.of([serialize._parse_rational(x) for x in weights])
     wit = dualand.build_witness(dualand.DualAndParams(n, w, d))
+    _check_result(doc, wit)
     sampler = dualand.ShareSampler(wit, 1 if secret == "+1" else -1, seed)
     rows = []
     for _ in range(count):
@@ -62,3 +61,35 @@ def sample_shares_cmd(witness_path, secret, count, seed, out, fmt):
     header = [f"bit_{i + 1}" for i in range(n)]
     config = {"witness": witness_path, "secret": secret, "count": count, "seed": seed}
     serialize._emit("sample-shares", config, {"shares": rows}, out, fmt, (header, rows))
+
+
+def _check_result(doc, wit: dualand.DualAndWitness) -> None:
+    """Check a ``dual-and`` file's result against ``wit``, the witness its
+    config names: exit 2 if the result is missing or malformed, and 3 if its
+    epsilon, H_size or any value differs from the construction, or the
+    construction fails its check.  Values are compared per class on the
+    integer numerators, and exactly wherever the file spells one otherwise."""
+    n = wit.params.n
+    try:
+        result = doc["result"]
+        eps, h_size, witness = result["epsilon"], result["H_size"], result["witness"]
+        wn, texts = witness["n"], witness["values"]
+    except (KeyError, TypeError) as exc:
+        raise InvalidInput(f"witness file lacks a usable result: {exc!r}") from exc
+    if type(wn) is not int or wn != n or type(texts) is not list or len(texts) != 1 << n:
+        raise InvalidInput(f"witness file result needs {1 << n} witness values for n={n}")
+    if type(h_size) is not int:
+        raise InvalidInput(f"witness file H_size must be an integer, got {h_size!r}")
+    if serialize._parse_rational(eps) != wit.epsilon or h_size != wit.H_size:
+        raise PropertyViolation(
+            f"witness file claims epsilon={eps}, H_size={h_size}; its config gives "
+            f"epsilon={serialize.rat_to_str(wit.epsilon)}, H_size={wit.H_size}")
+    nums, den = wit.scaled_values
+    want = wit.classes.expand([f"{v // g}/{den // g}" for v in nums for g in (gcd(v, den),)])
+    if tuple(texts) != want:
+        for x, (got, value) in enumerate(zip(texts, want)):
+            if got != value and serialize._parse_rational(got) != Fraction(value):
+                raise PropertyViolation(
+                    f"witness value {got} at mask {x} differs from {value}, "
+                    "the value its config gives")
+    dualand.verify_witness(wit).require(wit.epsilon)

@@ -9,21 +9,17 @@ where H is uniform over the down-set {S : w(S) <= (|w|_1 - d)/2}.
 
 Everything here depends on x and S only through how many ONE bits fall in
 each group of equal-weight coordinates.  With groups of sizes n_1..n_m the
-classes are the prod (n_g + 1) count vectors j, and construction and
-verification each run one ``boolcube.walsh_hadamard`` over the classes: the
-tensor Kravchuk transform, which is the Walsh-Hadamard transform when every
-weight is distinct; the verifier takes the built witness and transforms
-its per-class values.  A mask -> class table, built by doubling, reads
-per-class results back onto the 2^n points where a cube-indexed answer is
-wanted: the emitted witness, the masks of violating subsets and the
-sampler's CDF.
+classes are the prod (n_g + 1) count vectors j.  The construction runs
+``boolcube.walsh_hadamard`` over them, and the verifier
+``boolcube.dual_pairings``.  A mask -> class table, built by doubling, reads
+per-class results back onto the 2^n points: the emitted witness, the masks
+of violating subsets and the sampler's CDF.
 
 Both run on integers: class weights are tabulated as scale * w(j), scale
-clearing the denominators of the weights and d, and the verifier scales the
-witness values to integers before its transform.  The construction keeps
-|H| and the per-class character sums; the share sampler reads only those,
-and the witness values, one ``Fraction`` per class, are derived on first
-use.
+clearing the denominators of the weights and d, and the witness values are
+numerators over 2^n |H|.  The share sampler reads only the per-class
+character sums; the witness values, one ``Fraction`` per class, are built
+only to be emitted.
 
 Sign orientation: the construction carries a global (-1)^n; we negate the
 witness when that factor would make the correlation with AND negative (an
@@ -42,9 +38,9 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import comb, lcm
-from operator import add, mul
+from operator import mul
 from typing import Sequence
 
 from . import boolcube
@@ -115,34 +111,31 @@ class BitCountClasses:
             return tuple(per_class)
         return tuple(map(per_class.__getitem__, self.class_of))
 
-    def _table(self, column, op, unit: int) -> list[int]:
-        """Per class j: the column(n_g, w_g)[j_g] of every group folded by ``op``."""
-        tab = [unit]
-        for size, wg in zip(self.sizes, self.group_weights):
-            nxt: list[int] = []
-            for c in column(size, wg):
-                nxt += tab if c == unit else list(map(op, tab, repeat(c)))
-            tab = nxt
+    def _sums(self, per_group: Sequence[int]) -> list[int]:
+        """sum_g j_g * per_group[g] for every class j."""
+        tab = [0]
+        for size, wg in zip(self.sizes, per_group):
+            tab = [t + j * wg for j in range(size + 1) for t in tab]
         return tab
 
     @cached_property
     def weights(self) -> list[int]:
-        return self._table(lambda size, wg: [j * wg for j in range(size + 1)], add, 0)
+        return self._sums(self.group_weights)
 
     @cached_property
     def ones(self) -> list[int]:
-        return self._table(lambda size, wg: range(size + 1), add, 0)
+        return self._sums([1] * len(self.sizes))
 
     @cached_property
     def mult(self) -> list[int]:
-        return self._table(lambda size, wg: [comb(size, j) for j in range(size + 1)], mul, 1)
+        return boolcube.class_sizes(self.sizes)
 
 
 class DualAndWitness:
     """|H| and the per-class character sums; the per-class witness values
     are built on first use."""
 
-    # "__dict__" holds the cached property
+    # "__dict__" holds the cached properties
     __slots__ = ("params", "H_size", "classes", "class_sums", "__dict__")
 
     def __init__(self, params: DualAndParams, H_size: int, classes: BitCountClasses,
@@ -161,13 +154,16 @@ class DualAndWitness:
         return Fraction(1 << self.params.n, self.H_size)
 
     @cached_property
+    def scaled_values(self) -> tuple[list[int], int]:
+        """phi(j) = (-1)^{|j|} class_sums[j]^2 / (2^n |H|) per class j, as
+        (numerators, 2^n |H|)."""
+        return ([-m * m if k & 1 else m * m for m, k in zip(self.class_sums, self.classes.ones)],
+                (1 << self.params.n) * self.H_size)
+
+    @cached_property
     def class_values(self) -> list[Fraction]:
-        """phi(j) = (-1)^{|j|} class_sums[j]^2 / (2^n |H|) for every class j."""
-        denom = (1 << self.params.n) * self.H_size
-        return [
-            Fraction(-m * m if k & 1 else m * m, denom)
-            for m, k in zip(self.class_sums, self.classes.ones)
-        ]
+        nums, den = self.scaled_values
+        return [Fraction(v, den) for v in nums]
 
 
 class WitnessReport:
@@ -187,14 +183,20 @@ class WitnessReport:
     def pure_high_degree(self) -> bool:
         return not self.violations
 
+    def require(self, epsilon: Fraction) -> None:
+        """Raise PropertyViolation unless pure, of unit L1 norm and correlation ``epsilon``."""
+        if self.violations or self.l1_norm != 1 or self.correlation != epsilon:
+            raise PropertyViolation(f"witness conditions failed: pure={self.pure_high_degree}, "
+                                    f"l1={self.l1_norm}, corr={self.correlation}, eps={epsilon}")
+
 
 def build_witness(params: DualAndParams) -> DualAndWitness:
     """Construct the witness; errors out if the down-set H is empty.
 
     H is a union of classes: S is in H iff w(S) <= (|w|_1 - d)/2, tested on
-    W = scale * w as 2 W(s) <= W([n]) - scale * d.  |H| counts each class
-    with its size, and the character sums are the transform of H's class
-    indicator.
+    W = scale * w as 2 W(s) <= W([n]) - scale * d.  The character sums are
+    the transform of H's class indicator; every chi_S is 1 at class 0, so
+    that sum is |H|.
     """
     classes = BitCountClasses.of(params.w, params.d)
     slack = classes.weights[-1] - classes.scaled_d  # the last class is [n] itself
@@ -202,45 +204,28 @@ def build_witness(params: DualAndParams) -> DualAndWitness:
         raise ValueError("d exceeds |w|_1: H is empty")
     top = slack // 2  # 2 W(s) <= slack iff W(s) <= floor(slack / 2)
     indicator = [1 if t <= top else 0 for t in classes.weights]
+    class_sums = tuple(boolcube.walsh_hadamard(indicator, classes.sizes))
     # slack >= 0 puts the empty set in H, so H_size >= 1 here
-    return DualAndWitness(
-        params=params,
-        H_size=sum(map(mul, indicator, classes.mult)),
-        classes=classes,
-        class_sums=tuple(boolcube.walsh_hadamard(indicator, classes.sizes)),
-    )
+    return DualAndWitness(params=params, H_size=class_sums[0], classes=classes,
+                          class_sums=class_sums)
 
 
 def verify_witness(wit: DualAndWitness) -> WitnessReport:
-    """Check the three AND-witness conditions exactly on the class values.
-
-    phi is constant on every class, so <phi, chi_S> depends only on the
-    class s of S and equals sum_j phi(j) prod_g K_{j_g}(s_g; n_g): one class
-    transform of phi.
-
-    (a) <phi, chi_S> = 0 for every S with w(S) strictly below d (the values
-        are scaled to integers before the transform; w(S) < d is tested as
-        W(s) < scale * d), violating classes reported as their masks;
-    (b) the L1 norm is exactly 1: sum_j |phi(j)| times the class size;
-    (c) the exact correlation <phi, AND>, for the caller to compare with the
-        claimed epsilon.  AND accepts only mask 0 (all bits zero), whose
-        class is 0, so the correlation is phi(0).
+    """The AND-witness conditions, exactly, for ``WitnessReport.require``:
+    ``boolcube.dual_pairings`` on the class masses (numerator times class
+    size) tests the classes with W(s) < scale * d, and a violating class is
+    reported as its masks.  AND accepts only mask 0, of class 0, so the
+    correlation <phi, AND> is phi(0).
     """
     classes = wit.classes
-    phi = wit.class_values
-    scale = lcm(*{v.denominator for v in phi})
-    scaled = [v.numerator * (scale // v.denominator) for v in phi]
-    pairings = boolcube.walsh_hadamard(scaled, classes.sizes)
-    low = {
-        s for s, (t, c) in enumerate(zip(classes.weights, pairings))
-        if t < classes.scaled_d and c
-    }
+    nums, den = wit.scaled_values
+    tested = [s for s, t in enumerate(classes.weights) if t < classes.scaled_d]
+    low, l1 = boolcube.dual_pairings(list(map(mul, nums, classes.mult)), classes.sizes, tested)
     violations = tuple(x for x, s in enumerate(classes.class_of) if s in low) if low else ()
-    l1 = Fraction(sum(map(mul, classes.mult, map(abs, scaled))), scale)
     return WitnessReport(
         violations=violations,
-        l1_norm=l1,
-        correlation=phi[0],
+        l1_norm=l1 / den,
+        correlation=Fraction(nums[0], den),
     )
 
 

@@ -23,7 +23,7 @@ import math
 import warnings
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, lcm
 
 from . import certify, ratpoly
 from .errors import InvalidInput, PropertyViolation
@@ -232,12 +232,12 @@ def shifted_square(s, z, delta) -> Fraction:
     return (s - z) ** 2 + delta * (1 - z * z)
 
 
-def _eval_abs_squared_exact(g: ratpoly.RationalPoly, re: float, im: float) -> Fraction:
-    """|g(re + i im)|^2 with the float input taken as an exact rational pair:
-    over one power of two L, z = (x + i y) / L, and for g = G / D of degree d,
-    L^d G(z) is a Gaussian integer, summed by homogeneous Horner."""
+def _eval_abs_squared_exact(g: ratpoly.RationalPoly, re, im) -> Fraction:
+    """|g(re + i im)|^2 with float or rational input taken as an exact rational
+    pair: over one common denominator L, z = (x + i y) / L, and for g = G / D
+    of degree d, L^d G(z) is a Gaussian integer, summed by homogeneous Horner."""
     (x, x_den), (y, y_den) = re.as_integer_ratio(), im.as_integer_ratio()
-    big_l = max(x_den, y_den)
+    big_l = lcm(x_den, y_den)
     x, y = x * (big_l // x_den), y * (big_l // y_den)
     nums, den = g._integer_form
     acc_re, acc_im, l_pow = nums[-1], 0, 1
@@ -257,6 +257,10 @@ def circle_identity_check(test: SymmetrizedTest, params: AmplificationParams) ->
     and is refined with exact arithmetic at angles where the circle passes
     close to the clustered roots (plain Horner loses ~condition * ulp there);
     the refinement only sharpens the evaluation, the routes stay independent.
+    Where doubles still cannot decide (a refined relative error of 1e-8 or
+    more, or route B rounding to 0.0), ``_circle_routes_agree`` decides the
+    identity exactly at the nearby rational point of the circle: the angle
+    then adds 0.0 when the routes agree, and PropertyViolation otherwise.
     """
     g = test.generating_poly()
     eps = float(params.epsilon)
@@ -279,12 +283,32 @@ def circle_identity_check(test: SymmetrizedTest, params: AmplificationParams) ->
         rhs = prefactor
         for z in zs:
             rhs *= (c - z) ** 2 + dprime * (1.0 - z * z)
-        rel = abs(lhs - rhs) / rhs
-        if rel > 1e-10:
-            lhs = float(_eval_abs_squared_exact(g, s.real, s.imag))
+        if rhs:
             rel = abs(lhs - rhs) / rhs
+            if rel > 1e-10:
+                lhs = float(_eval_abs_squared_exact(g, s.real, s.imag))
+                rel = abs(lhs - rhs) / rhs
+        if not rhs or rel >= 1e-8:
+            if not _circle_routes_agree(test, params, Fraction(math.tan(theta / 2))):
+                raise PropertyViolation(f"circle identity fails exactly near theta={theta}")
+            rel = 0.0
         worst = max(worst, rel)
     return worst
+
+
+def _circle_routes_agree(test: SymmetrizedTest, params: AmplificationParams, t: Fraction) -> bool:
+    """Both routes of ``circle_identity_check`` in rationals, at the point
+    (cos, sin) = ((1 - t^2), 2t) / (1 + t^2) of the unit circle (t = tan of
+    half the angle), where sin^2 = 1 - cos^2 holds exactly as the identity
+    needs."""
+    cos, sin = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    r, delta = 1 + params.epsilon, params.delta
+    lhs = _eval_abs_squared_exact(test.generating_poly(), r * cos, r * sin)
+    c, dprime = cos / (1 + delta), delta * (2 + delta) / (1 + delta) ** 2
+    rhs = (r * (1 + delta)) ** (2 * test.K) * test.scale ** 2
+    for z in test.zeros:
+        rhs *= (c - z) ** 2 + dprime * (1 - z * z)
+    return lhs == rhs
 
 
 def _exp_lower(x: Fraction) -> Fraction:

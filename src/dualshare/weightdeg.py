@@ -22,11 +22,6 @@ union-bound rule (per-term error at most eps/|supp|) whenever some block
 split meets it; when no split does, the same polynomial is re-optimised by a
 second LP directly against the exact aggregate certificate, which is strictly
 stronger than the union bound and keeps the construction otherwise unchanged.
-
-The dual side pairs the dual measure of a weight-grid minimax solution
-against all characters of size at most K: a degree-K polynomial of weight W
-can correlate with the witness by at most W times the largest character
-pairing, which rearranges into a weight lower bound.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import comb, lcm
-from operator import mul
 
 from . import approxlab, boolcube, ratpoly, simplex
 from .errors import InfeasibleBudget, InvalidInput, PropertyViolation
@@ -43,7 +37,8 @@ from .errors import InfeasibleBudget, InvalidInput, PropertyViolation
 class WeightDegreeReport:
     __slots__ = ("degree", "weight", "error", "bound_exponent")
 
-    def __init__(self, degree: int, weight: Fraction, error: Fraction, bound_exponent: float):
+    def __init__(self, degree: int, weight: Fraction, error: Fraction,
+                 bound_exponent: float | None):
         self.degree = degree
         self.weight = weight
         self.error = error
@@ -263,7 +258,8 @@ def low_weight_report(
     if supp_size == 0:
         chat = [Fraction(int(complemented))] + [Fraction(0)] * n
         return WeightDegreeReport(0, chat[0], Fraction(0), 0.0), chat
-    bound_exponent = _trend_exponent(n, supp_size, eps, K)
+    # the trend is log(supp/eps): none for eps = 0, which only an exact fit meets
+    bound_exponent = _trend_exponent(n, supp_size, eps, K) if eps else None
 
     if supp_weights in ([0], [n]):
         # a single point indicator: the direct construction, unchanged
@@ -412,14 +408,14 @@ def weight_lower_bound(
     cert: simplex.MinimaxSolution, K: int, target_error
 ) -> Fraction | float:
     """Certified floor on the weight of any degree-<=K approximant with error
-    <= target_error, from the witness's largest character pairing.
+    <= target_error: such a polynomial of weight W correlates with the
+    witness psi by at most W times its largest pairing with a chi_S, |S| <= K
+    (``boolcube.dual_pairings``).
 
     The certificate must be a weight-grid minimax solution whose error exceeds
-    target_error (InvalidInput otherwise: it then certifies nothing).  Its
-    dual measure psi puts mass psi_h on weight class h, spread evenly over
-    the class, so the pairing with chi_S depends on r = |S| alone: it is the
-    Kravchuk row sum_h psi_h K_r(h; n) / C(n, r).  Returns math.inf when every
-    pairing up to size K vanishes (then no weight suffices at that degree).
+    target_error (InvalidInput otherwise: it then certifies nothing).  Returns
+    math.inf when every pairing up to size K vanishes (then no weight
+    suffices at that degree).
     """
     target_error = Fraction(target_error)
     if cert.epsilon <= target_error:
@@ -428,12 +424,7 @@ def weight_lower_bound(
             f"{target_error}, so it bounds no weight"
         )
     n = approxlab.grid_n(cert)
-    top = min(K, n)
-    rows = boolcube._kravchuk_rows(n, top)
-    best = max(
-        (abs(Fraction(sum(map(mul, cert.psi, rows[r])), comb(n, r))) for r in range(top + 1)),
-        default=Fraction(0),
-    )
-    if best == 0:
+    pairings, _ = boolcube.dual_pairings(cert.psi, (n,), range(min(K, n) + 1))
+    if not pairings:
         return math.inf
-    return (cert.epsilon - target_error) / best
+    return (cert.epsilon - target_error) / max(map(abs, pairings.values()))

@@ -26,7 +26,7 @@ in-place butterfly), and ``build_and_witness_fraction`` /
 thresholds as ``Fraction``s and rescale the witness with ``Fraction``
 multiplies.  They share no code with ``dualand`` beyond its data types.
 ``dualand.verify_witness`` takes the built witness and reads its per-class
-values; ``witness_values`` expands them onto the cube, and
+numerators; ``witness_values`` expands its values onto the cube, and
 ``verify_and_witness_fraction`` takes any cube values, so a witness
 tampered anywhere on the cube is checked there.  ``uniform_and_params`` is
 the unit-weight AND the tests build most often.
@@ -87,6 +87,13 @@ probabilities summed one ``Fraction`` at a time.  ``uniform_distribution``,
 (p_0^infty = 2^-K (t+1)^K), ``binomial_tail_epsilon`` (the uniform AND's
 epsilon in closed form) and ``derivative`` are the closed forms tests compare
 against.
+
+Every dual certificate is checked in the package by one routine,
+``boolcube.dual_pairings``.  The forms it replaced stay here:
+``kwise_by_projection`` (perfect k-wise indistinguishability as equality of
+the size-k projections), ``kravchuk_weight_floor`` (the weight floor from
+the Kravchuk row sums of psi) and ``class_pairings_on_cube`` (a class-form
+psi spread over all 2^n points and paired by the in-place butterfly).
 """
 
 from __future__ import annotations
@@ -99,7 +106,13 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable
 
-from dualshare.boolcube import SymmetricDistribution, WeightVector, mask_to_bits
+from dualshare.boolcube import (
+    SymmetricDistribution,
+    WeightVector,
+    kravchuk,
+    mask_to_bits,
+    project_symmetric,
+)
 from dualshare.dualand import DualAndParams, DualAndWitness, WitnessReport
 from dualshare.ratpoly import (
     ChebyshevExpansion,
@@ -868,3 +881,43 @@ def consolidate_and_dp(d: SymmetricDistribution, t: int) -> SymmetricDistributio
             if w:
                 out[full] += p * Fraction(w, denom)
     return SymmetricDistribution(n_out, tuple(out))
+
+
+def kwise_by_projection(d1: SymmetricDistribution, d2: SymmetricDistribution, k: int) -> bool:
+    """Equal size-k projections; projections commute, so equality at size k
+    implies it at every smaller size."""
+    return k == 0 or project_symmetric(d1, k) == project_symmetric(d2, k)
+
+
+def kravchuk_weight_floor(cert, K: int, target_error) -> Fraction | float:
+    """``weightdeg.weight_lower_bound`` for a certificate whose error exceeds
+    the target: the pairing with a size-r chi_S is the Kravchuk row sum
+    sum_h psi_h K_r(h; n) / C(n, r)."""
+    n = len(cert.psi) - 1
+    best = max(
+        (abs(Fraction(sum(p * kravchuk(n, r, h) for h, p in enumerate(cert.psi))) / comb(n, r))
+         for r in range(min(K, n) + 1)),
+        default=Fraction(0),
+    )
+    return float("inf") if best == 0 else (cert.epsilon - Fraction(target_error)) / best
+
+
+def class_pairings_on_cube(psi, sizes) -> tuple[dict[int, Fraction], Fraction]:
+    """(class -> <psi, chi_S> for every class whose pairing is not zero, L1
+    norm) with psi[j] the mass of class j (group g holds the next sizes[g]
+    coordinates): spread evenly over the cube, paired by the butterfly, and
+    checked constant on every class of S."""
+    strides = [1]
+    for g in sizes:
+        strides.append(strides[-1] * (g + 1))
+    group_of = [g for g, size in enumerate(sizes) for _ in range(size)]
+    n = len(group_of)
+    class_of = [sum(strides[group_of[i]] for i in range(n) if x >> i & 1) for x in range(1 << n)]
+    count = [class_of.count(j) for j in range(len(psi))]
+    values = [Fraction(psi[j]) / count[j] for j in class_of]
+    transform = walsh_hadamard_inplace(values)
+    pairings: dict[int, Fraction] = {}
+    for s_mask, s in enumerate(class_of):
+        if pairings.setdefault(s, transform[s_mask]) != transform[s_mask]:
+            raise AssertionError(f"pairing not constant on class {s}")
+    return {s: v for s, v in pairings.items() if v}, sum(abs(v) for v in values)

@@ -1,14 +1,19 @@
+import ast
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dualshare.boolcube as boolcube
 from dualshare.boolcube import (
     SymmetricDistribution,
     WeightVector,
+    class_sizes,
+    dual_pairings,
     kravchuk,
     kwise_indistinguishable,
     mask_to_bits,
@@ -23,7 +28,9 @@ from oracles import (
     basis_convert,
     bits_to_mask,
     chi,
+    class_pairings_on_cube,
     cube_pairing,
+    kwise_by_projection,
     parity_values,
     per_string_prob,
     point_mass,
@@ -314,6 +321,122 @@ class TestKwise:
             top = max(k for k in range(n + 1) if kwise_indistinguishable(d1, d2, k))
             for j in range(top + 1):
                 assert kwise_indistinguishable(d1, d2, j)
+
+
+# class masses on 1-3 groups of 1-4 coordinates (at most 10), ints and Fractions
+_CLASS_MASSES = st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
+    lambda sizes: sum(sizes) <= 10).flatmap(
+    lambda sizes: st.tuples(
+        st.just(sizes),
+        st.lists(st.integers(-9, 9) | st.fractions(max_denominator=12),
+                 min_size=prod(g + 1 for g in sizes), max_size=prod(g + 1 for g in sizes)),
+        st.sets(st.integers(0, prod(g + 1 for g in sizes) - 1)),
+    )
+)
+
+
+def _stencil_pair(n: int, k: int, base: list[int], coeffs: list[int]):
+    """(mu, nu) = base -/+ psi over a common total, psi a sum of shifted
+    (k+1)-th differences (-1)^i C(k+1, i) at weights a..a+k+1, which
+    annihilate every polynomial of degree <= k in h and so pair to zero with
+    every chi_S, |S| <= k."""
+    psi = [0] * (n + 1)
+    for a, c in enumerate(coeffs[: n - k]):
+        for i in range(k + 2):
+            psi[a + i] += c * (-1) ** i * comb(k + 1, i)
+    # mu and nu stay nonnegative: the base outweighs every |psi_h|
+    lift = [b + max(abs(v) for v in psi) for b in base]
+    total = sum(lift)
+    return (SymmetricDistribution.of(n, [Fraction(b + v, total) for b, v in zip(lift, psi)]),
+            SymmetricDistribution.of(n, [Fraction(b - v, total) for b, v in zip(lift, psi)]))
+
+
+# (n, k, base, stencil coefficients) for n <= 16 and 0 <= k < n
+_PAIRS = st.integers(1, 16).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.integers(0, n - 1),
+    st.lists(st.integers(1, 5), min_size=n + 1, max_size=n + 1),
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+))
+
+
+class TestDualPairings:
+    @settings(max_examples=80, deadline=None)
+    @given(_CLASS_MASSES)
+    def test_class_form_matches_the_cube_pairing(self, case):
+        sizes, psi, tested = case
+        pairings, l1 = dual_pairings(psi, sizes, sorted(tested))
+        cube, cube_l1 = class_pairings_on_cube(psi, sizes)
+        assert pairings == {s: v for s, v in cube.items() if s in tested}
+        assert l1 == cube_l1 == sum(abs(Fraction(p)) for p in psi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 16).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(-1, n),
+        st.lists(st.integers(-9, 9) | st.fractions(max_denominator=12),
+                 min_size=n + 1, max_size=n + 1))))
+    def test_one_group_is_the_kravchuk_row_sum(self, case):
+        n, k, psi = case
+        expect = {r: sum(Fraction(p) * kravchuk(n, r, h) for h, p in enumerate(psi)) / comb(n, r)
+                  for r in range(k + 1)}
+        pairings, l1 = dual_pairings(psi, (n,), range(k + 1))
+        assert pairings == {r: v for r, v in expect.items() if v}
+        assert l1 == sum(abs(Fraction(p)) for p in psi)
+        if n <= 10:
+            cube, _ = class_pairings_on_cube(psi, (n,))
+            assert pairings == {r: v for r, v in cube.items() if r <= k}
+
+    def test_one_group_builds_the_rows_up_to_the_tested_size_only(self):
+        n = 997  # a grid size no other test builds rows for
+        boolcube._KRAVCHUK_ROWS.pop(n, None)
+        psi = [Fraction(0)] * (n + 1)
+        psi[0], psi[n] = Fraction(1, 2), Fraction(-1, 2)
+        pairings, l1 = dual_pairings(psi, (n,), range(4))
+        # chi_S at weight n is (-1)^|S|: only odd sizes pair
+        assert pairings == {1: Fraction(1), 3: Fraction(1)} and l1 == 1
+        assert len(boolcube._KRAVCHUK_ROWS.pop(n)) <= 5
+
+    def test_class_sizes_count_points(self):
+        assert class_sizes((2, 1)) == [1, 2, 1, 1, 2, 1]
+        assert sum(class_sizes((3, 4, 1))) == 1 << 8
+
+    @settings(max_examples=80, deadline=None)
+    @given(_PAIRS)
+    def test_pairs_built_kwise_equal_agree_with_the_projections(self, case):
+        n, k, base, coeffs = case
+        mu, nu = _stencil_pair(n, k, base, coeffs)
+        assert kwise_indistinguishable(mu, nu, k)
+        for j in range(n + 1):
+            assert kwise_indistinguishable(mu, nu, j) == kwise_by_projection(mu, nu, j)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_PAIRS.filter(lambda case: case[1] >= 1), st.data())
+    def test_moving_one_mass_breaks_indistinguishability(self, case, data):
+        # mu - nu pairs to zero with every chi_S, |S| = 1 <= k, so after the
+        # move the size-1 pairing is the moved mass's alone, 2 (src - dst) amount / n
+        n, k, base, coeffs = case
+        mu, nu = _stencil_pair(n, k, base, coeffs)
+        src = data.draw(st.sampled_from([h for h, p in enumerate(mu.weight_probs) if p]))
+        dst = data.draw(st.integers(0, n).filter(lambda h: h != src))
+        moved = list(mu.weight_probs)
+        amount = moved[src] * data.draw(st.fractions(0, 1).filter(lambda t: t > 0))
+        moved[src] -= amount
+        moved[dst] += amount
+        perturbed = SymmetricDistribution.of(n, moved)
+        for j in range(1, n + 1):
+            assert not kwise_indistinguishable(perturbed, nu, j)
+            assert not kwise_by_projection(perturbed, nu, j)
+
+    def test_no_module_outside_boolcube_reads_the_kravchuk_table(self):
+        package = Path(boolcube.__file__).parent
+        readers = sorted(
+            path.name for path in package.glob("*.py") if path.name != "boolcube.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Attribute, ast.Name, ast.alias))
+            and "_kravchuk_rows" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                     getattr(node, "name", None))
+        )
+        assert not readers, readers
 
 
 class TestParityPoly:

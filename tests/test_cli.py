@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from types import SimpleNamespace
@@ -779,3 +780,101 @@ def test_a_closed_stdout_ends_quietly_with_exit_1(tmp_path):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def _run_capturing(args):
+    """(exit code, stdout, stderr) of ``main`` run in this process; an uncaught
+    exception is exit 1 with its traceback on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(args)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code = 1
+            traceback.print_exc()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _zeroed(doc):
+    doc["result"]["witness"]["values"] = ["0/1"] * len(doc["result"]["witness"]["values"])
+    doc["result"]["epsilon"] = "9/1"
+
+
+def _respelled(doc):
+    # every value written over a doubled denominator: the same witness
+    doc["result"]["witness"]["values"] = [
+        f"{2 * Fraction(v).numerator}/{2 * Fraction(v).denominator}"
+        for v in doc["result"]["witness"]["values"]]
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value(node[path[-1]]) if callable(value) else value
+    return edit
+
+
+# (edit of a valid dual-and --n 4 --d 2 file, exit code of sample-shares on it)
+_WITNESS_FILES = {
+    "valid": (lambda doc: None, 0),
+    "respelled": (_respelled, 0),
+    "zeroed": (_zeroed, 3),
+    "config-only": (lambda doc: doc.pop("result"), 2),
+    "no-witness": (lambda doc: doc["result"].pop("witness"), 2),
+    "one-value-moved": (_set("result", "witness", "values", 5, "1/7"), 3),
+    "one-value-not-rational": (_set("result", "witness", "values", 5, "x"), 2),
+    "values-short": (_set("result", "witness", "values", lambda v: v[:-1]), 2),
+    "values-not-a-list": (_set("result", "witness", "values", "0/1"), 2),
+    "witness-n-wrong": (_set("result", "witness", "n", 5), 2),
+    "epsilon-wrong": (_set("result", "epsilon", "1/2"), 3),
+    "epsilon-malformed": (_set("result", "epsilon", "1/0"), 2),
+    "H_size-wrong": (_set("result", "H_size", lambda h: h + 1), 3),
+    "H_size-a-string": (_set("result", "H_size", lambda h: str(h)), 2),
+}
+
+
+class TestExitContract:
+    """Inputs that once ended in a traceback or a wrong exit 0, run in process:
+    each ends with its exit code, with one line on stderr when it fails."""
+
+    @pytest.mark.parametrize("args, code", [
+        (["weight-bound", "--f", "maj", "--n", "8", "--K", "2", "--eps", "0"], 2),
+        (["weight-bound", "--f", "maj", "--n", "8", "--K", "8", "--eps", "0"], 0),
+        *[(["symcheb", "pw", "--n", "256", "--K", "4", "--w", "1", "--check", "circle",
+            "--eps", eps], 0) for eps in ("1e-9", "1e-20", "1/10000", "1e-7")],
+    ], ids=["eps0-K2", "eps0-K8", "circle-1e-9", "circle-1e-20", "circle-1e-4", "circle-1e-7"])
+    def test_command_lines(self, args, code):
+        got, out, err = _run_capturing(args)
+        assert (got, "Traceback" in err) == (code, False), err
+        assert len(err.splitlines()) == (1 if code else 0), err
+
+    def test_zero_eps_reports_the_exact_fit_without_a_trend(self):
+        _, out, _ = _run_capturing(["weight-bound", "--f", "maj", "--n", "8", "--K", "8",
+                                    "--eps", "0"])
+        construct = json.loads(out)["result"]["construct"]
+        assert (construct["degree"], construct["weight"], construct["certified_error"],
+                construct["bound_exponent_float"]) == (8, "693/128", "0/1", None)
+
+    @pytest.mark.parametrize("name", list(_WITNESS_FILES))
+    def test_sample_shares_checks_the_file_it_reads(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        assert _run_capturing(["dual-and", "--n", "4", "--d", "2", "--out", "wit.json"])[0] == 0
+        doc = json.loads((tmp_path / "wit.json").read_text())
+        edit, code = _WITNESS_FILES[name]
+        edit(doc)
+        (tmp_path / "edited.json").write_text(json.dumps(doc))
+        draw = ["sample-shares", "--secret", "-1", "--count", "20", "--seed", "3"]
+        got, out, err = _run_capturing([*draw, "--witness", "edited.json"])
+        assert (got, "Traceback" in err) == (code, False), err
+        assert len(err.splitlines()) == (1 if code else 0), err
+        if code == 0:  # the same draws as from the file dual-and wrote
+            expect = _run_capturing([*draw, "--witness", "wit.json"])[1]
+            assert out.replace("edited", "wit") == expect
+

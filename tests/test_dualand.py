@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualshare.boolcube import WeightVector, kwise_indistinguishable
+from dualshare.errors import PropertyViolation
 from dualshare.dualand import (
     BitCountClasses,
     DualAndParams,
@@ -280,6 +281,24 @@ class TestVerifyWitness:
         values = witness_values(wit)
         assert cube_pairing(values, ParityPoly(4, {0b0011: Fraction(1)})) != 0
         assert cube_pairing(values, ParityPoly(4, {0b0001: Fraction(1)})) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_and_params(), st.data())
+    def test_changing_one_class_value_is_reported(self, p, data):
+        # a changed class j moves the empty set's pairing by the change times
+        # the class size, so mask 0 is reported; a sign flip keeps the L1
+        # norm, and doubling raises it
+        wit = build_witness(p)
+        nums, den = wit.scaled_values
+        j = data.draw(st.sampled_from([j for j, v in enumerate(nums) if v]))
+        for new in (-nums[j], 2 * nums[j]):
+            tampered = DualAndWitness(wit.params, wit.H_size, wit.classes, wit.class_sums)
+            tampered.scaled_values = (nums[:j] + [new] + nums[j + 1:], den)
+            rep = verify_witness(tampered)
+            assert rep.violations[:1] == (0,)
+            assert rep.l1_norm == 1 if new == -nums[j] else rep.l1_norm != 1
+            with pytest.raises(PropertyViolation):
+                rep.require(wit.epsilon)
 
     def test_uniform_sweep_exact(self):
         for n in range(2, 9):

@@ -285,6 +285,31 @@ class TestCircleIdentity:
         assert worst > 1e-8
 
 
+    @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction("1e-9"), Fraction("1e-20")])
+    def test_routes_agree_exactly_at_rational_points_of_the_circle(self, eps):
+        test = exact_weight_test(256, 4, 1)
+        params = AmplificationParams.with_grid(eps)
+        for t in (Fraction(0), Fraction(1, 3), Fraction(7, 5), Fraction(-2, 9)):
+            assert symcheb._circle_routes_agree(test, params, t)
+
+    @pytest.mark.parametrize("eps", ["1e-7", "1e-8", "1e-9", "1e-12", "1e-20", "1/10000"])
+    def test_small_eps_is_decided_exactly_where_doubles_fail(self, eps):
+        # route B rounds to 0.0 at theta = 0 (c = cos/(1+delta) meets the zero
+        # z = 1), or loses the identity to cancellation near it
+        test = exact_weight_test(256, 4, 1)
+        assert circle_identity_check(test, AmplificationParams.with_grid(Fraction(eps))) < 1e-8
+
+    def test_mismatched_routes_fail_exactly(self, monkeypatch):
+        # route A read from another test's generating polynomial
+        test = exact_weight_test(256, 4, 1)
+        other = exact_weight_test(256, 4, 2).generating_poly()
+        params = AmplificationParams.with_grid(Fraction(1, 10))
+        monkeypatch.setattr(test, "generating_poly", lambda: other)
+        assert not symcheb._circle_routes_agree(test, params, Fraction(1, 3))
+        with pytest.raises(PropertyViolation, match="circle identity fails exactly"):
+            circle_identity_check(test, params)
+
+
 class TestShiftedProductCap:
     def test_delta_zero_equality(self):
         test = exact_weight_test(256, 4, 2)

@@ -28,6 +28,7 @@ from oracles import (
     cube_error,
     cube_pairing,
     expand_approximant,
+    kravchuk_weight_floor,
 )
 
 
@@ -335,8 +336,31 @@ class TestWeightLowerBound:
             assert weight_lower_bound(cert, K, eps) == expect
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.lists(st.integers(0, 1), min_size=n + 1, max_size=n + 1)),
+        st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5)]),
+    )
+    def test_floor_matches_the_kravchuk_row_oracle(self, predicate, eps):
+        _, cert = approx_degree(predicate, eps)
+        if cert is None:
+            return
+        for K in range(-1, len(predicate) + 1):
+            assert weight_lower_bound(cert, K, eps) == kravchuk_weight_floor(cert, K, eps)
+
+
 class TestReports:
     def test_bound_exponent_positive(self):
         spec = SymmetricSpec(8, tuple(1 if h == 8 else 0 for h in range(9)))
         rep, _ = low_weight_report(spec, 4, Fraction(1, 3))
         assert rep.bound_exponent > 0
+
+    def test_zero_eps_reports_no_trend(self):
+        # log(supp / eps) has no value at eps = 0; only an exact fit meets it
+        spec = SymmetricSpec(8, tuple(1 if 2 * h > 8 else 0 for h in range(9)))
+        rep, _ = low_weight_report(spec, 8, 0)
+        assert (rep.degree, rep.weight, rep.error, rep.bound_exponent) == (
+            8, Fraction(693, 128), 0, None)
+        with pytest.raises(InfeasibleBudget):
+            low_weight_report(spec, 2, 0)
