@@ -16,9 +16,10 @@ classes of per-group ONE-bit counts; Hamming weights are the one-group case.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, islice
 from math import comb, lcm, prod
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 CUBE_CAP = 22  # largest n for which any routine enumerates all 2^n cube points
 
@@ -93,9 +94,9 @@ def dual_pairings(
     """
     scale = lcm(*(p.denominator for p in psi))
     scaled = [p.numerator * (scale // p.denominator) for p in psi]
-    # one group builds the Kravchuk rows only up to the largest tested class
+    # each axis reads its rows once, so they stream; one group stops at the largest tested class
     top = max(tested, default=-1) if len(sizes) == 1 else max(sizes)
-    totals = _class_transform(scaled, sizes, lambda g: _kravchuk_rows(g, top)[:min(g, top) + 1])
+    totals = _class_transform(scaled, sizes, lambda g: islice(_kravchuk_stream(g), min(g, top) + 1))
     size = class_sizes(sizes) if any(totals[s] for s in tested) else ()
     return ({s: Fraction(totals[s], size[s] * scale) for s in tested if totals[s]},
             Fraction(sum(map(abs, scaled)), scale))
@@ -219,24 +220,26 @@ def kwise_indistinguishable(
     return not dual_pairings(psi, (d1.n,), range(k + 1))[0]
 
 
-_KRAVCHUK_ROWS: dict[int, list[list[int]]] = {}
+_KRAVCHUK_ROWS: dict[int, tuple[list[list[int]], Iterator[list[int]]]] = {}
+
+
+def _kravchuk_stream(n: int) -> Iterator[list[int]]:
+    """The rows K_0(.; n), K_1(.; n), ... with rows[r][h] = K_r(h; n), by the
+    three-term recurrence (r+1) K_{r+1}(h) = (n - 2h) K_r(h) - (n - r + 1) K_{r-1}(h)."""
+    prev, row = [1] * (n + 1), [n - 2 * x for x in range(n + 1)]
+    yield prev
+    for r in count(1):
+        yield row
+        prev, row = row, [((n - 2 * x) * a - (n - r + 1) * b) // (r + 1)
+                          for x, (a, b) in enumerate(zip(row, prev))]
 
 
 def _kravchuk_rows(n: int, r: int) -> list[list[int]]:
-    """Rows 0..r (at least) of the table rows[r][h] = K_r(h; n).
-
-    One integer table per n, grown a row at a time by the three-term
-    recurrence (r+1) K_{r+1}(h) = (n - 2h) K_r(h) - (n - r + 1) K_{r-1}(h).
-    """
-    rows = _KRAVCHUK_ROWS.get(n)
-    if rows is None:
-        rows = _KRAVCHUK_ROWS[n] = [[1] * (n + 1), [n - 2 * x for x in range(n + 1)]]
+    """Rows 0..r (at least) of ``_kravchuk_stream(n)``: one table per n, kept
+    and grown as callers ask for more rows."""
+    rows, stream = _KRAVCHUK_ROWS.get(n) or _KRAVCHUK_ROWS.setdefault(n, ([], _kravchuk_stream(n)))
     while len(rows) <= r:
-        r0 = len(rows) - 1
-        rows.append([
-            ((n - 2 * x) * a - (n - r0 + 1) * b) // (r0 + 1)
-            for x, (a, b) in enumerate(zip(rows[r0], rows[r0 - 1]))
-        ])
+        rows.append(next(stream))
     return rows
 
 

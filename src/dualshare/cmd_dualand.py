@@ -4,11 +4,8 @@ dispatches one of the two commands."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
 from . import boolcube, dualand, serialize
-from .errors import InvalidInput, PropertyViolation
+from .errors import InvalidInput
 
 
 def dual_and_cmd(n, weights, d_str, out, fmt):
@@ -22,7 +19,7 @@ def dual_and_cmd(n, weights, d_str, out, fmt):
     params = dualand.DualAndParams(n, w, d)
     wit = dualand.build_witness(params)
     report = dualand.verify_witness(wit)
-    # wit.epsilon = |H| / 2^n = phi(0) = report.correlation, as |H| = class_sums[0]
+    # wit.epsilon = |H| / 2^n = phi(0) = report.correlation, as |H| is class 0's sum
     report.require(dualand.epsilon_of(params))
     config = {"n": n, "weights": [serialize.rat_to_str(x) for x in w.entries],
               "d": serialize.rat_to_str(d)}
@@ -40,56 +37,12 @@ def dual_and_cmd(n, weights, d_str, out, fmt):
 
 
 def sample_shares_cmd(witness_path, secret, count, seed, out, fmt):
-    doc = serialize.load_json(witness_path)
-    try:
-        cfg = doc["config"]
-        n, weights, d = cfg["n"], cfg["weights"], serialize._parse_rational(cfg["d"])
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"witness file lacks a usable config: {exc!r}") from exc
-    if type(n) is not int:  # bool is an int subclass, and 2.7 must not become 2
-        raise InvalidInput(f"witness config n must be an integer, got {n!r}")
-    if type(weights) is not list:
-        raise InvalidInput(f"witness config weights must be a list, got {weights!r}")
-    w = boolcube.WeightVector.of([serialize._parse_rational(x) for x in weights])
-    wit = dualand.build_witness(dualand.DualAndParams(n, w, d))
-    _check_result(doc, wit)
+    wit = serialize.witness_from_json(serialize.load_json(witness_path))
     sampler = dualand.ShareSampler(wit, 1 if secret == "+1" else -1, seed)
     rows = []
     for _ in range(count):
         bits = sampler.sample()
         rows.append([1 - 2 * b for b in bits])  # emit +-1 share values
-    header = [f"bit_{i + 1}" for i in range(n)]
+    header = [f"bit_{i + 1}" for i in range(wit.params.n)]
     config = {"witness": witness_path, "secret": secret, "count": count, "seed": seed}
     serialize._emit("sample-shares", config, {"shares": rows}, out, fmt, (header, rows))
-
-
-def _check_result(doc, wit: dualand.DualAndWitness) -> None:
-    """Check a ``dual-and`` file's result against ``wit``, the witness its
-    config names: exit 2 if the result is missing or malformed, and 3 if its
-    epsilon, H_size or any value differs from the construction, or the
-    construction fails its check.  Values are compared per class on the
-    integer numerators, and exactly wherever the file spells one otherwise."""
-    n = wit.params.n
-    try:
-        result = doc["result"]
-        eps, h_size, witness = result["epsilon"], result["H_size"], result["witness"]
-        wn, texts = witness["n"], witness["values"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"witness file lacks a usable result: {exc!r}") from exc
-    if type(wn) is not int or wn != n or type(texts) is not list or len(texts) != 1 << n:
-        raise InvalidInput(f"witness file result needs {1 << n} witness values for n={n}")
-    if type(h_size) is not int:
-        raise InvalidInput(f"witness file H_size must be an integer, got {h_size!r}")
-    if serialize._parse_rational(eps) != wit.epsilon or h_size != wit.H_size:
-        raise PropertyViolation(
-            f"witness file claims epsilon={eps}, H_size={h_size}; its config gives "
-            f"epsilon={serialize.rat_to_str(wit.epsilon)}, H_size={wit.H_size}")
-    nums, den = wit.scaled_values
-    want = wit.classes.expand([f"{v // g}/{den // g}" for v in nums for g in (gcd(v, den),)])
-    if tuple(texts) != want:
-        for x, (got, value) in enumerate(zip(texts, want)):
-            if got != value and serialize._parse_rational(got) != Fraction(value):
-                raise PropertyViolation(
-                    f"witness value {got} at mask {x} differs from {value}, "
-                    "the value its config gives")
-    dualand.verify_witness(wit).require(wit.epsilon)

@@ -16,9 +16,9 @@ per-class results back onto the 2^n points: the emitted witness, the masks
 of violating subsets and the sampler's CDF.
 
 Both run on integers: class weights are tabulated as scale * w(j), scale
-clearing the denominators of the weights and d, and the witness values are
-numerators over 2^n |H|.  The share sampler reads only the per-class
-character sums; the witness values, one ``Fraction`` per class, are built
+clearing the denominators of the weights and d, and a witness holds one
+integer numerator over 2^n |H| per class.  The share sampler draws from
+these, built here or read from a file; one ``Fraction`` per class is built
 only to be emitted.
 
 Sign orientation: the construction carries a global (-1)^n; we negate the
@@ -132,18 +132,21 @@ class BitCountClasses:
 
 
 class DualAndWitness:
-    """|H| and the per-class character sums; the per-class witness values
-    are built on first use."""
+    """|H| and the witness value of each class, as an integer numerator over
+    2^n |H|."""
 
-    # "__dict__" holds the cached properties
-    __slots__ = ("params", "H_size", "classes", "class_sums", "__dict__")
+    __slots__ = ("params", "H_size", "classes", "numerators")
 
     def __init__(self, params: DualAndParams, H_size: int, classes: BitCountClasses,
-                 class_sums: tuple[int, ...]):
+                 numerators: Sequence[int]):
         self.params = params
         self.H_size = H_size
         self.classes = classes
-        self.class_sums = class_sums  # sum_{S in H} chi_S(x) for every x of each class
+        self.numerators = numerators  # phi(j) * 2^n |H| for every class j
+
+    @property
+    def denominator(self) -> int:
+        return (1 << self.params.n) * self.H_size
 
     @property
     def epsilon(self) -> Fraction:
@@ -153,17 +156,10 @@ class DualAndWitness:
     def Z(self) -> Fraction:
         return Fraction(1 << self.params.n, self.H_size)
 
-    @cached_property
-    def scaled_values(self) -> tuple[list[int], int]:
-        """phi(j) = (-1)^{|j|} class_sums[j]^2 / (2^n |H|) per class j, as
-        (numerators, 2^n |H|)."""
-        return ([-m * m if k & 1 else m * m for m, k in zip(self.class_sums, self.classes.ones)],
-                (1 << self.params.n) * self.H_size)
-
-    @cached_property
+    @property
     def class_values(self) -> list[Fraction]:
-        nums, den = self.scaled_values
-        return [Fraction(v, den) for v in nums]
+        den = self.denominator
+        return [Fraction(v, den) for v in self.numerators]
 
 
 class WitnessReport:
@@ -196,7 +192,7 @@ def build_witness(params: DualAndParams) -> DualAndWitness:
     H is a union of classes: S is in H iff w(S) <= (|w|_1 - d)/2, tested on
     W = scale * w as 2 W(s) <= W([n]) - scale * d.  The character sums are
     the transform of H's class indicator; every chi_S is 1 at class 0, so
-    that sum is |H|.
+    that sum is |H|.  phi(j) = (-1)^{|j|} sum_j^2 / (2^n |H|).
     """
     classes = BitCountClasses.of(params.w, params.d)
     slack = classes.weights[-1] - classes.scaled_d  # the last class is [n] itself
@@ -204,10 +200,10 @@ def build_witness(params: DualAndParams) -> DualAndWitness:
         raise ValueError("d exceeds |w|_1: H is empty")
     top = slack // 2  # 2 W(s) <= slack iff W(s) <= floor(slack / 2)
     indicator = [1 if t <= top else 0 for t in classes.weights]
-    class_sums = tuple(boolcube.walsh_hadamard(indicator, classes.sizes))
+    sums = boolcube.walsh_hadamard(indicator, classes.sizes)
     # slack >= 0 puts the empty set in H, so H_size >= 1 here
-    return DualAndWitness(params=params, H_size=class_sums[0], classes=classes,
-                          class_sums=class_sums)
+    return DualAndWitness(params, sums[0], classes,
+                          [-m * m if k & 1 else m * m for m, k in zip(sums, classes.ones)])
 
 
 def verify_witness(wit: DualAndWitness) -> WitnessReport:
@@ -218,7 +214,7 @@ def verify_witness(wit: DualAndWitness) -> WitnessReport:
     correlation <phi, AND> is phi(0).
     """
     classes = wit.classes
-    nums, den = wit.scaled_values
+    nums, den = wit.numerators, wit.denominator
     tested = [s for s, t in enumerate(classes.weights) if t < classes.scaled_d]
     low, l1 = boolcube.dual_pairings(list(map(mul, nums, classes.mult)), classes.sizes, tested)
     violations = tuple(x for x, s in enumerate(classes.class_of) if s in low) if low else ()
@@ -274,11 +270,11 @@ def weighted_anticoncentration_check(w: boolcube.WeightVector) -> tuple[Fraction
 class ShareSampler:
     """Exact inverse-CDF sampler for the witness's share distribution.
 
-    Shares are drawn with probability proportional to (E_{S~H}[chi_S(x)])^2
-    conditioned on the parity prod x_i equalling the secret; the convention
-    is secret +1 <-> prod x_i = +1 (even number of ONE bits).  Deterministic
-    given the seed; the CDF table is integer-exact, its masses read from the
-    per-class character sums through the mask -> class table.
+    Shares are drawn with probability proportional to |phi(x)| conditioned
+    on the parity prod x_i equalling the secret; the convention is secret
+    +1 <-> prod x_i = +1 (even number of ONE bits, where phi > 0).
+    Deterministic given the seed; the CDF table is integer-exact, its masses
+    read from the per-class numerators through the mask -> class table.
     """
 
     def __init__(self, wit: DualAndWitness, secret: int, seed: int):
@@ -288,14 +284,14 @@ class ShareSampler:
         parity = 1 if secret == -1 else 0
         self._n = n
         self._points = [x for x in range(1 << n) if x.bit_count() & 1 == parity]
-        squares = [m * m for m in wit.class_sums]
+        masses = list(map(abs, wit.numerators))
         class_of = wit.classes.class_of
         self._cum = list(accumulate(
-            map(squares.__getitem__, map(class_of.__getitem__, self._points))
+            map(masses.__getitem__, map(class_of.__getitem__, self._points))
         ))
         self._total = self._cum[-1]
         if self._total <= 0:
-            raise PropertyViolation("conditional support is empty although |H| >= 1")
+            raise PropertyViolation("the witness has no mass on the secret's parity")
         self._rng = random.Random(seed)
 
     def sample_mask(self) -> int:

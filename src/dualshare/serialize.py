@@ -18,8 +18,8 @@ import os
 from fractions import Fraction
 from typing import Any, Sequence
 
-from . import __version__, boolcube, ratpoly
-from .errors import InvalidInput
+from . import __version__, boolcube, dualand, ratpoly
+from .errors import InvalidInput, PropertyViolation
 
 
 def rat_to_str(x) -> str:
@@ -57,6 +57,48 @@ def witness_to_json(n: int, d, texts: Sequence[str]) -> dict:
     values repeat and who converts each distinct one once."""
     return {"n": n, "representation": "cube", "values": list(texts),
             "claimed_degree": rat_to_str(d)}
+
+
+def witness_from_json(doc) -> dualand.DualAndWitness:
+    """The class form of a ``dual-and`` file's witness, checked as a
+    certificate; ``config``'s n, weights and d give only the classes and the
+    tested set.  A malformed file exits 2.  It exits 3 unless H_size =
+    epsilon * 2^n >= 1 and the values are integers over 2^n H_size, constant
+    per class, pass ``verify_witness(...).require(epsilon)`` and have the
+    sign of chi_[n] or are 0, as the sampler's secret-to-parity rule needs."""
+    try:
+        config, result = doc["config"], doc["result"]
+        n, weights, d = config["n"], config["weights"], _parse_rational(config["d"])
+        eps, h_size = _parse_rational(result["epsilon"]), result["H_size"]
+        wn, texts = result["witness"]["n"], result["witness"]["values"]
+        distinct = set(texts)
+    except (KeyError, TypeError) as exc:
+        raise InvalidInput(f"malformed witness file: {exc!r}") from exc
+    # bool is an int subclass, and 2.7 must not become 2
+    if type(n) is not int or type(weights) is not list or type(h_size) is not int:
+        raise InvalidInput(f"witness file needs integers n and H_size and a weight list, "
+                           f"got n={n!r}, weights={weights!r}, H_size={h_size!r}")
+    params = dualand.DualAndParams(
+        n, boolcube.WeightVector.of([_parse_rational(x) for x in weights]), d)
+    if type(wn) is not int or wn != n or type(texts) is not list or len(texts) != 1 << n:
+        raise InvalidInput(f"witness file result needs {1 << n} witness values for n={n}")
+    if h_size < 1 or h_size != eps * (1 << n):
+        raise PropertyViolation(f"witness file claims H_size={h_size}, epsilon={eps}; "
+                                "need H_size = epsilon * 2^n >= 1")
+    scaled = {text: _parse_rational(text) * (h_size << n) for text in distinct}
+    if any(v.denominator != 1 for v in scaled.values()):
+        raise PropertyViolation(f"a witness value is not a multiple of 1/{h_size << n}")
+    points = tuple(map({t: v.numerator for t, v in scaled.items()}.__getitem__, texts))
+    classes = dualand.BitCountClasses.of(params.w, d)
+    per_class = dict(zip(classes.class_of, points))
+    nums = list(map(per_class.__getitem__, range(len(per_class))))
+    if classes.expand(nums) != points:
+        raise PropertyViolation("witness values are not constant on config's classes")
+    wit = dualand.DualAndWitness(params, h_size, classes, nums)
+    dualand.verify_witness(wit).require(eps)
+    if any(v > 0 if k & 1 else v < 0 for v, k in zip(nums, classes.ones)):
+        raise PropertyViolation("witness values do not have the sign of chi_[n]")
+    return wit
 
 
 def _atomic_write(path: str, write_fn) -> None:

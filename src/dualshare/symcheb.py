@@ -24,6 +24,7 @@ import warnings
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
+from typing import Iterator
 
 from . import certify, ratpoly
 from .errors import InvalidInput, PropertyViolation
@@ -311,14 +312,21 @@ def _circle_routes_agree(test: SymmetrizedTest, params: AmplificationParams, t: 
     return lhs == rhs
 
 
-def _exp_lower(x: Fraction) -> Fraction:
-    """The exponential series to x^12/12!; a rational lower bound on e^x for x >= 0."""
-    acc = Fraction(1)
-    term = Fraction(1)
-    for i in range(1, 13):
+_EXP_TERMS = 200  # series terms after which shifted_product_check calls the cap undecided
+
+
+def _exp_brackets(x: Fraction) -> Iterator[tuple[Fraction, Fraction | None]]:
+    """Rational brackets (low, high) of e^x for x >= 0, one per series term
+    from the 12th to the _EXP_TERMS-th, each at least as tight as the last.
+    low is the series to x^i/i!; high adds the tail bound
+    x^{i+1}/(i+1)! * (i+2)/(i+2-x), and is None while i + 2 <= x, where that
+    bound does not hold."""
+    low = term = Fraction(1)
+    for i in range(1, _EXP_TERMS + 1):
         term = term * x / i
-        acc += term
-    return acc
+        low += term
+        if i >= 12:
+            yield low, low + term * x / (i + 1) * (i + 2) / (i + 2 - x) if i + 2 > x else None
 
 
 def shifted_product_check(test: SymmetrizedTest, delta, grid) -> bool:
@@ -329,24 +337,23 @@ def shifted_product_check(test: SymmetrizedTest, delta, grid) -> bool:
     only grows under s -> |s| for these zero sets), since the raw p_w(s)^2
     version fails near negative zeros where the delta (1 - z^2) floor keeps
     the product positive while p_w vanishes.  Left-hand sides are exact
-    rationals; the exponential is handled by a rational lower bound first and
-    a float comparison as a fallback, so the delta = 0 equality case stays
-    exact.  A negative delta is invalid input.
+    rationals, and so is the largest ratio lhs / cap over the grid; rational
+    brackets of the exponential are refined until they decide that one ratio,
+    and if _EXP_TERMS series terms leave it undecided, PropertyViolation is
+    raised.  A negative delta is invalid input.
     """
     if 2 * test.w > test.K:
         raise ValueError("claim applies for w <= K/2")
     delta = Fraction(delta)
     if delta < 0:
-        # the truncated series below bounds e^x from below only for x >= 0
+        # the series brackets bound e^x only for x >= 0
         raise InvalidInput(f"the shift delta must be nonnegative, got {delta}")
     if test.n < 64 * test.K:
         warnings.warn("n < 64K: outside the guaranteed range", stacklevel=2)
     K, w = test.K, test.w
     cut = 1 - Fraction(w, 16 * K) if w else Fraction(1)
     cw2 = test.scale * test.scale
-    exponent = 65 * delta * K
-    exp_low = _exp_lower(exponent)
-    exp_float = math.exp(float(exponent))
+    worst = Fraction(0)  # the largest lhs / cap over the points where cap > 0
     for s in grid:
         s = Fraction(s)
         if abs(s) > 1:
@@ -355,12 +362,17 @@ def shifted_product_check(test: SymmetrizedTest, delta, grid) -> bool:
         for z in test.zeros:
             lhs *= shifted_square(s, z, delta)
         cap = test.poly(abs(s)) ** 2 if abs(s) <= cut else Fraction(1)
-        if lhs <= exp_low * cap:
-            continue
-        if float(lhs) <= exp_float * float(cap) * (1.0 + 1e-12):
-            continue
-        return False
-    return True
+        if cap:
+            worst = max(worst, lhs / cap)
+        elif lhs > 0:  # no factor e^x makes 0 cover it
+            return False
+    for low, high in _exp_brackets(65 * delta * K):
+        if worst <= low:
+            return True
+        if high is not None and worst > high:
+            return False
+    raise PropertyViolation(f"shifted-product cap undecided after {_EXP_TERMS} terms "
+                            "of the exponential series")
 
 
 def indistinguishability_bound(k: int, K: int) -> float:

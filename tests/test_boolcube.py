@@ -386,15 +386,35 @@ class TestDualPairings:
             cube, _ = class_pairings_on_cube(psi, (n,))
             assert pairings == {r: v for r, v in cube.items() if r <= k}
 
-    def test_one_group_builds_the_rows_up_to_the_tested_size_only(self):
+    def test_one_group_builds_the_rows_up_to_the_tested_size_only(self, monkeypatch):
         n = 997  # a grid size no other test builds rows for
         boolcube._KRAVCHUK_ROWS.pop(n, None)
+        built = []
+        stream = boolcube._kravchuk_stream
+
+        def counted(g):
+            for row in stream(g):
+                built.append(g)
+                yield row
+
+        monkeypatch.setattr(boolcube, "_kravchuk_stream", counted)
         psi = [Fraction(0)] * (n + 1)
         psi[0], psi[n] = Fraction(1, 2), Fraction(-1, 2)
         pairings, l1 = dual_pairings(psi, (n,), range(4))
         # chi_S at weight n is (-1)^|S|: only odd sizes pair
         assert pairings == {1: Fraction(1), 3: Fraction(1)} and l1 == 1
-        assert len(boolcube._KRAVCHUK_ROWS.pop(n)) <= 5
+        assert built == [n] * 4 and n not in boolcube._KRAVCHUK_ROWS
+
+    def test_one_group_at_n_1000_leaves_no_table(self):
+        # half the rows of n = 1000 would hold about 50 MB if kept
+        n, k = 1000, 500
+        boolcube._KRAVCHUK_ROWS.pop(n, None)
+        mu = [Fraction(comb(n, h), 1 << n) for h in range(n + 1)]
+        nu = list(mu)  # one point's mass moved from weight 1 to weight 0
+        nu[0], nu[1] = nu[0] + Fraction(1, 1 << n), nu[1] - Fraction(1, 1 << n)
+        d1, d2 = SymmetricDistribution.of(n, mu), SymmetricDistribution.of(n, nu)
+        assert not kwise_indistinguishable(d1, d2, k)
+        assert n not in boolcube._KRAVCHUK_ROWS
 
     def test_class_sizes_count_points(self):
         assert class_sizes((2, 1)) == [1, 2, 1, 1, 2, 1]

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import dualshare.dualand as dualand
 import dualshare.simplex as simplex
 from dualshare.cli import cli, main
 from dualshare.dualand import DualAndWitness
@@ -247,6 +248,27 @@ class TestOutputBytesPinned:
                                       "--secret", "+1", "--count", "50", "--format", fmt])
             assert res.exit_code == 0, res.output
         # the patch is live: dual-and, which emits the values, now fails
+        assert runner.invoke(cli, ["dual-and", "--n", "3", "--d", "1"]).exit_code == 1
+
+    def test_sample_shares_rebuilds_no_witness(self, runner, tmp_path, monkeypatch):
+        # the draws come from the file's values: with the construction and the
+        # exact epsilon unavailable, the pinned draws are unchanged
+        monkeypatch.chdir(tmp_path)
+        res = runner.invoke(cli, ["dual-and", "--n", "12", "--weights", _WEIGHTS_12,
+                                  "--d", "7/2", "--out", "wit12.json"])
+        assert res.exit_code == 0, res.output
+
+        def unavailable(*args):
+            raise AssertionError("sample-shares rebuilt the witness")
+
+        monkeypatch.setattr(dualand, "build_witness", unavailable)
+        monkeypatch.setattr(dualand, "epsilon_of", unavailable)
+        res = runner.invoke(cli, ["sample-shares", "--witness", "wit12.json", "--secret", "-1",
+                                  "--count", "200", "--seed", "12345"])
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == (
+            "8d664a99616af3dad1d10d3c9090a076737fccda91baa64bf1320633f33eeafd")
+        # the patch is live: dual-and, which builds the witness, now fails
         assert runner.invoke(cli, ["dual-and", "--n", "3", "--d", "1"]).exit_code == 1
 
 
@@ -810,6 +832,15 @@ def _respelled(doc):
         for v in doc["result"]["witness"]["values"]]
 
 
+def _off_parity(doc):
+    # per Hamming-weight class of n = 4, numerators [25, -10, 1, 2, 1] over
+    # 2^4 |H| = 80: pure below degree 2 (sum C(4,j) v_j = 0, and the same with
+    # 4 - 2j), unit L1 norm, phi(0) = epsilon = 5/16, but positive on the odd
+    # class j = 3, so a share of secret -1 could be drawn where phi > 0
+    by_weight = ["5/16", "-1/8", "1/80", "1/40", "1/80"]
+    doc["result"]["witness"]["values"] = [by_weight[x.bit_count()] for x in range(16)]
+
+
 def _set(*path_and_value):
     *path, value = path_and_value
 
@@ -821,7 +852,8 @@ def _set(*path_and_value):
     return edit
 
 
-# (edit of a valid dual-and --n 4 --d 2 file, exit code of sample-shares on it)
+# (edit of a valid dual-and --n 4 --d 2 file, exit code of sample-shares on it),
+# or (edit, exit code, d) for a file that dual-and wrote with another d
 _WITNESS_FILES = {
     "valid": (lambda doc: None, 0),
     "respelled": (_respelled, 0),
@@ -837,6 +869,18 @@ _WITNESS_FILES = {
     "epsilon-malformed": (_set("result", "epsilon", "1/0"), 2),
     "H_size-wrong": (_set("result", "H_size", lambda h: h + 1), 3),
     "H_size-a-string": (_set("result", "H_size", lambda h: str(h)), 2),
+    # a d = 3 witness is pure below 3, so it certifies the weaker claim d = 2
+    "d-3-claimed-as-2": (_set("config", "d", "2"), 0, "3"),
+    "d-2-claimed-as-3": (_set("config", "d", "3"), 3),
+    "H_size-zero": (_set("result", "H_size", 0), 3),
+    "H_size-negative": (_set("result", "H_size", -1), 3),
+    "H_size-and-epsilon-zero": (lambda doc: [_set("result", key, value)(doc) for key, value
+                                             in (("H_size", 0), ("epsilon", "0/1"))], 3),
+    "signs-off-parity": (_off_parity, 3),
+    # 1/40 = 2/80 scales to an integer, but mask 5's class holds 1/80
+    "one-value-off-its-class": (_set("result", "witness", "values", 5, "1/40"), 3),
+    # mask 15 alone holds 9/80; 9/560 scales to 9/7, whose numerator is 9
+    "value-off-the-lattice": (_set("result", "witness", "values", 15, "9/560"), 3),
 }
 
 
@@ -865,9 +909,10 @@ class TestExitContract:
     @pytest.mark.parametrize("name", list(_WITNESS_FILES))
     def test_sample_shares_checks_the_file_it_reads(self, tmp_path, monkeypatch, name):
         monkeypatch.chdir(tmp_path)
-        assert _run_capturing(["dual-and", "--n", "4", "--d", "2", "--out", "wit.json"])[0] == 0
+        edit, code, *d = _WITNESS_FILES[name]
+        assert _run_capturing(["dual-and", "--n", "4", "--d", *(d or ["2"]),
+                               "--out", "wit.json"])[0] == 0
         doc = json.loads((tmp_path / "wit.json").read_text())
-        edit, code = _WITNESS_FILES[name]
         edit(doc)
         (tmp_path / "edited.json").write_text(json.dumps(doc))
         draw = ["sample-shares", "--secret", "-1", "--count", "20", "--seed", "3"]
@@ -877,4 +922,3 @@ class TestExitContract:
         if code == 0:  # the same draws as from the file dual-and wrote
             expect = _run_capturing([*draw, "--witness", "wit.json"])[1]
             assert out.replace("edited", "wit") == expect
-

@@ -131,7 +131,10 @@ class TestIntegerPathAgainstFractionOracles:
         wit = build_witness(p)
         h_size, char_sums, values = build_and_witness_fraction(p)
         assert wit.H_size == h_size
-        assert wit.classes.expand(wit.class_sums) == char_sums
+        # the numerators over 2^n |H| are chi_[n] times the squared character sums
+        assert wit.classes.expand(wit.numerators) == tuple(
+            -m * m if x.bit_count() & 1 else m * m for x, m in enumerate(char_sums))
+        assert wit.denominator == (1 << p.n) * h_size
         assert witness_values(wit) == values
         assert wit.epsilon == Fraction(h_size, 1 << p.n)
         assert wit.Z == Fraction(1 << p.n, h_size)
@@ -141,16 +144,16 @@ class TestIntegerPathAgainstFractionOracles:
     def test_verify_report_matches_fraction_oracle(self, p, data):
         wit = build_witness(p)
         # a second threshold on a subset-weight boundary, and a witness with
-        # one class sum moved, so that violations are reported too
+        # one class numerator moved, so that violations are reported too
         d2 = _subset_weight(p.w.entries, data.draw(st.integers(0, (1 << p.n) - 1)))
-        sums = list(wit.class_sums)
-        sums[data.draw(st.integers(0, len(sums) - 1))] += data.draw(
+        nums = list(wit.numerators)
+        nums[data.draw(st.integers(0, len(nums) - 1))] += data.draw(
             st.integers(-3, 3).filter(lambda t: t != 0))
-        moved = DualAndWitness(wit.params, wit.H_size, wit.classes, tuple(sums))
+        moved = DualAndWitness(wit.params, wit.H_size, wit.classes, nums)
         for phi in (wit, moved):
             for d in {p.d, d2} - {0}:
                 at_d = DualAndWitness(DualAndParams(p.n, p.w, d), phi.H_size,
-                                      BitCountClasses.of(p.w, d), phi.class_sums)
+                                      BitCountClasses.of(p.w, d), phi.numerators)
                 assert verify_witness(at_d) == verify_and_witness_fraction(
                     witness_values(at_d), d, p.w)
         assert verify_witness(wit).pure_high_degree
@@ -250,7 +253,7 @@ class TestVerifyWitness:
 
     def test_zero_function_fails_normalisation(self):
         wit = build_witness(uniform_and_params(2, 1))
-        zero = DualAndWitness(wit.params, wit.H_size, wit.classes, (0,) * len(wit.class_sums))
+        zero = DualAndWitness(wit.params, wit.H_size, wit.classes, [0] * len(wit.numerators))
         rep = verify_witness(zero)
         assert rep.l1_norm == 0
 
@@ -289,11 +292,11 @@ class TestVerifyWitness:
         # the class size, so mask 0 is reported; a sign flip keeps the L1
         # norm, and doubling raises it
         wit = build_witness(p)
-        nums, den = wit.scaled_values
+        nums = wit.numerators
         j = data.draw(st.sampled_from([j for j, v in enumerate(nums) if v]))
         for new in (-nums[j], 2 * nums[j]):
-            tampered = DualAndWitness(wit.params, wit.H_size, wit.classes, wit.class_sums)
-            tampered.scaled_values = (nums[:j] + [new] + nums[j + 1:], den)
+            tampered = DualAndWitness(wit.params, wit.H_size, wit.classes,
+                                      nums[:j] + [new] + nums[j + 1:])
             rep = verify_witness(tampered)
             assert rep.violations[:1] == (0,)
             assert rep.l1_norm == 1 if new == -nums[j] else rep.l1_norm != 1

@@ -115,6 +115,16 @@ def test_ramp_lp_commands_run_their_handler_and_computation_modules(tmp_path):
         assert executed == base | {f"dualshare.{m}" for m in expected[name]}, (name, executed)
 
 
+def test_sample_shares_runs_its_reader_sampler_and_checker(tmp_path):
+    """The witness is read and checked from the file alone: nothing beyond the
+    handler, the reader (``serialize``), the sampler and the checker."""
+    _run(tmp_path, "dual-and", "--n", "4", "--weights", "1,1,2,2", "--d", "3", "--out", "wit.json")
+    executed = _run(tmp_path, "sample-shares", "--witness", "wit.json", "--secret", "-1")
+    expected = {"cmd_dualand", "serialize", "dualand", "boolcube"}
+    base = {"dualshare", "dualshare.cli", "dualshare.errors"}
+    assert executed == base | {f"dualshare.{m}" for m in expected}, executed
+
+
 @pytest.mark.parametrize("args, handler", [
     (["dual-and", "--n", "4", "--d", "2"], "cmd_dualand"),
     (["sample-shares", "--witness", "wit.json", "--secret", "+1"], "cmd_dualand"),

@@ -357,6 +357,64 @@ class TestShiftedProductCap:
         with pytest.raises(ValueError):
             shifted_product_check(exact_weight_test(256, 4, 3), Fraction(1, 100), [Fraction(0)])
 
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(13, 25), Fraction(13, 5), Fraction(52),
+                                   Fraction(104)])
+    def test_exp_brackets_enclose_exp_and_tighten(self, x):
+        # every bracket holds e^x (up to the rounding of math.exp), the lows
+        # rise and the highs fall as terms are added, and the last is tight
+        exact = Fraction(math.exp(x))
+        slack = Fraction(1, 10**12)
+        pairs = list(symcheb._exp_brackets(x))
+        assert len(pairs) == symcheb._EXP_TERMS - 11
+        # the tail bound holds, and a high is given, once i + 2 > x
+        assert [high is None for _, high in pairs] == [
+            i + 2 <= x for i in range(12, symcheb._EXP_TERMS + 1)]
+        for (low, high), (low2, high2) in zip(pairs, pairs[1:]):
+            assert low <= low2 if x else low == low2 == 1
+            assert high is None or high2 <= high
+        for low, high in pairs:
+            assert low <= exact * (1 + slack)
+            assert high is None or high >= exact * (1 - slack)
+        low, high = pairs[-1]
+        assert low <= high <= low * (1 + Fraction(1, 10**15))
+        assert (low == high) == (x == 0)
+
+    @staticmethod
+    def _constant_test(scale):
+        # no zeros, so the product side is scale^2 everywhere; at s = 1, beyond
+        # the cut 1 - w/16K, the cap is 1
+        return symcheb.SymmetrizedTest(256, 4, 1, scale, (), RationalPoly.from_coeffs([1]))
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_verdict_within_a_float_ulp_of_the_exponential_is_exact(self, side):
+        # scale^2 = e^x (1 +- 2e-14): inside the first bracket, and inside the
+        # 1e-12 slack of a float comparison, yet decided by refined brackets
+        delta = Fraction(1, 100)
+        x = 65 * delta * 4
+        scale = Fraction(math.sqrt(math.exp(x))) * (1 + side * Fraction(1, 10**14))
+        low12, high12 = next(symcheb._exp_brackets(x))
+        assert low12 < scale ** 2 < high12
+        assert shifted_product_check(self._constant_test(scale), delta, [Fraction(1)]) is (
+            side == -1)
+
+    def test_zero_cap_under_a_positive_product_fails(self):
+        # inside the cut the cap is p_w(|s|)^2 = 0 here, which no e^x scales up to 1
+        test = symcheb.SymmetrizedTest(256, 4, 1, Fraction(1), (), RationalPoly.from_coeffs([0]))
+        assert not shifted_product_check(test, Fraction(1, 100), [Fraction(1), Fraction(0)])
+        assert shifted_product_check(test, Fraction(1, 100), [Fraction(1)])
+
+    def test_undecided_cap_raises(self, monkeypatch):
+        # x = 65 * 2/5 * 4 = 104: e^104 > 1e45 > 1e30 = scale^2, which the
+        # full series decides; twelve terms give a low below 1e30 and no high
+        delta, scale = Fraction(2, 5), Fraction(10**15)
+        test = self._constant_test(scale)
+        assert shifted_product_check(test, delta, [Fraction(1)])
+        monkeypatch.setattr(symcheb, "_EXP_TERMS", 12)
+        [(low, high)] = symcheb._exp_brackets(Fraction(104))
+        assert low < scale ** 2 and high is None
+        with pytest.raises(PropertyViolation, match="undecided"):
+            shifted_product_check(test, delta, [Fraction(1)])
+
 
 class TestIndistinguishabilityBound:
     def test_formula_instantiation(self):
