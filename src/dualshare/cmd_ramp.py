@@ -67,14 +67,15 @@ def indist_check_cmd(dist1, dist2, k, big_ks, out, fmt):
         dist = boolcube.stat_distance_symmetric(boolcube.project_symmetric(d1, K),
                                                 boolcube.project_symmetric(d2, K))
         bound = symcheb.indistinguishability_bound(k, K)
+        within = symcheb.indistinguishability_bound_holds(dist, k, K)
         rows.append({
             "K": K,
             "projected_distance": serialize.rat_to_str(dist),
             "projected_distance_float": float(dist),
             "bound_float": bound,
-            "within_bound": float(dist) <= bound,
+            "within_bound": within,
         })
-        if float(dist) > bound:
+        if not within:
             raise PropertyViolation(
                 f"projected distance {float(dist)} exceeds the bound {bound} at K={K}"
             )

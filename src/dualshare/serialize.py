@@ -62,15 +62,23 @@ def witness_to_json(n: int, d, texts: Sequence[str]) -> dict:
 def witness_from_json(doc) -> dualand.DualAndWitness:
     """The class form of a ``dual-and`` file's witness, checked as a
     certificate; ``config``'s n, weights and d give only the classes and the
-    tested set.  A malformed file exits 2.  It exits 3 unless H_size =
-    epsilon * 2^n >= 1 and the values are integers over 2^n H_size, constant
-    per class, pass ``verify_witness(...).require(epsilon)`` and have the
-    sign of chi_[n] or are 0, as the sampler's secret-to-parity rule needs."""
+    tested set.  A malformed file, or a representation other than "cube",
+    exits 2.  It exits 3 unless H_size = epsilon * 2^n >= 1 and the values
+    are integers over 2^n H_size, constant per class, pass
+    ``verify_witness(...).require(epsilon)``, are pure below the witness's
+    ``claimed_degree`` too (checked again only where it is not config's d),
+    and have the sign of chi_[n] or are 0, as the sampler's secret-to-parity
+    rule needs; and unless the file's ``l1_norm``, ``correlation``, ``Z``
+    and ``pure_high_degree_strictly_below_d`` are what the check found."""
     try:
         config, result = doc["config"], doc["result"]
         n, weights, d = config["n"], config["weights"], _parse_rational(config["d"])
         eps, h_size = _parse_rational(result["epsilon"]), result["H_size"]
-        wn, texts = result["witness"]["n"], result["witness"]["values"]
+        claims = {key: _parse_rational(result[key]) for key in ("l1_norm", "correlation", "Z")}
+        pure = result["pure_high_degree_strictly_below_d"]
+        witness = result["witness"]
+        wn, texts, representation = witness["n"], witness["values"], witness["representation"]
+        claimed = _parse_rational(witness["claimed_degree"])
         distinct = set(texts)
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed witness file: {exc!r}") from exc
@@ -78,6 +86,9 @@ def witness_from_json(doc) -> dualand.DualAndWitness:
     if type(n) is not int or type(weights) is not list or type(h_size) is not int:
         raise InvalidInput(f"witness file needs integers n and H_size and a weight list, "
                            f"got n={n!r}, weights={weights!r}, H_size={h_size!r}")
+    if type(pure) is not bool or representation != "cube":
+        raise InvalidInput(f"witness file needs a boolean purity flag and the cube "
+                           f"representation, got {pure!r} and {representation!r}")
     params = dualand.DualAndParams(
         n, boolcube.WeightVector.of([_parse_rational(x) for x in weights]), d)
     if type(wn) is not int or wn != n or type(texts) is not list or len(texts) != 1 << n:
@@ -95,9 +106,17 @@ def witness_from_json(doc) -> dualand.DualAndWitness:
     if classes.expand(nums) != points:
         raise PropertyViolation("witness values are not constant on config's classes")
     wit = dualand.DualAndWitness(params, h_size, classes, nums)
-    dualand.verify_witness(wit).require(eps)
+    report = dualand.verify_witness(wit)
+    report.require(eps)
+    if claimed != d and not dualand.verify_witness(dualand.DualAndWitness(
+            params, h_size, dualand.BitCountClasses.of(params.w, claimed), nums)).pure_high_degree:
+        raise PropertyViolation(f"the witness is not pure below its claimed degree {claimed}")
     if any(v > 0 if k & 1 else v < 0 for v, k in zip(nums, classes.ones)):
         raise PropertyViolation("witness values do not have the sign of chi_[n]")
+    found = {"l1_norm": report.l1_norm, "correlation": report.correlation, "Z": wit.Z}
+    if claims != found or pure != report.pure_high_degree:
+        raise PropertyViolation(f"witness file claims {claims} and purity {pure}; "
+                                f"the check found {found} and purity {report.pure_high_degree}")
     return wit
 
 

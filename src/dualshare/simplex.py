@@ -20,8 +20,11 @@ built once, at the end, after the certificate has passed the audit on the
 same integers.
 
 General design matrices (``solve_linf_fit``) go through a textbook two-phase
-primal simplex with Bland's anti-cycling rule on a fraction-free integer
-tableau (integer-preserving pivots, Edmonds 1967 and Bareiss 1968).  The LP
+primal simplex on a fraction-free integer tableau (integer-preserving
+pivots, Edmonds 1967 and Bareiss 1968).  The column of largest reduced cost
+enters (Dantzig, *Linear Programming and Extensions*, 1963), with Bland's
+rule (*Math. Oper. Res.* 2, 1977) taking over after a run of degenerate
+pivots, so the method cannot cycle.  The LP
 is the moment form of the fit: variables are the positive and negative parts
 of a signed measure psi on the rows, constrained to annihilate every design
 column and to have unit total variation, maximising the pairing with the
@@ -70,10 +73,12 @@ def solve_lp(
     denominators), b by sigma_b and c by the lcm of its denominators times
     sigma_j.  The tableau starts as [cols | I | rhs] on those integer
     columns and stays an integer matrix over one denominator det > 0, the
-    basis determinant.  Positive column scales keep every reduced-cost sign,
-    ratio order and tie, and zero test, so the pivots are those of the
+    basis determinant.  Positive column scales keep every ratio order and
+    tie and every zero test, and column j's reduced cost is the rational
+    one times sigma_j and a positive factor common to all columns, so
+    pricing on reduced costs divided by sigma_j takes the pivots of the
     rational tableau.  Rows are never scaled: a row scale would change the
-    phase-1 costs of the artificial columns and so Bland's choice.
+    phase-1 costs of the artificial columns and so the pricing.
     """
     A = [[_exact(v) for v in row] for row in A]
     b = [_exact(v) for v in b]
@@ -93,36 +98,58 @@ def solve_lp(
                for i, (row, r) in enumerate(zip(cols, rhs))]
     det = 1
     basis = list(range(n, n + m))
+    scales = [*sigma, *[1] * m]
+    # the reduced-cost rows det c_j - sum_i c_basis[i] tableau[i][j] of the
+    # phase-1 costs (-1 on the artificials, which start basic) and of the
+    # phase-2 costs; pivots keep them integral like any other row
+    phase1 = [sum(col) for col in zip(*tableau)]
+    phase1[n:rhs_col] = [0] * m
+    phase2 = cost + [0] * (m + 1)
+    objectives = [phase1, phase2]
 
     def pivot(row: int, col: int) -> None:
         """Integer-preserving pivot (Edmonds; Bareiss): every entry stays a
         minor of the scaled input, so each division by det is exact."""
         nonlocal det
         p, w = tableau[row][col], tableau[row]
-        for r, v in enumerate(tableau):
-            if r != row:
-                f = v[col]
-                tableau[r] = [(a * p - f * z) // det for a, z in zip(v, w)]
+        for rows in (tableau, objectives):
+            for r, v in enumerate(rows):
+                if v is not w:
+                    f = v[col]
+                    rows[r] = [(a * p - f * z) // det for a, z in zip(v, w)]
         det = p
         if p < 0:
-            tableau[:] = [[-v for v in r] for r in tableau]
+            for rows in (tableau, objectives):
+                rows[:] = [[-v for v in r] for r in rows]
             det = -p
         basis[row] = col
 
-    def run(cost: list[int], allowed: int) -> None:
-        """Bland's rule: smallest improving column enters, smallest basic leaves.
+    def run(which: int, allowed: int) -> None:
+        """Pivot until the reduced-cost row objectives[which] has no positive
+        entry among the first ``allowed`` columns.
 
-        The reduced cost of column j has the sign of
-        cost[j] det - sum_i cost[basis[i]] tableau[i][j].
-        """
+        Largest rational reduced cost enters (ties to the smallest column),
+        the smallest basic column leaves among ratio ties.  After as many
+        consecutive degenerate pivots as there are rows, Bland's rule (the
+        smallest improving column enters) takes over until a pivot moves the
+        objective, so the method cannot cycle.
+
+        Column j's integer reduced cost is its rational one times det, the
+        cost scale and sigma_j, so dividing by sigma_j ranks the columns as
+        the rational tableau does."""
+        stalled = 0
         while True:
-            cb = [(cost[v], tableau[i]) for i, v in enumerate(basis) if cost[v]]
-            in_basis = set(basis)
+            z = objectives[which]
             enter = -1
             for j in range(allowed):
-                if j not in in_basis and cost[j] * det > sum(cv * row[j] for cv, row in cb):
-                    enter = j
-                    break
+                v = z[j]
+                if v > 0:
+                    if enter < 0:
+                        enter = j
+                        if stalled >= len(tableau):
+                            break
+                    elif v * scales[enter] > z[enter] * scales[j]:
+                        enter = j
             if enter < 0:
                 return
             leave = -1
@@ -139,11 +166,12 @@ def solve_lp(
                         leave = i
             if leave < 0:
                 raise SimplexError("unbounded")
+            stalled = 0 if tableau[leave][rhs_col] else stalled + 1
             pivot(leave, enter)
 
     # phase 1: drive the artificial mass to zero
-    run([0] * n + [-1] * m, rhs_col)
-    if sum(tableau[i][rhs_col] for i in range(len(tableau)) if basis[i] >= n) != 0:
+    run(0, rhs_col)
+    if objectives[0][rhs_col] != 0:
         raise SimplexError("infeasible")
     # pivot basic artificials out; rows that cannot be pivoted are redundant
     for i in range(len(tableau)):
@@ -157,15 +185,14 @@ def solve_lp(
     basis[:] = [basis[i] for i in keep]
 
     # phase 2: original objective; artificials may not re-enter
-    run(cost + [0] * m, n)
+    run(1, n)
 
-    # X / det is the optimum of the integer LP and Y / det its dual
+    # X / det is the optimum of the integer LP and Y / det its dual, read
+    # off the phase-2 row under the artificial columns (whose cost is 0)
     X = [0] * n
     for i, v in enumerate(basis):
         X[v] = tableau[i][rhs_col]
-    Y = [0 if art in dropped else
-         sum(cost[v] * tableau[i][n + art] for i, v in enumerate(basis))
-         for art in range(m)]
+    Y = [0 if art in dropped else -objectives[1][n + art] for art in range(m)]
     _audit(cols, rhs, cost, det, X, Y)
     x = [Fraction(s * v, det * sigma_b) for s, v in zip(sigma, X)]
     value = Fraction(sum(cv * v for cv, v in zip(cost, X) if v), scale * det * sigma_b)
@@ -210,10 +237,9 @@ def solve_linf_fit(rows: Sequence[Sequence[Fraction]], values: Sequence[Fraction
     before returning.  Polynomial
     designs on distinct points are faster through ``solve_minimax``.
 
-    The input is scaled to integers once: row i by sigma_i (the lcm of its
-    denominators), the values by F.  The LP handed to ``solve_lp`` is the
-    moment LP with its column pair (i, m + i) scaled by sigma_i and its
-    objective by F, so its pivots are those of the rational LP.
+    ``solve_lp`` gets the moment LP in rationals, so its pivots are those
+    of the rational LP.  The certificate is audited on integers: row i
+    scaled by sigma_i (the lcm of its denominators), the values by F.
     """
     rows = [[_exact(v) for v in r] for r in rows]
     values = [_exact(v) for v in values]
@@ -221,35 +247,30 @@ def solve_linf_fit(rows: Sequence[Sequence[Fraction]], values: Sequence[Fraction
     ncoef = len(rows[0]) if rows else 0
     if any(len(r) != ncoef for r in rows):
         raise ValueError("ragged design matrix")
-    scaled = [ratpoly._over_lcm(r) for r in rows]
-    design, sigma = [d for d, _ in scaled], [s for _, s in scaled]
-    gs, big_f = ratpoly._over_lcm(values)
-
-    A = [[d[r] for d in design] + [-d[r] for d in design] for r in range(ncoef)]
-    A.append(sigma + sigma)
-    cost = [g * s for g, s in zip(gs, sigma)]
-    x, value, y = solve_lp(A, [0] * ncoef + [1], cost + [-v for v in cost])
-    # the scaled LP's x, value and y over one denominator: x = X / den, ...
+    A = [[r[k] for r in rows] + [-r[k] for r in rows] for k in range(ncoef)]
+    A.append([1] * (2 * m))
+    x, value, y = solve_lp(A, [0] * ncoef + [1], values + [-v for v in values])
+    # x, value and y over one denominator: x = X / den, ...
     nums, den = ratpoly._over_lcm([*x, value, *y])
     X, V, Y = nums[:2 * m], nums[2 * m], nums[2 * m + 1:]
     if Y[ncoef] != V:
         raise PropertyViolation("dual objective row disagrees with the LP value")
 
-    # psi_i = psi[i] / den and coefficient r is Y_r / (F den); over lam, the
-    # lcm of the row scales, row i is lam / sigma_i times design[i] and
-    # residual i is R_i / (F den lam)
-    psi = [s * (X[i] - X[m + i]) for i, s in enumerate(sigma)]
+    # psi_i = psi[i] / den and coefficient r is Y_r / den; over lam, the lcm
+    # of the row scales, row i is lam / sigma_i times design[i] and residual
+    # i is R_i / (F den lam)
+    scaled = [ratpoly._over_lcm(r) for r in rows]
+    design, sigma = [d for d, _ in scaled], [s for _, s in scaled]
+    gs, big_f = ratpoly._over_lcm(values)
+    psi = [X[i] - X[m + i] for i in range(m)]
     lam = lcm(*sigma)
     residuals = [
-        lam * den * g - lam // s * sum(yr * a for yr, a in zip(Y, row) if yr)
+        lam * den * g - big_f * (lam // s) * sum(yr * a for yr, a in zip(Y, row) if yr)
         for g, s, row in zip(gs, sigma, design)
     ]
-    _audit_fit(gs, residuals, V * lam, den * lam, psi, den,
+    _audit_fit(gs, residuals, V * big_f * lam, den * lam, psi, den,
                lambda i: [lam // sigma[i] * a for a in design[i]])
-    return LinfFit(
-        coeffs=tuple(Fraction(v, big_f * den) for v in Y[:ncoef]),
-        epsilon=Fraction(V, big_f * den),
-    )
+    return LinfFit(coeffs=tuple(y[:ncoef]), epsilon=value)
 
 
 def _audit_fit(gs, residuals, err, scale, psi, total, basis) -> None:

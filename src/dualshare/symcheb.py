@@ -375,6 +375,28 @@ def shifted_product_check(test: SymmetrizedTest, delta, grid) -> bool:
                             "of the exponential series")
 
 
+def indistinguishability_bound_holds(dist: Fraction, k: int, K: int) -> bool:
+    """Whether dist <= (K+1) * 8 sqrt(K) * exp(-k^2/1156K), decided exactly.
+
+    Both sides are nonnegative, so squaring clears sqrt(K): the claim is
+    dist^2 e^{k^2/578K} <= 64 K (K+1)^2, decided against rational brackets
+    of the exponential, refined until they decide; PropertyViolation
+    ("undecided") if _EXP_TERMS series terms leave it open.
+    """
+    if k < 1 or K < 1:
+        raise ValueError("need positive k and K")
+    lhs, cap = Fraction(dist) ** 2, 64 * K * (K + 1) ** 2
+    if not lhs:
+        return True
+    for low, high in _exp_brackets(Fraction(k * k, 578 * K)):
+        if lhs * low > cap:
+            return False
+        if high is not None and lhs * high <= cap:
+            return True
+    raise PropertyViolation(f"projected-distance bound undecided after {_EXP_TERMS} terms "
+                            "of the exponential series")
+
+
 def indistinguishability_bound(k: int, K: int) -> float:
     """Explicit proof-level constant (K+1) * 8 sqrt(K) * exp(-k^2/1156K).
 

@@ -22,6 +22,14 @@ union-bound rule (per-term error at most eps/|supp|) whenever some block
 split meets it; when no split does, the same polynomial is re-optimised by a
 second LP directly against the exact aggregate certificate, which is strictly
 stronger than the union bound and keeps the construction otherwise unchanged.
+
+Each split is worked on integers from start to finish: the outer
+polynomial's values at the block counts (read off its integer form), their
+finite differences, the touched-block coefficients, the per-size parity
+coefficients, the values per Hamming weight, the error and the weight are
+all numerators over one denominator per split.  ``_BlockTables`` holds what
+every split of a call shares.  ``Fraction``s are made once, for the values
+reported.
 """
 
 from __future__ import annotations
@@ -72,33 +80,33 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _finite_differences(p_values: list[Fraction]) -> list[Fraction]:
-    """Multilinear coefficients over 0/1 block indicators: c_u = Delta^u p(0)."""
-    ell = len(p_values) - 1
-    return [
-        sum(
-            ((-1) ** (u - i) * comb(u, i) * p_values[i] for i in range(u + 1)),
-            Fraction(0),
-        )
-        for u in range(ell + 1)
-    ]
+def _differences(values: list[int]) -> list[int]:
+    """Multilinear coefficients over 0/1 block indicators, c_u = Delta^u p(0),
+    from the values p(0..ell)."""
+    out = []
+    while values:
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
 
 
-def _touched_block_coeffs(c: list[Fraction], ell: int, s: int) -> list[Fraction]:
-    """Parity coefficient per touched-block count.
+def _outer_differences(coeffs, ell: int) -> tuple[list[int], int]:
+    """(c, den): the differences of the outer polynomial sum coeffs[r] j^r
+    at block counts j = 0..ell, as integers c_u / den, read off its integer
+    form."""
+    nums, den = ratpoly._over_lcm(coeffs)
+    return _differences(list(ratpoly._scaled_values(nums, range(ell + 1), 1))), den
+
+
+def _touched_block_coeffs(c: list[int], ell: int, s: int) -> list[int]:
+    """2^(s ell) D_r for each touched-block count r, over the denominator of
+    the multilinear coefficients c.
 
     The parity coefficient of a subset S touching r blocks is
     (-1)^{|S|} D_r with D_r = sum_{u >= r} C(ell-r, u-r) c_u 2^{-su}.
     """
     return [
-        sum(
-            (
-                comb(ell - r, u - r) * c[u] / Fraction(2) ** (s * u)
-                for u in range(r, ell + 1)
-                if c[u]
-            ),
-            Fraction(0),
-        )
+        sum(comb(ell - r, u - r) * c[u] << s * (ell - u) for u in range(r, ell + 1) if c[u])
         for r in range(ell + 1)
     ]
 
@@ -106,52 +114,44 @@ def _touched_block_coeffs(c: list[Fraction], ell: int, s: int) -> list[Fraction]
 class _AndCore:
     """Outer/inner decomposition data for the n-bit AND approximant."""
 
-    __slots__ = ("ell", "s", "error", "D")
+    __slots__ = ("ell", "s", "error", "D", "den")
 
-    def __init__(self, ell: int, s: int, error: Fraction, D: tuple[Fraction, ...]):
+    def __init__(self, ell: int, s: int, error: Fraction, D: list[int], den: int):
         self.ell = ell  # number of blocks
         self.s = s  # block size
         self.error = error  # max_j |p(j) - [j == ell]|
-        self.D = D  # parity coefficient per touched-block count
+        self.D = D  # parity coefficient per touched-block count, times den
+        self.den = den
 
     @property
     def degree(self) -> int:
         top = max((r for r, v in enumerate(self.D) if v), default=0)
         return self.s * top
 
-    def weight(self) -> Fraction:
+    def scaled_weight(self) -> int:
+        """The parity weight times den."""
         per_block = (1 << self.s) - 1
-        return sum(
-            (
-                comb(self.ell, r) * Fraction(per_block) ** r * abs(v)
-                for r, v in enumerate(self.D)
-                if v
-            ),
-            Fraction(0),
-        )
+        return sum(comb(self.ell, r) * per_block**r * abs(v) for r, v in enumerate(self.D) if v)
 
 
 def _and_core_for_split(n: int, ell: int, degree_budget: int) -> _AndCore:
     s = n // ell
     outer_degree = min(ell, degree_budget // s)
-    values = [Fraction(0)] * ell + [Fraction(1)]
-    points = [Fraction(j) for j in range(ell + 1)]
-    sol = simplex.solve_minimax(points, values, outer_degree)
-    p_values = [sol.poly(Fraction(j)) for j in range(ell + 1)]
-    c = _finite_differences(p_values)
+    sol = simplex.solve_minimax(range(ell + 1), [0] * ell + [1], outer_degree)
+    c, den = _outer_differences(sol.poly.coeffs, ell)
     if any(c[outer_degree + 1 :]):
         raise PropertyViolation("outer polynomial has differences above its degree")
-    return _AndCore(
-        ell=ell,
-        s=s,
-        error=sol.epsilon,
-        D=tuple(_touched_block_coeffs(c, ell, s)),
-    )
+    return _AndCore(ell, s, sol.epsilon, _touched_block_coeffs(c, ell, s), den << n)
+
+
+def _exceeds(num: int, den: int, bound: Fraction) -> bool:
+    """num / den > bound, for den > 0."""
+    return num * bound.denominator > bound.numerator * den
 
 
 def _and_approx_core(n: int, degree_budget: int, error_target: Fraction) -> _AndCore:
     """Best split: exhaustive over divisors of n, minimum weight subject to
-    degree <= budget and certified error <= target."""
+    degree <= budget and certified error <= target (ties to fewer blocks)."""
     if degree_budget < 1:
         raise ValueError("degree budget must be at least 1")
     best: _AndCore | None = None
@@ -159,8 +159,8 @@ def _and_approx_core(n: int, degree_budget: int, error_target: Fraction) -> _And
     for ell in _divisors(n):
         core = _and_core_for_split(n, ell, degree_budget)
         best_errors[ell] = core.error
-        if core.error <= error_target and (
-            best is None or (core.weight(), core.ell) < (best.weight(), best.ell)
+        if not _exceeds(core.error.numerator, core.error.denominator, error_target) and (
+            best is None or core.scaled_weight() * best.den < best.scaled_weight() * core.den
         ):
             best = core
     if best is None:
@@ -189,42 +189,56 @@ def _block_count_poly(s: int, r: int) -> list[int]:
     return out
 
 
-def _kappa_sums(n: int, supp_weights: list[int]) -> list[int]:
-    """sum over the support classes h of kappa_h(m) = kravchuk(n, n - h, m), the
-    sign-flip multiplier a size-m parity coefficient picks up when the AND
+class _BlockTables:
+    """What every block split of one call shares, on n variables with the
+    support classes ``supp_weights`` of the side written as point
+    indicators: the Kravchuk rows K_m(h) for m, h <= n, the block-count
+    polynomials of each block size, and per size m the factor
+    (-1)^m kappa(m) L / C(n, m), with L the lcm of the C(n, m) and
+    kappa(m) = sum over the support classes h of K_(n-h)(m), the sign-flip
+    multiplier a size-m parity coefficient picks up when the AND
     approximant is summed over all targets y of weight h."""
-    return [sum(boolcube.kravchuk(n, n - h, m) for h in supp_weights) for m in range(n + 1)]
 
+    __slots__ = ("n", "rows", "big_l", "per_size", "counts")
 
-def _chat_from_core(
-    n: int, ell: int, s: int, D: tuple[Fraction, ...], kappa: list[int]
-) -> list[Fraction]:
-    """Per-size parity coefficients of the symmetrised class-aggregated sum."""
-    chat = [Fraction(0)] * (n + 1)
-    for r, d_r in enumerate(D):
-        if not d_r:
-            continue
-        counts = _block_count_poly(s, r)
-        scale = comb(ell, r)
-        for m, cnt in enumerate(counts):
-            if cnt:
-                chat[m] += d_r * scale * cnt * (-1) ** m
-    for m in range(n + 1):
-        if chat[m]:
-            chat[m] = chat[m] * kappa[m] / comb(n, m)
-    return chat
+    def __init__(self, n: int, supp_weights: list[int]):
+        self.n = n
+        self.rows = [[boolcube.kravchuk(n, m, h) for h in range(n + 1)] for m in range(n + 1)]
+        self.big_l = lcm(*(comb(n, m) for m in range(n + 1)))
+        self.per_size = [
+            (-1) ** m * sum(self.rows[n - h][m] for h in supp_weights) * (self.big_l // comb(n, m))
+            for m in range(n + 1)
+        ]
+        self.counts = {s: [_block_count_poly(s, r) for r in range(n // s + 1)]
+                       for s in _divisors(n)}
 
+    def chat(self, D: list[int], ell: int) -> list[int]:
+        """L times the per-size parity coefficients of the symmetrised,
+        class-aggregated sum of the AND approximant with touched-block
+        coefficients D (all over D's denominator)."""
+        out = [0] * (self.n + 1)
+        for r, (d, counts) in enumerate(zip(D, self.counts[self.n // ell])):
+            if d:
+                d *= comb(ell, r)
+                for m, cnt in enumerate(counts):
+                    out[m] += d * cnt
+        return [v * f for v, f in zip(out, self.per_size)]
 
-def _symmetric_values(chat: list[Fraction], n: int) -> list[Fraction]:
-    """Value of the symmetric polynomial at each Hamming weight."""
-    return [
-        sum((chat[m] * boolcube.kravchuk(n, m, h) for m in range(n + 1) if chat[m]), Fraction(0))
-        for h in range(n + 1)
-    ]
+    def values(self, chat: list[int]) -> list[int]:
+        """The symmetric polynomial sum_m chat[m] sum_{|S| = m} chi_S at
+        each Hamming weight."""
+        terms = [(v, row) for v, row in zip(chat, self.rows) if v]
+        return [sum(v * row[h] for v, row in terms) for h in range(self.n + 1)]
 
-
-def _max_error(values: list[Fraction], predicate) -> Fraction:
-    return max(abs(v - p) for v, p in zip(values, predicate))
+    def certificate(self, D: list[int], ell: int, den: int, work) -> tuple[list[int], int, int]:
+        """(chat, den', error): the aggregate of the core with touched-block
+        coefficients D / den, as per-size parity coefficients chat / den',
+        and its largest error against ``work`` over all Hamming weights,
+        error / den'."""
+        chat = self.chat(D, ell)
+        den *= self.big_l
+        error = max(abs(v - w * den) for v, w in zip(self.values(chat), work))
+        return chat, den, error
 
 
 def low_weight_report(
@@ -264,38 +278,36 @@ def low_weight_report(
     if supp_weights in ([0], [n]):
         # a single point indicator: the direct construction, unchanged
         core = _and_approx_core(n, K, eps)
-        weight = core.weight()
+        weight = core.scaled_weight()
         if complemented:
-            weight += abs(1 - core.D[0]) - abs(core.D[0])
-        return WeightDegreeReport(core.degree, weight, core.error, bound_exponent), core
+            weight += abs(core.den - core.D[0]) - abs(core.D[0])
+        return (WeightDegreeReport(core.degree, Fraction(weight, core.den), core.error,
+                                   bound_exponent), core)
 
-    per_term = eps / supp_size
-    kappa = _kappa_sums(n, supp_weights)
-    candidates: list[tuple[Fraction, int, list[Fraction], Fraction]] = []
+    tables = _BlockTables(n, supp_weights)
+    # (weight, den, chat, error) per split that meets eps, in split order:
+    # weight, chat and error over den
+    candidates: list[tuple[int, int, list[int], int]] = []
     for ell in _divisors(n):
         core = _and_core_for_split(n, ell, K)
-        if core.error > per_term:
-            continue
-        chat = _chat_from_core(n, ell, core.s, core.D, kappa)
-        error = _max_error(_symmetric_values(chat, n), work)
-        if error > eps:
+        if _exceeds(core.error.numerator * supp_size, core.error.denominator, eps):
+            continue  # misses the per-term target eps / |supp|
+        chat, den, error = tables.certificate(core.D, ell, core.den, work)
+        if _exceeds(error, den, eps):
             raise PropertyViolation(
-                f"aggregate error {error} exceeded eps={eps} despite the union bound"
+                f"aggregate error {Fraction(error, den)} exceeded eps={eps} despite the union bound"
             )
-        weight = _chat_weight(chat, n, complemented)
-        candidates.append((weight, ell, chat, error))
+        candidates.append((_chat_weight(chat, den, complemented), den, chat, error))
     best_errors: dict[int, Fraction] = {}
     if not candidates:
         # no split meets the per-term target: optimise the shared outer
         # polynomial against the exact aggregate certificate instead
         for ell in _divisors(n):
-            s = n // ell
-            d_out = min(ell, K // s)
-            chat, error = _aggregate_optimal(n, ell, s, d_out, work, kappa)
-            best_errors[ell] = error
-            if error <= eps:
-                weight = _chat_weight(chat, n, complemented)
-                candidates.append((weight, ell, chat, error))
+            chat, den, error = _aggregate_optimal(tables, ell, min(ell, K // (n // ell)), work)
+            if _exceeds(error, den, eps):
+                best_errors[ell] = Fraction(error, den)
+            else:
+                candidates.append((_chat_weight(chat, den, complemented), den, chat, error))
     if not candidates:
         raise InfeasibleBudget(
             f"degree budget K={K} cannot reach error {eps} for this predicate; "
@@ -303,91 +315,62 @@ def low_weight_report(
             + ", ".join(f"l={l}: {float(e):.4g}" for l, e in sorted(best_errors.items())),
             best_errors,
         )
-    weight, ell, chat, error = min(candidates, key=lambda c: (c[0], c[1]))
+    weight, den, chat, error = candidates[0]
+    for cand in candidates[1:]:  # least weight, ties to fewer blocks
+        if cand[0] * den < weight * cand[1]:
+            weight, den, chat, error = cand
     if complemented:
-        chat = [Fraction(1) - chat[0]] + [-v for v in chat[1:]]
-        error = _max_error(_symmetric_values(chat, n), spec.predicate)
+        chat = [den - chat[0]] + [-v for v in chat[1:]]
     degree = max((m for m, v in enumerate(chat) if v), default=0)
-    return WeightDegreeReport(degree, weight, error, bound_exponent), chat
+    return (WeightDegreeReport(degree, Fraction(weight, den), Fraction(error, den), bound_exponent),
+            [Fraction(v, den) for v in chat])
 
 
-def _chat_weight(chat: list[Fraction], n: int, complemented: bool) -> Fraction:
-    w = sum((comb(n, m) * abs(v) for m, v in enumerate(chat) if m and v), Fraction(0))
-    head = abs(Fraction(1) - chat[0]) if complemented else abs(chat[0])
-    return w + head
+def _chat_weight(chat: list[int], den: int, complemented: bool) -> int:
+    """den times the parity weight of sum_m chat[m] / den sum_{|S| = m} chi_S,
+    or of 1 minus it when ``complemented``."""
+    n = len(chat) - 1
+    head = den - chat[0] if complemented else chat[0]
+    return abs(head) + sum(comb(n, m) * abs(v) for m, v in enumerate(chat) if m and v)
 
 
 def _aggregate_optimal(
-    n: int,
-    ell: int,
-    s: int,
-    d_out: int,
-    work: tuple[int, ...],
-    kappa: list[int],
-) -> tuple[list[Fraction], Fraction]:
-    """Outer polynomial minimising the exact aggregated per-weight error.
+    tables: _BlockTables, ell: int, d_out: int, work: tuple[int, ...]
+) -> tuple[list[int], int, int]:
+    """Outer polynomial minimising the exact aggregated per-weight error,
+    as ``_BlockTables.certificate`` reports it.
 
     The map from the outer polynomial's values at block counts 0..ell to the
     aggregate's values at Hamming weights 0..n is linear; composing it with
     the Vandermonde in the polynomial coefficients gives a plain L-infinity
     fitting problem (``_aggregate_design``) solved by the exact LP.  The
-    fitted polynomial is then pushed through the ``Fraction`` construction
-    once more, and its certified error must equal the LP's: that checks the
-    integer design against an independent route on every call.
+    fitted polynomial is then pushed through the construction once more, and
+    its certified error must equal the LP's: that checks the design, built
+    from unit vectors, against the fitted polynomial's own route on every
+    call.
     """
-    rows = _aggregate_design(n, ell, s, d_out, kappa)
-    fit = simplex.solve_linf_fit(rows, [Fraction(v) for v in work])
-    p_values = [
-        sum(fit.coeffs[r] * Fraction(j) ** r for r in range(d_out + 1))
-        for j in range(ell + 1)
-    ]
-    D = _touched_block_coeffs(_finite_differences(p_values), ell, s)
-    chat = _chat_from_core(n, ell, s, tuple(D), kappa)
-    error = _max_error(_symmetric_values(chat, n), work)
-    if error != fit.epsilon:
+    fit = simplex.solve_linf_fit(_aggregate_design(tables, ell, d_out), work)
+    s = tables.n // ell
+    c, den = _outer_differences(fit.coeffs, ell)
+    chat, den, error = tables.certificate(_touched_block_coeffs(c, ell, s), ell, den << tables.n,
+                                          work)
+    if error * fit.epsilon.denominator != fit.epsilon.numerator * den:
         raise PropertyViolation("aggregate map disagrees with the LP residuals")
-    return chat, error
+    return chat, den, error
 
 
-def _aggregate_design(
-    n: int, ell: int, s: int, d_out: int, kappa: list[int]
-) -> list[list[Fraction]]:
+def _aggregate_design(tables: _BlockTables, ell: int, d_out: int) -> list[list[Fraction]]:
     """rows[h][r]: the aggregate's value at weight h when the outer polynomial
-    is j -> j^r on block counts j = 0..ell.
-
-    Built in integers over the common denominator 2^(s ell) lcm_m C(n, m).
-    The unit vector e_j has finite differences Delta^u e_j(0) =
-    (-1)^(u-j) C(u, j), so its touched-block coefficient D_r times 2^(s ell)
-    is sum_{u >= r} C(ell-r, u-r) (-1)^(u-j) C(u, j) 2^(s (ell-u)); the size-m
-    parity coefficient and the value at weight h follow as in
-    ``_chat_from_core`` and ``_symmetric_values``.
-    """
-    big_l = lcm(*(comb(n, m) for m in range(n + 1)))
-    per_size = [(-1) ** m * kappa[m] * (big_l // comb(n, m)) for m in range(n + 1)]
-    counts = [_block_count_poly(s, r) for r in range(ell + 1)]
-    table = [[boolcube.kravchuk(n, m, h) for h in range(n + 1)] for m in range(n + 1)]
-    columns = []
-    for j in range(ell + 1):
-        chat = [0] * (n + 1)
-        for r in range(ell + 1):
-            d_r = sum(
-                (comb(ell - r, u - r) * (-1) ** (u - j) * comb(u, j)) << (s * (ell - u))
-                for u in range(max(r, j), ell + 1)
-            )
-            if d_r:
-                d_r *= comb(ell, r)
-                for m, cnt in enumerate(counts[r]):
-                    chat[m] += d_r * cnt
-        terms = [(v * w, table[m]) for m, (v, w) in enumerate(zip(chat, per_size)) if v * w]
-        columns.append([sum(v * row[h] for v, row in terms) for h in range(n + 1)])
-    den = big_l << (s * ell)
-    return [
-        [
-            Fraction(sum(col[h] * j**r for j, col in enumerate(columns)), den)
-            for r in range(d_out + 1)
-        ]
-        for h in range(n + 1)
+    is j -> j^r on block counts j = 0..ell, each column built like any
+    outer polynomial's certificate, over the common denominator 2^n L."""
+    s = tables.n // ell
+    columns = [
+        tables.values(tables.chat(
+            _touched_block_coeffs(_differences([j**r for j in range(ell + 1)]), ell, s), ell))
+        for r in range(d_out + 1)
     ]
+    den = tables.big_l << tables.n
+    return [[Fraction(v, den) for v in row] for row in zip(*columns)]
 
 
 def _work_side(spec: SymmetricSpec) -> tuple[bool, tuple[int, ...]]:

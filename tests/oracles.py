@@ -36,9 +36,18 @@ built here one coordinate at a time over ``Fraction`` keys.
 
 The LP behind ``weightdeg._aggregate_optimal`` runs on integers in the
 package.  ``solve_lp_fraction`` is the ``Fraction`` tableau it replaced (the
-same two phases and Bland pivots, no audit), and
-``aggregate_design_fraction`` builds the aggregate design column by column
-from ``Fraction`` unit vectors through ``weightdeg``'s ``Fraction`` helpers.
+same two phases and the same pricing, largest reduced cost with a Bland
+fallback, or Bland's rule throughout; no audit).
+
+``weightdeg``'s block route runs on integer numerators over one
+denominator.  The ``Fraction`` helpers it replaced stay here:
+``finite_differences_fraction`` (binomial sums), ``touched_block_coeffs_fraction``,
+``chat_from_core_fraction`` (with ``kappa_sums``, the per-size sign-flip
+multipliers), ``symmetric_values_fraction`` and ``chat_weight_fraction``;
+``aggregate_certificate_fraction`` chains them from an outer polynomial's
+values to its error, and ``aggregate_design_fraction`` builds the aggregate
+design column by column from ``Fraction`` unit vectors through them.
+``core_weight`` reads an ``_AndCore``'s weight as a ``Fraction``.
 
 The Sturm decisions of ``certify`` run on integers in the package.  The
 ``Fraction`` routes they replaced stay here: ``poly_divmod`` (rational long
@@ -128,10 +137,7 @@ from dualshare.weightdeg import (
     SymmetricSpec,
     _and_approx_core,
     _AndCore,
-    _chat_from_core,
-    _finite_differences,
-    _symmetric_values,
-    _touched_block_coeffs,
+    _block_count_poly,
     _work_side,
 )
 
@@ -304,13 +310,18 @@ def signed_sum_counts_fraction(w: WeightVector) -> dict[Fraction, int]:
         counts = nxt
     return counts
 
-def solve_lp_fraction(A, b, c, pivots: list | None = None):
+def solve_lp_fraction(A, b, c, pivots: list | None = None, bland: bool = False):
     """(x, value, y) of max c.x s.t. A x = b, x >= 0 on a ``Fraction`` tableau.
 
-    Two phases with Bland's rule, artificial columns kept through phase two
-    for the dual read-off, redundant rows dropped after phase one.  Each pivot
-    is appended to ``pivots`` as (phase, row, column, pivot element), phase
-    being 1, "out" (driving a basic artificial out) or 2.
+    Two phases, artificial columns kept through phase two for the dual
+    read-off, redundant rows dropped after phase one.  The column of largest
+    reduced cost enters (ties to the smallest column), and Bland's rule (the
+    smallest improving column) after as many consecutive degenerate pivots as
+    there are rows, until a pivot moves the objective; with ``bland`` Bland's
+    rule prices every pivot.  Among ratio ties the smallest basic column
+    leaves.  Each pivot is appended to ``pivots`` as (phase, row, column,
+    pivot element), phase being 1, "out" (driving a basic artificial out)
+    or 2.
     """
     m, n = len(A), len(A[0])
     A = [[Fraction(v) for v in row] for row in A]
@@ -340,21 +351,21 @@ def solve_lp_fraction(A, b, c, pivots: list | None = None):
         basis[row] = col
 
     def run(cost, allowed: int) -> None:
+        stalled = 0
         while True:
             cb = [cost[v] for v in basis]
             in_basis = set(basis)
-            enter = -1
-            for j in range(allowed):
-                if j in in_basis:
-                    continue
-                reduced = cost[j] - sum(
-                    cbi * tableau[i][j] for i, cbi in enumerate(cb) if cbi
-                )
-                if reduced > 0:
-                    enter = j
-                    break
-            if enter < 0:
+            reduced = {
+                j: cost[j] - sum(cbi * tableau[i][j] for i, cbi in enumerate(cb) if cbi)
+                for j in range(allowed) if j not in in_basis
+            }
+            improving = [j for j, r in reduced.items() if r > 0]
+            if not improving:
                 return
+            if bland or stalled >= len(tableau):
+                enter = min(improving)
+            else:
+                enter = max(improving, key=lambda j: (reduced[j], -j))
             leave, best = -1, None
             for i in range(len(tableau)):
                 a = tableau[i][enter]
@@ -368,6 +379,7 @@ def solve_lp_fraction(A, b, c, pivots: list | None = None):
                         best, leave = ratio, i
             if leave < 0:
                 raise SimplexError("unbounded")
+            stalled = stalled + 1 if best == 0 else 0
             pivot(leave, enter)
 
     run([Fraction(0)] * n + [Fraction(-1)] * m, ncols)
@@ -403,15 +415,70 @@ def solve_lp_fraction(A, b, c, pivots: list | None = None):
     return x, value, y
 
 
+def kappa_sums(n: int, supp_weights) -> list[int]:
+    """sum over the support classes h of kravchuk(n, n - h, m), for m = 0..n."""
+    return [sum(kravchuk(n, n - h, m) for h in supp_weights) for m in range(n + 1)]
+
+
+def finite_differences_fraction(p_values) -> list[Fraction]:
+    """Multilinear coefficients over 0/1 block indicators: c_u = Delta^u p(0),
+    each by its binomial sum."""
+    return [
+        sum((Fraction((-1) ** (u - i) * comb(u, i)) * p_values[i] for i in range(u + 1)),
+            Fraction(0))
+        for u in range(len(p_values))
+    ]
+
+
+def touched_block_coeffs_fraction(c, ell: int, s: int) -> list[Fraction]:
+    """D_r = sum_{u >= r} C(ell-r, u-r) c_u 2^{-su} for each touched-block count r."""
+    return [
+        sum((comb(ell - r, u - r) * c[u] / Fraction(2) ** (s * u) for u in range(r, ell + 1)),
+            Fraction(0))
+        for r in range(ell + 1)
+    ]
+
+
+def chat_from_core_fraction(n: int, ell: int, s: int, D, kappa) -> list[Fraction]:
+    """Per-size parity coefficients of the symmetrised class-aggregated sum of
+    the AND approximant with touched-block coefficients D."""
+    chat = [Fraction(0)] * (n + 1)
+    for r, d_r in enumerate(D):
+        for m, cnt in enumerate(_block_count_poly(s, r)):
+            chat[m] += d_r * comb(ell, r) * cnt * (-1) ** m
+    return [v * kappa[m] / comb(n, m) for m, v in enumerate(chat)]
+
+
+def symmetric_values_fraction(chat, n: int) -> list[Fraction]:
+    """Value of sum_m chat[m] sum_{|S| = m} chi_S at each Hamming weight."""
+    return [sum((chat[m] * kravchuk(n, m, h) for m in range(n + 1)), Fraction(0))
+            for h in range(n + 1)]
+
+
+def chat_weight_fraction(chat, complemented: bool) -> Fraction:
+    """Parity weight of sum_m chat[m] sum_{|S| = m} chi_S, or of 1 minus it."""
+    n = len(chat) - 1
+    head = 1 - chat[0] if complemented else chat[0]
+    return abs(head) + sum((comb(n, m) * abs(chat[m]) for m in range(1, n + 1)), Fraction(0))
+
+
+def aggregate_certificate_fraction(n: int, ell: int, p_values, kappa, work):
+    """(D, chat, values, error) of the outer polynomial with values p_values at
+    block counts 0..ell, in ``Fraction``s: the route ``weightdeg`` replaced."""
+    D = touched_block_coeffs_fraction(finite_differences_fraction(p_values), ell, n // ell)
+    chat = chat_from_core_fraction(n, ell, n // ell, D, kappa)
+    values = symmetric_values_fraction(chat, n)
+    return D, chat, values, max(abs(v - w) for v, w in zip(values, work))
+
+
 def aggregate_design_fraction(n: int, ell: int, s: int, d_out: int, kappa) -> list:
     """rows[h][r]: the aggregate's value at weight h when the outer polynomial
     is j -> j^r, built from the image of every unit vector e_j in ``Fraction``s."""
     columns = []
     for j in range(ell + 1):
         e_j = [Fraction(int(i == j)) for i in range(ell + 1)]
-        D = _touched_block_coeffs(_finite_differences(e_j), ell, s)
-        chat_j = _chat_from_core(n, ell, s, tuple(D), kappa)
-        columns.append(_symmetric_values(chat_j, n))
+        D = touched_block_coeffs_fraction(finite_differences_fraction(e_j), ell, s)
+        columns.append(symmetric_values_fraction(chat_from_core_fraction(n, ell, s, D, kappa), n))
     return [
         [
             sum(columns[j][h] * Fraction(j) ** r for j in range(ell + 1))
@@ -711,6 +778,7 @@ def materialize_and(core: _AndCore) -> ParityPoly:
     for r, d_r in enumerate(core.D):
         if not d_r:
             continue
+        d_r = Fraction(d_r, core.den)
         for blocks in combinations(range(ell), r):
             for parts in product(*(block_subsets[j] for j in blocks)):
                 mask = 0
@@ -723,9 +791,14 @@ def materialize_and(core: _AndCore) -> ParityPoly:
 def approx_eq_y(n: int, y: int, degree_budget: int, error_target):
     """(poly, core): the AND construction for the point indicator EQ_y, the
     variables at y's zero bits negated, expanded; ``core`` holds the closed
-    forms (``core.degree``, ``core.weight()``, ``core.error``)."""
+    forms (``core.degree``, ``core_weight(core)``, ``core.error``)."""
     core = _and_approx_core(n, degree_budget, Fraction(error_target))
     return materialize_and(core).negate_vars(((1 << n) - 1) ^ y), core
+
+
+def core_weight(core: _AndCore) -> Fraction:
+    """The block core's parity weight in closed form."""
+    return Fraction(core.scaled_weight(), core.den)
 
 
 def symmetric_parity_poly(n: int, chat) -> ParityPoly:

@@ -453,6 +453,26 @@ class TestIndistCheck:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("offset, code", [(1, 3), (-1, 0)])
+    def test_distance_a_hair_from_the_bound(self, runner, tmp_path, monkeypatch, offset, code):
+        # the bound at k = 3, K = 4 to 60 digits, moved by 1e-40: a double
+        # reads both distances as the bound, the exact verdict does not
+        from decimal import Decimal, localcontext
+
+        with localcontext() as ctx:
+            ctx.prec = 60
+            beta = 5 * 8 * Decimal(4).sqrt() * (-Decimal(9) / 4624).exp()
+        dist = Fraction(beta) + Fraction(offset, 10**40)
+        monkeypatch.setattr("dualshare.boolcube.stat_distance_symmetric", lambda a, b: dist)
+        p1, p2 = self._pair_files(tmp_path)
+        result = runner.invoke(cli, ["indist-check", "--dist1", str(p1), "--dist2", str(p2),
+                                     "--k", "3", "--K", "4"])
+        assert result.exit_code == code, result.output
+        if code:
+            assert "exceeds the bound" in result.output
+        else:
+            assert json.loads(result.output)["result"]["projections"][0]["within_bound"] is True
+
 
 class TestIntrospection:
     def test_list_commands(self, runner):
@@ -841,6 +861,14 @@ def _off_parity(doc):
     doc["result"]["witness"]["values"] = [by_weight[x.bit_count()] for x in range(16)]
 
 
+def _false_claims(doc, representation):
+    # a valid file with every claim of its result rewritten
+    result = doc["result"]
+    result.update({"l1_norm": "7/1", "correlation": "-3/1", "Z": "0/1",
+                   "pure_high_degree_strictly_below_d": False})
+    result["witness"].update({"claimed_degree": "9/1", "representation": representation})
+
+
 def _set(*path_and_value):
     *path, value = path_and_value
 
@@ -881,6 +909,20 @@ _WITNESS_FILES = {
     "one-value-off-its-class": (_set("result", "witness", "values", 5, "1/40"), 3),
     # mask 15 alone holds 9/80; 9/560 scales to 9/7, whose numerator is 9
     "value-off-the-lattice": (_set("result", "witness", "values", 15, "9/560"), 3),
+    # the result's own claims must be what the check finds
+    "representation-other": (_set("result", "witness", "representation", "banana"), 2),
+    "l1_norm-wrong": (_set("result", "l1_norm", "7/1"), 3),
+    "l1_norm-malformed": (_set("result", "l1_norm", "one"), 2),
+    "correlation-wrong": (_set("result", "correlation", "-3/1"), 3),
+    "Z-wrong": (_set("result", "Z", "0/1"), 3),
+    "Z-missing": (lambda doc: doc["result"].pop("Z"), 2),
+    "purity-false": (_set("result", "pure_high_degree_strictly_below_d", False), 3),
+    "purity-a-string": (_set("result", "pure_high_degree_strictly_below_d", "true"), 2),
+    "claimed-degree-too-high": (_set("result", "witness", "claimed_degree", "9/1"), 3),
+    # pure below 2 is pure below 1: a weaker claim holds
+    "claimed-degree-lower": (_set("result", "witness", "claimed_degree", "1/1"), 0),
+    "every-claim-false": (lambda doc: _false_claims(doc, "banana"), 2),
+    "every-claim-false-but-the-representation": (lambda doc: _false_claims(doc, "cube"), 3),
 }
 
 

@@ -54,12 +54,12 @@ SHARED_CLASS_MEMBERS = {
     "error": {"weightdeg.WeightDegreeReport", "weightdeg._AndCore"},
     "from_coeffs": {"ratpoly.ChebyshevExpansion", "ratpoly.RationalPoly"},
     "n": {"approxlab.RampParams", "boolcube.SymmetricDistribution", "boolcube.WeightVector",
-          "dualand.DualAndParams", "symcheb.SymmetrizedTest", "weightdeg.SymmetricSpec"},
+          "dualand.DualAndParams", "symcheb.SymmetrizedTest", "weightdeg.SymmetricSpec",
+          "weightdeg._BlockTables"},
     "of": {"boolcube.SymmetricDistribution", "boolcube.WeightVector",
            "dualand.BitCountClasses", "ratpoly.RationalPoly"},
     "poly": {"simplex.MinimaxSolution", "symcheb.SymmetrizedTest"},
     "w": {"dualand.DualAndParams", "symcheb.SymmetrizedTest"},
-    "weight": {"weightdeg.WeightDegreeReport", "weightdeg._AndCore"},
 }
 
 

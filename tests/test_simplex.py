@@ -9,7 +9,13 @@ from dualshare import simplex
 from dualshare.errors import PropertyViolation
 from dualshare.ratpoly import RationalPoly, weight_grid
 from dualshare.simplex import SimplexError, solve_linf_fit, solve_lp, solve_minimax
-from oracles import solve_lp_fraction, solve_minimax_fraction
+from dualshare.weightdeg import _divisors
+from oracles import (
+    aggregate_design_fraction,
+    kappa_sums,
+    solve_lp_fraction,
+    solve_minimax_fraction,
+)
 
 
 def alternation_minimax(points, values, degree):
@@ -146,14 +152,28 @@ def _outcome(solve, A, b, c):
         return str(exc)
 
 
+def _value(solve, A, b, c):
+    try:
+        return solve(A, b, c)[1]
+    except SimplexError as exc:
+        return str(exc)
+
+
+def _bland(A, b, c):
+    return solve_lp_fraction(A, b, c, bland=True)
+
+
 class TestIntegerTableauAgainstFractionOracle:
     """The fraction-free tableau takes the Fraction tableau's pivots, so
-    (x, value, y), or the error, must be identical."""
+    (x, value, y), or the error, must be identical.  Under Bland's rule the
+    oracle may reach another optimal vertex, never another optimal value or
+    verdict."""
 
     @settings(max_examples=200, deadline=None)
     @given(lp_instances())
     def test_same_outcome(self, lp):
         assert _outcome(solve_lp, *lp) == _outcome(solve_lp_fraction, *lp)
+        assert _value(solve_lp, *lp) == _value(_bland, *lp)
 
     def test_pivot_out_on_a_negative_element(self):
         A, b, c = NEGATIVE_PIVOT_OUT
@@ -178,6 +198,42 @@ class TestIntegerTableauAgainstFractionOracle:
             b = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(m)]
             c = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
             assert _outcome(solve_lp, A, b, c) == _outcome(solve_lp_fraction, A, b, c)
+            assert _value(solve_lp, A, b, c) == _value(_bland, A, b, c)
+
+
+def _moment_lp(rows, values):
+    """The LP ``solve_linf_fit`` hands ``solve_lp``: A, b and c in rationals."""
+    m, ncoef = len(rows), len(rows[0])
+    A = [[rows[i][r] for i in range(m)] + [-rows[i][r] for i in range(m)]
+         for r in range(ncoef)]
+    A.append([1] * (2 * m))
+    return A, [0] * ncoef + [1], [*values, *(-v for v in values)]
+
+
+class TestPricing:
+    def test_pivots_on_the_majority_fits(self):
+        # the six aggregate fits of weight-bound --f maj --n 12 --K 6: 60
+        # pivots against Bland's 175, the same optimal errors, and the
+        # integer solver returns the oracle's fit
+        n, K = 12, 6
+        work = [int(2 * h > n) for h in range(n + 1)]
+        kappa = kappa_sums(n, [h for h in range(n + 1) if work[h]])
+        counts = {False: 0, True: 0}
+        for ell in _divisors(n):
+            rows = aggregate_design_fraction(n, ell, n // ell, min(ell, K // (n // ell)), kappa)
+            lp = _moment_lp(rows, work)
+            values = set()
+            for bland in counts:
+                pivots = []
+                x, value, y = solve_lp_fraction(*lp, pivots, bland=bland)
+                counts[bland] += len(pivots)
+                values.add(value)
+                if not bland:
+                    assert solve_lp(*lp) == (x, value, y)
+                    fit = solve_linf_fit(rows, work)
+                    assert (fit.coeffs, fit.epsilon) == (tuple(y[:len(rows[0])]), value)
+            assert len(values) == 1
+        assert counts == {False: 60, True: 175}
 
 
 class TestMinimax:
@@ -240,7 +296,7 @@ class TestMinimax:
 
     def test_degenerate_optimum_takes_the_canonical_support(self):
         # AND_12 at degree 2 attains its error at h = 5 and h = 6 with the
-        # same sign; walking from h = 0 takes h = 5, as the LP's Bland vertex does
+        # same sign; walking from h = 0 takes h = 5, as the LP's vertex does
         values = [Fraction(int(h == 12)) for h in range(13)]
         sol = solve_minimax(weight_grid(12), values, 2)
         assert [h for h, p in enumerate(sol.psi) if p] == [0, 5, 11, 12]
@@ -370,10 +426,7 @@ def fit_instances(draw):
 def _fit_through_fraction_lp(rows, values):
     """(coeffs, epsilon, psi) from the moment LP solved on the Fraction tableau."""
     m, ncoef = len(rows), len(rows[0])
-    A = [[rows[i][r] for i in range(m)] + [-rows[i][r] for i in range(m)]
-         for r in range(ncoef)]
-    A.append([1] * (2 * m))
-    x, eps, y = solve_lp_fraction(A, [0] * ncoef + [1], [*values, *(-v for v in values)])
+    x, eps, y = solve_lp_fraction(*_moment_lp(rows, values))
     return tuple(y[:ncoef]), eps, tuple(x[i] - x[m + i] for i in range(m))
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
@@ -20,6 +21,7 @@ from dualshare.symcheb import (
     hypergeom_row,
     truncation_error_bound,
     indistinguishability_bound,
+    indistinguishability_bound_holds,
     circle_identity_check,
     reflection_check,
 )
@@ -425,6 +427,37 @@ class TestIndistinguishabilityBound:
     def test_monotone_decreasing_in_k(self):
         vals = [indistinguishability_bound(k, 8) for k in range(1, 8)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    @staticmethod
+    def _bound_decimal(k, K):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            return (K + 1) * 8 * Decimal(K).sqrt() * (-Decimal(k * k) / (1156 * K)).exp()
+
+    @pytest.mark.parametrize("k, K", [(1, 2), (1, 4), (2, 4), (1, 5), (7, 30), (63, 64)])
+    def test_exact_verdict_just_above_and_below(self, k, K):
+        # 1e-40 either side of the bound (known here to 60 digits); a double
+        # cannot tell those apart, and the one just above passed the old
+        # comparison float(dist) <= bound
+        beta = Fraction(self._bound_decimal(k, K))
+        above, below = beta + Fraction(1, 10**40), beta - Fraction(1, 10**40)
+        assert float(above) <= indistinguishability_bound(k, K)
+        assert not indistinguishability_bound_holds(above, k, K)
+        assert indistinguishability_bound_holds(below, k, K)
+
+    @pytest.mark.parametrize("k, K", [(1, 2), (1, 4), (2, 4), (1, 5)])
+    def test_the_float_bound_itself_exceeds_the_bound(self, k, K):
+        # the double the formula returns lies above the true bound here
+        bound = indistinguishability_bound(k, K)
+        assert Fraction(bound) > Fraction(self._bound_decimal(k, K))
+        assert not indistinguishability_bound_holds(Fraction(bound), k, K)
+
+    def test_zero_distance_holds_and_an_open_bracket_is_undecided(self):
+        # k^2 / 578K is about 10^6 here: no upper bracket within 200 terms,
+        # and 10^-2000 times the lower one stays below the cap
+        assert indistinguishability_bound_holds(Fraction(0), 24000, 1)
+        with pytest.raises(PropertyViolation, match="undecided"):
+            indistinguishability_bound_holds(Fraction(1, 10**1000), 24000, 1)
 
 
 class TestExactWeightDecomposition:

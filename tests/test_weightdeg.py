@@ -9,25 +9,32 @@ from hypothesis import strategies as st
 from dualshare.approxlab import approx_degree, minimax_on_weight_grid
 from dualshare.boolcube import kravchuk
 from dualshare.errors import InfeasibleBudget, InvalidInput
-from dualshare.simplex import solve_lp, solve_minimax
+from dualshare.simplex import solve_linf_fit, solve_lp, solve_minimax
 from dualshare.weightdeg import (
     SymmetricSpec,
     _aggregate_design,
     _aggregate_optimal,
     _block_count_poly,
+    _BlockTables,
+    _chat_weight,
     _divisors,
-    _kappa_sums,
+    _outer_differences,
+    _touched_block_coeffs,
     low_weight_report,
     weight_lower_bound,
 )
 from oracles import (
     ParityPoly,
+    aggregate_certificate_fraction,
     aggregate_design_fraction,
     approx_eq_y,
+    chat_weight_fraction,
     basis_convert,
+    core_weight,
     cube_error,
     cube_pairing,
     expand_approximant,
+    kappa_sums,
     kravchuk_weight_floor,
 )
 
@@ -94,7 +101,7 @@ class TestApproxEqY:
     def test_exact_and_small(self):
         poly, core = approx_eq_y(8, (1 << 8) - 1, 8, Fraction(1, 6))
         assert core.degree == poly.degree() == 8
-        assert core.weight() == poly.weight() == 1
+        assert core_weight(core) == poly.weight() == 1
         assert core.error == 0
         assert cube_error(poly, lambda m: 1 if m == 255 else 0) == 0
 
@@ -102,7 +109,7 @@ class TestApproxEqY:
         poly, core = approx_eq_y(16, (1 << 16) - 1, 8, Fraction(1, 6))
         assert core.degree == poly.degree() <= 8
         assert core.error <= Fraction(1, 6)
-        assert poly.weight() == core.weight()
+        assert poly.weight() == core_weight(core)
 
     def test_error_certificate_vs_cube(self):
         # the structural error (outer LP residuals) equals the exhaustive one
@@ -110,14 +117,14 @@ class TestApproxEqY:
             y = (1 << n) - 1
             poly, core = approx_eq_y(n, y, budget, target)
             assert cube_error(poly, lambda m: 1 if m == y else 0) == core.error
-            assert (poly.degree(), poly.weight()) == (core.degree, core.weight())
+            assert (poly.degree(), poly.weight()) == (core.degree, core_weight(core))
 
     def test_retargeting_preserves_weight_and_error(self):
         n = 8
         _, base = approx_eq_y(n, (1 << n) - 1, 4, Fraction(1, 3))
         for y in (0, 0b10110101, 0b00001111):
             poly, core = approx_eq_y(n, y, 4, Fraction(1, 3))
-            assert poly.weight() == base.weight()
+            assert poly.weight() == core_weight(base)
             assert cube_error(poly, lambda m: 1 if m == y else 0) == base.error
 
     def test_inner_and_block_weight_one(self):
@@ -200,12 +207,12 @@ class TestLowWeightApproximant:
         work = tuple(1 if h == n // 2 else 0 for h in range(n + 1))
         with pytest.raises(InfeasibleBudget) as exc:
             expanded_approximant(SymmetricSpec(n, work), K, eps)
-        kappa = _kappa_sums(n, [n // 2])
+        tables = _BlockTables(n, [n // 2])
         assert set(exc.value.best_errors) == set(_divisors(n))
         for ell, error in exc.value.best_errors.items():
-            s = n // ell
+            _, den, scaled = _aggregate_optimal(tables, ell, min(ell, K // (n // ell)), work)
             assert error > eps
-            assert error == _aggregate_optimal(n, ell, s, min(ell, K // s), work, kappa)[1]
+            assert error == Fraction(scaled, den)
 
 
 class TestBlockCountPoly:
@@ -229,13 +236,69 @@ class TestAggregateDesign:
         # rows[h][r] does not depend on d_out, so one oracle build per split
         # covers every d_out as a prefix of each row
         n, supp = case
-        kappa = _kappa_sums(n, sorted(supp))
+        kappa = kappa_sums(n, sorted(supp))
+        tables = _BlockTables(n, sorted(supp))
         for ell in _divisors(n):
             full = aggregate_design_fraction(n, ell, n // ell, ell, kappa)
             for d_out in range(ell + 1):
-                rows = _aggregate_design(n, ell, n // ell, d_out, kappa)
+                rows = _aggregate_design(tables, ell, d_out)
                 assert rows == [row[: d_out + 1] for row in full]
-                assert all(type(v) is Fraction for row in rows for v in row)
+
+
+class TestIntegerRouteAgainstFractionHelpers:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 14).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n), min_size=1))
+    ))
+    def test_every_split_and_outer_degree(self, case):
+        # the fitted outer polynomial of every split and d_out, pushed through
+        # the integer route and through the Fraction helpers: the same D,
+        # chat, values, weight (plain and complemented) and error
+        n, supp = case
+        work = [int(h in supp) for h in range(n + 1)]
+        kappa = kappa_sums(n, sorted(supp))
+        tables = _BlockTables(n, sorted(supp))
+        for ell in _divisors(n):
+            full = aggregate_design_fraction(n, ell, n // ell, ell, kappa)
+            for d_out in range(ell + 1):
+                fit = solve_linf_fit([row[: d_out + 1] for row in full], work)
+                p_values = [sum(c * j**r for r, c in enumerate(fit.coeffs)) for j in range(ell + 1)]
+                D, chat, values, error = aggregate_certificate_fraction(
+                    n, ell, p_values, kappa, work)
+                c, den = _outer_differences(fit.coeffs, ell)
+                D_int = _touched_block_coeffs(c, ell, n // ell)
+                assert [Fraction(v, den << n) for v in D_int] == D
+                chat_int, den, error_int = tables.certificate(D_int, ell, den << n, work)
+                assert [Fraction(v, den) for v in chat_int] == chat
+                assert [Fraction(v, den) for v in tables.values(chat_int)] == values
+                assert Fraction(error_int, den) == error == fit.epsilon
+                for complemented in (False, True):
+                    assert (Fraction(_chat_weight(chat_int, den, complemented), den)
+                            == chat_weight_fraction(chat, complemented))
+                assert _aggregate_optimal(tables, ell, d_out, work) == (chat_int, den, error_int)
+
+
+# the sweep cases (n <= 14, threshold and exact-weight predicates, every K,
+# eps in {1/3, 1/10, 1/100}) whose report changed when the LP took the
+# largest reduced cost: the fits there have more than one optimal vertex,
+# and only the weight moved
+_MOVED_SWEEP_CASES = [
+    (10, 5, [int(h >= 3) for h in range(11)], Fraction(86, 21), Fraction(11, 42)),
+    (10, 5, [int(h >= 8) for h in range(11)], Fraction(89, 28), Fraction(11, 42)),
+    (13, 8, [int(h >= 4) for h in range(14)], Fraction(15804385, 1795584), Fraction(2971, 14028)),
+    (13, 8, [int(h >= 10) for h in range(14)], Fraction(14008801, 1795584),
+     Fraction(2971, 14028)),
+    (14, 10, [int(h == 11) for h in range(15)], Fraction(11195249, 581376),
+     Fraction(1105, 4542)),
+]
+
+
+class TestMovedSweepCases:
+    @pytest.mark.parametrize("n, K, predicate, weight, error", _MOVED_SWEEP_CASES)
+    def test_against_the_cube(self, n, K, predicate, weight, error):
+        poly, rep = expanded_approximant(SymmetricSpec(n, tuple(predicate)), K, Fraction(1, 3))
+        assert (rep.degree, rep.weight, rep.error) == (K, weight, error)
+        assert cube_error(poly, lambda m: predicate[m.bit_count()]) == error
 
 
 class TestWeightLowerBound:
