@@ -6,7 +6,8 @@ one that takes ``--seed``; every command takes ``--out``/``--format``.  The
 resolved configuration and tool version are echoed into every JSON output,
 and into the ``#`` line that starts a CSV printed to stdout; a CSV file
 written with ``--out`` holds only the header and the rows.  Outputs are
-written atomically, and repeated runs are byte-identical.  Exit
+written atomically, to an ``--out`` path checked before the command does any
+work (``serialize._resolve_out``), and repeated runs are byte-identical.  Exit
 codes: 0 success, 2 usage/validation error, 3 a certified mathematical
 property failed on the instance (so CI can separate math regressions from
 bad invocations).
@@ -26,12 +27,13 @@ little more than the interpreter's own start-up time.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, serialize
 from .errors import InfeasibleBudget, InvalidInput, PropertyViolation
 
 EXIT_USAGE = 2
@@ -291,6 +293,8 @@ def _run(entry: Command | Group, args: list[str], prog: str) -> None:
         if operands:
             plural = "s" if len(operands) > 1 else ""
             raise InvalidInput(f"Got unexpected extra argument{plural} ({' '.join(operands)})")
+        if kwargs["out"]:  # checked before the command does any work
+            kwargs["out"] = serialize._resolve_out(kwargs["out"])
         entry.callback(**kwargs)  # read at call time: a tracer may rebind it
         return
     command = None
@@ -317,7 +321,17 @@ def main(argv: list[str] | None = None) -> None:
     value) and a command's ValueError or InfeasibleBudget alike end with one
     ``Error:`` line and exit 2; a PropertyViolation ends with one line and
     exit 3.  A closed stdout ends quietly with exit 1.
+
+    Run on the process's own command line (``argv`` None), it freezes the
+    collector's heap first; a caller that passes ``argv`` keeps its collector
+    as it was.
     """
+    if argv is None:
+        # Everything loaded so far (the interpreter's start-up, the standard
+        # library, this package) lives until the process exits, so neither the
+        # command's collections nor the interpreter's at finalization need walk
+        # it again.
+        gc.freeze()
     try:
         _run(cli, sys.argv[1:] if argv is None else list(argv), "dualshare")
     except (ValueError, InfeasibleBudget) as exc:

@@ -3,9 +3,9 @@
 Rationals serialise as "numerator/denominator" in lowest terms (optional
 leading minus); bare integers are accepted on input.  Polynomials serialise
 as coefficient arrays, lowest power first.  Output files are written
-atomically (temp file + rename) with the mode a plain write gives a new
-file, and deterministically (sorted keys, no timestamps), so identical runs
-are byte-identical.
+atomically (temp file + rename), only over a regular file, with the mode a
+plain write gives a new file, and deterministically (sorted keys, no
+timestamps), so identical runs are byte-identical.
 
 The command handlers share the helpers at the foot of this module: each
 command's payload goes out through ``_emit``.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -123,18 +124,23 @@ def witness_from_json(doc) -> dualand.DualAndWitness:
 def _atomic_write(path: str, write_fn) -> None:
     """Write a temporary file beside ``path`` and rename it into place.  The
     file is created with mode 0o666 less the umask, as ``open`` creates one
-    (``tempfile.mkstemp`` would give every output 0o600)."""
+    (``tempfile.mkstemp`` would give every output 0o600).  An OSError (a full
+    disk, a directory that refuses the file) is an InvalidInput naming
+    ``path``."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".tmp-dualshare-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            write_fn(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", newline="") as fh:
+                write_fn(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def write_json(path: str, payload: Any) -> None:
@@ -159,18 +165,35 @@ def load_json(path: str) -> Any:
         return json.load(fh)
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
+def _resolve_out(path: str) -> str:
+    """The file ``--out path`` names (under ``DUALSHARE_OUT_DIR`` when the
+    path is relative), checked before the command does any work: its
+    directory must exist, and the path must name no file yet or a regular
+    file, which the output replaces.  A device, a FIFO or a directory is
+    never replaced."""
     base = os.environ.get("DUALSHARE_OUT_DIR")
     if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+        path = os.path.join(base, path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        if os.path.basename(path) and os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            return path
+        reason = f"Directory {os.path.dirname(path)!r} does not exist."
+    except OSError as exc:  # a file where a directory should be, a name too long
+        reason = f"Path {path!r}: {exc.strerror}."
+    else:
+        if stat.S_ISREG(mode):
+            return path
+        kind = "a directory" if stat.S_ISDIR(mode) else "not a regular file"
+        reason = f"Path {path!r} is {kind}."
+    raise InvalidInput(f"Invalid value for '--out': {reason}")
 
 
 def _emit(command: str, config: dict, result: dict, out: str | None, fmt: str,
           csv_table: tuple[list[str], list[list]] | None = None) -> None:
-    """Print the command's payload, or write it to ``out`` and print the path."""
+    """Print the command's payload, or write it to ``out`` (a path
+    ``_resolve_out`` gave) and print the path."""
     payload = {
         "tool": "dualshare",
         "version": __version__,
@@ -178,7 +201,6 @@ def _emit(command: str, config: dict, result: dict, out: str | None, fmt: str,
         "config": config,
         "result": result,
     }
-    out = _resolve_out(out)
     if fmt == "json":
         if out:
             write_json(out, payload)

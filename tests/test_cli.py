@@ -1,8 +1,11 @@
+import errno
+import gc
 import hashlib
 import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import traceback
@@ -808,17 +811,21 @@ def test_removed_out_aliases_are_unknown_options(runner, tmp_path, monkeypatch, 
     assert not os.listdir(tmp_path)
 
 
+def _subprocess_env() -> dict:
+    """This environment, with the package's source first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(__file__), "..", "src"),
+                    os.environ.get("PYTHONPATH")) if p))
+
+
 def test_a_closed_stdout_ends_quietly_with_exit_1(tmp_path):
     # the reader of a pipe may stop early, as ``| head`` does
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (os.path.join(os.path.dirname(__file__), "..", "src"),
-                    os.environ.get("PYTHONPATH")) if p))
     try:
         proc = subprocess.run([sys.executable, "-m", "dualshare.cli", "ramp", "--k", "1",
                                "--K", "2"], stdout=write_end, stderr=subprocess.PIPE,
-                              cwd=tmp_path, env=env)
+                              cwd=tmp_path, env=_subprocess_env())
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
@@ -964,3 +971,135 @@ class TestExitContract:
         if code == 0:  # the same draws as from the file dual-and wrote
             expect = _run_capturing([*draw, "--witness", "wit.json"])[1]
             assert out.replace("edited", "wit") == expect
+
+    @pytest.mark.parametrize("args, out, message", [
+        (["ramp", "--k", "1", "--K", "2"], "absent/x.json", "Directory 'absent' does not exist."),
+        (["ramp", "--k", "1", "--K", "2"], "absent/", "Directory 'absent' does not exist."),
+        (["dual-and", "--n", "4", "--d", "2"], "somedir", "Path 'somedir' is a directory."),
+        (["dual-and", "--n", "4", "--d", "2"], ".", "Path '.' is a directory."),
+        (["dual-and", "--n", "4", "--d", "2"], "fifo", "Path 'fifo' is not a regular file."),
+        (["dual-and", "--n", "4", "--d", "2", "--format", "csv"], "fifo",
+         "Path 'fifo' is not a regular file."),
+        (["ramp", "--k", "1", "--K", "2"], "plain.txt/x.json",
+         "Path 'plain.txt/x.json': Not a directory."),
+    ], ids=["missing-directory", "missing-directory-slash", "a-directory", "dot", "fifo",
+            "fifo-csv", "file-as-directory"])
+    def test_an_out_that_cannot_be_a_regular_file(self, tmp_path, monkeypatch, args, out,
+                                                  message):
+        # exit 2 with one line before the command runs, and nothing replaced
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "somedir").mkdir()
+        os.mkfifo(tmp_path / "fifo")
+        (tmp_path / "plain.txt").write_text("kept\n")
+        command = cli.commands[args[0]]
+        handler, calls = command.callback, []
+        monkeypatch.setattr(command, "callback",
+                            lambda **kwargs: calls.append(kwargs) or handler(**kwargs))
+        got, stdout, err = _run_capturing([*args, "--out", out])
+        assert (got, stdout, err, calls) == (
+            2, "", f"Error: Invalid value for '--out': {message}\n", [])
+        assert sorted(os.listdir(tmp_path)) == ["fifo", "plain.txt", "somedir"]
+        assert not os.listdir(tmp_path / "somedir")
+        assert stat.S_ISFIFO(os.stat(tmp_path / "fifo").st_mode)
+        assert (tmp_path / "plain.txt").read_text() == "kept\n"
+
+    def test_an_out_under_a_missing_out_dir(self, tmp_path, monkeypatch):
+        base = tmp_path / "absent"
+        monkeypatch.setenv("DUALSHARE_OUT_DIR", str(base))
+        got, _, err = _run_capturing(["ramp", "--k", "1", "--K", "2", "--out", "r.json"])
+        assert (got, err) == (2, f"Error: Invalid value for '--out': "
+                                 f"Directory {str(base)!r} does not exist.\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_failed_write_exits_2_with_one_line(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.out").write_text("kept\n")
+
+        def disk_full(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        got, out, err = _run_capturing(["ramp", "--k", "1", "--K", "2", "--format", fmt,
+                                        "--out", "r.out"])
+        assert (got, out, err) == (2, "", "Error: cannot write 'r.out': "
+                                          "No space left on device\n")
+        assert os.listdir(tmp_path) == ["r.out"]  # no temporary file is left
+        assert (tmp_path / "r.out").read_text() == "kept\n"
+
+
+class TestCollectorFreeze:
+    """``main()`` on the process's own command line freezes the start-up heap;
+    ``main(argv)`` in a caller's process leaves the collector as it was."""
+
+    def test_the_command_line_path_freezes(self, tmp_path):
+        script = ("import gc, sys\n"
+                  "from dualshare import cli\n"
+                  "before = gc.get_freeze_count()\n"
+                  "sys.argv = ['dualshare', 'ramp', '--k', '1', '--K', '2', '--out', 'r.json']\n"
+                  "cli.main()\n"
+                  "print(before, gc.get_freeze_count(), gc.isenabled())\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              cwd=tmp_path, env=_subprocess_env(), check=True)
+        before, after, enabled = proc.stdout.splitlines()[-1].split()
+        assert int(before) == 0 < int(after) and enabled == "True"
+
+    @pytest.mark.parametrize("args", [["ramp", "--k", "1", "--K", "2"],
+                                      ["ramp", "--k", "0", "--K", "2"], ["--help"]])
+    def test_an_in_process_call_leaves_the_collector_as_it_was(self, runner, args):
+        before = gc.get_freeze_count()
+        runner.invoke(cli, args)
+        assert (gc.get_freeze_count(), gc.isenabled()) == (before, True)
+
+
+# one command per benchmark workload; the inputs are made in the directory
+# above the one each command runs in
+_ONE_COMMAND_PER_WORKLOAD = {
+    "approx-degree": ["approx-degree", "--f", "maj", "--n", "14", "--eps", "1/3"],
+    "ramp-finite": ["ramp", "--k", "2", "--K", "4", "--n", "64", "--finite"],
+    "indist-check": ["indist-check", "--dist1", "../mu.json", "--dist2", "../nu.json",
+                     "--k", "2", "--K", "3,5"],
+    "consolidate": ["consolidate", "--dist", "../nu.json", "--t", "4"],
+    "symcheb-truncation": ["symcheb", "pw", "--n", "512", "--K", "8", "--w", "2",
+                           "--check", "truncation", "--k", "4"],
+    "dual-and": ["dual-and", "--n", "10", "--weights", _WEIGHTS_10, "--d", "17/4"],
+    "sample-shares-json": ["sample-shares", "--witness", "../wit.json", "--secret", "-1",
+                           "--count", "50", "--seed", "7"],
+    "sample-shares-csv": ["sample-shares", "--witness", "../wit.json", "--secret", "+1",
+                          "--count", "50", "--seed", "7", "--format", "csv"],
+    "weight-bound": ["weight-bound", "--f", "maj", "--n", "12", "--K", "6"],
+}
+
+
+@pytest.fixture(scope="module")
+def workload_inputs(tmp_path_factory):
+    """A directory holding a ramp pair's mu.json and nu.json and an n = 10
+    witness, wit.json."""
+    base = tmp_path_factory.mktemp("inputs")
+    code, out, err = _run_capturing(["ramp", "--k", "2", "--K", "4", "--n", "64", "--finite"])
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    for name in ("mu", "nu"):
+        (base / f"{name}.json").write_text(json.dumps(result[name]))
+    code, _, err = _run_capturing(["dual-and", "--n", "10", "--weights", _WEIGHTS_10,
+                                   "--d", "17/4", "--out", str(base / "wit.json")])
+    assert code == 0, err
+    return base
+
+
+@pytest.mark.parametrize("name", list(_ONE_COMMAND_PER_WORKLOAD))
+def test_the_command_line_path_writes_the_in_process_bytes(workload_inputs, monkeypatch,
+                                                           name):
+    # the program path freezes its heap and an in-process call does not; the
+    # bytes on stdout and in --out are the same either way
+    args = [*_ONE_COMMAND_PER_WORKLOAD[name], "--out", "out.data"]
+    program, in_process = (workload_inputs / f"{name}-{side}" for side in ("cli", "main"))
+    program.mkdir()
+    in_process.mkdir()
+    proc = subprocess.run([sys.executable, "-m", "dualshare.cli", *args], capture_output=True,
+                          cwd=program, env=_subprocess_env())
+    monkeypatch.chdir(in_process)
+    code, out, err = _run_capturing(args)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (code, err) == (0, "")
+    assert proc.stdout == out.encode() == b"out.data\n"
+    assert (program / "out.data").read_bytes() == (in_process / "out.data").read_bytes()
