@@ -293,7 +293,7 @@ def _run(entry: Command | Group, args: list[str], prog: str) -> None:
         if operands:
             plural = "s" if len(operands) > 1 else ""
             raise InvalidInput(f"Got unexpected extra argument{plural} ({' '.join(operands)})")
-        if kwargs["out"]:  # checked before the command does any work
+        if kwargs["out"] is not None:  # checked before the command does any work
             kwargs["out"] = serialize._resolve_out(kwargs["out"])
         entry.callback(**kwargs)  # read at call time: a tracer may rebind it
         return

@@ -38,6 +38,12 @@ def dual_and_cmd(n, weights, d_str, out, fmt):
 
 def sample_shares_cmd(witness_path, secret, count, seed, out, fmt):
     wit = serialize.witness_from_json(serialize.load_json(witness_path))
+    # The rows are held in memory, so count * n share bits is capped at the
+    # scale of the largest cube; a per-command work budget, checked before
+    # any work, would replace this cap.
+    if count * wit.params.n > 1 << boolcube.CUBE_CAP:
+        raise InvalidInput(f"Invalid value for '--count': {count} shares of {wit.params.n} "
+                           f"bits exceed count * n <= 2^{boolcube.CUBE_CAP}.")
     sampler = dualand.ShareSampler(wit, 1 if secret == "+1" else -1, seed)
     rows = []
     for _ in range(count):

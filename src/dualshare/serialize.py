@@ -5,7 +5,9 @@ leading minus); bare integers are accepted on input.  Polynomials serialise
 as coefficient arrays, lowest power first.  Output files are written
 atomically (temp file + rename), only over a regular file, with the mode a
 plain write gives a new file, and deterministically (sorted keys, no
-timestamps), so identical runs are byte-identical.
+timestamps), so identical runs are byte-identical.  JSON goes out in pieces
+(``_json_pieces``), with the bytes of ``json.dumps(indent=2, sort_keys=True)``
+but never the whole text in memory at once.
 
 The command handlers share the helpers at the foot of this module: each
 command's payload goes out through ``_emit``.
@@ -14,10 +16,13 @@ command's payload goes out through ``_emit``.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import stat
+import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterator, Sequence
 
 from . import __version__, boolcube, dualand, ratpoly
 from .errors import InvalidInput, PropertyViolation
@@ -55,8 +60,9 @@ def dist_from_json(obj: dict) -> boolcube.SymmetricDistribution:
 def witness_to_json(n: int, d, texts: Sequence[str]) -> dict:
     """The cube witness on n variables with claimed degree d; ``texts`` are
     its 2^n values already written by ``rat_to_str``, for a caller whose
-    values repeat and who converts each distinct one once."""
-    return {"n": n, "representation": "cube", "values": list(texts),
+    values repeat and who converts each distinct one once.  The sequence is
+    kept as given: a tuple goes out as a JSON list."""
+    return {"n": n, "representation": "cube", "values": texts,
             "claimed_degree": rat_to_str(d)}
 
 
@@ -70,7 +76,12 @@ def witness_from_json(doc) -> dualand.DualAndWitness:
     ``claimed_degree`` too (checked again only where it is not config's d),
     and have the sign of chi_[n] or are 0, as the sampler's secret-to-parity
     rule needs; and unless the file's ``l1_norm``, ``correlation``, ``Z``
-    and ``pure_high_degree_strictly_below_d`` are what the check found."""
+    and ``pure_high_degree_strictly_below_d`` are what the check found.
+
+    No table of 2^n entries is built beside the file's own list (unless every
+    class is one point): one text per class is parsed, and the values are
+    compared with their class's text in C.  Every value is a rational string
+    or the file exits 2, even one that also breaks an exit-3 property."""
     try:
         config, result = doc["config"], doc["result"]
         n, weights, d = config["n"], config["weights"], _parse_rational(config["d"])
@@ -80,7 +91,6 @@ def witness_from_json(doc) -> dualand.DualAndWitness:
         witness = result["witness"]
         wn, texts, representation = witness["n"], witness["values"], witness["representation"]
         claimed = _parse_rational(witness["claimed_degree"])
-        distinct = set(texts)
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed witness file: {exc!r}") from exc
     # bool is an int subclass, and 2.7 must not become 2
@@ -94,18 +104,30 @@ def witness_from_json(doc) -> dualand.DualAndWitness:
         n, boolcube.WeightVector.of([_parse_rational(x) for x in weights]), d)
     if type(wn) is not int or wn != n or type(texts) is not list or len(texts) != 1 << n:
         raise InvalidInput(f"witness file result needs {1 << n} witness values for n={n}")
+    classes = dualand.BitCountClasses.of(params.w, d)
+    class_of = classes.class_of
+    if isinstance(class_of, range):  # singleton classes: class = mask
+        class_texts = texts
+    else:  # one text per class, read at the last of its masks
+        last = dict(zip(class_of, texts))
+        class_texts = list(map(last.__getitem__, range(len(last))))
+    try:
+        values = {text: _parse_rational(text) for text in set(class_texts)}
+    except TypeError:  # a list or an object where a rational string should be
+        raise InvalidInput("witness values must be rational strings") from None
+    constant = all(map(operator.eq, texts, map(class_texts.__getitem__, class_of)))
+    if not constant:  # parse every differing value first: a malformed one exits 2
+        constant = all([_parse_rational(text) == values[expect] for text, expect
+                        in zip(texts, map(class_texts.__getitem__, class_of)) if text != expect])
     if h_size < 1 or h_size != eps * (1 << n):
         raise PropertyViolation(f"witness file claims H_size={h_size}, epsilon={eps}; "
                                 "need H_size = epsilon * 2^n >= 1")
-    scaled = {text: _parse_rational(text) * (h_size << n) for text in distinct}
+    scaled = {text: value * (h_size << n) for text, value in values.items()}
     if any(v.denominator != 1 for v in scaled.values()):
         raise PropertyViolation(f"a witness value is not a multiple of 1/{h_size << n}")
-    points = tuple(map({t: v.numerator for t, v in scaled.items()}.__getitem__, texts))
-    classes = dualand.BitCountClasses.of(params.w, d)
-    per_class = dict(zip(classes.class_of, points))
-    nums = list(map(per_class.__getitem__, range(len(per_class))))
-    if classes.expand(nums) != points:
+    if not constant:
         raise PropertyViolation("witness values are not constant on config's classes")
+    nums = list(map({text: v.numerator for text, v in scaled.items()}.__getitem__, class_texts))
     wit = dualand.DualAndWitness(params, h_size, classes, nums)
     report = dualand.verify_witness(wit)
     report.require(eps)
@@ -143,10 +165,64 @@ def _atomic_write(path: str, write_fn) -> None:
         raise InvalidInput(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
+_BLOCK = 4096  # list items per joined piece
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)  # as json.dumps(indent=2, sort_keys=True)
+
+
+def _json_pieces(obj: Any, indent: str = "") -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in pieces, for
+    ``obj`` written ``indent`` deep.  A dict with string keys goes key by key in
+    sorted order; a list or tuple goes in blocks of at most ``_BLOCK`` items, a
+    block of only ``str`` or only ``int`` as one C-level join (each distinct
+    string of the block escaped once).  A ``str`` or ``int`` goes as ``json``
+    writes it, and every other value through ``json``'s own encoder, so bools,
+    None, floats and other dicts read as they would there."""
+    if type(obj) is dict and obj and all(type(key) is str for key in obj):
+        inner = indent + "  "
+        head = "{\n" + inner
+        for key in sorted(obj):
+            yield head + encode_basestring_ascii(key) + ": "
+            yield from _json_pieces(obj[key], inner)
+            head = ",\n" + inner
+        yield "\n" + indent + "}"
+    elif type(obj) in (list, tuple) and obj:
+        inner = indent + "  "
+        sep = ",\n" + inner
+        head = "[\n" + inner
+        for start in range(0, len(obj), _BLOCK):
+            block = obj[start:start + _BLOCK]
+            kinds = set(map(type, block))
+            if kinds == {str}:
+                distinct = set(block)
+                escaped = dict(zip(distinct, map(encode_basestring_ascii, distinct)))
+                yield head + sep.join(map(escaped.__getitem__, block))
+            elif kinds == {int}:  # bools are not ints here: json writes true/false
+                yield head + sep.join(map(int.__repr__, block))
+            else:
+                for item in block:
+                    yield head
+                    yield from _json_pieces(item, inner)
+                    head = sep
+            head = sep
+        yield "\n" + indent + "]"
+    elif type(obj) is str:
+        yield encode_basestring_ascii(obj)
+    elif type(obj) is int:
+        yield int.__repr__(obj)
+    else:  # a JSON string never holds a raw newline, so re-indenting is safe
+        yield _ENCODER.encode(obj).replace("\n", "\n" + indent)
+
+
+def _dump_json(payload: Any, fh) -> None:
+    """``payload``'s JSON text and a newline, to ``fh`` piece by piece."""
+    write = fh.write
+    for piece in _json_pieces(payload):
+        write(piece)
+    write("\n")
+
+
 def write_json(path: str, payload: Any) -> None:
-    _atomic_write(
-        path, lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    )
+    _atomic_write(path, lambda fh: _dump_json(payload, fh))
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -167,10 +243,12 @@ def load_json(path: str) -> Any:
 
 def _resolve_out(path: str) -> str:
     """The file ``--out path`` names (under ``DUALSHARE_OUT_DIR`` when the
-    path is relative), checked before the command does any work: its
-    directory must exist, and the path must name no file yet or a regular
-    file, which the output replaces.  A device, a FIFO or a directory is
-    never replaced."""
+    path is relative), checked before the command does any work: the path
+    must not be empty, its directory must exist, and it must name no file
+    yet or a regular file, which the output replaces.  A device, a FIFO or a
+    directory is never replaced."""
+    if not path:  # more likely an unset variable than a request for stdout
+        raise InvalidInput("Invalid value for '--out': Path '' is empty.")
     base = os.environ.get("DUALSHARE_OUT_DIR")
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
@@ -206,7 +284,7 @@ def _emit(command: str, config: dict, result: dict, out: str | None, fmt: str,
             write_json(out, payload)
             print(out)
         else:
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            _dump_json(payload, sys.stdout)
         return
     header, rows = csv_table if csv_table else _flatten_csv(result)
     if out:

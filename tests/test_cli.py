@@ -19,6 +19,7 @@ import dualshare.dualand as dualand
 import dualshare.simplex as simplex
 from dualshare.cli import cli, main
 from dualshare.dualand import DualAndWitness
+from dualshare.errors import PropertyViolation
 from dualshare.serialize import dist_to_json
 from dualshare.boolcube import SymmetricDistribution
 
@@ -930,6 +931,21 @@ _WITNESS_FILES = {
     "claimed-degree-lower": (_set("result", "witness", "claimed_degree", "1/1"), 0),
     "every-claim-false": (lambda doc: _false_claims(doc, "banana"), 2),
     "every-claim-false-but-the-representation": (lambda doc: _false_claims(doc, "cube"), 3),
+    # the reader parses one value per class (the last of its masks, here 8 and
+    # 12 for weights 1 and 2) and compares the rest as text: a value that is no
+    # rational string exits 2 wherever it sits
+    "an-int-inside-a-class": (_set("result", "witness", "values", 5, 5), 2),
+    "a-list-inside-a-class": (_set("result", "witness", "values", 6, ["1/80"]), 2),
+    "null-inside-a-class": (_set("result", "witness", "values", 9, None), 2),
+    "an-int-at-a-class's-last-mask": (_set("result", "witness", "values", 12, 5), 2),
+    "a-list-at-a-class's-last-mask": (_set("result", "witness", "values", 8, []), 2),
+    "off-its-class-at-the-last-mask": (_set("result", "witness", "values", 12, "1/40"), 3),
+    "off-its-class-at-the-first-mask": (_set("result", "witness", "values", 3, "1/40"), 3),
+    "off-its-class-then-not-rational": (
+        lambda doc: [_set("result", "witness", "values", mask, text)(doc)
+                     for mask, text in ((5, "1/40"), (6, "x"))], 2),
+    # one class spelled two ways is still constant on it
+    "respelled-at-one-mask": (_set("result", "witness", "values", 5, "2/160"), 0),
 }
 
 
@@ -982,8 +998,10 @@ class TestExitContract:
          "Path 'fifo' is not a regular file."),
         (["ramp", "--k", "1", "--K", "2"], "plain.txt/x.json",
          "Path 'plain.txt/x.json': Not a directory."),
+        (["ramp", "--k", "1", "--K", "2"], "", "Path '' is empty."),
+        (["dual-and", "--n", "4", "--d", "2", "--format", "csv"], "", "Path '' is empty."),
     ], ids=["missing-directory", "missing-directory-slash", "a-directory", "dot", "fifo",
-            "fifo-csv", "file-as-directory"])
+            "fifo-csv", "file-as-directory", "empty", "empty-csv"])
     def test_an_out_that_cannot_be_a_regular_file(self, tmp_path, monkeypatch, args, out,
                                                   message):
         # exit 2 with one line before the command runs, and nothing replaced
@@ -1009,6 +1027,38 @@ class TestExitContract:
         got, _, err = _run_capturing(["ramp", "--k", "1", "--K", "2", "--out", "r.json"])
         assert (got, err) == (2, f"Error: Invalid value for '--out': "
                                  f"Directory {str(base)!r} does not exist.\n")
+
+    def test_an_empty_out_under_an_out_dir(self, tmp_path, monkeypatch):
+        # the empty path does not become the directory itself
+        monkeypatch.setenv("DUALSHARE_OUT_DIR", str(tmp_path))
+        got, out, err = _run_capturing(["ramp", "--k", "1", "--K", "2", "--out", ""])
+        assert (got, out, err) == (2, "", "Error: Invalid value for '--out': Path '' is empty.\n")
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("count, n, code", [
+        (1_000_000_000, 4, 2), ((1 << 20) + 1, 4, 2), (1 << 20, 4, 3),
+        ((1 << 22) // 10 + 1, 10, 2), ((1 << 22) // 10, 10, 3),
+    ], ids=["a-billion", "one-over", "at-the-cap", "one-over-n10", "at-the-cap-n10"])
+    def test_share_count_is_capped_before_the_sampler(self, tmp_path, monkeypatch, count, n,
+                                                      code):
+        # count * n <= 2^22 share bits; a count within the cap reaches the
+        # sampler, here a stand-in that stops the run with exit 3
+        monkeypatch.chdir(tmp_path)
+        assert _run_capturing(["dual-and", "--n", str(n), "--d", "2", "--out", "wit.json"])[0] == 0
+        built = []
+
+        def sampler(*args):
+            built.append(args)
+            raise PropertyViolation("the sampler was reached")
+
+        monkeypatch.setattr(dualand, "ShareSampler", sampler)
+        got, out, err = _run_capturing(["sample-shares", "--witness", "wit.json", "--secret", "+1",
+                                        "--count", str(count)])
+        assert (got, out, len(err.splitlines()), "Traceback" in err) == (code, "", 1, False), err
+        assert len(built) == (code == 3)
+        if code == 2:
+            assert err == (f"Error: Invalid value for '--count': {count} shares of {n} bits "
+                           f"exceed count * n <= 2^22.\n")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_a_failed_write_exits_2_with_one_line(self, tmp_path, monkeypatch, fmt):
@@ -1103,3 +1153,17 @@ def test_the_command_line_path_writes_the_in_process_bytes(workload_inputs, monk
     assert (code, err) == (0, "")
     assert proc.stdout == out.encode() == b"out.data\n"
     assert (program / "out.data").read_bytes() == (in_process / "out.data").read_bytes()
+
+
+@pytest.mark.parametrize("name", [name for name in _ONE_COMMAND_PER_WORKLOAD
+                                  if not name.endswith("-csv")])
+def test_json_on_stdout_is_the_bytes_of_the_out_file(workload_inputs, monkeypatch, name):
+    # both go out piece by piece through one writer
+    work = workload_inputs / f"{name}-stdout"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    args = _ONE_COMMAND_PER_WORKLOAD[name]
+    code, out, err = _run_capturing(args)
+    assert (code, err) == (0, "")
+    assert _run_capturing([*args, "--out", "out.json"]) == (0, "out.json\n", "")
+    assert (work / "out.json").read_bytes() == out.encode()
