@@ -101,14 +101,21 @@ class RampParams:
             raise ValueError("need K <= n")
 
 
+def _tail_sum(K: int, k: int) -> int:
+    """sum_{d=k+1..K} C(2K,K+d)^2 = (C(4K,2K) - C(2K,K)^2)/2 - sum_{d=1..k}, 0 <= k <= K."""
+    if not 0 <= k <= K:
+        raise ValueError("need 0 <= k <= K")
+    head = sum(comb(2 * K, K + d) ** 2 for d in range(1, k + 1))
+    return (comb(4 * K, 2 * K) - comb(2 * K, K) ** 2) // 2 - head
+
+
 def ramp_radicand(k: int, K: int, shift: int) -> Fraction:
     """2^{-4K + shift} * sum_{d > k} C(2K, K+d)^2.
 
     The statement-level constant uses shift 3; the proof-level derivation
     (which matches the L2 identity exactly) uses shift 1.  Both are exposed.
     """
-    total = sum(comb(2 * K, K + d) ** 2 for d in range(k + 1, K + 1))
-    return Fraction(total * 2**shift, 2 ** (4 * K))
+    return Fraction(_tail_sum(K, k) * 2**shift, 2 ** (4 * K))
 
 
 def ramp_advantage(params: RampParams) -> tuple[Fraction, float]:
@@ -127,12 +134,7 @@ def ramp_advantage_proof_constant(params: RampParams) -> tuple[Fraction, float]:
 def l2_tail_bound(K: int, k: int) -> Fraction:
     """sum_{d > k} 2 (2^{-2K} C(2K, K+d))^2: the exact sigma-measure floor on
     (p_0^infty - q)^2 for any degree-k q."""
-    if k > K:
-        raise ValueError("need k <= K")
-    return sum(
-        (2 * Fraction(comb(2 * K, K + d), 2 ** (2 * K)) ** 2 for d in range(k + 1, K + 1)),
-        Fraction(0),
-    )
+    return Fraction(2 * _tail_sum(K, k), 2 ** (4 * K))
 
 
 def finite_n_ramp(

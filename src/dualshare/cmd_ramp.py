@@ -50,9 +50,6 @@ def indist_check_cmd(dist1, dist2, k, big_ks, out, fmt):
     if d1.n != d2.n:
         raise InvalidInput("distributions live on different n")
     n = d1.n
-    perfect = boolcube.kwise_indistinguishable(d1, d2, k)
-    if not perfect:
-        raise PropertyViolation(f"distributions are not perfectly {k}-wise indistinguishable")
     if big_ks is not None:
         try:
             ks = [int(x) for x in big_ks.split(",")]
@@ -60,10 +57,13 @@ def indist_check_cmd(dist1, dist2, k, big_ks, out, fmt):
             raise InvalidInput(f"--K needs comma-separated integers, got {big_ks!r}") from exc
     else:
         ks = [K for K in range(k + 1, n // 64 + 1)]
-    rows = []
-    for K in ks:
+    for K in ks:  # every projection size is checked before any work
         if not k < K <= n:
             raise InvalidInput(f"projection size {K} out of range")
+    if not boolcube.kwise_indistinguishable(d1, d2, k):
+        raise PropertyViolation(f"distributions are not perfectly {k}-wise indistinguishable")
+    rows = []
+    for K in ks:
         dist = boolcube.stat_distance_symmetric(boolcube.project_symmetric(d1, K),
                                                 boolcube.project_symmetric(d2, K))
         bound = symcheb.indistinguishability_bound(k, K)
@@ -81,5 +81,5 @@ def indist_check_cmd(dist1, dist2, k, big_ks, out, fmt):
             )
     config = {"dist1": dist1, "dist2": dist2, "k": k, "K": big_ks}
     csv_rows = ([*rows[0].keys()], [[r[c] for c in rows[0].keys()] for r in rows]) if rows else None
-    serialize._emit("indist-check", config, {"perfectly_k_wise": perfect, "projections": rows},
+    serialize._emit("indist-check", config, {"perfectly_k_wise": True, "projections": rows},
                     out, fmt, csv_rows)

@@ -30,44 +30,44 @@ from . import certify, ratpoly
 from .errors import InvalidInput, PropertyViolation
 
 
-def _hypergeom_pairs(n: int, K: int, w: int) -> list[tuple[int, int]]:
-    """(C(K, w) C(n-K, h-w), C(n, h)) for h = 0..n, from the exact binomial
+def hypergeom_row(n: int, K: int, w: int) -> tuple[Fraction, ...]:
+    """Pr[exactly w ones among K fixed coordinates | total weight h] =
+    C(K, w) C(n-K, h-w) / C(n, h) for h = 0..n, from the exact binomial
     recurrences C(m, j) = C(m, j - 1) (m - j + 1) / j."""
     if not 0 <= w <= K <= n:
         raise ValueError("need 0 <= w <= K <= n")
     lead = comb(K, w)
-    pairs = []
+    row = []
     c_all, c_rest = 1, 0  # C(n, h) and C(n - K, h - w)
     for h in range(n + 1):
         if h == w:
             c_rest = 1
         elif h > w:
             c_rest = c_rest * (n - K - (h - 1 - w)) // (h - w)
-        pairs.append((lead * c_rest, c_all))
+        row.append(Fraction(lead * c_rest, c_all))
         c_all = c_all * (n - h) // (h + 1)
-    return pairs
+    return tuple(row)
 
 
-def hypergeom_row(n: int, K: int, w: int) -> tuple[Fraction, ...]:
-    """Pr[exactly w ones among K fixed coordinates | total weight h] for
-    h = 0..n."""
-    return tuple(Fraction(a, b) for a, b in _hypergeom_pairs(n, K, w))
+def _certify_grid(p: ratpoly.RationalPoly, n: int, K: int, w: int) -> None:
+    """Certify p(t_h) = Hyp(w | n, K, h) at every h = 0..n, t_h = (n - 2h)/n,
+    from the K+1 points h = 0..K and deg p <= K; PropertyViolation otherwise.
 
-
-def _grid_mismatch(p: ratpoly.RationalPoly, n: int, pairs: list[tuple[int, int]]) -> int | None:
-    """The first h at which p(t_h) differs from a_h / b_h, (a_h, b_h) = pairs[h],
-    or None if there is none.
-
-    For p = sum P_i t^i / D of degree d and t_h = (n - 2h)/n, p(t_h) = a_h / b_h
-    exactly when b_h n^d P(t_h) = a_h D n^d: integers only.
+    Hyp(w | n, K, h) = C(K,w) C(n-K,h-w) / C(n,h) = C(K,w) h^(w) (n-h)^(K-w)
+    / n^(K) (x^(j) the falling factorial) is of degree K in h, and p(t_h) of
+    degree deg p: two such polynomials that agree at h = 0..K agree on the
+    whole grid, so a disagreement shows first at some h <= K.  For p =
+    sum P_i t^i / D of degree d, p(t_h) = a/b iff b n^d P(t_h) = a D n^d.
     """
     nums, den = p._integer_form
-    target = den * n ** p.degree
-    values = ratpoly._scaled_values(nums, (n - 2 * h for h in range(n + 1)), n)
-    for h, (v, (a, b)) in enumerate(zip(values, pairs)):
-        if v * b != a * target:
-            return h
-    return None
+    target, lead = den * n ** p.degree, comb(K, w)
+    values = ratpoly._scaled_values(nums, (n - 2 * h for h in range(K + 1)), n)
+    for h, v in enumerate(values):
+        if v * comb(n, h) != (lead * comb(n - K, h - w) if h >= w else 0) * target:
+            raise PropertyViolation(f"product form disagrees with the hypergeometric "
+                                    f"value at h={h} (n={n}, K={K}, w={w})")
+    if p.degree > K:
+        raise PropertyViolation(f"product form has degree {p.degree} > K (n={n}, K={K}, w={w})")
 
 
 class SymmetrizedTest:
@@ -102,7 +102,8 @@ class SymmetrizedTest:
 def exact_weight_test(n: int, K: int, w: int) -> SymmetrizedTest:
     """Construct p_w from its zero set and certify it at every grid point."""
     ratpoly._check_grid_size(n)
-    pairs = _hypergeom_pairs(n, K, w)
+    if not 0 <= w <= K <= n:
+        raise ValueError("need 0 <= w <= K <= n")
     # t_h = (n - 2h)/n: p_w vanishes at -t_h for h < K - w and at t_h for h < w
     zeros = (tuple(Fraction(2 * h - n, n) for h in range(K - w))
              + tuple(Fraction(n - 2 * h, n) for h in range(w)))
@@ -111,14 +112,9 @@ def exact_weight_test(n: int, K: int, w: int) -> SymmetrizedTest:
     denom = monic(Fraction(n - 2 * w, n))
     if denom == 0:
         raise PropertyViolation("anchor point collided with a zero of p_w")
-    scale = Fraction(*pairs[w]) / denom
+    scale = Fraction(comb(K, w), comb(n, w)) / denom
     poly = scale * monic
-    h = _grid_mismatch(poly, n, pairs)
-    if h is not None:
-        raise PropertyViolation(
-            f"product form disagrees with the hypergeometric value at h={h} "
-            f"(n={n}, K={K}, w={w})"
-        )
+    _certify_grid(poly, n, K, w)
     return SymmetrizedTest(n=n, K=K, w=w, scale=scale, zeros=zeros, poly=poly)
 
 
@@ -263,18 +259,20 @@ def circle_identity_check(test: SymmetrizedTest, params: AmplificationParams) ->
     identity exactly at the nearby rational point of the circle: the angle
     then adds 0.0 when the routes agree, and PropertyViolation otherwise.
     """
-    g = test.generating_poly()
-    eps = float(params.epsilon)
-    delta = float(params.delta)
-    # exact per-factor identity: |(s^2 - 2sz + 1)/2|^2 =
-    #   (1+eps)^2 ((cos theta - (1+delta) z)^2 + (1 - z^2)(2 delta + delta^2)),
-    # i.e. after rescaling by (1+delta)^2 the h-subscript is
-    # delta (2+delta)/(1+delta)^2; the (1+delta)-inflated subscript that is
-    # sometimes quoted fails at relative error ~delta (see the test suite)
-    dprime = delta * (2.0 + delta) / (1.0 + delta) ** 2
-    K = test.K
-    cw2 = float(test.scale) ** 2
-    prefactor = (1.0 + eps) ** (2 * K) * (1.0 + delta) ** (2 * K) * cw2
+    g, K = test.generating_poly(), test.K
+    try:  # the double routes need eps, delta, delta' and the prefactor finite
+        eps, delta = float(params.epsilon), float(params.delta)
+        # exact per-factor identity: |(s^2 - 2sz + 1)/2|^2 =
+        #   (1+eps)^2 ((cos theta - (1+delta) z)^2 + (1 - z^2)(2 delta + delta^2)),
+        # i.e. after rescaling by (1+delta)^2 the h-subscript is
+        # delta (2+delta)/(1+delta)^2; the (1+delta)-inflated subscript that is
+        # sometimes quoted fails at relative error ~delta (see the test suite)
+        dprime = delta * (2.0 + delta) / (1.0 + delta) ** 2
+        prefactor = (1.0 + eps) ** (2 * K) * (1.0 + delta) ** (2 * K) * float(test.scale) ** 2
+        if not math.isfinite(prefactor):
+            raise OverflowError
+    except OverflowError:
+        raise InvalidInput("--eps is too large for the circle check in doubles") from None
     zs = [float(z) for z in test.zeros]
     worst = 0.0
     for theta in params.thetas:

@@ -97,6 +97,14 @@ probabilities summed one ``Fraction`` at a time.  ``uniform_distribution``,
 epsilon in closed form) and ``derivative`` are the closed forms tests compare
 against.
 
+``symcheb.exact_weight_test`` certifies p_w on the weight grid from the
+K+1 points h = 0..K and a degree bound.  ``certify_grid_all_points`` is the
+check it replaced: every grid point h = 0..n against the hypergeometric
+row of ``symcheb.hypergeom_row``, with the same messages.  The ramp
+tail sums of ``approxlab`` come from one closed form;
+``ramp_radicand_by_sum`` and ``l2_tail_bound_by_sum`` are the O(K) sums it
+replaced.
+
 Every dual certificate is checked in the package by one routine,
 ``boolcube.dual_pairings``.  The forms it replaced stay here:
 ``kwise_by_projection`` (perfect k-wise indistinguishability as equality of
@@ -123,16 +131,19 @@ from dualshare.boolcube import (
     project_symmetric,
 )
 from dualshare.dualand import DualAndParams, DualAndWitness, WitnessReport
+from dualshare.errors import PropertyViolation
 from dualshare.ratpoly import (
     ChebyshevExpansion,
     RationalPoly,
     _lagrange,
     _over_lcm,
+    _scaled_values,
     _weights,
     cheb_T,
     generating_poly,
 )
 from dualshare.simplex import SimplexError, _swap_in
+from dualshare.symcheb import hypergeom_row
 from dualshare.weightdeg import (
     SymmetricSpec,
     _and_approx_core,
@@ -908,6 +919,30 @@ def hypergeom_prob(n: int, K: int, w: int, h: int) -> Fraction:
     if h < w or h - w > n - K:
         return Fraction(0)
     return Fraction(comb(K, w) * comb(n - K, h - w), comb(n, h))
+
+
+def certify_grid_all_points(p: RationalPoly, n: int, K: int, w: int) -> None:
+    """p(t_h) = Hyp(w | n, K, h) at every h = 0..n, one integer comparison per
+    grid point; PropertyViolation at the first h where it fails."""
+    nums, den = p._integer_form
+    target = den * n ** p.degree
+    values = _scaled_values(nums, (n - 2 * h for h in range(n + 1)), n)
+    for h, (v, prob) in enumerate(zip(values, hypergeom_row(n, K, w))):
+        if v * prob.denominator != prob.numerator * target:
+            raise PropertyViolation(f"product form disagrees with the hypergeometric "
+                                    f"value at h={h} (n={n}, K={K}, w={w})")
+
+
+def ramp_radicand_by_sum(k: int, K: int, shift: int) -> Fraction:
+    """2^{-4K + shift} * sum_{d > k} C(2K, K+d)^2, term by term."""
+    total = sum(comb(2 * K, K + d) ** 2 for d in range(k + 1, K + 1))
+    return Fraction(total * 2**shift, 2 ** (4 * K))
+
+
+def l2_tail_bound_by_sum(K: int, k: int) -> Fraction:
+    """sum_{d > k} 2 (2^{-2K} C(2K, K+d))^2, one Fraction per term."""
+    return sum((2 * Fraction(comb(2 * K, K + d), 2 ** (2 * K)) ** 2
+                for d in range(k + 1, K + 1)), Fraction(0))
 
 
 def uniform_distribution(n: int) -> SymmetricDistribution:

@@ -18,6 +18,7 @@ from dualshare.approxlab import (
     minimax_on_weight_grid,
     ramp_advantage,
     ramp_advantage_proof_constant,
+    ramp_radicand,
 )
 from dualshare.boolcube import (
     SymmetricDistribution,
@@ -32,8 +33,10 @@ from dualshare.symcheb import indistinguishability_bound
 from oracles import (
     cheb_transform,
     consolidate_and_dp,
+    l2_tail_bound_by_sum,
     limit_ramp_poly,
     point_mass,
+    ramp_radicand_by_sum,
     split_cube_witness,
     uniform_and_params,
     uniform_distribution,
@@ -220,6 +223,20 @@ class TestRampFormulas:
 
     def test_l2_single_term(self):
         assert l2_tail_bound(2, 1) == Fraction(1, 128)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_closed_form_tail_matches_the_term_sums(self, data):
+        K = data.draw(st.integers(1, 200))
+        k = data.draw(st.integers(0, K))
+        assert l2_tail_bound(K, k) == l2_tail_bound_by_sum(K, k)
+        for shift in (3, 1):
+            assert ramp_radicand(k, K, shift) == ramp_radicand_by_sum(k, K, shift)
+
+    def test_tail_sizes_outside_0_to_K_are_refused(self):
+        for k in (-1, 5):
+            with pytest.raises(ValueError, match="need 0 <= k <= K"):
+                l2_tail_bound(4, k)
 
 
 class TestLimitPolynomial:

@@ -15,11 +15,13 @@ from types import SimpleNamespace
 
 import pytest
 
+import dualshare.boolcube as boolcube
 import dualshare.dualand as dualand
 import dualshare.simplex as simplex
 from dualshare.cli import cli, main
 from dualshare.dualand import DualAndWitness
 from dualshare.errors import PropertyViolation
+from dualshare.ratpoly import RationalPoly
 from dualshare.serialize import dist_to_json
 from dualshare.boolcube import SymmetricDistribution
 
@@ -958,11 +960,47 @@ class TestExitContract:
         (["weight-bound", "--f", "maj", "--n", "8", "--K", "8", "--eps", "0"], 0),
         *[(["symcheb", "pw", "--n", "256", "--K", "4", "--w", "1", "--check", "circle",
             "--eps", eps], 0) for eps in ("1e-9", "1e-20", "1/10000", "1e-7")],
-    ], ids=["eps0-K2", "eps0-K8", "circle-1e-9", "circle-1e-20", "circle-1e-4", "circle-1e-7"])
+        (["symcheb", "pw", "--n", "1024", "--K", "8", "--w", "1", "--check", "circle",
+          "--eps", "1e9"], 0),
+        (["ramp", "--k", "1", "--K", "5000"], 2),
+    ], ids=["eps0-K2", "eps0-K8", "circle-1e-9", "circle-1e-20", "circle-1e-4", "circle-1e-7",
+            "circle-1e9-K8", "ramp-K5000-unprintable"])
     def test_command_lines(self, args, code):
         got, out, err = _run_capturing(args)
         assert (got, "Traceback" in err) == (code, False), err
         assert len(err.splitlines()) == (1 if code else 0), err
+
+    # an eps whose circle-check doubles (eps, delta, delta', the prefactor)
+    # overflow; at 7e9 the prefactor is inf, and NaN comparisons read as agreement
+    @pytest.mark.parametrize("n, big_k, eps", [("1024", "8", "1e10"), ("1024", "8", "7e9"),
+                                               ("64", "1", "1e200"), ("256", "4", "1e9999")])
+    def test_circle_eps_beyond_doubles_is_refused_before_the_angles(self, monkeypatch, n,
+                                                                    big_k, eps):
+        monkeypatch.setattr(RationalPoly, "eval_complex",
+                            lambda *a: pytest.fail("the angle loop was reached"))
+        got, out, err = _run_capturing(["symcheb", "pw", "--n", n, "--K", big_k, "--w", "1",
+                                        "--check", "circle", "--eps", eps])
+        assert (got, out, err) == (2, "", "Error: --eps is too large for the circle check "
+                                          "in doubles\n")
+
+    @pytest.mark.parametrize("big_ks", ["x", "0", "-1", "5", "2,5", "3,x"])
+    @pytest.mark.parametrize("pair", ["indistinguishable", "distinguishable"])
+    def test_indist_check_sizes_are_parsed_before_the_kwise_check(self, tmp_path, monkeypatch,
+                                                                 big_ks, pair):
+        # n = 4: a --K outside k < K <= n exits 2 and the k-wise check never
+        # runs, also for a pair that would fail it with exit 3
+        monkeypatch.chdir(tmp_path)
+        odd = ["0", "1/2", "0", "1/2", "0"] if pair == "indistinguishable" else ["1"] + ["0"] * 4
+        (tmp_path / "even.json").write_text(json.dumps(
+            {"n": 4, "weight_probs": ["1/8", "0", "3/4", "0", "1/8"]}))
+        (tmp_path / "odd.json").write_text(json.dumps({"n": 4, "weight_probs": odd}))
+        calls, check = [], boolcube.kwise_indistinguishable
+        monkeypatch.setattr(boolcube, "kwise_indistinguishable",
+                            lambda *args: calls.append(args) or check(*args))
+        got, out, err = _run_capturing(["indist-check", "--dist1", "even.json",
+                                        "--dist2", "odd.json", "--k", "1", "--K", big_ks])
+        assert (got, out, len(err.splitlines()), calls) == (2, "", 1, []), err
+        assert err.startswith("Error: ")
 
     def test_zero_eps_reports_the_exact_fit_without_a_trend(self):
         _, out, _ = _run_capturing(["weight-bound", "--f", "maj", "--n", "8", "--K", "8",

@@ -27,7 +27,13 @@ from dualshare.symcheb import (
 )
 
 from conftest import random_symmetric_distribution
-from oracles import cheb_transform, circle_abs_squared_fraction, hypergeom_prob, symmetrize
+from oracles import (
+    certify_grid_all_points,
+    cheb_transform,
+    circle_abs_squared_fraction,
+    hypergeom_prob,
+    symmetrize,
+)
 
 
 class TestSymmetrize:
@@ -222,6 +228,71 @@ class TestIntegerGridCheck:
                 exact_weight_test(n, K, w)
         monkeypatch.undo()
         assert reflection_check(exact_weight_test(n, K, w))
+
+
+def _raised(check, *args) -> str | None:
+    try:
+        check(*args)
+    except PropertyViolation as exc:
+        return str(exc)
+    return None
+
+
+class TestGridCertificate:
+    """p_w is certified from h = 0..K and deg p_w <= K; the all-points check
+    it replaced is the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_accepts_what_the_all_points_check_accepts(self, data):
+        n = data.draw(st.integers(1, 300))
+        K = data.draw(st.integers(0, min(n, 12)))
+        w = data.draw(st.integers(0, K))
+        test = exact_weight_test(n, K, w)
+        assert test.poly.degree == K
+        certify_grid_all_points(test.poly, n, K, w)
+
+    @pytest.mark.parametrize("n, K, w", [(64, 4, 1), (30, 5, 0), (12, 12, 7), (640, 10, 2),
+                                         (7, 3, 3), (300, 12, 6)])
+    @pytest.mark.parametrize("shift", [Fraction(1, 10**9), Fraction(-3, 7 * 10**6)])
+    def test_a_moved_zero_or_scale_fails_at_the_same_first_h(self, n, K, w, shift):
+        test = exact_weight_test(n, K, w)
+        mutants = [RationalPoly.from_roots(test.zeros, test.scale + shift)]
+        for i in range(K):
+            zeros = list(test.zeros)
+            zeros[i] += shift
+            mutants.append(RationalPoly.from_roots(zeros, test.scale))
+        for p in mutants:
+            message = _raised(symcheb._certify_grid, p, n, K, w)
+            assert message is not None and "disagrees" in message
+            assert message == _raised(certify_grid_all_points, p, n, K, w)
+
+    @pytest.mark.parametrize("n, K, w", [(64, 4, 1), (16, 2, 0), (300, 12, 5)])
+    def test_degree_k_plus_1_agreeing_at_k_plus_1_points_is_refused(self, n, K, w, monkeypatch):
+        # monic + prod_{h <= K} (t - t_h) matches the hypergeometric values at
+        # h = 0..K (the anchor h = w among them) but has degree K + 1
+        bump = RationalPoly.from_roots([Fraction(n - 2 * h, n) for h in range(K + 1)])
+        from_roots = RationalPoly.from_roots
+        monkeypatch.setattr(RationalPoly, "from_roots",
+                            staticmethod(lambda roots, scale=1: from_roots(roots, scale) + bump))
+        with pytest.raises(PropertyViolation, match=rf"degree {K + 1} > K \(n={n}, K={K}, w={w}\)"):
+            exact_weight_test(n, K, w)
+        monkeypatch.undo()
+        p = exact_weight_test(n, K, w).poly + bump
+        assert "disagrees" in _raised(certify_grid_all_points, p, n, K, w)
+
+    def test_a_million_point_grid(self, rng):
+        # math.comb near the ends of the grid (C(10^6, 5 * 10^5) alone takes
+        # seconds), and C(K,w) h^(w) (n-h)^(K-w) / n^(K) anywhere on it
+        n, K, w = 10**6, 8, 3
+        test = exact_weight_test(n, K, w)
+        ends = [rng.choice([h, n - h]) for h in rng.sample(range(K + 1, 2000), 20)]
+        for h in ends:
+            assert test.poly(Fraction(n - 2 * h, n)) == hypergeom_prob(n, K, w, h)
+        falling = lambda x, j: math.prod(range(x - j + 1, x + 1))
+        for h in rng.sample(range(n + 1), 20):
+            assert test.poly(Fraction(n - 2 * h, n)) == Fraction(
+                comb(K, w) * falling(h, w) * falling(n - h, K - w), falling(n, K))
 
 
 class TestCircleIdentity:
