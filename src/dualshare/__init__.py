@@ -25,7 +25,6 @@ _EXPORTS = {
     "RampParams": "approxlab",
     "approx_degree": "approxlab",
     "consolidate_and": "approxlab",
-    "consolidation_bound": "approxlab",
     "dual_distributions": "approxlab",
     "finite_n_ramp": "approxlab",
     "l2_tail_bound": "approxlab",
@@ -44,12 +43,10 @@ _EXPORTS = {
     "build_witness": "dualand",
     "epsilon_of": "dualand",
     "verify_witness": "dualand",
-    "weighted_anticoncentration_check": "dualand",
     "PropertyViolation": "errors",
     "ChebyshevExpansion": "ratpoly",
     "RationalPoly": "ratpoly",
     "cheb_T": "ratpoly",
-    "sigma_inner": "ratpoly",
     "AmplificationParams": "symcheb",
     "SymmetrizedTest": "symcheb",
     "bounded_check": "symcheb",

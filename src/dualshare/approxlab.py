@@ -204,9 +204,3 @@ def consolidate_and(d: boolcube.SymmetricDistribution, t: int) -> boolcube.Symme
                     nxt[i + c] += a * b
             power = nxt
     return boolcube.SymmetricDistribution(n_out, tuple(out))
-
-
-def consolidation_bound(k: int, K: int, t: int, n: int) -> float:
-    """2 * indistinguishability_bound(k, tK) * n^K: distance to a perfectly
-    indistinguishable pair after consolidating blocks of size t."""
-    return 2.0 * symcheb.indistinguishability_bound(k, t * K) * float(n) ** K

@@ -128,10 +128,6 @@ class WeightVector:
     def l1(self) -> Fraction:
         return sum(self.entries, Fraction(0))
 
-    def l2_squared(self) -> Fraction:
-        return sum((e * e for e in self.entries), Fraction(0))
-
-
 class SymmetricDistribution:
     """Distribution over {0,1}^n invariant under coordinate permutations.
 

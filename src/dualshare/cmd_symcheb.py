@@ -38,7 +38,7 @@ def symcheb_pw(n, big_k, w, check, trunc_k, eps, out, fmt):
             "certified_error_float": err,
         })
     elif check == "circle":
-        params = symcheb.AmplificationParams.with_grid(serialize._parse_rational(eps))
+        params = symcheb.AmplificationParams(serialize._parse_rational(eps))
         # raises PropertyViolation where the routes differ
         result["circle_max_rel_error_float"] = symcheb.circle_identity_check(test, params)
     elif check == "product-cap":

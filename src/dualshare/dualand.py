@@ -253,20 +253,6 @@ def epsilon_of(params: DualAndParams) -> Fraction:
     return Fraction(hits, 1 << params.n)
 
 
-def weighted_anticoncentration_check(w: boolcube.WeightVector) -> tuple[Fraction, bool]:
-    """Pr[<w, X> >= |w|_2 / 2] by exact enumeration, and whether it is >= 3/32.
-
-    The irrational threshold is compared by squaring: s >= |w|_2/2 iff s >= 0
-    and 4 s^2 >= |w|_2^2, here on the scaled sums.
-    """
-    q = w.l2_squared()
-    counts, scale = _signed_sum_counts(w)
-    bar = q.numerator * scale * scale
-    hits = sum(c for s, c in counts.items() if s >= 0 and 4 * s * s * q.denominator >= bar)
-    prob = Fraction(hits, 1 << w.n)
-    return prob, prob >= Fraction(3, 32)
-
-
 class ShareSampler:
     """Exact inverse-CDF sampler for the witness's share distribution.
 

@@ -9,10 +9,7 @@ Conventions used throughout the package:
   stored, so ``p = c_0 + sum_{d>0} 2 c_d T_d``.  Under this convention the
   coefficients of a monic product ``prod (t - z)`` are exactly the regular
   coefficients of the Laurent polynomial ``prod (s + 1/s - 2z)/2``, which is
-  the identity the factored transform uses;
-* the measure ``sigma`` on [-1, 1] is the Chebyshev weight; its only facts
-  used are E[T_0^2] = 1, E[T_d^2] = 1/2 for d > 0, and orthogonality, so all
-  sigma inner products are computed algebraically, never by quadrature.
+  the identity the factored transform uses.
 
 One integer kernel lives here, and every layer imports it: ``_over_lcm``
 (numerators over the lcm of the denominators, the form
@@ -20,8 +17,8 @@ One integer kernel lives here, and every layer imports it: ``_over_lcm``
 Horner), ``_mul`` (products) and ``_weights`` / ``_lagrange`` (the integer
 Lagrange form, which ``simplex`` fits with).  ``RationalPoly`` multiplies
 on it.
-Floating point appears only in the float and complex evaluators
-(``eval_float``, ``eval_complex``) that verification estimates use.
+Floating point appears only in ``eval_float``, which the estimates beside
+the certificates use.
 """
 
 from __future__ import annotations
@@ -183,12 +180,6 @@ class RationalPoly:
             acc = acc * t + c
         return acc
 
-    def eval_complex(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self._float_coeffs):
-            acc = acc * z + c
-        return acc
-
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -273,13 +264,6 @@ class ChebyshevExpansion:
             cs.pop()
         return ChebyshevExpansion(tuple(cs))
 
-    def coeff(self, d: int) -> Fraction:
-        """Symmetric accessor: c_{-d} = c_d."""
-        d = abs(d)
-        if d >= len(self.half_coeffs):
-            return Fraction(0)
-        return self.half_coeffs[d]
-
     def truncate(self, k: int) -> RationalPoly:
         """The power-basis expansion of sum_{|d| < k} c_d T_d."""
         if k < 0:
@@ -305,12 +289,3 @@ def cheb_transform_factored(roots: Iterable, scale=1) -> ChebyshevExpansion:
             raise PropertyViolation("generating polynomial lost its s <-> 1/s symmetry")
     return ChebyshevExpansion.from_coeffs(g[deg:])
 
-
-def sigma_inner(e1: ChebyshevExpansion, e2: ChebyshevExpansion) -> Fraction:
-    """E_{t~sigma}[p1(t) p2(t)] from orthogonality: a_0 b_0 + 2 sum_{d>0} a_d b_d."""
-    acc = Fraction(0)
-    for d in range(max(len(e1.half_coeffs), len(e2.half_coeffs))):
-        a, b = e1.coeff(d), e2.coeff(d)
-        if a and b:
-            acc += a * b if d == 0 else 2 * a * b
-    return acc

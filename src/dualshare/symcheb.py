@@ -18,7 +18,6 @@ decisions and compared against the explicit bound 4 sqrt(K) exp(-k^2/1156K).
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from fractions import Fraction
@@ -194,18 +193,14 @@ def truncated_approximant(
     return q, bound, float(upper)
 
 
-# angles on the circle at which ``circle_identity_check`` compares its routes
-CIRCLE_POINTS = 64
-
-
 class AmplificationParams:
-    """Amplification parameters: delta = eps^2 / (2 (1 + eps)), plus a theta grid."""
+    """Amplification parameters: delta = eps^2 / (2 (1 + eps)) and the
+    h-subscript delta' = delta (2 + delta) / (1 + delta)^2."""
 
-    __slots__ = ("epsilon", "thetas")
+    __slots__ = ("epsilon",)
 
-    def __init__(self, epsilon: Fraction, thetas: tuple[float, ...]):
-        self.epsilon = epsilon
-        self.thetas = thetas
+    def __init__(self, epsilon):
+        self.epsilon = Fraction(epsilon)
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
@@ -214,13 +209,15 @@ class AmplificationParams:
         e = self.epsilon
         return e * e / (2 * (1 + e))
 
-    @staticmethod
-    def with_grid(epsilon) -> "AmplificationParams":
-        """``CIRCLE_POINTS`` equally spaced angles from -pi."""
-        thetas = tuple(
-            -math.pi + 2.0 * math.pi * j / CIRCLE_POINTS for j in range(CIRCLE_POINTS)
-        )
-        return AmplificationParams(Fraction(epsilon), thetas)
+    @property
+    def h_subscript(self) -> Fraction:
+        """delta', from the exact per-factor identity |(s^2 - 2sz + 1)/2|^2 =
+        (1+eps)^2 ((cos theta - (1+delta) z)^2 + (1 - z^2)(2 delta + delta^2))
+        at s = (1+eps) e^{i theta}, rescaled by (1+delta)^2; the (1+delta)-inflated
+        subscript delta (1 + 1/(1+delta)) that is sometimes quoted fails (see the
+        test suite)."""
+        d = self.delta
+        return d * (2 + d) / (1 + d) ** 2
 
 
 def shifted_square(s, z, delta) -> Fraction:
@@ -245,69 +242,60 @@ def _eval_abs_squared_exact(g: ratpoly.RationalPoly, re, im) -> Fraction:
 
 
 def circle_identity_check(test: SymmetrizedTest, params: AmplificationParams) -> float:
-    """Two-route check of the amplified circle identity; returns max rel. error.
+    """Exact check of the amplified circle identity at every angle; returns its
+    relative error, 0.0.
 
-    Route A evaluates |g((1+eps) e^{i theta})|^2 on the expanded degree-2K
-    polynomial g; route B evaluates the product formula (1+eps)^{2K}
-    (1+delta)^{2K} C_w^2 prod h_{delta'}(cos theta / (1+delta), z) with
-    delta' = delta (2+delta)/(1+delta)^2.  Route A runs in complex doubles
-    and is refined with exact arithmetic at angles where the circle passes
-    close to the clustered roots (plain Horner loses ~condition * ulp there);
-    the refinement only sharpens the evaluation, the routes stay independent.
-    Where doubles still cannot decide (a refined relative error of 1e-8 or
-    more, or route B rounding to 0.0), ``_circle_routes_agree`` decides the
-    identity exactly at the nearby rational point of the circle: the angle
-    then adds 0.0 when the routes agree, and PropertyViolation otherwise.
+    Route A is |g((1+eps) e^{i theta})|^2 on the expanded polynomial
+    g(s) = C_w prod (s^2 - 2zs + 1)/2; route B is the product formula
+    (1+eps)^{2K} (1+delta)^{2K} C_w^2 prod h_{delta'}(cos theta / (1+delta), z),
+    h_{delta'}(c, z) = (c - z)^2 + delta' (1 - z^2), delta' = ``h_subscript``.
+
+    Lemma: both routes are polynomials of degree <= 2K in x = cos theta, so if
+    they agree at 2K+1 distinct values of x they agree at every theta.  Route
+    A is, because for deg g <= 2K and real coefficients
+    |g(r e^{i theta})|^2 = sum_{|d| <= 2K} b_d cos(d theta) = sum b_d T_d(x);
+    route B is a product of K quadratics in x.  The routes are compared in
+    rationals at (cos, sin) = (1 - t^2, 2t) / (1 + t^2) for t = j/(2K+1),
+    j = 0..2K: the cosines fall strictly as t rises in [0, 1), and
+    sin^2 = 1 - cos^2 holds exactly, so each is a point of the circle.  The
+    lemma's hypothesis deg g <= 2K is checked first (g and route B are built
+    from the same zeros, so route B then has at most K factors); a failed
+    check or a disagreement raises PropertyViolation.
+
+    The domain, checked before any point: eps of at most 1024 bits over at
+    most 1024 bits, and (1+eps)^{2K} (1+delta)^{2K} < 2^1024; InvalidInput
+    naming --eps otherwise.
     """
-    g, K = test.generating_poly(), test.K
-    try:  # the double routes need eps, delta, delta' and the prefactor finite
-        eps, delta = float(params.epsilon), float(params.delta)
-        # exact per-factor identity: |(s^2 - 2sz + 1)/2|^2 =
-        #   (1+eps)^2 ((cos theta - (1+delta) z)^2 + (1 - z^2)(2 delta + delta^2)),
-        # i.e. after rescaling by (1+delta)^2 the h-subscript is
-        # delta (2+delta)/(1+delta)^2; the (1+delta)-inflated subscript that is
-        # sometimes quoted fails at relative error ~delta (see the test suite)
-        dprime = delta * (2.0 + delta) / (1.0 + delta) ** 2
-        prefactor = (1.0 + eps) ** (2 * K) * (1.0 + delta) ** (2 * K) * float(test.scale) ** 2
-        if not math.isfinite(prefactor):
-            raise OverflowError
-    except OverflowError:
-        raise InvalidInput("--eps is too large for the circle check in doubles") from None
-    zs = [float(z) for z in test.zeros]
-    worst = 0.0
-    for theta in params.thetas:
-        s = (1.0 + eps) * cmath.exp(1j * theta)
-        lhs = abs(g.eval_complex(s)) ** 2
-        c = math.cos(theta) / (1.0 + delta)
-        rhs = prefactor
-        for z in zs:
-            rhs *= (c - z) ** 2 + dprime * (1.0 - z * z)
-        if rhs:
-            rel = abs(lhs - rhs) / rhs
-            if rel > 1e-10:
-                lhs = float(_eval_abs_squared_exact(g, s.real, s.imag))
-                rel = abs(lhs - rhs) / rhs
-        if not rhs or rel >= 1e-8:
-            if not _circle_routes_agree(test, params, Fraction(math.tan(theta / 2))):
-                raise PropertyViolation(f"circle identity fails exactly near theta={theta}")
-            rel = 0.0
-        worst = max(worst, rel)
-    return worst
-
-
-def _circle_routes_agree(test: SymmetrizedTest, params: AmplificationParams, t: Fraction) -> bool:
-    """Both routes of ``circle_identity_check`` in rationals, at the point
-    (cos, sin) = ((1 - t^2), 2t) / (1 + t^2) of the unit circle (t = tan of
-    half the angle), where sin^2 = 1 - cos^2 holds exactly as the identity
-    needs."""
-    cos, sin = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
-    r, delta = 1 + params.epsilon, params.delta
-    lhs = _eval_abs_squared_exact(test.generating_poly(), r * cos, r * sin)
-    c, dprime = cos / (1 + delta), delta * (2 + delta) / (1 + delta) ** 2
-    rhs = (r * (1 + delta)) ** (2 * test.K) * test.scale ** 2
-    for z in test.zeros:
-        rhs *= (c - z) ** 2 + dprime * (1 - z * z)
-    return lhs == rhs
+    eps, delta, K = params.epsilon, params.delta, test.K
+    if max(eps.numerator.bit_length(), eps.denominator.bit_length()) > 1024:
+        raise InvalidInput("--eps needs a numerator and a denominator of at most 1024 bits "
+                           "for the circle check")
+    ampl = ((1 + eps) * (1 + delta)) ** (2 * K)  # the prefactor (1+eps)^2K (1+delta)^2K
+    if ampl >= 2 ** 1024:
+        raise InvalidInput("--eps is too large for the circle check: "
+                           "(1+eps)^2K (1+delta)^2K reaches 2^1024")
+    g = test.generating_poly()
+    if g.degree > 2 * K:
+        raise PropertyViolation(f"generating polynomial has degree {g.degree} > 2K={2 * K}")
+    prefactor = ampl * test.scale ** 2
+    # route B on integers: 1 + delta = a/b, delta' = dn/dd, z = zn/zd, and at
+    # cos = u/v each factor h is H / (dd (a v zd)^2) with
+    # H = dd (b u zd - a v zn)^2 + dn (a v)^2 (zd^2 - zn^2)
+    a, b = delta.numerator + delta.denominator, delta.denominator
+    dn, dd = params.h_subscript.as_integer_ratio()
+    zns, zd = ratpoly._over_lcm(test.zeros)
+    r, m = 1 + eps, 2 * K + 1
+    for j in range(m):
+        u, v = m * m - j * j, m * m + j * j
+        lhs = _eval_abs_squared_exact(g, r * u / v, r * (2 * j * m) / v)
+        bu, av = b * u * zd, a * v
+        rhs = prefactor.numerator
+        for zn in zns:
+            rhs *= dd * (bu - av * zn) ** 2 + dn * av * av * (zd * zd - zn * zn)
+        rhs_den = prefactor.denominator * (dd * (av * zd) ** 2) ** len(zns)
+        if lhs.numerator * rhs_den != rhs * lhs.denominator:
+            raise PropertyViolation(f"circle identity fails exactly at cos theta={u}/{v}")
+    return 0.0
 
 
 _EXP_TERMS = 200  # series terms after which shifted_product_check calls the cap undecided

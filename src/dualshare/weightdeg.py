@@ -173,10 +173,16 @@ def _and_approx_core(n: int, degree_budget: int, error_target: Fraction) -> _And
     return best
 
 
-def _trend_exponent(n: int, supp_size: int, eps: Fraction, budget: int) -> float:
+def _trend_exponent(n: int, supp_size: int, eps: Fraction, budget: int) -> float | None:
     """n * log(supp/eps) * log(n) / budget: the upper-bound trend to compare
-    measured weights against."""
-    return n * math.log(float(supp_size / eps)) * math.log(n) / budget
+    measured weights against; None where supp/eps is not a finite positive
+    double (eps = 0, which only an exact fit meets, or eps beyond the range of
+    a double)."""
+    try:
+        ratio = float(supp_size / eps) if eps else 0.0
+    except OverflowError:  # above the largest double
+        return None
+    return n * math.log(ratio) * math.log(n) / budget if ratio else None
 
 
 def _block_count_poly(s: int, r: int) -> list[int]:
@@ -272,8 +278,9 @@ def low_weight_report(
     if supp_size == 0:
         chat = [Fraction(int(complemented))] + [Fraction(0)] * n
         return WeightDegreeReport(0, chat[0], Fraction(0), 0.0), chat
-    # the trend is log(supp/eps): none for eps = 0, which only an exact fit meets
-    bound_exponent = _trend_exponent(n, supp_size, eps, K) if eps else None
+    if eps < 0:
+        raise InvalidInput(f"eps must be nonnegative, got {eps}")
+    bound_exponent = _trend_exponent(n, supp_size, eps, K)
 
     if supp_weights in ([0], [n]):
         # a single point indicator: the direct construction, unchanged

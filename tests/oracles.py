@@ -54,8 +54,12 @@ The Sturm decisions of ``certify`` run on integers in the package.  The
 division), ``poly_gcd``, ``odd_part_fraction`` (Yun's odd part through
 rational quotients), ``sturm_chain_fraction`` (the rational remainder
 sequence with primitive parts) and ``poly_nonneg_on_fraction``, which reads
-every sign through ``RationalPoly.__call__``.  ``circle_abs_squared_fraction``
-is the ``Fraction`` form of ``symcheb``'s exact circle refinement.
+every sign through ``RationalPoly.__call__``.
+
+``symcheb.circle_identity_check`` compares its two routes at 2K+1 rational
+points of the circle, route B on integers.  ``circle_routes_fraction`` gives
+both routes in ``Fraction``s at any rational point, route A through
+``circle_abs_squared_fraction`` (complex Horner on ``Fraction`` pairs).
 
 ``simplex.solve_minimax`` runs its exchange on one scaled integer form.
 ``solve_minimax_fraction`` is the ``Fraction`` exchange it replaced
@@ -96,6 +100,12 @@ probabilities summed one ``Fraction`` at a time.  ``uniform_distribution``,
 (p_0^infty = 2^-K (t+1)^K), ``binomial_tail_epsilon`` (the uniform AND's
 epsilon in closed form) and ``derivative`` are the closed forms tests compare
 against.
+
+No command reads these, so they live here: ``cheb_coeff`` (the symmetric
+accessor c_{-d} = c_d of a Chebyshev expansion), ``sigma_inner`` (inner
+products under the Chebyshev measure, from orthogonality), ``l2_squared``,
+``weighted_anticoncentration_check`` (Pr[<w, X> >= |w|_2 / 2] >= 3/32, by
+enumeration) and ``consolidation_bound``.
 
 ``symcheb.exact_weight_test`` certifies p_w on the weight grid from the
 K+1 points h = 0..K and a degree bound.  ``certify_grid_all_points`` is the
@@ -143,7 +153,12 @@ from dualshare.ratpoly import (
     generating_poly,
 )
 from dualshare.simplex import SimplexError, _swap_in
-from dualshare.symcheb import hypergeom_row
+from dualshare.symcheb import (
+    AmplificationParams,
+    SymmetrizedTest,
+    hypergeom_row,
+    indistinguishability_bound,
+)
 from dualshare.weightdeg import (
     SymmetricSpec,
     _and_approx_core,
@@ -187,6 +202,21 @@ def laurent_from_roots(roots: Iterable, scale=1) -> LaurentPoly:
     roots = list(roots)
     g = generating_poly(roots, scale)
     return LaurentPoly.from_dict({i - len(roots): c for i, c in enumerate(g.coeffs)})
+
+
+def cheb_coeff(e: ChebyshevExpansion, d: int) -> Fraction:
+    """c_d of a symmetric expansion: c_{-d} = c_d, and 0 past its top index."""
+    d = abs(d)
+    return e.half_coeffs[d] if d < len(e.half_coeffs) else Fraction(0)
+
+
+def sigma_inner(e1: ChebyshevExpansion, e2: ChebyshevExpansion) -> Fraction:
+    """E_{t~sigma}[p1(t) p2(t)] for the Chebyshev measure sigma, from
+    E[T_0^2] = 1, E[T_d^2] = 1/2 for d > 0 and orthogonality:
+    a_0 b_0 + 2 sum_{d>0} a_d b_d."""
+    top = max(len(e1.half_coeffs), len(e2.half_coeffs))
+    return sum((cheb_coeff(e1, d) * cheb_coeff(e2, d) * (1 if d == 0 else 2)
+                for d in range(top)), Fraction(0))
 
 
 def cheb_transform(p: RationalPoly) -> ChebyshevExpansion:
@@ -320,6 +350,22 @@ def signed_sum_counts_fraction(w: WeightVector) -> dict[Fraction, int]:
                 nxt[v] = nxt.get(v, 0) + c
         counts = nxt
     return counts
+
+
+def l2_squared(w: WeightVector) -> Fraction:
+    """|w|_2^2."""
+    return sum((e * e for e in w.entries), Fraction(0))
+
+
+def weighted_anticoncentration_check(w: WeightVector) -> tuple[Fraction, bool]:
+    """Pr[<w, X> >= |w|_2 / 2] over uniform X in {-1,1}^n, by exact
+    enumeration, and whether it is >= 3/32.  The irrational threshold is
+    compared by squaring: s >= |w|_2/2 iff s >= 0 and 4 s^2 >= |w|_2^2."""
+    q = l2_squared(w)
+    hits = sum(c for s, c in signed_sum_counts_fraction(w).items() if s >= 0 and 4 * s * s >= q)
+    prob = Fraction(hits, 1 << w.n)
+    return prob, prob >= Fraction(3, 32)
+
 
 def solve_lp_fraction(A, b, c, pivots: list | None = None, bland: bool = False):
     """(x, value, y) of max c.x s.t. A x = b, x >= 0 on a ``Fraction`` tableau.
@@ -594,13 +640,31 @@ def poly_nonneg_on_fraction(p: RationalPoly, lo, hi) -> bool:
     return True
 
 
-def circle_abs_squared_fraction(g: RationalPoly, re: float, im: float) -> Fraction:
-    """|g(re + i im)|^2 by complex Horner on ``Fraction`` pairs."""
+def circle_abs_squared_fraction(g: RationalPoly, re, im) -> Fraction:
+    """|g(re + i im)|^2 by complex Horner on ``Fraction`` pairs (float or
+    rational input, taken exactly)."""
     re, im = Fraction(re), Fraction(im)
     acc_re, acc_im = Fraction(0), Fraction(0)
     for c in reversed(g.coeffs):
         acc_re, acc_im = acc_re * re - acc_im * im + c, acc_re * im + acc_im * re
     return acc_re * acc_re + acc_im * acc_im
+
+
+def circle_routes_fraction(test: SymmetrizedTest, params: AmplificationParams,
+                           t: Fraction) -> tuple[Fraction, Fraction]:
+    """(route A, route B) of ``symcheb.circle_identity_check`` in ``Fraction``s
+    at the point (cos, sin) = (1 - t^2, 2t) / (1 + t^2) of the unit circle, for
+    any rational t: |g((1+eps)(cos + i sin))|^2 by ``circle_abs_squared_fraction``,
+    and (1+eps)^2K (1+delta)^2K C_w^2 prod h_{delta'}(cos / (1+delta), z) with
+    delta' = delta (2 + delta) / (1 + delta)^2."""
+    cos, sin = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    r, delta = 1 + params.epsilon, params.delta
+    lhs = circle_abs_squared_fraction(test.generating_poly(), r * cos, r * sin)
+    c, dprime = cos / (1 + delta), delta * (2 + delta) / (1 + delta) ** 2
+    rhs = (r * (1 + delta)) ** (2 * test.K) * test.scale ** 2
+    for z in test.zeros:
+        rhs *= (c - z) ** 2 + dprime * (1 - z * z)
+    return lhs, rhs
 
 
 def solve_minimax_fraction(points, values, degree):
@@ -965,6 +1029,12 @@ def limit_ramp_poly(K: int) -> RationalPoly:
 def binomial_tail_epsilon(n: int, d: int) -> Fraction:
     """Uniform-weights AND epsilon: 2^-n * sum_{k <= (n-d)/2} C(n, k)."""
     return Fraction(sum(comb(n, k) for k in range((n - d) // 2 + 1)), 1 << n)
+
+
+def consolidation_bound(k: int, K: int, t: int, n: int) -> float:
+    """2 * indistinguishability_bound(k, tK) * n^K: distance to a perfectly
+    indistinguishable pair after consolidating blocks of size t."""
+    return 2.0 * indistinguishability_bound(k, t * K) * float(n) ** K
 
 
 def consolidate_and_dp(d: SymmetricDistribution, t: int) -> SymmetricDistribution:

@@ -18,7 +18,6 @@ from dualshare.approxlab import (
     RampParams,
     approx_degree,
     consolidate_and,
-    consolidation_bound,
     dual_distributions,
     finite_n_ramp,
     l2_tail_bound,
@@ -38,18 +37,15 @@ from dualshare.dualand import (
     build_witness,
     epsilon_of,
     verify_witness,
-    weighted_anticoncentration_check,
 )
 from dualshare.ratpoly import (
     RationalPoly,
     cheb_T,
     cheb_transform_factored,
-    sigma_inner,
     weight_grid,
 )
 from dualshare.simplex import solve_minimax
 from dualshare.symcheb import (
-    CIRCLE_POINTS,
     AmplificationParams,
     truncated_approximant,
     bounded_check,
@@ -63,6 +59,7 @@ from dualshare.weightdeg import SymmetricSpec, low_weight_report, weight_lower_b
 from oracles import (
     binomial_tail_epsilon,
     cheb_transform,
+    consolidation_bound,
     cube_error,
     expand_approximant,
     laurent_from_roots,
@@ -70,8 +67,10 @@ from oracles import (
     parseval_circle_check,
     reconstruction_advantage,
     share_distribution,
+    sigma_inner,
     split_cube_witness,
     uniform_and_params,
+    weighted_anticoncentration_check,
     witness_values,
 )
 
@@ -196,18 +195,15 @@ def test_criterion_05_main3_desk_scale():
 
 
 def test_criterion_06_normg_identity():
-    worst = 0.0
     for w in range(5):
         test = exact_weight_test(256, 4, w)
         for eps in (Fraction(1, 10), Fraction(1, 3)):
-            params = AmplificationParams.with_grid(eps)
-            rel = circle_identity_check(test, params)
-            worst = max(worst, rel)
-            assert rel < 1e-8
+            # raises PropertyViolation unless the routes agree exactly
+            assert circle_identity_check(test, AmplificationParams(eps)) == 0.0
     _report(
         "AC6",
-        f"two-route circle identity over {CIRCLE_POINTS} theta samples, all (w, eps): "
-        f"max relative discrepancy {worst:.2e} < 1e-8",
+        "two-route circle identity, all (w, eps): equal in rationals at the 2K+1 = 9 "
+        "points t = j/9 of the circle, hence at every angle",
     )
 
 

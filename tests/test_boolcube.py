@@ -31,6 +31,7 @@ from oracles import (
     class_pairings_on_cube,
     cube_pairing,
     kwise_by_projection,
+    l2_squared,
     parity_values,
     per_string_prob,
     point_mass,
@@ -575,7 +576,7 @@ class TestWeightVector:
     def test_norms(self):
         w = WeightVector.of([2, 1, 1])
         assert w.l1() == 4
-        assert w.l2_squared() == 6
+        assert l2_squared(w) == 6
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -18,10 +18,10 @@ import pytest
 import dualshare.boolcube as boolcube
 import dualshare.dualand as dualand
 import dualshare.simplex as simplex
+import dualshare.symcheb as symcheb
 from dualshare.cli import cli, main
 from dualshare.dualand import DualAndWitness
 from dualshare.errors import PropertyViolation
-from dualshare.ratpoly import RationalPoly
 from dualshare.serialize import dist_to_json
 from dualshare.boolcube import SymmetricDistribution
 
@@ -204,7 +204,7 @@ class TestOutputBytesPinned:
             (["symcheb", "pw", "--n", "1024", "--K", "8", "--w", "1", "--check", "bounded"],
              "93ae74abf67498a630ba2e4e6ff1433f01d6623b2c5ebdad582566606da21142"),
             (["symcheb", "pw", "--n", "1024", "--K", "8", "--w", "7", "--check", "circle"],
-             "9b5de19b7cdcabf6d674d57bb170b0ccba265eeb3a8fbaf7fb3e4f5f6ba864f8"),
+             "58475858d950acfeb98c3a38593307a169156facf389247854517dc26e4924dd"),
             (["symcheb", "pw", "--n", "512", "--K", "8", "--w", "2",
               "--check", "product-cap", "--eps", "1/100"],
              "c09a462aa79881f9a350a03cd91f49ca52b4a3016416d7e5218e0f93bcf21c17"),
@@ -299,7 +299,7 @@ class TestSymcheb:
             ["symcheb", "pw", "--n", "128", "--K", "2", "--w", "1",
              "--check", "circle", "--eps", "1/10"],
         )
-        assert doc["result"]["circle_max_rel_error_float"] < 1e-8
+        assert doc["result"]["circle_max_rel_error_float"] == 0.0
 
     def test_product_cap_check(self, runner):
         doc = run_json(
@@ -958,30 +958,52 @@ class TestExitContract:
     @pytest.mark.parametrize("args, code", [
         (["weight-bound", "--f", "maj", "--n", "8", "--K", "2", "--eps", "0"], 2),
         (["weight-bound", "--f", "maj", "--n", "8", "--K", "8", "--eps", "0"], 0),
+        # supp/eps beyond the range of a double: no trend exponent, and the
+        # construction decides as for any eps
+        (["weight-bound", "--f", "and", "--n", "8", "--K", "4", "--eps", "1e-400"], 2),
+        (["weight-bound", "--f", "and", "--n", "8", "--K", "4", "--eps", "1e400"], 0),
         *[(["symcheb", "pw", "--n", "256", "--K", "4", "--w", "1", "--check", "circle",
             "--eps", eps], 0) for eps in ("1e-9", "1e-20", "1/10000", "1e-7")],
         (["symcheb", "pw", "--n", "1024", "--K", "8", "--w", "1", "--check", "circle",
           "--eps", "1e9"], 0),
         (["ramp", "--k", "1", "--K", "5000"], 2),
-    ], ids=["eps0-K2", "eps0-K8", "circle-1e-9", "circle-1e-20", "circle-1e-4", "circle-1e-7",
-            "circle-1e9-K8", "ramp-K5000-unprintable"])
+    ], ids=["eps0-K2", "eps0-K8", "wb-1e-400", "wb-1e400", "circle-1e-9", "circle-1e-20",
+            "circle-1e-4", "circle-1e-7", "circle-1e9-K8", "ramp-K5000-unprintable"])
     def test_command_lines(self, args, code):
         got, out, err = _run_capturing(args)
         assert (got, "Traceback" in err) == (code, False), err
         assert len(err.splitlines()) == (1 if code else 0), err
+        if args[0] == "ramp":
+            assert "--K" in err
 
-    # an eps whose circle-check doubles (eps, delta, delta', the prefactor)
-    # overflow; at 7e9 the prefactor is inf, and NaN comparisons read as agreement
+    # K = 3574 is the first K (at k = 1) whose exact radicand has more than
+    # 4300 digits, the interpreter's default limit on printing an integer
+    @pytest.mark.parametrize("big_k, code", [("3573", 0), ("3574", 2)])
+    def test_ramp_radicand_too_long_to_print_is_refused_naming_K(self, big_k, code):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            got, out, err = _run_capturing(["ramp", "--k", "1", "--K", big_k])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == code, err
+        if code:
+            assert (out, err) == ("", f"Error: --K={big_k} gives an exact radicand of more "
+                                      "than 4300 digits, too long to print\n")
+
+    # (1+eps)^2K (1+delta)^2K >= 2^1024, or eps of more than 1024 bits above or
+    # below the fraction bar: refused before route A evaluates any point
     @pytest.mark.parametrize("n, big_k, eps", [("1024", "8", "1e10"), ("1024", "8", "7e9"),
-                                               ("64", "1", "1e200"), ("256", "4", "1e9999")])
-    def test_circle_eps_beyond_doubles_is_refused_before_the_angles(self, monkeypatch, n,
-                                                                    big_k, eps):
-        monkeypatch.setattr(RationalPoly, "eval_complex",
-                            lambda *a: pytest.fail("the angle loop was reached"))
+                                               ("64", "1", "1e200"), ("256", "4", "1e9999"),
+                                               ("256", "4", "1e-400"), ("256", "4", "1e-9999")])
+    def test_circle_eps_outside_the_domain_is_refused_before_any_point(self, monkeypatch, n,
+                                                                       big_k, eps):
+        monkeypatch.setattr(symcheb, "_eval_abs_squared_exact",
+                            lambda *a: pytest.fail("a point was evaluated"))
         got, out, err = _run_capturing(["symcheb", "pw", "--n", n, "--K", big_k, "--w", "1",
                                         "--check", "circle", "--eps", eps])
-        assert (got, out, err) == (2, "", "Error: --eps is too large for the circle check "
-                                          "in doubles\n")
+        assert (got, out, len(err.splitlines())) == (2, "", 1), err
+        assert err.startswith("Error: --eps ") and "double" not in err
 
     @pytest.mark.parametrize("big_ks", ["x", "0", "-1", "5", "2,5", "3,x"])
     @pytest.mark.parametrize("pair", ["indistinguishable", "distinguishable"])

@@ -2,8 +2,9 @@
 somewhere in ``src/`` or ``perfbench/``: a function, method, class,
 constant or field that nothing reads is dead code, and dead code is deleted
 rather than kept in step.  Reads from ``tests/`` do not count, so a helper
-that only tests call lives in ``tests/oracles.py``, not in the package; a
-public name counts as used through its entry in ``__init__._EXPORTS``.
+that only tests call lives in ``tests/oracles.py``, not in the package.  An
+entry in ``__init__._EXPORTS`` is not a use either: a public name that no
+command reaches is dead too.
 
 A use is a read of the name (``name``, ``obj.name``), an import of it, a
 keyword argument spelled like it, or the name inside a string literal (for
@@ -105,6 +106,13 @@ def _uses(tree: ast.Module) -> tuple[Counter, Counter]:
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
     }
     skipped.update(id(slot) for node in ast.walk(tree) for slot in _slots(node))
+    # the keys of ``__init__._EXPORTS``, which export names rather than use them
+    skipped.update(
+        id(key) for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+        and [getattr(target, "id", None) for target in node.targets] == ["_EXPORTS"]
+        for key in node.value.keys
+    )
     uses: Counter = Counter()
     field_uses: Counter = Counter()
     for node in ast.walk(tree):

@@ -29,8 +29,10 @@ from dualshare.symcheb import (
 from conftest import random_symmetric_distribution
 from oracles import (
     certify_grid_all_points,
+    cheb_coeff,
     cheb_transform,
     circle_abs_squared_fraction,
+    circle_routes_fraction,
     hypergeom_prob,
     symmetrize,
 )
@@ -190,7 +192,7 @@ class TestTruncatedApproximant:
         for k in (1, 2, 3):
             _, _, err = truncated_approximant(test, k)
             tail = 2 * sum(
-                (abs(expansion.coeff(d)) for d in range(k, len(expansion.half_coeffs))),
+                (abs(cheb_coeff(expansion, d)) for d in range(k, len(expansion.half_coeffs))),
                 Fraction(0),
             )
             assert err <= float(tail) * (1 + 1e-9)
@@ -208,7 +210,7 @@ class TestGeneratingPoly:
             e = test.cheb
             assert g.degree == 2 * K
             for d in range(-K, K + 1):
-                assert g.coeffs[K + d] == e.coeff(d)
+                assert g.coeffs[K + d] == cheb_coeff(e, d)
             # and the generic transform agrees with the factored route
             assert cheb_transform(test.poly).half_coeffs == e.half_coeffs
 
@@ -308,79 +310,81 @@ class TestCircleIdentity:
         # at eps = 0 the amplified identity degenerates to |g(e^{i t})| = |p_w(cos t)|
         test = exact_weight_test(64, 2, 1)
         g = test.generating_poly()
-        for theta in (0.0, 0.4, 1.1, 2.7):
-            lhs = abs(g.eval_complex(complex(math.cos(theta), math.sin(theta)))) ** 2
-            rhs = test.poly.eval_float(math.cos(theta)) ** 2
-            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+        for t in (Fraction(0), Fraction(1, 5), Fraction(-3, 7), Fraction(9, 4)):
+            cos, sin = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+            assert symcheb._eval_abs_squared_exact(g, cos, sin) == test.poly(cos) ** 2
 
     def test_desk_scale_identity(self):
         test = exact_weight_test(256, 4, 1)
-        params = AmplificationParams.with_grid(Fraction(1, 10))
-        assert circle_identity_check(test, params) < 1e-8
+        assert circle_identity_check(test, AmplificationParams(Fraction(1, 10))) == 0.0
 
     def test_single_factor_hand_expansion(self):
         # K = w = 1, n = 64: one factor, closed form
         test = exact_weight_test(64, 1, 1)
-        eps = Fraction(1, 7)
-        params = AmplificationParams.with_grid(eps)
-        assert circle_identity_check(test, params) < 1e-10
-        delta = float(params.delta)
-        z = float(test.zeros[0])
-        theta = 0.9
-        g = test.generating_poly()
-        s = (1 + float(eps)) * complex(math.cos(theta), math.sin(theta))
-        lhs = abs(g.eval_complex(s)) ** 2
-        hand = (
-            (1 + float(eps)) ** 2
-            * float(test.scale) ** 2
-            * ((math.cos(theta) - (1 + delta) * z) ** 2 + (1 - z * z) * (2 * delta + delta**2))
-        )
-        assert lhs == pytest.approx(hand, rel=1e-10)
+        params = AmplificationParams(Fraction(1, 7))
+        assert circle_identity_check(test, params) == 0.0
+        r, delta, (z,) = 1 + params.epsilon, params.delta, test.zeros
+        t = Fraction(2, 5)
+        cos, sin = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        lhs = symcheb._eval_abs_squared_exact(test.generating_poly(), r * cos, r * sin)
+        hand = r ** 2 * test.scale ** 2 * ((cos - (1 + delta) * z) ** 2
+                                          + (1 - z * z) * (2 * delta + delta ** 2))
+        assert lhs == hand
 
-    def test_inflated_subscript_variant_fails(self):
-        # the (1+delta)-inflated h-subscript misses by relative error ~delta,
-        # which is why the exact identity is pinned instead
+    @pytest.mark.parametrize("n, K, w", [(256, 4, 1), (64, 3, 1), (1024, 8, 7)])
+    @pytest.mark.parametrize("eps", ["1/10", "1e-9", "3"])
+    def test_inflated_subscript_fails_at_a_sample_point(self, monkeypatch, n, K, w, eps):
+        # route B with the (1+delta)-inflated h-subscript delta (1 + 1/(1+delta))
+        # misses the identity, and one of the 2K+1 points shows it (the
+        # subscript weighs 1 - z^2, so each case has a zero other than +-1)
+        test = exact_weight_test(n, K, w)
+        monkeypatch.setattr(AmplificationParams, "h_subscript",
+                            property(lambda p: p.delta * (1 + 1 / (1 + p.delta))))
+        with pytest.raises(PropertyViolation, match="circle identity fails exactly"):
+            circle_identity_check(test, AmplificationParams(Fraction(eps)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 8),
+           st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(7, 3), Fraction(1, 10**9)]),
+           st.fractions(min_value=-20, max_value=20, max_denominator=60))
+    def test_routes_agree_off_the_sample_points(self, data, K, eps, t):
+        # the lemma's conclusion: the check passes, and the two routes then agree
+        # at every rational point of the circle, not only at t = j/(2K+1)
+        n = data.draw(st.integers(K, 1024), label="n")
+        test = exact_weight_test(n, K, data.draw(st.integers(0, K), label="w"))
+        params = AmplificationParams(eps)
+        assert circle_identity_check(test, params) == 0.0
+        lhs, rhs = circle_routes_fraction(test, params, t)
+        assert lhs == rhs
+
+    @pytest.mark.parametrize("eps", ["1e-7", "1e-8", "1e-9", "1e-12", "1e-20", "1/10000",
+                                     "1e-300"])
+    def test_small_eps_is_decided_exactly(self, eps):
+        # at theta = 0 route B meets the zero z = 1 of the product up to a
+        # relative gap of order delta
         test = exact_weight_test(256, 4, 1)
-        eps, K = 0.1, 4
-        delta = eps * eps / (2 * (1 + eps))
-        inflated = delta * (1 + 1 / (1 + delta))
-        g = test.generating_poly()
-        worst = 0.0
-        for j in range(64):
-            theta = -math.pi + 2 * math.pi * j / 64
-            s = (1 + eps) * complex(math.cos(theta), math.sin(theta))
-            lhs = abs(g.eval_complex(s)) ** 2
-            c = math.cos(theta) / (1 + delta)
-            rhs = (1 + eps) ** (2 * K) * (1 + delta) ** (2 * K) * float(test.scale) ** 2
-            for z in [float(z) for z in test.zeros]:
-                rhs *= (c - z) ** 2 + inflated * (1 - z * z)
-            worst = max(worst, abs(lhs - rhs) / rhs)
-        assert worst > 1e-8
-
-
-    @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction("1e-9"), Fraction("1e-20")])
-    def test_routes_agree_exactly_at_rational_points_of_the_circle(self, eps):
-        test = exact_weight_test(256, 4, 1)
-        params = AmplificationParams.with_grid(eps)
-        for t in (Fraction(0), Fraction(1, 3), Fraction(7, 5), Fraction(-2, 9)):
-            assert symcheb._circle_routes_agree(test, params, t)
-
-    @pytest.mark.parametrize("eps", ["1e-7", "1e-8", "1e-9", "1e-12", "1e-20", "1/10000"])
-    def test_small_eps_is_decided_exactly_where_doubles_fail(self, eps):
-        # route B rounds to 0.0 at theta = 0 (c = cos/(1+delta) meets the zero
-        # z = 1), or loses the identity to cancellation near it
-        test = exact_weight_test(256, 4, 1)
-        assert circle_identity_check(test, AmplificationParams.with_grid(Fraction(eps))) < 1e-8
+        assert circle_identity_check(test, AmplificationParams(Fraction(eps))) == 0.0
 
     def test_mismatched_routes_fail_exactly(self, monkeypatch):
         # route A read from another test's generating polynomial
         test = exact_weight_test(256, 4, 1)
         other = exact_weight_test(256, 4, 2).generating_poly()
-        params = AmplificationParams.with_grid(Fraction(1, 10))
+        params = AmplificationParams(Fraction(1, 10))
         monkeypatch.setattr(test, "generating_poly", lambda: other)
-        assert not symcheb._circle_routes_agree(test, params, Fraction(1, 3))
+        lhs, rhs = circle_routes_fraction(test, params, Fraction(1, 3))
+        assert lhs != rhs
         with pytest.raises(PropertyViolation, match="circle identity fails exactly"):
             circle_identity_check(test, params)
+
+    def test_degree_above_2K_is_refused_before_any_point(self, monkeypatch):
+        # the lemma needs deg g <= 2K; a g of degree 2K+1 never reaches a point
+        test = exact_weight_test(256, 4, 1)
+        high = test.generating_poly() + RationalPoly.of(*[0] * 9, 1)
+        monkeypatch.setattr(test, "generating_poly", lambda: high)
+        monkeypatch.setattr(symcheb, "_eval_abs_squared_exact",
+                            lambda *a: pytest.fail("a point was evaluated"))
+        with pytest.raises(PropertyViolation, match="degree 9 > 2K=8"):
+            circle_identity_check(test, AmplificationParams(Fraction(1, 10)))
 
 
 class TestShiftedProductCap:
@@ -566,10 +570,10 @@ class TestCoefficientDecay:
                 for eps in (Fraction(1, 10), Fraction(1, 3)):
                     delta = eps * eps / (2 * (1 + eps))
                     amp = (1 + eps) ** (2 * K) * (
-                        e.coeff(0) ** 2
+                        cheb_coeff(e, 0) ** 2
                         + sum(
                             ((1 + eps) ** (2 * d) + (1 + eps) ** (-2 * d))
-                            * e.coeff(d) ** 2
+                            * cheb_coeff(e, d) ** 2
                             for d in range(1, K + 1)
                         )
                     )

@@ -427,3 +427,16 @@ class TestReports:
             8, Fraction(693, 128), 0, None)
         with pytest.raises(InfeasibleBudget):
             low_weight_report(spec, 2, 0)
+
+    @pytest.mark.parametrize("eps", ["1e-400", "1e-9999", "1e400"])
+    def test_eps_beyond_doubles_reports_no_trend(self, eps):
+        # supp/eps overflows a double (1e-400) or underflows to 0.0 (1e400)
+        spec = SymmetricSpec(8, tuple(1 if 2 * h > 8 else 0 for h in range(9)))
+        rep, _ = low_weight_report(spec, 8, Fraction(eps))
+        assert (rep.degree, rep.weight, rep.error, rep.bound_exponent) == (
+            8, Fraction(693, 128), 0, None)
+
+    def test_negative_eps_is_refused(self):
+        spec = SymmetricSpec(8, tuple(1 if 2 * h > 8 else 0 for h in range(9)))
+        with pytest.raises(InvalidInput, match="eps must be nonnegative, got -1"):
+            low_weight_report(spec, 8, -1)
