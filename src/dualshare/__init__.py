@@ -31,8 +31,8 @@ _EXPORTS = {
     "minimax_on_weight_grid": "approxlab",
     "ramp_advantage": "approxlab",
     "SymmetricDistribution": "boolcube",
-    "WeightVector": "boolcube",
     "dual_pairings": "boolcube",
+    "indistinguishability_bound": "boolcube",
     "kwise_indistinguishable": "boolcube",
     "project_symmetric": "boolcube",
     "stat_distance_symmetric": "boolcube",
@@ -40,6 +40,7 @@ _EXPORTS = {
     "DualAndParams": "dualand",
     "DualAndWitness": "dualand",
     "ShareSampler": "dualand",
+    "WeightVector": "dualand",
     "build_witness": "dualand",
     "epsilon_of": "dualand",
     "verify_witness": "dualand",
@@ -52,7 +53,6 @@ _EXPORTS = {
     "bounded_check": "symcheb",
     "circle_identity_check": "symcheb",
     "exact_weight_test": "symcheb",
-    "indistinguishability_bound": "symcheb",
     "truncated_approximant": "symcheb",
     "SymmetricSpec": "weightdeg",
     "WeightDegreeReport": "weightdeg",

@@ -6,9 +6,9 @@ all-zeros bit string, and a Hamming weight ``h`` (number of ONE bits) sits at
 the symmetrised coordinate ``t = 1 - 2h/n``.  Characters follow the same
 convention: ``chi_S(x) = prod_{i in S} x_i = (-1)^{|S & ones(b)|}``.
 
-Cube points are represented as integer bitmasks internally and as 0/1 tuples
-at API boundaries.  Symmetric distributions store one probability per
-Hamming weight (the total mass of the weight class, not per string).
+Cube points are represented as integer bitmasks.  Symmetric distributions
+store one probability per Hamming weight (the total mass of the weight
+class, not per string), and their file form is read and written here.
 ``dual_pairings`` is the package's one check of a dual certificate, on
 classes of per-group ONE-bit counts; Hamming weights are the one-group case.
 """
@@ -17,15 +17,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, islice
-from math import comb, lcm, prod
+from math import comb, exp, lcm, prod, sqrt
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
+from . import serialize
+from .errors import InvalidInput, PropertyViolation
+
 CUBE_CAP = 22  # largest n for which any routine enumerates all 2^n cube points
-
-
-def mask_to_bits(n: int, mask: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(n))
+MAX_DIST_N = 1000  # largest n of a distribution file: approxlab.MAX_N, where ramp --finite stops
 
 
 def walsh_hadamard(values: Sequence, sizes: Sequence[int] | None = None) -> list:
@@ -102,32 +102,6 @@ def dual_pairings(
             Fraction(sum(map(abs, scaled)), scale))
 
 
-class WeightVector:
-    """Nonnegative per-variable weights."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[Fraction, ...]):
-        self.entries = entries
-
-    @staticmethod
-    def of(values: Iterable) -> "WeightVector":
-        entries = tuple(Fraction(v) for v in values)
-        if any(e < 0 for e in entries):
-            raise ValueError("weights must be nonnegative")
-        return WeightVector(entries)
-
-    @staticmethod
-    def uniform(n: int) -> "WeightVector":
-        return WeightVector(tuple([Fraction(1)] * n))
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def l1(self) -> Fraction:
-        return sum(self.entries, Fraction(0))
-
 class SymmetricDistribution:
     """Distribution over {0,1}^n invariant under coordinate permutations.
 
@@ -165,6 +139,26 @@ class SymmetricDistribution:
             (p * Fraction(values_by_weight[h]) for h, p in enumerate(self.weight_probs) if p),
             Fraction(0),
         )
+
+
+def dist_to_json(d: SymmetricDistribution) -> dict:
+    return {"n": d.n, "weight_probs": [serialize.rat_to_str(p) for p in d.weight_probs]}
+
+
+def dist_from_json(obj: dict) -> SymmetricDistribution:
+    """A distribution from a JSON integer n <= ``MAX_DIST_N`` and rational-string
+    probabilities; a larger n exits 2 before any probability is parsed."""
+    try:
+        n, probs = obj["n"], obj["weight_probs"]
+    except (KeyError, TypeError) as exc:
+        raise InvalidInput(f"malformed distribution (n, weight_probs): {exc!r}") from exc
+    if type(n) is not int or type(probs) is not list:  # bool is an int subclass
+        raise InvalidInput(f"distribution needs an integer n and a list of rational strings, "
+                           f"got n={n!r}, weight_probs={probs!r}")
+    if n > MAX_DIST_N:
+        raise InvalidInput(f"distribution n={n} exceeds the cap n <= {MAX_DIST_N}")
+    # the package's one rational reader: a JSON float, a bool or 1/0 exits 2
+    return SymmetricDistribution(n, tuple(map(serialize._parse_rational, probs)))
 
 
 def project_symmetric(d: SymmetricDistribution, k: int) -> SymmetricDistribution:
@@ -214,6 +208,63 @@ def kwise_indistinguishable(
         raise ValueError("k out of range")
     psi = [a - b for a, b in zip(d1.weight_probs, d2.weight_probs)]
     return not dual_pairings(psi, (d1.n,), range(k + 1))[0]
+
+
+_EXP_TERMS = 200  # series terms after which an exponential bracket is called undecided
+
+
+def _exp_brackets(x: Fraction) -> Iterator[tuple[Fraction, Fraction | None]]:
+    """Rational brackets (low, high) of e^x for x >= 0, one per series term
+    from the 12th to the _EXP_TERMS-th, each at least as tight as the last.
+    low is the series to x^i/i!; high adds the tail bound
+    x^{i+1}/(i+1)! * (i+2)/(i+2-x), and is None while i + 2 <= x, where that
+    bound does not hold."""
+    low = term = Fraction(1)
+    for i in range(1, _EXP_TERMS + 1):
+        term = term * x / i
+        low += term
+        if i >= 12:
+            yield low, low + term * x / (i + 1) * (i + 2) / (i + 2 - x) if i + 2 > x else None
+
+
+def _exp_at_least(c: Fraction, x: Fraction, what: str) -> bool:
+    """Whether e^x >= c, decided against ``_exp_brackets(x)``; PropertyViolation
+    ("``what`` undecided") if _EXP_TERMS series terms leave it open."""
+    for low, high in _exp_brackets(x):
+        if c <= low:
+            return True
+        if high is not None and c > high:
+            return False
+    raise PropertyViolation(f"{what} undecided after {_EXP_TERMS} terms of the exponential series")
+
+
+def indistinguishability_bound_holds(dist: Fraction, k: int, K: int) -> bool:
+    """Whether dist <= (K+1) * 8 sqrt(K) * exp(-k^2/1156K), decided exactly.
+
+    Both sides are nonnegative, so squaring clears sqrt(K): the claim is
+    dist^2 e^{k^2/578K} <= 64 K (K+1)^2, decided against rational brackets
+    of the exponential, refined until they decide; PropertyViolation
+    ("undecided") if _EXP_TERMS series terms leave it open.
+    """
+    if k < 1 or K < 1:
+        raise ValueError("need positive k and K")
+    lhs = Fraction(dist) ** 2
+    # e^x is irrational for rational x > 0, so e^x >= cap / lhs means e^x > cap / lhs
+    return not lhs or not _exp_at_least(64 * K * (K + 1) ** 2 / lhs, Fraction(k * k, 578 * K),
+                                        "projected-distance bound")
+
+
+def indistinguishability_bound(k: int, K: int) -> float:
+    """Explicit proof-level constant (K+1) * 8 sqrt(K) * exp(-k^2/1156K).
+
+    The K-bit distinguisher decomposes into at most K+1 exact-weight tests,
+    each contributing 8 sqrt(K) exp(-k^2/1156K) of advantage.  The guarantee
+    is stated for 1 <= k < K <= n/64; the formula itself is evaluated for any
+    positive k, K (downstream consolidation plugs in k >= K).
+    """
+    if k < 1 or K < 1:
+        raise ValueError("need positive k and K")
+    return (K + 1) * 8.0 * sqrt(K) * exp(-(k * k) / (1156.0 * K))
 
 
 _KRAVCHUK_ROWS: dict[int, tuple[list[list[int]], Iterator[list[int]]]] = {}

@@ -11,11 +11,11 @@ from .errors import InvalidInput
 def dual_and_cmd(n, weights, d_str, out, fmt):
     d = serialize._parse_rational(d_str)
     if weights:
-        w = boolcube.WeightVector.of([serialize._parse_rational(x) for x in weights.split(",")])
+        w = dualand.WeightVector.of([serialize._parse_rational(x) for x in weights.split(",")])
         if w.n != n:
             raise InvalidInput("weights length must equal n")
     else:
-        w = boolcube.WeightVector.uniform(n)
+        w = dualand.WeightVector.uniform(n)
     params = dualand.DualAndParams(n, w, d)
     wit = dualand.build_witness(params)
     report = dualand.verify_witness(wit)
@@ -30,14 +30,14 @@ def dual_and_cmd(n, weights, d_str, out, fmt):
         "correlation": serialize.rat_to_str(report.correlation),
         "l1_norm": serialize.rat_to_str(report.l1_norm),
         "pure_high_degree_strictly_below_d": report.pure_high_degree,
-        "witness": serialize.witness_to_json(n, d, wit.classes.expand(
+        "witness": dualand.witness_to_json(n, d, wit.classes.expand(
             [serialize.rat_to_str(v) for v in wit.class_values])),
     }
     serialize._emit("dual-and", config, result, out, fmt)
 
 
 def sample_shares_cmd(witness_path, secret, count, seed, out, fmt):
-    wit = serialize.witness_from_json(serialize.load_json(witness_path))
+    wit = dualand.witness_from_json(serialize.load_json(witness_path))
     # The rows are held in memory, so count * n share bits is capped at the
     # scale of the largest cube; a per-command work budget, checked before
     # any work, would replace this cap.

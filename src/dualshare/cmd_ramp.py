@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import sys
 
-from . import approxlab, boolcube, serialize, symcheb
+from . import approxlab, boolcube, serialize
 from .errors import InvalidInput, PropertyViolation
 
 
@@ -34,8 +34,8 @@ def ramp_cmd(k, big_k, n, finite, out, fmt):
         mu, nu, advantage = approxlab.finite_n_ramp(params)
         result.update({
             "finite_n": n,
-            "mu": serialize.dist_to_json(mu),
-            "nu": serialize.dist_to_json(nu),
+            "mu": boolcube.dist_to_json(mu),
+            "nu": boolcube.dist_to_json(nu),
             "advantage": serialize.rat_to_str(advantage),
             "advantage_float": float(advantage),
             "advantage_over_limit_float": float(advantage) / value,
@@ -46,16 +46,16 @@ def ramp_cmd(k, big_k, n, finite, out, fmt):
 
 
 def consolidate_cmd(dist_path, t, out, fmt):
-    d = serialize.dist_from_json(serialize.load_json(dist_path))
+    d = boolcube.dist_from_json(serialize.load_json(dist_path))
     consolidated = approxlab.consolidate_and(d, t)
     config = {"dist": dist_path, "t": t}
     serialize._emit("consolidate", config,
-                    {"consolidated": serialize.dist_to_json(consolidated)}, out, fmt)
+                    {"consolidated": boolcube.dist_to_json(consolidated)}, out, fmt)
 
 
 def indist_check_cmd(dist1, dist2, k, big_ks, out, fmt):
-    d1 = serialize.dist_from_json(serialize.load_json(dist1))
-    d2 = serialize.dist_from_json(serialize.load_json(dist2))
+    d1 = boolcube.dist_from_json(serialize.load_json(dist1))
+    d2 = boolcube.dist_from_json(serialize.load_json(dist2))
     if d1.n != d2.n:
         raise InvalidInput("distributions live on different n")
     n = d1.n
@@ -75,8 +75,8 @@ def indist_check_cmd(dist1, dist2, k, big_ks, out, fmt):
     for K in ks:
         dist = boolcube.stat_distance_symmetric(boolcube.project_symmetric(d1, K),
                                                 boolcube.project_symmetric(d2, K))
-        bound = symcheb.indistinguishability_bound(k, K)
-        within = symcheb.indistinguishability_bound_holds(dist, k, K)
+        bound = boolcube.indistinguishability_bound(k, K)
+        within = boolcube.indistinguishability_bound_holds(dist, k, K)
         rows.append({
             "K": K,
             "projected_distance": serialize.rat_to_str(dist),

@@ -18,8 +18,9 @@ of violating subsets and the sampler's CDF.
 Both run on integers: class weights are tabulated as scale * w(j), scale
 clearing the denominators of the weights and d, and a witness holds one
 integer numerator over 2^n |H| per class.  The share sampler draws from
-these, built here or read from a file; one ``Fraction`` per class is built
-only to be emitted.
+these, built here or read from a file (the file codec, ``witness_to_json``
+and ``witness_from_json``, lives here too); one ``Fraction`` per class is
+built only to be emitted.
 
 Sign orientation: the construction carries a global (-1)^n; we negate the
 witness when that factor would make the correlation with AND negative (an
@@ -40,17 +41,44 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import comb, lcm
-from operator import mul
-from typing import Sequence
+from operator import eq, mul
+from typing import Iterable, Sequence
 
-from . import boolcube
-from .errors import PropertyViolation
+from . import boolcube, serialize
+from .errors import InvalidInput, PropertyViolation
+
+
+class WeightVector:
+    """Nonnegative per-variable weights."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[Fraction, ...]):
+        self.entries = entries
+
+    @staticmethod
+    def of(values: Iterable) -> "WeightVector":
+        entries = tuple(Fraction(v) for v in values)
+        if any(e < 0 for e in entries):
+            raise ValueError("weights must be nonnegative")
+        return WeightVector(entries)
+
+    @staticmethod
+    def uniform(n: int) -> "WeightVector":
+        return WeightVector(tuple([Fraction(1)] * n))
+
+    @property
+    def n(self) -> int:
+        return len(self.entries)
+
+    def l1(self) -> Fraction:
+        return sum(self.entries, Fraction(0))
 
 
 class DualAndParams:
     __slots__ = ("n", "w", "d")
 
-    def __init__(self, n: int, w: boolcube.WeightVector, d: Fraction):
+    def __init__(self, n: int, w: WeightVector, d: Fraction):
         self.n = n
         self.w = w
         self.d = d
@@ -82,7 +110,7 @@ class BitCountClasses:
         self.scaled_d = scaled_d
 
     @staticmethod
-    def of(w: boolcube.WeightVector, d: Fraction) -> "BitCountClasses":
+    def of(w: WeightVector, d: Fraction) -> "BitCountClasses":
         """Group the coordinates of equal weight, first occurrence first."""
         scale = lcm(d.denominator, *(e.denominator for e in w.entries))
         groups: dict = {}  # weight -> [size, scaled weight], in first-occurrence order
@@ -225,7 +253,7 @@ def verify_witness(wit: DualAndWitness) -> WitnessReport:
     )
 
 
-def _signed_sum_counts(w: boolcube.WeightVector) -> tuple[dict[int, int], int]:
+def _signed_sum_counts(w: WeightVector) -> tuple[dict[int, int], int]:
     """Distribution of scale * <w, X> over uniform X in {-1,1}^n as value ->
     count, and the scale, the least that makes every weight integral.
 
@@ -285,4 +313,94 @@ class ShareSampler:
         return self._points[bisect_right(self._cum, r)]
 
     def sample(self) -> tuple[int, ...]:
-        return boolcube.mask_to_bits(self._n, self.sample_mask())
+        return mask_to_bits(self._n, self.sample_mask())
+
+
+def mask_to_bits(n: int, mask: int) -> tuple[int, ...]:
+    return tuple((mask >> i) & 1 for i in range(n))
+
+
+def witness_to_json(n: int, d, texts: Sequence[str]) -> dict:
+    """The cube witness on n variables with claimed degree d; ``texts`` are
+    its 2^n values already written by ``serialize.rat_to_str``, for a caller whose
+    values repeat and who converts each distinct one once.  The sequence is
+    kept as given: a tuple goes out as a JSON list."""
+    return {"n": n, "representation": "cube", "values": texts,
+            "claimed_degree": serialize.rat_to_str(d)}
+
+
+def witness_from_json(doc) -> DualAndWitness:
+    """The class form of a ``dual-and`` file's witness, checked as a
+    certificate; ``config``'s n, weights and d give only the classes and the
+    tested set.  A malformed file, or a representation other than "cube",
+    exits 2.  It exits 3 unless H_size = epsilon * 2^n >= 1 and the values
+    are integers over 2^n H_size, constant per class, pass
+    ``verify_witness(...).require(epsilon)``, are pure below the witness's
+    ``claimed_degree`` too (checked again only where it is not config's d),
+    and have the sign of chi_[n] or are 0, as the sampler's secret-to-parity
+    rule needs; and unless the file's ``l1_norm``, ``correlation``, ``Z``
+    and ``pure_high_degree_strictly_below_d`` are what the check found.
+
+    No table of 2^n entries is built beside the file's own list (unless every
+    class is one point): one text per class is parsed, and the values are
+    compared with their class's text in C.  Every value is a rational string
+    or the file exits 2, even one that also breaks an exit-3 property."""
+    parse = serialize._parse_rational
+    try:
+        config, result = doc["config"], doc["result"]
+        n, weights, d = config["n"], config["weights"], parse(config["d"])
+        eps, h_size = parse(result["epsilon"]), result["H_size"]
+        claims = {key: parse(result[key]) for key in ("l1_norm", "correlation", "Z")}
+        pure = result["pure_high_degree_strictly_below_d"]
+        witness = result["witness"]
+        wn, texts, representation = witness["n"], witness["values"], witness["representation"]
+        claimed = parse(witness["claimed_degree"])
+    except (KeyError, TypeError) as exc:
+        raise InvalidInput(f"malformed witness file: {exc!r}") from exc
+    # bool is an int subclass, and 2.7 must not become 2
+    if type(n) is not int or type(weights) is not list or type(h_size) is not int:
+        raise InvalidInput(f"witness file needs integers n and H_size and a weight list, "
+                           f"got n={n!r}, weights={weights!r}, H_size={h_size!r}")
+    if type(pure) is not bool or representation != "cube":
+        raise InvalidInput(f"witness file needs a boolean purity flag and the cube "
+                           f"representation, got {pure!r} and {representation!r}")
+    params = DualAndParams(n, WeightVector.of([parse(x) for x in weights]), d)
+    if type(wn) is not int or wn != n or type(texts) is not list or len(texts) != 1 << n:
+        raise InvalidInput(f"witness file result needs {1 << n} witness values for n={n}")
+    classes = BitCountClasses.of(params.w, d)
+    class_of = classes.class_of
+    if isinstance(class_of, range):  # singleton classes: class = mask
+        class_texts = texts
+    else:  # one text per class, read at the last of its masks
+        last = dict(zip(class_of, texts))
+        class_texts = list(map(last.__getitem__, range(len(last))))
+    try:
+        values = {text: parse(text) for text in set(class_texts)}
+    except TypeError:  # a list or an object where a rational string should be
+        raise InvalidInput("witness values must be rational strings") from None
+    constant = all(map(eq, texts, map(class_texts.__getitem__, class_of)))
+    if not constant:  # parse every differing value first: a malformed one exits 2
+        constant = all([parse(text) == values[expect] for text, expect
+                        in zip(texts, map(class_texts.__getitem__, class_of)) if text != expect])
+    if h_size < 1 or h_size != eps * (1 << n):
+        raise PropertyViolation(f"witness file claims H_size={h_size}, epsilon={eps}; "
+                                "need H_size = epsilon * 2^n >= 1")
+    scaled = {text: value * (h_size << n) for text, value in values.items()}
+    if any(v.denominator != 1 for v in scaled.values()):
+        raise PropertyViolation(f"a witness value is not a multiple of 1/{h_size << n}")
+    if not constant:
+        raise PropertyViolation("witness values are not constant on config's classes")
+    nums = list(map({text: v.numerator for text, v in scaled.items()}.__getitem__, class_texts))
+    wit = DualAndWitness(params, h_size, classes, nums)
+    report = verify_witness(wit)
+    report.require(eps)
+    if claimed != d and not verify_witness(DualAndWitness(
+            params, h_size, BitCountClasses.of(params.w, claimed), nums)).pure_high_degree:
+        raise PropertyViolation(f"the witness is not pure below its claimed degree {claimed}")
+    if any(v > 0 if k & 1 else v < 0 for v, k in zip(nums, classes.ones)):
+        raise PropertyViolation("witness values do not have the sign of chi_[n]")
+    found = {"l1_norm": report.l1_norm, "correlation": report.correlation, "Z": wit.Z}
+    if claims != found or pure != report.pure_high_degree:
+        raise PropertyViolation(f"witness file claims {claims} and purity {pure}; "
+                                f"the check found {found} and purity {report.pure_high_degree}")
+    return wit

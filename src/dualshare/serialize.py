@@ -2,7 +2,9 @@
 
 Rationals serialise as "numerator/denominator" in lowest terms (optional
 leading minus); bare integers are accepted on input.  Polynomials serialise
-as coefficient arrays, lowest power first.  Output files are written
+as coefficient arrays, lowest power first.  A file type's codec lives with
+its type (distributions in ``boolcube``, the AND witness in ``dualand``), so
+a command compiles only the codecs it uses.  Output files are written
 atomically (temp file + rename), only over a regular file, with the mode a
 plain write gives a new file, and deterministically (sorted keys, no
 timestamps), so identical runs are byte-identical.  JSON goes out in pieces
@@ -16,16 +18,15 @@ command's payload goes out through ``_emit``.
 from __future__ import annotations
 
 import json
-import operator
 import os
 import stat
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
-from . import __version__, boolcube, dualand, ratpoly
-from .errors import InvalidInput, PropertyViolation
+from . import __version__, ratpoly
+from .errors import InvalidInput
 
 
 def rat_to_str(x) -> str:
@@ -35,112 +36,6 @@ def rat_to_str(x) -> str:
 
 def poly_to_json(p: ratpoly.RationalPoly) -> list[str]:
     return [rat_to_str(c) for c in p.coeffs]
-
-
-def dist_to_json(d: boolcube.SymmetricDistribution) -> dict:
-    return {"n": d.n, "weight_probs": [rat_to_str(p) for p in d.weight_probs]}
-
-
-def dist_from_json(obj: dict) -> boolcube.SymmetricDistribution:
-    """A distribution from a JSON integer n and rational-string probabilities."""
-    try:
-        n, probs = obj["n"], obj["weight_probs"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"malformed distribution (n, weight_probs): {exc!r}") from exc
-    # bool is an int subclass, and Fraction would take a JSON float too
-    if type(n) is not int or type(probs) is not list or any(type(p) is not str for p in probs):
-        raise InvalidInput(f"distribution needs an integer n and rational strings, "
-                           f"got n={n!r}, weight_probs={probs!r}")
-    try:
-        return boolcube.SymmetricDistribution.of(n, probs)
-    except ZeroDivisionError as exc:
-        raise InvalidInput(f"malformed distribution (n, weight_probs): {exc!r}") from exc
-
-
-def witness_to_json(n: int, d, texts: Sequence[str]) -> dict:
-    """The cube witness on n variables with claimed degree d; ``texts`` are
-    its 2^n values already written by ``rat_to_str``, for a caller whose
-    values repeat and who converts each distinct one once.  The sequence is
-    kept as given: a tuple goes out as a JSON list."""
-    return {"n": n, "representation": "cube", "values": texts,
-            "claimed_degree": rat_to_str(d)}
-
-
-def witness_from_json(doc) -> dualand.DualAndWitness:
-    """The class form of a ``dual-and`` file's witness, checked as a
-    certificate; ``config``'s n, weights and d give only the classes and the
-    tested set.  A malformed file, or a representation other than "cube",
-    exits 2.  It exits 3 unless H_size = epsilon * 2^n >= 1 and the values
-    are integers over 2^n H_size, constant per class, pass
-    ``verify_witness(...).require(epsilon)``, are pure below the witness's
-    ``claimed_degree`` too (checked again only where it is not config's d),
-    and have the sign of chi_[n] or are 0, as the sampler's secret-to-parity
-    rule needs; and unless the file's ``l1_norm``, ``correlation``, ``Z``
-    and ``pure_high_degree_strictly_below_d`` are what the check found.
-
-    No table of 2^n entries is built beside the file's own list (unless every
-    class is one point): one text per class is parsed, and the values are
-    compared with their class's text in C.  Every value is a rational string
-    or the file exits 2, even one that also breaks an exit-3 property."""
-    try:
-        config, result = doc["config"], doc["result"]
-        n, weights, d = config["n"], config["weights"], _parse_rational(config["d"])
-        eps, h_size = _parse_rational(result["epsilon"]), result["H_size"]
-        claims = {key: _parse_rational(result[key]) for key in ("l1_norm", "correlation", "Z")}
-        pure = result["pure_high_degree_strictly_below_d"]
-        witness = result["witness"]
-        wn, texts, representation = witness["n"], witness["values"], witness["representation"]
-        claimed = _parse_rational(witness["claimed_degree"])
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"malformed witness file: {exc!r}") from exc
-    # bool is an int subclass, and 2.7 must not become 2
-    if type(n) is not int or type(weights) is not list or type(h_size) is not int:
-        raise InvalidInput(f"witness file needs integers n and H_size and a weight list, "
-                           f"got n={n!r}, weights={weights!r}, H_size={h_size!r}")
-    if type(pure) is not bool or representation != "cube":
-        raise InvalidInput(f"witness file needs a boolean purity flag and the cube "
-                           f"representation, got {pure!r} and {representation!r}")
-    params = dualand.DualAndParams(
-        n, boolcube.WeightVector.of([_parse_rational(x) for x in weights]), d)
-    if type(wn) is not int or wn != n or type(texts) is not list or len(texts) != 1 << n:
-        raise InvalidInput(f"witness file result needs {1 << n} witness values for n={n}")
-    classes = dualand.BitCountClasses.of(params.w, d)
-    class_of = classes.class_of
-    if isinstance(class_of, range):  # singleton classes: class = mask
-        class_texts = texts
-    else:  # one text per class, read at the last of its masks
-        last = dict(zip(class_of, texts))
-        class_texts = list(map(last.__getitem__, range(len(last))))
-    try:
-        values = {text: _parse_rational(text) for text in set(class_texts)}
-    except TypeError:  # a list or an object where a rational string should be
-        raise InvalidInput("witness values must be rational strings") from None
-    constant = all(map(operator.eq, texts, map(class_texts.__getitem__, class_of)))
-    if not constant:  # parse every differing value first: a malformed one exits 2
-        constant = all([_parse_rational(text) == values[expect] for text, expect
-                        in zip(texts, map(class_texts.__getitem__, class_of)) if text != expect])
-    if h_size < 1 or h_size != eps * (1 << n):
-        raise PropertyViolation(f"witness file claims H_size={h_size}, epsilon={eps}; "
-                                "need H_size = epsilon * 2^n >= 1")
-    scaled = {text: value * (h_size << n) for text, value in values.items()}
-    if any(v.denominator != 1 for v in scaled.values()):
-        raise PropertyViolation(f"a witness value is not a multiple of 1/{h_size << n}")
-    if not constant:
-        raise PropertyViolation("witness values are not constant on config's classes")
-    nums = list(map({text: v.numerator for text, v in scaled.items()}.__getitem__, class_texts))
-    wit = dualand.DualAndWitness(params, h_size, classes, nums)
-    report = dualand.verify_witness(wit)
-    report.require(eps)
-    if claimed != d and not dualand.verify_witness(dualand.DualAndWitness(
-            params, h_size, dualand.BitCountClasses.of(params.w, claimed), nums)).pure_high_degree:
-        raise PropertyViolation(f"the witness is not pure below its claimed degree {claimed}")
-    if any(v > 0 if k & 1 else v < 0 for v, k in zip(nums, classes.ones)):
-        raise PropertyViolation("witness values do not have the sign of chi_[n]")
-    found = {"l1_norm": report.l1_norm, "correlation": report.correlation, "Z": wit.Z}
-    if claims != found or pure != report.pure_high_degree:
-        raise PropertyViolation(f"witness file claims {claims} and purity {pure}; "
-                                f"the check found {found} and purity {report.pure_high_degree}")
-    return wit
 
 
 def _atomic_write(path: str, write_fn) -> None:

@@ -23,9 +23,8 @@ import warnings
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
-from typing import Iterator
 
-from . import certify, ratpoly
+from . import boolcube, certify, ratpoly
 from .errors import InvalidInput, PropertyViolation
 
 
@@ -130,6 +129,12 @@ def reflection_check(test: SymmetrizedTest) -> bool:
     return test.poly == partner.poly.reflect()
 
 
+def _warn_outside_range(test: SymmetrizedTest, what: str) -> None:
+    """Warn the check's caller when n < 64K, outside the guaranteed range."""
+    if test.n < 64 * test.K:
+        warnings.warn(f"n={test.n} < 64K={64 * test.K}: {what}", stacklevel=3)
+
+
 # intervals of the dense grid on which ``bounded_check`` samples |p_w|
 BOUNDED_GRID = 2048
 
@@ -141,12 +146,7 @@ def bounded_check(test: SymmetrizedTest) -> float:
     The grid maximum is a lower estimate; the certificate is the exact
     nonnegativity of 2 - p_w and 2 + p_w on [-1, 1].
     """
-    if test.n < 64 * test.K:
-        warnings.warn(
-            f"n={test.n} < 64K={64 * test.K}: outside the guaranteed range, "
-            "running the check anyway",
-            stacklevel=2,
-        )
+    _warn_outside_range(test, "outside the guaranteed range, running the check anyway")
     p = test.poly
     grid_max = max(
         abs(p.eval_float(-1.0 + 2.0 * i / BOUNDED_GRID)) for i in range(BOUNDED_GRID + 1)
@@ -172,12 +172,7 @@ def truncated_approximant(
     upper bound on sup |p_w - q_w| over [-1, 1] and is asserted to be at most
     the explicit bound.
     """
-    if test.n < 64 * test.K:
-        warnings.warn(
-            f"n={test.n} < 64K={64 * test.K}: the error bound is only "
-            "guaranteed in range; certifying anyway",
-            stacklevel=2,
-        )
+    _warn_outside_range(test, "the error bound is only guaranteed in range; certifying anyway")
     expansion = test.cheb
     q = expansion.truncate(k)
     diff = test.poly - q
@@ -241,6 +236,13 @@ def _eval_abs_squared_exact(g: ratpoly.RationalPoly, re, im) -> Fraction:
     return Fraction(acc_re * acc_re + acc_im * acc_im, (den * l_pow) ** 2)
 
 
+def _check_eps_bits(eps: Fraction, check: str) -> None:
+    """InvalidInput naming --eps unless eps has at most 1024 bits above and below the bar."""
+    if max(eps.numerator.bit_length(), eps.denominator.bit_length()) > 1024:
+        raise InvalidInput("--eps needs a numerator and a denominator of at most 1024 bits "
+                           f"for the {check} check")
+
+
 def circle_identity_check(test: SymmetrizedTest, params: AmplificationParams) -> float:
     """Exact check of the amplified circle identity at every angle; returns its
     relative error, 0.0.
@@ -267,9 +269,7 @@ def circle_identity_check(test: SymmetrizedTest, params: AmplificationParams) ->
     naming --eps otherwise.
     """
     eps, delta, K = params.epsilon, params.delta, test.K
-    if max(eps.numerator.bit_length(), eps.denominator.bit_length()) > 1024:
-        raise InvalidInput("--eps needs a numerator and a denominator of at most 1024 bits "
-                           "for the circle check")
+    _check_eps_bits(eps, "circle")
     ampl = ((1 + eps) * (1 + delta)) ** (2 * K)  # the prefactor (1+eps)^2K (1+delta)^2K
     if ampl >= 2 ** 1024:
         raise InvalidInput("--eps is too large for the circle check: "
@@ -298,23 +298,6 @@ def circle_identity_check(test: SymmetrizedTest, params: AmplificationParams) ->
     return 0.0
 
 
-_EXP_TERMS = 200  # series terms after which shifted_product_check calls the cap undecided
-
-
-def _exp_brackets(x: Fraction) -> Iterator[tuple[Fraction, Fraction | None]]:
-    """Rational brackets (low, high) of e^x for x >= 0, one per series term
-    from the 12th to the _EXP_TERMS-th, each at least as tight as the last.
-    low is the series to x^i/i!; high adds the tail bound
-    x^{i+1}/(i+1)! * (i+2)/(i+2-x), and is None while i + 2 <= x, where that
-    bound does not hold."""
-    low = term = Fraction(1)
-    for i in range(1, _EXP_TERMS + 1):
-        term = term * x / i
-        low += term
-        if i >= 12:
-            yield low, low + term * x / (i + 1) * (i + 2) / (i + 2 - x) if i + 2 > x else None
-
-
 def shifted_product_check(test: SymmetrizedTest, delta, grid) -> bool:
     """Grid check of C_w^2 prod shifted_square(s, z) <= e^{65 delta K} * cap(s).
 
@@ -324,9 +307,9 @@ def shifted_product_check(test: SymmetrizedTest, delta, grid) -> bool:
     version fails near negative zeros where the delta (1 - z^2) floor keeps
     the product positive while p_w vanishes.  Left-hand sides are exact
     rationals, and so is the largest ratio lhs / cap over the grid; rational
-    brackets of the exponential are refined until they decide that one ratio,
-    and if _EXP_TERMS series terms leave it undecided, PropertyViolation is
-    raised.  A negative delta is invalid input.
+    brackets of the exponential decide that one ratio (``boolcube._exp_at_least``,
+    PropertyViolation if they never do).  A negative delta, or one of more than
+    1024 bits above or below the bar, is invalid input.
     """
     if 2 * test.w > test.K:
         raise ValueError("claim applies for w <= K/2")
@@ -334,8 +317,8 @@ def shifted_product_check(test: SymmetrizedTest, delta, grid) -> bool:
     if delta < 0:
         # the series brackets bound e^x only for x >= 0
         raise InvalidInput(f"the shift delta must be nonnegative, got {delta}")
-    if test.n < 64 * test.K:
-        warnings.warn("n < 64K: outside the guaranteed range", stacklevel=2)
+    _check_eps_bits(delta, "product-cap")
+    _warn_outside_range(test, "outside the guaranteed range")
     K, w = test.K, test.w
     cut = 1 - Fraction(w, 16 * K) if w else Fraction(1)
     cw2 = test.scale * test.scale
@@ -352,45 +335,4 @@ def shifted_product_check(test: SymmetrizedTest, delta, grid) -> bool:
             worst = max(worst, lhs / cap)
         elif lhs > 0:  # no factor e^x makes 0 cover it
             return False
-    for low, high in _exp_brackets(65 * delta * K):
-        if worst <= low:
-            return True
-        if high is not None and worst > high:
-            return False
-    raise PropertyViolation(f"shifted-product cap undecided after {_EXP_TERMS} terms "
-                            "of the exponential series")
-
-
-def indistinguishability_bound_holds(dist: Fraction, k: int, K: int) -> bool:
-    """Whether dist <= (K+1) * 8 sqrt(K) * exp(-k^2/1156K), decided exactly.
-
-    Both sides are nonnegative, so squaring clears sqrt(K): the claim is
-    dist^2 e^{k^2/578K} <= 64 K (K+1)^2, decided against rational brackets
-    of the exponential, refined until they decide; PropertyViolation
-    ("undecided") if _EXP_TERMS series terms leave it open.
-    """
-    if k < 1 or K < 1:
-        raise ValueError("need positive k and K")
-    lhs, cap = Fraction(dist) ** 2, 64 * K * (K + 1) ** 2
-    if not lhs:
-        return True
-    for low, high in _exp_brackets(Fraction(k * k, 578 * K)):
-        if lhs * low > cap:
-            return False
-        if high is not None and lhs * high <= cap:
-            return True
-    raise PropertyViolation(f"projected-distance bound undecided after {_EXP_TERMS} terms "
-                            "of the exponential series")
-
-
-def indistinguishability_bound(k: int, K: int) -> float:
-    """Explicit proof-level constant (K+1) * 8 sqrt(K) * exp(-k^2/1156K).
-
-    The K-bit distinguisher decomposes into at most K+1 exact-weight tests,
-    each contributing 8 sqrt(K) exp(-k^2/1156K) of advantage.  The guarantee
-    is stated for 1 <= k < K <= n/64; the formula itself is evaluated for any
-    positive k, K (downstream consolidation plugs in k >= K).
-    """
-    if k < 1 or K < 1:
-        raise ValueError("need positive k and K")
-    return (K + 1) * 8.0 * math.sqrt(K) * math.exp(-(k * k) / (1156.0 * K))
+    return boolcube._exp_at_least(worst, 65 * delta * K, "shifted-product cap")

@@ -151,19 +151,21 @@ def _exceeds(num: int, den: int, bound: Fraction) -> bool:
 
 def _and_approx_core(n: int, degree_budget: int, error_target: Fraction) -> _AndCore:
     """Best split: exhaustive over divisors of n, minimum weight subject to
-    degree <= budget and certified error <= target (ties to fewer blocks)."""
+    degree <= budget and certified error <= target (ties to fewer blocks),
+    and from a target of 1/2 up the constant 1/2, after the splits."""
     if degree_budget < 1:
         raise ValueError("degree budget must be at least 1")
+    cores = [_and_core_for_split(n, ell, degree_budget) for ell in _divisors(n)]
+    if error_target >= Fraction(1, 2):
+        cores.append(_AndCore(1, n, Fraction(1, 2), [1, 0], 2))  # one block, D_0 = 1/2
     best: _AndCore | None = None
-    best_errors: dict[int, Fraction] = {}
-    for ell in _divisors(n):
-        core = _and_core_for_split(n, ell, degree_budget)
-        best_errors[ell] = core.error
+    for core in cores:
         if not _exceeds(core.error.numerator, core.error.denominator, error_target) and (
             best is None or core.scaled_weight() * best.den < best.scaled_weight() * core.den
         ):
             best = core
     if best is None:
+        best_errors = {core.ell: core.error for core in cores}
         raise InfeasibleBudget(
             f"no block split of n={n} meets error {error_target} at degree "
             f"{degree_budget}; best errors per split: "
@@ -266,7 +268,8 @@ def low_weight_report(
     all-zeros point, and 1 - q when the middle value is 1, which only moves
     the constant coefficient D_0 to 1 - D_0.  Otherwise the compact form is
     the per-size parity coefficients chat of the symmetric approximant
-    sum_m chat[m] sum_{|S| = m} chi_S.
+    sum_m chat[m] sum_{|S| = m} chi_S.  From eps = 1/2 up the constant 1/2
+    competes on both branches, after the constructions.
     """
     eps = Fraction(eps)
     if K < 1:
@@ -315,6 +318,8 @@ def low_weight_report(
                 best_errors[ell] = Fraction(error, den)
             else:
                 candidates.append((_chat_weight(chat, den, complemented), den, chat, error))
+    if eps >= Fraction(1, 2):  # the constant 1/2 is off every 0/1 value by exactly 1/2
+        candidates.append((1, 2, [1] + [0] * n, 1))
     if not candidates:
         raise InfeasibleBudget(
             f"degree budget K={K} cannot reach error {eps} for this predicate; "

@@ -135,12 +135,17 @@ from typing import Iterable
 
 from dualshare.boolcube import (
     SymmetricDistribution,
-    WeightVector,
+    indistinguishability_bound,
     kravchuk,
-    mask_to_bits,
     project_symmetric,
 )
-from dualshare.dualand import DualAndParams, DualAndWitness, WitnessReport
+from dualshare.dualand import (
+    DualAndParams,
+    DualAndWitness,
+    WeightVector,
+    WitnessReport,
+    mask_to_bits,
+)
 from dualshare.errors import PropertyViolation
 from dualshare.ratpoly import (
     ChebyshevExpansion,
@@ -157,7 +162,6 @@ from dualshare.symcheb import (
     AmplificationParams,
     SymmetrizedTest,
     hypergeom_row,
-    indistinguishability_bound,
 )
 from dualshare.weightdeg import (
     SymmetricSpec,

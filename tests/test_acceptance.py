@@ -26,7 +26,7 @@ from dualshare.approxlab import (
 )
 from dualshare.boolcube import (
     SymmetricDistribution,
-    WeightVector,
+    indistinguishability_bound,
     kwise_indistinguishable,
     project_symmetric,
     stat_distance_symmetric,
@@ -34,6 +34,7 @@ from dualshare.boolcube import (
 from dualshare.dualand import (
     DualAndParams,
     ShareSampler,
+    WeightVector,
     build_witness,
     epsilon_of,
     verify_witness,
@@ -51,7 +52,6 @@ from dualshare.symcheb import (
     bounded_check,
     exact_weight_test,
     truncation_error_bound,
-    indistinguishability_bound,
     circle_identity_check,
 )
 from dualshare.weightdeg import SymmetricSpec, low_weight_report, weight_lower_bound

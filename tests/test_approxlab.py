@@ -27,7 +27,7 @@ from dualshare.boolcube import (
 )
 from dualshare.ratpoly import cheb_transform_factored, weight_grid
 from dualshare.simplex import solve_minimax
-from dualshare.symcheb import indistinguishability_bound
+from dualshare.boolcube import indistinguishability_bound
 
 from oracles import (
     cheb_coeff,

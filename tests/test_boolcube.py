@@ -8,19 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dualshare.approxlab as approxlab
 import dualshare.boolcube as boolcube
 from dualshare.boolcube import (
     SymmetricDistribution,
-    WeightVector,
     class_sizes,
     dual_pairings,
     kravchuk,
     kwise_indistinguishable,
-    mask_to_bits,
     project_symmetric,
     stat_distance_symmetric,
     walsh_hadamard,
 )
+from dualshare.dualand import WeightVector, mask_to_bits
 
 from conftest import random_symmetric_distribution
 from oracles import (
@@ -165,6 +165,12 @@ class TestGroupCountTransform:
     def test_rejects_a_length_that_is_not_the_class_count(self, sizes, length):
         with pytest.raises(ValueError):
             walsh_hadamard([1] * length, sizes)
+
+
+def test_the_distribution_cap_is_the_ramp_cap():
+    """The distribution reader's cap lives in boolcube, so that reading a file
+    runs no approxlab; it is the largest n that ramp --finite writes."""
+    assert boolcube.MAX_DIST_N == approxlab.MAX_N
 
 
 class TestProjectSymmetric:

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import dualshare.approxlab as approxlab
 import dualshare.boolcube as boolcube
 import dualshare.dualand as dualand
 import dualshare.simplex as simplex
@@ -22,8 +23,7 @@ import dualshare.symcheb as symcheb
 from dualshare.cli import cli, main
 from dualshare.dualand import DualAndWitness
 from dualshare.errors import PropertyViolation
-from dualshare.serialize import dist_to_json
-from dualshare.boolcube import SymmetricDistribution
+from dualshare.boolcube import SymmetricDistribution, dist_to_json
 
 from oracles import point_mass, uniform_distribution
 
@@ -966,9 +966,13 @@ class TestExitContract:
             "--eps", eps], 0) for eps in ("1e-9", "1e-20", "1/10000", "1e-7")],
         (["symcheb", "pw", "--n", "1024", "--K", "8", "--w", "1", "--check", "circle",
           "--eps", "1e9"], 0),
+        # 997 bits below the bar: inside the product-cap check's domain
+        (["symcheb", "pw", "--n", "128", "--K", "2", "--w", "1", "--check", "product-cap",
+          "--eps", "1e-300"], 0),
         (["ramp", "--k", "1", "--K", "5000"], 2),
     ], ids=["eps0-K2", "eps0-K8", "wb-1e-400", "wb-1e400", "circle-1e-9", "circle-1e-20",
-            "circle-1e-4", "circle-1e-7", "circle-1e9-K8", "ramp-K5000-unprintable"])
+            "circle-1e-4", "circle-1e-7", "circle-1e9-K8", "product-cap-1e-300",
+            "ramp-K5000-unprintable"])
     def test_command_lines(self, args, code):
         got, out, err = _run_capturing(args)
         assert (got, "Traceback" in err) == (code, False), err
@@ -1005,6 +1009,41 @@ class TestExitContract:
         assert (got, out, len(err.splitlines())) == (2, "", 1), err
         assert err.startswith("Error: --eps ") and "double" not in err
 
+    # eps of more than 1024 bits above or below the fraction bar: refused
+    # before the product is formed at any grid point
+    @pytest.mark.parametrize("eps", ["1e-400", "1e-9999", "1e9999"])
+    def test_product_cap_eps_outside_the_domain_is_refused_before_any_point(self, monkeypatch,
+                                                                            eps):
+        monkeypatch.setattr(symcheb, "shifted_square",
+                            lambda *a: pytest.fail("a grid point was evaluated"))
+        got, out, err = _run_capturing(["symcheb", "pw", "--n", "512", "--K", "8", "--w", "1",
+                                        "--check", "product-cap", "--eps", eps])
+        assert (got, out, len(err.splitlines())) == (2, "", 1), err
+        assert err.startswith("Error: --eps ") and "product-cap" in err
+
+    # a distribution file's n is capped at 1000, the largest n ramp --finite
+    # writes: a larger n exits 2 before any consolidation or k-wise check
+    @pytest.mark.parametrize("n, code", [(1000, 0), (1001, 2), (10**5, 2)])
+    @pytest.mark.parametrize("args", [
+        ["consolidate", "--dist", "d.json", "--t", "2"],
+        ["indist-check", "--dist1", "d.json", "--dist2", "d.json", "--k", "1", "--K", "2"],
+    ], ids=["consolidate", "indist-check"])
+    def test_distribution_n_is_capped_before_any_work(self, tmp_path, monkeypatch, n, code,
+                                                      args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.json").write_text(json.dumps(
+            {"n": n, "weight_probs": ["1/2", *["0"] * (n - 1), "1/2"]}))
+        calls = []
+        for module, name in ((approxlab, "consolidate_and"),
+                             (boolcube, "kwise_indistinguishable")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, real=real: calls.append(a) or real(*a))
+        got, out, err = _run_capturing(args)
+        assert (got, len(err.splitlines()), bool(calls)) == (code, bool(code), not code), err
+        if code:
+            assert (out, err) == ("", f"Error: distribution n={n} exceeds the cap n <= 1000\n")
+
     @pytest.mark.parametrize("big_ks", ["x", "0", "-1", "5", "2,5", "3,x"])
     @pytest.mark.parametrize("pair", ["indistinguishable", "distinguishable"])
     def test_indist_check_sizes_are_parsed_before_the_kwise_check(self, tmp_path, monkeypatch,
@@ -1023,6 +1062,16 @@ class TestExitContract:
                                         "--dist2", "odd.json", "--k", "1", "--K", big_ks])
         assert (got, out, len(err.splitlines()), calls) == (2, "", 1, []), err
         assert err.startswith("Error: ")
+
+    # from eps = 1/2 up the constant 1/2 competes with the constructions
+    @pytest.mark.parametrize("f, big_k, eps", [("maj", "8", "1"), ("maj", "4", "1e400"),
+                                               ("and", "8", "1/2"), ("and", "4", "1/2")])
+    def test_the_constant_one_half_from_eps_one_half_up(self, f, big_k, eps):
+        got, out, err = _run_capturing(["weight-bound", "--f", f, "--n", "8", "--K", big_k,
+                                        "--eps", eps])
+        construct = json.loads(out)["result"]["construct"]
+        assert (got, construct["degree"], construct["weight"],
+                construct["certified_error"]) == (0, 0, "1/2", "1/2"), err
 
     def test_zero_eps_reports_the_exact_fit_without_a_trend(self):
         _, out, _ = _run_capturing(["weight-bound", "--f", "maj", "--n", "8", "--K", "8",

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualshare.boolcube import WeightVector, kwise_indistinguishable
+from dualshare.boolcube import kwise_indistinguishable
 from dualshare.errors import PropertyViolation
 from dualshare.dualand import (
     BitCountClasses,
     DualAndParams,
     DualAndWitness,
     ShareSampler,
+    WeightVector,
     WitnessReport,
     _signed_sum_counts,
     build_witness,

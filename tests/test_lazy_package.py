@@ -68,61 +68,79 @@ def test_import_runs_no_computation_module(tmp_path, statement):
     assert executed <= {"dualshare", "dualshare.cli", "dualshare.errors"}, executed
 
 
-def test_commands_run_only_the_modules_they_use(tmp_path):
-    cube = _run(tmp_path, "dual-and", "--n", "4", "--d", "2", "--out", "wit.json")
-    shares = _run(tmp_path, "sample-shares", "--witness", "wit.json", "--secret", "+1",
-                  "--count", "3")
-    pw = _run(tmp_path, "symcheb", "pw", "--n", "16", "--K", "2", "--w", "1",
-              "--check", "truncation", "--k", "1")
-    degree = _run(tmp_path, "approx-degree", "--f", "maj", "--n", "8")
-    weight = _run(tmp_path, "weight-bound", "--f", "maj", "--n", "8", "--K", "4")
-    assert (tmp_path / "wit.json").is_file()
-    for executed in (cube, shares):
-        assert "dualshare.dualand" in executed, executed
-        assert not executed & {f"dualshare.{m}" for m in
-                               ("simplex", "approxlab", "symcheb", "certify", "weightdeg")}
-    assert {"dualshare.symcheb", "dualshare.certify"} <= pw, pw
-    assert not pw & {f"dualshare.{m}" for m in
-                     ("simplex", "approxlab", "dualand", "weightdeg", "boolcube")}
-    # neither runs symcheb (the weight grid lives in ratpoly) nor makes a Sturm decision
-    assert "dualshare.simplex" in degree and "dualshare.weightdeg" in weight, (degree, weight)
-    for executed in (degree, weight):
-        assert not executed & {"dualshare.symcheb", "dualshare.certify"}, executed
-
-
 _DIST = json.dumps({"n": 4, "weight_probs": ["1/2", "0/1", "0/1", "0/1", "1/2"]})
+_PRED = json.dumps({"n": 8, "values": [0, 0, 0, 1, 1, 1, 1, 1, 1]})
+_BASE = {"dualshare", "dualshare.cli", "dualshare.errors"}
+
+# every kind of job the benchmark runs -> (its command line, the package
+# modules it runs beyond the three base modules)
+_FOOTPRINTS = {
+    "dual-and": (["dual-and", "--n", "4", "--d", "2", "--out", "w.json"],
+                 {"cmd_dualand", "dualand", "boolcube", "serialize"}),
+    "dual-and-weights": (["dual-and", "--n", "4", "--weights", "1,1,2,2", "--d", "3",
+                          "--out", "w.json"], {"cmd_dualand", "dualand", "boolcube", "serialize"}),
+    # the witness is read and checked from the file alone: nothing beyond the
+    # handler, the reader and sampler (dualand) and the checker (boolcube)
+    "sample-shares-csv": (["sample-shares", "--witness", "wit.json", "--secret", "+1",
+                           "--format", "csv", "--out", "s.csv"],
+                          {"cmd_dualand", "dualand", "boolcube", "serialize"}),
+    "sample-shares-json": (["sample-shares", "--witness", "wit.json", "--secret", "-1",
+                            "--out", "s.json"],
+                           {"cmd_dualand", "dualand", "boolcube", "serialize"}),
+    "symcheb-truncation": (["symcheb", "pw", "--n", "64", "--K", "2", "--w", "1", "--check",
+                            "truncation", "--k", "1"],
+                           {"cmd_symcheb", "symcheb", "certify", "ratpoly", "serialize"}),
+    "symcheb-bounded": (["symcheb", "pw", "--n", "128", "--K", "2", "--w", "1", "--check",
+                         "bounded"], {"cmd_symcheb", "symcheb", "certify", "ratpoly", "serialize"}),
+    # the circle identity is decided at 2K+1 points, with no Sturm decision
+    "symcheb-circle": (["symcheb", "pw", "--n", "128", "--K", "2", "--w", "1", "--check",
+                        "circle", "--eps", "1/10"],
+                       {"cmd_symcheb", "symcheb", "ratpoly", "serialize"}),
+    # the exponential's brackets live in boolcube, beside the ramp bound
+    "symcheb-product-cap": (["symcheb", "pw", "--n", "128", "--K", "2", "--w", "1", "--check",
+                             "product-cap", "--eps", "1/100"],
+                            {"cmd_symcheb", "symcheb", "ratpoly", "boolcube", "serialize"}),
+    # the weight grid lives in ratpoly, so neither approx-degree nor weight-bound runs symcheb
+    "approx-degree": (["approx-degree", "--f", "and", "--n", "20"],
+                      {"cmd_degree", "approxlab", "simplex", "ratpoly", "serialize"}),
+    "ramp-finite": (["ramp", "--k", "2", "--K", "4", "--n", "16", "--finite"],
+                    {"cmd_ramp", "approxlab", "simplex", "ratpoly", "symcheb", "boolcube",
+                     "serialize"}),
+    "consolidate": (["consolidate", "--dist", "d.json", "--t", "2"],
+                    {"cmd_ramp", "approxlab", "boolcube", "serialize"}),
+    "indist-check": (["indist-check", "--dist1", "d.json", "--dist2", "d.json", "--k", "1",
+                      "--K", "2"], {"cmd_ramp", "boolcube", "serialize"}),
+    "weight-bound": (["weight-bound", "--f", "maj", "--n", "8", "--K", "4"],
+                     {"cmd_degree", "weightdeg", "approxlab", "simplex", "ratpoly", "boolcube",
+                      "serialize"}),
+    "weight-bound-json": (["weight-bound", "--f", "pred.json", "--K", "4"],
+                          {"cmd_degree", "weightdeg", "approxlab", "simplex", "ratpoly",
+                           "boolcube", "serialize"}),
+}
 
 
-def test_ramp_lp_commands_run_their_handler_and_computation_modules(tmp_path):
+@pytest.mark.parametrize("kind", list(_FOOTPRINTS))
+def test_each_benchmark_job_kind_runs_exactly_its_modules(tmp_path, kind):
+    """A command that compiles a module it does not need fails here."""
     (tmp_path / "d.json").write_text(_DIST)
-    runs = {
-        "approx-degree": ["approx-degree", "--f", "and", "--n", "20"],
-        "ramp": ["ramp", "--k", "2", "--K", "4", "--n", "16", "--finite"],
-        "indist-check": ["indist-check", "--dist1", "d.json", "--dist2", "d.json",
-                         "--k", "1", "--K", "2"],
-        "consolidate": ["consolidate", "--dist", "d.json", "--t", "2"],
-    }
-    expected = {
-        "approx-degree": {"cmd_degree", "approxlab", "simplex", "ratpoly", "serialize"},
-        "ramp": {"cmd_ramp", "approxlab", "simplex", "ratpoly", "symcheb", "boolcube",
-                 "serialize"},
-        "indist-check": {"cmd_ramp", "boolcube", "symcheb", "serialize"},
-        "consolidate": {"cmd_ramp", "approxlab", "boolcube", "serialize"},
-    }
-    for name, args in runs.items():
-        executed = _run(tmp_path, *args)
-        base = {"dualshare", "dualshare.cli", "dualshare.errors"}
-        assert executed == base | {f"dualshare.{m}" for m in expected[name]}, (name, executed)
+    (tmp_path / "pred.json").write_text(_PRED)
+    args, modules = _FOOTPRINTS[kind]
+    if args[0] == "sample-shares":
+        _run(tmp_path, "dual-and", "--n", "4", "--weights", "1,1,2,2", "--d", "3",
+             "--out", "wit.json")
+    assert _run(tmp_path, *args) == _BASE | {f"dualshare.{m}" for m in modules}
 
 
-def test_sample_shares_runs_its_reader_sampler_and_checker(tmp_path):
-    """The witness is read and checked from the file alone: nothing beyond the
-    handler, the reader (``serialize``), the sampler and the checker."""
-    _run(tmp_path, "dual-and", "--n", "4", "--weights", "1,1,2,2", "--d", "3", "--out", "wit.json")
-    executed = _run(tmp_path, "sample-shares", "--witness", "wit.json", "--secret", "-1")
-    expected = {"cmd_dualand", "serialize", "dualand", "boolcube"}
-    base = {"dualshare", "dualshare.cli", "dualshare.errors"}
-    assert executed == base | {f"dualshare.{m}" for m in expected}, executed
+def test_serialize_imports_no_file_type_module():
+    """Every command runs ``serialize``; the codecs of the witness and the
+    distribution files live with their types, so it imports neither."""
+    tree = ast.parse((ROOT / "src" / "dualshare" / "serialize.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+            names.update((getattr(node, "module", None) or "").split("."))
+    assert not names & {"dualand", "boolcube"}, names
 
 
 @pytest.mark.parametrize("args, handler", [

@@ -54,11 +54,11 @@ SHARED_CLASS_MEMBERS = {
                 "symcheb.AmplificationParams"},
     "error": {"weightdeg.WeightDegreeReport", "weightdeg._AndCore"},
     "from_coeffs": {"ratpoly.ChebyshevExpansion", "ratpoly.RationalPoly"},
-    "n": {"approxlab.RampParams", "boolcube.SymmetricDistribution", "boolcube.WeightVector",
-          "dualand.DualAndParams", "symcheb.SymmetrizedTest", "weightdeg.SymmetricSpec",
+    "n": {"approxlab.RampParams", "boolcube.SymmetricDistribution", "dualand.DualAndParams",
+          "dualand.WeightVector", "symcheb.SymmetrizedTest", "weightdeg.SymmetricSpec",
           "weightdeg._BlockTables"},
-    "of": {"boolcube.SymmetricDistribution", "boolcube.WeightVector",
-           "dualand.BitCountClasses", "ratpoly.RationalPoly"},
+    "of": {"boolcube.SymmetricDistribution", "dualand.BitCountClasses",
+           "dualand.WeightVector", "ratpoly.RationalPoly"},
     "poly": {"simplex.MinimaxSolution", "symcheb.SymmetrizedTest"},
     "w": {"dualand.DualAndParams", "symcheb.SymmetrizedTest"},
 }

@@ -10,17 +10,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dualshare.boolcube import SymmetricDistribution
+from dualshare.boolcube import SymmetricDistribution, dist_from_json, dist_to_json
 from dualshare.cli import main
+from dualshare.dualand import witness_from_json, witness_to_json
 from dualshare.ratpoly import RationalPoly
 from dualshare.serialize import (
     _json_pieces,
-    dist_from_json,
-    dist_to_json,
     poly_to_json,
     rat_to_str,
-    witness_from_json,
-    witness_to_json,
     write_csv,
     write_json,
 )

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualshare import symcheb
+from dualshare import boolcube, symcheb
+from dualshare.boolcube import indistinguishability_bound, indistinguishability_bound_holds
 from dualshare.errors import PropertyViolation
 from dualshare.ratpoly import RationalPoly, weight_grid
 from dualshare.symcheb import (
@@ -20,8 +21,6 @@ from dualshare.symcheb import (
     shifted_square,
     hypergeom_row,
     truncation_error_bound,
-    indistinguishability_bound,
-    indistinguishability_bound_holds,
     circle_identity_check,
     reflection_check,
 )
@@ -441,11 +440,11 @@ class TestShiftedProductCap:
         # rise and the highs fall as terms are added, and the last is tight
         exact = Fraction(math.exp(x))
         slack = Fraction(1, 10**12)
-        pairs = list(symcheb._exp_brackets(x))
-        assert len(pairs) == symcheb._EXP_TERMS - 11
+        pairs = list(boolcube._exp_brackets(x))
+        assert len(pairs) == boolcube._EXP_TERMS - 11
         # the tail bound holds, and a high is given, once i + 2 > x
         assert [high is None for _, high in pairs] == [
-            i + 2 <= x for i in range(12, symcheb._EXP_TERMS + 1)]
+            i + 2 <= x for i in range(12, boolcube._EXP_TERMS + 1)]
         for (low, high), (low2, high2) in zip(pairs, pairs[1:]):
             assert low <= low2 if x else low == low2 == 1
             assert high is None or high2 <= high
@@ -469,7 +468,7 @@ class TestShiftedProductCap:
         delta = Fraction(1, 100)
         x = 65 * delta * 4
         scale = Fraction(math.sqrt(math.exp(x))) * (1 + side * Fraction(1, 10**14))
-        low12, high12 = next(symcheb._exp_brackets(x))
+        low12, high12 = next(boolcube._exp_brackets(x))
         assert low12 < scale ** 2 < high12
         assert shifted_product_check(self._constant_test(scale), delta, [Fraction(1)]) is (
             side == -1)
@@ -486,8 +485,8 @@ class TestShiftedProductCap:
         delta, scale = Fraction(2, 5), Fraction(10**15)
         test = self._constant_test(scale)
         assert shifted_product_check(test, delta, [Fraction(1)])
-        monkeypatch.setattr(symcheb, "_EXP_TERMS", 12)
-        [(low, high)] = symcheb._exp_brackets(Fraction(104))
+        monkeypatch.setattr(boolcube, "_EXP_TERMS", 12)
+        [(low, high)] = boolcube._exp_brackets(Fraction(104))
         assert low < scale ** 2 and high is None
         with pytest.raises(PropertyViolation, match="undecided"):
             shifted_product_check(test, delta, [Fraction(1)])

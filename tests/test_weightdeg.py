@@ -293,6 +293,29 @@ _MOVED_SWEEP_CASES = [
 ]
 
 
+class TestConstantHalf:
+    """From eps = 1/2 up the constant 1/2, off every 0/1 value by exactly 1/2,
+    is a candidate on both branches, and wins where it is lightest."""
+
+    @pytest.mark.parametrize("predicate, K, eps", [
+        ([0] * 8 + [1], 8, Fraction(1, 2)),  # and: the single-point branch
+        ([0] + [1] * 8, 8, Fraction(1, 2)),  # or: the same, complemented
+        ([0] * 5 + [1] * 4, 8, Fraction(1)),  # maj: the symmetric branch
+        ([0] * 5 + [1] * 4, 4, Fraction(10**400)),
+    ])
+    def test_the_constant_wins_against_the_cube(self, predicate, K, eps):
+        poly, rep = expanded_approximant(SymmetricSpec(8, tuple(predicate)), K, eps)
+        assert (rep.degree, rep.weight, rep.error) == (0, Fraction(1, 2), Fraction(1, 2))
+        assert poly.coeffs == {0: Fraction(1, 2)}
+        assert cube_error(poly, lambda m: predicate[m.bit_count()]) == rep.error
+
+    @pytest.mark.parametrize("predicate", [[0] * 8 + [1], [0] * 5 + [1] * 4])
+    def test_below_one_half_it_is_not_offered(self, predicate):
+        _, rep = expanded_approximant(SymmetricSpec(8, tuple(predicate)), 8,
+                                      Fraction(49, 100))
+        assert rep.degree == 8 and rep.error == 0
+
+
 class TestMovedSweepCases:
     @pytest.mark.parametrize("n, K, predicate, weight, error", _MOVED_SWEEP_CASES)
     def test_against_the_cube(self, n, K, predicate, weight, error):
@@ -428,13 +451,15 @@ class TestReports:
         with pytest.raises(InfeasibleBudget):
             low_weight_report(spec, 2, 0)
 
-    @pytest.mark.parametrize("eps", ["1e-400", "1e-9999", "1e400"])
-    def test_eps_beyond_doubles_reports_no_trend(self, eps):
+    @pytest.mark.parametrize("eps, degree, weight, error", [
+        ("1e-400", 8, Fraction(693, 128), 0), ("1e-9999", 8, Fraction(693, 128), 0),
+        ("1e400", 0, Fraction(1, 2), Fraction(1, 2))])  # the constant 1/2 from 1/2 up
+    def test_eps_beyond_doubles_reports_no_trend(self, eps, degree, weight, error):
         # supp/eps overflows a double (1e-400) or underflows to 0.0 (1e400)
         spec = SymmetricSpec(8, tuple(1 if 2 * h > 8 else 0 for h in range(9)))
         rep, _ = low_weight_report(spec, 8, Fraction(eps))
         assert (rep.degree, rep.weight, rep.error, rep.bound_exponent) == (
-            8, Fraction(693, 128), 0, None)
+            degree, weight, error, None)
 
     def test_negative_eps_is_refused(self):
         spec = SymmetricSpec(8, tuple(1 if 2 * h > 8 else 0 for h in range(9)))
