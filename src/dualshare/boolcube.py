@@ -290,6 +290,6 @@ def _kravchuk_rows(n: int, r: int) -> list[list[int]]:
     return rows
 
 
-def kravchuk(n: int, r: int, h: int) -> int:
-    """sum over |S| = r of chi_S at any input of Hamming weight h (0 for r > n)."""
-    return _kravchuk_rows(n, r)[r][h]
+def kravchuk_table(n: int) -> list[list[int]]:
+    """Rows K_r(h; n) for r, h = 0..n, the per-n table's own: read only."""
+    return _kravchuk_rows(n, n)[: n + 1]

@@ -153,15 +153,17 @@ def abs_bounded_on(p: ratpoly.RationalPoly, bound, lo, hi) -> bool:
     return poly_nonneg_on(b - p, lo, hi) and poly_nonneg_on(b + p, lo, hi)
 
 
-def sup_norm_certified(
-    p: ratpoly.RationalPoly, lo=-1, hi=1, grid: int = 256, rel_tol: Fraction = Fraction(1, 1 << 20)
-) -> tuple[Fraction, Fraction]:
+_SUP_GRID = 256  # grid steps of the attained maximum
+_SUP_REL_TOL = Fraction(1, 1 << 20)  # relative width of the certified enclosure
+
+
+def sup_norm_certified(p: ratpoly.RationalPoly, lo=-1, hi=1) -> tuple[Fraction, Fraction]:
     """Certified enclosure [attained, upper] of sup |p| on [lo, hi].
 
-    ``attained`` is the exact maximum of |p| over a rational grid (a lower
-    bound on the sup); ``upper`` satisfies |p| <= upper on the whole interval,
-    proved by the nonnegativity of upper - p and upper + p, with
-    upper <= sup * (1 + rel_tol) + tiny.
+    ``attained`` is the exact maximum of |p| over a rational grid of
+    _SUP_GRID steps (a lower bound on the sup); ``upper`` satisfies
+    |p| <= upper on the whole interval, proved by the nonnegativity of
+    upper - p and upper + p, with upper <= sup * (1 + _SUP_REL_TOL) + tiny.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if p.is_zero():
@@ -173,19 +175,19 @@ def sup_norm_certified(
     # over the grid's one denominator c, every value of p = P / D is an
     # integer over D c^deg p
     nums, den = p._integer_form
-    xs, c = _grid(lo, hi, grid)
+    xs, c = _grid(lo, hi, _SUP_GRID)
     values = ratpoly._scaled_values(nums, xs, c)
     attained = Fraction(max(map(abs, values)), den * c ** p.degree)
     if certifies(attained):
         return attained, attained
     # grow until certified, then bisect back down
-    step = max(attained, Fraction(1)) * rel_tol
+    step = max(attained, Fraction(1)) * _SUP_REL_TOL
     high = attained + step
     while not certifies(high):
         step *= 2
         high += step
     low = high - step  # known not to certify (or the grid value)
-    while high - low > rel_tol * high:
+    while high - low > _SUP_REL_TOL * high:
         mid = ((low + high) / 2).limit_denominator(1 << 48)  # keeps the Sturm inputs short
         if not (low < mid < high):
             mid = (low + high) / 2

@@ -32,6 +32,7 @@ import importlib
 import json
 import os
 import sys
+import warnings
 
 from . import __version__, serialize
 from .errors import InfeasibleBudget, InvalidInput, PropertyViolation
@@ -320,7 +321,8 @@ def main(argv: list[str] | None = None) -> None:
     A usage error (an unknown option or command, a missing or malformed
     value) and a command's ValueError or InfeasibleBudget alike end with one
     ``Error:`` line and exit 2; a PropertyViolation ends with one line and
-    exit 3.  A closed stdout ends quietly with exit 1.
+    exit 3.  A closed stdout ends quietly with exit 1.  Each warning is one
+    ``Warning:`` line, on every run, and the warning settings are restored.
 
     Run on the process's own command line (``argv`` None), it freezes the
     collector's heap first; a caller that passes ``argv`` keeps its collector
@@ -332,17 +334,20 @@ def main(argv: list[str] | None = None) -> None:
         # command's collections nor the interpreter's at finalization need walk
         # it again.
         gc.freeze()
-    try:
-        _run(cli, sys.argv[1:] if argv is None else list(argv), "dualshare")
-    except (ValueError, InfeasibleBudget) as exc:
-        print(f"Error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
-    except PropertyViolation as exc:
-        print(f"property violated: {exc}", file=sys.stderr)
-        sys.exit(EXIT_PROPERTY_VIOLATION)
-    except BrokenPipeError:  # the reader closed stdout early, as ``| head`` does
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet exit flush
-        sys.exit(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"Warning: {message}", file=sys.stderr)
+        try:
+            _run(cli, sys.argv[1:] if argv is None else list(argv), "dualshare")
+        except (ValueError, InfeasibleBudget) as exc:
+            print(f"Error: {exc}", file=sys.stderr)
+            sys.exit(EXIT_USAGE)
+        except PropertyViolation as exc:
+            print(f"property violated: {exc}", file=sys.stderr)
+            sys.exit(EXIT_PROPERTY_VIOLATION)
+        except BrokenPipeError:  # the reader closed stdout early, as ``| head`` does
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet exit flush
+            sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ def _check_n(n: int) -> None:
 
 def _load_predicate(f: str, n: int | None) -> tuple[int, list[int]]:
     """(n, values by Hamming weight) of a named or a .json predicate; n is
-    checked against the weight grid's range before any work."""
+    checked against the grid's range, and a file's against ``--n``, first."""
     if not f.endswith(".json"):
         if n is None:
             raise InvalidInput("--n is required for named predicates")
@@ -45,12 +45,15 @@ def _load_predicate(f: str, n: int | None) -> tuple[int, list[int]]:
     except OSError as exc:
         raise InvalidInput(f"cannot read predicate file {f!r}: {exc.strerror}") from exc
     try:
-        n, values = doc["n"], list(doc["values"])
+        file_n, values = doc["n"], list(doc["values"])
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"predicate file needs n and values: {exc!r}") from exc
-    for v in (n, *values):
+    for v in (file_n, *values):
         if type(v) is not int:  # bool is an int subclass, and 3.9 must not become 3
             raise InvalidInput(f"predicate file n and values must be integers, got {v!r}")
+    if n is not None and n != file_n:
+        raise InvalidInput(f"--n={n} differs from the predicate file's n={file_n}")
+    n = file_n
     _check_n(n)
     if len(values) != n + 1:
         raise InvalidInput(f"predicate file has {len(values)} values for n={n}")

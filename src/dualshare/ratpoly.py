@@ -137,9 +137,9 @@ class RationalPoly:
         return RationalPoly(tuple(cs))
 
     @staticmethod
-    def from_roots(roots: Iterable, scale=1) -> "RationalPoly":
-        """The expanded polynomial ``scale * prod (t - z)``."""
-        p = RationalPoly.from_coeffs([scale])
+    def from_roots(roots: Iterable) -> "RationalPoly":
+        """The expanded monic polynomial ``prod (t - z)``."""
+        p = RationalPoly.of(1)
         for z in roots:
             p = p * RationalPoly.from_coeffs([-_frac(z), Fraction(1)])
         return p

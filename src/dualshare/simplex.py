@@ -1,4 +1,4 @@
-"""Exact discrete Chebyshev approximation: polynomial exchange and general LP.
+"""Exact discrete Chebyshev approximation: polynomial exchange and the moment LP.
 
 Polynomial minimax on distinct points (``solve_minimax``) runs Stiefel's
 single-point exchange, the discrete form of Remez's algorithm (Cheney,
@@ -31,9 +31,10 @@ column and to have unit total variation, maximising the pairing with the
 target values.  Its dual variables are the fit coefficients together with the
 error.  The artificial columns are kept through phase two (barred from
 entering), which makes them a running copy of D B^{-1} (D the basis
-determinant) and lets the dual vector be read off the final tableau.  The LP
-optimum is audited on the scaled integer columns the tableau is built from.
-No floating point enters either path.
+determinant) and lets the dual vector be read off the final tableau.
+``solve_lp`` takes and returns integers, and ``_audit_fit``, the one check
+both paths share, certifies its optimum as a fit.  No floating point enters
+either path.
 """
 
 from __future__ import annotations
@@ -51,28 +52,19 @@ class SimplexError(Exception):
     pass
 
 
-def _exact(v):
-    """v as an exact rational; ints and Fractions pass through unconverted."""
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
-
-
 def solve_lp(
-    A: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
-    c: Sequence[Fraction],
-) -> tuple[list[Fraction], Fraction, list[Fraction]]:
-    """Maximise c.x subject to A x = b, x >= 0 (all exact rationals).
+    A: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int], scales: Sequence[int]
+) -> tuple[list[int], list[int], int]:
+    """Maximise c.x subject to A x = b, x >= 0 on integers, b >= 0, with
+    sigma_j = scales[j] > 0 the scale of column j.
 
-    Returns (x, value, y) where y is a dual optimum: y.A_j >= c_j for all j,
-    with equality whenever x_j > 0, and y.b == value == c.x.  These facts are
-    checked on the result (PropertyViolation otherwise).  Raises SimplexError
-    when infeasible or unbounded.
+    Returns (X, Y, det): X / det is a primal optimum and Y / det a dual one,
+    det > 0 the final basis determinant; ``solve_linf_fit`` audits them.
+    Raises SimplexError when infeasible or unbounded.
 
-    The tableau is kept fraction-free.  Row i of A and b is negated when
-    b_i < 0, column j of A is scaled by sigma_j > 0 (the lcm of its
-    denominators), b by sigma_b and c by the lcm of its denominators times
-    sigma_j.  The tableau starts as [cols | I | rhs] on those integer
-    columns and stays an integer matrix over one denominator det > 0, the
+    The integers are a rational LP with column j and its cost scaled by
+    sigma_j, and the costs by a positive factor.  The tableau starts as
+    [A | I | b] and stays an integer matrix over one denominator det, the
     basis determinant.  Positive column scales keep every ratio order and
     tie and every zero test, and column j's reduced cost is the rational
     one times sigma_j and a positive factor common to all columns, so
@@ -80,31 +72,20 @@ def solve_lp(
     rational tableau.  Rows are never scaled: a row scale would change the
     phase-1 costs of the artificial columns and so the pricing.
     """
-    A = [[_exact(v) for v in row] for row in A]
-    b = [_exact(v) for v in b]
-    c = [_exact(v) for v in c]
-    flips = [-1 if v < 0 else 1 for v in b]
-    columns, sigma = zip(*(ratpoly._over_lcm(col) for col in zip(*A)))
-    cols = [[f * v for v in row] for row, f in zip(zip(*columns), flips)]
-    rhs, sigma_b = ratpoly._over_lcm(b)
-    rhs = [f * v for v, f in zip(rhs, flips)]
-    cost, scale = ratpoly._over_lcm(c)
-    cost = [v * s for v, s in zip(cost, sigma)]
-
-    m, n = len(cols), len(cols[0])
+    m, n = len(A), len(A[0])
     # artificial column n + i corresponds to row i; column rhs_col is rhs
     rhs_col = n + m
-    tableau = [row + [int(i == k) for k in range(m)] + [r]
-               for i, (row, r) in enumerate(zip(cols, rhs))]
+    tableau = [list(row) + [int(i == k) for k in range(m)] + [r]
+               for i, (row, r) in enumerate(zip(A, b))]
     det = 1
     basis = list(range(n, n + m))
-    scales = [*sigma, *[1] * m]
+    scales = [*scales, *[1] * m]
     # the reduced-cost rows det c_j - sum_i c_basis[i] tableau[i][j] of the
     # phase-1 costs (-1 on the artificials, which start basic) and of the
     # phase-2 costs; pivots keep them integral like any other row
     phase1 = [sum(col) for col in zip(*tableau)]
     phase1[n:rhs_col] = [0] * m
-    phase2 = cost + [0] * (m + 1)
+    phase2 = list(c) + [0] * (m + 1)
     objectives = [phase1, phase2]
 
     def pivot(row: int, col: int) -> None:
@@ -193,84 +174,48 @@ def solve_lp(
     for i, v in enumerate(basis):
         X[v] = tableau[i][rhs_col]
     Y = [0 if art in dropped else -objectives[1][n + art] for art in range(m)]
-    _audit(cols, rhs, cost, det, X, Y)
-    x = [Fraction(s * v, det * sigma_b) for s, v in zip(sigma, X)]
-    value = Fraction(sum(cv * v for cv, v in zip(cost, X) if v), scale * det * sigma_b)
-    y = [f * Fraction(v, scale * det) for f, v in zip(flips, Y)]
-    return x, value, y
+    return X, Y, det
 
 
-def _audit(cols, rhs, cost, det, X, Y) -> None:
-    """Optimality of (X / det, Y / det) for max cost.X s.t. cols X = rhs,
-    X >= 0, checked on the integers: primal feasibility, dual feasibility,
-    complementary slackness and a zero duality gap."""
-    for row, r in zip(cols, rhs):
-        if sum(a * v for a, v in zip(row, X) if v) != det * r:
-            raise PropertyViolation("primal infeasibility in the final tableau")
-    if any(v < 0 for v in X):
-        raise PropertyViolation("negative basic variable")
-    for j, cj in enumerate(cost):
-        yaj = sum(y * row[j] for y, row in zip(Y, cols) if y)
-        if yaj < det * cj:
-            raise PropertyViolation("dual infeasibility at optimum")
-        if X[j] > 0 and yaj != det * cj:
-            raise PropertyViolation("complementary slackness violated")
-    if sum(y * r for y, r in zip(Y, rhs)) != sum(cj * v for cj, v in zip(cost, X)):
-        raise PropertyViolation("strong duality gap")
-
-
-class LinfFit:
-    __slots__ = ("coeffs", "epsilon")
-
-    def __init__(self, coeffs: tuple[Fraction, ...], epsilon: Fraction):
-        self.coeffs = coeffs
-        self.epsilon = epsilon
-
-
-def solve_linf_fit(rows: Sequence[Sequence[Fraction]], values: Sequence[Fraction]) -> LinfFit:
+def solve_linf_fit(
+    rows: Sequence[Sequence[Fraction]], values: Sequence[Fraction]
+) -> tuple[tuple[Fraction, ...], Fraction]:
     """Exact Chebyshev fit min_a max_i |<rows_i, a> - values_i|.
 
-    Returns the optimal coefficients and the optimal error.  The LP's dual
-    signed measure psi on the rows, with  rows^T psi = 0,  sum |psi| = 1
-    (when the error is positive) and  <psi, values> = epsilon, certifies
-    them: all optimality and complementary-slackness facts are checked
-    before returning.  Polynomial
-    designs on distinct points are faster through ``solve_minimax``.
+    Returns (coeffs, epsilon), the optimal coefficients and error.  The
+    LP's dual signed measure psi on the rows, with  rows^T psi = 0,
+    sum |psi| = 1 (when the error is positive) and  <psi, values> = epsilon,
+    certifies them: ``_audit_fit`` checks every optimality fact of the LP
+    in fit form before returning.  Polynomial designs on distinct points
+    are faster through ``solve_minimax``.
 
-    ``solve_lp`` gets the moment LP in rationals, so its pivots are those
-    of the rational LP.  The certificate is audited on integers: row i
-    scaled by sigma_i (the lcm of its denominators), the values by F.
+    Row i scaled by sigma_i (the lcm of its denominators) is design_i and
+    the values scaled by F are g.  LP column i is (design_i, sigma_i) and
+    column m + i is (-design_i, sigma_i), both of scale sigma_i, with costs
+    +-g_i sigma_i, so psi_i = sigma_i (X_i - X_{m+i}) / det, coefficient r
+    is Y_r / (F det) and the error Y_ncoef / (F det).
     """
-    rows = [[_exact(v) for v in r] for r in rows]
-    values = [_exact(v) for v in values]
     m = len(rows)
     ncoef = len(rows[0]) if rows else 0
     if any(len(r) != ncoef for r in rows):
         raise ValueError("ragged design matrix")
-    A = [[r[k] for r in rows] + [-r[k] for r in rows] for k in range(ncoef)]
-    A.append([1] * (2 * m))
-    x, value, y = solve_lp(A, [0] * ncoef + [1], values + [-v for v in values])
-    # x, value and y over one denominator: x = X / den, ...
-    nums, den = ratpoly._over_lcm([*x, value, *y])
-    X, V, Y = nums[:2 * m], nums[2 * m], nums[2 * m + 1:]
-    if Y[ncoef] != V:
-        raise PropertyViolation("dual objective row disagrees with the LP value")
-
-    # psi_i = psi[i] / den and coefficient r is Y_r / den; over lam, the lcm
-    # of the row scales, row i is lam / sigma_i times design[i] and residual
-    # i is R_i / (F den lam)
-    scaled = [ratpoly._over_lcm(r) for r in rows]
-    design, sigma = [d for d, _ in scaled], [s for _, s in scaled]
+    design, sigma = zip(*map(ratpoly._over_lcm, rows))
     gs, big_f = ratpoly._over_lcm(values)
-    psi = [X[i] - X[m + i] for i in range(m)]
+    A = [[d[k] for d in design] + [-d[k] for d in design] for k in range(ncoef)]
+    cost = [g * s for g, s in zip(gs, sigma)]
+    X, Y, det = solve_lp([*A, sigma + sigma], [0] * ncoef + [1], cost + [-v for v in cost],
+                         sigma + sigma)
+    # over lam, the lcm of the row scales, row i is lam / sigma_i times
+    # design[i] and residual i is R_i / (F det lam)
     lam = lcm(*sigma)
     residuals = [
-        lam * den * g - big_f * (lam // s) * sum(yr * a for yr, a in zip(Y, row) if yr)
+        lam * det * g - (lam // s) * sum(yr * a for yr, a in zip(Y, row) if yr)
         for g, s, row in zip(gs, sigma, design)
     ]
-    _audit_fit(gs, residuals, V * big_f * lam, den * lam, psi, den,
+    _audit_fit(gs, residuals, Y[ncoef] * lam, det * lam,
+               [s * (X[i] - X[m + i]) for i, s in enumerate(sigma)], det,
                lambda i: [lam // sigma[i] * a for a in design[i]])
-    return LinfFit(coeffs=tuple(y[:ncoef]), epsilon=value)
+    return tuple(Fraction(y, big_f * det) for y in Y[:ncoef]), Fraction(Y[ncoef], big_f * det)
 
 
 def _audit_fit(gs, residuals, err, scale, psi, total, basis) -> None:

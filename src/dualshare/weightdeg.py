@@ -128,10 +128,11 @@ class _AndCore:
         top = max((r for r, v in enumerate(self.D) if v), default=0)
         return self.s * top
 
-    def scaled_weight(self) -> int:
-        """The parity weight times den."""
+    def scaled_weight(self, complemented: bool) -> int:
+        """The parity weight times den, of 1 - q (D_0 -> den - D_0) when ``complemented``."""
         per_block = (1 << self.s) - 1
-        return sum(comb(self.ell, r) * per_block**r * abs(v) for r, v in enumerate(self.D) if v)
+        D = [self.den - self.D[0], *self.D[1:]] if complemented else self.D
+        return sum(comb(self.ell, r) * per_block**r * abs(v) for r, v in enumerate(D) if v)
 
 
 def _and_core_for_split(n: int, ell: int, degree_budget: int) -> _AndCore:
@@ -149,22 +150,20 @@ def _exceeds(num: int, den: int, bound: Fraction) -> bool:
     return num * bound.denominator > bound.numerator * den
 
 
-def _and_approx_core(n: int, degree_budget: int, error_target: Fraction) -> _AndCore:
-    """Best split: exhaustive over divisors of n, minimum weight subject to
-    degree <= budget and certified error <= target (ties to fewer blocks),
-    and from a target of 1/2 up the constant 1/2, after the splits."""
+def _and_approx_core(n: int, degree_budget: int, error_target: Fraction,
+                     complemented: bool) -> _AndCore:
+    """Best split: exhaustive over divisors of n, least weight (of 1 - q when
+    ``complemented``) subject to degree <= budget and certified error <=
+    target (ties to fewer blocks), and the least constant, after the splits."""
     if degree_budget < 1:
         raise ValueError("degree budget must be at least 1")
     cores = [_and_core_for_split(n, ell, degree_budget) for ell in _divisors(n)]
-    if error_target >= Fraction(1, 2):
-        cores.append(_AndCore(1, n, Fraction(1, 2), [1, 0], 2))  # one block, D_0 = 1/2
-    best: _AndCore | None = None
-    for core in cores:
-        if not _exceeds(core.error.numerator, core.error.denominator, error_target) and (
-            best is None or core.scaled_weight() * best.den < best.scaled_weight() * core.den
-        ):
-            best = core
-    if best is None:
+    c = _least_constant(error_target)
+    if c is not None:  # one block, D_0 = c, or 1 - c when complemented
+        head = 1 - c if complemented else c
+        cores.append(_AndCore(1, n, 1 - c, [head.numerator, 0], head.denominator))
+    feasible = [core for core in cores if core.error <= error_target]
+    if not feasible:
         best_errors = {core.ell: core.error for core in cores}
         raise InfeasibleBudget(
             f"no block split of n={n} meets error {error_target} at degree "
@@ -172,7 +171,13 @@ def _and_approx_core(n: int, degree_budget: int, error_target: Fraction) -> _And
             + ", ".join(f"l={l}: {float(e):.4g}" for l, e in sorted(best_errors.items())),
             best_errors,
         )
-    return best
+    return min(feasible, key=lambda core: Fraction(core.scaled_weight(complemented), core.den))
+
+
+def _least_constant(eps: Fraction) -> Fraction | None:
+    """max(0, 1 - eps), the lightest constant c within eps of both 0 and 1
+    (its error is 1 - c); None below eps = 1/2, where no constant is."""
+    return max(Fraction(0), 1 - eps) if 2 * eps >= 1 else None
 
 
 def _trend_exponent(n: int, supp_size: int, eps: Fraction, budget: int) -> float | None:
@@ -211,7 +216,7 @@ class _BlockTables:
 
     def __init__(self, n: int, supp_weights: list[int]):
         self.n = n
-        self.rows = [[boolcube.kravchuk(n, m, h) for h in range(n + 1)] for m in range(n + 1)]
+        self.rows = boolcube.kravchuk_table(n)
         self.big_l = lcm(*(comb(n, m) for m in range(n + 1)))
         self.per_size = [
             (-1) ** m * sum(self.rows[n - h][m] for h in supp_weights) * (self.big_l // comb(n, m))
@@ -268,8 +273,9 @@ def low_weight_report(
     all-zeros point, and 1 - q when the middle value is 1, which only moves
     the constant coefficient D_0 to 1 - D_0.  Otherwise the compact form is
     the per-size parity coefficients chat of the symmetric approximant
-    sum_m chat[m] sum_{|S| = m} chi_S.  From eps = 1/2 up the constant 1/2
-    competes on both branches, after the constructions.
+    sum_m chat[m] sum_{|S| = m} chi_S.  From eps = 1/2 up the lightest
+    constant within eps, max(0, 1 - eps), competes on both branches, after
+    the constructions.
     """
     eps = Fraction(eps)
     if K < 1:
@@ -287,12 +293,9 @@ def low_weight_report(
 
     if supp_weights in ([0], [n]):
         # a single point indicator: the direct construction, unchanged
-        core = _and_approx_core(n, K, eps)
-        weight = core.scaled_weight()
-        if complemented:
-            weight += abs(core.den - core.D[0]) - abs(core.D[0])
-        return (WeightDegreeReport(core.degree, Fraction(weight, core.den), core.error,
-                                   bound_exponent), core)
+        core = _and_approx_core(n, K, eps, complemented)
+        weight = Fraction(core.scaled_weight(complemented), core.den)
+        return WeightDegreeReport(core.degree, weight, core.error, bound_exponent), core
 
     tables = _BlockTables(n, supp_weights)
     # (weight, den, chat, error) per split that meets eps, in split order:
@@ -318,8 +321,10 @@ def low_weight_report(
                 best_errors[ell] = Fraction(error, den)
             else:
                 candidates.append((_chat_weight(chat, den, complemented), den, chat, error))
-    if eps >= Fraction(1, 2):  # the constant 1/2 is off every 0/1 value by exactly 1/2
-        candidates.append((1, 2, [1] + [0] * n, 1))
+    c = _least_constant(eps)
+    if c is not None:  # its weight c once complemented back, its error 1 - c
+        chat = [(1 - c if complemented else c).numerator] + [0] * n
+        candidates.append((c.numerator, c.denominator, chat, c.denominator - c.numerator))
     if not candidates:
         raise InfeasibleBudget(
             f"degree budget K={K} cannot reach error {eps} for this predicate; "
@@ -361,12 +366,12 @@ def _aggregate_optimal(
     from unit vectors, against the fitted polynomial's own route on every
     call.
     """
-    fit = simplex.solve_linf_fit(_aggregate_design(tables, ell, d_out), work)
+    coeffs, epsilon = simplex.solve_linf_fit(_aggregate_design(tables, ell, d_out), work)
     s = tables.n // ell
-    c, den = _outer_differences(fit.coeffs, ell)
+    c, den = _outer_differences(coeffs, ell)
     chat, den, error = tables.certificate(_touched_block_coeffs(c, ell, s), ell, den << tables.n,
                                           work)
-    if error * fit.epsilon.denominator != fit.epsilon.numerator * den:
+    if error * epsilon.denominator != epsilon.numerator * den:
         raise PropertyViolation("aggregate map disagrees with the LP residuals")
     return chat, den, error
 

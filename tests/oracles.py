@@ -37,7 +37,13 @@ built here one coordinate at a time over ``Fraction`` keys.
 The LP behind ``weightdeg._aggregate_optimal`` runs on integers in the
 package.  ``solve_lp_fraction`` is the ``Fraction`` tableau it replaced (the
 same two phases and the same pricing, largest reduced cost with a Bland
-fallback, or Bland's rule throughout; no audit).
+fallback, or Bland's rule throughout; no audit).  ``solve_lp_rational``
+hands any rational LP to the package's integer ``solve_lp`` (rows with a
+negative right-hand side negated, columns scaled to integers) and turns its
+integer optimum back into rationals, so the two tableaux can be compared
+on every LP, not only on the moment LPs the package builds.
+``kravchuk(n, r, h)`` is the Kravchuk value as a signed binomial sum,
+independent of the package's three-term recurrence.
 
 ``weightdeg``'s block route runs on integer numerators over one
 denominator.  The ``Fraction`` helpers it replaced stay here:
@@ -136,7 +142,6 @@ from typing import Iterable
 from dualshare.boolcube import (
     SymmetricDistribution,
     indistinguishability_bound,
-    kravchuk,
     project_symmetric,
 )
 from dualshare.dualand import (
@@ -157,7 +162,7 @@ from dualshare.ratpoly import (
     cheb_T,
     generating_poly,
 )
-from dualshare.simplex import SimplexError, _swap_in
+from dualshare.simplex import SimplexError, _swap_in, solve_lp
 from dualshare.symcheb import (
     AmplificationParams,
     SymmetrizedTest,
@@ -474,6 +479,33 @@ def solve_lp_fraction(A, b, c, pivots: list | None = None, bland: bool = False):
                 if cost[basis[i]]
             )
     return x, value, y
+
+
+def solve_lp_rational(A, b, c):
+    """(x, value, y) of max c.x s.t. A x = b, x >= 0 on rational A, b and c,
+    solved by ``simplex.solve_lp``: row i negated when b_i < 0, column j
+    scaled by sigma_j (the lcm of its denominators), b and c over the lcms
+    of theirs, and the cost of column j times sigma_j.  Raises SimplexError
+    as ``solve_lp`` does."""
+    A = [[Fraction(v) for v in row] for row in A]
+    b = [Fraction(v) for v in b]
+    flips = [-1 if v < 0 else 1 for v in b]
+    columns, sigma = zip(*(_over_lcm(col) for col in zip(*A)))
+    cols = [[f * v for v in row] for row, f in zip(zip(*columns), flips)]
+    rhs, sigma_b = _over_lcm(b)
+    cost, scale = _over_lcm([Fraction(v) for v in c])
+    cost = [v * s for v, s in zip(cost, sigma)]
+    X, Y, det = solve_lp(cols, [f * v for v, f in zip(rhs, flips)], cost, sigma)
+    x = [Fraction(s * v, det * sigma_b) for s, v in zip(sigma, X)]
+    value = Fraction(sum(cv * v for cv, v in zip(cost, X)), scale * det * sigma_b)
+    y = [f * Fraction(v, scale * det) for f, v in zip(flips, Y)]
+    return x, value, y
+
+
+def kravchuk(n: int, r: int, h: int) -> int:
+    """sum over |S| = r of chi_S at any input of Hamming weight h (0 for r > n):
+    sum_j (-1)^j C(h, j) C(n - h, r - j)."""
+    return sum((-1) ** j * comb(h, j) * comb(n - h, r - j) for j in range(min(h, r) + 1))
 
 
 def kappa_sums(n: int, supp_weights) -> list[int]:
@@ -871,13 +903,13 @@ def approx_eq_y(n: int, y: int, degree_budget: int, error_target):
     """(poly, core): the AND construction for the point indicator EQ_y, the
     variables at y's zero bits negated, expanded; ``core`` holds the closed
     forms (``core.degree``, ``core_weight(core)``, ``core.error``)."""
-    core = _and_approx_core(n, degree_budget, Fraction(error_target))
+    core = _and_approx_core(n, degree_budget, Fraction(error_target), False)
     return materialize_and(core).negate_vars(((1 << n) - 1) ^ y), core
 
 
 def core_weight(core: _AndCore) -> Fraction:
     """The block core's parity weight in closed form."""
-    return Fraction(core.scaled_weight(), core.den)
+    return Fraction(core.scaled_weight(False), core.den)
 
 
 def symmetric_parity_poly(n: int, chat) -> ParityPoly:
@@ -1027,7 +1059,7 @@ def per_string_prob(d: SymmetricDistribution, h: int) -> Fraction:
 
 def limit_ramp_poly(K: int) -> RationalPoly:
     """p_0^infty(t) = 2^-K (t+1)^K, the n -> infinity limit of p_0."""
-    return RationalPoly.from_roots([Fraction(-1)] * K, Fraction(1, 2**K))
+    return Fraction(1, 2**K) * RationalPoly.from_roots([Fraction(-1)] * K)
 
 
 def binomial_tail_epsilon(n: int, d: int) -> Fraction:

@@ -136,7 +136,7 @@ def test_criterion_03_chebyshev_machinery():
         ]
         scale = Fraction(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice([1, -1])
         laurent_route = cheb_transform_factored(roots, scale)
-        inversion_route = cheb_transform(RationalPoly.from_roots(roots, scale))
+        inversion_route = cheb_transform(scale * RationalPoly.from_roots(roots))
         assert laurent_route.half_coeffs == inversion_route.half_coeffs
         g = laurent_from_roots(roots, scale)
         assert parseval_circle_check(g, 2 * g.span() + 8) < 1e-8

@@ -14,7 +14,7 @@ from dualshare.boolcube import (
     SymmetricDistribution,
     class_sizes,
     dual_pairings,
-    kravchuk,
+    kravchuk_table,
     kwise_indistinguishable,
     project_symmetric,
     stat_distance_symmetric,
@@ -30,6 +30,7 @@ from oracles import (
     chi,
     class_pairings_on_cube,
     cube_pairing,
+    kravchuk,
     kwise_by_projection,
     l2_squared,
     parity_values,
@@ -562,7 +563,7 @@ class TestKravchuk:
                 chi(sum(1 << i for i in subset), x)
                 for subset in combinations(range(n), r)
             )
-            assert kravchuk(n, r, h) == brute
+            assert kravchuk(n, r, h) == kravchuk_table(n)[r][h] == brute
 
     def test_sum_over_strings(self, rng):
         # kravchuk(n, h, r) = sum over |x|=h of chi_S at a fixed size-r subset
@@ -575,7 +576,12 @@ class TestKravchuk:
                 chi(s, bits_to_mask([1 if i in pos else 0 for i in range(n)]))
                 for pos in combinations(range(n), h)
             )
-            assert kravchuk(n, h, r) == brute
+            assert kravchuk(n, h, r) == kravchuk_table(n)[h][r] == brute
+
+    def test_table_is_every_row_up_to_n(self):
+        for n in range(1, 12):
+            assert kravchuk_table(n) == [[kravchuk(n, r, h) for h in range(n + 1)]
+                                         for r in range(n + 1)]
 
 
 class TestWeightVector:

@@ -87,7 +87,7 @@ def _factored_verdict(scale, roots, quad, lo, hi) -> bool:
 
 
 def _expand(scale, roots, quad) -> RationalPoly:
-    p = RationalPoly.from_roots([r for r, m in roots for _ in range(m)], scale)
+    p = scale * RationalPoly.from_roots([r for r, m in roots for _ in range(m)])
     if quad is not None:
         a, power = quad
         p = p * RationalPoly.of(a, 0, 1) ** power
@@ -136,7 +136,7 @@ def test_nonneg_on_sparse_polynomials_decides_as_the_fraction_oracle(low, lead, 
     [
         # roots of odd multiplicity at the right and left endpoints
         (RationalPoly.of(1, -1), 0, 1, True),
-        (RationalPoly.from_roots([1, 1, 1], -1), -1, 1, True),
+        (-RationalPoly.from_roots([1, 1, 1]), -1, 1, True),
         (RationalPoly.from_roots([-1, -1, -1]), -1, 1, True),
         (RationalPoly.from_roots([-1, 1]), -1, 1, False),
         # an interior root of even multiplicity, rational and irrational
@@ -285,9 +285,9 @@ def test_abs_bounded_matches_squared_decision(coeffs, bound, interval):
     "p, bound",
     [
         # 1 - (t - 1/3)^2 / 2 reaches its sup 1 at t = 1/3, a double root of 1 - p
-        (RationalPoly.of(1) - RationalPoly.from_roots([Fraction(1, 3)] * 2, Fraction(1, 2)), 1),
+        (RationalPoly.of(1) - Fraction(1, 2) * RationalPoly.from_roots([Fraction(1, 3)] * 2), 1),
         # the mirror image reaches -1 at a double root of 1 + p
-        (RationalPoly.from_roots([Fraction(1, 3)] * 2, Fraction(1, 2)) - RationalPoly.of(1), 1),
+        (Fraction(1, 2) * RationalPoly.from_roots([Fraction(1, 3)] * 2) - RationalPoly.of(1), 1),
         # t^3 reaches +-1 only at the endpoints, simple roots of 1 -+ t^3
         (RationalPoly.of(0, 0, 0, 1), 1),
         # 3t^2 - 1 reaches 2 at both endpoints and -1 at the interior double root

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import traceback
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from types import SimpleNamespace
@@ -1063,15 +1064,63 @@ class TestExitContract:
         assert (got, out, len(err.splitlines()), calls) == (2, "", 1, []), err
         assert err.startswith("Error: ")
 
-    # from eps = 1/2 up the constant 1/2 competes with the constructions
-    @pytest.mark.parametrize("f, big_k, eps", [("maj", "8", "1"), ("maj", "4", "1e400"),
-                                               ("and", "8", "1/2"), ("and", "4", "1/2")])
-    def test_the_constant_one_half_from_eps_one_half_up(self, f, big_k, eps):
+    # a --n given with a .json predicate must be the file's n
+    @pytest.mark.parametrize("n, code", [("99", 2), ("6", 0)])
+    @pytest.mark.parametrize("command", [["approx-degree"], ["weight-bound", "--K", "3"]],
+                             ids=["approx-degree", "weight-bound"])
+    def test_n_given_with_a_predicate_file_must_be_its_n(self, tmp_path, monkeypatch, command,
+                                                         n, code):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.json").write_text(json.dumps({"n": 6, "values": [0, 0, 0, 1, 1, 1, 1]}))
+        got, out, err = _run_capturing([*command, "--f", "p.json", "--n", n])
+        assert (got, len(err.splitlines())) == (code, int(bool(code))), err
+        if code:
+            assert (out, err) == ("", "Error: --n=99 differs from the predicate file's n=6\n")
+        else:
+            assert json.loads(out)["config"]["n"] == 6
+
+    # a warning is one stderr line on every run, a property-violated line
+    # still comes last, and the warning settings are restored on return
+    @pytest.mark.parametrize("args, code", [
+        (["--n", "100", "--K", "4", "--w", "1", "--check", "bounded"], 0),
+        (["--n", "1000", "--K", "64", "--w", "2", "--check", "product-cap"], 3),
+    ], ids=["bounded", "product-cap"])
+    def test_a_warning_is_one_stderr_line(self, args, code):
+        filters, show = list(warnings.filters), warnings.showwarning
+        for _ in range(2):
+            got, out, err = _run_capturing(["symcheb", "pw", *args])
+            lines = err.splitlines()
+            assert (got, len(lines), lines[0][:11]) == (code, 1 + bool(code), "Warning: n="), err
+            assert not any("UserWarning" in line or ".py" in line for line in lines), err
+            if code:
+                assert lines[-1].startswith("property violated: ")
+        assert (warnings.filters, warnings.showwarning) == (filters, show)
+        with pytest.warns(UserWarning):
+            symcheb.bounded_check(symcheb.exact_weight_test(100, 4, 1))
+
+    def test_a_warning_is_one_stderr_line_on_the_command_line(self, tmp_path):
+        proc = subprocess.run([sys.executable, "-m", "dualshare.cli", "symcheb", "pw", "--n",
+                               "100", "--K", "4", "--w", "1", "--check", "bounded"],
+                              capture_output=True, text=True, cwd=tmp_path, env=_subprocess_env())
+        assert (proc.returncode, proc.stderr) == (0, "Warning: n=100 < 64K=256: outside the "
+                                                     "guaranteed range, running the check anyway\n")
+
+    # from eps = 1/2 up the lightest constant within eps, max(0, 1 - eps),
+    # competes with the constructions: 1/2 at eps = 1/2, 1/4 at 3/4, and the
+    # zero polynomial from eps = 1
+    @pytest.mark.parametrize("f, big_k, eps, weight, error", [
+        ("maj", "8", "1", "0/1", "1/1"), ("maj", "4", "1e400", "0/1", "1/1"),
+        ("and", "8", "1/2", "1/2", "1/2"), ("and", "4", "1/2", "1/2", "1/2"),
+        ("maj", "8", "3/4", "1/4", "3/4"), ("and", "3", "3/4", "1/4", "3/4"),
+        ("or", "3", "3/4", "1/4", "3/4"),
+    ], ids=["maj-8-1", "maj-4-1e400", "and-8-1/2", "and-4-1/2", "maj-8-3/4", "and-3-3/4",
+            "or-3-3/4"])
+    def test_the_constant_one_half_from_eps_one_half_up(self, f, big_k, eps, weight, error):
         got, out, err = _run_capturing(["weight-bound", "--f", f, "--n", "8", "--K", big_k,
                                         "--eps", eps])
         construct = json.loads(out)["result"]["construct"]
         assert (got, construct["degree"], construct["weight"],
-                construct["certified_error"]) == (0, 0, "1/2", "1/2"), err
+                construct["certified_error"]) == (0, 0, weight, error), err
 
     def test_zero_eps_reports_the_exact_fit_without_a_trend(self):
         _, out, _ = _run_capturing(["weight-bound", "--f", "maj", "--n", "8", "--K", "8",

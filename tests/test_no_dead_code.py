@@ -26,6 +26,13 @@ no longer matches the package.
 Likewise every name a module in ``src/`` or ``tests/`` imports must be read
 in that module.  The package's ``__init__.py`` is exempt: its imports are
 the re-exports behind ``__all__``.
+
+A defaulted parameter of a package function that no call in ``src/`` or
+``perfbench/`` sets is a knob with one value: it becomes a constant, and
+tests that want another value build it themselves.  Calls are matched by
+name, as uses are, a class name standing for its ``__init__``; a call sets a
+parameter by keyword, by position, or through ``*args``/``**kwargs``.  The
+exceptions are listed in ``ONE_VALUE_PARAMETERS`` with their reasons.
 """
 
 import ast
@@ -47,11 +54,9 @@ _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # name -> every "module.Class" that defines it; each owner's member is read
 SHARED_CLASS_MEMBERS = {
     "K": {"approxlab.RampParams", "symcheb.SymmetrizedTest"},
-    "coeffs": {"ratpoly.RationalPoly", "simplex.LinfFit"},
     "degree": {"ratpoly.RationalPoly", "simplex.MinimaxSolution",
                "weightdeg.WeightDegreeReport", "weightdeg._AndCore"},
-    "epsilon": {"dualand.DualAndWitness", "simplex.LinfFit", "simplex.MinimaxSolution",
-                "symcheb.AmplificationParams"},
+    "epsilon": {"dualand.DualAndWitness", "simplex.MinimaxSolution", "symcheb.AmplificationParams"},
     "error": {"weightdeg.WeightDegreeReport", "weightdeg._AndCore"},
     "from_coeffs": {"ratpoly.ChebyshevExpansion", "ratpoly.RationalPoly"},
     "n": {"approxlab.RampParams", "boolcube.SymmetricDistribution", "dualand.DualAndParams",
@@ -61,6 +66,12 @@ SHARED_CLASS_MEMBERS = {
            "dualand.WeightVector", "ratpoly.RationalPoly"},
     "poly": {"simplex.MinimaxSolution", "symcheb.SymmetrizedTest"},
     "w": {"dualand.DualAndParams", "symcheb.SymmetrizedTest"},
+}
+
+# "module.function parameter" -> why its default is the only value src/ passes
+ONE_VALUE_PARAMETERS = {
+    "cli.main argv": "the in-process entry point: tests and embedding callers pass a "
+                     "command line, the program itself runs sys.argv",
 }
 
 
@@ -192,3 +203,57 @@ def test_every_import_is_read():
         for name, line in _unread_imports(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not unread, f"imported but never read: {unread}"
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(called name, parameter, position, qualified name) of every defaulted
+    parameter of a function or method: the position counts a call's
+    positional arguments, so a method's self is not counted, and a
+    keyword-only parameter has none (None)."""
+    scopes = [(tree.body, None)] + [(node.body, node) for node in ast.walk(tree)
+                                    if isinstance(node, (ast.ClassDef, ast.FunctionDef))]
+    for body, owner in scopes:
+        for node in body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            decorators = {getattr(d, "id", None) for d in node.decorator_list}
+            if isinstance(owner, ast.ClassDef) and "staticmethod" not in decorators:
+                positional = positional[1:]  # self, or cls
+            name = owner.name if node.name == "__init__" else node.name
+            qualified = (f"{owner.name}.{node.name}" if isinstance(owner, ast.ClassDef)
+                         else node.name)
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield name, arg.arg, i, qualified
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None, qualified
+
+
+def _sets(call: ast.Call, parameter: str, position: int | None) -> bool:
+    """Whether ``call`` can pass ``parameter`` (at ``position``, when it has one)."""
+    if any(kw.arg in (parameter, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    calls = defaultdict(list)
+    for path in CORPUS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls[getattr(func, "id", None) or getattr(func, "attr", None)].append(node)
+    unset = sorted(
+        f"{path.stem}.{qualified} {parameter}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, parameter, position, qualified in _defaulted_parameters(
+            ast.parse(path.read_text(), filename=str(path)))
+        if not any(_sets(call, parameter, position) for call in calls[name])
+    )
+    assert unset == sorted(ONE_VALUE_PARAMETERS), (
+        f"defaulted parameters that no call in src/ or perfbench/ sets: {unset}")

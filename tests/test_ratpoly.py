@@ -148,11 +148,11 @@ class TestFromRoots:
 
     def test_limit_ramp_base_case(self):
         # (t+1)/2 is the K=1 limit polynomial 2^-K (t+1)^K
-        p = RationalPoly.from_roots([Fraction(-1)], Fraction(1, 2))
+        p = Fraction(1, 2) * RationalPoly.from_roots([Fraction(-1)])
         assert p == RationalPoly.of(Fraction(1, 2), Fraction(1, 2))
 
     def test_scaled_product(self):
-        p = RationalPoly.from_roots([0, Fraction(1, 2)], 3)
+        p = 3 * RationalPoly.from_roots([0, Fraction(1, 2)])
         assert p == RationalPoly.of(0, Fraction(-3, 2), 3)
         for t in (Fraction(2), Fraction(-1, 3), Fraction(5, 7)):
             assert p(t) == 3 * t * (t - Fraction(1, 2))
@@ -284,7 +284,7 @@ class TestChebTransform:
             scale = random_fraction(rng)
             if scale == 0:
                 scale = Fraction(1)
-            direct = cheb_transform(RationalPoly.from_roots(roots, scale))
+            direct = cheb_transform(scale * RationalPoly.from_roots(roots))
             laurent = cheb_transform_factored(roots, scale)
             assert direct.half_coeffs == laurent.half_coeffs
 

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from dualshare import simplex
 from dualshare.errors import PropertyViolation
 from dualshare.ratpoly import RationalPoly, weight_grid
-from dualshare.simplex import SimplexError, solve_linf_fit, solve_lp, solve_minimax
+from dualshare.simplex import SimplexError, solve_linf_fit, solve_minimax
 from dualshare.weightdeg import _divisors
 from oracles import (
     aggregate_design_fraction,
     kappa_sums,
     solve_lp_fraction,
+    solve_lp_rational,
     solve_minimax_fraction,
 )
 
@@ -45,36 +46,38 @@ def alternation_minimax(points, values, degree):
 
 
 class TestSolveLP:
+    """``simplex.solve_lp`` through the rational wrapper of the oracles."""
+
     def test_tiny_equality_lp(self):
         # max x0 + 2 x1 s.t. x0 + x1 = 1
-        x, val, y = solve_lp([[1, 1]], [1], [1, 2])
+        x, val, y = solve_lp_rational([[1, 1]], [1], [1, 2])
         assert x == [0, 1] and val == 2
 
     def test_dual_values(self):
         A = [[1, 1, 1], [1, 0, 2]]
         b = [4, 3]
         c = [3, 1, 4]
-        x, val, y = solve_lp(A, b, c)
+        x, val, y = solve_lp_rational(A, b, c)
         assert sum(a * v for a, v in zip(A[0], x)) == 4
         assert sum(a * v for a, v in zip(A[1], x)) == 3
         assert sum(yi * bi for yi, bi in zip(y, b)) == val
 
     def test_infeasible(self):
         with pytest.raises(SimplexError):
-            solve_lp([[1, 1], [1, 1]], [1, 2], [1, 1])
+            solve_lp_rational([[1, 1], [1, 1]], [1, 2], [1, 1])
 
     def test_unbounded(self):
         with pytest.raises(SimplexError):
-            solve_lp([[1, -1]], [0], [1, 0])
+            solve_lp_rational([[1, -1]], [0], [1, 0])
 
     def test_negative_rhs_rows(self):
-        x, val, y = solve_lp([[-1, -1]], [-1], [1, 2])
+        x, val, y = solve_lp_rational([[-1, -1]], [-1], [1, 2])
         assert val == 2
 
     def test_redundant_row_dropped(self):
         A = [[1, 1], [2, 2]]
         b = [1, 2]
-        x, val, y = solve_lp(A, b, [1, 0])
+        x, val, y = solve_lp_rational(A, b, [1, 0])
         assert val == 1
 
     def test_random_lps_vs_bruteforce_vertices(self, rng):
@@ -99,7 +102,7 @@ class TestSolveLP:
                     v = c[cols[0]] * x1 + c[cols[1]] * x2
                     best = v if best is None else max(best, v)
             try:
-                x, val, y = solve_lp(A, b, c)
+                x, val, y = solve_lp_rational(A, b, c)
             except SimplexError:
                 continue  # oracle below only covers bounded/feasible cases
             if best is not None:
@@ -172,8 +175,8 @@ class TestIntegerTableauAgainstFractionOracle:
     @settings(max_examples=200, deadline=None)
     @given(lp_instances())
     def test_same_outcome(self, lp):
-        assert _outcome(solve_lp, *lp) == _outcome(solve_lp_fraction, *lp)
-        assert _value(solve_lp, *lp) == _value(_bland, *lp)
+        assert _outcome(solve_lp_rational, *lp) == _outcome(solve_lp_fraction, *lp)
+        assert _value(solve_lp_rational, *lp) == _value(_bland, *lp)
 
     def test_pivot_out_on_a_negative_element(self):
         A, b, c = NEGATIVE_PIVOT_OUT
@@ -181,14 +184,14 @@ class TestIntegerTableauAgainstFractionOracle:
         expected = solve_lp_fraction(A, b, c, pivots)
         assert any(phase == "out" and p < 0 for phase, _, _, p in pivots)
         assert any(phase == 2 for phase, _, _, _ in pivots)
-        assert solve_lp(A, b, c) == expected
+        assert solve_lp_rational(A, b, c) == expected
 
     def test_artificial_column_reenters_in_phase_1(self):
         A, b, c = ARTIFICIAL_REENTERS
         pivots = []
         expected = solve_lp_fraction(A, b, c, pivots)
         assert any(phase == 1 and col >= len(c) for phase, _, col, _ in pivots)
-        assert solve_lp(A, b, c) == expected
+        assert solve_lp_rational(A, b, c) == expected
 
     def test_larger_random_lps(self, rng):
         for _ in range(20):
@@ -197,12 +200,13 @@ class TestIntegerTableauAgainstFractionOracle:
                  for _ in range(m)]
             b = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(m)]
             c = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
-            assert _outcome(solve_lp, A, b, c) == _outcome(solve_lp_fraction, A, b, c)
-            assert _value(solve_lp, A, b, c) == _value(_bland, A, b, c)
+            assert _outcome(solve_lp_rational, A, b, c) == _outcome(solve_lp_fraction, A, b, c)
+            assert _value(solve_lp_rational, A, b, c) == _value(_bland, A, b, c)
 
 
 def _moment_lp(rows, values):
-    """The LP ``solve_linf_fit`` hands ``solve_lp``: A, b and c in rationals."""
+    """The moment LP of ``solve_linf_fit``: A, b and c in rationals, before
+    ``solve_linf_fit`` scales them to integers."""
     m, ncoef = len(rows), len(rows[0])
     A = [[rows[i][r] for i in range(m)] + [-rows[i][r] for i in range(m)]
          for r in range(ncoef)]
@@ -229,9 +233,8 @@ class TestPricing:
                 counts[bland] += len(pivots)
                 values.add(value)
                 if not bland:
-                    assert solve_lp(*lp) == (x, value, y)
-                    fit = solve_linf_fit(rows, work)
-                    assert (fit.coeffs, fit.epsilon) == (tuple(y[:len(rows[0])]), value)
+                    assert solve_lp_rational(*lp) == (x, value, y)
+                    assert solve_linf_fit(rows, work) == (tuple(y[:len(rows[0])]), value)
             assert len(values) == 1
         assert counts == {False: 60, True: 175}
 
@@ -282,9 +285,9 @@ class TestMinimax:
                 vals = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in pts]
             k = rng.randint(0, len(pts) - 1)
             sol = solve_minimax(pts, vals, k)
-            fit = solve_linf_fit([[t**j for j in range(k + 1)] for t in pts], vals)
-            assert sol.epsilon == fit.epsilon
-            assert sol.poly.coeffs == RationalPoly.from_coeffs(fit.coeffs).coeffs
+            coeffs, epsilon = solve_linf_fit([[t**j for j in range(k + 1)] for t in pts], vals)
+            assert sol.epsilon == epsilon
+            assert sol.poly.coeffs == RationalPoly.from_coeffs(coeffs).coeffs
             residuals = [v - sol.poly(t) for t, v in zip(pts, vals)]
             for j in range(k + 1):
                 assert sum(p * t**j for p, t in zip(sol.psi, pts)) == 0
@@ -348,17 +351,16 @@ class TestLinfFit:
         # fit a + b * g(i) for a non-polynomial feature column
         rows = [[Fraction(1), Fraction(v)] for v in (0, 1, 4, 9)]
         values = [Fraction(0), Fraction(1), Fraction(2), Fraction(3)]
-        fit = solve_linf_fit(rows, values)
+        coeffs, epsilon = solve_linf_fit(rows, values)
         worst = max(
-            abs(v - (fit.coeffs[0] + fit.coeffs[1] * r[1]))
+            abs(v - (coeffs[0] + coeffs[1] * r[1]))
             for r, v in zip(rows, values)
         )
-        assert worst == fit.epsilon
+        assert worst == epsilon
 
     def test_zero_residual_keeps_degenerate_dual(self):
         rows = [[Fraction(1)], [Fraction(1)]]
-        fit = solve_linf_fit(rows, [Fraction(2), Fraction(2)])
-        assert fit.epsilon == 0 and fit.coeffs == (Fraction(2),)
+        assert solve_linf_fit(rows, [Fraction(2), Fraction(2)]) == ((Fraction(2),), 0)
 
 
 _POINT = st.fractions(min_value=-6, max_value=6, max_denominator=5)
@@ -441,8 +443,7 @@ class TestLinfFitAgainstFractionLP:
             with pytest.raises(SimplexError, match=str(exc)):
                 solve_linf_fit(rows, values)
             return
-        fit = solve_linf_fit(rows, values)
-        assert (fit.coeffs, fit.epsilon) == expected[:2]
+        assert solve_linf_fit(rows, values) == expected[:2]
 
 
 def _audited(monkeypatch, name, call):
@@ -469,8 +470,9 @@ def _perturbed(args, slot, i):
 
 
 class TestIntegerAuditsCatchPerturbations:
-    """One unit added to a single residual, psi, x or y entry of a certified
-    optimum must make the integer audits raise."""
+    """One unit added to a single residual, psi, X or Y entry of a certified
+    optimum must make the integer audit raise, and so must a residual above
+    the error off psi's support (dual infeasibility of the LP)."""
 
     @pytest.mark.parametrize("call", [
         lambda: solve_minimax([0, 1, 2, 3, 5], [0, 1, 0, 2, 1], 2),
@@ -487,15 +489,27 @@ class TestIntegerAuditsCatchPerturbations:
             for i in entries:
                 with pytest.raises(PropertyViolation):
                     audit(*_perturbed(args, slot, i))
+        for i in set(range(len(psi))) - set(support):
+            above = list(args)
+            above[1] = [args[2] + 1 if j == i else r for j, r in enumerate(residuals)]
+            with pytest.raises(PropertyViolation, match="primal error"):
+                audit(*above)
 
-    @pytest.mark.parametrize("lp", [
-        ([[1, 1, 1], [1, 0, 2]], [4, 3], [3, 1, 4]),
-        ([[Fraction(1, 2), 1, 0], [1, Fraction(-1, 3), 1]], [2, Fraction(1, 2)], [1, 2, 1]),
-    ])
-    def test_lp_audit(self, monkeypatch, lp):
-        audit, args = _audited(monkeypatch, "_audit", lambda: solve_lp(*lp))
-        X, Y = args[4], args[5]
-        for slot, entries in ((4, range(len(X))), (5, range(len(Y)))):
+    def test_fit_audit_catches_a_perturbed_lp_optimum(self, monkeypatch):
+        # the fit's audit is the only check of solve_lp's optimum: one unit
+        # added to any single entry of its X or Y must fail it.  The design
+        # has no zero column, so every coefficient moves some residual.
+        rows = [[1, Fraction(v, 3)] for v in (0, 1, 4, 9, 16)]
+        values = [0, 1, Fraction(5, 2), 3, 2]
+        real = simplex.solve_lp
+        returned = []
+        monkeypatch.setattr(simplex, "solve_lp",
+                            lambda *lp: returned.append(real(*lp)) or returned[-1])
+        assert solve_linf_fit(rows, values)[1] > 0
+        X, Y, _ = returned[-1]
+        for slot, entries in ((0, range(len(X))), (1, range(len(Y)))):
             for i in entries:
+                monkeypatch.setattr(simplex, "solve_lp",
+                                    lambda *lp, slot=slot, i=i: _perturbed(real(*lp), slot, i))
                 with pytest.raises(PropertyViolation):
-                    audit(*_perturbed(args, slot, i))
+                    solve_linf_fit(rows, values)

@@ -219,8 +219,8 @@ class TestIntegerGridCheck:
     def test_a_perturbed_coefficient_is_caught(self, monkeypatch, n, K, w):
         from_roots = RationalPoly.from_roots
         for i in range(K + 1):
-            def perturbed(roots, scale=1, i=i):
-                coeffs = list(from_roots(roots, scale).coeffs)
+            def perturbed(roots, i=i):
+                coeffs = list(from_roots(roots).coeffs)
                 coeffs[i] += Fraction(1, 10**9)
                 return RationalPoly.from_coeffs(coeffs)
 
@@ -258,11 +258,11 @@ class TestGridCertificate:
     @pytest.mark.parametrize("shift", [Fraction(1, 10**9), Fraction(-3, 7 * 10**6)])
     def test_a_moved_zero_or_scale_fails_at_the_same_first_h(self, n, K, w, shift):
         test = exact_weight_test(n, K, w)
-        mutants = [RationalPoly.from_roots(test.zeros, test.scale + shift)]
+        mutants = [(test.scale + shift) * RationalPoly.from_roots(test.zeros)]
         for i in range(K):
             zeros = list(test.zeros)
             zeros[i] += shift
-            mutants.append(RationalPoly.from_roots(zeros, test.scale))
+            mutants.append(test.scale * RationalPoly.from_roots(zeros))
         for p in mutants:
             message = _raised(symcheb._certify_grid, p, n, K, w)
             assert message is not None and "disagrees" in message
@@ -275,7 +275,7 @@ class TestGridCertificate:
         bump = RationalPoly.from_roots([Fraction(n - 2 * h, n) for h in range(K + 1)])
         from_roots = RationalPoly.from_roots
         monkeypatch.setattr(RationalPoly, "from_roots",
-                            staticmethod(lambda roots, scale=1: from_roots(roots, scale) + bump))
+                            staticmethod(lambda roots: from_roots(roots) + bump))
         with pytest.raises(PropertyViolation, match=rf"degree {K + 1} > K \(n={n}, K={K}, w={w}\)"):
             exact_weight_test(n, K, w)
         monkeypatch.undo()

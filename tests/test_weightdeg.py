@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualshare.approxlab import approx_degree, minimax_on_weight_grid
-from dualshare.boolcube import kravchuk
 from dualshare.errors import InfeasibleBudget, InvalidInput
-from dualshare.simplex import solve_linf_fit, solve_lp, solve_minimax
+from dualshare.simplex import solve_linf_fit, solve_minimax
 from dualshare.weightdeg import (
     SymmetricSpec,
     _aggregate_design,
@@ -35,7 +34,9 @@ from oracles import (
     cube_pairing,
     expand_approximant,
     kappa_sums,
+    kravchuk,
     kravchuk_weight_floor,
+    solve_lp_rational,
 )
 
 
@@ -59,8 +60,6 @@ def min_weight_lp(values, n, K, target) -> Fraction:
     variable per coefficient size-class, split into positive and negative
     parts, with value constraints at each Hamming weight.
     """
-    from dualshare.boolcube import kravchuk
-
     target = Fraction(target)
     nvars = K + 1
     # variables: w_r^+ , w_r^- , slack pairs for each weight constraint
@@ -90,7 +89,7 @@ def min_weight_lp(values, n, K, target) -> Fraction:
     for r in range(nvars):
         c += [-Fraction(comb(n, r)), -Fraction(comb(n, r))]
     c += [Fraction(0)] * (2 * (n + 1))
-    x, val, _ = solve_lp(rows, b, c)
+    x, val, _ = solve_lp_rational(rows, b, c)
     return -val
 
 
@@ -261,17 +260,17 @@ class TestIntegerRouteAgainstFractionHelpers:
         for ell in _divisors(n):
             full = aggregate_design_fraction(n, ell, n // ell, ell, kappa)
             for d_out in range(ell + 1):
-                fit = solve_linf_fit([row[: d_out + 1] for row in full], work)
-                p_values = [sum(c * j**r for r, c in enumerate(fit.coeffs)) for j in range(ell + 1)]
+                coeffs, epsilon = solve_linf_fit([row[: d_out + 1] for row in full], work)
+                p_values = [sum(c * j**r for r, c in enumerate(coeffs)) for j in range(ell + 1)]
                 D, chat, values, error = aggregate_certificate_fraction(
                     n, ell, p_values, kappa, work)
-                c, den = _outer_differences(fit.coeffs, ell)
+                c, den = _outer_differences(coeffs, ell)
                 D_int = _touched_block_coeffs(c, ell, n // ell)
                 assert [Fraction(v, den << n) for v in D_int] == D
                 chat_int, den, error_int = tables.certificate(D_int, ell, den << n, work)
                 assert [Fraction(v, den) for v in chat_int] == chat
                 assert [Fraction(v, den) for v in tables.values(chat_int)] == values
-                assert Fraction(error_int, den) == error == fit.epsilon
+                assert Fraction(error_int, den) == error == epsilon
                 for complemented in (False, True):
                     assert (Fraction(_chat_weight(chat_int, den, complemented), den)
                             == chat_weight_fraction(chat, complemented))
@@ -294,19 +293,29 @@ _MOVED_SWEEP_CASES = [
 
 
 class TestConstantHalf:
-    """From eps = 1/2 up the constant 1/2, off every 0/1 value by exactly 1/2,
-    is a candidate on both branches, and wins where it is lightest."""
+    """From eps = 1/2 up the lightest constant within eps of both 0 and 1,
+    c = max(0, 1 - eps) with error 1 - c, is a candidate on both branches
+    and in both orientations, and wins where it is lightest: the constant
+    1/2 at eps = 1/2, 1/4 at eps = 3/4 and the zero polynomial from eps = 1."""
 
     @pytest.mark.parametrize("predicate, K, eps", [
         ([0] * 8 + [1], 8, Fraction(1, 2)),  # and: the single-point branch
         ([0] + [1] * 8, 8, Fraction(1, 2)),  # or: the same, complemented
         ([0] * 5 + [1] * 4, 8, Fraction(1)),  # maj: the symmetric branch
         ([0] * 5 + [1] * 4, 4, Fraction(10**400)),
+        ([0] * 8 + [1], 3, Fraction(3, 4)),
+        ([0] + [1] * 8, 3, Fraction(3, 4)),
+        ([0] * 8 + [1], 8, Fraction(1)),
+        ([0] + [1] * 8, 3, Fraction(5)),
+        ([0] * 5 + [1] * 4, 8, Fraction(3, 4)),
+        ([0] + [1] * 7 + [0], 3, Fraction(3, 4)),  # symmetric and complemented
+        ([0] + [1] * 7 + [0], 3, Fraction(1)),
     ])
     def test_the_constant_wins_against_the_cube(self, predicate, K, eps):
         poly, rep = expanded_approximant(SymmetricSpec(8, tuple(predicate)), K, eps)
-        assert (rep.degree, rep.weight, rep.error) == (0, Fraction(1, 2), Fraction(1, 2))
-        assert poly.coeffs == {0: Fraction(1, 2)}
+        weight = max(Fraction(0), 1 - eps)
+        assert (rep.degree, rep.weight, rep.error) == (0, weight, 1 - weight)
+        assert poly.coeffs == ({0: weight} if weight else {})
         assert cube_error(poly, lambda m: predicate[m.bit_count()]) == rep.error
 
     @pytest.mark.parametrize("predicate", [[0] * 8 + [1], [0] * 5 + [1] * 4])
@@ -453,7 +462,7 @@ class TestReports:
 
     @pytest.mark.parametrize("eps, degree, weight, error", [
         ("1e-400", 8, Fraction(693, 128), 0), ("1e-9999", 8, Fraction(693, 128), 0),
-        ("1e400", 0, Fraction(1, 2), Fraction(1, 2))])  # the constant 1/2 from 1/2 up
+        ("1e400", 0, Fraction(0), Fraction(1))])  # the zero polynomial from eps = 1 up
     def test_eps_beyond_doubles_reports_no_trend(self, eps, degree, weight, error):
         # supp/eps overflows a double (1e-400) or underflows to 0.0 (1e400)
         spec = SymmetricSpec(8, tuple(1 if 2 * h > 8 else 0 for h in range(9)))
