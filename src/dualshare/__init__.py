@@ -27,7 +27,6 @@ _EXPORTS = {
     "consolidate_and": "approxlab",
     "dual_distributions": "approxlab",
     "finite_n_ramp": "approxlab",
-    "l2_tail_bound": "approxlab",
     "minimax_on_weight_grid": "approxlab",
     "ramp_advantage": "approxlab",
     "SymmetricDistribution": "boolcube",

@@ -101,40 +101,20 @@ class RampParams:
             raise ValueError("need K <= n")
 
 
-def _tail_sum(K: int, k: int) -> int:
-    """sum_{d=k+1..K} C(2K,K+d)^2 = (C(4K,2K) - C(2K,K)^2)/2 - sum_{d=1..k}, 0 <= k <= K."""
-    if not 0 <= k <= K:
-        raise ValueError("need 0 <= k <= K")
-    head = sum(comb(2 * K, K + d) ** 2 for d in range(1, k + 1))
-    return (comb(4 * K, 2 * K) - comb(2 * K, K) ** 2) // 2 - head
-
-
-def ramp_radicand(k: int, K: int, shift: int) -> Fraction:
-    """2^{-4K + shift} * sum_{d > k} C(2K, K+d)^2.
-
-    The statement-level constant uses shift 3; the proof-level derivation
-    (which matches the L2 identity exactly) uses shift 1.  Both are exposed.
-    """
-    return Fraction(_tail_sum(K, k) * 2**shift, 2 ** (4 * K))
-
-
 def ramp_advantage(params: RampParams) -> tuple[Fraction, float]:
-    """Exact radicand (statement constant 2^{-4K+3}) and its floating root."""
-    radicand = ramp_radicand(params.k, params.K, 3)
+    """The exact radicand 2^{-4K+3} sum_{d > k} C(2K, K+d)^2 of the
+    statement-level advantage, and its floating root.
+
+    A quarter of the radicand, sum_{d > k} 2 (2^{-2K} C(2K, K+d))^2, is the
+    exact sigma-measure floor on (p_0^infty - q)^2 for any degree-k q.  The
+    tail is summed in closed form:
+    sum_{d > k} C(2K,K+d)^2 = (C(4K,2K) - C(2K,K)^2)/2 - sum_{d=1..k} C(2K,K+d)^2.
+    """
+    K, k = params.K, params.k
+    head = sum(comb(2 * K, K + d) ** 2 for d in range(1, k + 1))
+    tail = (comb(4 * K, 2 * K) - comb(2 * K, K) ** 2) // 2 - head
+    radicand = Fraction(8 * tail, 2 ** (4 * K))
     return radicand, math.sqrt(radicand)
-
-
-def ramp_advantage_proof_constant(params: RampParams) -> tuple[Fraction, float]:
-    """Same with the proof-level constant 2^{-4K+1}; its square equals
-    the L2 tail bound exactly."""
-    radicand = ramp_radicand(params.k, params.K, 1)
-    return radicand, math.sqrt(radicand)
-
-
-def l2_tail_bound(K: int, k: int) -> Fraction:
-    """sum_{d > k} 2 (2^{-2K} C(2K, K+d))^2: the exact sigma-measure floor on
-    (p_0^infty - q)^2 for any degree-k q."""
-    return Fraction(2 * _tail_sum(K, k), 2 ** (4 * K))
 
 
 def finite_n_ramp(
@@ -198,9 +178,5 @@ def consolidate_and(d: boolcube.SymmetricDistribution, t: int) -> boolcube.Symme
         if total:
             out[full] = Fraction(comb(n_out, full) * total, common)
         if full:
-            nxt = [0] * (len(power) + t - 1)
-            for i, a in enumerate(power):
-                for c, b in enumerate(q):
-                    nxt[i + c] += a * b
-            power = nxt
+            power = ratpoly._mul(power, q)
     return boolcube.SymmetricDistribution(n_out, tuple(out))

@@ -157,25 +157,24 @@ _SUP_GRID = 256  # grid steps of the attained maximum
 _SUP_REL_TOL = Fraction(1, 1 << 20)  # relative width of the certified enclosure
 
 
-def sup_norm_certified(p: ratpoly.RationalPoly, lo=-1, hi=1) -> tuple[Fraction, Fraction]:
-    """Certified enclosure [attained, upper] of sup |p| on [lo, hi].
+def sup_norm_certified(p: ratpoly.RationalPoly) -> tuple[Fraction, Fraction]:
+    """Certified enclosure [attained, upper] of sup |p| on [-1, 1].
 
     ``attained`` is the exact maximum of |p| over a rational grid of
     _SUP_GRID steps (a lower bound on the sup); ``upper`` satisfies
     |p| <= upper on the whole interval, proved by the nonnegativity of
     upper - p and upper + p, with upper <= sup * (1 + _SUP_REL_TOL) + tiny.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
     if p.is_zero():
         return Fraction(0), Fraction(0)
 
     def certifies(bound: Fraction) -> bool:
-        return abs_bounded_on(p, bound, lo, hi)
+        return abs_bounded_on(p, bound, -1, 1)
 
     # over the grid's one denominator c, every value of p = P / D is an
     # integer over D c^deg p
     nums, den = p._integer_form
-    xs, c = _grid(lo, hi, _SUP_GRID)
+    xs, c = _grid(-1, 1, _SUP_GRID)
     values = ratpoly._scaled_values(nums, xs, c)
     attained = Fraction(max(map(abs, values)), den * c ** p.degree)
     if certifies(attained):

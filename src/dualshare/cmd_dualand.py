@@ -24,13 +24,10 @@ def dual_and_cmd(n, weights, d_str, out, fmt):
     config = {"n": n, "weights": [serialize.rat_to_str(x) for x in w.entries],
               "d": serialize.rat_to_str(d)}
     result = {
-        "H_size": wit.H_size,
-        "Z": serialize.rat_to_str(wit.Z),
         "epsilon": serialize.rat_to_str(wit.epsilon),
         "correlation": serialize.rat_to_str(report.correlation),
         "l1_norm": serialize.rat_to_str(report.l1_norm),
-        "pure_high_degree_strictly_below_d": report.pure_high_degree,
-        "witness": dualand.witness_to_json(n, d, wit.classes.expand(
+        "witness": dualand.witness_to_json(wit.classes.expand(
             [serialize.rat_to_str(v) for v in wit.class_values])),
     }
     serialize._emit("dual-and", config, result, out, fmt)

@@ -15,21 +15,12 @@ def ramp_cmd(k, big_k, n, finite, out, fmt):
         raise InvalidInput("--finite needs --n")
     params = approxlab.RampParams(k, big_k, n)
     radicand, value = approxlab.ramp_advantage(params)
-    proof_radicand, proof_value = approxlab.ramp_advantage_proof_constant(params)
-    tail = approxlab.l2_tail_bound(big_k, k)
     # the interpreter prints no integer of more digits than its limit (0: none)
     limit = sys.get_int_max_str_digits()
-    if limit and max(abs(x) for r in (radicand, proof_radicand, tail)
-                     for x in r.as_integer_ratio()) >= 10 ** limit:
+    if limit and max(map(abs, radicand.as_integer_ratio())) >= 10 ** limit:
         raise InvalidInput(f"--K={big_k} gives an exact radicand of more than {limit} "
                            "digits, too long to print")
-    result = {
-        "radicand": serialize.rat_to_str(radicand),
-        "value_float": value,
-        "proof_radicand": serialize.rat_to_str(proof_radicand),
-        "proof_value_float": proof_value,
-        "l2_tail_bound": serialize.rat_to_str(tail),
-    }
+    result = {"radicand": serialize.rat_to_str(radicand), "value_float": value}
     if finite:
         mu, nu, advantage = approxlab.finite_n_ramp(params)
         result.update({

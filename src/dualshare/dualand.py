@@ -181,10 +181,6 @@ class DualAndWitness:
         return Fraction(self.H_size, 1 << self.params.n)
 
     @property
-    def Z(self) -> Fraction:
-        return Fraction(1 << self.params.n, self.H_size)
-
-    @property
     def class_values(self) -> list[Fraction]:
         den = self.denominator
         return [Fraction(v, den) for v in self.numerators]
@@ -320,26 +316,24 @@ def mask_to_bits(n: int, mask: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(n))
 
 
-def witness_to_json(n: int, d, texts: Sequence[str]) -> dict:
-    """The cube witness on n variables with claimed degree d; ``texts`` are
-    its 2^n values already written by ``serialize.rat_to_str``, for a caller whose
-    values repeat and who converts each distinct one once.  The sequence is
-    kept as given: a tuple goes out as a JSON list."""
-    return {"n": n, "representation": "cube", "values": texts,
-            "claimed_degree": serialize.rat_to_str(d)}
+def witness_to_json(texts: Sequence[str]) -> dict:
+    """The cube witness; ``texts`` are its 2^n values already written by
+    ``serialize.rat_to_str``, for a caller whose values repeat and who
+    converts each distinct one once.  The sequence is kept as given: a tuple
+    goes out as a JSON list.  Its n and degree are the file's ``config``'s."""
+    return {"representation": "cube", "values": texts}
 
 
 def witness_from_json(doc) -> DualAndWitness:
     """The class form of a ``dual-and`` file's witness, checked as a
     certificate; ``config``'s n, weights and d give only the classes and the
     tested set.  A malformed file, or a representation other than "cube",
-    exits 2.  It exits 3 unless H_size = epsilon * 2^n >= 1 and the values
-    are integers over 2^n H_size, constant per class, pass
-    ``verify_witness(...).require(epsilon)``, are pure below the witness's
-    ``claimed_degree`` too (checked again only where it is not config's d),
-    and have the sign of chi_[n] or are 0, as the sampler's secret-to-parity
-    rule needs; and unless the file's ``l1_norm``, ``correlation``, ``Z``
-    and ``pure_high_degree_strictly_below_d`` are what the check found.
+    exits 2.  It exits 3 unless |H| = epsilon * 2^n is an integer >= 1 and
+    the values are integers over 2^n |H|, constant per class, pass
+    ``verify_witness(...).require(epsilon)`` and have the sign of chi_[n] or
+    are 0, as the sampler's secret-to-parity rule needs; and unless the
+    file's ``l1_norm`` and ``correlation`` are what the check found.  Keys
+    it does not name are not read.
 
     No table of 2^n entries is built beside the file's own list (unless every
     class is one point): one text per class is parsed, and the values are
@@ -349,23 +343,19 @@ def witness_from_json(doc) -> DualAndWitness:
     try:
         config, result = doc["config"], doc["result"]
         n, weights, d = config["n"], config["weights"], parse(config["d"])
-        eps, h_size = parse(result["epsilon"]), result["H_size"]
-        claims = {key: parse(result[key]) for key in ("l1_norm", "correlation", "Z")}
-        pure = result["pure_high_degree_strictly_below_d"]
-        witness = result["witness"]
-        wn, texts, representation = witness["n"], witness["values"], witness["representation"]
-        claimed = parse(witness["claimed_degree"])
+        eps = parse(result["epsilon"])
+        claims = {key: parse(result[key]) for key in ("l1_norm", "correlation")}
+        texts, representation = result["witness"]["values"], result["witness"]["representation"]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed witness file: {exc!r}") from exc
     # bool is an int subclass, and 2.7 must not become 2
-    if type(n) is not int or type(weights) is not list or type(h_size) is not int:
-        raise InvalidInput(f"witness file needs integers n and H_size and a weight list, "
-                           f"got n={n!r}, weights={weights!r}, H_size={h_size!r}")
-    if type(pure) is not bool or representation != "cube":
-        raise InvalidInput(f"witness file needs a boolean purity flag and the cube "
-                           f"representation, got {pure!r} and {representation!r}")
+    if type(n) is not int or type(weights) is not list:
+        raise InvalidInput(f"witness file needs an integer n and a weight list, "
+                           f"got n={n!r}, weights={weights!r}")
+    if representation != "cube":
+        raise InvalidInput(f"witness file needs the cube representation, got {representation!r}")
     params = DualAndParams(n, WeightVector.of([parse(x) for x in weights]), d)
-    if type(wn) is not int or wn != n or type(texts) is not list or len(texts) != 1 << n:
+    if type(texts) is not list or len(texts) != 1 << n:
         raise InvalidInput(f"witness file result needs {1 << n} witness values for n={n}")
     classes = BitCountClasses.of(params.w, d)
     class_of = classes.class_of
@@ -382,9 +372,11 @@ def witness_from_json(doc) -> DualAndWitness:
     if not constant:  # parse every differing value first: a malformed one exits 2
         constant = all([parse(text) == values[expect] for text, expect
                         in zip(texts, map(class_texts.__getitem__, class_of)) if text != expect])
-    if h_size < 1 or h_size != eps * (1 << n):
-        raise PropertyViolation(f"witness file claims H_size={h_size}, epsilon={eps}; "
-                                "need H_size = epsilon * 2^n >= 1")
+    h_size = eps * (1 << n)
+    if h_size.denominator != 1 or h_size < 1:
+        raise PropertyViolation(f"witness file claims epsilon={eps}; "
+                                "need epsilon * 2^n to be an integer >= 1")
+    h_size = h_size.numerator
     scaled = {text: value * (h_size << n) for text, value in values.items()}
     if any(v.denominator != 1 for v in scaled.values()):
         raise PropertyViolation(f"a witness value is not a multiple of 1/{h_size << n}")
@@ -394,13 +386,9 @@ def witness_from_json(doc) -> DualAndWitness:
     wit = DualAndWitness(params, h_size, classes, nums)
     report = verify_witness(wit)
     report.require(eps)
-    if claimed != d and not verify_witness(DualAndWitness(
-            params, h_size, BitCountClasses.of(params.w, claimed), nums)).pure_high_degree:
-        raise PropertyViolation(f"the witness is not pure below its claimed degree {claimed}")
     if any(v > 0 if k & 1 else v < 0 for v, k in zip(nums, classes.ones)):
         raise PropertyViolation("witness values do not have the sign of chi_[n]")
-    found = {"l1_norm": report.l1_norm, "correlation": report.correlation, "Z": wit.Z}
-    if claims != found or pure != report.pure_high_degree:
-        raise PropertyViolation(f"witness file claims {claims} and purity {pure}; "
-                                f"the check found {found} and purity {report.pure_high_degree}")
+    found = {"l1_norm": report.l1_norm, "correlation": report.correlation}
+    if claims != found:
+        raise PropertyViolation(f"witness file claims {claims}; the check found {found}")
     return wit

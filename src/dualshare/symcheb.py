@@ -88,14 +88,6 @@ class SymmetrizedTest:
         """The Chebyshev expansion of p_w, computed once per test."""
         return ratpoly.cheb_transform_factored(self.zeros, self.scale)
 
-    def generating_poly(self) -> ratpoly.RationalPoly:
-        """The ordinary polynomial C_w prod (s^2 - 2 s z + 1)/2 of degree 2K.
-
-        Its coefficient at index K + d is the Chebyshev coefficient c_d of
-        p_w (it is s^K times the Laurent product behind the transform).
-        """
-        return ratpoly.generating_poly(self.zeros, self.scale)
-
 
 def exact_weight_test(n: int, K: int, w: int) -> SymmetrizedTest:
     """Construct p_w from its zero set and certify it at every grid point."""
@@ -179,7 +171,7 @@ def truncated_approximant(
     bound = truncation_error_bound(test.K, k)
     if diff.is_zero():
         return q, bound, 0.0
-    _, upper = certify.sup_norm_certified(diff, -1, 1)
+    _, upper = certify.sup_norm_certified(diff)
     if upper > Fraction(bound):
         raise PropertyViolation(
             f"certified truncation error {float(upper)} exceeds the bound {bound} "
@@ -274,7 +266,7 @@ def circle_identity_check(test: SymmetrizedTest, params: AmplificationParams) ->
     if ampl >= 2 ** 1024:
         raise InvalidInput("--eps is too large for the circle check: "
                            "(1+eps)^2K (1+delta)^2K reaches 2^1024")
-    g = test.generating_poly()
+    g = ratpoly.generating_poly(test.zeros, test.scale)
     if g.degree > 2 * K:
         raise PropertyViolation(f"generating polynomial has degree {g.degree} > 2K={2 * K}")
     prefactor = ampl * test.scale ** 2

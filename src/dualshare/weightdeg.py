@@ -275,7 +275,7 @@ def low_weight_report(
     the per-size parity coefficients chat of the symmetric approximant
     sum_m chat[m] sum_{|S| = m} chi_S.  From eps = 1/2 up the lightest
     constant within eps, max(0, 1 - eps), competes on both branches, after
-    the constructions.
+    the constructions, and replaces the exact 1 of an all-ones predicate.
     """
     eps = Fraction(eps)
     if K < 1:
@@ -284,9 +284,11 @@ def low_weight_report(
     complemented, work = _work_side(spec)
     supp_weights = [h for h, v in enumerate(work) if v]
     supp_size = sum(comb(n, h) for h in supp_weights)
-    if supp_size == 0:
-        chat = [Fraction(int(complemented))] + [Fraction(0)] * n
-        return WeightDegreeReport(0, chat[0], Fraction(0), 0.0), chat
+    if supp_size == 0:  # all zeros: 0; all ones: 1, or from eps = 1/2 up the least constant
+        c = _least_constant(eps) if complemented else None
+        value = Fraction(int(complemented)) if c is None else c
+        chat = [value] + [Fraction(0)] * n
+        return WeightDegreeReport(0, value, int(complemented) - value, 0.0), chat
     if eps < 0:
         raise InvalidInput(f"eps must be nonnegative, got {eps}")
     bound_exponent = _trend_exponent(n, supp_size, eps, K)

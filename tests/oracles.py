@@ -117,9 +117,9 @@ enumeration) and ``consolidation_bound``.
 K+1 points h = 0..K and a degree bound.  ``certify_grid_all_points`` is the
 check it replaced: every grid point h = 0..n against the hypergeometric
 row of ``symcheb.hypergeom_row``, with the same messages.  The ramp
-tail sums of ``approxlab`` come from one closed form;
-``ramp_radicand_by_sum`` and ``l2_tail_bound_by_sum`` are the O(K) sums it
-replaced.
+radicand of ``approxlab`` comes from one closed form;
+``ramp_radicand_by_sum`` and ``l2_tail_bound_by_sum`` (a quarter of it) are
+the O(K) sums it replaced.
 
 Every dual certificate is checked in the package by one routine,
 ``boolcube.dual_pairings``.  The forms it replaced stay here:
@@ -695,7 +695,8 @@ def circle_routes_fraction(test: SymmetrizedTest, params: AmplificationParams,
     delta' = delta (2 + delta) / (1 + delta)^2."""
     cos, sin = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
     r, delta = 1 + params.epsilon, params.delta
-    lhs = circle_abs_squared_fraction(test.generating_poly(), r * cos, r * sin)
+    g = generating_poly(test.zeros, test.scale)
+    lhs = circle_abs_squared_fraction(g, r * cos, r * sin)
     c, dprime = cos / (1 + delta), delta * (2 + delta) / (1 + delta) ** 2
     rhs = (r * (1 + delta)) ** (2 * test.K) * test.scale ** 2
     for z in test.zeros:
@@ -1033,10 +1034,10 @@ def certify_grid_all_points(p: RationalPoly, n: int, K: int, w: int) -> None:
                                     f"value at h={h} (n={n}, K={K}, w={w})")
 
 
-def ramp_radicand_by_sum(k: int, K: int, shift: int) -> Fraction:
-    """2^{-4K + shift} * sum_{d > k} C(2K, K+d)^2, term by term."""
+def ramp_radicand_by_sum(k: int, K: int) -> Fraction:
+    """2^{-4K + 3} * sum_{d > k} C(2K, K+d)^2, term by term."""
     total = sum(comb(2 * K, K + d) ** 2 for d in range(k + 1, K + 1))
-    return Fraction(total * 2**shift, 2 ** (4 * K))
+    return Fraction(8 * total, 2 ** (4 * K))
 
 
 def l2_tail_bound_by_sum(K: int, k: int) -> Fraction:

@@ -20,7 +20,6 @@ from dualshare.approxlab import (
     consolidate_and,
     dual_distributions,
     finite_n_ramp,
-    l2_tail_bound,
     minimax_on_weight_grid,
     ramp_advantage,
 )
@@ -63,6 +62,7 @@ from oracles import (
     cube_error,
     expand_approximant,
     laurent_from_roots,
+    l2_tail_bound_by_sum,
     limit_ramp_poly,
     parseval_circle_check,
     reconstruction_advantage,
@@ -257,7 +257,7 @@ def test_criterion_08_ramp_formulas():
         for k in range(2, K):
             q = solve_minimax(grid, values, k).poly
             diff = cheb_transform(p_inf - q)
-            assert sigma_inner(diff, diff) >= l2_tail_bound(K, k)
+            assert sigma_inner(diff, diff) >= l2_tail_bound_by_sum(K, k)
             mu, nu, adv = finite_n_ramp(RampParams(k, K, 8 * K))
             assert kwise_indistinguishable(mu, nu, k)
             assert adv > 0

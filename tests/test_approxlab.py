@@ -13,11 +13,8 @@ from dualshare.approxlab import (
     consolidate_and,
     dual_distributions,
     finite_n_ramp,
-    l2_tail_bound,
     minimax_on_weight_grid,
     ramp_advantage,
-    ramp_advantage_proof_constant,
-    ramp_radicand,
 )
 from dualshare.boolcube import (
     SymmetricDistribution,
@@ -202,13 +199,11 @@ class TestRampFormulas:
         radicand, _ = ramp_advantage(RampParams(2, 3))
         assert radicand == Fraction(comb(6, 6) ** 2 * 8, 2**12) == Fraction(1, 512)
 
-    def test_proof_constant_squares_to_l2(self):
+    def test_a_quarter_of_the_radicand_is_the_l2_floor(self):
         for K in range(2, 9):
             for k in range(1, K):
-                proof_rad, _ = ramp_advantage_proof_constant(RampParams(k, K))
-                assert proof_rad == l2_tail_bound(K, k)
-                state_rad, _ = ramp_advantage(RampParams(k, K))
-                assert state_rad == 4 * proof_rad
+                radicand, _ = ramp_advantage(RampParams(k, K))
+                assert radicand / 4 == l2_tail_bound_by_sum(K, k)
 
     def test_cauchy_schwarz_floor(self):
         # ordering property: advantage >= K^{-1/2} e^{-c k^2 / K} for a fitted
@@ -220,25 +215,15 @@ class TestRampFormulas:
                 floor = K ** (-0.5) * math.exp(-c * k * k / K)
                 assert value >= floor
 
-    def test_l2_empty_tail(self):
-        assert l2_tail_bound(4, 4) == 0
-
     def test_l2_single_term(self):
-        assert l2_tail_bound(2, 1) == Fraction(1, 128)
+        assert ramp_advantage(RampParams(1, 2))[0] / 4 == Fraction(1, 128)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_closed_form_tail_matches_the_term_sums(self, data):
-        K = data.draw(st.integers(1, 200))
-        k = data.draw(st.integers(0, K))
-        assert l2_tail_bound(K, k) == l2_tail_bound_by_sum(K, k)
-        for shift in (3, 1):
-            assert ramp_radicand(k, K, shift) == ramp_radicand_by_sum(k, K, shift)
-
-    def test_tail_sizes_outside_0_to_K_are_refused(self):
-        for k in (-1, 5):
-            with pytest.raises(ValueError, match="need 0 <= k <= K"):
-                l2_tail_bound(4, k)
+        K = data.draw(st.integers(2, 200))
+        k = data.draw(st.integers(1, K - 1))
+        assert ramp_advantage(RampParams(k, K))[0] == ramp_radicand_by_sum(k, K)
 
 
 class TestLimitPolynomial:
@@ -251,7 +236,7 @@ class TestLimitPolynomial:
             assert cheb_transform(limit_ramp_poly(K)).half_coeffs == e.half_coeffs
 
     def test_l2_certification_for_lp_approximants(self):
-        # E_sigma[(p0_inf - q)^2] >= l2_tail_bound(K, k) for LP-produced q
+        # E_sigma[(p0_inf - q)^2] >= radicand / 4 for LP-produced q
         for K in range(2, 9):
             p_inf = limit_ramp_poly(K)
             m = 4 * K
@@ -260,7 +245,7 @@ class TestLimitPolynomial:
             for k in range(1, K):
                 q = solve_minimax(grid, values, k).poly
                 diff = cheb_transform(p_inf - q)
-                assert sigma_inner(diff, diff) >= l2_tail_bound(K, k)
+                assert sigma_inner(diff, diff) >= ramp_advantage(RampParams(k, K))[0] / 4
 
 
 class TestFiniteRamp:

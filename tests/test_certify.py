@@ -204,14 +204,14 @@ def test_nonneg_random_against_dense_grid():
 
 def test_sup_norm_certified_linear():
     p = RationalPoly.of(0, 1)
-    attained, upper = sup_norm_certified(p, -1, 1)
+    attained, upper = sup_norm_certified(p)
     assert attained == 1 == upper  # grid contains the maximiser
 
 
 def test_sup_norm_certified_interior_max():
     # 1 - t^2 peaks at 1 exactly (grid hits 0)
     p = RationalPoly.of(1, 0, -1)
-    attained, upper = sup_norm_certified(p, -1, 1)
+    attained, upper = sup_norm_certified(p)
     assert attained == 1 == upper
 
 
@@ -219,14 +219,14 @@ def test_sup_norm_certified_irrational_max():
     # t^3 - t has sup 2/(3 sqrt 3) on [-1,1], attained off any rational grid
     p = RationalPoly.of(0, -1, 0, 1)
     truth = 2 / (3 * 3**0.5)
-    attained, upper = sup_norm_certified(p, -1, 1)
+    attained, upper = sup_norm_certified(p)
     assert float(attained) <= truth <= float(upper)
     assert float(upper) <= truth * (1 + 2e-6)
     assert poly_nonneg_on(RationalPoly.of(upper * upper) - p * p, -1, 1)
 
 
 def test_sup_norm_zero():
-    assert sup_norm_certified(RationalPoly(), -1, 1) == (0, 0)
+    assert sup_norm_certified(RationalPoly()) == (0, 0)
 
 
 def test_sturm_chain_counts():
@@ -251,9 +251,9 @@ def _truncation_error(n, K, w, k):
 )
 def test_sup_norm_matches_the_fraction_oracle_on_the_truncation_ladder(monkeypatch, n, K, w, k):
     p = _truncation_error(n, K, w, k)
-    fast = sup_norm_certified(p, -1, 1)
+    fast = sup_norm_certified(p)
     monkeypatch.setattr(certify, "poly_nonneg_on", poly_nonneg_on_fraction)
-    assert sup_norm_certified(p, -1, 1) == fast
+    assert sup_norm_certified(p) == fast
     assert fast[0] == max(abs(p(Fraction(i - 128, 128))) for i in range(257))
 
 
@@ -328,8 +328,8 @@ def test_sup_norm_bisection_path_unchanged_by_half_degree_decision(monkeypatch, 
         return wrapped
 
     monkeypatch.setattr(certify, "abs_bounded_on", record(abs_bounded_on))
-    half = sup_norm_certified(p, -1, 1)
+    half = sup_norm_certified(p)
     half_calls, calls = calls, []
     monkeypatch.setattr(certify, "abs_bounded_on", record(squared_decision))
-    assert sup_norm_certified(p, -1, 1) == half
+    assert sup_norm_certified(p) == half
     assert calls == half_calls and len(calls) > 1

@@ -175,15 +175,19 @@ class TestOutputBytesPinned:
     pairing were rewritten; ``or`` is the single-point construction.  The
     ``weight-bound --f and`` digest, the single-point branch without the
     complement, was taken before the construction stopped expanding its
-    parity polynomial."""
+    parity polynomial.  The three ``dual-and`` digests and the ``ramp
+    --finite`` one were taken again when those payloads dropped the fields
+    that restate another: ``H_size``, ``Z``, the purity flag and the
+    witness's ``n`` and ``claimed_degree``; ``proof_radicand``,
+    ``proof_value_float`` and ``l2_tail_bound``."""
 
     @pytest.mark.parametrize(
         "args, digest",
         [
             (["dual-and", "--n", "10", "--d", "4"],
-             "7a1e46d52b28d2205e292548f47a883d6147d996310eef7e845e59912689a796"),
+             "65a0cf8e7774748616ceaab5324f7bababb16198313e54c16a9bc2f3fc7702f2"),
             (["dual-and", "--n", "10", "--weights", _WEIGHTS_10, "--d", "17/4"],
-             "40273075f66f3aa97d210235675edf14f93d59bf8dedeb6d5bccf4f3fb0421c0"),
+             "f14dc21858ef73431a1c4eaebe117f3741ff289d72313ede9c29d81c6580a74e"),
             (["sample-shares", "--witness", "wit.json", "--secret", "-1",
               "--count", "200", "--seed", "12345"],
              "7dc9e5c025c0f04f695d24ddb57d0d9f26362bca11bc97d647e2bea8df8140f2"),
@@ -210,7 +214,7 @@ class TestOutputBytesPinned:
               "--check", "product-cap", "--eps", "1/100"],
              "c09a462aa79881f9a350a03cd91f49ca52b4a3016416d7e5218e0f93bcf21c17"),
             (["dual-and", "--n", "12", "--weights", _WEIGHTS_12, "--d", "7/2"],
-             "18a2fde52594e0f7acebfd927049011a9327f09ea6076c09e84c9736b12591bd"),
+             "a19868d95987190489ad755a1c0d7a4beaf04dd909389607807d8f4c464ec116"),
             (["sample-shares", "--witness", "wit12.json", "--secret", "-1",
               "--count", "200", "--seed", "12345"],
              "8d664a99616af3dad1d10d3c9090a076737fccda91baa64bf1320633f33eeafd"),
@@ -218,7 +222,7 @@ class TestOutputBytesPinned:
               "--count", "200", "--seed", "12345", "--format", "csv"],
              "29806daef60cd43bcc20c40c86d69be62e327eaa8dfeefe29049340a8ab42ec7"),
             (["ramp", "--k", "2", "--K", "4", "--n", "64", "--finite"],
-             "7d690108b09fd39a07834a9cd9997092e037040fd938c1f23a5ee6e7ec5c9c63"),
+             "09adc5f4e61beb4133340554ed88e8d2361ce8b76a8ee6b90f0a4e013e4c32a5"),
             (["weight-bound", "--f", "or", "--n", "14", "--K", "5"],
              "27d3f2c60d7813ea960d372efafd46bd3ad2d03d534248c04b47e06478c18023"),
             (["weight-bound", "--f", "and", "--n", "14", "--K", "6"],
@@ -277,6 +281,32 @@ class TestOutputBytesPinned:
             "8d664a99616af3dad1d10d3c9090a076737fccda91baa64bf1320633f33eeafd")
         # the patch is live: dual-and, which builds the witness, now fails
         assert runner.invoke(cli, ["dual-and", "--n", "3", "--d", "1"]).exit_code == 1
+
+    def test_sample_shares_reads_a_file_with_the_restating_fields(self, runner, tmp_path,
+                                                                   monkeypatch):
+        # files from before the payload diet also carry H_size = epsilon 2^n,
+        # Z = 1/epsilon, a purity flag and the witness's n and claimed degree;
+        # the reader ignores them, and the pinned draws are unchanged
+        monkeypatch.chdir(tmp_path)
+        res = runner.invoke(cli, ["dual-and", "--n", "12", "--weights", _WEIGHTS_12,
+                                  "--d", "7/2", "--out", "new.json"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads((tmp_path / "new.json").read_text())
+        eps = Fraction(doc["result"]["epsilon"])
+        doc["result"].update({"H_size": int(eps * 4096),
+                              "Z": f"{eps.denominator}/{eps.numerator}",
+                              "pure_high_degree_strictly_below_d": True})
+        doc["result"]["witness"].update({"n": 12, "claimed_degree": "7/2"})
+        (tmp_path / "wit12.json").write_text(json.dumps(doc))
+        for args, digest in (
+                (["--secret", "-1"],
+                 "8d664a99616af3dad1d10d3c9090a076737fccda91baa64bf1320633f33eeafd"),
+                (["--secret", "+1", "--format", "csv"],
+                 "29806daef60cd43bcc20c40c86d69be62e327eaa8dfeefe29049340a8ab42ec7")):
+            res = runner.invoke(cli, ["sample-shares", "--witness", "wit12.json", *args,
+                                      "--count", "200", "--seed", "12345"])
+            assert res.exit_code == 0, res.output
+            assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 
 class TestSymcheb:
@@ -875,9 +905,8 @@ def _off_parity(doc):
 def _false_claims(doc, representation):
     # a valid file with every claim of its result rewritten
     result = doc["result"]
-    result.update({"l1_norm": "7/1", "correlation": "-3/1", "Z": "0/1",
-                   "pure_high_degree_strictly_below_d": False})
-    result["witness"].update({"claimed_degree": "9/1", "representation": representation})
+    result.update({"l1_norm": "7/1", "correlation": "-3/1"})
+    result["witness"]["representation"] = representation
 
 
 def _set(*path_and_value):
@@ -903,18 +932,14 @@ _WITNESS_FILES = {
     "one-value-not-rational": (_set("result", "witness", "values", 5, "x"), 2),
     "values-short": (_set("result", "witness", "values", lambda v: v[:-1]), 2),
     "values-not-a-list": (_set("result", "witness", "values", "0/1"), 2),
-    "witness-n-wrong": (_set("result", "witness", "n", 5), 2),
     "epsilon-wrong": (_set("result", "epsilon", "1/2"), 3),
     "epsilon-malformed": (_set("result", "epsilon", "1/0"), 2),
-    "H_size-wrong": (_set("result", "H_size", lambda h: h + 1), 3),
-    "H_size-a-string": (_set("result", "H_size", lambda h: str(h)), 2),
     # a d = 3 witness is pure below 3, so it certifies the weaker claim d = 2
     "d-3-claimed-as-2": (_set("config", "d", "2"), 0, "3"),
     "d-2-claimed-as-3": (_set("config", "d", "3"), 3),
-    "H_size-zero": (_set("result", "H_size", 0), 3),
-    "H_size-negative": (_set("result", "H_size", -1), 3),
-    "H_size-and-epsilon-zero": (lambda doc: [_set("result", key, value)(doc) for key, value
-                                             in (("H_size", 0), ("epsilon", "0/1"))], 3),
+    # |H| = epsilon * 2^n must be an integer >= 1
+    "epsilon-zero": (_set("result", "epsilon", "0/1"), 3),
+    "epsilon-times-2^n-not-an-integer": (_set("result", "epsilon", "1/3"), 3),
     "signs-off-parity": (_off_parity, 3),
     # 1/40 = 2/80 scales to an integer, but mask 5's class holds 1/80
     "one-value-off-its-class": (_set("result", "witness", "values", 5, "1/40"), 3),
@@ -925,13 +950,6 @@ _WITNESS_FILES = {
     "l1_norm-wrong": (_set("result", "l1_norm", "7/1"), 3),
     "l1_norm-malformed": (_set("result", "l1_norm", "one"), 2),
     "correlation-wrong": (_set("result", "correlation", "-3/1"), 3),
-    "Z-wrong": (_set("result", "Z", "0/1"), 3),
-    "Z-missing": (lambda doc: doc["result"].pop("Z"), 2),
-    "purity-false": (_set("result", "pure_high_degree_strictly_below_d", False), 3),
-    "purity-a-string": (_set("result", "pure_high_degree_strictly_below_d", "true"), 2),
-    "claimed-degree-too-high": (_set("result", "witness", "claimed_degree", "9/1"), 3),
-    # pure below 2 is pure below 1: a weaker claim holds
-    "claimed-degree-lower": (_set("result", "witness", "claimed_degree", "1/1"), 0),
     "every-claim-false": (lambda doc: _false_claims(doc, "banana"), 2),
     "every-claim-false-but-the-representation": (lambda doc: _false_claims(doc, "cube"), 3),
     # the reader parses one value per class (the last of its masks, here 8 and

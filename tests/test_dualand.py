@@ -138,7 +138,6 @@ class TestIntegerPathAgainstFractionOracles:
         assert wit.denominator == (1 << p.n) * h_size
         assert witness_values(wit) == values
         assert wit.epsilon == Fraction(h_size, 1 << p.n)
-        assert wit.Z == Fraction(1 << p.n, h_size)
 
     @settings(max_examples=60, deadline=None)
     @given(any_and_params(), st.data())
@@ -191,7 +190,6 @@ class TestBuildWitness:
     def test_n2_worked_example(self):
         wit = build_witness(uniform_and_params(2, 1))
         assert wit.H_size == 1
-        assert wit.Z == 4
         assert wit.epsilon == Fraction(1, 4)
         # phi(x) = x1 x2 / 4
         for m in range(4):
@@ -212,16 +210,6 @@ class TestBuildWitness:
     def test_empty_H_rejected(self):
         with pytest.raises(ValueError):
             DualAndParams(2, WeightVector.uniform(2), Fraction(3))
-
-    def test_Z_times_H_is_2n(self, rng):
-        for _ in range(100):
-            n = rng.randint(1, 8)
-            w = WeightVector.of(
-                [Fraction(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(n)]
-            )
-            d = w.l1() * Fraction(rng.randint(1, 7), 8)
-            wit = build_witness(DualAndParams(n, w, d))
-            assert wit.Z * wit.H_size == 1 << n
 
 
 class TestVerifyWitness:

@@ -106,8 +106,9 @@ _FOOTPRINTS = {
     "ramp-finite": (["ramp", "--k", "2", "--K", "4", "--n", "16", "--finite"],
                     {"cmd_ramp", "approxlab", "simplex", "ratpoly", "symcheb", "boolcube",
                      "serialize"}),
+    # the block-placement polynomials are multiplied by ratpoly's integer kernel
     "consolidate": (["consolidate", "--dist", "d.json", "--t", "2"],
-                    {"cmd_ramp", "approxlab", "boolcube", "serialize"}),
+                    {"cmd_ramp", "approxlab", "ratpoly", "boolcube", "serialize"}),
     "indist-check": (["indist-check", "--dist1", "d.json", "--dist2", "d.json", "--k", "1",
                       "--K", "2"], {"cmd_ramp", "boolcube", "serialize"}),
     "weight-bound": (["weight-bound", "--f", "maj", "--n", "8", "--K", "4"],

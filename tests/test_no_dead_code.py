@@ -31,8 +31,9 @@ A defaulted parameter of a package function that no call in ``src/`` or
 ``perfbench/`` sets is a knob with one value: it becomes a constant, and
 tests that want another value build it themselves.  Calls are matched by
 name, as uses are, a class name standing for its ``__init__``; a call sets a
-parameter by keyword, by position, or through ``*args``/``**kwargs``.  The
-exceptions are listed in ``ONE_VALUE_PARAMETERS`` with their reasons.
+parameter by keyword, by position, or through ``*args``/``**kwargs``, and an
+argument spelled as the parameter's default sets nothing.  The exceptions
+are listed in ``ONE_VALUE_PARAMETERS`` with their reasons.
 """
 
 import ast
@@ -206,9 +207,9 @@ def test_every_import_is_read():
 
 
 def _defaulted_parameters(tree: ast.Module):
-    """(called name, parameter, position, qualified name) of every defaulted
-    parameter of a function or method: the position counts a call's
-    positional arguments, so a method's self is not counted, and a
+    """(called name, parameter, position, qualified name, default) of every
+    defaulted parameter of a function or method: the position counts a
+    call's positional arguments, so a method's self is not counted, and a
     keyword-only parameter has none (None)."""
     scopes = [(tree.body, None)] + [(node.body, node) for node in ast.walk(tree)
                                     if isinstance(node, (ast.ClassDef, ast.FunctionDef))]
@@ -225,20 +226,27 @@ def _defaulted_parameters(tree: ast.Module):
             qualified = (f"{owner.name}.{node.name}" if isinstance(owner, ast.ClassDef)
                          else node.name)
             first = len(positional) - len(args.defaults)
-            for i, arg in enumerate(positional[first:], first):
-                yield name, arg.arg, i, qualified
+            for i, (arg, default) in enumerate(zip(positional[first:], args.defaults), first):
+                yield name, arg.arg, i, qualified, default
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    yield name, arg.arg, None, qualified
+                    yield name, arg.arg, None, qualified, default
 
 
-def _sets(call: ast.Call, parameter: str, position: int | None) -> bool:
-    """Whether ``call`` can pass ``parameter`` (at ``position``, when it has one)."""
-    if any(kw.arg in (parameter, None) for kw in call.keywords):
+def _sets(call: ast.Call, parameter: str, position: int | None, default: ast.expr) -> bool:
+    """Whether ``call`` can pass ``parameter`` (at ``position``, when it has
+    one) a value other than ``default``: an argument spelled as the default
+    (``f(x, -1)`` for ``lo=-1``) sets nothing."""
+    def other(value: ast.expr) -> bool:
+        return ast.dump(value) != ast.dump(default)
+
+    if any(kw.arg is None or kw.arg == parameter and other(kw.value) for kw in call.keywords):
         return True
     if position is None:
         return False
-    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+    if any(isinstance(a, ast.Starred) for a in call.args[:position + 1]):
+        return True
+    return len(call.args) > position and other(call.args[position])
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
@@ -251,9 +259,9 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     unset = sorted(
         f"{path.stem}.{qualified} {parameter}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for name, parameter, position, qualified in _defaulted_parameters(
+        for name, parameter, position, qualified, default in _defaulted_parameters(
             ast.parse(path.read_text(), filename=str(path)))
-        if not any(_sets(call, parameter, position) for call in calls[name])
+        if not any(_sets(call, parameter, position, default) for call in calls[name])
     )
     assert unset == sorted(ONE_VALUE_PARAMETERS), (
         f"defaulted parameters that no call in src/ or perfbench/ sets: {unset}")

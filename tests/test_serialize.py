@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dualshare.boolcube import SymmetricDistribution, dist_from_json, dist_to_json
 from dualshare.cli import main
 from dualshare.dualand import witness_from_json, witness_to_json
+from dualshare.errors import PropertyViolation
 from dualshare.ratpoly import RationalPoly
 from dualshare.serialize import (
     _json_pieces,
@@ -57,11 +58,9 @@ def test_distribution_round_trip():
 
 def test_witness_round_trip():
     values = (Fraction(1, 4), Fraction(-1, 4), Fraction(-1, 4), Fraction(1, 4))
-    doc = witness_to_json(2, Fraction(1), [rat_to_str(v) for v in values])
+    doc = witness_to_json([rat_to_str(v) for v in values])
     assert doc["representation"] == "cube"
-    assert doc["n"] == 2
     assert tuple(map(Fraction, doc["values"])) == values
-    assert Fraction(doc["claimed_degree"]) == 1
 
 
 def test_atomic_json_write(tmp_path):
@@ -184,3 +183,14 @@ def test_reading_the_witness_builds_no_table_beside_the_mask_classes(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16 << 16, peak
+
+
+@pytest.mark.parametrize("epsilon", ["0/1", "1/3"])
+def test_reading_needs_epsilon_times_2_to_the_n_an_integer_of_at_least_one(tmp_path, epsilon):
+    # |H| = epsilon 2^n; the correlation check would refuse these files too,
+    # since every value is then a multiple of 1/(2^n numerator), but later and
+    # without naming the cause
+    doc = json.loads(_dual_and_file(tmp_path, 8).read_text())
+    doc["result"]["epsilon"] = epsilon
+    with pytest.raises(PropertyViolation, match=r"epsilon \* 2\^n to be an integer >= 1"):
+        witness_from_json(doc)

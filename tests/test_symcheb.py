@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualshare import boolcube, symcheb
+from dualshare import boolcube, ratpoly, symcheb
 from dualshare.boolcube import indistinguishability_bound, indistinguishability_bound_holds
 from dualshare.errors import PropertyViolation
-from dualshare.ratpoly import RationalPoly, weight_grid
+from dualshare.ratpoly import RationalPoly, generating_poly, weight_grid
 from dualshare.symcheb import (
     AmplificationParams,
     truncated_approximant,
@@ -205,7 +205,7 @@ class TestGeneratingPoly:
             K = rng.randint(1, 5)
             w = rng.randint(0, K)
             test = exact_weight_test(n, K, w)
-            g = test.generating_poly()
+            g = generating_poly(test.zeros, test.scale)
             e = test.cheb
             assert g.degree == 2 * K
             for d in range(-K, K + 1):
@@ -298,7 +298,8 @@ class TestGridCertificate:
 
 class TestCircleIdentity:
     def test_exact_refinement_matches_fraction_horner(self):
-        g = exact_weight_test(1024, 8, 7).generating_poly()
+        test = exact_weight_test(1024, 8, 7)
+        g = generating_poly(test.zeros, test.scale)
         for radius in (1.0, 1.1, 0.75):
             for theta in (0.0, 0.3, 1.7, -2.9, math.pi):
                 s = radius * cmath.exp(1j * theta)
@@ -308,7 +309,7 @@ class TestCircleIdentity:
     def test_unit_circle_reduces_to_pw(self):
         # at eps = 0 the amplified identity degenerates to |g(e^{i t})| = |p_w(cos t)|
         test = exact_weight_test(64, 2, 1)
-        g = test.generating_poly()
+        g = generating_poly(test.zeros, test.scale)
         for t in (Fraction(0), Fraction(1, 5), Fraction(-3, 7), Fraction(9, 4)):
             cos, sin = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
             assert symcheb._eval_abs_squared_exact(g, cos, sin) == test.poly(cos) ** 2
@@ -325,7 +326,8 @@ class TestCircleIdentity:
         r, delta, (z,) = 1 + params.epsilon, params.delta, test.zeros
         t = Fraction(2, 5)
         cos, sin = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
-        lhs = symcheb._eval_abs_squared_exact(test.generating_poly(), r * cos, r * sin)
+        g = generating_poly(test.zeros, test.scale)
+        lhs = symcheb._eval_abs_squared_exact(g, r * cos, r * sin)
         hand = r ** 2 * test.scale ** 2 * ((cos - (1 + delta) * z) ** 2
                                           + (1 - z * z) * (2 * delta + delta ** 2))
         assert lhs == hand
@@ -366,20 +368,21 @@ class TestCircleIdentity:
 
     def test_mismatched_routes_fail_exactly(self, monkeypatch):
         # route A read from another test's generating polynomial
-        test = exact_weight_test(256, 4, 1)
-        other = exact_weight_test(256, 4, 2).generating_poly()
+        test, other = exact_weight_test(256, 4, 1), exact_weight_test(256, 4, 2)
         params = AmplificationParams(Fraction(1, 10))
-        monkeypatch.setattr(test, "generating_poly", lambda: other)
-        lhs, rhs = circle_routes_fraction(test, params, Fraction(1, 3))
+        lhs, _ = circle_routes_fraction(other, params, Fraction(1, 3))
+        _, rhs = circle_routes_fraction(test, params, Fraction(1, 3))
         assert lhs != rhs
+        g = generating_poly(other.zeros, other.scale)
+        monkeypatch.setattr(ratpoly, "generating_poly", lambda *args: g)
         with pytest.raises(PropertyViolation, match="circle identity fails exactly"):
             circle_identity_check(test, params)
 
     def test_degree_above_2K_is_refused_before_any_point(self, monkeypatch):
         # the lemma needs deg g <= 2K; a g of degree 2K+1 never reaches a point
         test = exact_weight_test(256, 4, 1)
-        high = test.generating_poly() + RationalPoly.of(*[0] * 9, 1)
-        monkeypatch.setattr(test, "generating_poly", lambda: high)
+        high = generating_poly(test.zeros, test.scale) + RationalPoly.of(*[0] * 9, 1)
+        monkeypatch.setattr(ratpoly, "generating_poly", lambda *args: high)
         monkeypatch.setattr(symcheb, "_eval_abs_squared_exact",
                             lambda *a: pytest.fail("a point was evaluated"))
         with pytest.raises(PropertyViolation, match="degree 9 > 2K=8"):

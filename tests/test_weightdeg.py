@@ -318,6 +318,19 @@ class TestConstantHalf:
         assert poly.coeffs == ({0: weight} if weight else {})
         assert cube_error(poly, lambda m: predicate[m.bit_count()]) == rep.error
 
+    # a constant predicate: 0 is exact at weight 0; 1 gives way to the
+    # least constant from eps = 1/2 up
+    @pytest.mark.parametrize("value, eps, weight, error", [
+        (0, Fraction(1, 3), 0, 0), (0, Fraction(3, 4), 0, 0), (0, Fraction(1), 0, 0),
+        (1, Fraction(1, 3), 1, 0), (1, Fraction(3, 4), Fraction(1, 4), Fraction(3, 4)),
+        (1, Fraction(1), 0, 1),
+    ], ids=["zeros-1/3", "zeros-3/4", "zeros-1", "ones-1/3", "ones-3/4", "ones-1"])
+    def test_a_constant_predicate(self, value, eps, weight, error):
+        poly, rep = expanded_approximant(SymmetricSpec(8, (value,) * 9), 3, eps)
+        assert (rep.degree, rep.weight, rep.error) == (0, weight, error)
+        assert poly.coeffs == ({0: weight} if weight else {})
+        assert cube_error(poly, lambda m: value) == rep.error
+
     @pytest.mark.parametrize("predicate", [[0] * 8 + [1], [0] * 5 + [1] * 4])
     def test_below_one_half_it_is_not_offered(self, predicate):
         _, rep = expanded_approximant(SymmetricSpec(8, tuple(predicate)), 8,
