@@ -967,6 +967,15 @@ _WITNESS_FILES = {
                      for mask, text in ((5, "1/40"), (6, "x"))], 2),
     # one class spelled two ways is still constant on it
     "respelled-at-one-mask": (_set("result", "witness", "values", 5, "2/160"), 0),
+    # keys that restate another are not read: a wrong one changes no draw,
+    # and |H| comes from epsilon alone
+    "witness-n-wrong": (_set("result", "witness", "n", 5), 0),
+    "claimed-degree-too-high": (_set("result", "witness", "claimed_degree", "9/1"), 0),
+    "H_size-wrong": (_set("result", "H_size", 7), 0),
+    "Z-wrong": (_set("result", "Z", "0/1"), 0),
+    "purity-false": (_set("result", "pure_high_degree_strictly_below_d", False), 0),
+    "H_size-and-epsilon-zero": (lambda doc: [_set("result", key, value)(doc) for key, value
+                                             in (("H_size", 0), ("epsilon", "0/1"))], 3),
 }
 
 
