@@ -74,6 +74,8 @@ def approx_degree_cmd(f_name, n, eps, out, fmt):
 
 
 def weight_bound_cmd(f_name, n, big_k, eps, construct, lower, out, fmt):
+    if big_k < 1:  # the floor alone would read "inf" for an empty degree range
+        raise InvalidInput(f"--K must be at least 1, got {big_k}")
     n, values = _load_predicate(f_name, n)
     epsilon = serialize._parse_rational(eps)
     result: dict = {}

@@ -10,18 +10,19 @@ instead of by expanding 2^n terms.
 
 Nothing here expands an approximant over the cube: ``low_weight_report``
 returns its degree, weight and certified error, all in closed form, with
-the compact form they were read from (the block core, or one parity
-coefficient per subset size), which is enough to rebuild it.
+the one compact form they were read from, a parity coefficient per subset
+size, which is enough to rebuild it.
 
-Symmetric functions are sums of point indicators over their support; the sum
-is aggregated weight-class by weight-class (a sign-flip average with a closed
-form) and then symmetrised over variable relabelings, which never increases
-weight or error and makes the exact per-weight error certificate a single
-Kravchuk evaluation.  The shared outer polynomial is chosen by the
-union-bound rule (per-term error at most eps/|supp|) whenever some block
-split meets it; when no split does, the same polynomial is re-optimised by a
-second LP directly against the exact aggregate certificate, which is strictly
-stronger than the union bound and keeps the construction otherwise unchanged.
+Every symmetric predicate, a single point (AND, OR) included, is a sum of
+point indicators over its support; the sum is aggregated weight-class by
+weight-class (a sign-flip average with a closed form) and then symmetrised
+over variable relabelings, which never increases weight or error and makes
+the exact per-weight error certificate a single Kravchuk evaluation.  The
+shared outer polynomial is chosen by the union-bound rule (per-term error at
+most eps/|supp|) whenever some block split meets it; when no split does, the
+same polynomial is re-optimised by a second LP directly against the exact
+aggregate certificate, which is strictly stronger than the union bound and
+keeps the construction otherwise unchanged.
 
 Each split is worked on integers from start to finish: the outer
 polynomial's values at the block counts (read off its integer form), their
@@ -111,67 +112,22 @@ def _touched_block_coeffs(c: list[int], ell: int, s: int) -> list[int]:
     ]
 
 
-class _AndCore:
-    """Outer/inner decomposition data for the n-bit AND approximant."""
-
-    __slots__ = ("ell", "s", "error", "D", "den")
-
-    def __init__(self, ell: int, s: int, error: Fraction, D: list[int], den: int):
-        self.ell = ell  # number of blocks
-        self.s = s  # block size
-        self.error = error  # max_j |p(j) - [j == ell]|
-        self.D = D  # parity coefficient per touched-block count, times den
-        self.den = den
-
-    @property
-    def degree(self) -> int:
-        top = max((r for r, v in enumerate(self.D) if v), default=0)
-        return self.s * top
-
-    def scaled_weight(self, complemented: bool) -> int:
-        """The parity weight times den, of 1 - q (D_0 -> den - D_0) when ``complemented``."""
-        per_block = (1 << self.s) - 1
-        D = [self.den - self.D[0], *self.D[1:]] if complemented else self.D
-        return sum(comb(self.ell, r) * per_block**r * abs(v) for r, v in enumerate(D) if v)
-
-
-def _and_core_for_split(n: int, ell: int, degree_budget: int) -> _AndCore:
+def _and_core_for_split(n: int, ell: int, degree_budget: int) -> tuple[Fraction, list[int], int]:
+    """(error, D, den): the all-ones indicator's block core on ell blocks,
+    its outer minimax error max_j |p(j) - [j == ell]| and its parity
+    coefficient per touched-block count, D[r] / den."""
     s = n // ell
     outer_degree = min(ell, degree_budget // s)
     sol = simplex.solve_minimax(range(ell + 1), [0] * ell + [1], outer_degree)
     c, den = _outer_differences(sol.poly.coeffs, ell)
     if any(c[outer_degree + 1 :]):
         raise PropertyViolation("outer polynomial has differences above its degree")
-    return _AndCore(ell, s, sol.epsilon, _touched_block_coeffs(c, ell, s), den << n)
+    return sol.epsilon, _touched_block_coeffs(c, ell, s), den << n
 
 
 def _exceeds(num: int, den: int, bound: Fraction) -> bool:
     """num / den > bound, for den > 0."""
     return num * bound.denominator > bound.numerator * den
-
-
-def _and_approx_core(n: int, degree_budget: int, error_target: Fraction,
-                     complemented: bool) -> _AndCore:
-    """Best split: exhaustive over divisors of n, least weight (of 1 - q when
-    ``complemented``) subject to degree <= budget and certified error <=
-    target (ties to fewer blocks), and the least constant, after the splits."""
-    if degree_budget < 1:
-        raise ValueError("degree budget must be at least 1")
-    cores = [_and_core_for_split(n, ell, degree_budget) for ell in _divisors(n)]
-    c = _least_constant(error_target)
-    if c is not None:  # one block, D_0 = c, or 1 - c when complemented
-        head = 1 - c if complemented else c
-        cores.append(_AndCore(1, n, 1 - c, [head.numerator, 0], head.denominator))
-    feasible = [core for core in cores if core.error <= error_target]
-    if not feasible:
-        best_errors = {core.ell: core.error for core in cores}
-        raise InfeasibleBudget(
-            f"no block split of n={n} meets error {error_target} at degree "
-            f"{degree_budget}; best errors per split: "
-            + ", ".join(f"l={l}: {float(e):.4g}" for l, e in sorted(best_errors.items())),
-            best_errors,
-        )
-    return min(feasible, key=lambda core: Fraction(core.scaled_weight(complemented), core.den))
 
 
 def _least_constant(eps: Fraction) -> Fraction | None:
@@ -190,16 +146,6 @@ def _trend_exponent(n: int, supp_size: int, eps: Fraction, budget: int) -> float
     except OverflowError:  # above the largest double
         return None
     return n * math.log(ratio) * math.log(n) / budget if ratio else None
-
-
-def _block_count_poly(s: int, r: int) -> list[int]:
-    """Coefficients of ((1+z)^s - 1)^r: subset sizes touching r fixed blocks."""
-    base = [comb(s, i) for i in range(s + 1)]
-    base[0] -= 1  # exclude the empty choice per block
-    out = [1]
-    for _ in range(r):
-        out = ratpoly._mul(out, base)
-    return out
 
 
 class _BlockTables:
@@ -222,8 +168,14 @@ class _BlockTables:
             (-1) ** m * sum(self.rows[n - h][m] for h in supp_weights) * (self.big_l // comb(n, m))
             for m in range(n + 1)
         ]
-        self.counts = {s: [_block_count_poly(s, r) for r in range(n // s + 1)]
-                       for s in _divisors(n)}
+        # counts[s][r]: the coefficients of ((1+z)^s - 1)^r, the subset sizes
+        # touching r fixed blocks of size s, one running product per s
+        self.counts = {}
+        for s in _divisors(n):
+            per_block = [0] + [comb(s, i) for i in range(1, s + 1)]
+            self.counts[s] = [[1]]
+            for _ in range(n // s):
+                self.counts[s].append(ratpoly._mul(self.counts[s][-1], per_block))
 
     def chat(self, D: list[int], ell: int) -> list[int]:
         """L times the per-size parity coefficients of the symmetrised,
@@ -256,26 +208,21 @@ class _BlockTables:
 
 def low_weight_report(
     spec: SymmetricSpec, K: int, eps
-) -> tuple[WeightDegreeReport, _AndCore | list[Fraction]]:
+) -> tuple[WeightDegreeReport, list[Fraction]]:
     """Low-weight degree-<=K approximant of a symmetric predicate, reported
-    with the compact form it certified.
+    with the compact form it certified: the per-size parity coefficients
+    chat of the symmetric approximant sum_m chat[m] sum_{|S| = m} chi_S.
 
     Writes the minority side as a sum of point indicators over its support,
     approximates every indicator by one shared block-composed AND polynomial,
     aggregates weight-class by weight-class in closed form, symmetrises, and
     certifies the total error exactly at every Hamming weight.  The shared
     polynomial follows the union-bound target eps/|supp| when achievable and
-    is otherwise re-optimised against the exact aggregate certificate.
-
-    A support of one point, all bits zero or all bits one, keeps the block
-    construction of that point's indicator, and the compact form is its
-    ``_AndCore`` q; the approximant is q with every variable negated for the
-    all-zeros point, and 1 - q when the middle value is 1, which only moves
-    the constant coefficient D_0 to 1 - D_0.  Otherwise the compact form is
-    the per-size parity coefficients chat of the symmetric approximant
-    sum_m chat[m] sum_{|S| = m} chi_S.  From eps = 1/2 up the lightest
-    constant within eps, max(0, 1 - eps), competes on both branches, after
-    the constructions, and replaces the exact 1 of an all-ones predicate.
+    is otherwise re-optimised against the exact aggregate certificate.  A
+    support of one point (AND, OR) takes the same route: symmetrising never
+    raises the weight or the error of its block core.  From eps = 1/2 up the
+    lightest constant within eps, max(0, 1 - eps), competes after the
+    constructions, and replaces the exact 1 of an all-ones predicate.
     """
     eps = Fraction(eps)
     if K < 1:
@@ -293,21 +240,15 @@ def low_weight_report(
         raise InvalidInput(f"eps must be nonnegative, got {eps}")
     bound_exponent = _trend_exponent(n, supp_size, eps, K)
 
-    if supp_weights in ([0], [n]):
-        # a single point indicator: the direct construction, unchanged
-        core = _and_approx_core(n, K, eps, complemented)
-        weight = Fraction(core.scaled_weight(complemented), core.den)
-        return WeightDegreeReport(core.degree, weight, core.error, bound_exponent), core
-
     tables = _BlockTables(n, supp_weights)
     # (weight, den, chat, error) per split that meets eps, in split order:
     # weight, chat and error over den
     candidates: list[tuple[int, int, list[int], int]] = []
     for ell in _divisors(n):
-        core = _and_core_for_split(n, ell, K)
-        if _exceeds(core.error.numerator * supp_size, core.error.denominator, eps):
+        error, D, den = _and_core_for_split(n, ell, K)
+        if _exceeds(error.numerator * supp_size, error.denominator, eps):
             continue  # misses the per-term target eps / |supp|
-        chat, den, error = tables.certificate(core.D, ell, core.den, work)
+        chat, den, error = tables.certificate(D, ell, den, work)
         if _exceeds(error, den, eps):
             raise PropertyViolation(
                 f"aggregate error {Fraction(error, den)} exceeded eps={eps} despite the union bound"

@@ -49,11 +49,19 @@ independent of the package's three-term recurrence.
 denominator.  The ``Fraction`` helpers it replaced stay here:
 ``finite_differences_fraction`` (binomial sums), ``touched_block_coeffs_fraction``,
 ``chat_from_core_fraction`` (with ``kappa_sums``, the per-size sign-flip
-multipliers), ``symmetric_values_fraction`` and ``chat_weight_fraction``;
-``aggregate_certificate_fraction`` chains them from an outer polynomial's
-values to its error, and ``aggregate_design_fraction`` builds the aggregate
-design column by column from ``Fraction`` unit vectors through them.
-``core_weight`` reads an ``_AndCore``'s weight as a ``Fraction``.
+multipliers, and ``block_count_poly``, the subset sizes touching r blocks
+by inclusion-exclusion), ``symmetric_values_fraction`` and
+``chat_weight_fraction``; ``aggregate_certificate_fraction`` chains them
+from an outer polynomial's values to its error, and
+``aggregate_design_fraction`` builds the aggregate design column by column
+from ``Fraction`` unit vectors through them.
+
+``weightdeg`` sends a one-point support (AND, OR) through the symmetrised
+certificate like any other.  The construction it replaced stays here as the
+oracle the new route must match or beat: ``AndCore`` (one split's block
+core, with its degree and parity weight in closed form, ``core_weight``),
+``and_core`` (the package's split, attached) and ``and_approx_core`` (the
+least-weight split within the target, or the least constant).
 
 The Sturm decisions of ``certify`` run on integers in the package.  The
 ``Fraction`` routes they replaced stay here: ``poly_divmod`` (rational long
@@ -84,11 +92,11 @@ it stays independent of the kernel it checks.
 certified error in closed form and returns the compact form it certified.
 The expansion over the cube stays here: ``ParityPoly`` (subset mask ->
 coefficient, with ``basis_convert`` from the 0/1 monomial basis),
-``materialize_and`` (the block core, one term per subset touching r
-blocks), ``approx_eq_y`` (that core retargeted to any point),
-``symmetric_parity_poly`` (one term per subset of each size),
-``expand_approximant`` (whichever of the two the report came from) and
-``cube_error`` (the exact sup distance to a target over all 2^n points).
+``materialize_and`` (a block core, one term per subset touching r
+blocks), ``approx_eq_y`` (one split's core retargeted to any point),
+``symmetric_parity_poly`` (one term per subset of each size, the form the
+report came from) and ``cube_error`` (the exact sup distance to a target
+over all 2^n points).
 
 The package reads symmetric objects per Hamming weight and never enumerates
 the cube for them.  The cube routes stay here: ``chi``, ``bits_to_mask``,
@@ -151,7 +159,7 @@ from dualshare.dualand import (
     WitnessReport,
     mask_to_bits,
 )
-from dualshare.errors import PropertyViolation
+from dualshare.errors import InfeasibleBudget, PropertyViolation
 from dualshare.ratpoly import (
     ChebyshevExpansion,
     RationalPoly,
@@ -168,13 +176,7 @@ from dualshare.symcheb import (
     SymmetrizedTest,
     hypergeom_row,
 )
-from dualshare.weightdeg import (
-    SymmetricSpec,
-    _and_approx_core,
-    _AndCore,
-    _block_count_poly,
-    _work_side,
-)
+from dualshare.weightdeg import _and_core_for_split, _divisors, _least_constant
 
 
 @dataclass(frozen=True)
@@ -532,12 +534,22 @@ def touched_block_coeffs_fraction(c, ell: int, s: int) -> list[Fraction]:
     ]
 
 
+def block_count_poly(s: int, r: int) -> list[int]:
+    """Coefficients of ((1+z)^s - 1)^r, the subset sizes touching r fixed
+    blocks of size s, by inclusion-exclusion:
+    sum_i (-1)^(r-i) C(r, i) (1+z)^(s i)."""
+    return [
+        sum((-1) ** (r - i) * comb(r, i) * comb(s * i, m) for i in range(r + 1))
+        for m in range(s * r + 1)
+    ]
+
+
 def chat_from_core_fraction(n: int, ell: int, s: int, D, kappa) -> list[Fraction]:
     """Per-size parity coefficients of the symmetrised class-aggregated sum of
     the AND approximant with touched-block coefficients D."""
     chat = [Fraction(0)] * (n + 1)
     for r, d_r in enumerate(D):
-        for m, cnt in enumerate(_block_count_poly(s, r)):
+        for m, cnt in enumerate(block_count_poly(s, r)):
             chat[m] += d_r * comb(ell, r) * cnt * (-1) ** m
     return [v * kappa[m] / comb(n, m) for m, v in enumerate(chat)]
 
@@ -881,7 +893,55 @@ def basis_convert(monomial_coeffs: dict[int, Fraction], n: int) -> ParityPoly:
     return ParityPoly(n, out)
 
 
-def materialize_and(core: _AndCore) -> ParityPoly:
+@dataclass(frozen=True)
+class AndCore:
+    """The block core of the all-ones indicator on one split: ell blocks of
+    size s, the outer polynomial's error, and its parity coefficient per
+    touched-block count, D[r] / den."""
+
+    ell: int
+    s: int
+    error: Fraction
+    D: list
+    den: int
+
+    @property
+    def degree(self) -> int:
+        top = max((r for r, v in enumerate(self.D) if v), default=0)
+        return self.s * top
+
+    def scaled_weight(self, complemented: bool) -> int:
+        """The parity weight times den, of 1 - q (D_0 -> den - D_0) when ``complemented``."""
+        per_block = (1 << self.s) - 1
+        D = [self.den - self.D[0], *self.D[1:]] if complemented else self.D
+        return sum(comb(self.ell, r) * per_block**r * abs(v) for r, v in enumerate(D) if v)
+
+
+def and_core(n: int, ell: int, degree_budget: int) -> AndCore:
+    """``weightdeg._and_core_for_split`` with its split attached."""
+    return AndCore(ell, n // ell, *_and_core_for_split(n, ell, degree_budget))
+
+
+def and_approx_core(n: int, degree_budget: int, error_target: Fraction,
+                    complemented: bool) -> AndCore:
+    """The single-point construction ``weightdeg`` replaced by the
+    symmetrised certificate: the best split, exhaustive over the divisors of
+    n, least weight (of 1 - q when ``complemented``) subject to certified
+    error <= target (ties to fewer blocks), and the least constant, after
+    the splits."""
+    cores = [and_core(n, ell, degree_budget) for ell in _divisors(n)]
+    c = _least_constant(error_target)
+    if c is not None:  # one block, D_0 = c, or 1 - c when complemented
+        head = 1 - c if complemented else c
+        cores.append(AndCore(1, n, 1 - c, [head.numerator, 0], head.denominator))
+    feasible = [core for core in cores if core.error <= error_target]
+    if not feasible:
+        raise InfeasibleBudget(f"no block split of n={n} meets error {error_target}",
+                               {core.ell: core.error for core in cores})
+    return min(feasible, key=lambda core: Fraction(core.scaled_weight(complemented), core.den))
+
+
+def materialize_and(core: AndCore) -> ParityPoly:
     """The block-composed AND approximant as an explicit ParityPoly: every
     subset touching r blocks, each in a nonempty part, gets (-1)^{|S|} D_r."""
     ell, s = core.ell, core.s
@@ -900,42 +960,28 @@ def materialize_and(core: _AndCore) -> ParityPoly:
     return ParityPoly(ell * s, coeffs)
 
 
-def approx_eq_y(n: int, y: int, degree_budget: int, error_target):
-    """(poly, core): the AND construction for the point indicator EQ_y, the
-    variables at y's zero bits negated, expanded; ``core`` holds the closed
-    forms (``core.degree``, ``core_weight(core)``, ``core.error``)."""
-    core = _and_approx_core(n, degree_budget, Fraction(error_target), False)
+def approx_eq_y(n: int, y: int, ell: int, degree_budget: int):
+    """(poly, core): the block core of split ell for the point indicator
+    EQ_y, the variables at y's zero bits negated, expanded; ``core`` holds
+    the closed forms (``core.degree``, ``core_weight(core)``, ``core.error``)."""
+    core = and_core(n, ell, degree_budget)
     return materialize_and(core).negate_vars(((1 << n) - 1) ^ y), core
 
 
-def core_weight(core: _AndCore) -> Fraction:
+def core_weight(core: AndCore) -> Fraction:
     """The block core's parity weight in closed form."""
     return Fraction(core.scaled_weight(False), core.den)
 
 
 def symmetric_parity_poly(n: int, chat) -> ParityPoly:
-    """sum_m chat[m] sum_{|S| = m} chi_S, one term per subset."""
+    """sum_m chat[m] sum_{|S| = m} chi_S, one term per subset: the
+    approximant ``weightdeg.low_weight_report`` certified, rebuilt over the
+    cube from the compact form it returned."""
     return ParityPoly(n, {
         sum(1 << i for i in idxs): chat[m]
         for m in range(n + 1) if chat[m]
         for idxs in combinations(range(n), m)
     })
-
-
-def expand_approximant(spec: SymmetricSpec, form) -> ParityPoly:
-    """The approximant ``weightdeg.low_weight_report`` certified, rebuilt
-    over the cube from the compact form it returned."""
-    if not isinstance(form, _AndCore):
-        return symmetric_parity_poly(spec.n, form)
-    complemented, work = _work_side(spec)
-    poly = materialize_and(form)
-    if work[0]:  # the all-zeros point: every variable negated
-        poly = poly.negate_vars((1 << spec.n) - 1)
-    if complemented:
-        out = {s: -c for s, c in poly.coeffs.items()}
-        out[0] = 1 + out.get(0, Fraction(0))
-        poly = ParityPoly(spec.n, out)
-    return poly
 
 
 def chi(s_mask: int, x_mask: int) -> int:

@@ -60,7 +60,6 @@ from oracles import (
     cheb_transform,
     consolidation_bound,
     cube_error,
-    expand_approximant,
     laurent_from_roots,
     l2_tail_bound_by_sum,
     limit_ramp_poly,
@@ -69,6 +68,7 @@ from oracles import (
     share_distribution,
     sigma_inner,
     split_cube_witness,
+    symmetric_parity_poly,
     uniform_and_params,
     weighted_anticoncentration_check,
     witness_values,
@@ -284,7 +284,7 @@ def test_criterion_09_weight_degree_sandwich():
                 assert report.error <= eps
                 assert report.degree <= K
                 # the closed forms against the approximant expanded over the cube
-                poly = expand_approximant(spec, form)
+                poly = symmetric_parity_poly(n, form)
                 assert (poly.degree(), poly.weight()) == (report.degree, report.weight)
                 assert cube_error(poly, lambda m: values[m.bit_count()]) == report.error
                 cert = minimax_on_weight_grid(values, max(deg - 1, 0))

@@ -15,6 +15,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dualshare.approxlab as approxlab
 import dualshare.boolcube as boolcube
@@ -170,13 +172,13 @@ class TestOutputBytesPinned:
     ``symcheb pw`` moved onto integers, and (the ``_WEIGHTS_12`` cases)
     before the AND witness moved onto per-group bit counts.  Both
     ``weight-bound`` inputs reach the aggregate LP on every block split.  The
-    ``ramp --finite`` and ``weight-bound --f or`` digests were taken before
-    ramp's indistinguishability field and the weight floor's character
-    pairing were rewritten; ``or`` is the single-point construction.  The
-    ``weight-bound --f and`` digest, the single-point branch without the
-    complement, was taken before the construction stopped expanding its
-    parity polynomial.  The three ``dual-and`` digests and the ``ramp
-    --finite`` one were taken again when those payloads dropped the fields
+    ``ramp --finite`` digest was taken before ramp's indistinguishability
+    field was rewritten.  The ``weight-bound --f or`` and ``--f and``
+    digests, a one-point support with and without the complement, were
+    taken again when that support moved from its best block core to the
+    symmetrised certificate (weights 207/64 -> 179/64 and 3715/1196 ->
+    465/224).  The three ``dual-and`` digests and the ``ramp --finite`` one
+    were taken again when those payloads dropped the fields
     that restate another: ``H_size``, ``Z``, the purity flag and the
     witness's ``n`` and ``claimed_degree``; ``proof_radicand``,
     ``proof_value_float`` and ``l2_tail_bound``."""
@@ -224,9 +226,9 @@ class TestOutputBytesPinned:
             (["ramp", "--k", "2", "--K", "4", "--n", "64", "--finite"],
              "09adc5f4e61beb4133340554ed88e8d2361ce8b76a8ee6b90f0a4e013e4c32a5"),
             (["weight-bound", "--f", "or", "--n", "14", "--K", "5"],
-             "27d3f2c60d7813ea960d372efafd46bd3ad2d03d534248c04b47e06478c18023"),
+             "2f68d51bfc998d86bf674a91dd29cd2fdce0fa4ffe44b2cfdeec0c16f0f05fa1"),
             (["weight-bound", "--f", "and", "--n", "14", "--K", "6"],
-             "4501aca5f6fce121be6cbace0b98d1b8a575bbd680e1d134f66205498c63d019"),
+             "7fbcf07e0aab744f7ae65f4e557aa4b858b6d1c188371a401c7f469f91c9e849"),
         ],
     )
     def test_stdout_digest(self, runner, tmp_path, monkeypatch, args, digest):
@@ -990,6 +992,9 @@ class TestExitContract:
         # construction decides as for any eps
         (["weight-bound", "--f", "and", "--n", "8", "--K", "4", "--eps", "1e-400"], 2),
         (["weight-bound", "--f", "and", "--n", "8", "--K", "4", "--eps", "1e400"], 0),
+        # a degree budget below 1 is refused also when only the floor runs
+        (["weight-bound", "--f", "and", "--n", "10", "--K", "0", "--no-construct"], 2),
+        (["weight-bound", "--f", "and", "--n", "10", "--K", "-5", "--no-construct"], 2),
         *[(["symcheb", "pw", "--n", "256", "--K", "4", "--w", "1", "--check", "circle",
             "--eps", eps], 0) for eps in ("1e-9", "1e-20", "1/10000", "1e-7")],
         (["symcheb", "pw", "--n", "1024", "--K", "8", "--w", "1", "--check", "circle",
@@ -998,15 +1003,41 @@ class TestExitContract:
         (["symcheb", "pw", "--n", "128", "--K", "2", "--w", "1", "--check", "product-cap",
           "--eps", "1e-300"], 0),
         (["ramp", "--k", "1", "--K", "5000"], 2),
-    ], ids=["eps0-K2", "eps0-K8", "wb-1e-400", "wb-1e400", "circle-1e-9", "circle-1e-20",
+    ], ids=["eps0-K2", "eps0-K8", "wb-1e-400", "wb-1e400", "wb-K0-floor-only",
+            "wb-K-5-floor-only", "circle-1e-9", "circle-1e-20",
             "circle-1e-4", "circle-1e-7", "circle-1e9-K8", "product-cap-1e-300",
             "ramp-K5000-unprintable"])
     def test_command_lines(self, args, code):
         got, out, err = _run_capturing(args)
         assert (got, "Traceback" in err) == (code, False), err
         assert len(err.splitlines()) == (1 if code else 0), err
-        if args[0] == "ramp":
+        if args[0] == "ramp" or "--no-construct" in args:
             assert "--K" in err
+
+    # weight-bound on any named or 0/1 file predicate, any K around 1..n and
+    # eps at its boundaries: exit 0 keeps the sandwich, exit 2 is one line
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+               st.just(n),
+               st.one_of(st.sampled_from(["and", "or", "maj", "parity", "exact-half"]),
+                         st.lists(st.integers(0, 1), min_size=n + 1, max_size=n + 1)),
+               st.integers(-1, n + 1))),
+           st.sampled_from(["0", "1/3", "1/2", "1", "-1/3", "1e-400", "1e400", "x"]))
+    def test_weight_bound_fuzz(self, tmp_path, case, eps):
+        n, f, big_k = case
+        if isinstance(f, list):
+            (tmp_path / "f.json").write_text(json.dumps({"n": n, "values": f}))
+            f = str(tmp_path / "f.json")
+        got, out, err = _run_capturing(["weight-bound", "--f", f, "--n", str(n),
+                                        "--K", str(big_k), "--eps", eps])
+        assert (got in (0, 2), "Traceback" in err) == (True, False), err
+        if got:
+            assert len(err.splitlines()) == 1, err
+            return
+        res = json.loads(out)["result"]
+        assert Fraction(res["construct"]["certified_error"]) <= Fraction(eps)
+        assert Fraction(res["construct"]["weight"]) >= Fraction(res["lower"]["weight_lower_bound"])
 
     # K = 3574 is the first K (at k = 1) whose exact radicand has more than
     # 4300 digits, the interpreter's default limit on printing an integer

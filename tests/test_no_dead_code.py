@@ -55,10 +55,8 @@ _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # name -> every "module.Class" that defines it; each owner's member is read
 SHARED_CLASS_MEMBERS = {
     "K": {"approxlab.RampParams", "symcheb.SymmetrizedTest"},
-    "degree": {"ratpoly.RationalPoly", "simplex.MinimaxSolution",
-               "weightdeg.WeightDegreeReport", "weightdeg._AndCore"},
+    "degree": {"ratpoly.RationalPoly", "simplex.MinimaxSolution", "weightdeg.WeightDegreeReport"},
     "epsilon": {"dualand.DualAndWitness", "simplex.MinimaxSolution", "symcheb.AmplificationParams"},
-    "error": {"weightdeg.WeightDegreeReport", "weightdeg._AndCore"},
     "from_coeffs": {"ratpoly.ChebyshevExpansion", "ratpoly.RationalPoly"},
     "n": {"approxlab.RampParams", "boolcube.SymmetricDistribution", "dualand.DualAndParams",
           "dualand.WeightVector", "symcheb.SymmetrizedTest", "weightdeg.SymmetricSpec",

@@ -13,12 +13,12 @@ from dualshare.weightdeg import (
     SymmetricSpec,
     _aggregate_design,
     _aggregate_optimal,
-    _block_count_poly,
     _BlockTables,
     _chat_weight,
     _divisors,
     _outer_differences,
     _touched_block_coeffs,
+    _work_side,
     low_weight_report,
     weight_lower_bound,
 )
@@ -26,17 +26,19 @@ from oracles import (
     ParityPoly,
     aggregate_certificate_fraction,
     aggregate_design_fraction,
+    and_approx_core,
     approx_eq_y,
+    block_count_poly,
     chat_weight_fraction,
     basis_convert,
     core_weight,
     cube_error,
     cube_pairing,
-    expand_approximant,
     kappa_sums,
     kravchuk,
     kravchuk_weight_floor,
     solve_lp_rational,
+    symmetric_parity_poly,
 )
 
 
@@ -45,7 +47,7 @@ def expanded_approximant(spec: SymmetricSpec, K: int, eps):
     approximant it certified, expanded over the cube, whose degree and
     weight must be the report's."""
     report, form = low_weight_report(spec, K, eps)
-    poly = expand_approximant(spec, form)
+    poly = symmetric_parity_poly(spec.n, form)
     assert max(poly.degree(), 0) == report.degree
     assert poly.weight() == report.weight
     return poly, report
@@ -94,56 +96,58 @@ def min_weight_lp(values, n, K, target) -> Fraction:
 
 
 class TestApproxEqY:
-    """The block core's closed-form degree, weight and error against its
-    expansion over the cube (``core`` is the ``_AndCore``)."""
+    """Each split's block core: its closed-form degree, weight and error
+    against its expansion over the cube (``core`` is ``oracles.AndCore``)."""
 
     def test_exact_and_small(self):
-        poly, core = approx_eq_y(8, (1 << 8) - 1, 8, Fraction(1, 6))
-        assert core.degree == poly.degree() == 8
-        assert core_weight(core) == poly.weight() == 1
-        assert core.error == 0
-        assert cube_error(poly, lambda m: 1 if m == 255 else 0) == 0
+        # at budget n every split's outer polynomial interpolates [j == ell]
+        for ell in _divisors(8):
+            poly, core = approx_eq_y(8, (1 << 8) - 1, ell, 8)
+            assert core.degree == poly.degree() == 8
+            assert core_weight(core) == poly.weight() == 1
+            assert core.error == 0
+            assert cube_error(poly, lambda m: 1 if m == 255 else 0) == 0
 
     def test_n16_budget8(self):
-        poly, core = approx_eq_y(16, (1 << 16) - 1, 8, Fraction(1, 6))
-        assert core.degree == poly.degree() <= 8
-        assert core.error <= Fraction(1, 6)
-        assert poly.weight() == core_weight(core)
+        errors = []
+        for ell in _divisors(16):
+            poly, core = approx_eq_y(16, (1 << 16) - 1, ell, 8)
+            assert core.degree == poly.degree() <= 8
+            assert poly.weight() == core_weight(core)
+            errors.append(core.error)
+        assert min(errors) <= Fraction(1, 6)
 
     def test_error_certificate_vs_cube(self):
         # the structural error (outer LP residuals) equals the exhaustive one
-        for n, budget, target in ((8, 4, Fraction(1, 3)), (12, 6, Fraction(1, 4))):
+        for n, budget in ((8, 4), (12, 6)):
             y = (1 << n) - 1
-            poly, core = approx_eq_y(n, y, budget, target)
-            assert cube_error(poly, lambda m: 1 if m == y else 0) == core.error
-            assert (poly.degree(), poly.weight()) == (core.degree, core_weight(core))
+            for ell in _divisors(n):
+                poly, core = approx_eq_y(n, y, ell, budget)
+                assert cube_error(poly, lambda m: 1 if m == y else 0) == core.error
+                assert (poly.degree(), poly.weight()) == (core.degree, core_weight(core))
 
     def test_retargeting_preserves_weight_and_error(self):
         n = 8
-        _, base = approx_eq_y(n, (1 << n) - 1, 4, Fraction(1, 3))
-        for y in (0, 0b10110101, 0b00001111):
-            poly, core = approx_eq_y(n, y, 4, Fraction(1, 3))
-            assert poly.weight() == core_weight(base)
-            assert cube_error(poly, lambda m: 1 if m == y else 0) == base.error
+        for ell in _divisors(n):
+            _, base = approx_eq_y(n, (1 << n) - 1, ell, 4)
+            for y in (0, 0b10110101, 0b00001111):
+                poly, core = approx_eq_y(n, y, ell, 4)
+                assert poly.weight() == core_weight(base)
+                assert cube_error(poly, lambda m: 1 if m == y else 0) == base.error
 
     def test_inner_and_block_weight_one(self):
         # every exact multilinear AND block has parity weight exactly 1
         for s in (1, 2, 3, 5):
             assert basis_convert({(1 << s) - 1: Fraction(1)}, s).weight() == 1
 
-    def test_infeasible_budget_lists_best_errors(self):
-        with pytest.raises(InfeasibleBudget) as exc:
-            approx_eq_y(8, (1 << 8) - 1, 1, Fraction(1, 100))
-        assert set(exc.value.best_errors) == {1, 2, 4, 8}
-
     def test_trivial_split_matches_plain_minimax(self):
-        # with one block per variable the construction is the plain minimax
+        # with one block per variable the core is the plain minimax
         # polynomial in the Hamming weight
         n, budget = 8, 4
-        _, core = approx_eq_y(n, (1 << n) - 1, budget, Fraction(1, 3))
+        _, core = approx_eq_y(n, (1 << n) - 1, n, budget)
         values = [Fraction(1 if h == n else 0) for h in range(n + 1)]
         eps = solve_minimax([Fraction(j) for j in range(n + 1)], values, budget).epsilon
-        assert core.error <= max(eps, Fraction(1, 3))
+        assert core.error == eps
 
 
 class TestLowWeightApproximant:
@@ -192,6 +196,16 @@ class TestLowWeightApproximant:
             assert rep.error <= Fraction(1, 3)
             assert rep.degree <= K
 
+    def test_infeasible_budget_lists_best_errors(self):
+        # AND_8 at K = 1: no split meets 1/100, nor does the aggregate fit
+        spec = SymmetricSpec(8, tuple(int(h == 8) for h in range(9)))
+        with pytest.raises(InfeasibleBudget) as exc:
+            low_weight_report(spec, 1, Fraction(1, 100))
+        assert set(exc.value.best_errors) == {1, 2, 4, 8}
+        assert str(exc.value).startswith(
+            "degree budget K=1 cannot reach error 1/100 for this predicate; "
+            "best certified error per split: l=1: ")
+
     def test_infeasible_raises(self):
         n = 8
         spec = SymmetricSpec(n, tuple(1 if h == n - 1 else 0 for h in range(n + 1)))
@@ -219,11 +233,41 @@ class TestBlockCountPoly:
     @pytest.mark.parametrize("r", range(0, 6))
     def test_matches_inclusion_exclusion(self, s, r):
         # ((1+z)^s - 1)^r = sum_i (-1)^(r-i) C(r, i) (1+z)^(s i)
-        expected = [
-            sum((-1) ** (r - i) * comb(r, i) * comb(s * i, m) for i in range(r + 1))
-            for m in range(s * r + 1)
-        ]
-        assert _block_count_poly(s, r) == expected
+        assert _BlockTables(5 * s, [5 * s]).counts[s][r] == block_count_poly(s, r)
+
+
+class TestOnePointAgainstTheOldConstruction:
+    """AND and OR go through the symmetrised certificate like any other
+    predicate.  The best single block core, the construction that route
+    replaced (``oracles.and_approx_core``), is what it must meet: never
+    heavier, within eps and K, and infeasible exactly where the core is."""
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(1, 10), Fraction(1, 50)], ids=str)
+    def test_never_heavier_and_as_feasible(self, eps):
+        for n in range(1, 17):
+            for predicate in ([int(h == n) for h in range(n + 1)],
+                              [int(h > 0) for h in range(n + 1)]):
+                spec = SymmetricSpec(n, tuple(predicate))
+                complemented, _ = _work_side(spec)
+                for K in range(1, n + 1):
+                    try:
+                        core = and_approx_core(n, K, eps, complemented)
+                    except InfeasibleBudget:
+                        with pytest.raises(InfeasibleBudget):
+                            low_weight_report(spec, K, eps)
+                        continue
+                    rep, _ = low_weight_report(spec, K, eps)
+                    assert rep.weight <= Fraction(core.scaled_weight(complemented), core.den)
+                    assert rep.error <= eps and rep.degree <= K
+
+    def test_and_10_at_K_4(self):
+        # the block core's best split reports 113/66 at error 4/33; the
+        # symmetrised cores certify a lighter approximant
+        spec = SymmetricSpec(10, tuple(int(h == 10) for h in range(11)))
+        poly, rep = expanded_approximant(spec, 4, Fraction(1, 3))
+        assert (rep.degree, rep.weight, rep.error) == (4, Fraction(13, 9), Fraction(2, 9))
+        assert Fraction(113, 66) == core_weight(and_approx_core(10, 4, Fraction(1, 3), False))
+        assert cube_error(poly, lambda m: int(m == (1 << 10) - 1)) == rep.error
 
 
 class TestAggregateDesign:
@@ -294,14 +338,14 @@ _MOVED_SWEEP_CASES = [
 
 class TestConstantHalf:
     """From eps = 1/2 up the lightest constant within eps of both 0 and 1,
-    c = max(0, 1 - eps) with error 1 - c, is a candidate on both branches
+    c = max(0, 1 - eps) with error 1 - c, is a candidate for every support
     and in both orientations, and wins where it is lightest: the constant
     1/2 at eps = 1/2, 1/4 at eps = 3/4 and the zero polynomial from eps = 1."""
 
     @pytest.mark.parametrize("predicate, K, eps", [
-        ([0] * 8 + [1], 8, Fraction(1, 2)),  # and: the single-point branch
+        ([0] * 8 + [1], 8, Fraction(1, 2)),  # and: a one-point support
         ([0] + [1] * 8, 8, Fraction(1, 2)),  # or: the same, complemented
-        ([0] * 5 + [1] * 4, 8, Fraction(1)),  # maj: the symmetric branch
+        ([0] * 5 + [1] * 4, 8, Fraction(1)),  # maj: a support of several classes
         ([0] * 5 + [1] * 4, 4, Fraction(10**400)),
         ([0] * 8 + [1], 3, Fraction(3, 4)),
         ([0] + [1] * 8, 3, Fraction(3, 4)),
